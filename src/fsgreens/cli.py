@@ -362,7 +362,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.quad_points is None:
         env = os.environ.get("FSG_QUAD_POINTS")
-        args.quad_points = int(env) if env else DEFAULT_QUAD_POINTS
+        try:
+            args.quad_points = _positive_int(env) if env else DEFAULT_QUAD_POINTS
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            parser.error(f"FSG_QUAD_POINTS: {exc}")
     if args.out is None:
         args.out = f"fsgreens-{args.command}.{args.format}"
     if args.command == "vms-iter" and args.history_out is None:

@@ -16,6 +16,17 @@ a piecewise-polynomial part plus point sources at the element nodes.
 Residuals carry the same structure (smooth part, derivative-kink
 breakpoints, point sources/dipoles), which is what makes the
 discontinuity-split quadrature exact where naive quadrature fails.
+
+The Poisson kernel is self-adjoint, so the representers (duals G) and the
+lifts (G duals) are one function.  For H10 it is the functional itself,
+since G inverts its load exactly; for L2 it is computed on demand from
+
+    G f(x) = (1 - x) int_0^x s f(s) ds + x int_x^1 (1 - s) f(s) ds,
+
+whose two integrals are cumulative sums of Gauss rules over the cells
+between the mesh boundaries and source breakpoints, plus the two pieces of
+the cell holding x.  Every smooth Green's application goes through that
+one primitive.
 """
 
 from __future__ import annotations
@@ -27,17 +38,14 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import lu_factor, lu_solve
 
-from .basis1d import Field, SpaceKind, element_endpoint_values
-from .kernels import GreensKernel1D, KernelKind
-from .projection import (
-    DualFunctionals,
-    ProjectionFlavor,
-    functional_deriv_jumps,
-    tabulate_functionals,
-)
+from .basis1d import Field, SpaceKind, element_endpoint_values, nodal_deriv_jumps
+from .kernels import GreensKernel1D, KernelKind, _check_unit_domain
+from .projection import DualFunctionals, ProjectionFlavor, tabulate_functionals
 from .quadrature import DEFAULT_QUAD_POINTS, composite_rule, gauss_legendre_rule
 
-_DEFAULT_TOTAL_SAMPLES = 1001
+# Rule points tabulated at once by the Green's primitive: bounds its working
+# set, which would otherwise grow with the evaluation points.
+_BLOCK_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -60,6 +68,63 @@ class SourceTerm:
         return cls(smooth=f, breakpoints=tuple(float(b) for b in breakpoints))
 
 
+def _poisson_apply(density, x, cuts, quad_points: int, deriv: int = 0) -> np.ndarray:
+    """The Poisson Green's operator (deriv=0) or its x-derivative (deriv=1)
+    applied to a batch of densities, at the points x in [0, 1].
+
+    `density(s)` returns one value per point, or one column per density;
+    `cuts` are its derivative-kink locations.  With A(x) = int_0^x s f ds
+    and B(x) = int_x^1 (1 - s) f ds, G f = (1 - x) A + x B and
+    (G f)' = B - A.  The cells between the cuts are integrated once and
+    summed cumulatively; the cell holding x adds its two pieces split at x,
+    so each point sees the composite Gauss rule of a per-point quadrature
+    split at the kernel kink.  Densities are tabulated _BLOCK_POINTS rule
+    points at a time.  Returns shape (len(x), number of densities).
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    _check_unit_domain(x)
+    x = np.clip(x, 0.0, 1.0)
+    bounds = np.unique(np.concatenate(([0.0, 1.0], np.asarray(cuts, dtype=float))))
+    bounds = bounds[(bounds >= 0.0) & (bounds <= 1.0)]
+    rule = gauss_legendre_rule(quad_points)
+    step = max(1, _BLOCK_POINTS // rule.npoints)
+
+    def moments(lo, hi):
+        # (int s f ds, int (1 - s) f ds) over every [lo_i, hi_i]
+        parts = []
+        for start in range(0, lo.size, step):
+            a, b = lo[start:start + step, None], hi[start:start + step, None]
+            s = 0.5 * (a + b) + 0.5 * (b - a) * rule.nodes
+            w = 0.5 * (b - a) * rule.weights
+            f = np.asarray(density(s.ravel()), dtype=float).reshape(s.shape + (-1,))
+            parts.append(np.einsum("jiq,iqk->jik", np.stack((s * w, (1.0 - s) * w)), f))
+        return np.concatenate(parts, axis=1)
+
+    whole = moments(bounds[:-1], bounds[1:])
+    zero = np.zeros((1, whole.shape[2]))
+    before = np.concatenate((zero, np.cumsum(whole[0], axis=0)))
+    after = np.concatenate((np.cumsum(whole[1][::-1], axis=0)[::-1], zero))
+    cell = np.clip(np.searchsorted(bounds, x, side="right") - 1, 0, bounds.size - 2)
+    a = before[cell] + moments(bounds[cell], x)[0]
+    b = after[cell + 1] + moments(x, bounds[cell + 1])[1]
+    return b - a if deriv else (1.0 - x)[:, None] * a + x[:, None] * b
+
+
+def _lift(fns: DualFunctionals, x, quad_points: int, deriv: int = 0) -> np.ndarray:
+    """Every lifted functional G(load_j), or its x-derivative, at x.
+
+    For H10 the Poisson kernel inverts the load (minus the second
+    derivative plus the node point sources) exactly, so the lift is the
+    functional itself; derivatives at mesh nodes are the left element's.
+    For L2 the load is the dual density and the lift is its exact
+    Poisson image.
+    """
+    if fns.flavor is ProjectionFlavor.H10:
+        return tabulate_functionals(fns, x, deriv=deriv)
+    return _poisson_apply(lambda s: tabulate_functionals(fns, s), x,
+                          fns.family.mesh.boundaries, quad_points, deriv)
+
+
 def _outer_rule(kernel: GreensKernel1D, mesh_boundaries: np.ndarray,
                 extra: Sequence[float], quad_points: int):
     bounds = np.unique(np.concatenate((mesh_boundaries, np.asarray(extra, dtype=float))))
@@ -69,28 +134,23 @@ def _outer_rule(kernel: GreensKernel1D, mesh_boundaries: np.ndarray,
 def green_apply(kernel: GreensKernel1D, src: SourceTerm, x,
                 quad_points: int = DEFAULT_QUAD_POINTS,
                 mesh_boundaries: Sequence[float] | None = None):
-    """Evaluate the Green's operator applied to a source at the points x.
+    """Evaluate the Poisson Green's operator applied to a source at the points x.
 
-    The s-integral is split at the kernel kink s = x, the source's own
-    breakpoints, and any supplied mesh boundaries; point sources and
-    dipoles contribute kernel and kernel-derivative values directly.
+    The smooth part is integrated by the cumulative-sum primitive, cut at
+    every x, the source's own breakpoints and any supplied mesh
+    boundaries; point sources and dipoles contribute kernel and
+    kernel-derivative values directly.
     """
+    if kernel.kind is not KernelKind.POISSON:
+        raise NotImplementedError("fine-scale assembly is built on the Poisson kernel")
     scalar = np.isscalar(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    lo, hi = 0.0, kernel.width
-    base = np.unique(np.concatenate((
-        np.asarray(mesh_boundaries if mesh_boundaries is not None else [lo, hi], dtype=float),
-        np.asarray(src.breakpoints, dtype=float),
-        [lo, hi],
-    )))
-    rule = gauss_legendre_rule(quad_points)
+    lo = 0.0
     out = np.zeros_like(x)
     if src.smooth is not None:
-        for i, xi in enumerate(x):
-            cut = np.unique(np.concatenate((base, [xi])))
-            cut = cut[(cut >= lo) & (cut <= hi)]
-            s, w = composite_rule(rule, cut)
-            out[i] = np.dot(w, kernel(xi, s) * np.asarray(src.smooth(s), dtype=float))
+        cuts = np.concatenate((() if mesh_boundaries is None else mesh_boundaries,
+                               src.breakpoints))
+        out += _poisson_apply(src.smooth, x, cuts, quad_points)[:, 0]
     for loc, q in src.point_sources:
         out += q * kernel(x, loc)
     for loc, q in src.point_dipoles:
@@ -121,7 +181,9 @@ def functional_load(fns: DualFunctionals):
     a, b = mesh.a, mesh.b
     deriv_a = tabulate_functionals(fns, np.array([a]), deriv=1)[0]
     deriv_b = tabulate_functionals(fns, np.array([b]), deriv=1)[0]
-    strengths = np.vstack([-deriv_a, functional_deriv_jumps(fns), deriv_b])
+    # interface strengths are the derivative jumps, left minus right
+    jumps = -nodal_deriv_jumps(fns.family) @ fns.coeffs
+    strengths = np.vstack([-deriv_a, jumps, deriv_b])
     return smooth, mesh.boundaries.copy(), strengths
 
 
@@ -133,32 +195,29 @@ def dual_representers(kernel: GreensKernel1D, fns: DualFunctionals, s,
 
     Entry (q, j) is the pairing of functional j with the kernel column at
     s_q: the x-integral of the functional derivative against the kernel's
-    x-derivative (H10) or of the functional against the kernel (L2).  With
-    `split` the x-integral is cut at the kernel kink x = s_q, which is the
-    fix for the otherwise badly captured derivative discontinuity.  For
-    the H10/Poisson pairing the result is the functionals themselves.
+    x-derivative (H10) or of the functional against the kernel (L2).
     `deriv=1` returns the s-derivative of the representers (dipole loads).
+    With `split` the kernel kink x = s_q is integrated exactly: the kernel
+    is self-adjoint, so the representers are the lifts (G duals) and are
+    evaluated as such.  Without it the x-integral is cut only at the mesh
+    boundaries, the naive quadrature that misses the derivative
+    discontinuity.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if kernel.kind is not KernelKind.POISSON:
         raise NotImplementedError("fine-scale assembly is built on the Poisson kernel")
-    mesh = fns.family.mesh
-    rule = gauss_legendre_rule(quad_points)
-    out = np.empty((s.size, fns.size))
+    if split:
+        return _lift(fns, s, quad_points, deriv)
+    xq, wq = composite_rule(gauss_legendre_rule(quad_points), fns.family.mesh.boundaries)
     if fns.flavor is ProjectionFlavor.H10:
-        pair_tab = lambda xq: tabulate_functionals(fns, xq, deriv=1)
+        pair_tab = tabulate_functionals(fns, xq, deriv=1)
         # d2 g / dx ds is -1 on both sides of the diagonal
-        kern = kernel.derivative_x if deriv == 0 else (lambda xq, sq: -np.ones_like(xq))
+        kern = kernel.derivative_x(xq[:, None], s[None, :]) if deriv == 0 \
+            else -np.ones((xq.size, s.size))
     else:
-        pair_tab = lambda xq: tabulate_functionals(fns, xq)
-        kern = kernel if deriv == 0 else kernel.derivative_s
-    for qi, sq in enumerate(s):
-        cuts = mesh.boundaries
-        if split:
-            cuts = np.unique(np.concatenate((cuts, [sq])))
-            cuts = cuts[(cuts >= mesh.a) & (cuts <= mesh.b)]
-        xq, wq = composite_rule(rule, cuts)
-        out[qi] = pair_tab(xq).T @ (wq * kern(xq, sq))
+        pair_tab = tabulate_functionals(fns, xq)
+        kern = (kernel if deriv == 0 else kernel.derivative_s)(xq[:, None], s[None, :])
+    out = kern.T @ (wq[:, None] * pair_tab)
     if fns.flavor is ProjectionFlavor.H10 and deriv == 1:
         # Leibniz term from the moving kink: the kernel's x-derivative drops
         # by one across x = s, so the split boundary's motion contributes
@@ -256,27 +315,18 @@ def piecewise_interpolant(boundaries, grid, values) -> PiecewiseCubic:
     return PiecewiseCubic(boundaries, tuple(splines))
 
 
-def _sample_piecewise(boundaries: np.ndarray, values_fn, samples_per_element: int):
-    splines = []
-    for n in range(len(boundaries) - 1):
-        xs = np.linspace(boundaries[n], boundaries[n + 1], samples_per_element)
-        splines.append(CubicSpline(xs, values_fn(xs)))
-    return splines
-
-
 @dataclass(frozen=True)
 class FineScaleOperator:
     """Precomputed fine-scale Green's operator for one kernel and dual set.
 
-    Holds the lifted functionals (sampled per element with cubic
-    interpolation plus a direct quadrature path), the factorized Gram
-    matrix, and the flavor pairing used for all dual applications.
+    Holds the factorized Gram matrix and the functionals whose flavor
+    pairing drives all dual applications.  The lifted functionals are
+    exact and evaluated on demand, so nothing else is stored.
     """
 
     kernel: GreensKernel1D
     functionals: DualFunctionals
     quad_points: int
-    lifted: tuple
     gram: np.ndarray
     _lu: tuple = field(repr=False, default=None)
 
@@ -289,9 +339,8 @@ class FineScaleOperator:
         return self.functionals.size
 
     def lifted_tab(self, x) -> np.ndarray:
-        """Tabulate every lifted functional at x from the cached splines."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.column_stack([lift(x) for lift in self.lifted])
+        """Tabulate every lifted functional at x; shape (len(x), size)."""
+        return _lift(self.functionals, x, self.quad_points)
 
     def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
         return lu_solve(self._lu, np.asarray(rhs, dtype=float))
@@ -301,8 +350,8 @@ def lift_functionals_direct(kernel: GreensKernel1D, fns: DualFunctionals, x,
                             quad_points: int = DEFAULT_QUAD_POINTS) -> np.ndarray:
     """Direct-quadrature evaluation of every lifted functional at x.
 
-    Verification path for the cached splines: applies the Green's operator
-    to each functional's load without interpolation.
+    Per-point verification path for the exact lifts: applies the Green's
+    kernel to each functional's load with one quadrature per point.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     mesh = fns.family.mesh
@@ -320,30 +369,13 @@ def lift_functionals_direct(kernel: GreensKernel1D, fns: DualFunctionals, x,
 
 
 def build_fine_scale_operator(kernel: GreensKernel1D, fns: DualFunctionals,
-                              quad_points: int = DEFAULT_QUAD_POINTS,
-                              samples_per_element: int | None = None) -> FineScaleOperator:
-    """Assemble the lifted functionals and the factorized Gram matrix."""
+                              quad_points: int = DEFAULT_QUAD_POINTS) -> FineScaleOperator:
+    """Assemble and factorize the Gram matrix of the functionals under G."""
     if kernel.kind is not KernelKind.POISSON:
         raise NotImplementedError("fine-scale assembly is built on the Poisson kernel")
     mesh = fns.family.mesh
     if abs(mesh.a) > 1e-14 or abs(mesh.b - kernel.width) > 1e-14:
         raise ValueError("mesh must cover the kernel domain [0, width]")
-    if samples_per_element is None:
-        samples_per_element = max(9, (_DEFAULT_TOTAL_SAMPLES - 1) // mesh.num_elements + 1)
-
-    lifted_dense = lambda xs: lift_functionals_direct(kernel, fns, xs, quad_points)
-    per_elem = []
-    for n in range(mesh.num_elements):
-        xs = np.linspace(mesh.boundaries[n], mesh.boundaries[n + 1], samples_per_element)
-        per_elem.append(lifted_dense(xs))
-    lifted = []
-    for j in range(fns.size):
-        splines = []
-        for n in range(mesh.num_elements):
-            xs = np.linspace(mesh.boundaries[n], mesh.boundaries[n + 1], samples_per_element)
-            splines.append(CubicSpline(xs, per_elem[n][:, j]))
-        lifted.append(PiecewiseCubic(mesh.boundaries.copy(), tuple(splines)))
-
     smooth_tab, locs, strengths = functional_load(fns)
     s, w = _outer_rule(kernel, mesh.boundaries, (), quad_points)
     rep = dual_representers(kernel, fns, s, split=True, quad_points=quad_points)
@@ -355,7 +387,7 @@ def build_fine_scale_operator(kernel: GreensKernel1D, fns: DualFunctionals,
     if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) > 1e14:
         raise ValueError("singular dual Gram matrix: assembly defect")
     lu = lu_factor(gram)
-    return FineScaleOperator(kernel, fns, quad_points, tuple(lifted), gram, lu)
+    return FineScaleOperator(kernel, fns, quad_points, gram, lu)
 
 
 def fine_scale_eval(op: FineScaleOperator, x, s, split: bool = True) -> np.ndarray:

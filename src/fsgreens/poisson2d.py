@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 
-from .basis1d import BasisFamily, Mesh1D, basis_family, lagrange_tab, tabulate_nodal
+from .basis1d import BasisFamily, Mesh1D, basis_family, nodal_deriv_jumps, tabulate_nodal
 from .dualspace import assemble_mass
 from .basis1d import SpaceKind
 from .kernels import DEFAULT_SERIES_TERMS, series_term_profile
@@ -335,7 +335,7 @@ def h10_project_values_2d(d2: DualFunctionals2D, u: Callable,
     u_grid = np.asarray(u(x, x), dtype=float)
     coeffs = -np.einsum("xy,x,y,xyi->i", u_grid, w, w, lap, optimize=True)
 
-    jumps = _nodal_deriv_jump_matrix(family)                  # (n_ifaces, m)
+    jumps = nodal_deriv_jumps(family)                         # (n_ifaces, m)
     tensor = d2.coeff_tensor()
     by = _interior_tab(family, x)                              # (nq, m)
     for c, xc in enumerate(mesh.boundaries[1:-1]):
@@ -349,20 +349,3 @@ def h10_project_values_2d(d2: DualFunctionals2D, u: Callable,
         coeffs += np.einsum("y,y,yi->i", u_line, w, profile, optimize=True)
     return coeffs
 
-
-def _nodal_deriv_jump_matrix(family: BasisFamily) -> np.ndarray:
-    """(right minus left) derivative jumps of the interior nodal basis at
-    the interior mesh nodes."""
-    mesh = family.mesh
-    p = mesh.degree
-    if mesh.num_elements == 1:
-        return np.zeros((0, mesh.num_nodal_dofs - 2))
-    ref = lagrange_tab(family, np.array([-1.0, 1.0]), deriv=1)
-    rows = []
-    for k in range(1, mesh.num_elements):
-        left = np.zeros(mesh.num_nodal_dofs)
-        right = np.zeros(mesh.num_nodal_dofs)
-        left[(k - 1) * p: (k - 1) * p + p + 1] = ref[1] / mesh.jacobian(k - 1)
-        right[k * p: k * p + p + 1] = ref[0] / mesh.jacobian(k)
-        rows.append(right - left)
-    return np.asarray(rows)[:, 1:-1]

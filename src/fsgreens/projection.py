@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .basis1d import BasisFamily, Field, SpaceKind, lagrange_tab, tabulate_nodal
+from .basis1d import BasisFamily, Field, SpaceKind, lagrange_tab, nodal_deriv_jumps, tabulate_nodal
 from .dualspace import DualSet, build_duals, tabulate_duals
 from .quadrature import (
     DEFAULT_QUAD_POINTS,
@@ -217,27 +217,8 @@ def h10_project_values(fns: DualFunctionals,
         coeffs -= d2.T @ (ws * np.asarray(u(xs), dtype=float))
     interfaces = mesh.boundaries[1:-1]
     if interfaces.size:
-        uvals = np.asarray(u(interfaces), dtype=float)
-        coeffs += functional_deriv_jumps(fns).T @ uvals
+        # one-sided derivative jumps of the functionals, left minus right
+        jumps = -nodal_deriv_jumps(family) @ fns.coeffs
+        coeffs += jumps.T @ np.asarray(u(interfaces), dtype=float)
     return coeffs
 
-
-def functional_deriv_jumps(fns: DualFunctionals) -> np.ndarray:
-    """One-sided derivative jumps (left minus right) of every functional
-    at each interior element interface; shape (num_interfaces, size).
-    Evaluated from exact per-element endpoint tabulations.
-    """
-    family, mesh = fns.family, fns.family.mesh
-    p = mesh.degree
-    ref = lagrange_tab(family, np.array([-1.0, 1.0]), deriv=1)
-    rows = []
-    for k in range(1, mesh.num_elements):
-        left = np.zeros(mesh.num_nodal_dofs)
-        right = np.zeros(mesh.num_nodal_dofs)
-        left[(k - 1) * p: (k - 1) * p + p + 1] = ref[1] / mesh.jacobian(k - 1)
-        right[k * p: k * p + p + 1] = ref[0] / mesh.jacobian(k)
-        rows.append(left - right)
-    jumps_nodal = np.asarray(rows)
-    if fns.flavor is ProjectionFlavor.H10:
-        return jumps_nodal[:, 1:-1] @ fns.coeffs
-    raise ValueError("derivative jumps are used by the H10 machinery only")

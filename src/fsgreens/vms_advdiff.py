@@ -34,12 +34,14 @@ from .basis1d import (
     Field,
     SpaceKind,
     field_eval,
+    nodal_deriv_jumps,
     tabulate_nodal,
 )
 from .dualspace import assemble_mass
 from .finescale import (
     FineScaleOperator,
     SourceTerm,
+    _poisson_apply,
     green_apply,
     piecewise_interpolant,
     reconstruct_fine_scales,
@@ -50,7 +52,7 @@ from .projection import (
     mesh_quadrature,
     tabulate_functionals,
 )
-from .quadrature import DEFAULT_QUAD_POINTS, gauss_legendre_rule
+from .quadrature import DEFAULT_QUAD_POINTS
 
 DEFAULT_FINE_GRID = 2001
 DEFAULT_TOLERANCE = 1e-8
@@ -159,18 +161,6 @@ def fine_scale_interpolant(family: BasisFamily, grid: np.ndarray, values: np.nda
     return piecewise_interpolant(family.mesh.boundaries, grid, values)
 
 
-def _cumulative_basis_integrals(family: BasisFamily, grid: np.ndarray) -> np.ndarray:
-    """integral from 0 to grid point of each interior nodal basis function."""
-    sub_rule = gauss_legendre_rule(4)
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    half = 0.5 * np.diff(grid)
-    pts = (mids[:, None] + half[:, None] * sub_rule.nodes[None, :]).ravel()
-    wts = (half[:, None] * sub_rule.weights[None, :]).ravel()
-    tab = tabulate_nodal(family, pts)[:, 1:-1]
-    increments = (wts[:, None] * tab).reshape(grid.size - 1, sub_rule.npoints, -1).sum(axis=1)
-    return np.vstack([np.zeros(increments.shape[1]), np.cumsum(increments, axis=0)])
-
-
 def _factor_coarse_matrix(problem: AdvDiffProblem, adv_pairing: np.ndarray) -> tuple:
     """LU factors of the coarse-scale matrix I - (c/nu) (mu_j', psi_k)."""
     matrix = np.eye(adv_pairing.shape[0]) \
@@ -193,15 +183,15 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleO
     grid = fine_grid(mesh, fine_grid_points)
 
     nodal_tab = tabulate_nodal(family, grid)[:, 1:-1]
-    cum = _cumulative_basis_integrals(family, grid)
-    green_first_deriv = grid[:, None] * cum[-1][None, :] - cum
+    green_first_deriv = _poisson_apply(lambda s: tabulate_nodal(family, s, deriv=1)[:, 1:-1],
+                                       grid, mesh.boundaries, quad_points)
     green_source = green_apply(op.kernel, SourceTerm.from_function(problem.source),
                                grid, quad_points=quad_points,
                                mesh_boundaries=mesh.boundaries)
     lifted_tab = op.lifted_tab(grid)
     inner_nodes = mesh.boundaries[1:-1]
     node_green = op.kernel(grid[:, None], inner_nodes[None, :])
-    deriv_jumps = _nodal_deriv_jumps(family)
+    deriv_jumps = nodal_deriv_jumps(family)
 
     x, w = mesh_quadrature(family, quad_points)
     mu_tab = tabulate_functionals(fns, x)
@@ -217,26 +207,6 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleO
                       source_pairing, adv_pairing, second_pairing,
                       x, w[:, None] * mu_dtab, mass,
                       _factor_coarse_matrix(problem, adv_pairing))
-
-
-def _nodal_deriv_jumps(family: BasisFamily) -> np.ndarray:
-    """Right-minus-left derivative jumps of the interior nodal basis at the
-    interior mesh nodes; shape (num_interfaces, num_interior_dofs)."""
-    from .basis1d import lagrange_tab
-
-    mesh = family.mesh
-    p = mesh.degree
-    if mesh.num_elements == 1:
-        return np.zeros((0, mesh.num_nodal_dofs - 2))
-    ref = lagrange_tab(family, np.array([-1.0, 1.0]), deriv=1)
-    rows = []
-    for k in range(1, mesh.num_elements):
-        left = np.zeros(mesh.num_nodal_dofs)
-        right = np.zeros(mesh.num_nodal_dofs)
-        left[(k - 1) * p: (k - 1) * p + p + 1] = ref[1] / mesh.jacobian(k - 1)
-        right[k * p: k * p + p + 1] = ref[0] / mesh.jacobian(k)
-        rows.append(right - left)
-    return np.asarray(rows)[:, 1:-1]
 
 
 def _coarse_sweep(ws: _Workspace, interior: np.ndarray, fine_spline) -> np.ndarray:

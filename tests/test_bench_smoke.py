@@ -1,0 +1,27 @@
+"""Smoke test of the benchmark pipelines in bench/, at their smallest sizes.
+
+Runs the two recon1d warm-up solves and a 5-element kernel surface per
+flavor through `workloads.run_solve`, untraced, so that a change to the
+library calls the benchmark makes (operator build, `fine_scale_eval`,
+`residual_from_field`, `write_table`) fails here first.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import tracing  # noqa: E402
+import workloads  # noqa: E402
+from workloads import Spec  # noqa: E402
+
+SPECS = list(workloads.WORKLOADS["recon1d"].warmup) + \
+    [Spec("finescale", 5, 2, flavor) for flavor in ("h10", "l2")]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.N}-{s.p}-{s.flavor}")
+def test_bench_pipeline_passes(spec, tmp_path):
+    outcome = workloads.run_solve(spec, tracing.Tracer(False), str(tmp_path / "out.csv"))
+    assert outcome.ok, outcome.note

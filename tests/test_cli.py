@@ -119,7 +119,7 @@ def test_quad_points_environment_override(tmp_path, monkeypatch):
                 "--grid", "11", "--out", str(out)) == 0
 
 
-def test_usage_errors_exit_two(tmp_path):
+def test_usage_errors_exit_two(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as err:
         _run(tmp_path, "gll")
     assert err.value.code == 2
@@ -129,6 +129,12 @@ def test_usage_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as err:
         _run(tmp_path, "nonsense")
     assert err.value.code == 2
+    for bad in ("abc", "0", "-3"):
+        monkeypatch.setenv("FSG_QUAD_POINTS", bad)
+        with pytest.raises(SystemExit) as err:
+            _run(tmp_path, "reconstruct", "--p", "1", "--elements", "2",
+                 "--grid", "11", "--out", str(tmp_path / "rec.csv"))
+        assert err.value.code == 2
 
 
 def test_numerical_defect_exits_one(tmp_path):

@@ -79,9 +79,9 @@ def test_lifted_l2_weak_identity():
 
     rule = gauss_legendre_rule(20)
     for i in range(fns.size):
-        lift = op.lifted[i]
         lhs = -integrate(
-            lambda x: lift(x) * (phi(x + ddphi_h) - 2 * phi(x) + phi(x - ddphi_h)) / ddphi_h**2,
+            lambda x: op.lifted_tab(x)[:, i]
+            * (phi(x + ddphi_h) - 2 * phi(x) + phi(x - ddphi_h)) / ddphi_h**2,
             0.0, 1.0, rule, list(family.mesh.boundaries[1:-1]))
         rhs = integrate(lambda x: tabulate_functionals(fns, x)[:, i] * phi(x),
                         0.0, 1.0, rule, list(family.mesh.boundaries[1:-1]))
@@ -100,8 +100,7 @@ def test_lifted_h10_greens_identity_against_load():
     smooth_tab, locs, strengths = functional_load(fns)
     inner = list(family.mesh.boundaries[1:-1])
     for i in range(fns.size):
-        lift = op.lifted[i]
-        lhs = -integrate(lambda x: lift(x) * ddphi(x), 0.0, 1.0, rule, inner)
+        lhs = -integrate(lambda x: op.lifted_tab(x)[:, i] * ddphi(x), 0.0, 1.0, rule, inner)
         rhs = integrate(lambda x: smooth_tab(x)[:, i] * phi(x), 0.0, 1.0, rule, inner)
         rhs += sum(strengths[k, i] * phi(loc) for k, loc in enumerate(locs))
         assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -119,6 +118,23 @@ def test_splines_match_direct_quadrature():
         x = np.linspace(0.0, 1.0, 77)
         direct = lift_functionals_direct(KERNEL, fns, x)
         assert np.max(np.abs(op.lifted_tab(x) - direct)) < 1e-9
+
+
+@pytest.mark.parametrize("flavor", [ProjectionFlavor.H10, ProjectionFlavor.L2])
+@pytest.mark.parametrize("num_elements", [6, 10])
+def test_lifts_exact_on_jittered_mesh(flavor, num_elements):
+    # the on-demand lifts and the split representers against the per-point
+    # oracle, on interior boundaries moved by up to 30% of an element width
+    rng = np.random.default_rng(num_elements)
+    h = 1.0 / num_elements
+    inner = np.arange(1, num_elements) * h + rng.uniform(-0.3, 0.3, num_elements - 1) * h
+    mesh = Mesh1D(0.0, 1.0, num_elements, 4, np.concatenate(([0.0], inner, [1.0])))
+    fns = build_dual_functionals(basis_family(mesh), flavor)
+    op = build_fine_scale_operator(KERNEL, fns)
+    x = np.linspace(0.0, 1.0, 97)
+    direct = lift_functionals_direct(KERNEL, fns, x)
+    assert np.max(np.abs(op.lifted_tab(x) - direct)) < 1e-13
+    assert np.max(np.abs(dual_representers(KERNEL, fns, x) - direct)) < 1e-13
 
 
 def test_domain_mismatch_rejected():
@@ -293,7 +309,7 @@ def test_reproduction_l2_projects_to_identity():
 
 
 @pytest.mark.parametrize("flavor", [ProjectionFlavor.H10, ProjectionFlavor.L2])
-@pytest.mark.parametrize("degree,elements", [(1, 5), (2, 5)])
+@pytest.mark.parametrize("degree,elements", [(1, 5), (2, 5), (3, 1)])
 def test_poisson_reconstruction(flavor, degree, elements):
     family, fns, op = _setup(elements, degree, flavor)
     if flavor is ProjectionFlavor.H10:
