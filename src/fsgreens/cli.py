@@ -366,6 +366,9 @@ def main(argv=None) -> int:
             args.quad_points = _positive_int(env) if env else DEFAULT_QUAD_POINTS
         except (argparse.ArgumentTypeError, ValueError) as exc:
             parser.error(f"FSG_QUAD_POINTS: {exc}")
+    h10 = args.command in ("vms-iter", "poisson2d") or getattr(args, "projection", None) == "h10"
+    if h10 and args.p * args.elements < 2:
+        parser.error("the H10 space needs an interior node: p * elements >= 2")
     if args.out is None:
         args.out = f"fsgreens-{args.command}.{args.format}"
     if args.command == "vms-iter" and args.history_out is None:

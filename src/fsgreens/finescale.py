@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import lu_factor, lu_solve
 
 from .basis1d import Field, SpaceKind, element_endpoint_values, nodal_deriv_jumps
@@ -256,66 +255,6 @@ def apply_dual_green(kernel: GreensKernel1D, fns: DualFunctionals, src: SourceTe
 
 
 @dataclass(frozen=True)
-class PiecewiseCubic:
-    """Cubic interpolants glued across elements, kink-safe at the joints.
-
-    Evaluation routes each point to its element's spline (points on an
-    interior joint go left, matching the field-evaluation convention).
-    Derivatives and antiderivatives map element by element, so functions
-    with derivative jumps at the joints are handled exactly.
-    """
-
-    boundaries: np.ndarray
-    splines: tuple
-
-    def __call__(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = np.clip(np.searchsorted(self.boundaries, x, side="left") - 1,
-                      0, len(self.splines) - 1)
-        out = np.empty_like(x)
-        for n in range(len(self.splines)):
-            mask = idx == n
-            if np.any(mask):
-                out[mask] = self.splines[n](x[mask])
-        return out
-
-    def derivative(self) -> "PiecewiseCubic":
-        return PiecewiseCubic(self.boundaries,
-                              tuple(s.derivative() for s in self.splines))
-
-    def antiderivative(self) -> "PiecewiseCubic":
-        pieces = []
-        offset = 0.0
-        for n, spline in enumerate(self.splines):
-            anti = spline.antiderivative()
-            lo, hi = self.boundaries[n], self.boundaries[n + 1]
-            shift = offset - float(anti(lo))
-            anti.c[-1] += shift
-            pieces.append(anti)
-            offset = float(anti(hi))
-        return PiecewiseCubic(self.boundaries, tuple(pieces))
-
-
-def piecewise_interpolant(boundaries, grid, values) -> PiecewiseCubic:
-    """Per-element cubic interpolant of samples on an element-aligned grid.
-
-    Every element must contain at least four grid points; interior joint
-    points are shared between the neighbouring pieces.
-    """
-    boundaries = np.asarray(boundaries, dtype=float)
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    splines = []
-    for n in range(boundaries.size - 1):
-        lo, hi = boundaries[n], boundaries[n + 1]
-        mask = (grid >= lo - 1e-14) & (grid <= hi + 1e-14)
-        if np.count_nonzero(mask) < 4:
-            raise ValueError("need at least four samples per element")
-        splines.append(CubicSpline(grid[mask], values[mask]))
-    return PiecewiseCubic(boundaries, tuple(splines))
-
-
-@dataclass(frozen=True)
 class FineScaleOperator:
     """Precomputed fine-scale Green's operator for one kernel and dual set.
 
@@ -395,9 +334,14 @@ def fine_scale_eval(op: FineScaleOperator, x, s, split: bool = True) -> np.ndarr
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     ss = np.atleast_1d(np.asarray(s, dtype=float))
     full = op.kernel(xs[:, None], ss[None, :])
-    rep = dual_representers(op.kernel, op.functionals, ss, split=split,
-                            quad_points=op.quad_points)
-    corr = op.lifted_tab(xs) @ op.solve_gram(rep.T)
+    lifted = op.lifted_tab(xs)
+    if split and np.array_equal(xs, ss):
+        # the split representers are the lifts
+        rep = lifted
+    else:
+        rep = dual_representers(op.kernel, op.functionals, ss, split=split,
+                                quad_points=op.quad_points)
+    corr = lifted @ op.solve_gram(rep.T)
     out = full - corr
     if np.isscalar(x) and np.isscalar(s):
         return float(out[0, 0])

@@ -10,14 +10,15 @@ fine-scale operator.  Two modes:
   coarse coefficients given the current fine scales and applies the
   fine-scale map, both updates under-relaxed, until the unrelaxed coarse
   step stalls; the fine scales are held on a dense element-aligned grid
-  and interpolated per element (they have derivative kinks at the joints).
+  and interpolated by one cubic spline that is only continuous at the
+  joints (they have derivative kinks there).
 
 The iteration uses precomputed linear maps: the coarse-scale matrix is
 factored once, applying the diffusion Green's operator to a derivative
 reduces to antiderivatives (G v' = x * integral(v) - cumulative(v) for v
 vanishing at the ends), and applying it to a nodal field's second
-derivative returns the negated field, so each sweep costs a spline build
-plus small matrix products and one small triangular solve.
+derivative returns the negated field, so a sweep is one affine map of the
+coarse coefficients and the fine-grid values.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.interpolate import BSpline, make_interp_spline
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .basis1d import (
@@ -43,7 +45,6 @@ from .finescale import (
     SourceTerm,
     _poisson_apply,
     green_apply,
-    piecewise_interpolant,
     reconstruct_fine_scales,
 )
 from .projection import (
@@ -110,12 +111,22 @@ class IterationState:
 
 @dataclass(frozen=True)
 class _Workspace:
-    """Precomputed linear maps for one mesh/problem pair.
+    """One sweep of the coupled iteration as an affine map, for one
+    mesh/problem pair.
 
-    The coarse-scale equation (I - (c/nu) A) u_bar = (mu, f)/nu +
-    (c/nu) (mu', u'), with A the advective pairing, is factored once
-    (coarse_lu), so a sweep solves it for the coarse coefficients given
-    the current fine scales.
+    With A the advective pairing (mu_j', psi_k), G the Poisson Green's
+    operator and t = (c/nu) (mu', u') the pairing of the current fine
+    scales, a sweep maps the interior coarse coefficients u_bar and the
+    fine-grid values u' to
+
+        u_bar <- (I - (c/nu) A)^{-1} ((mu, f)/nu + t),
+        u'    <- fine_const + fine_lin u_bar - (c/nu) G(du'/dx) - lifted_gram t.
+
+    The coarse-scale matrix is factored once (coarse_lu).  fine_const is
+    the fine-scale operator applied to f/nu; fine_lin applies it to the
+    coarse field's part of the residual; lifted_gram is the lifted
+    functionals times the Gram inverse on the grid.  Only t and
+    G(du'/dx) need the fine-scale interpolant.
 
     The coarse-field residual is the classical piecewise one (no interface
     deltas), so the Green's application of the field's second derivative is
@@ -124,23 +135,17 @@ class _Workspace:
     and the paired side leaves the fine-scale result unchanged.
     """
 
-    problem: AdvDiffProblem
-    fns: DualFunctionals
-    op: FineScaleOperator
+    family: BasisFamily
     grid: np.ndarray
-    nodal_tab: np.ndarray          # interior nodal basis on the grid
-    green_first_deriv: np.ndarray  # G(psi_j') on the grid
-    green_source: np.ndarray       # G(f) on the grid
-    lifted_tab: np.ndarray         # lifted functionals on the grid
-    node_green: np.ndarray         # kernel columns at the interior mesh nodes
-    deriv_jumps: np.ndarray        # nodal-basis derivative jumps at those nodes
-    source_pairing: np.ndarray     # (mu_j, f)
-    adv_pairing: np.ndarray        # (mu_j', psi_k)
-    second_pairing: np.ndarray     # (mu_j, psi_k'')
+    mass: np.ndarray               # nodal mass matrix, for the step norm
     pair_nodes: np.ndarray
-    pair_dual_deriv: np.ndarray    # weighted mu' at pairing nodes
-    mass: np.ndarray
-    coarse_lu: tuple               # LU factors of I - (c/nu) adv_pairing
+    pair_weights: np.ndarray       # weighted mu' at the pairing nodes
+    ratio: float                   # c/nu
+    coarse_rhs: np.ndarray         # (mu_j, f)/nu
+    coarse_lu: tuple               # LU factors of I - (c/nu) A
+    fine_const: np.ndarray
+    fine_lin: np.ndarray
+    lifted_gram: np.ndarray
 
 
 def fine_grid(mesh, total_points: int = DEFAULT_FINE_GRID) -> np.ndarray:
@@ -156,9 +161,27 @@ def fine_grid(mesh, total_points: int = DEFAULT_FINE_GRID) -> np.ndarray:
     return np.unique(np.concatenate(pieces))
 
 
-def fine_scale_interpolant(family: BasisFamily, grid: np.ndarray, values: np.ndarray):
-    """Kink-safe interpolant of fine-scale samples on an element-aligned grid."""
-    return piecewise_interpolant(family.mesh.boundaries, grid, values)
+def fine_scale_interpolant(family: BasisFamily, grid: np.ndarray,
+                           values: np.ndarray) -> BSpline:
+    """Kink-safe cubic interpolant of fine-scale samples on an element-aligned grid.
+
+    One cubic B-spline that is the not-a-knot spline of each element's
+    samples: an element's interior knots are its grid points but the two
+    next to each end, and every interior mesh joint is a triple knot, so
+    only the value is continuous there.  Every mesh joint must be a grid
+    point and every element must hold at least four samples.
+    """
+    grid = np.asarray(grid, dtype=float)
+    bounds = family.mesh.boundaries
+    joints = np.searchsorted(grid, bounds - 1e-14)
+    if np.any(joints >= grid.size) or np.any(np.abs(grid[joints] - bounds) > 1e-14):
+        raise ValueError("every mesh joint must be a fine-grid point")
+    if np.any(np.diff(joints) < 3):
+        raise ValueError("need at least four samples per element")
+    inner = [grid[lo + 2:hi - 1] for lo, hi in zip(joints[:-1], joints[1:])]
+    # triple knots at the joints, quadruple at the two ends
+    knots = np.sort(np.concatenate([np.repeat(grid[joints], 3), grid[joints[[0, -1]]], *inner]))
+    return make_interp_spline(grid, values, k=3, t=knots)
 
 
 def _factor_coarse_matrix(problem: AdvDiffProblem, adv_pairing: np.ndarray) -> tuple:
@@ -180,55 +203,49 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleO
         raise ValueError("the iterative scheme is built on the H10 functionals")
     family = fns.family
     mesh = family.mesh
+    ratio = problem.advection / problem.diffusion
     grid = fine_grid(mesh, fine_grid_points)
-
-    nodal_tab = tabulate_nodal(family, grid)[:, 1:-1]
-    green_first_deriv = _poisson_apply(lambda s: tabulate_nodal(family, s, deriv=1)[:, 1:-1],
-                                       grid, mesh.boundaries, quad_points)
-    green_source = green_apply(op.kernel, SourceTerm.from_function(problem.source),
-                               grid, quad_points=quad_points,
-                               mesh_boundaries=mesh.boundaries)
-    lifted_tab = op.lifted_tab(grid)
-    inner_nodes = mesh.boundaries[1:-1]
-    node_green = op.kernel(grid[:, None], inner_nodes[None, :])
-    deriv_jumps = nodal_deriv_jumps(family)
 
     x, w = mesh_quadrature(family, quad_points)
     mu_tab = tabulate_functionals(fns, x)
     mu_dtab = tabulate_functionals(fns, x, deriv=1)
     psi_tab = tabulate_nodal(family, x)[:, 1:-1]
     psi_ddtab = tabulate_nodal(family, x, deriv=2)[:, 1:-1]
-    source_pairing = mu_tab.T @ (w * np.asarray(problem.source(x), dtype=float))
+    coarse_rhs = mu_tab.T @ (w * np.asarray(problem.source(x), dtype=float)) \
+        / problem.diffusion
     adv_pairing = mu_dtab.T @ (w[:, None] * psi_tab)
     second_pairing = mu_tab.T @ (w[:, None] * psi_ddtab)
+
+    lifted_gram = op.lifted_tab(grid) @ op.solve_gram(np.eye(op.size))
+    green_source = green_apply(op.kernel, SourceTerm.from_function(problem.source),
+                               grid, quad_points=quad_points,
+                               mesh_boundaries=mesh.boundaries)
+    green_first_deriv = _poisson_apply(lambda s: tabulate_nodal(family, s, deriv=1)[:, 1:-1],
+                                       grid, mesh.boundaries, quad_points)
+    node_green = op.kernel(grid[:, None], mesh.boundaries[None, 1:-1])
+    fine_const = green_source / problem.diffusion - lifted_gram @ coarse_rhs
+    fine_lin = -ratio * green_first_deriv - tabulate_nodal(family, grid)[:, 1:-1] \
+        - node_green @ nodal_deriv_jumps(family) \
+        - lifted_gram @ (ratio * adv_pairing + second_pairing)
     mass = assemble_mass(family, SpaceKind.NODAL).entries
-    return _Workspace(problem, fns, op, grid, nodal_tab, green_first_deriv,
-                      green_source, lifted_tab, node_green, deriv_jumps,
-                      source_pairing, adv_pairing, second_pairing,
-                      x, w[:, None] * mu_dtab, mass,
-                      _factor_coarse_matrix(problem, adv_pairing))
+    return _Workspace(family, grid, mass, x, w[:, None] * mu_dtab, ratio, coarse_rhs,
+                      _factor_coarse_matrix(problem, adv_pairing),
+                      fine_const, fine_lin, lifted_gram)
 
 
-def _coarse_sweep(ws: _Workspace, interior: np.ndarray, fine_spline) -> np.ndarray:
-    """Coarse coefficients solving the coarse-scale equation for the given
-    fine scales; the current coarse coefficients do not enter."""
-    c, nu = ws.problem.advection, ws.problem.diffusion
-    fine_term = ws.pair_dual_deriv.T @ fine_spline(ws.pair_nodes)
-    return lu_solve(ws.coarse_lu, ws.source_pairing / nu + (c / nu) * fine_term)
-
-
-def _fine_sweep(ws: _Workspace, interior: np.ndarray, fine_spline) -> np.ndarray:
-    c, nu = ws.problem.advection, ws.problem.diffusion
-    anti = fine_spline.antiderivative()
-    green_fine_deriv = ws.grid * float(anti(ws.grid[-1:])[0]) - anti(ws.grid)
-    lifted = ws.green_source / nu \
-        - (c / nu) * (ws.green_first_deriv @ interior + green_fine_deriv) \
-        - ws.nodal_tab @ interior \
-        - ws.node_green @ (ws.deriv_jumps @ interior)
-    fine_term = ws.pair_dual_deriv.T @ fine_spline(ws.pair_nodes)
-    data = ws.source_pairing / nu + (c / nu) * (ws.adv_pairing @ interior + fine_term) \
-        + ws.second_pairing @ interior
-    return lifted - ws.lifted_tab @ ws.op.solve_gram(data)
+def _sweep(ws: _Workspace, interior: np.ndarray,
+           fine: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One unrelaxed sweep: the coarse coefficients solving the coarse-scale
+    equation and the fine-scale map, both from the current interior coarse
+    coefficients and fine-grid values."""
+    spline = fine_scale_interpolant(ws.family, ws.grid, fine)
+    fine_term = ws.ratio * (ws.pair_weights.T @ spline(ws.pair_nodes))
+    anti = spline.antiderivative()
+    green_fine_deriv = ws.grid * anti(ws.grid[-1]) - anti(ws.grid)
+    new_interior = lu_solve(ws.coarse_lu, ws.coarse_rhs + fine_term)
+    new_fine = ws.fine_const + ws.fine_lin @ interior \
+        - ws.ratio * green_fine_deriv - ws.lifted_gram @ fine_term
+    return new_interior, new_fine
 
 
 def coarse_update(fns: DualFunctionals, problem: AdvDiffProblem, u_bar: Field,
@@ -313,9 +330,7 @@ def iterate(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator
     iteration = 0
     while iteration < max_iter:
         iteration += 1
-        spline = fine_scale_interpolant(family, ws.grid, fine)
-        new_interior = _coarse_sweep(ws, interior, spline)
-        new_fine = _fine_sweep(ws, interior, spline)
+        new_interior, new_fine = _sweep(ws, interior, fine)
         step = np.zeros(ndof)
         step[1:-1] = new_interior - interior
         interior = interior + relaxation * step[1:-1]

@@ -1,9 +1,11 @@
 """Smoke test of the benchmark pipelines in bench/, at their smallest sizes.
 
-Runs the two recon1d warm-up solves and a 5-element kernel surface per
-flavor through `workloads.run_solve`, untraced, so that a change to the
-library calls the benchmark makes (operator build, `fine_scale_eval`,
-`residual_from_field`, `write_table`) fails here first.
+Runs the two recon1d warm-up solves, a 5-element kernel surface per
+flavor and the vms_iter warm-up solve (nu = 0.05) through
+`workloads.run_solve`, untraced, so that a change to the library calls
+the benchmark makes (operator build, `fine_scale_eval`,
+`residual_from_field`, the coupled iteration, `write_table`) fails here
+first.
 """
 
 import sys
@@ -18,7 +20,8 @@ import workloads  # noqa: E402
 from workloads import Spec  # noqa: E402
 
 SPECS = list(workloads.WORKLOADS["recon1d"].warmup) + \
-    [Spec("finescale", 5, 2, flavor) for flavor in ("h10", "l2")]
+    [Spec("finescale", 5, 2, flavor) for flavor in ("h10", "l2")] + \
+    list(workloads.WORKLOADS["vms_iter"].warmup)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.N}-{s.p}-{s.flavor}")

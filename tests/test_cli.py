@@ -135,6 +135,18 @@ def test_usage_errors_exit_two(tmp_path, monkeypatch):
             _run(tmp_path, "reconstruct", "--p", "1", "--elements", "2",
                  "--grid", "11", "--out", str(tmp_path / "rec.csv"))
         assert err.value.code == 2
+    monkeypatch.delenv("FSG_QUAD_POINTS")
+    # an H10 space with no interior node
+    for argv in (("reconstruct",), ("finescale",), ("project", "--projection", "h10"),
+                 ("vms-iter",), ("poisson2d",)):
+        with pytest.raises(SystemExit) as err:
+            _run(tmp_path, *argv, "--p", "1", "--elements", "1",
+                 "--out", str(tmp_path / "none.csv"))
+        assert err.value.code == 2
+    for argv in (("reconstruct", "--projection", "l2"), ("finescale", "--projection", "l2"),
+                 ("project", "--projection", "l2")):
+        assert _run(tmp_path, *argv, "--p", "1", "--elements", "1",
+                    "--out", str(tmp_path / "l2.csv")) == 0
 
 
 def test_numerical_defect_exits_one(tmp_path):

@@ -11,6 +11,7 @@ from fsgreens.projection import (
     h10_project_from_source,
     project,
 )
+from fsgreens.quadrature import composite_rule, gauss_legendre_rule
 from fsgreens.vms_advdiff import (
     AdvDiffProblem,
     coarse_update,
@@ -93,7 +94,7 @@ def test_coarse_update_diffusive_limit_is_source_projection():
     case = sin2pix_case()
     problem = AdvDiffProblem(0.0, nu, case.source)
     family, fns, _ = _h10_setup(3, 2)
-    grid = np.linspace(0.0, 1.0, 101)
+    grid = fine_grid(family.mesh, 101)
     zero_field = Field(family, SpaceKind.NODAL, np.zeros(family.mesh.num_nodal_dofs))
     got = coarse_update(fns, problem, zero_field, grid, np.zeros(grid.size))
     want = h10_project_from_source(fns, lambda x: case.source(x) / nu)
@@ -106,7 +107,7 @@ def test_coarse_update_without_fine_scales_is_galerkin_solve():
     case = advdiff_const_case(c, nu)
     problem = AdvDiffProblem(c, nu, case.source)
     family, fns, _ = _h10_setup(3, 2)
-    grid = np.linspace(0.0, 1.0, 101)
+    grid = fine_grid(family.mesh, 101)
     zero_field = Field(family, SpaceKind.NODAL, np.zeros(family.mesh.num_nodal_dofs))
     got = coarse_update(fns, problem, zero_field, grid, np.zeros(grid.size))
     want = galerkin_solve(problem, family)
@@ -145,7 +146,7 @@ def test_fine_update_specializes_to_diffusion_fine_scales():
 
 
 def test_workspace_sweeps_match_generic_updates():
-    from fsgreens.vms_advdiff import _coarse_sweep, _fine_sweep
+    from fsgreens.vms_advdiff import _sweep
 
     c, nu = 1.0, 0.05
     case = advdiff_const_case(c, nu)
@@ -157,13 +158,43 @@ def test_workspace_sweeps_match_generic_updates():
     coeffs[1:-1] = 0.1 * rng.normal(size=coeffs.size - 2)
     u_bar = Field(family, SpaceKind.NODAL, coeffs)
     fine = 0.03 * np.sin(2.5 * np.pi * ws.grid) * ws.grid * (1 - ws.grid)
-    spline = fine_scale_interpolant(family, ws.grid, fine)
-    fast_coarse = _coarse_sweep(ws, coeffs[1:-1], spline)
+    fast_coarse, fast_fine = _sweep(ws, coeffs[1:-1], fine)
     slow_coarse = coarse_update(fns, problem, u_bar, ws.grid, fine)
     assert np.max(np.abs(fast_coarse - slow_coarse[1:-1])) < 1e-11
-    fast_fine = _fine_sweep(ws, coeffs[1:-1], spline)
     slow_fine = fine_update(op, problem, u_bar, ws.grid, fine)
     assert np.max(np.abs(fast_fine - slow_fine)) < 1e-6
+
+
+def test_fine_scale_interpolant_keeps_joint_kinks():
+    # a continuous piecewise cubic with a different cubic on each element of
+    # a jittered mesh is reproduced in value, derivative and antiderivative
+    mesh = Mesh1D(0.0, 1.0, 3, 3, np.array([0.0, 0.29, 0.68, 1.0]))
+    family = basis_family(mesh)
+    coeffs = np.random.default_rng(5).normal(size=mesh.num_nodal_dofs)
+    cubic = Field(family, SpaceKind.NODAL, coeffs)
+    grid = fine_grid(mesh, 61)
+    spline = fine_scale_interpolant(family, grid, field_eval(cubic, grid))
+    x = (np.arange(96) + 0.5) / 96.0  # no sample on a joint
+
+    def integral(upper):
+        # two Gauss points per cubic piece are exact
+        cuts = np.append(mesh.boundaries[mesh.boundaries < upper], upper)
+        s, w = composite_rule(gauss_legendre_rule(2), cuts)
+        return w @ field_eval(cubic, s)
+
+    anti = [integral(xi) for xi in x]
+    assert np.max(np.abs(spline(x) - field_eval(cubic, x))) < 1e-12
+    assert np.max(np.abs(spline.derivative()(x) - field_eval(cubic, x, deriv=1))) < 1e-12
+    assert np.max(np.abs(spline.antiderivative()(x) - anti)) < 1e-12
+
+    middle = grid[(grid > mesh.boundaries[1]) & (grid < mesh.boundaries[2])]
+    sparse = np.concatenate((grid[grid <= mesh.boundaries[1]], middle[:1],
+                             grid[grid >= mesh.boundaries[2]]))
+    with pytest.raises(ValueError):
+        fine_scale_interpolant(family, sparse, np.zeros(sparse.size))
+    no_joint = grid[grid != mesh.boundaries[1]]
+    with pytest.raises(ValueError):
+        fine_scale_interpolant(family, no_joint, np.zeros(no_joint.size))
 
 
 def test_iterate_diffusive_limit_matches_projection():
