@@ -369,6 +369,9 @@ def main(argv=None) -> int:
     h10 = args.command in ("vms-iter", "poisson2d") or getattr(args, "projection", None) == "h10"
     if h10 and args.p * args.elements < 2:
         parser.error("the H10 space needs an interior node: p * elements >= 2")
+    if args.command == "poisson2d" and args.terms < args.p * args.elements - 1:
+        parser.error("the 2D Gram needs a series term per interior node: "
+                     "terms >= p * elements - 1")
     if args.out is None:
         args.out = f"fsgreens-{args.command}.{args.format}"
     if args.command == "vms-iter" and args.history_out is None:

@@ -2,8 +2,10 @@
 
 The projector duals mirror the 1D derivative-pairing construction: each
 functional is the 2D interior stiffness solve of one tensor nodal basis
-function, with the stiffness assembled as the Kronecker sum of 1D
-stiffness and mass blocks.
+function.  The stiffness K2 = K (x) M + M (x) K is fast-diagonalized (Lynch,
+Rice & Thomas, 1964): with the 1D eigenpairs K V = M V diag(lam), V^T M V = I,
+K2^{-1} = (V (x) V) diag(1 / (lam_a + lam_b)) (V (x) V)^T, so every solve is
+m x m work and no m^2 x m^2 matrix is formed.
 
 All kernel applications exploit the separable eigenfunction series: the
 sine direction is integrated once against high-order per-element rules
@@ -16,15 +18,14 @@ truncated kernel the reconstruction uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg import cho_solve, eigh
 
-from .basis1d import BasisFamily, Mesh1D, basis_family, nodal_deriv_jumps, tabulate_nodal
+from .basis1d import BasisFamily, Mesh1D, SpaceKind, basis_family, nodal_deriv_jumps, tabulate_nodal
 from .dualspace import assemble_mass
-from .basis1d import SpaceKind
 from .kernels import DEFAULT_SERIES_TERMS, series_term_profile
 from .projection import assemble_stiffness
 from .quadrature import composite_rule, gauss_legendre_rule
@@ -44,21 +45,6 @@ class Mesh2D:
         if abs(self.mesh1d.a) > 1e-14 or abs(self.mesh1d.b - 1.0) > 1e-14:
             raise ValueError("the square-domain machinery expects [0, 1] per direction")
 
-    @property
-    def interior_size(self) -> int:
-        return self.mesh1d.num_nodal_dofs - 2
-
-    @property
-    def num_interior_dofs(self) -> int:
-        return self.interior_size ** 2
-
-
-def stiffness_2d_kronecker(family: BasisFamily):
-    """Interior 2D stiffness as kron(K, M) + kron(M, K) of 1D blocks."""
-    stiff = assemble_stiffness(family).entries
-    mass = assemble_mass(family, SpaceKind.NODAL).entries[1:-1, 1:-1]
-    return np.kron(stiff, mass) + np.kron(mass, stiff), stiff, mass
-
 
 def stiffness_2d_direct(family: BasisFamily, quad_points: int | None = None) -> np.ndarray:
     """Interior 2D stiffness by direct tensor quadrature (consistency oracle)."""
@@ -73,46 +59,63 @@ def stiffness_2d_direct(family: BasisFamily, quad_points: int | None = None) -> 
 
 @dataclass(frozen=True)
 class DualFunctionals2D:
-    """Interior-node tensor duals: column i of `coeffs` expands functional i."""
+    """Interior-node tensor duals mu_i = K2^{-1} (phi_j (x) phi_k), i = j * m + k.
+
+    Every 2D operation runs in the eigenbasis psi_a = sum_j eigvecs[j, a] phi_j,
+    in which K2 is diag(lam_a + lam_b).
+    """
 
     family: BasisFamily
-    coeffs: np.ndarray            # (m^2, m^2), column i = nodal coefficients
-    stiffness: np.ndarray         # the 2D interior stiffness used to build them
+    eigvecs: np.ndarray           # (m, m) V, with V^T M V = I and V^T K V = diag(eigvals)
+    eigvals: np.ndarray           # (m,)
 
     @property
     def interior_size(self) -> int:
-        return self.family.mesh.num_nodal_dofs - 2
+        return self.eigvals.size
 
     @property
     def size(self) -> int:
-        return self.coeffs.shape[1]
+        return self.eigvals.size ** 2
 
-    def coeff_tensor(self) -> np.ndarray:
-        m = self.interior_size
-        return self.coeffs.reshape(m, m, self.size)
+    @property
+    def eig_sums(self) -> np.ndarray:
+        return self.eigvals[:, None] + self.eigvals[None, :]
 
 
 def build_dual_functionals_2d(mesh: Mesh2D) -> DualFunctionals2D:
     family = basis_family(mesh.mesh1d)
-    stiff2d, _, _ = stiffness_2d_kronecker(family)
-    try:
-        factor = cho_factor(stiff2d)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("2D stiffness not positive definite") from exc
-    coeffs = cho_solve(factor, np.eye(stiff2d.shape[0]))
-    return DualFunctionals2D(family, coeffs, stiff2d)
+    stiff = assemble_stiffness(family).entries
+    mass = assemble_mass(family, SpaceKind.NODAL).entries[1:-1, 1:-1]
+    eigvals, eigvecs = eigh(stiff, mass)
+    if eigvals[0] <= 0.0:
+        raise ValueError("2D stiffness not positive definite")
+    return DualFunctionals2D(family, eigvecs, eigvals)
+
+
+def _stiffness_solve(d2: DualFunctionals2D, load: np.ndarray) -> np.ndarray:
+    """Nodal coefficients [j, k] of K2^{-1} applied to a load; load[a, b] pairs psi_a (x) psi_b."""
+    return d2.eigvecs @ (load / d2.eig_sums) @ d2.eigvecs.T
+
+
+def _tensor_duals(d2: DualFunctionals2D, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+    """`_stiffness_solve` of every rank-one load fx[x] (x) fy[y]: (len(fx), len(fy), size)."""
+    v = d2.eigvecs
+    out = np.einsum("xa,yb,ab,ja,kb->xyjk", fx, fy, 1.0 / d2.eig_sums, v, v, optimize=True)
+    return out.reshape(fx.shape[0], fy.shape[0], d2.size)
 
 
 def _interior_tab(family: BasisFamily, pts, deriv: int = 0) -> np.ndarray:
     return tabulate_nodal(family, pts, deriv=deriv)[:, 1:-1]
 
 
+def _psi_tab(d2: DualFunctionals2D, pts, deriv: int = 0) -> np.ndarray:
+    return _interior_tab(d2.family, pts, deriv) @ d2.eigvecs
+
+
 def tabulate_functionals_2d(d2: DualFunctionals2D, x, y,
                             deriv_x: int = 0, deriv_y: int = 0) -> np.ndarray:
     """Meshgrid tabulation of every 2D functional: shape (len(x), len(y), size)."""
-    bx = _interior_tab(d2.family, x, deriv_x)
-    by = _interior_tab(d2.family, y, deriv_y)
-    return np.einsum("xj,jki,yk->xyi", bx, d2.coeff_tensor(), by, optimize=True)
+    return _tensor_duals(d2, _psi_tab(d2, x, deriv_x), _psi_tab(d2, y, deriv_y))
 
 
 @dataclass(frozen=True)
@@ -146,22 +149,20 @@ def project_2d(d2: DualFunctionals2D,
     """
     family = d2.family
     x, w = composite_rule(gauss_legendre_rule(quad_points), family.mesh.boundaries)
-    tab = _interior_tab(family, x)
-    dtab = _interior_tab(family, x, 1)
+    tab = _psi_tab(d2, x)
+    dtab = _psi_tab(d2, x, 1)
     grid_w = np.outer(w, w)
     if source is not None:
         load = grid_w * np.asarray(source(x[:, None], x[None, :]), dtype=float)
-        pair = np.einsum("xj,xy,yk->jk", tab, load, tab, optimize=True)
+        pair = tab.T @ load @ tab
     elif gradient is not None:
         gx, gy = gradient
         lx = grid_w * np.asarray(gx(x[:, None], x[None, :]), dtype=float)
         ly = grid_w * np.asarray(gy(x[:, None], x[None, :]), dtype=float)
-        pair = np.einsum("xj,xy,yk->jk", dtab, lx, tab, optimize=True) \
-            + np.einsum("xj,xy,yk->jk", tab, ly, dtab, optimize=True)
+        pair = dtab.T @ lx @ tab + tab.T @ ly @ dtab
     else:
         raise ValueError("provide the source or the solution gradient")
-    coeffs = d2.coeffs.T @ pair.ravel()
-    return Field2D(family, coeffs)
+    return Field2D(family, _stiffness_solve(d2, pair).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +181,16 @@ def _sine_table(num_terms: int, pts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SeriesOperator2D:
-    """Truncated-kernel fine-scale operator for the 2D derivative pairing."""
+    """Truncated-kernel fine-scale operator for the 2D derivative pairing.
+
+    The operator depends only on the span of the duals, so it is built on
+    psi_a (x) psi_b, which spans the same space as the mu_i.  Lifting through
+    the truncated kernel truncates the sine expansion in x: the lift is
+    sum_n 2 S[n, a] sin(n pi x) psi_b(y), S = sine_moments.  The Gram is the
+    derivative-pairing Gram of the lifts.  The sines are orthogonal and the
+    psi_b M- and K-orthogonal, so it couples only equal b: block b is
+    2 S^T diag((n pi)^2 + lam_b) S.
+    """
 
     duals: DualFunctionals2D
     num_terms: int
@@ -188,75 +198,61 @@ class SeriesOperator2D:
     conv_points: int
     sine_weighted: np.ndarray     # (terms, n_osc): sin(n pi s) * w at the sine rule
     osc_nodes: np.ndarray
-    dual_profiles: np.ndarray     # E[n, k, i]: y-profile coefficients of S_N mu_i
-    gram: np.ndarray
-    _lu: tuple = field(repr=False, default=None)
-
-    @property
-    def size(self) -> int:
-        return self.duals.size
+    sine_moments: np.ndarray      # (terms, m): int sin(n pi s) psi_a(s) ds
+    gram_chol: np.ndarray         # (m, m, m): lower Cholesky factor of Gram block b at [b]
 
     def solve_gram(self, rhs):
-        return lu_solve(self._lu, np.asarray(rhs, dtype=float))
+        """Solve the block-diagonal Gram for an (m, m) right side indexed [a, b]."""
+        rhs = np.asarray(rhs, dtype=float)
+        return np.column_stack([cho_solve((chol, True), rhs[:, b])
+                                for b, chol in enumerate(self.gram_chol)])
 
 
 def build_series_operator_2d(d2: DualFunctionals2D,
                              num_terms: int = DEFAULT_SERIES_TERMS,
                              quad_points: int = DEFAULT_PAIRING_POINTS,
                              conv_points: int = DEFAULT_CONVOLUTION_POINTS) -> SeriesOperator2D:
-    """Precompute the sine moments, dual profiles and the factorized Gram matrix.
+    """Precompute the sine moments and the factorized block-diagonal Gram.
 
-    Lifting a functional through the truncated kernel truncates its sine
-    expansion in the first coordinate, so the Gram matrix is the
-    derivative-pairing Gram of the truncated functionals: per term, the
-    squared sine frequency weights the profile mass and the profile
-    derivatives add their stiffness.
+    A block has rank at most `num_terms`, so fewer terms than interior
+    nodes per direction leave it singular.
     """
-    family = d2.family
-    mesh = family.mesh
-    s_nodes, s_weights = _oscillatory_rule(mesh, num_terms)
+    if num_terms < d2.interior_size:
+        raise ValueError(f"the 2D Gram needs a series term per interior node and "
+                         f"direction: {num_terms} < {d2.interior_size}")
+    s_nodes, s_weights = _oscillatory_rule(d2.family.mesh, num_terms)
     sine_weighted = _sine_table(num_terms, s_nodes) * s_weights[None, :]
-    moments = sine_weighted @ _interior_tab(family, s_nodes)   # (terms, m)
-    profiles = np.einsum("nj,jki->nki", moments, d2.coeff_tensor(), optimize=True)
-    mass_int = assemble_mass(family, SpaceKind.NODAL).entries[1:-1, 1:-1]
-    stiff_int = assemble_stiffness(family).entries
-    freq_sq = (np.pi * np.arange(1, num_terms + 1)) ** 2
-    gram = 2.0 * np.einsum("n,nki,kl,nlj->ij", freq_sq, profiles, mass_int, profiles,
-                           optimize=True) \
-        + 2.0 * np.einsum("nki,kl,nlj->ij", profiles, stiff_int, profiles, optimize=True)
-    lu = lu_factor(gram)
+    moments = sine_weighted @ _psi_tab(d2, s_nodes)           # (terms, m)
+    weights = (np.pi * np.arange(1, num_terms + 1))[:, None] ** 2 + d2.eigvals[None, :]
+    blocks = 2.0 * np.einsum("na,nb,nc->bac", moments, weights, moments, optimize=True)
     return SeriesOperator2D(d2, num_terms, quad_points, conv_points,
-                            sine_weighted, s_nodes, profiles, gram, lu)
+                            sine_weighted, s_nodes, moments, np.linalg.cholesky(blocks))
 
 
 def lifted_duals_grid(op: SeriesOperator2D, x, y) -> np.ndarray:
-    """Every lifted functional on the meshgrid of x and y: (len(x), len(y), size).
-
-    The lift through the truncated kernel is the x-direction sine
-    truncation of the functional itself.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    sines = 2.0 * _sine_table(op.num_terms, x)                # (n, nx)
-    by = _interior_tab(op.duals.family, y)                    # (ny, m)
-    return np.einsum("nx,nki,yk->xyi", sines, op.dual_profiles, by, optimize=True)
+    """Every lifted functional on the meshgrid of x and y: (len(x), len(y), size)."""
+    lift_x = 2.0 * _sine_table(op.num_terms, x).T @ op.sine_moments
+    return _tensor_duals(op.duals, lift_x, _psi_tab(op.duals, y))
 
 
-def apply_duals_to_green_2d(op: SeriesOperator2D, residual: Callable) -> np.ndarray:
-    """Pair every functional with the truncated-kernel image of a residual.
+def _green_pairing(op: SeriesOperator2D, residual: Callable) -> np.ndarray:
+    """Pairing [a, b] of the truncated-kernel image of a residual with psi_a (x) psi_b.
 
     Moving the Laplacian onto the kernel collapses the profile direction,
     leaving per-term 1D integrals of the residual's sine moments against
-    the functional profiles.
+    the basis profiles.
     """
-    family = op.duals.family
     y_nodes, y_weights = composite_rule(gauss_legendre_rule(op.quad_points),
-                                        family.mesh.boundaries)
+                                        op.duals.family.mesh.boundaries)
     r_grid = np.asarray(residual(op.osc_nodes[:, None], y_nodes[None, :]), dtype=float)
     d_table = op.sine_weighted @ r_grid                        # (terms, ny)
-    by = _interior_tab(family, y_nodes)                        # (ny, m)
-    contracted = d_table @ (y_weights[:, None] * by)           # (terms, m)
-    return 2.0 * np.einsum("nki,nk->i", op.dual_profiles, contracted, optimize=True)
+    contracted = d_table @ (y_weights[:, None] * _psi_tab(op.duals, y_nodes))  # (terms, m)
+    return 2.0 * op.sine_moments.T @ contracted
+
+
+def apply_duals_to_green_2d(op: SeriesOperator2D, residual: Callable) -> np.ndarray:
+    """Pair every functional with the truncated-kernel image of a residual."""
+    return _stiffness_solve(op.duals, _green_pairing(op, residual)).ravel()
 
 
 def _profile_split_rule(mesh: Mesh1D, y: float, conv_points: int):
@@ -294,10 +290,14 @@ def green_apply_2d(op: SeriesOperator2D, residual: Callable, x, y) -> np.ndarray
 
 def reconstruct_fine_scales_2d(op: SeriesOperator2D, residual: Callable,
                                x, y) -> np.ndarray:
-    """Fine scales of the 2D diffusion problem on the meshgrid (x, y)."""
-    data = op.solve_gram(apply_duals_to_green_2d(op, residual))
+    """Fine scales of the 2D diffusion problem on the meshgrid (x, y).
+
+    In the psi_a (x) psi_b basis the lifted data is (2 sines^T S) data psi(y)^T.
+    """
+    data = op.solve_gram(_green_pairing(op, residual))
     lifted = green_apply_2d(op, residual, x, y)
-    return lifted - lifted_duals_grid(op, x, y) @ data
+    lift_x = 2.0 * _sine_table(op.num_terms, x).T @ op.sine_moments
+    return lifted - lift_x @ data @ _psi_tab(op.duals, y).T
 
 
 def residual_2d(source: Callable, u_bar: Field2D | None) -> Callable:
@@ -323,29 +323,25 @@ def h10_project_values_2d(d2: DualFunctionals2D, u: Callable,
                           quad_points: int = DEFAULT_PAIRING_POINTS) -> np.ndarray:
     """Derivative-pairing projection of a field known only by its values.
 
-    Element-wise integration by parts: area integrals of the field against
-    the functional Laplacians plus line integrals against the normal-
-    derivative jumps across interior mesh lines.  Assumes zero boundary
-    trace.  `u(x, y)` must accept 1D arrays and return the meshgrid values.
+    Element-wise integration by parts against psi_a (x) psi_b: area
+    integrals of the field against their Laplacians plus line integrals
+    against the normal-derivative jumps across interior mesh lines, then
+    one stiffness solve.  Assumes zero boundary trace.  `u(x, y)` must
+    accept 1D arrays and return the meshgrid values.
     """
-    family = d2.family
-    mesh = family.mesh
+    mesh = d2.family.mesh
     x, w = composite_rule(gauss_legendre_rule(quad_points), mesh.boundaries)
-    lap = tabulate_functionals_2d(d2, x, x, 2, 0) + tabulate_functionals_2d(d2, x, x, 0, 2)
-    u_grid = np.asarray(u(x, x), dtype=float)
-    coeffs = -np.einsum("xy,x,y,xyi->i", u_grid, w, w, lap, optimize=True)
+    tab = _psi_tab(d2, x)
+    d2tab = _psi_tab(d2, x, 2)
+    u_grid = w[:, None] * np.asarray(u(x, x), dtype=float) * w[None, :]
+    load = -(d2tab.T @ u_grid @ tab + tab.T @ u_grid @ d2tab)
 
-    jumps = nodal_deriv_jumps(family)                         # (n_ifaces, m)
-    tensor = d2.coeff_tensor()
-    by = _interior_tab(family, x)                              # (nq, m)
+    jumps = nodal_deriv_jumps(d2.family) @ d2.eigvecs         # (n_ifaces, m)
     for c, xc in enumerate(mesh.boundaries[1:-1]):
         # vertical line x = xc: jump of the x-derivative, left minus right
-        profile = np.einsum("j,jki,yk->yi", -jumps[c], tensor, by, optimize=True)
         u_line = np.asarray(u(np.array([xc]), x), dtype=float)[0]
-        coeffs += np.einsum("y,y,yi->i", u_line, w, profile, optimize=True)
+        load -= np.outer(jumps[c], tab.T @ (w * u_line))
         # horizontal line y = xc
-        profile = np.einsum("k,jki,yj->yi", -jumps[c], tensor, by, optimize=True)
         u_line = np.asarray(u(x, np.array([xc])), dtype=float)[:, 0]
-        coeffs += np.einsum("y,y,yi->i", u_line, w, profile, optimize=True)
-    return coeffs
-
+        load -= np.outer(tab.T @ (w * u_line), jumps[c])
+    return _stiffness_solve(d2, load).ravel()

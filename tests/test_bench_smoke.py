@@ -1,11 +1,12 @@
 """Smoke test of the benchmark pipelines in bench/, at their smallest sizes.
 
 Runs the two recon1d warm-up solves, a 5-element kernel surface per
-flavor and the vms_iter warm-up solve (nu = 0.05) through
-`workloads.run_solve`, untraced, so that a change to the library calls
-the benchmark makes (operator build, `fine_scale_eval`,
-`residual_from_field`, the coupled iteration, `write_table`) fails here
-first.
+flavor, the vms_iter warm-up solve (nu = 0.05) and the poisson2d warm-up
+solve (N = 8, p = 4, 100 terms) through `workloads.run_solve`, untraced,
+so that a change to the library calls the benchmark makes (operator
+build, `fine_scale_eval`, `residual_from_field`, the coupled iteration,
+the 2D duals, series operator and reconstruction, `write_table`) fails
+here first.
 """
 
 import sys
@@ -21,7 +22,8 @@ from workloads import Spec  # noqa: E402
 
 SPECS = list(workloads.WORKLOADS["recon1d"].warmup) + \
     [Spec("finescale", 5, 2, flavor) for flavor in ("h10", "l2")] + \
-    list(workloads.WORKLOADS["vms_iter"].warmup)
+    list(workloads.WORKLOADS["vms_iter"].warmup) + \
+    list(workloads.WORKLOADS["poisson2d"].warmup)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.N}-{s.p}-{s.flavor}")

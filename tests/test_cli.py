@@ -143,6 +143,11 @@ def test_usage_errors_exit_two(tmp_path, monkeypatch):
             _run(tmp_path, *argv, "--p", "1", "--elements", "1",
                  "--out", str(tmp_path / "none.csv"))
         assert err.value.code == 2
+    # fewer series terms than interior nodes per direction: singular 2D Gram
+    with pytest.raises(SystemExit) as err:
+        _run(tmp_path, "poisson2d", "--p", "4", "--elements", "4", "--terms", "10",
+             "--out", str(tmp_path / "few.csv"))
+    assert err.value.code == 2
     for argv in (("reconstruct", "--projection", "l2"), ("finescale", "--projection", "l2"),
                  ("project", "--projection", "l2")):
         assert _run(tmp_path, *argv, "--p", "1", "--elements", "1",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from fsgreens.poisson2d import (
     reconstruct_fine_scales_2d,
     residual_2d,
     stiffness_2d_direct,
-    stiffness_2d_kronecker,
     tabulate_functionals_2d,
 )
 from fsgreens.quadrature import composite_rule, gauss_legendre_rule
@@ -37,11 +38,13 @@ def operator_p3(duals_p3):
     return build_series_operator_2d(duals_p3, num_terms=100)
 
 
-@pytest.mark.parametrize("p", [1, 2, 3])
-def test_kronecker_matches_direct_assembly(p):
-    family = basis_family(Mesh1D.uniform(0.0, 1.0, 2, p))
-    kron, _, _ = stiffness_2d_kronecker(family)
-    assert np.max(np.abs(kron - stiffness_2d_direct(family))) < 1e-12
+@pytest.mark.parametrize("n,p", [(2, 1), (2, 2), (2, 3), (3, 4)])
+def test_eigenpairs_diagonalize_direct_assembly(n, p):
+    d2 = build_dual_functionals_2d(_mesh(n, p))
+    vv = np.kron(d2.eigvecs, d2.eigvecs)
+    diagonal = vv.T @ stiffness_2d_direct(d2.family) @ vv
+    scale = np.max(d2.eigvals)
+    assert np.max(np.abs(diagonal - np.diag(d2.eig_sums.ravel()))) < 1e-12 * scale
 
 
 def test_domain_must_be_unit_square():
@@ -125,8 +128,34 @@ def test_projection_zero_source(duals_p3):
 
 
 def test_gram_approaches_inverse_stiffness(duals_p3, operator_p3):
-    inv = np.linalg.inv(duals_p3.stiffness)
-    assert np.max(np.abs(operator_p3.gram - inv)) < 0.02 * np.max(np.abs(inv))
+    # in the basis psi_a (x) psi_b the exact-kernel Gram is diag(lam_a + lam_b);
+    # Gram block b holds the entries [a, a'] of column b
+    sums = duals_p3.eig_sums
+    for b, chol in enumerate(operator_p3.gram_chol):
+        block = chol @ chol.T
+        assert np.max(np.abs(block - np.diag(sums[:, b]))) < 0.02 * np.max(sums)
+
+
+def test_series_operator_needs_a_term_per_interior_node():
+    d2 = build_dual_functionals_2d(_mesh(4, 4))
+    with pytest.raises(ValueError):
+        build_series_operator_2d(d2, num_terms=d2.interior_size - 1)
+    op = build_series_operator_2d(d2, num_terms=d2.interior_size)
+    assert np.all(np.isfinite(op.gram_chol))
+
+
+def test_duals_and_series_operator_form_no_dense_2d_matrix():
+    # at m = 23 a build through the dense m^2 x m^2 inverse, the terms x m x m^2
+    # dual profiles and the dense Gram peaks at 44 MB; the eigen-space build
+    # needs about 1.3 MB
+    tracemalloc.start()
+    try:
+        d2 = build_dual_functionals_2d(_mesh(6, 4))
+        build_series_operator_2d(d2, num_terms=100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_lifted_duals_truncate_the_functionals(duals_p3, operator_p3):
