@@ -2,8 +2,10 @@
 
 Each subcommand runs one pipeline deterministically and writes CSV
 (default) or JSON.  Files are written atomically (temp file plus rename)
-and identical flags produce byte-identical output.  The FSG_QUAD_POINTS
-environment variable overrides the default quadrature density.
+and identical flags produce byte-identical output.  The default quadrature
+density is max(20, p + 8) points per subinterval, enough for the degree-2p
+integrands of the mass, stiffness and Gram assemblies; the FSG_QUAD_POINTS
+environment variable overrides it.
 
 Exit codes: 0 success, 1 numerical defect (failed factorization or
 required convergence not reached), 2 usage errors.
@@ -265,7 +267,7 @@ def _add_common(sub, grid_default=401):
                      help="output sample count")
     sub.add_argument("--quad-points", type=_positive_int, default=None,
                      help="quadrature points per subinterval "
-                          "(default 20, or FSG_QUAD_POINTS)")
+                          "(default max(20, p + 8), or FSG_QUAD_POINTS)")
 
 
 def _add_mesh(sub, p_default=2, n_default=2):
@@ -363,7 +365,8 @@ def main(argv=None) -> int:
     if args.quad_points is None:
         env = os.environ.get("FSG_QUAD_POINTS")
         try:
-            args.quad_points = _positive_int(env) if env else DEFAULT_QUAD_POINTS
+            args.quad_points = _positive_int(env) if env else \
+                max(DEFAULT_QUAD_POINTS, getattr(args, "p", 0) + 8)
         except (argparse.ArgumentTypeError, ValueError) as exc:
             parser.error(f"FSG_QUAD_POINTS: {exc}")
     h10 = args.command in ("vms-iter", "poisson2d") or getattr(args, "projection", None) == "h10"

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .basis1d import Field, SpaceKind, element_endpoint_values, nodal_deriv_jumps
-from .kernels import GreensKernel1D, KernelKind, _check_unit_domain
+from .kernels import GreensKernel1D, _check_unit_domain
 from .projection import DualFunctionals, ProjectionFlavor, tabulate_functionals
 from .quadrature import DEFAULT_QUAD_POINTS, composite_rule, gauss_legendre_rule
 
@@ -140,8 +140,6 @@ def green_apply(kernel: GreensKernel1D, src: SourceTerm, x,
     boundaries; point sources and dipoles contribute kernel and
     kernel-derivative values directly.
     """
-    if kernel.kind is not KernelKind.POISSON:
-        raise NotImplementedError("fine-scale assembly is built on the Poisson kernel")
     scalar = np.isscalar(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     lo = 0.0
@@ -203,8 +201,6 @@ def dual_representers(kernel: GreensKernel1D, fns: DualFunctionals, s,
     discontinuity.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    if kernel.kind is not KernelKind.POISSON:
-        raise NotImplementedError("fine-scale assembly is built on the Poisson kernel")
     if split:
         return _lift(fns, s, quad_points, deriv)
     xq, wq = composite_rule(gauss_legendre_rule(quad_points), fns.family.mesh.boundaries)
@@ -310,8 +306,6 @@ def lift_functionals_direct(kernel: GreensKernel1D, fns: DualFunctionals, x,
 def build_fine_scale_operator(kernel: GreensKernel1D, fns: DualFunctionals,
                               quad_points: int = DEFAULT_QUAD_POINTS) -> FineScaleOperator:
     """Assemble and factorize the Gram matrix of the functionals under G."""
-    if kernel.kind is not KernelKind.POISSON:
-        raise NotImplementedError("fine-scale assembly is built on the Poisson kernel")
     mesh = fns.family.mesh
     if abs(mesh.a) > 1e-14 or abs(mesh.b - kernel.width) > 1e-14:
         raise ValueError("mesh must cover the kernel domain [0, width]")

@@ -10,7 +10,6 @@ overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -135,52 +134,21 @@ def poisson2d_green(x, y, s1, s2, num_terms: int = DEFAULT_SERIES_TERMS):
     return out
 
 
-class KernelKind(Enum):
-    POISSON = "poisson"
-    ADVECTION_DIFFUSION = "advection-diffusion"
-
-
 @dataclass(frozen=True)
 class GreensKernel1D:
-    """A 1D kernel on [0, width] with homogeneous Dirichlet conditions."""
+    """The 1D Poisson kernel on [0, width] with homogeneous Dirichlet conditions."""
 
-    kind: KernelKind
-    advection: float = 0.0
-    diffusion: float = 1.0
     width: float = 1.0
-
-    def __post_init__(self):
-        if self.kind is KernelKind.ADVECTION_DIFFUSION:
-            if self.diffusion <= 0.0:
-                raise ValueError("diffusion coefficient must be positive")
-            if self.advection == 0.0:
-                raise ValueError("advection speed must be nonzero")
 
     @classmethod
     def poisson(cls) -> "GreensKernel1D":
-        return cls(KernelKind.POISSON)
-
-    @classmethod
-    def advection_diffusion(cls, c: float, nu: float, width: float = 1.0) -> "GreensKernel1D":
-        return cls(KernelKind.ADVECTION_DIFFUSION, advection=c, diffusion=nu, width=width)
-
-    @property
-    def peclet(self) -> float:
-        if self.kind is not KernelKind.ADVECTION_DIFFUSION:
-            raise ValueError("Peclet number is defined for the advection-diffusion kernel")
-        return self.advection * self.width / (2.0 * self.diffusion)
+        return cls()
 
     def __call__(self, x, s):
-        if self.kind is KernelKind.POISSON:
-            return poisson_green(x, s)
-        return advdiff_green(x, s, self.advection, self.diffusion, self.width)
+        return poisson_green(x, s)
 
     def derivative_x(self, x, s):
-        if self.kind is KernelKind.POISSON:
-            return poisson_green_dx(x, s)
-        raise NotImplementedError("analytic x-derivative provided for the Poisson kernel only")
+        return poisson_green_dx(x, s)
 
     def derivative_s(self, x, s):
-        if self.kind is KernelKind.POISSON:
-            return poisson_green_ds(x, s)
-        raise NotImplementedError("analytic s-derivative provided for the Poisson kernel only")
+        return poisson_green_ds(x, s)

@@ -9,9 +9,12 @@ m x m work and no m^2 x m^2 matrix is formed.
 
 All kernel applications exploit the separable eigenfunction series: the
 sine direction is integrated once against high-order per-element rules
-sized to the truncation order, and the profile direction is integrated per
-output row with splits at the element lines and a geometric refinement
-around the profile kink.  Pairings of the truncated operator reduce to
+sized to the truncation order and the element width.  Each term's profile
+in the other direction is the semiseparable Green's function of
+-d^2/dy^2 + (n pi)^2, so the convolution is one left and one right damped
+running sum over all terms at once, on pieces short enough for a fixed
+Gauss rule (the 1D Poisson primitive's cumulative sums, cf. Greengard &
+Rokhlin, CPAM 44, 1991).  Pairings of the truncated operator reduce to
 sums of 1D integrals, keeping the whole pipeline consistent with the same
 truncated kernel the reconstruction uses.
 """
@@ -26,13 +29,18 @@ from scipy.linalg import cho_solve, eigh
 
 from .basis1d import BasisFamily, Mesh1D, SpaceKind, basis_family, nodal_deriv_jumps, tabulate_nodal
 from .dualspace import assemble_mass
-from .kernels import DEFAULT_SERIES_TERMS, series_term_profile
+from .kernels import DEFAULT_SERIES_TERMS, _check_unit_domain
 from .projection import assemble_stiffness
 from .quadrature import composite_rule, gauss_legendre_rule
 
 DEFAULT_PAIRING_POINTS = 12
-DEFAULT_CONVOLUTION_POINTS = 20
 _OSC_MARGIN = 30
+# Convolution pieces: e^{-k t} of the steepest term changes by at most
+# e^_PIECE_DECAY across one, which _PIECE_POINTS Gauss points integrate to
+# rounding; the residual is tabulated _BLOCK_POINTS rule points at a time.
+_PIECE_DECAY = 20.0
+_PIECE_POINTS = 20
+_BLOCK_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -170,7 +178,9 @@ def project_2d(d2: DualFunctionals2D,
 
 
 def _oscillatory_rule(mesh: Mesh1D, num_terms: int):
-    rule = gauss_legendre_rule(num_terms + _OSC_MARGIN)
+    # sized for elements up to half the domain; wider ones get proportionally more
+    widest = np.max(np.diff(mesh.boundaries))
+    rule = gauss_legendre_rule((num_terms + _OSC_MARGIN) * int(np.ceil(2.0 * widest)))
     return composite_rule(rule, mesh.boundaries)
 
 
@@ -195,7 +205,6 @@ class SeriesOperator2D:
     duals: DualFunctionals2D
     num_terms: int
     quad_points: int
-    conv_points: int
     sine_weighted: np.ndarray     # (terms, n_osc): sin(n pi s) * w at the sine rule
     osc_nodes: np.ndarray
     sine_moments: np.ndarray      # (terms, m): int sin(n pi s) psi_a(s) ds
@@ -210,8 +219,7 @@ class SeriesOperator2D:
 
 def build_series_operator_2d(d2: DualFunctionals2D,
                              num_terms: int = DEFAULT_SERIES_TERMS,
-                             quad_points: int = DEFAULT_PAIRING_POINTS,
-                             conv_points: int = DEFAULT_CONVOLUTION_POINTS) -> SeriesOperator2D:
+                             quad_points: int = DEFAULT_PAIRING_POINTS) -> SeriesOperator2D:
     """Precompute the sine moments and the factorized block-diagonal Gram.
 
     A block has rank at most `num_terms`, so fewer terms than interior
@@ -225,7 +233,7 @@ def build_series_operator_2d(d2: DualFunctionals2D,
     moments = sine_weighted @ _psi_tab(d2, s_nodes)           # (terms, m)
     weights = (np.pi * np.arange(1, num_terms + 1))[:, None] ** 2 + d2.eigvals[None, :]
     blocks = 2.0 * np.einsum("na,nb,nc->bac", moments, weights, moments, optimize=True)
-    return SeriesOperator2D(d2, num_terms, quad_points, conv_points,
+    return SeriesOperator2D(d2, num_terms, quad_points,
                             sine_weighted, s_nodes, moments, np.linalg.cholesky(blocks))
 
 
@@ -255,37 +263,56 @@ def apply_duals_to_green_2d(op: SeriesOperator2D, residual: Callable) -> np.ndar
     return _stiffness_solve(op.duals, _green_pairing(op, residual)).ravel()
 
 
-def _profile_split_rule(mesh: Mesh1D, y: float, conv_points: int):
-    offsets = np.array([0.005, 0.02, 0.08])
-    cuts = np.concatenate((mesh.boundaries, y - offsets, y + offsets, [y]))
-    cuts = np.unique(np.clip(cuts, 0.0, 1.0))
-    cuts = cuts[np.concatenate(([True], np.diff(cuts) > 1e-12))]
-    return composite_rule(gauss_legendre_rule(conv_points), cuts)
-
-
 def green_apply_2d(op: SeriesOperator2D, residual: Callable, x, y) -> np.ndarray:
     """Truncated-kernel convolution with a residual on the meshgrid (x, y).
 
-    Row by output row: the profile direction is integrated with splits at
-    the element lines plus a geometric refinement around the kink at the
-    output ordinate; the sine direction reuses the precomputed rule.
+    Term n is (2 / k) sin(k x) int P_k(y, t) D_n(t) dt, k = n pi, with D_n
+    the sine moment of the residual (the precomputed sine rule) and
+
+        P_k(y, t) = e^{-k|y - t|} (1 - e^{-2k min}) (1 - e^{-2k (1 - max)}) / (2 (1 - e^{-2k})).
+
+    P_k is semiseparable, so the profile integral is a left and a right
+    damped running sum over pieces of [0, 1] cut at the mesh lines and at
+    every output ordinate, each step scaled by e^{-k width}: no exponent is
+    positive at any term count.  A piece spans at most _PIECE_DECAY / k_max,
+    which its fixed Gauss rule integrates to rounding.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    mesh = op.duals.family.mesh
-    n = np.arange(1, op.num_terms + 1)
-    sines_x = np.sin(np.pi * np.outer(x, n)) * (2.0 / (np.pi * n))[None, :]  # (nx, terms)
-    out = np.empty((x.size, y.size))
-    for iy, yv in enumerate(y):
-        t, v = _profile_split_rule(mesh, float(yv), op.conv_points)
+    _check_unit_domain(y)
+    y = np.clip(y, 0.0, 1.0)
+    k = np.pi * np.arange(1, op.num_terms + 1)
+    cuts = np.unique(np.concatenate((op.duals.family.mesh.boundaries, y)))
+    splits = np.ceil(k[-1] * np.diff(cuts) / _PIECE_DECAY).astype(int)
+    ends = np.concatenate([cuts[:1]] + [np.linspace(a, b, n + 1)[1:]
+                                        for a, b, n in zip(cuts[:-1], cuts[1:], splits)])
+    pieces = ends.size - 1
+    rule = gauss_legendre_rule(_PIECE_POINTS)
+    # left[:, j] and right[:, j]: the two damped sums at ends[j], first per piece
+    left = np.zeros((k.size, ends.size))
+    right = np.zeros_like(left)
+    block = _BLOCK_POINTS // _PIECE_POINTS
+    for start in range(0, pieces, block):
+        stop = min(start + block, pieces)
+        t, w = composite_rule(rule, ends[start:stop + 1])
         r_grid = np.asarray(residual(op.osc_nodes[:, None], t[None, :]), dtype=float)
-        d_table = op.sine_weighted @ r_grid                    # (terms, nt)
-        profiles = np.empty_like(d_table)
-        for k in range(op.num_terms):
-            profiles[k] = series_term_profile(k + 1, yv, t)
-        row = (d_table * profiles) @ v                        # (terms,)
-        out[:, iy] = sines_x @ row
-    return out
+        d_table = (op.sine_weighted @ r_grid) * w[None, :]     # (terms, pts)
+        lo = np.repeat(ends[start:stop], _PIECE_POINTS)
+        hi = np.repeat(ends[start + 1:stop + 1], _PIECE_POINTS)
+        to_hi = np.exp(-np.outer(k, hi - t)) * -np.expm1(-np.outer(k, 2.0 * t))
+        to_lo = np.exp(-np.outer(k, t - lo)) * -np.expm1(-np.outer(k, 2.0 * (1.0 - t)))
+        shape = (k.size, stop - start, _PIECE_POINTS)
+        left[:, start + 1:stop + 1] = (d_table * to_hi).reshape(shape).sum(axis=2)
+        right[:, start:stop] = (d_table * to_lo).reshape(shape).sum(axis=2)
+    decay = np.exp(-np.outer(k, np.diff(ends)))
+    for j in range(pieces):
+        left[:, j + 1] += decay[:, j] * left[:, j]
+        right[:, pieces - 1 - j] += decay[:, pieces - 1 - j] * right[:, pieces - j]
+    at = np.searchsorted(ends, y)
+    profile = (-np.expm1(-np.outer(k, 2.0 * (1.0 - y))) * left[:, at]
+               - np.expm1(-np.outer(k, 2.0 * y)) * right[:, at]) \
+        / (-2.0 * np.expm1(-2.0 * k))[:, None]
+    return (_sine_table(op.num_terms, x) * (2.0 / k)[:, None]).T @ profile
 
 
 def reconstruct_fine_scales_2d(op: SeriesOperator2D, residual: Callable,

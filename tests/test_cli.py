@@ -119,6 +119,17 @@ def test_quad_points_environment_override(tmp_path, monkeypatch):
                 "--grid", "11", "--out", str(out)) == 0
 
 
+def test_default_quadrature_grows_with_degree(tmp_path, monkeypatch):
+    # a fixed 20-point rule cannot assemble the degree-2p integrands at p = 24
+    monkeypatch.delenv("FSG_QUAD_POINTS", raising=False)
+    for flavor in ("h10", "l2"):
+        out = tmp_path / f"{flavor}.csv"
+        assert _run(tmp_path, "reconstruct", "--projection", flavor, "--p", "24",
+                    "--elements", "1", "--grid", "41", "--out", str(out)) == 0
+        _, rows = _read_csv(out)
+        assert np.max(np.abs(rows[:, 4] - rows[:, 1])) < 1e-11
+
+
 def test_usage_errors_exit_two(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as err:
         _run(tmp_path, "gll")

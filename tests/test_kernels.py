@@ -3,7 +3,6 @@ import pytest
 
 from fsgreens.cases import advdiff_const_case, sin2pixy_case
 from fsgreens.kernels import (
-    GreensKernel1D,
     advdiff_green,
     element_green,
     poisson2d_green,
@@ -77,8 +76,6 @@ def test_advdiff_parameter_validation():
         advdiff_green(0.5, 0.5, 1.0, 0.0)
     with pytest.raises(ValueError):
         advdiff_green(0.5, 0.5, 0.0, 0.01)
-    with pytest.raises(ValueError):
-        GreensKernel1D.advection_diffusion(0.0, 0.01)
 
 
 def test_advdiff_convolution_reproduces_exact_solution():

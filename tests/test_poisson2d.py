@@ -11,6 +11,7 @@ from fsgreens.poisson2d import (
     apply_duals_to_green_2d,
     build_dual_functionals_2d,
     build_series_operator_2d,
+    green_apply_2d,
     h10_project_values_2d,
     lifted_duals_grid,
     project_2d,
@@ -214,3 +215,43 @@ def test_dual_pairing_matches_projection_of_kernel_image(duals_p3, operator_p3):
     data = apply_duals_to_green_2d(operator_p3, CASE.source)
     u_bar = project_2d(duals_p3, source=CASE.source)
     assert np.max(np.abs(data - u_bar.coeffs)) < 1e-7
+
+
+@pytest.mark.parametrize("n,terms,a,b", [(3, 100, 97, 1), (2, 1000, 900, 2), (1, 100, 90, 1),
+                                         (3, 100, 1, 3)])
+def test_convolution_inverts_a_single_eigenmode(n, terms, a, b):
+    # a mode the series keeps is inverted exactly; at 1000 terms sinh(n pi)
+    # overflows, so only the damped running sums stay finite.  The other
+    # modes carry the sine moments' rounding, which is of the source's size.
+    op = build_series_operator_2d(build_dual_functionals_2d(_mesh(n, 2)), num_terms=terms)
+    mode = lambda x, y: np.sin(a * np.pi * x) * np.sin(b * np.pi * y)
+    x, y = np.linspace(0.0, 1.0, 41), np.linspace(0.0, 1.0, 23)
+    source = mode(x[:, None], y[None, :])
+    got = green_apply_2d(op, mode, x, y)
+    want = source / ((a * a + b * b) * np.pi ** 2)
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(source))
+
+
+def test_one_element_sine_rule_resolves_every_term():
+    # a rule sized only for half-domain elements under-resolves sin(90 pi s) sin(n pi s)
+    # on one element and gets this moment wrong by 0.16
+    op = build_series_operator_2d(build_dual_functionals_2d(_mesh(1, 2)), num_terms=100)
+    moments = op.sine_weighted @ np.sin(90 * np.pi * op.osc_nodes)
+    assert np.max(np.abs(moments - 0.5 * (np.arange(1, 101) == 90))) < 1e-13
+
+
+def test_convolution_ordinates_in_any_order(duals_p3, operator_p3):
+    resid = residual_2d(CASE.source, project_2d(duals_p3, source=CASE.source))
+    x = np.linspace(0.0, 1.0, 7)
+    ys = np.array([0.9, 0.5, 0.2, 0.9, 0.0, 0.5, 1.0, 0.35])   # 0.5 is the mesh line
+    got = green_apply_2d(operator_p3, resid, x, ys)
+    uniq, inverse = np.unique(ys, return_inverse=True)
+    assert np.array_equal(got, green_apply_2d(operator_p3, resid, x, uniq)[:, inverse])
+    alone = np.column_stack([green_apply_2d(operator_p3, resid, x, [yv])[:, 0] for yv in ys])
+    assert np.max(np.abs(got - alone)) < 1e-14 * np.max(np.abs(got))
+
+
+@pytest.mark.parametrize("y", [-0.1, 1.01])
+def test_convolution_rejects_ordinates_outside_unit_interval(operator_p3, y):
+    with pytest.raises(ValueError):
+        green_apply_2d(operator_p3, CASE.source, np.linspace(0.0, 1.0, 5), [0.5, y])
