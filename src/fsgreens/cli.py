@@ -169,7 +169,8 @@ def cmd_finescale(args):
     fine = fine_scale_eval(op, x, x)
     rows = [[x[i], x[j], full[i, j], fine[i, j]]
             for i in range(x.size) for j in range(x.size)]
-    write_table(args.out, ["x", "s", "g", "g_prime"], rows, _meta(args), args.format)
+    write_table(args.out, ["x", "s", "g", "g_prime"], rows,
+                _meta(args, gram_cond_log10=float(np.log10(op.gram_cond))), args.format)
 
 
 def cmd_reconstruct(args):
@@ -199,7 +200,7 @@ def cmd_reconstruct(args):
     exact = case.solution(grid)
     rows = np.column_stack([grid, exact, u_bar_vals, u_prime, u_bar_vals + u_prime])
     write_table(args.out, ["x", "u_exact", "u_bar", "u_prime", "u_total"],
-                rows, _meta(args), args.format)
+                rows, _meta(args, gram_cond_log10=float(np.log10(op.gram_cond))), args.format)
 
 
 def cmd_vms_iter(args):
@@ -223,7 +224,9 @@ def cmd_vms_iter(args):
         field_eval(galerkin, grid),
     ])
     write_table(args.out, ["x", "u_exact", "u_bar", "u_prime", "galerkin"],
-                rows, _meta(args, converged=state.converged, iterations=state.iteration),
+                rows, _meta(args, converged=state.converged, iterations=state.iteration,
+                            final_step=state.residual_history[-1],
+                            gram_cond_log10=float(np.log10(op.gram_cond))),
                 args.format)
     history_rows = [[i + 1, inc] for i, inc in enumerate(state.residual_history)]
     write_table(args.history_out, ["iteration", "increment"], history_rows,
@@ -257,6 +260,27 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (np.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text}")
+    return value
+
+
+def _nonzero_float(text: str) -> float:
+    value = float(text)
+    if not (np.isfinite(value) and value != 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite nonzero number, got {text}")
+    return value
+
+
+def _relaxation(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in (0, 1], got {text}")
     return value
 
 
@@ -314,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("greens", help="sample an analytic kernel")
     sub.add_argument("--kernel", choices=("poisson", "advdiff", "poisson2d"),
                      default="poisson")
-    sub.add_argument("--c", type=float, default=1.0)
-    sub.add_argument("--nu", type=float, default=0.01)
+    sub.add_argument("--c", type=_nonzero_float, default=1.0)
+    sub.add_argument("--nu", type=_positive_float, default=0.01)
     sub.add_argument("--s1", type=float, default=0.5)
     sub.add_argument("--s2", type=float, default=0.5)
     sub.add_argument("--terms", type=_positive_int, default=100)
@@ -332,18 +356,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mesh(sub, p_default=2, n_default=5)
     sub.add_argument("--projection", choices=("h10", "l2"), default="h10")
     sub.add_argument("--case", choices=("sin2pix", "advdiff-const"), default="sin2pix")
-    sub.add_argument("--c", type=float, default=1.0)
-    sub.add_argument("--nu", type=float, default=0.01)
+    sub.add_argument("--c", type=_nonzero_float, default=1.0)
+    sub.add_argument("--nu", type=_positive_float, default=0.01)
     _add_common(sub)
     sub.set_defaults(func=cmd_reconstruct)
 
     sub = subs.add_parser("vms-iter", help="iterative coupled coarse/fine solve")
     _add_mesh(sub, p_default=2, n_default=3)
-    sub.add_argument("--c", type=float, default=1.0)
-    sub.add_argument("--nu", type=float, default=0.01)
-    sub.add_argument("--w", type=float, default=None,
+    sub.add_argument("--c", type=_nonzero_float, default=1.0)
+    sub.add_argument("--nu", type=_positive_float, default=0.01)
+    sub.add_argument("--w", type=_relaxation, default=None,
                      help="relaxation factor (default: 1/(2 alpha))")
-    sub.add_argument("--eps", type=float, default=1e-8,
+    sub.add_argument("--eps", type=_positive_float, default=1e-8,
                      help="stop when the L2 norm of the unrelaxed coarse step drops below this")
     sub.add_argument("--max-iter", type=_positive_int, default=100_000)
     sub.add_argument("--fine-grid", type=_positive_int, default=2001)

@@ -254,15 +254,17 @@ def apply_dual_green(kernel: GreensKernel1D, fns: DualFunctionals, src: SourceTe
 class FineScaleOperator:
     """Precomputed fine-scale Green's operator for one kernel and dual set.
 
-    Holds the factorized Gram matrix and the functionals whose flavor
-    pairing drives all dual applications.  The lifted functionals are
-    exact and evaluated on demand, so nothing else is stored.
+    Holds the factorized Gram matrix, its 2-norm condition number and the
+    functionals whose flavor pairing drives all dual applications.  The
+    lifted functionals are exact and evaluated on demand, so nothing else
+    is stored.
     """
 
     kernel: GreensKernel1D
     functionals: DualFunctionals
     quad_points: int
     gram: np.ndarray
+    gram_cond: float
     _lu: tuple = field(repr=False, default=None)
 
     @property
@@ -317,10 +319,10 @@ def build_fine_scale_operator(kernel: GreensKernel1D, fns: DualFunctionals,
         rep_locs = dual_representers(kernel, fns, np.atleast_1d(locs), split=True,
                                      quad_points=quad_points)
         gram += rep_locs.T @ strengths
-    if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) > 1e14:
+    cond = float(np.linalg.cond(gram)) if np.all(np.isfinite(gram)) else np.inf
+    if cond > 1e14:
         raise ValueError("singular dual Gram matrix: assembly defect")
-    lu = lu_factor(gram)
-    return FineScaleOperator(kernel, fns, quad_points, gram, lu)
+    return FineScaleOperator(kernel, fns, quad_points, gram, cond, lu_factor(gram))
 
 
 def fine_scale_eval(op: FineScaleOperator, x, s, split: bool = True) -> np.ndarray:

@@ -10,15 +10,19 @@ fine-scale operator.  Two modes:
   coarse coefficients given the current fine scales and applies the
   fine-scale map, both updates under-relaxed, until the unrelaxed coarse
   step stalls; the fine scales are held on a dense element-aligned grid
-  and interpolated by one cubic spline that is only continuous at the
-  joints (they have derivative kinks there).
+  and read through a cubic spline that is only continuous at the joints
+  (they have derivative kinks there).
 
 The iteration uses precomputed linear maps: the coarse-scale matrix is
 factored once, applying the diffusion Green's operator to a derivative
 reduces to antiderivatives (G v' = x * integral(v) - cumulative(v) for v
 vanishing at the ends), and applying it to a nodal field's second
-derivative returns the negated field, so a sweep is one affine map of the
-coarse coefficients and the fine-grid values.
+derivative returns the negated field.  The spline depends only on the
+grid and the mesh, so its coefficients, its pairing with the functionals
+and its antiderivative on the grid are linear maps of the fine-grid
+values: the collocation matrix is LU-factored once per workspace and a
+sweep is one sparse solve plus one affine map of the coarse coefficients
+and the fine-grid values.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import BSpline, make_interp_spline
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.sparse import csr_array
+from scipy.sparse.linalg import SuperLU, splu
 
 from .basis1d import (
     BasisFamily,
@@ -126,7 +132,11 @@ class _Workspace:
     the fine-scale operator applied to f/nu; fine_lin applies it to the
     coarse field's part of the residual; lifted_gram is the lifted
     functionals times the Gram inverse on the grid.  Only t and
-    G(du'/dx) need the fine-scale interpolant.
+    G(du'/dx) need the fine-scale interpolant, and both are linear in its
+    B-spline coefficients b = C^{-1} u', C the collocation matrix on the
+    grid (interp_lu): t = pair_coef b, and with the antiderivative's
+    coefficients a = [0, cumsum(b anti_steps)] (de Boor's rule),
+    G(du'/dx) = x a[-1] - anti_design a.
 
     The coarse-field residual is the classical piecewise one (no interface
     deltas), so the Green's application of the field's second derivative is
@@ -135,17 +145,18 @@ class _Workspace:
     and the paired side leaves the fine-scale result unchanged.
     """
 
-    family: BasisFamily
     grid: np.ndarray
-    mass: np.ndarray               # nodal mass matrix, for the step norm
-    pair_nodes: np.ndarray
-    pair_weights: np.ndarray       # weighted mu' at the pairing nodes
+    mass: np.ndarray               # interior block of the nodal mass matrix, for the step norm
     ratio: float                   # c/nu
     coarse_rhs: np.ndarray         # (mu_j, f)/nu
     coarse_lu: tuple               # LU factors of I - (c/nu) A
     fine_const: np.ndarray
     fine_lin: np.ndarray
     lifted_gram: np.ndarray
+    interp_lu: SuperLU             # sparse LU of the cubic collocation matrix C
+    pair_coef: np.ndarray          # (c/nu) (mu', B_i): t from the spline coefficients
+    anti_steps: np.ndarray         # (knots[i+4] - knots[i]) / 4, de Boor's antiderivative steps
+    anti_design: csr_array         # sparse degree-4 antiderivative basis on the grid
 
 
 def fine_grid(mesh, total_points: int = DEFAULT_FINE_GRID) -> np.ndarray:
@@ -161,6 +172,19 @@ def fine_grid(mesh, total_points: int = DEFAULT_FINE_GRID) -> np.ndarray:
     return np.unique(np.concatenate(pieces))
 
 
+def _interpolant_knots(family: BasisFamily, grid: np.ndarray) -> np.ndarray:
+    """Knots of the kink-safe cubic interpolant on an element-aligned grid."""
+    bounds = family.mesh.boundaries
+    joints = np.searchsorted(grid, bounds - 1e-14)
+    if np.any(joints >= grid.size) or np.any(np.abs(grid[joints] - bounds) > 1e-14):
+        raise ValueError("every mesh joint must be a fine-grid point")
+    if np.any(np.diff(joints) < 3):
+        raise ValueError("need at least four samples per element")
+    inner = [grid[lo + 2:hi - 1] for lo, hi in zip(joints[:-1], joints[1:])]
+    # triple knots at the joints, quadruple at the two ends
+    return np.sort(np.concatenate([np.repeat(grid[joints], 3), grid[joints[[0, -1]]], *inner]))
+
+
 def fine_scale_interpolant(family: BasisFamily, grid: np.ndarray,
                            values: np.ndarray) -> BSpline:
     """Kink-safe cubic interpolant of fine-scale samples on an element-aligned grid.
@@ -172,16 +196,7 @@ def fine_scale_interpolant(family: BasisFamily, grid: np.ndarray,
     point and every element must hold at least four samples.
     """
     grid = np.asarray(grid, dtype=float)
-    bounds = family.mesh.boundaries
-    joints = np.searchsorted(grid, bounds - 1e-14)
-    if np.any(joints >= grid.size) or np.any(np.abs(grid[joints] - bounds) > 1e-14):
-        raise ValueError("every mesh joint must be a fine-grid point")
-    if np.any(np.diff(joints) < 3):
-        raise ValueError("need at least four samples per element")
-    inner = [grid[lo + 2:hi - 1] for lo, hi in zip(joints[:-1], joints[1:])]
-    # triple knots at the joints, quadruple at the two ends
-    knots = np.sort(np.concatenate([np.repeat(grid[joints], 3), grid[joints[[0, -1]]], *inner]))
-    return make_interp_spline(grid, values, k=3, t=knots)
+    return make_interp_spline(grid, values, k=3, t=_interpolant_knots(family, grid))
 
 
 def _factor_coarse_matrix(problem: AdvDiffProblem, adv_pairing: np.ndarray) -> tuple:
@@ -227,10 +242,27 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleO
     fine_lin = -ratio * green_first_deriv - tabulate_nodal(family, grid)[:, 1:-1] \
         - node_green @ nodal_deriv_jumps(family) \
         - lifted_gram @ (ratio * adv_pairing + second_pairing)
-    mass = assemble_mass(family, SpaceKind.NODAL).entries
-    return _Workspace(family, grid, mass, x, w[:, None] * mu_dtab, ratio, coarse_rhs,
+    mass = assemble_mass(family, SpaceKind.NODAL).entries[1:-1, 1:-1]
+
+    knots = _interpolant_knots(family, grid)
+    interp_lu = splu(BSpline.design_matrix(grid, knots, 3).tocsc())
+    # (c/nu) (mu', B_i) through the sparse design matrix at the pairing nodes
+    pair_coef = ratio * (BSpline.design_matrix(x, knots, 3).T @ (w[:, None] * mu_dtab)).T
+    anti_steps = (knots[4:] - knots[:-4]) / 4.0
+    anti_design = BSpline.design_matrix(grid, np.r_[knots[0], knots, knots[-1]], 4)
+    return _Workspace(grid, mass, ratio, coarse_rhs,
                       _factor_coarse_matrix(problem, adv_pairing),
-                      fine_const, fine_lin, lifted_gram)
+                      fine_const, fine_lin, lifted_gram,
+                      interp_lu, pair_coef, anti_steps, anti_design)
+
+
+def _interpolant_terms(ws: _Workspace, fine: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fine-grid values' pairing t = (c/nu) (mu', u') and the Green's
+    application G(du'/dx) on the grid, both through the fine-scale
+    interpolant's B-spline coefficients."""
+    spline_coef = ws.interp_lu.solve(fine)
+    anti_coef = np.concatenate(([0.0], np.cumsum(spline_coef * ws.anti_steps)))
+    return ws.pair_coef @ spline_coef, ws.grid * anti_coef[-1] - ws.anti_design @ anti_coef
 
 
 def _sweep(ws: _Workspace, interior: np.ndarray,
@@ -238,10 +270,7 @@ def _sweep(ws: _Workspace, interior: np.ndarray,
     """One unrelaxed sweep: the coarse coefficients solving the coarse-scale
     equation and the fine-scale map, both from the current interior coarse
     coefficients and fine-grid values."""
-    spline = fine_scale_interpolant(ws.family, ws.grid, fine)
-    fine_term = ws.ratio * (ws.pair_weights.T @ spline(ws.pair_nodes))
-    anti = spline.antiderivative()
-    green_fine_deriv = ws.grid * anti(ws.grid[-1]) - anti(ws.grid)
+    fine_term, green_fine_deriv = _interpolant_terms(ws, fine)
     new_interior = lu_solve(ws.coarse_lu, ws.coarse_rhs + fine_term)
     new_fine = ws.fine_const + ws.fine_lin @ interior \
         - ws.ratio * green_fine_deriv - ws.lifted_gram @ fine_term
@@ -318,8 +347,8 @@ def iterate(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator
         relaxation = 1.0 / (2.0 * problem.peclet) if problem.advection != 0.0 else 1.0
     if not 0.0 < relaxation <= 1.0:
         raise ValueError("relaxation factor must lie in (0, 1]")
-    if tolerance <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not (np.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError("tolerance must be finite and positive")
     ws = make_workspace(problem, fns, op, fine_grid_points, quad_points)
     family = fns.family
     ndof = family.mesh.num_nodal_dofs
@@ -331,9 +360,8 @@ def iterate(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator
     while iteration < max_iter:
         iteration += 1
         new_interior, new_fine = _sweep(ws, interior, fine)
-        step = np.zeros(ndof)
-        step[1:-1] = new_interior - interior
-        interior = interior + relaxation * step[1:-1]
+        step = new_interior - interior
+        interior = interior + relaxation * step
         fine = fine + relaxation * (new_fine - fine)
         step_norm = float(np.sqrt(step @ ws.mass @ step))
         history.append(step_norm)

@@ -163,10 +163,59 @@ def test_usage_errors_exit_two(tmp_path, monkeypatch):
                  ("project", "--projection", "l2")):
         assert _run(tmp_path, *argv, "--p", "1", "--elements", "1",
                     "--out", str(tmp_path / "l2.csv")) == 0
+    # tolerance, relaxation and coefficients the coupled solve cannot use
+    for argv in (("--eps", "inf"), ("--eps", "nan"), ("--eps", "0"), ("--eps", "-1e-8"),
+                 ("--w", "0"), ("--w", "1.5"), ("--w", "nan"), ("--w", "-0.5"),
+                 ("--nu", "0"), ("--nu", "-1.0"), ("--nu", "nan"), ("--c", "0"),
+                 ("--c", "inf")):
+        with pytest.raises(SystemExit) as err:
+            _run(tmp_path, "vms-iter", *argv, "--out", str(tmp_path / "bad.csv"))
+        assert err.value.code == 2
+    # the same coefficients where the other commands read them
+    for argv in (("reconstruct", "--case", "advdiff-const", "--nu", "0"),
+                 ("reconstruct", "--case", "advdiff-const", "--c", "0"),
+                 ("greens", "--kernel", "advdiff", "--nu", "nan"),
+                 ("greens", "--kernel", "advdiff", "--c", "0")):
+        with pytest.raises(SystemExit) as err:
+            _run(tmp_path, *argv, "--out", str(tmp_path / "bad.csv"))
+        assert err.value.code == 2
 
 
 def test_numerical_defect_exits_one(tmp_path):
-    # negative diffusion coefficient trips parameter validation downstream
-    status = _run(tmp_path, "vms-iter", "--nu", "-1.0", "--out",
-                  str(tmp_path / "x.csv"))
+    # eight points per subinterval under-integrate the degree-24 stiffness
+    status = _run(tmp_path, "reconstruct", "--p", "24", "--elements", "1",
+                  "--quad-points", "8", "--grid", "11", "--out", str(tmp_path / "x.csv"))
     assert status == 1
+
+
+def test_health_values_in_json_meta(tmp_path, monkeypatch):
+    monkeypatch.delenv("FSG_QUAD_POINTS", raising=False)
+    from fsgreens.basis1d import Mesh1D, basis_family
+    from fsgreens.finescale import build_fine_scale_operator
+    from fsgreens.kernels import GreensKernel1D
+    from fsgreens.projection import ProjectionFlavor, build_dual_functionals
+
+    def gram_cond_log10(elements, p):
+        fns = build_dual_functionals(basis_family(Mesh1D.uniform(0.0, 1.0, elements, p)),
+                                     ProjectionFlavor.H10, 20)
+        op = build_fine_scale_operator(GreensKernel1D.poisson(), fns, 20)
+        return np.log10(np.linalg.cond(op.gram))
+
+    for argv in (("reconstruct", "--grid", "11"), ("finescale", "--grid", "5")):
+        out = tmp_path / f"{argv[0]}.json"
+        assert _run(tmp_path, *argv, "--p", "2", "--elements", "3", "--format", "json",
+                    "--out", str(out)) == 0
+        meta = json.loads(out.read_text())["meta"]
+        assert meta["gram_cond_log10"] == pytest.approx(gram_cond_log10(3, 2), abs=1e-12)
+    out = tmp_path / "vms.json"
+    runs = []
+    for _ in range(2):
+        assert _run(tmp_path, "vms-iter", "--nu", "0.05", "--format", "json",
+                    "--out", str(out)) == 0
+        runs.append(out.read_bytes())
+    assert runs[0] == runs[1]
+    meta = json.loads(runs[0])["meta"]
+    history = json.loads((tmp_path / "vms-history.json").read_text())["rows"]
+    assert meta["gram_cond_log10"] == pytest.approx(gram_cond_log10(3, 2), abs=1e-12)
+    assert meta["final_step"] == history[-1][1] < 1e-8
+    assert meta["iterations"] == len(history)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsgreens.basis1d import Field, Mesh1D, SpaceKind, basis_family, field_eval
 from fsgreens.cases import advdiff_const_case, boundary_layer_breakpoints, sin2pix_case
@@ -9,7 +11,9 @@ from fsgreens.projection import (
     ProjectionFlavor,
     build_dual_functionals,
     h10_project_from_source,
+    mesh_quadrature,
     project,
+    tabulate_functionals,
 )
 from fsgreens.quadrature import composite_rule, gauss_legendre_rule
 from fsgreens.vms_advdiff import (
@@ -165,6 +169,41 @@ def test_workspace_sweeps_match_generic_updates():
     assert np.max(np.abs(fast_fine - slow_fine)) < 1e-6
 
 
+@st.composite
+def _jittered_meshes(draw):
+    degree = draw(st.integers(1, 4))
+    num_elements = draw(st.integers(2 if degree == 1 else 1, 5))
+    widths = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=num_elements,
+                                    max_size=num_elements)))
+    bounds = np.concatenate(([0.0], np.cumsum(widths) / widths.sum()))
+    bounds[-1] = 1.0
+    return Mesh1D(0.0, 1.0, num_elements, degree, bounds)
+
+
+@settings(max_examples=25, deadline=None)
+@given(mesh=_jittered_meshes(), seed=st.integers(0, 2**32 - 1))
+def test_workspace_interpolant_maps_match_spline(mesh, seed):
+    # the factored collocation, pairing and antiderivative maps of a sweep
+    # equal the spline-built interpolant's pairing and antiderivative
+    from fsgreens.vms_advdiff import _interpolant_terms
+
+    c, nu = 1.0, 0.05
+    problem = AdvDiffProblem(c, nu, advdiff_const_case(c, nu).source)
+    family = basis_family(mesh)
+    fns = build_dual_functionals(family, ProjectionFlavor.H10)
+    ws = make_workspace(problem, fns, build_fine_scale_operator(KERNEL, fns), 201)
+    fine = np.random.default_rng(seed).normal(size=ws.grid.size)
+    pairing, green_deriv = _interpolant_terms(ws, fine)
+
+    spline = fine_scale_interpolant(family, ws.grid, fine)
+    x, w = mesh_quadrature(family)
+    want_pairing = (c / nu) * tabulate_functionals(fns, x, deriv=1).T @ (w * spline(x))
+    anti = spline.antiderivative()
+    want_green = ws.grid * anti(1.0) - anti(ws.grid)
+    assert np.max(np.abs(pairing - want_pairing)) <= 1e-12 * np.max(np.abs(want_pairing))
+    assert np.max(np.abs(green_deriv - want_green)) <= 1e-12 * np.max(np.abs(want_green))
+
+
 def test_fine_scale_interpolant_keeps_joint_kinks():
     # a continuous piecewise cubic with a different cubic on each element of
     # a jittered mesh is reproduced in value, derivative and antiderivative
@@ -266,5 +305,6 @@ def test_iterate_rejects_bad_parameters():
     family, fns, op = _h10_setup(2, 2)
     with pytest.raises(ValueError):
         iterate(problem, fns, op, relaxation=1.5)
-    with pytest.raises(ValueError):
-        iterate(problem, fns, op, tolerance=-1.0)
+    for tolerance in (-1.0, 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            iterate(problem, fns, op, tolerance=tolerance)
