@@ -148,19 +148,23 @@ def _reference_edge_tab(family: BasisFamily, xi: np.ndarray, deriv: int = 0) -> 
     return -np.cumsum(dtab[:, : family.degree], axis=1)
 
 
-def _global_scatter(mesh: Mesh1D, x: np.ndarray, local_tab: np.ndarray,
-                    ncols: int, col_offset: int, scale: np.ndarray) -> np.ndarray:
+def _global_scatter(mesh: Mesh1D, elem: np.ndarray, local_tab: np.ndarray,
+                    ncols: int, scale: np.ndarray) -> np.ndarray:
     npts, nloc = local_tab.shape
     out = np.zeros((npts, ncols))
-    elem = find_element(mesh, x)
-    cols = elem[:, None] * mesh.degree + col_offset + np.arange(nloc)[None, :]
+    cols = elem[:, None] * mesh.degree + np.arange(nloc)[None, :]
     out[np.arange(npts)[:, None], cols] = local_tab * scale[:, None]
     return out
 
 
-def _check_domain(mesh: Mesh1D, x: np.ndarray):
+def _element_coords(mesh: Mesh1D, x):
+    """Element index, Jacobian and reference coordinate of each point x."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x < mesh.a - 1e-12) or np.any(x > mesh.b + 1e-12):
         raise ValueError(f"evaluation points outside [{mesh.a}, {mesh.b}]")
+    elem = find_element(mesh, x)
+    jac = mesh.jacobian(elem)
+    return elem, jac, (x - mesh.boundaries[elem]) / jac - 1.0
 
 
 def tabulate_nodal(family: BasisFamily, x, deriv: int = 0) -> np.ndarray:
@@ -171,14 +175,9 @@ def tabulate_nodal(family: BasisFamily, x, deriv: int = 0) -> np.ndarray:
     derivatives.
     """
     mesh = family.mesh
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_domain(mesh, x)
-    elem = find_element(mesh, x)
-    jac = mesh.jacobian(elem)
-    xi = (x - mesh.boundaries[elem]) / jac - 1.0
+    elem, jac, xi = _element_coords(mesh, x)
     local = lagrange_tab(family, xi, deriv=deriv)
-    scale = jac ** float(-deriv)
-    return _global_scatter(mesh, x, local, mesh.num_nodal_dofs, 0, scale)
+    return _global_scatter(mesh, elem, local, mesh.num_nodal_dofs, jac ** float(-deriv))
 
 
 def tabulate_edge(family: BasisFamily, x, deriv: int = 0) -> np.ndarray:
@@ -188,14 +187,9 @@ def tabulate_edge(family: BasisFamily, x, deriv: int = 0) -> np.ndarray:
     1/J factor from the pullback, plus 1/J per derivative order.
     """
     mesh = family.mesh
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_domain(mesh, x)
-    elem = find_element(mesh, x)
-    jac = mesh.jacobian(elem)
-    xi = (x - mesh.boundaries[elem]) / jac - 1.0
+    elem, jac, xi = _element_coords(mesh, x)
     local = _reference_edge_tab(family, xi, deriv=deriv)
-    scale = jac ** float(-(deriv + 1))
-    return _global_scatter(mesh, x, local, mesh.num_edge_dofs, 0, scale)
+    return _global_scatter(mesh, elem, local, mesh.num_edge_dofs, jac ** float(-(deriv + 1)))
 
 
 def nodal_deriv_jumps(family: BasisFamily) -> np.ndarray:

@@ -47,7 +47,7 @@ from .projection import (
     h10_project_from_source,
     project,
 )
-from .quadrature import DEFAULT_QUAD_POINTS, gll_rule
+from .quadrature import default_quad_points, gll_rule
 from .vms_advdiff import AdvDiffProblem, galerkin_solve, iterate, reconstruct_with_exact_gradient
 
 
@@ -390,7 +390,7 @@ def main(argv=None) -> int:
         env = os.environ.get("FSG_QUAD_POINTS")
         try:
             args.quad_points = _positive_int(env) if env else \
-                max(DEFAULT_QUAD_POINTS, getattr(args, "p", 0) + 8)
+                default_quad_points(getattr(args, "p", 0))
         except (argparse.ArgumentTypeError, ValueError) as exc:
             parser.error(f"FSG_QUAD_POINTS: {exc}")
     h10 = args.command in ("vms-iter", "poisson2d") or getattr(args, "projection", None) == "h10"

@@ -3,8 +3,15 @@
 The dual edge functions are the nodal basis pushed through the inverse
 nodal mass matrix; the dual nodal functions are the edge basis pushed
 through the inverse edge mass matrix.  Each dual family is biorthogonal to
-its primal partner in L2.  Factorizations are cached; duals are always
-evaluated through solves, never through explicit inverses.
+its primal partner in L2.
+
+Edge functions never cross an element, so the edge mass matrix is block
+diagonal, element e's block being the reference edge mass over J_e, and
+every dual nodal function lives on one element.  They are tabulated by
+per-element solves with one cached Cholesky factor of the p x p reference
+edge mass; the dual edge functions go through the cached factor of the
+global nodal mass.  Duals are always evaluated through solves, never
+through explicit inverses.
 """
 
 from __future__ import annotations
@@ -14,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .basis1d import BasisFamily, SpaceKind, lagrange_tab, _reference_edge_tab
+from .basis1d import (BasisFamily, SpaceKind, _element_coords, _global_scatter,
+                      _reference_edge_tab, lagrange_tab, tabulate_nodal)
 from .quadrature import gauss_legendre_rule
 
 
@@ -96,11 +104,16 @@ def primal_dofs(mass: MassMatrix, dual_coeffs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DualSet:
-    """A dual basis: primal family data plus the paired mass factorization."""
+    """A dual basis: primal family data plus the paired mass factorization.
+
+    Dual nodal sets also cache the Cholesky factor of the reference edge
+    mass, recovered from the first element's block of the edge mass.
+    """
 
     family: BasisFamily
     kind: SpaceKind
     mass: MassMatrix
+    _ref_factor: tuple = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.kind not in (SpaceKind.DUAL_NODAL, SpaceKind.DUAL_EDGE):
@@ -108,6 +121,10 @@ class DualSet:
         expected = SpaceKind.EDGE if self.kind is SpaceKind.DUAL_NODAL else SpaceKind.NODAL
         if self.mass.kind is not expected:
             raise ValueError(f"{self.kind.value} duals need the {expected.value} mass matrix")
+        if self.kind is SpaceKind.DUAL_NODAL:
+            p = self.family.degree
+            ref_mass = self.mass.entries[:p, :p] * self.family.mesh.jacobian(0)
+            object.__setattr__(self, "_ref_factor", cho_factor(ref_mass))
 
     @property
     def size(self) -> int:
@@ -121,15 +138,27 @@ def build_duals(family: BasisFamily, kind: SpaceKind,
     return DualSet(family, kind, assemble_mass(family, primal, quad_points))
 
 
-def tabulate_duals(duals: DualSet, x, deriv: int = 0) -> np.ndarray:
-    """Tabulate every dual function at x: primal tabulation times inverse mass."""
-    from .basis1d import tabulate_edge, tabulate_nodal
+def _reference_duals(duals: DualSet, xi, deriv: int = 0) -> np.ndarray:
+    """The p dual nodal functions of one element at reference coordinates xi,
+    before the J^-deriv pullback; shape (len(xi), p)."""
+    edge = _reference_edge_tab(duals.family, np.atleast_1d(xi), deriv=deriv)
+    return cho_solve(duals._ref_factor, edge.T).T
 
+
+def tabulate_duals(duals: DualSet, x, deriv: int = 0) -> np.ndarray:
+    """Tabulate every dual function at x: primal tabulation times inverse mass.
+
+    On element e the edge functions are J_e^-(deriv+1) times the reference
+    ones and the edge mass block is the reference one over J_e, so the
+    dual nodal functions are the reference duals times J_e^-deriv.
+    """
+    family = duals.family
     if duals.kind is SpaceKind.DUAL_NODAL:
-        tab = tabulate_edge(duals.family, x, deriv=deriv)
-    else:
-        tab = tabulate_nodal(duals.family, x, deriv=deriv)
-    return duals.mass.solve(tab.T).T
+        mesh = family.mesh
+        elem, jac, xi = _element_coords(mesh, x)
+        return _global_scatter(mesh, elem, _reference_duals(duals, xi, deriv),
+                               mesh.num_edge_dofs, jac ** float(-deriv))
+    return duals.mass.solve(tabulate_nodal(family, x, deriv=deriv).T).T
 
 
 def dual_eval(duals: DualSet, i: int, x):

@@ -26,7 +26,8 @@ since G inverts its load exactly; for L2 it is computed on demand from
 whose two integrals are cumulative sums of Gauss rules over the cells
 between the mesh boundaries and source breakpoints, plus the two pieces of
 the cell holding x.  Every smooth Green's application goes through that
-one primitive.
+one primitive, except the L2 lifts: each dual lives on one element, so
+outside it both integrals are its whole-element moments.
 """
 
 from __future__ import annotations
@@ -38,9 +39,11 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .basis1d import Field, SpaceKind, element_endpoint_values, nodal_deriv_jumps
+from .dualspace import _reference_duals
 from .kernels import GreensKernel1D, _check_unit_domain
 from .projection import DualFunctionals, ProjectionFlavor, tabulate_functionals
-from .quadrature import DEFAULT_QUAD_POINTS, composite_rule, gauss_legendre_rule
+from .quadrature import (DEFAULT_QUAD_POINTS, composite_rule, default_quad_points,
+                         gauss_legendre_rule)
 
 # Rule points tabulated at once by the Green's primitive: bounds its working
 # set, which would otherwise grow with the evaluation points.
@@ -116,12 +119,41 @@ def _lift(fns: DualFunctionals, x, quad_points: int, deriv: int = 0) -> np.ndarr
     derivative plus the node point sources) exactly, so the lift is the
     functional itself; derivatives at mesh nodes are the left element's.
     For L2 the load is the dual density and the lift is its exact
-    Poisson image.
+    Poisson image, the `_poisson_apply` formula specialised to densities
+    that live on one element each: left of its element a dual's A is its
+    whole-element moment int_e s mu ds and its B is zero, right of it the
+    reverse with int_e (1 - s) mu ds.  Only the p duals of the cell
+    holding x are integrated on the two pieces split at x.
     """
     if fns.flavor is ProjectionFlavor.H10:
         return tabulate_functionals(fns, x, deriv=deriv)
-    return _poisson_apply(lambda s: tabulate_functionals(fns, s), x,
-                          fns.family.mesh.boundaries, quad_points, deriv)
+    mesh = fns.family.mesh
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    _check_unit_domain(x)
+    x = np.clip(x, 0.0, 1.0)
+    bounds, nel = mesh.boundaries, mesh.num_elements
+    rule = gauss_legendre_rule(quad_points)
+
+    def moments(lo, hi, elem):
+        # (int s mu ds, int (1 - s) mu ds) of the duals of elem_i over [lo_i, hi_i]
+        s = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * rule.nodes
+        w = 0.5 * (hi - lo)[:, None] * rule.weights
+        jac = mesh.jacobian(elem)[:, None]
+        xi = (s - bounds[elem][:, None]) / jac - 1.0
+        mu = _reference_duals(fns.duals, xi.ravel()).reshape(s.shape + (-1,))
+        return np.einsum("jiq,iqk->jik", np.stack((s * w, (1.0 - s) * w)), mu)
+
+    whole = moments(bounds[:-1], bounds[1:], np.arange(nel))
+    cell = np.clip(np.searchsorted(bounds, x, side="right") - 1, 0, nel - 1)
+    side = np.sign(np.arange(nel)[None, :] - cell[:, None])[:, :, None]
+    a = np.where(side < 0, whole[0], 0.0)
+    b = np.where(side > 0, whole[1], 0.0)
+    rows, lo, hi = np.arange(x.size), bounds[cell], bounds[cell + 1]
+    split = np.clip(x, lo, hi)  # a mesh short of [0, 1] leaves x outside every cell
+    a[rows, cell] = moments(lo, split, cell)[0]
+    b[rows, cell] = moments(split, hi, cell)[1]
+    a, b = a.reshape(x.size, -1), b.reshape(x.size, -1)
+    return b - a if deriv else (1.0 - x)[:, None] * a + x[:, None] * b
 
 
 def _outer_rule(kernel: GreensKernel1D, mesh_boundaries: np.ndarray,
@@ -306,9 +338,15 @@ def lift_functionals_direct(kernel: GreensKernel1D, fns: DualFunctionals, x,
 
 
 def build_fine_scale_operator(kernel: GreensKernel1D, fns: DualFunctionals,
-                              quad_points: int = DEFAULT_QUAD_POINTS) -> FineScaleOperator:
-    """Assemble and factorize the Gram matrix of the functionals under G."""
+                              quad_points: int | None = None) -> FineScaleOperator:
+    """Assemble and factorize the Gram matrix of the functionals under G.
+
+    Without `quad_points` the rule grows with the degree
+    (`default_quad_points`).
+    """
     mesh = fns.family.mesh
+    if quad_points is None:
+        quad_points = default_quad_points(mesh.degree)
     if abs(mesh.a) > 1e-14 or abs(mesh.b - kernel.width) > 1e-14:
         raise ValueError("mesh must cover the kernel domain [0, width]")
     smooth_tab, locs, strengths = functional_load(fns)

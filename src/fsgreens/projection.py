@@ -22,8 +22,8 @@ from scipy.linalg import cho_factor, cho_solve
 from .basis1d import BasisFamily, Field, SpaceKind, lagrange_tab, nodal_deriv_jumps, tabulate_nodal
 from .dualspace import DualSet, build_duals, tabulate_duals
 from .quadrature import (
-    DEFAULT_QUAD_POINTS,
     composite_rule,
+    default_quad_points,
     gauss_legendre_rule,
 )
 
@@ -122,7 +122,7 @@ def tabulate_functionals(fns: DualFunctionals, x, deriv: int = 0) -> np.ndarray:
 def mesh_quadrature(family: BasisFamily, quad_points: int | None = None,
                     breakpoints: Sequence[float] = ()):
     """Composite Gauss rule over all elements plus optional extra breakpoints."""
-    npts = quad_points if quad_points is not None else DEFAULT_QUAD_POINTS
+    npts = quad_points if quad_points is not None else default_quad_points(family.degree)
     pts = np.asarray(breakpoints, dtype=float)
     bounds = np.unique(np.concatenate((family.mesh.boundaries, pts)))
     return composite_rule(gauss_legendre_rule(npts), bounds)
@@ -205,7 +205,7 @@ def h10_project_values(fns: DualFunctionals,
         raise ValueError("value-only projection implemented for the H10 flavor")
     family = fns.family
     mesh = family.mesh
-    npts = quad_points if quad_points is not None else DEFAULT_QUAD_POINTS
+    npts = quad_points if quad_points is not None else default_quad_points(family.degree)
     rule = gauss_legendre_rule(npts)
     cuts = np.unique(np.concatenate((mesh.boundaries, np.asarray(breakpoints, dtype=float))))
     cuts = cuts[(cuts >= mesh.a) & (cuts <= mesh.b)]

@@ -9,15 +9,16 @@ polynomials) are integrated sub-interval by sub-interval.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
 
-# Points per subinterval for integrals of non-polynomial functions.  The
-# CLI can override this via FSG_QUAD_POINTS; library calls take an explicit
-# argument.
+# Points per subinterval for integrals of non-polynomial functions, at
+# least; `default_quad_points` grows it with the degree.  The CLI can
+# override it via FSG_QUAD_POINTS; library calls take an explicit argument.
 DEFAULT_QUAD_POINTS = 20
 
 _NEWTON_TOL = 1e-15
@@ -38,8 +39,10 @@ class QuadratureRule:
     kind: RuleKind
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+        for name in ("nodes", "weights"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         if self.nodes.ndim != 1 or self.nodes.shape != self.weights.shape:
             raise ValueError("nodes and weights must be 1D arrays of equal length")
         if self.nodes.size == 0:
@@ -123,8 +126,17 @@ def gll_rule(p: int) -> QuadratureRule:
     return QuadratureRule(nodes, gll_weights(p, nodes), RuleKind.GAUSS_LOBATTO_LEGENDRE)
 
 
+def default_quad_points(degree: int) -> int:
+    """Points per subinterval when none are given for degree-p bases:
+    max(DEFAULT_QUAD_POINTS, p + 8), enough for the degree-2p integrands
+    of the mass, stiffness and Gram assemblies."""
+    return max(DEFAULT_QUAD_POINTS, degree + 8)
+
+
+@functools.cache
 def gauss_legendre_rule(n: int) -> QuadratureRule:
-    """n-point Gauss-Legendre rule, exact through degree 2n-1."""
+    """n-point Gauss-Legendre rule, exact through degree 2n-1; one shared
+    rule per n."""
     if n < 1:
         raise ValueError(f"rule size must be >= 1, got {n}")
     nodes, weights = np.polynomial.legendre.leggauss(n)

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fsgreens.basis1d import Mesh1D, basis_family, field_eval, tabulate_nodal
+from fsgreens.basis1d import Mesh1D, basis_family, field_eval, tabulate_edge, tabulate_nodal
+from fsgreens.dualspace import tabulate_duals
 from fsgreens.cases import sin2pix_case
 from fsgreens.finescale import (
     SourceTerm,
+    _lift,
+    _poisson_apply,
     apply_dual_green,
     build_fine_scale_operator,
     dual_representers,
@@ -392,3 +397,67 @@ def test_edge_field_residual_jump_terms():
 
     vl, vr = element_endpoint_values(u_bar)
     assert resid.point_dipoles[1][1] == pytest.approx(vl[1] - vr[0], abs=1e-14)
+
+
+@pytest.mark.parametrize("flavor", [ProjectionFlavor.H10, ProjectionFlavor.L2])
+def test_high_degree_builds_on_library_defaults(flavor):
+    # the default rule grows with the degree: 20 points leave the p=24
+    # Gram singular
+    family, fns, op = _setup(1, 24, flavor)
+    assert op.quad_points == 32
+    if flavor is ProjectionFlavor.H10:
+        u_bar = h10_project_from_source(fns, CASE.source)
+    else:
+        u_bar = project(fns, CASE.solution)
+    grid = np.linspace(0.0, 1.0, 101)
+    u_prime = reconstruct_fine_scales(op, residual_from_field(u_bar, CASE.source), grid)
+    total = field_eval(u_bar, grid) + u_prime
+    assert np.max(np.abs(total - CASE.solution(grid))) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# element-local L2 duals and lifts against the global oracles
+
+
+@st.composite
+def _l2_cases(draw):
+    degree = draw(st.integers(1, 5))
+    num_elements = draw(st.integers(1, 6))
+    widths = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=num_elements,
+                                    max_size=num_elements)))
+    bounds = np.concatenate(([0.0], np.cumsum(widths) / widths.sum()))
+    bounds[-1] = 1.0
+    mesh = Mesh1D(0.0, 1.0, num_elements, degree, bounds)
+    # boundaries and midpoints, where every table is far from zero, plus free points
+    free = draw(st.lists(st.floats(0.0, 1.0), max_size=12))
+    return mesh, np.unique(np.concatenate((bounds, 0.5 * (bounds[1:] + bounds[:-1]), free)))
+
+
+def _rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_l2_cases())
+def test_element_local_duals_match_dense_mass_solve(case):
+    mesh, x = case
+    family = basis_family(mesh)
+    duals = build_dual_functionals(family, ProjectionFlavor.L2).duals
+    # derivatives of order p or more vanish: their tables are rounding noise
+    for deriv in range(min(mesh.degree, 3)):
+        want = duals.mass.solve(tabulate_edge(family, x, deriv=deriv).T).T
+        assert _rel_err(tabulate_duals(duals, x, deriv=deriv), want) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_l2_cases())
+def test_element_local_l2_lifts_match_dense_primitive(case):
+    mesh, x = case
+    family = basis_family(mesh)
+    fns = build_dual_functionals(family, ProjectionFlavor.L2)
+    dense = lambda s: fns.duals.mass.solve(tabulate_edge(family, s).T).T
+    for deriv in (0, 1):
+        want = _poisson_apply(dense, x, mesh.boundaries, 20, deriv)
+        assert _rel_err(_lift(fns, x, 20, deriv), want) < 1e-12
+    direct = lift_functionals_direct(KERNEL, fns, x)
+    assert _rel_err(_lift(fns, x, 20), direct) < 1e-12

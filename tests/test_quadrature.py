@@ -142,3 +142,19 @@ def test_composite_rule_concatenates():
     x, w = composite_rule(rule, [0.0, 0.5, 1.0])
     assert x.size == 8 and abs(np.sum(w) - 1.0) < 1e-15
     assert np.all(np.diff(x) > 0)
+
+
+def test_gauss_legendre_rule_is_shared_and_read_only():
+    rule = gauss_legendre_rule(20)
+    assert gauss_legendre_rule(20) is rule
+    with pytest.raises(ValueError):
+        rule.nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        rule.weights[0] = 0.0
+
+
+def test_rule_does_not_freeze_caller_arrays():
+    nodes, weights = np.array([-0.5, 0.5]), np.array([1.0, 1.0])
+    QuadratureRule(nodes, weights, RuleKind.GAUSS_LEGENDRE)
+    nodes[0] = -0.6
+    assert nodes[0] == -0.6
