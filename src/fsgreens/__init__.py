@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .basis1d import BasisFamily, Field, Mesh1D, SpaceKind, basis_family, field_eval
 from .cases import advdiff_const_case, sin2pix_case, sin2pixy_case
-from .dualspace import DualSet, MassMatrix, assemble_mass, build_duals, dual_dofs
+from .dualspace import DualSet, SPDMatrix, assemble_mass, build_duals
 from .finescale import (
     FineScaleOperator,
     SourceTerm,
@@ -33,12 +33,11 @@ from .poisson2d import (
 from .projection import (
     DualFunctionals,
     ProjectionFlavor,
-    StiffnessMatrix,
     build_dual_functionals,
     h10_project_from_source,
     project,
 )
-from .quadrature import QuadratureRule, RuleKind, gauss_legendre_rule, gll_rule, integrate
+from .quadrature import QuadratureRule, gauss_legendre_rule, gll_rule, integrate
 from .vms_advdiff import AdvDiffProblem, IterationState, galerkin_solve, iterate
 
 __all__ = [
@@ -51,15 +50,13 @@ __all__ = [
     "FineScaleOperator",
     "GreensKernel1D",
     "IterationState",
-    "MassMatrix",
     "Mesh1D",
     "Mesh2D",
     "ProjectionFlavor",
     "QuadratureRule",
-    "RuleKind",
+    "SPDMatrix",
     "SourceTerm",
     "SpaceKind",
-    "StiffnessMatrix",
     "advdiff_const_case",
     "advdiff_green",
     "assemble_mass",
@@ -69,7 +66,6 @@ __all__ = [
     "build_duals",
     "build_fine_scale_operator",
     "build_series_operator_2d",
-    "dual_dofs",
     "field_eval",
     "fine_scale_eval",
     "galerkin_solve",

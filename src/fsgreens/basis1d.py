@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -216,29 +215,6 @@ def nodal_points(family: BasisFamily) -> np.ndarray:
     return pts
 
 
-def nodal_eval(family: BasisFamily, i: int, x):
-    """Value of global nodal basis function i at x (scalar or array)."""
-    scalar = np.isscalar(x)
-    out = tabulate_nodal(family, x)[:, i]
-    return float(out[0]) if scalar else out
-
-
-def nodal_deriv(family: BasisFamily, i: int, x):
-    """Physical-coordinate derivative of nodal basis function i at x."""
-    scalar = np.isscalar(x)
-    out = tabulate_nodal(family, x, deriv=1)[:, i]
-    return float(out[0]) if scalar else out
-
-
-def edge_eval(family: BasisFamily, i: int, x):
-    """Value of global edge basis function i (1-based index, per the DOF law)."""
-    if not 1 <= i <= family.mesh.num_edge_dofs:
-        raise ValueError(f"edge index {i} out of range 1..{family.mesh.num_edge_dofs}")
-    scalar = np.isscalar(x)
-    out = tabulate_edge(family, x)[:, i - 1]
-    return float(out[0]) if scalar else out
-
-
 @dataclass(frozen=True)
 class Field:
     """Discrete function: a space tag plus a coefficient vector."""
@@ -273,11 +249,6 @@ def field_eval(fld: Field, x, deriv: int = 0):
         raise ValueError("field_eval handles primal nodal/edge fields only")
     out = tab @ fld.coeffs
     return float(out[0]) if np.isscalar(x) else out
-
-
-def interpolate_nodal(family: BasisFamily, f: Callable[[np.ndarray], np.ndarray]) -> Field:
-    """Nodal field interpolating f at the global GLL nodes."""
-    return Field(family, SpaceKind.NODAL, np.asarray(f(nodal_points(family)), dtype=float))
 
 
 def element_endpoint_values(fld: Field, deriv: int = 0):

@@ -28,8 +28,6 @@ class AnalyticCase2D:
     name: str
     source: Callable[[np.ndarray, np.ndarray], np.ndarray]
     solution: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    gradient_x: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    gradient_y: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def sin2pix_case() -> AnalyticCase1D:
@@ -86,8 +84,6 @@ def sin2pixy_case() -> AnalyticCase2D:
         name="sin2pixy",
         source=source,
         solution=lambda x, y: np.sin(TWO_PI * x) * np.sin(TWO_PI * y),
-        gradient_x=lambda x, y: TWO_PI * np.cos(TWO_PI * x) * np.sin(TWO_PI * y),
-        gradient_y=lambda x, y: TWO_PI * np.sin(TWO_PI * x) * np.cos(TWO_PI * y),
     )
 
 

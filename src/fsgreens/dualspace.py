@@ -11,7 +11,9 @@ every dual nodal function lives on one element.  They are tabulated by
 per-element solves with one cached Cholesky factor of the p x p reference
 edge mass; the dual edge functions go through the cached factor of the
 global nodal mass.  Duals are always evaluated through solves, never
-through explicit inverses.
+through explicit inverses; the H10 functionals of `projection` follow the
+same rule with the interior stiffness.  Mass and stiffness matrices are
+one `SPDMatrix` type, assembled element by element by one helper.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from .quadrature import gauss_legendre_rule
 
 
 @dataclass(frozen=True)
-class MassMatrix:
-    """Dense SPD Gram matrix of a primal basis, with a cached factorization."""
+class SPDMatrix:
+    """Dense SPD Gram matrix of a basis (mass or stiffness), with a cached
+    Cholesky factor."""
 
-    kind: SpaceKind
     entries: np.ndarray
     _factor: tuple = field(init=False, repr=False, default=None)
 
@@ -38,68 +40,56 @@ class MassMatrix:
         object.__setattr__(self, "entries", np.asarray(self.entries, dtype=float))
         sym_err = np.max(np.abs(self.entries - self.entries.T))
         if sym_err > 1e-12 * max(1.0, np.max(np.abs(self.entries))):
-            raise ValueError(f"mass matrix not symmetric (error {sym_err:.2e})")
+            raise ValueError(f"Gram matrix not symmetric (error {sym_err:.2e})")
         try:
             factor = cho_factor(self.entries)
         except np.linalg.LinAlgError as exc:
-            raise ValueError("mass matrix not positive definite") from exc
+            raise ValueError("Gram matrix not positive definite") from exc
         object.__setattr__(self, "_factor", factor)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return cho_solve(self._factor, np.asarray(rhs, dtype=float))
 
 
-def _element_quadrature(family: BasisFamily, quad_points: int | None):
-    # p+2 Gauss points integrate the degree-2p mass integrands exactly.
-    npts = quad_points if quad_points is not None else family.degree + 2
-    return gauss_legendre_rule(npts)
+def _assemble_gram(family: BasisFamily, ref_tab, deriv: int, jac_power: int,
+                   quad_points: int | None) -> np.ndarray:
+    """Sum J_e^jac_power times the reference Gram matrix of the reference
+    tabulation `ref_tab(family, xi, deriv=deriv)` into every element's slice.
+
+    Consecutive elements share their first and last local function when the
+    tabulation has p + 1 columns (nodal), and nothing when it has p (edge).
+    """
+    mesh = family.mesh
+    p = mesh.degree
+    # p+2 Gauss points integrate the degree-2p Gram integrands exactly.
+    rule = gauss_legendre_rule(quad_points if quad_points is not None else p + 2)
+    tab = ref_tab(family, rule.nodes, deriv=deriv)
+    ref_gram = tab.T @ (rule.weights[:, None] * tab)
+    nloc = ref_gram.shape[0]
+    ndof = (mesh.num_elements - 1) * p + nloc
+    entries = np.zeros((ndof, ndof))
+    for n in range(mesh.num_elements):
+        sl = slice(n * p, n * p + nloc)
+        entries[sl, sl] += mesh.jacobian(n) ** jac_power * ref_gram
+    return entries
 
 
 def assemble_mass(family: BasisFamily, kind: SpaceKind,
-                  quad_points: int | None = None) -> MassMatrix:
+                  quad_points: int | None = None) -> SPDMatrix:
     """Assemble the global nodal or edge mass matrix.
 
     Nodal assembly sums the overlapping interface-node contributions of
     adjacent elements; the edge matrix is block diagonal because edge
     functions never cross element boundaries.
     """
-    if kind not in (SpaceKind.NODAL, SpaceKind.EDGE):
-        raise ValueError("mass matrices exist for the primal nodal/edge spaces")
-    mesh = family.mesh
-    rule = _element_quadrature(family, quad_points)
-    p = mesh.degree
     if kind is SpaceKind.NODAL:
-        tab = lagrange_tab(family, rule.nodes)           # (q, p+1)
-        ref_mass = tab.T @ (rule.weights[:, None] * tab)
-        ndof, nloc = mesh.num_nodal_dofs, p + 1
-        jac_power = 1.0
-    else:
-        tab = _reference_edge_tab(family, rule.nodes)     # (q, p)
-        ref_mass = tab.T @ (rule.weights[:, None] * tab)
-        ndof, nloc = mesh.num_edge_dofs, p
-        jac_power = -1.0  # two 1/J pullbacks against one J from dx
-    entries = np.zeros((ndof, ndof))
-    for n in range(mesh.num_elements):
-        jac = mesh.jacobian(n)
-        sl = slice(n * p, n * p + nloc)
-        entries[sl, sl] += (jac ** jac_power) * ref_mass
-    return MassMatrix(kind, entries)
-
-
-def dual_dofs(mass: MassMatrix, primal_coeffs: np.ndarray) -> np.ndarray:
-    """Dual degrees of freedom of a primal coefficient vector (mass product)."""
-    primal_coeffs = np.asarray(primal_coeffs, dtype=float)
-    if primal_coeffs.shape != (mass.entries.shape[0],):
-        raise ValueError("coefficient length does not match the mass matrix")
-    return mass.entries @ primal_coeffs
-
-
-def primal_dofs(mass: MassMatrix, dual_coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of dual_dofs via the cached factorization."""
-    dual_coeffs = np.asarray(dual_coeffs, dtype=float)
-    if dual_coeffs.shape != (mass.entries.shape[0],):
-        raise ValueError("coefficient length does not match the mass matrix")
-    return mass.solve(dual_coeffs)
+        return SPDMatrix(_assemble_gram(family, lagrange_tab, deriv=0, jac_power=1,
+                                        quad_points=quad_points))
+    if kind is SpaceKind.EDGE:
+        # two 1/J pullbacks against one J from dx
+        return SPDMatrix(_assemble_gram(family, _reference_edge_tab, deriv=0, jac_power=-1,
+                                        quad_points=quad_points))
+    raise ValueError("mass matrices exist for the primal nodal/edge spaces")
 
 
 @dataclass(frozen=True)
@@ -112,18 +102,23 @@ class DualSet:
 
     family: BasisFamily
     kind: SpaceKind
-    mass: MassMatrix
+    mass: SPDMatrix
     _ref_factor: tuple = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.kind not in (SpaceKind.DUAL_NODAL, SpaceKind.DUAL_EDGE):
             raise ValueError("DualSet kind must be dual-nodal or dual-edge")
-        expected = SpaceKind.EDGE if self.kind is SpaceKind.DUAL_NODAL else SpaceKind.NODAL
-        if self.mass.kind is not expected:
-            raise ValueError(f"{self.kind.value} duals need the {expected.value} mass matrix")
-        if self.kind is SpaceKind.DUAL_NODAL:
+        mesh = self.family.mesh
+        dual_nodal = self.kind is SpaceKind.DUAL_NODAL
+        # N p edge dofs against N p + 1 nodal ones: the size tells the two masses apart
+        ndof = mesh.num_edge_dofs if dual_nodal else mesh.num_nodal_dofs
+        if self.size != ndof:
+            primal = "edge" if dual_nodal else "nodal"
+            raise ValueError(f"{self.kind.value} duals need the {ndof}-dof {primal} "
+                             f"mass matrix, got size {self.size}")
+        if dual_nodal:
             p = self.family.degree
-            ref_mass = self.mass.entries[:p, :p] * self.family.mesh.jacobian(0)
+            ref_mass = self.mass.entries[:p, :p] * mesh.jacobian(0)
             object.__setattr__(self, "_ref_factor", cho_factor(ref_mass))
 
     @property
@@ -160,9 +155,3 @@ def tabulate_duals(duals: DualSet, x, deriv: int = 0) -> np.ndarray:
                                mesh.num_edge_dofs, jac ** float(-deriv))
     return duals.mass.solve(tabulate_nodal(family, x, deriv=deriv).T).T
 
-
-def dual_eval(duals: DualSet, i: int, x):
-    """Value of dual function i at x (scalar or array)."""
-    scalar = np.isscalar(x)
-    out = tabulate_duals(duals, x)[:, i]
-    return float(out[0]) if scalar else out

@@ -41,7 +41,7 @@ from scipy.linalg import lu_factor, lu_solve
 from .basis1d import Field, SpaceKind, element_endpoint_values, nodal_deriv_jumps
 from .dualspace import _reference_duals
 from .kernels import GreensKernel1D, _check_unit_domain
-from .projection import DualFunctionals, ProjectionFlavor, tabulate_functionals
+from .projection import DualFunctionals, ProjectionFlavor, mesh_quadrature, tabulate_functionals
 from .quadrature import (DEFAULT_QUAD_POINTS, composite_rule, default_quad_points,
                          gauss_legendre_rule)
 
@@ -156,12 +156,6 @@ def _lift(fns: DualFunctionals, x, quad_points: int, deriv: int = 0) -> np.ndarr
     return b - a if deriv else (1.0 - x)[:, None] * a + x[:, None] * b
 
 
-def _outer_rule(kernel: GreensKernel1D, mesh_boundaries: np.ndarray,
-                extra: Sequence[float], quad_points: int):
-    bounds = np.unique(np.concatenate((mesh_boundaries, np.asarray(extra, dtype=float))))
-    return composite_rule(gauss_legendre_rule(quad_points), bounds)
-
-
 def green_apply(kernel: GreensKernel1D, src: SourceTerm, x,
                 quad_points: int = DEFAULT_QUAD_POINTS,
                 mesh_boundaries: Sequence[float] | None = None):
@@ -211,7 +205,7 @@ def functional_load(fns: DualFunctionals):
     deriv_a = tabulate_functionals(fns, np.array([a]), deriv=1)[0]
     deriv_b = tabulate_functionals(fns, np.array([b]), deriv=1)[0]
     # interface strengths are the derivative jumps, left minus right
-    jumps = -nodal_deriv_jumps(fns.family) @ fns.coeffs
+    jumps = -fns.stiffness.solve(nodal_deriv_jumps(fns.family).T).T
     strengths = np.vstack([-deriv_a, jumps, deriv_b])
     return smooth, mesh.boundaries.copy(), strengths
 
@@ -262,10 +256,9 @@ def apply_dual_green(kernel: GreensKernel1D, fns: DualFunctionals, src: SourceTe
     against the representers, so point sources and dipoles reduce to
     representer (derivative) evaluations.
     """
-    mesh = fns.family.mesh
     out = np.zeros(fns.size)
     if src.smooth is not None:
-        s, w = _outer_rule(kernel, mesh.boundaries, src.breakpoints, quad_points)
+        s, w = mesh_quadrature(fns.family, quad_points, src.breakpoints)
         rep = dual_representers(kernel, fns, s, split=split, quad_points=quad_points)
         out += rep.T @ (w * np.asarray(src.smooth(s), dtype=float))
     if src.point_sources:
@@ -350,7 +343,7 @@ def build_fine_scale_operator(kernel: GreensKernel1D, fns: DualFunctionals,
     if abs(mesh.a) > 1e-14 or abs(mesh.b - kernel.width) > 1e-14:
         raise ValueError("mesh must cover the kernel domain [0, width]")
     smooth_tab, locs, strengths = functional_load(fns)
-    s, w = _outer_rule(kernel, mesh.boundaries, (), quad_points)
+    s, w = mesh_quadrature(fns.family, quad_points)
     rep = dual_representers(kernel, fns, s, split=True, quad_points=quad_points)
     gram = rep.T @ (w[:, None] * smooth_tab(s))
     if np.atleast_1d(locs).size:

@@ -12,15 +12,14 @@ coefficients of its projection onto that flavor's target space directly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .basis1d import BasisFamily, Field, SpaceKind, lagrange_tab, nodal_deriv_jumps, tabulate_nodal
-from .dualspace import DualSet, build_duals, tabulate_duals
+from .dualspace import DualSet, SPDMatrix, _assemble_gram, build_duals, tabulate_duals
 from .quadrature import (
     composite_rule,
     default_quad_points,
@@ -36,63 +35,34 @@ class ProjectionFlavor(Enum):
     H10 = "h10"
 
 
-@dataclass(frozen=True)
-class StiffnessMatrix:
-    """SPD Gram matrix of interior nodal derivatives, with cached factorization."""
-
-    entries: np.ndarray
-    _factor: tuple = field(init=False, repr=False, default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", np.asarray(self.entries, dtype=float))
-        try:
-            factor = cho_factor(self.entries)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("stiffness matrix not positive definite") from exc
-        object.__setattr__(self, "_factor", factor)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve(self._factor, np.asarray(rhs, dtype=float))
-
-
-def assemble_stiffness(family: BasisFamily, quad_points: int | None = None) -> StiffnessMatrix:
+def assemble_stiffness(family: BasisFamily, quad_points: int | None = None) -> SPDMatrix:
     """Interior-node stiffness matrix (homogeneous Dirichlet built in)."""
-    mesh = family.mesh
-    p = mesh.degree
-    if mesh.num_nodal_dofs < 3:
+    if family.mesh.num_nodal_dofs < 3:
         raise ValueError("need at least one interior node for the H10 space")
-    rule = gauss_legendre_rule(quad_points if quad_points is not None else p + 2)
-    dtab = lagrange_tab(family, rule.nodes, deriv=1)
-    ref_stiff = dtab.T @ (rule.weights[:, None] * dtab)
-    full = np.zeros((mesh.num_nodal_dofs, mesh.num_nodal_dofs))
-    for n in range(mesh.num_elements):
-        jac = mesh.jacobian(n)
-        sl = slice(n * p, n * p + p + 1)
-        # one J from dx against two 1/J from the pulled-back derivatives
-        full[sl, sl] += ref_stiff / jac
-    return StiffnessMatrix(full[1:-1, 1:-1])
+    # one J from dx against two 1/J from the pulled-back derivatives
+    full = _assemble_gram(family, lagrange_tab, deriv=1, jac_power=-1, quad_points=quad_points)
+    return SPDMatrix(full[1:-1, 1:-1])
 
 
 @dataclass(frozen=True)
 class DualFunctionals:
     """The functionals encoding one projection flavor.
 
-    For L2 the set wraps the dual nodal basis; for H10 it stores the
-    nodal coefficients of each functional over the interior nodes
-    (column i holds functional i, i.e. the inverse stiffness matrix).
+    For L2 the set wraps the dual nodal basis; for H10 it holds the
+    interior stiffness K, and the functionals are the interior nodal
+    basis pushed through K by solves.
     """
 
     flavor: ProjectionFlavor
     family: BasisFamily
     duals: DualSet | None = None
-    coeffs: np.ndarray | None = None
-    stiffness: StiffnessMatrix | None = None
+    stiffness: SPDMatrix | None = None
 
     @property
     def size(self) -> int:
         if self.flavor is ProjectionFlavor.L2:
             return self.duals.size
-        return self.coeffs.shape[1]
+        return self.stiffness.entries.shape[0]
 
     @property
     def target_space(self) -> SpaceKind:
@@ -105,10 +75,7 @@ def build_dual_functionals(family: BasisFamily, flavor: ProjectionFlavor,
     if flavor is ProjectionFlavor.L2:
         return DualFunctionals(flavor, family,
                                duals=build_duals(family, SpaceKind.DUAL_NODAL, quad_points))
-    stiffness = assemble_stiffness(family, quad_points)
-    n_int = stiffness.entries.shape[0]
-    coeffs = stiffness.solve(np.eye(n_int))
-    return DualFunctionals(flavor, family, coeffs=coeffs, stiffness=stiffness)
+    return DualFunctionals(flavor, family, stiffness=assemble_stiffness(family, quad_points))
 
 
 def tabulate_functionals(fns: DualFunctionals, x, deriv: int = 0) -> np.ndarray:
@@ -116,7 +83,7 @@ def tabulate_functionals(fns: DualFunctionals, x, deriv: int = 0) -> np.ndarray:
     if fns.flavor is ProjectionFlavor.L2:
         return tabulate_duals(fns.duals, x, deriv=deriv)
     tab = tabulate_nodal(fns.family, x, deriv=deriv)[:, 1:-1]
-    return tab @ fns.coeffs
+    return fns.stiffness.solve(tab.T).T
 
 
 def mesh_quadrature(family: BasisFamily, quad_points: int | None = None,
@@ -205,20 +172,13 @@ def h10_project_values(fns: DualFunctionals,
         raise ValueError("value-only projection implemented for the H10 flavor")
     family = fns.family
     mesh = family.mesh
-    npts = quad_points if quad_points is not None else default_quad_points(family.degree)
-    rule = gauss_legendre_rule(npts)
-    cuts = np.unique(np.concatenate((mesh.boundaries, np.asarray(breakpoints, dtype=float))))
-    cuts = cuts[(cuts >= mesh.a) & (cuts <= mesh.b)]
-    coeffs = np.zeros(fns.size)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * rule.nodes
-        ws = 0.5 * (hi - lo) * rule.weights
-        d2 = tabulate_functionals(fns, xs, deriv=2)
-        coeffs -= d2.T @ (ws * np.asarray(u(xs), dtype=float))
+    pts = np.asarray(breakpoints, dtype=float)
+    x, w = mesh_quadrature(family, quad_points, pts[(pts >= mesh.a) & (pts <= mesh.b)])
+    coeffs = -tabulate_functionals(fns, x, deriv=2).T @ (w * np.asarray(u(x), dtype=float))
     interfaces = mesh.boundaries[1:-1]
     if interfaces.size:
         # one-sided derivative jumps of the functionals, left minus right
-        jumps = -nodal_deriv_jumps(family) @ fns.coeffs
+        jumps = -fns.stiffness.solve(nodal_deriv_jumps(family).T).T
         coeffs += jumps.T @ np.asarray(u(interfaces), dtype=float)
     return coeffs
 

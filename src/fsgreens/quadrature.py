@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,18 +24,12 @@ _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITER = 100
 
 
-class RuleKind(Enum):
-    GAUSS_LEGENDRE = "gauss-legendre"
-    GAUSS_LOBATTO_LEGENDRE = "gauss-lobatto-legendre"
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Immutable nodes/weights pair on [-1, 1]."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: RuleKind
 
     def __post_init__(self):
         for name in ("nodes", "weights"):
@@ -123,7 +116,7 @@ def gll_weights(p: int, nodes: np.ndarray | None = None) -> np.ndarray:
 
 def gll_rule(p: int) -> QuadratureRule:
     nodes = gll_nodes(p)
-    return QuadratureRule(nodes, gll_weights(p, nodes), RuleKind.GAUSS_LOBATTO_LEGENDRE)
+    return QuadratureRule(nodes, gll_weights(p, nodes))
 
 
 def default_quad_points(degree: int) -> int:
@@ -140,7 +133,7 @@ def gauss_legendre_rule(n: int) -> QuadratureRule:
     if n < 1:
         raise ValueError(f"rule size must be >= 1, got {n}")
     nodes, weights = np.polynomial.legendre.leggauss(n)
-    return QuadratureRule(nodes, weights, RuleKind.GAUSS_LEGENDRE)
+    return QuadratureRule(nodes, weights)
 
 
 def map_rule(rule: QuadratureRule, a: float, b: float):

@@ -6,13 +6,9 @@ from fsgreens.basis1d import (
     Mesh1D,
     SpaceKind,
     basis_family,
-    edge_eval,
     element_endpoint_values,
     field_eval,
     find_element,
-    interpolate_nodal,
-    nodal_deriv,
-    nodal_eval,
     nodal_points,
     tabulate_edge,
     tabulate_nodal,
@@ -57,21 +53,23 @@ def test_partition_of_unity(family_2x3):
 
 def test_nodal_hat_value():
     family = basis_family(Mesh1D.uniform(-1.0, 1.0, 1, 1))
-    assert nodal_eval(family, 0, 0.5) == pytest.approx(0.25, abs=1e-15)
+    assert tabulate_nodal(family, np.array([0.5]))[0, 0] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_nodal_deriv_hat_slope():
     family = basis_family(Mesh1D.uniform(0.0, 0.5, 1, 1))
-    assert nodal_deriv(family, 0, 0.2) == pytest.approx(-2.0, abs=1e-13)
+    slope = tabulate_nodal(family, np.array([0.2]), deriv=1)[0, 0]
+    assert slope == pytest.approx(-2.0, abs=1e-13)
 
 
 def test_nodal_deriv_finite_difference(family_2x3):
     h = 1e-6
     rng = np.random.default_rng(3)
     xs = rng.uniform(0.05, 0.45, size=8)  # keep clear of the interface
-    for i in (0, 2, 3):
-        fd = (nodal_eval(family_2x3, i, xs + h) - nodal_eval(family_2x3, i, xs - h)) / (2 * h)
-        assert np.max(np.abs(fd - nodal_deriv(family_2x3, i, xs))) < 1e-6
+    cols = [0, 2, 3]
+    fd = (tabulate_nodal(family_2x3, xs + h) - tabulate_nodal(family_2x3, xs - h)) / (2 * h)
+    deriv = tabulate_nodal(family_2x3, xs, deriv=1)
+    assert np.max(np.abs(fd[:, cols] - deriv[:, cols])) < 1e-6
 
 
 def test_out_of_domain_rejected(family_2x3):
@@ -103,14 +101,8 @@ def test_edge_p1_is_constant():
     family = basis_family(Mesh1D.uniform(-1.0, 1.0, 1, 1))
     x = np.linspace(-1.0, 1.0, 17)
     assert np.max(np.abs(tabulate_edge(family, x)[:, 0] - 0.5)) < 1e-14
-    assert edge_eval(family, 1, 0.3) == pytest.approx(0.5)
-
-
-def test_edge_index_range(family_2x3):
-    with pytest.raises(ValueError):
-        edge_eval(family_2x3, 0, 0.5)
-    with pytest.raises(ValueError):
-        edge_eval(family_2x3, 7, 0.5)
+    fld = Field(family, SpaceKind.EDGE, np.ones(1))
+    assert field_eval(fld, 0.3) == pytest.approx(0.5)
 
 
 def test_field_eval_partition_and_unit_vectors(family_2x3):
@@ -133,8 +125,8 @@ def test_field_coefficient_length_checked(family_2x3):
 def test_interpolation_reproduces_values():
     family = basis_family(Mesh1D.uniform(0.0, 1.0, 5, 4))
     f = lambda x: np.sin(2.0 * np.pi * x)
-    fld = interpolate_nodal(family, f)
     pts = nodal_points(family)
+    fld = Field(family, SpaceKind.NODAL, f(pts))
     assert np.max(np.abs(field_eval(fld, pts) - f(pts))) < 1e-14
 
 

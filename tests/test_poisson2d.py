@@ -103,7 +103,9 @@ def test_scalar_case_single_interior_dof():
 
 def test_projection_source_equals_gradient_path(duals_p3):
     by_source = project_2d(duals_p3, source=CASE.source)
-    by_gradient = project_2d(duals_p3, gradient=(CASE.gradient_x, CASE.gradient_y))
+    gradient_x = lambda x, y: 2 * np.pi * np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y)
+    gradient_y = lambda x, y: 2 * np.pi * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
+    by_gradient = project_2d(duals_p3, gradient=(gradient_x, gradient_y))
     assert np.max(np.abs(by_source.coeffs - by_gradient.coeffs)) < 1e-7
 
 

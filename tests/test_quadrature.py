@@ -3,7 +3,6 @@ import pytest
 
 from fsgreens.quadrature import (
     QuadratureRule,
-    RuleKind,
     composite_rule,
     gauss_legendre_rule,
     gll_nodes,
@@ -95,9 +94,9 @@ def test_gauss_legendre_small_rules():
 
 def test_rule_validation():
     with pytest.raises(ValueError):
-        QuadratureRule(np.array([0.5, -0.5]), np.array([1.0, 1.0]), RuleKind.GAUSS_LEGENDRE)
+        QuadratureRule(np.array([0.5, -0.5]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
-        QuadratureRule(np.array([-0.5, 0.5]), np.array([1.0, -1.0]), RuleKind.GAUSS_LEGENDRE)
+        QuadratureRule(np.array([-0.5, 0.5]), np.array([1.0, -1.0]))
 
 
 def test_integrate_split_absolute_value():
@@ -155,6 +154,6 @@ def test_gauss_legendre_rule_is_shared_and_read_only():
 
 def test_rule_does_not_freeze_caller_arrays():
     nodes, weights = np.array([-0.5, 0.5]), np.array([1.0, 1.0])
-    QuadratureRule(nodes, weights, RuleKind.GAUSS_LEGENDRE)
+    QuadratureRule(nodes, weights)
     nodes[0] = -0.6
     assert nodes[0] == -0.6
