@@ -91,9 +91,12 @@ def boundary_layer_breakpoints(c: float, nu: float, width: float = 1.0) -> np.nd
     """Geometrically graded split points resolving the outflow boundary layer.
 
     Quadrature intervals shrink toward x = width so each subinterval sees
-    at most a few decay lengths nu/c of the layer exponential.
+    at most a few decay lengths nu/c of the layer exponential.  Raises
+    ValueError when nu/|c| is not positive, as when it underflows to zero.
     """
     scale = nu / abs(c)
+    if not scale > 0.0:
+        raise ValueError(f"boundary layer width nu/|c| must be positive, got {scale:g}")
     offsets = []
     d = 3.0 * scale
     while d < 0.45 * width:

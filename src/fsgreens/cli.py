@@ -51,10 +51,6 @@ from .quadrature import default_quad_points, gll_rule
 from .vms_advdiff import AdvDiffProblem, galerkin_solve, iterate, reconstruct_with_exact_gradient
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _write_atomic(path: str, text: str):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fsgreens-")
@@ -69,16 +65,19 @@ def _write_atomic(path: str, text: str):
 
 
 def write_table(path: str, columns, rows, meta: dict, fmt: str):
-    """Serialize a column-labelled table as CSV or JSON, atomically."""
+    """Serialize a column-labelled table as CSV or JSON, atomically, with
+    17 significant digits (every double round-trips) in CSV."""
+    values = np.asarray(rows, dtype=float).tolist()
     if fmt == "csv":
+        row_fmt = ",".join(["%.17g"] * len(columns))
         lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        lines.extend(row_fmt % tuple(row) for row in values)
         _write_atomic(path, "\n".join(lines) + "\n")
     else:
         payload = {
             "meta": dict(meta, version=__version__),
             "columns": list(columns),
-            "rows": [[float(_fmt(v)) for v in row] for row in rows],
+            "rows": values,
         }
         _write_atomic(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
@@ -146,19 +145,16 @@ def cmd_project(args):
 
 
 def cmd_greens(args):
-    if args.kernel == "poisson2d":
-        x = np.linspace(0.0, 1.0, args.grid)
-        g = poisson2d_green(x[:, None], x[None, :], args.s1, args.s2, args.terms)
-        rows = [[xv, yv, g[i, j]] for i, xv in enumerate(x) for j, yv in enumerate(x)]
-        write_table(args.out, ["x", "y", "g"], rows, _meta(args), args.format)
-        return
     x = np.linspace(0.0, 1.0, args.grid)
-    if args.kernel == "poisson":
+    if args.kernel == "poisson2d":
+        g = poisson2d_green(x[:, None], x[None, :], args.s1, args.s2, args.terms)
+    elif args.kernel == "poisson":
         g = poisson_green(x[:, None], x[None, :])
     else:
         g = advdiff_green(x[:, None], x[None, :], args.c, args.nu)
     rows = [[xv, sv, g[i, j]] for i, xv in enumerate(x) for j, sv in enumerate(x)]
-    write_table(args.out, ["x", "s", "g"], rows, _meta(args), args.format)
+    columns = ["x", "y", "g"] if args.kernel == "poisson2d" else ["x", "s", "g"]
+    write_table(args.out, columns, rows, _meta(args), args.format)
 
 
 def cmd_finescale(args):
@@ -204,6 +200,7 @@ def cmd_reconstruct(args):
 
 
 def cmd_vms_iter(args):
+    layer = boundary_layer_breakpoints(args.c, args.nu)
     case = advdiff_const_case(args.c, args.nu)
     problem = AdvDiffProblem(args.c, args.nu, case.source)
     mesh = Mesh1D.uniform(0.0, 1.0, args.elements, args.p)
@@ -213,8 +210,7 @@ def cmd_vms_iter(args):
     state = iterate(problem, fns, op, relaxation=args.w, tolerance=args.eps,
                     max_iter=args.max_iter, fine_grid_points=args.fine_grid,
                     quad_points=args.quad_points)
-    galerkin = galerkin_solve(problem, family, args.quad_points,
-                              breakpoints=boundary_layer_breakpoints(args.c, args.nu))
+    galerkin = galerkin_solve(problem, family, args.quad_points, breakpoints=layer)
     grid = state.u_prime_grid
     rows = np.column_stack([
         grid,
@@ -267,6 +263,13 @@ def _positive_float(text: str) -> float:
     value = float(text)
     if not (np.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text}")
+    return value
+
+
+def _unit_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text}")
     return value
 
 
@@ -340,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
                      default="poisson")
     sub.add_argument("--c", type=_nonzero_float, default=1.0)
     sub.add_argument("--nu", type=_positive_float, default=0.01)
-    sub.add_argument("--s1", type=float, default=0.5)
-    sub.add_argument("--s2", type=float, default=0.5)
+    sub.add_argument("--s1", type=_unit_float, default=0.5)
+    sub.add_argument("--s2", type=_unit_float, default=0.5)
     sub.add_argument("--terms", type=_positive_int, default=100)
     _add_common(sub, grid_default=101)
     sub.set_defaults(func=cmd_greens)
@@ -396,6 +399,8 @@ def main(argv=None) -> int:
     h10 = args.command in ("vms-iter", "poisson2d") or getattr(args, "projection", None) == "h10"
     if h10 and args.p * args.elements < 2:
         parser.error("the H10 space needs an interior node: p * elements >= 2")
+    if args.command in ("basis", "dual") and not -np.inf < args.a < args.b < np.inf:
+        parser.error(f"the interval needs finite --a < --b, got [{args.a}, {args.b}]")
     if args.command == "poisson2d" and args.terms < args.p * args.elements - 1:
         parser.error("the 2D Gram needs a series term per interior node: "
                      "terms >= p * elements - 1")

@@ -9,13 +9,15 @@ functional, the Gram matrix of the functionals under the Green's
 operator, and the pairing of the functionals with the Green's image of a
 residual.
 
-Functionals act through their flavor pairing.  The L2 functionals are
-plain densities; the H10 functionals act through the derivative pairing,
-so their load on the kernel is the distributional second derivative:
-a piecewise-polynomial part plus point sources at the element nodes.
-Residuals carry the same structure (smooth part, derivative-kink
-breakpoints, point sources/dipoles), which is what makes the
-discontinuity-split quadrature exact where naive quadrature fails.
+Functionals act through their flavor pairing, which also pairs them with
+the lifts into the Gram matrix.  The L2 functionals are plain densities;
+the H10 functionals act through the derivative pairing, so their load on
+the kernel (`functional_load`, read by the direct-quadrature oracle) is
+the distributional second derivative: a piecewise-polynomial part plus
+point sources at the element nodes.  Residuals carry the same structure
+(smooth part, derivative-kink breakpoints, point sources/dipoles), which
+is what makes the discontinuity-split quadrature exact where naive
+quadrature fails.
 
 The Poisson kernel is self-adjoint, so the representers (duals G) and the
 lifts (G duals) are one function.  For H10 it is the functional itself,
@@ -24,10 +26,12 @@ since G inverts its load exactly; for L2 it is computed on demand from
     G f(x) = (1 - x) int_0^x s f(s) ds + x int_x^1 (1 - s) f(s) ds,
 
 whose two integrals are cumulative sums of Gauss rules over the cells
-between the mesh boundaries and source breakpoints, plus the two pieces of
-the cell holding x.  Every smooth Green's application goes through that
-one primitive, except the L2 lifts: each dual lives on one element, so
-outside it both integrals are its whole-element moments.
+between the mesh boundaries and source breakpoints.  The cell holding x is
+integrated only on its piece left of x; its right piece is the whole-cell
+moment minus that one, so each point's density is tabulated once.  Every
+smooth Green's application goes through that one primitive, except the
+L2 lifts: each dual lives on one element, so outside it both integrals
+are its whole-element moments.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .basis1d import Field, SpaceKind, element_endpoint_values, nodal_deriv_jumps
+from .basis1d import (Field, SpaceKind, element_endpoint_values, nodal_deriv_jumps,
+                      tabulate_edge, tabulate_nodal)
 from .dualspace import _reference_duals
 from .kernels import GreensKernel1D, _check_unit_domain
 from .projection import DualFunctionals, ProjectionFlavor, mesh_quadrature, tabulate_functionals
@@ -78,10 +83,11 @@ def _poisson_apply(density, x, cuts, quad_points: int, deriv: int = 0) -> np.nda
     `cuts` are its derivative-kink locations.  With A(x) = int_0^x s f ds
     and B(x) = int_x^1 (1 - s) f ds, G f = (1 - x) A + x B and
     (G f)' = B - A.  The cells between the cuts are integrated once and
-    summed cumulatively; the cell holding x adds its two pieces split at x,
-    so each point sees the composite Gauss rule of a per-point quadrature
-    split at the kernel kink.  Densities are tabulated _BLOCK_POINTS rule
-    points at a time.  Returns shape (len(x), number of densities).
+    summed cumulatively; the cell holding x adds its piece left of x to A
+    and takes it from its whole-cell moment for B, so each point sees a
+    quadrature split at the kernel kink with one Gauss rule per point.
+    Densities are tabulated _BLOCK_POINTS rule points at a time.  Returns
+    shape (len(x), number of densities).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _check_unit_domain(x)
@@ -107,8 +113,9 @@ def _poisson_apply(density, x, cuts, quad_points: int, deriv: int = 0) -> np.nda
     before = np.concatenate((zero, np.cumsum(whole[0], axis=0)))
     after = np.concatenate((np.cumsum(whole[1][::-1], axis=0)[::-1], zero))
     cell = np.clip(np.searchsorted(bounds, x, side="right") - 1, 0, bounds.size - 2)
-    a = before[cell] + moments(bounds[cell], x)[0]
-    b = after[cell + 1] + moments(x, bounds[cell + 1])[1]
+    left = moments(bounds[cell], x)
+    a = before[cell] + left[0]
+    b = after[cell] - left[1]
     return b - a if deriv else (1.0 - x)[:, None] * a + x[:, None] * b
 
 
@@ -123,7 +130,8 @@ def _lift(fns: DualFunctionals, x, quad_points: int, deriv: int = 0) -> np.ndarr
     that live on one element each: left of its element a dual's A is its
     whole-element moment int_e s mu ds and its B is zero, right of it the
     reverse with int_e (1 - s) mu ds.  Only the p duals of the cell
-    holding x are integrated on the two pieces split at x.
+    holding x are integrated, on the piece left of x; the right piece is
+    the whole-element moment minus it.
     """
     if fns.flavor is ProjectionFlavor.H10:
         return tabulate_functionals(fns, x, deriv=deriv)
@@ -150,8 +158,9 @@ def _lift(fns: DualFunctionals, x, quad_points: int, deriv: int = 0) -> np.ndarr
     b = np.where(side > 0, whole[1], 0.0)
     rows, lo, hi = np.arange(x.size), bounds[cell], bounds[cell + 1]
     split = np.clip(x, lo, hi)  # a mesh short of [0, 1] leaves x outside every cell
-    a[rows, cell] = moments(lo, split, cell)[0]
-    b[rows, cell] = moments(split, hi, cell)[1]
+    left = moments(lo, split, cell)
+    a[rows, cell] = left[0]
+    b[rows, cell] = whole[1][cell] - left[1]
     a, b = a.reshape(x.size, -1), b.reshape(x.size, -1)
     return b - a if deriv else (1.0 - x)[:, None] * a + x[:, None] * b
 
@@ -342,14 +351,11 @@ def build_fine_scale_operator(kernel: GreensKernel1D, fns: DualFunctionals,
         quad_points = default_quad_points(mesh.degree)
     if abs(mesh.a) > 1e-14 or abs(mesh.b - kernel.width) > 1e-14:
         raise ValueError("mesh must cover the kernel domain [0, width]")
-    smooth_tab, locs, strengths = functional_load(fns)
+    # the flavor pairing of each functional with each lift
+    deriv = 1 if fns.flavor is ProjectionFlavor.H10 else 0
     s, w = mesh_quadrature(fns.family, quad_points)
-    rep = dual_representers(kernel, fns, s, split=True, quad_points=quad_points)
-    gram = rep.T @ (w[:, None] * smooth_tab(s))
-    if np.atleast_1d(locs).size:
-        rep_locs = dual_representers(kernel, fns, np.atleast_1d(locs), split=True,
-                                     quad_points=quad_points)
-        gram += rep_locs.T @ strengths
+    gram = tabulate_functionals(fns, s, deriv).T \
+        @ (w[:, None] * _lift(fns, s, quad_points, deriv))
     cond = float(np.linalg.cond(gram)) if np.all(np.isfinite(gram)) else np.inf
     if cond > 1e14:
         raise ValueError("singular dual Gram matrix: assembly defect")
@@ -411,25 +417,16 @@ def residual_from_field(u_bar: Field, source: Callable[[np.ndarray], np.ndarray]
     family = u_bar.family
     mesh = family.mesh
     inner_breaks = tuple(mesh.boundaries[1:-1])
-
-    if u_bar.space is SpaceKind.NODAL:
-        from .basis1d import tabulate_nodal
-
-        def smooth(s):
-            return scale * np.asarray(source(s), dtype=float) + \
-                tabulate_nodal(family, s, deriv=2) @ u_bar.coeffs
-
-        return SourceTerm(smooth=smooth, breakpoints=inner_breaks)
-
-    if u_bar.space is not SpaceKind.EDGE:
+    if u_bar.space not in (SpaceKind.NODAL, SpaceKind.EDGE):
         raise ValueError("residual assembly handles primal nodal/edge fields")
-
-    from .basis1d import tabulate_edge
+    tabulate = tabulate_nodal if u_bar.space is SpaceKind.NODAL else tabulate_edge
 
     def smooth(s):
         return scale * np.asarray(source(s), dtype=float) + \
-            tabulate_edge(family, s, deriv=2) @ u_bar.coeffs
+            tabulate(family, s, deriv=2) @ u_bar.coeffs
 
+    if u_bar.space is SpaceKind.NODAL:
+        return SourceTerm(smooth=smooth, breakpoints=inner_breaks)
     val_l, val_r = element_endpoint_values(u_bar, deriv=0)
     der_l, der_r = element_endpoint_values(u_bar, deriv=1)
     sources, dipoles = [], []

@@ -19,7 +19,8 @@ DEFAULT_SERIES_TERMS = 100
 
 def _check_unit_domain(*arrays):
     for arr in arrays:
-        if np.any(arr < -_DOMAIN_TOL) or np.any(arr > 1.0 + _DOMAIN_TOL):
+        # written so that NaN fails too
+        if not np.all((arr >= -_DOMAIN_TOL) & (arr <= 1.0 + _DOMAIN_TOL)):
             raise ValueError("arguments must lie in [0, 1]")
 
 

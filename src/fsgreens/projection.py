@@ -64,10 +64,6 @@ class DualFunctionals:
             return self.duals.size
         return self.stiffness.entries.shape[0]
 
-    @property
-    def target_space(self) -> SpaceKind:
-        return SpaceKind.EDGE if self.flavor is ProjectionFlavor.L2 else SpaceKind.NODAL
-
 
 def build_dual_functionals(family: BasisFamily, flavor: ProjectionFlavor,
                            quad_points: int | None = None) -> DualFunctionals:

@@ -16,8 +16,8 @@ fine-scale operator.  Two modes:
 The iteration uses precomputed linear maps: the coarse-scale matrix is
 factored once, applying the diffusion Green's operator to a derivative
 reduces to antiderivatives (G v' = x * integral(v) - cumulative(v) for v
-vanishing at the ends), and applying it to a nodal field's second
-derivative returns the negated field.  The spline depends only on the
+vanishing at the ends), and the fine-scale operator annihilates a
+coarse field's second derivative.  The spline depends only on the
 grid and the mesh, so its coefficients, its pairing with the functionals
 and its antiderivative on the grid are linear maps of the fine-grid
 values: the collocation matrix is LU-factored once per workspace and a
@@ -42,7 +42,6 @@ from .basis1d import (
     Field,
     SpaceKind,
     field_eval,
-    nodal_deriv_jumps,
     tabulate_nodal,
 )
 from .dualspace import assemble_mass
@@ -52,6 +51,8 @@ from .finescale import (
     _poisson_apply,
     green_apply,
     reconstruct_fine_scales,
+    residual_from_field,
+    resolved_basis_reproduction,
 )
 from .projection import (
     DualFunctionals,
@@ -138,11 +139,11 @@ class _Workspace:
     coefficients a = [0, cumsum(b anti_steps)] (de Boor's rule),
     G(du'/dx) = x a[-1] - anti_design a.
 
-    The coarse-field residual is the classical piecewise one (no interface
-    deltas), so the Green's application of the field's second derivative is
-    the negated field minus the node-kernel responses weighted by the
-    derivative jumps; dropping the deltas consistently on both the lifted
-    and the paired side leaves the fine-scale result unchanged.
+    The coarse field's diffusive part of the residual, its distributional
+    second derivative, is left out: the fine-scale operator maps it to
+    (I - Pi) of the coarse field itself, which is zero, since the H10
+    projection Pi reproduces the coarse space.  So fine_lin holds only
+    the advective part.
     """
 
     grid: np.ndarray
@@ -225,23 +226,18 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleO
     mu_tab = tabulate_functionals(fns, x)
     mu_dtab = tabulate_functionals(fns, x, deriv=1)
     psi_tab = tabulate_nodal(family, x)[:, 1:-1]
-    psi_ddtab = tabulate_nodal(family, x, deriv=2)[:, 1:-1]
     coarse_rhs = mu_tab.T @ (w * np.asarray(problem.source(x), dtype=float)) \
         / problem.diffusion
     adv_pairing = mu_dtab.T @ (w[:, None] * psi_tab)
-    second_pairing = mu_tab.T @ (w[:, None] * psi_ddtab)
 
-    lifted_gram = op.lifted_tab(grid) @ op.solve_gram(np.eye(op.size))
+    lifted_gram = resolved_basis_reproduction(op, grid)
     green_source = green_apply(op.kernel, SourceTerm.from_function(problem.source),
                                grid, quad_points=quad_points,
                                mesh_boundaries=mesh.boundaries)
     green_first_deriv = _poisson_apply(lambda s: tabulate_nodal(family, s, deriv=1)[:, 1:-1],
                                        grid, mesh.boundaries, quad_points)
-    node_green = op.kernel(grid[:, None], mesh.boundaries[None, 1:-1])
     fine_const = green_source / problem.diffusion - lifted_gram @ coarse_rhs
-    fine_lin = -ratio * green_first_deriv - tabulate_nodal(family, grid)[:, 1:-1] \
-        - node_green @ nodal_deriv_jumps(family) \
-        - lifted_gram @ (ratio * adv_pairing + second_pairing)
+    fine_lin = -ratio * (green_first_deriv + lifted_gram @ adv_pairing)
     mass = assemble_mass(family, SpaceKind.NODAL).entries[1:-1, 1:-1]
 
     knots = _interpolant_knots(family, grid)
@@ -383,8 +379,6 @@ def reconstruct_with_exact_gradient(op: FineScaleOperator, problem: AdvDiffProbl
     Valid for both projection flavors; edge coarse fields contribute their
     jump terms through the residual assembly.
     """
-    from .finescale import residual_from_field
-
     c, nu = problem.advection, problem.diffusion
 
     def modified_source(s):

@@ -219,3 +219,61 @@ def test_health_values_in_json_meta(tmp_path, monkeypatch):
     assert meta["gram_cond_log10"] == pytest.approx(gram_cond_log10(3, 2), abs=1e-12)
     assert meta["final_step"] == history[-1][1] < 1e-8
     assert meta["iterations"] == len(history)
+
+
+def test_write_table_matches_per_value_format(tmp_path):
+    # one `%` operation per row writes the same bytes as formatting each
+    # value on its own; JSON rows are the floats themselves
+    from fsgreens import __version__
+    from fsgreens.cli import write_table
+
+    rng = np.random.default_rng(5)
+    random = rng.normal(size=(6, 4)) * 10.0 ** rng.integers(-300, 300, size=(6, 4))
+    edge = [[-0.0, 5e-324, 1e308, 1.0 / 3.0], [0.0, -5e-324, -1e308, 3]]
+    rows = np.vstack((edge, random))
+    columns = ["a", "b", "c", "d"]
+    write_table(str(tmp_path / "t.csv"), columns, rows, {}, "csv")
+    want = "\n".join([",".join(columns)]
+                     + [",".join(format(float(v), ".17g") for v in row) for row in rows]) + "\n"
+    assert (tmp_path / "t.csv").read_text() == want
+    write_table(str(tmp_path / "t.json"), columns, rows, {"k": 1}, "json")
+    payload = {"meta": {"k": 1, "version": __version__}, "columns": columns,
+               "rows": [[float(format(float(v), ".17g")) for v in row] for row in rows]}
+    assert (tmp_path / "t.json").read_text() == json.dumps(payload, indent=1,
+                                                           sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("greens", "--kernel", "poisson2d", "--s1", "nan"),
+    ("greens", "--kernel", "poisson2d", "--s1", "2"),
+    ("greens", "--kernel", "poisson2d", "--s2", "-0.5"),
+    ("basis", "--a", "1", "--b", "0"),
+    ("basis", "--a", "nan"),
+    ("dual", "--a", "1", "--b", "0"),
+    ("dual", "--b", "inf"),
+])
+def test_bad_interval_and_source_point_exit_two(tmp_path, capsys, argv):
+    out = tmp_path / "bad.csv"
+    with pytest.raises(SystemExit) as err:
+        _run(tmp_path, *argv, "--out", str(out))
+    assert err.value.code == 2
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_underflowing_boundary_layer_terminates(tmp_path):
+    # nu/|c| underflows to zero, so the graded breakpoints would never
+    # reach the layer's end; the subprocess bounds a regression to a hang
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = tmp_path / "layer.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fsgreens.cli", "reconstruct", "--case", "advdiff-const",
+         "--c", "1e300", "--nu", "1e-300", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert "boundary layer" in proc.stderr
+    assert not out.exists()

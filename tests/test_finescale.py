@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fsgreens.basis1d import Mesh1D, basis_family, field_eval, tabulate_edge, tabulate_nodal
@@ -416,11 +416,11 @@ def test_high_degree_builds_on_library_defaults(flavor):
 
 
 # ---------------------------------------------------------------------------
-# element-local L2 duals and lifts against the global oracles
+# properties on random non-uniform meshes
 
 
 @st.composite
-def _l2_cases(draw):
+def _mesh_cases(draw):
     degree = draw(st.integers(1, 5))
     num_elements = draw(st.integers(1, 6))
     widths = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=num_elements,
@@ -438,7 +438,7 @@ def _rel_err(got, want):
 
 
 @settings(max_examples=40, deadline=None)
-@given(case=_l2_cases())
+@given(case=_mesh_cases())
 def test_element_local_duals_match_dense_mass_solve(case):
     mesh, x = case
     family = basis_family(mesh)
@@ -450,7 +450,7 @@ def test_element_local_duals_match_dense_mass_solve(case):
 
 
 @settings(max_examples=40, deadline=None)
-@given(case=_l2_cases())
+@given(case=_mesh_cases())
 def test_element_local_l2_lifts_match_dense_primitive(case):
     mesh, x = case
     family = basis_family(mesh)
@@ -461,3 +461,22 @@ def test_element_local_l2_lifts_match_dense_primitive(case):
         assert _rel_err(_lift(fns, x, 20, deriv), want) < 1e-12
     direct = lift_functionals_direct(KERNEL, fns, x)
     assert _rel_err(_lift(fns, x, 20), direct) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_mesh_cases(), flavor=st.sampled_from(ProjectionFlavor))
+def test_reconstruction_annihilates_loads_and_is_exact(case, flavor):
+    # the fine-scale operator annihilates every functional's load, and the
+    # projection plus its reconstructed fine scales is the exact solution
+    mesh, x = case
+    assume(flavor is ProjectionFlavor.L2 or mesh.num_elements * mesh.degree >= 2)
+    fns = build_dual_functionals(basis_family(mesh), flavor)
+    op = build_fine_scale_operator(KERNEL, fns)
+    for src in _load_as_source_terms(fns):
+        assert np.max(np.abs(reconstruct_fine_scales(op, src, x))) < 1e-9
+    if flavor is ProjectionFlavor.H10:
+        u_bar = h10_project_from_source(fns, CASE.source)
+    else:
+        u_bar = project(fns, CASE.solution)
+    u_prime = reconstruct_fine_scales(op, residual_from_field(u_bar, CASE.source), x)
+    assert np.max(np.abs(field_eval(u_bar, x) + u_prime - CASE.solution(x))) < 1e-10

@@ -29,6 +29,11 @@ def test_poisson_symmetry():
 def test_poisson_domain_check():
     with pytest.raises(ValueError):
         poisson_green(1.2, 0.5)
+    # NaN lies in no interval
+    with pytest.raises(ValueError):
+        poisson_green(np.array([0.5, np.nan]), 0.5)
+    with pytest.raises(ValueError):
+        poisson2d_green(0.5, 0.5, np.nan, 0.5)
 
 
 def test_poisson_weak_delta_property():
