@@ -72,10 +72,10 @@ def advdiff_green(x, s, c: float, nu: float, width: float = 1.0):
         raise ValueError("advection speed must be nonzero (use the Poisson kernel)")
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
-    if np.any(x < -_DOMAIN_TOL * width) or np.any(x > width * (1.0 + _DOMAIN_TOL)):
-        raise ValueError(f"x outside [0, {width}]")
-    if np.any(s < -_DOMAIN_TOL * width) or np.any(s > width * (1.0 + _DOMAIN_TOL)):
-        raise ValueError(f"s outside [0, {width}]")
+    for name, arr in (("x", x), ("s", s)):
+        # written so that NaN fails too
+        if not np.all((arr >= -_DOMAIN_TOL * width) & (arr <= width * (1.0 + _DOMAIN_TOL))):
+            raise ValueError(f"{name} outside [0, {width}]")
     if c < 0.0:
         # mirror symmetry maps the negative-speed problem onto the positive one
         return advdiff_green(width - x, width - s, -c, nu, width)

@@ -34,7 +34,7 @@ from .projection import assemble_stiffness
 from .quadrature import composite_rule, gauss_legendre_rule
 
 DEFAULT_PAIRING_POINTS = 12
-_OSC_MARGIN = 30
+_OSC_MARGIN = 12
 # Convolution pieces: e^{-k t} of the steepest term changes by at most
 # e^_PIECE_DECAY across one, which _PIECE_POINTS Gauss points integrate to
 # rounding; the residual is tabulated _BLOCK_POINTS rule points at a time.
@@ -178,9 +178,10 @@ def project_2d(d2: DualFunctionals2D,
 
 
 def _oscillatory_rule(mesh: Mesh1D, num_terms: int):
-    # sized for elements up to half the domain; wider ones get proportionally more
+    # sized to the widest element: about 4 points per wavelength of the highest
+    # kept sine, which resolves the products of two kept sines, plus _OSC_MARGIN
     widest = np.max(np.diff(mesh.boundaries))
-    rule = gauss_legendre_rule((num_terms + _OSC_MARGIN) * int(np.ceil(2.0 * widest)))
+    rule = gauss_legendre_rule(int(np.ceil(2.0 * num_terms * widest)) + _OSC_MARGIN)
     return composite_rule(rule, mesh.boundaries)
 
 
@@ -232,7 +233,8 @@ def build_series_operator_2d(d2: DualFunctionals2D,
     sine_weighted = _sine_table(num_terms, s_nodes) * s_weights[None, :]
     moments = sine_weighted @ _psi_tab(d2, s_nodes)           # (terms, m)
     weights = (np.pi * np.arange(1, num_terms + 1))[:, None] ** 2 + d2.eigvals[None, :]
-    blocks = 2.0 * np.einsum("na,nb,nc->bac", moments, weights, moments, optimize=True)
+    # block b is 2 S^T diag(weights[:, b]) S, all blocks in one batched product
+    blocks = 2.0 * (moments.T[None] * weights.T[:, None]) @ moments
     return SeriesOperator2D(d2, num_terms, quad_points,
                             sine_weighted, s_nodes, moments, np.linalg.cholesky(blocks))
 

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.interpolate import BSpline, make_interp_spline
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import SuperLU, splu
 
@@ -48,7 +48,6 @@ from .dualspace import assemble_mass
 from .finescale import (
     FineScaleOperator,
     SourceTerm,
-    _poisson_apply,
     green_apply,
     reconstruct_fine_scales,
     residual_from_field,
@@ -60,11 +59,14 @@ from .projection import (
     mesh_quadrature,
     tabulate_functionals,
 )
-from .quadrature import DEFAULT_QUAD_POINTS
+from .quadrature import DEFAULT_QUAD_POINTS, gauss_legendre_rule
 
 DEFAULT_FINE_GRID = 2001
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_MAX_ITER = 100_000
+# LAPACK's LU solve, called on the cached coarse factors: scipy's lu_solve
+# checks and batches its arguments, which costs more than the 5x5 solve
+_getrs, = get_lapack_funcs(("getrs",), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -212,6 +214,21 @@ def _factor_coarse_matrix(problem: AdvDiffProblem, adv_pairing: np.ndarray) -> t
             raise ValueError("singular coarse-scale system") from exc
 
 
+def _nodal_antiderivative(family: BasisFamily, grid: np.ndarray) -> np.ndarray:
+    """int_0^x psi_k at every point x of an element-aligned grid, one column
+    per interior nodal function.
+
+    Each grid interval lies in one element, where psi_k is a polynomial of
+    degree p, so a (p // 2 + 1)-point Gauss rule per interval is exact.
+    """
+    rule = gauss_legendre_rule(family.degree // 2 + 1)
+    lo, hi = grid[:-1, None], grid[1:, None]
+    pts = 0.5 * (lo + hi) + 0.5 * (hi - lo) * rule.nodes
+    tab = tabulate_nodal(family, pts.ravel())[:, 1:-1].reshape(pts.shape + (-1,))
+    cells = np.einsum("iq,iqk->ik", 0.5 * (hi - lo) * rule.weights, tab)
+    return np.concatenate((np.zeros((1, cells.shape[1])), np.cumsum(cells, axis=0)))
+
+
 def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator,
                    fine_grid_points: int = DEFAULT_FINE_GRID,
                    quad_points: int = DEFAULT_QUAD_POINTS) -> _Workspace:
@@ -234,8 +251,9 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleO
     green_source = green_apply(op.kernel, SourceTerm.from_function(problem.source),
                                grid, quad_points=quad_points,
                                mesh_boundaries=mesh.boundaries)
-    green_first_deriv = _poisson_apply(lambda s: tabulate_nodal(family, s, deriv=1)[:, 1:-1],
-                                       grid, mesh.boundaries, quad_points)
+    # G(psi_k') = x int_0^1 psi_k - int_0^x psi_k, as psi_k vanishes at both ends
+    anti = _nodal_antiderivative(family, grid)
+    green_first_deriv = grid[:, None] * anti[-1] - anti
     fine_const = green_source / problem.diffusion - lifted_gram @ coarse_rhs
     fine_lin = -ratio * (green_first_deriv + lifted_gram @ adv_pairing)
     mass = assemble_mass(family, SpaceKind.NODAL).entries[1:-1, 1:-1]
@@ -267,7 +285,7 @@ def _sweep(ws: _Workspace, interior: np.ndarray,
     equation and the fine-scale map, both from the current interior coarse
     coefficients and fine-grid values."""
     fine_term, green_fine_deriv = _interpolant_terms(ws, fine)
-    new_interior = lu_solve(ws.coarse_lu, ws.coarse_rhs + fine_term)
+    new_interior, _ = _getrs(*ws.coarse_lu, ws.coarse_rhs + fine_term)
     new_fine = ws.fine_const + ws.fine_lin @ interior \
         - ws.ratio * green_fine_deriv - ws.lifted_gram @ fine_term
     return new_interior, new_fine

@@ -83,6 +83,15 @@ def test_advdiff_parameter_validation():
         advdiff_green(0.5, 0.5, 0.0, 0.01)
 
 
+@pytest.mark.parametrize("x,s", [(np.nan, 0.5), (0.5, np.nan),
+                                 (np.array([0.2, np.nan]), 0.5), (0.5, np.array([np.nan, 0.3]))])
+def test_advdiff_rejects_nan_arguments(x, s):
+    with pytest.raises(ValueError):
+        advdiff_green(x, s, 1.0, 0.01)
+    with pytest.raises(ValueError):
+        advdiff_green(x, s, -1.0, 0.01)
+
+
 def test_advdiff_convolution_reproduces_exact_solution():
     # unit source: the kernel integral must equal the closed-form solution
     c, nu = 1.0, 0.01

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fsgreens import poisson2d
 from fsgreens.basis1d import Mesh1D, basis_family
 from fsgreens.cases import sin2pixy_case
 from fsgreens.poisson2d import (
@@ -240,6 +241,67 @@ def test_one_element_sine_rule_resolves_every_term():
     op = build_series_operator_2d(build_dual_functionals_2d(_mesh(1, 2)), num_terms=100)
     moments = op.sine_weighted @ np.sin(90 * np.pi * op.osc_nodes)
     assert np.max(np.abs(moments - 0.5 * (np.arange(1, 101) == 90))) < 1e-13
+
+
+def _jittered_mesh(n, p, seed):
+    # interior boundaries moved by up to 30% of an element width
+    h = 1.0 / n
+    inner = np.arange(1, n) * h + np.random.default_rng(seed).uniform(-0.3, 0.3, n - 1) * h
+    return Mesh2D(Mesh1D(0.0, 1.0, n, p, np.concatenate(([0.0], inner, [1.0]))))
+
+
+@pytest.mark.parametrize("terms", [100, 400])
+@pytest.mark.parametrize("jittered", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 12, 16, 24])
+def test_sine_rule_resolves_every_kept_term(n, terms, jittered):
+    # the rule sized to the widest element integrates sin(n pi s) sin(m pi s)
+    # over [0, 1] to rounding for every pair of kept terms
+    mesh = _jittered_mesh(n, 2, n) if jittered else _mesh(n, 2)
+    op = build_series_operator_2d(build_dual_functionals_2d(mesh), num_terms=terms)
+    m = np.arange(1, terms + 1)
+    gram = op.sine_weighted @ np.sin(np.pi * np.outer(m, op.osc_nodes)).T
+    assert np.max(np.abs(gram - 0.5 * np.eye(terms))) < 1e-13
+    # moments of a smooth non-polynomial function against a finely subdivided rule
+    f = lambda s: np.exp(np.sin(3.0 * s)) / (1.0 + s * s)
+    fine_s, fine_w = composite_rule(gauss_legendre_rule(20), np.linspace(0.0, 1.0, 2 * terms + 1))
+    want = np.sin(np.pi * np.outer(m, fine_s)) @ (fine_w * f(fine_s))
+    assert np.max(np.abs(op.sine_weighted @ f(op.osc_nodes) - want)) < 1e-13
+
+
+def _half_domain_rule(mesh, num_terms):
+    # the former sizing: 130 points per element for every element up to half the domain
+    widest = np.max(np.diff(mesh.boundaries))
+    rule = gauss_legendre_rule((num_terms + 30) * int(np.ceil(2.0 * widest)))
+    return composite_rule(rule, mesh.boundaries)
+
+
+@pytest.mark.parametrize("n,p", [(1, 2), (3, 2), (8, 4), (12, 4)])
+def test_reconstruction_matches_half_domain_rule(monkeypatch, n, p):
+    # the fine scales are a difference of two lifted terms up to ~50 times
+    # their size, so both rules are compared on the scale of the solution
+    d2 = build_dual_functionals_2d(_mesh(n, p))
+    u_bar = project_2d(d2, source=CASE.source)
+    resid = residual_2d(CASE.source, u_bar)
+    grid = np.linspace(0.0, 1.0, 41)
+    op = build_series_operator_2d(d2, num_terms=100)
+    got = reconstruct_fine_scales_2d(op, resid, grid, grid)
+    with monkeypatch.context() as patch:
+        patch.setattr(poisson2d, "_oscillatory_rule", _half_domain_rule)
+        old_op = build_series_operator_2d(d2, num_terms=100)
+    assert old_op.osc_nodes.size >= op.osc_nodes.size
+    want = reconstruct_fine_scales_2d(old_op, resid, grid, grid)
+    scale = np.max(np.abs(u_bar.eval_grid(grid, grid) + want))
+    assert np.max(np.abs(got - want)) < 1e-12 * scale
+
+
+def test_gram_factor_matches_blockwise_products():
+    d2 = build_dual_functionals_2d(_jittered_mesh(5, 3, 5))
+    op = build_series_operator_2d(d2, num_terms=100)
+    k2 = (np.pi * np.arange(1, 101)) ** 2
+    for b, chol in enumerate(op.gram_chol):
+        block = 2.0 * op.sine_moments.T @ np.diag(k2 + d2.eigvals[b]) @ op.sine_moments
+        want = np.linalg.cholesky(block)
+        assert np.max(np.abs(chol - want)) < 1e-13 * np.max(np.abs(want))
 
 
 def test_convolution_ordinates_in_any_order(duals_p3, operator_p3):

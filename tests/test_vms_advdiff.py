@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsgreens.basis1d import Field, Mesh1D, SpaceKind, basis_family, field_eval
+from fsgreens.basis1d import Field, Mesh1D, SpaceKind, basis_family, field_eval, tabulate_nodal
 from fsgreens.cases import advdiff_const_case, boundary_layer_breakpoints, sin2pix_case
 from fsgreens.finescale import build_fine_scale_operator, reconstruct_fine_scales
 from fsgreens.kernels import GreensKernel1D
@@ -167,6 +167,22 @@ def test_workspace_sweeps_match_generic_updates():
     assert np.max(np.abs(fast_coarse - slow_coarse[1:-1])) < 1e-11
     slow_fine = fine_update(op, problem, u_bar, ws.grid, fine)
     assert np.max(np.abs(fast_fine - slow_fine)) < 1e-6
+
+
+def test_nodal_antiderivative_gives_green_of_nodal_derivatives():
+    # G(psi_k') from the per-interval antiderivative equals the Green's
+    # operator applied to the tabulated derivatives, on a jittered mesh
+    from fsgreens.finescale import _poisson_apply
+    from fsgreens.vms_advdiff import _nodal_antiderivative
+
+    for degree in (1, 2, 4):
+        mesh = Mesh1D(0.0, 1.0, 3, degree, np.array([0.0, 0.29, 0.68, 1.0]))
+        family = basis_family(mesh)
+        grid = fine_grid(mesh, 301)
+        anti = _nodal_antiderivative(family, grid)
+        want = _poisson_apply(lambda s: tabulate_nodal(family, s, deriv=1)[:, 1:-1],
+                              grid, mesh.boundaries, 20)
+        assert np.max(np.abs(grid[:, None] * anti[-1] - anti - want)) < 1e-14
 
 
 @st.composite
