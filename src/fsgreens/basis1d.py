@@ -131,9 +131,8 @@ def lagrange_tab(family: BasisFamily, xi: np.ndarray, deriv: int = 0) -> np.ndar
     tab = bary / diff
     denom = np.sum(tab, axis=-1, keepdims=True)
     tab = tab / denom
-    hit_rows = exact.any(axis=-1)
-    if np.any(hit_rows):
-        tab[hit_rows] = 0.0
+    if exact.any():
+        tab[exact.any(axis=-1)] = 0.0
         tab[exact] = 1.0
     for _ in range(deriv):
         tab = tab @ family.diff_matrix
@@ -147,12 +146,15 @@ def _reference_edge_tab(family: BasisFamily, xi: np.ndarray, deriv: int = 0) -> 
     return -np.cumsum(dtab[:, : family.degree], axis=1)
 
 
-def _global_scatter(mesh: Mesh1D, elem: np.ndarray, local_tab: np.ndarray,
-                    ncols: int, scale: np.ndarray) -> np.ndarray:
-    npts, nloc = local_tab.shape
-    out = np.zeros((npts, ncols))
-    cols = elem[:, None] * mesh.degree + np.arange(nloc)[None, :]
-    out[np.arange(npts)[:, None], cols] = local_tab * scale[:, None]
+def _element_cols(mesh: Mesh1D, elem: np.ndarray, nloc: int) -> np.ndarray:
+    """Global columns of the nloc local functions of each point's element."""
+    return elem[:, None] * mesh.degree + np.arange(nloc)[None, :]
+
+
+def _global_scatter(cols: np.ndarray, vals: np.ndarray, ncols: int) -> np.ndarray:
+    """The dense (points x ncols) table holding each point's local values."""
+    out = np.zeros((vals.shape[0], ncols))
+    out[np.arange(vals.shape[0])[:, None], cols] = vals
     return out
 
 
@@ -166,29 +168,54 @@ def _element_coords(mesh: Mesh1D, x):
     return elem, jac, (x - mesh.boundaries[elem]) / jac - 1.0
 
 
-def tabulate_nodal(family: BasisFamily, x, deriv: int = 0) -> np.ndarray:
-    """Tabulate every global nodal basis function at the points x.
+def element_tab(family: BasisFamily, space: SpaceKind, x,
+                deriv: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero part of the nodal or edge tabulation at the points x.
 
-    Shape (len(x), N p + 1).  Points on interior element boundaries take
-    the left element's (one-sided) values, which matters only for
-    derivatives.
+    Returns (cols, vals), both (len(x), p+1) for nodal and (len(x), p) for
+    edge: each point's local functions in its element, as global column
+    indices and values.  Points on interior element boundaries take the
+    left element's (one-sided) values, which matters only for derivatives.
+    Edge functions carry a 1/J factor from the pullback, plus 1/J per
+    derivative order; nodal functions only the latter.
     """
     mesh = family.mesh
     elem, jac, xi = _element_coords(mesh, x)
-    local = lagrange_tab(family, xi, deriv=deriv)
-    return _global_scatter(mesh, elem, local, mesh.num_nodal_dofs, jac ** float(-deriv))
+    if space is SpaceKind.NODAL:
+        local, power = lagrange_tab(family, xi, deriv=deriv), deriv
+    elif space is SpaceKind.EDGE:
+        local, power = _reference_edge_tab(family, xi, deriv=deriv), deriv + 1
+    else:
+        raise ValueError("element tables exist for the primal nodal/edge spaces")
+    return _element_cols(mesh, elem, local.shape[1]), local * (jac ** float(-power))[:, None]
+
+
+def tabulate_nodal(family: BasisFamily, x, deriv: int = 0) -> np.ndarray:
+    """Tabulate every global nodal basis function at the points x.
+
+    Shape (len(x), N p + 1); the dense form of `element_tab`.
+    """
+    cols, vals = element_tab(family, SpaceKind.NODAL, x, deriv)
+    return _global_scatter(cols, vals, family.mesh.num_nodal_dofs)
 
 
 def tabulate_edge(family: BasisFamily, x, deriv: int = 0) -> np.ndarray:
     """Tabulate every global edge basis function at the points x.
 
-    Shape (len(x), N p).  Edge functions are single-element and carry a
-    1/J factor from the pullback, plus 1/J per derivative order.
+    Shape (len(x), N p); the dense form of `element_tab`.
     """
-    mesh = family.mesh
-    elem, jac, xi = _element_coords(mesh, x)
-    local = _reference_edge_tab(family, xi, deriv=deriv)
-    return _global_scatter(mesh, elem, local, mesh.num_edge_dofs, jac ** float(-(deriv + 1)))
+    cols, vals = element_tab(family, SpaceKind.EDGE, x, deriv)
+    return _global_scatter(cols, vals, family.mesh.num_edge_dofs)
+
+
+def pair_basis(family: BasisFamily, space: SpaceKind, x, values,
+               deriv: int = 0) -> np.ndarray:
+    """Every nodal or edge basis function paired with point values: the
+    element-by-element sum equal to tabulate_nodal/edge(x, deriv).T @ values."""
+    cols, vals = element_tab(family, space, x, deriv)
+    ndof = family.mesh.num_nodal_dofs if space is SpaceKind.NODAL else family.mesh.num_edge_dofs
+    weighted = vals * np.asarray(values, dtype=float)[:, None]
+    return np.bincount(cols.ravel(), weights=weighted.ravel(), minlength=ndof)
 
 
 def nodal_deriv_jumps(family: BasisFamily) -> np.ndarray:
@@ -240,14 +267,14 @@ class Field:
 
 
 def field_eval(fld: Field, x, deriv: int = 0):
-    """Evaluate a primal (nodal or edge) field, optionally differentiated."""
-    if fld.space is SpaceKind.NODAL:
-        tab = tabulate_nodal(fld.family, x, deriv=deriv)
-    elif fld.space is SpaceKind.EDGE:
-        tab = tabulate_edge(fld.family, x, deriv=deriv)
-    else:
+    """Evaluate a primal (nodal or edge) field, optionally differentiated.
+
+    Each point gathers the coefficients of its element's local functions.
+    """
+    if fld.space not in (SpaceKind.NODAL, SpaceKind.EDGE):
         raise ValueError("field_eval handles primal nodal/edge fields only")
-    out = tab @ fld.coeffs
+    cols, vals = element_tab(fld.family, fld.space, x, deriv)
+    out = np.einsum("ij,ij->i", vals, fld.coeffs[cols])
     return float(out[0]) if np.isscalar(x) else out
 
 

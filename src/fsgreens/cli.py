@@ -66,18 +66,20 @@ def _write_atomic(path: str, text: str):
 
 def write_table(path: str, columns, rows, meta: dict, fmt: str):
     """Serialize a column-labelled table as CSV or JSON, atomically, with
-    17 significant digits (every double round-trips) in CSV."""
-    values = np.asarray(rows, dtype=float).tolist()
+    17 significant digits (every double round-trips) in CSV.  The CSV body
+    is one `%` operation over the flattened table."""
+    table = np.asarray(rows, dtype=float)
     if fmt == "csv":
-        row_fmt = ",".join(["%.17g"] * len(columns))
         lines = [",".join(columns)]
-        lines.extend(row_fmt % tuple(row) for row in values)
+        if len(table):
+            row_fmt = ",".join(["%.17g"] * len(columns))
+            lines.append("\n".join([row_fmt] * len(table)) % tuple(table.ravel().tolist()))
         _write_atomic(path, "\n".join(lines) + "\n")
     else:
         payload = {
             "meta": dict(meta, version=__version__),
             "columns": list(columns),
-            "rows": values,
+            "rows": table.tolist(),
         }
         _write_atomic(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
 

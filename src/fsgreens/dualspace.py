@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .basis1d import (BasisFamily, SpaceKind, _element_coords, _global_scatter,
+from .basis1d import (BasisFamily, SpaceKind, _element_cols, _element_coords, _global_scatter,
                       _reference_edge_tab, lagrange_tab, tabulate_nodal)
 from .quadrature import gauss_legendre_rule
 
@@ -151,7 +151,7 @@ def tabulate_duals(duals: DualSet, x, deriv: int = 0) -> np.ndarray:
     if duals.kind is SpaceKind.DUAL_NODAL:
         mesh = family.mesh
         elem, jac, xi = _element_coords(mesh, x)
-        return _global_scatter(mesh, elem, _reference_duals(duals, xi, deriv),
-                               mesh.num_edge_dofs, jac ** float(-deriv))
+        vals = _reference_duals(duals, xi, deriv) * (jac ** float(-deriv))[:, None]
+        return _global_scatter(_element_cols(mesh, elem, mesh.degree), vals, mesh.num_edge_dofs)
     return duals.mass.solve(tabulate_nodal(family, x, deriv=deriv).T).T
 

@@ -17,7 +17,21 @@ the distributional second derivative: a piecewise-polynomial part plus
 point sources at the element nodes.  Residuals carry the same structure
 (smooth part, derivative-kink breakpoints, point sources/dipoles), which
 is what makes the discontinuity-split quadrature exact where naive
-quadrature fails.
+quadrature fails.  A coarse-scale residual also holds its coarse field,
+whose piecewise second derivative joins the smooth part when the
+residual is flattened.
+
+A reconstruction integrates the smooth part (by the Green's primitive
+below and by the functionals' pairing) and adds the point terms
+analytically.  The H10 pairing is K^{-1} applied to the interior nodal
+basis paired with the source: pairing first, then one solve.  A coarse
+field of the H10 space (nodal, of the operator's family, zero at both
+ends) is not integrated: the fine-scale operator is (I - Pi) G, G maps
+the field's whole distributional second derivative to minus the field,
+and the H10 projection Pi reproduces the field, so the term is zero
+(criterion 05; Hughes & Sangalli, SIAM J. Numer. Anal. 45, 2007).  L2
+residuals and the naive `split=False` quadrature integrate the
+flattened residual, which stays the oracle for the skipped term.
 
 The Poisson kernel is self-adjoint, so the representers (duals G) and the
 lifts (G duals) are one function.  For H10 it is the functional itself,
@@ -36,17 +50,18 @@ are its whole-element moments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .basis1d import (Field, SpaceKind, element_endpoint_values, nodal_deriv_jumps,
-                      tabulate_edge, tabulate_nodal)
+from .basis1d import (Field, SpaceKind, element_endpoint_values, field_eval, nodal_deriv_jumps,
+                      pair_basis)
 from .dualspace import _reference_duals
 from .kernels import GreensKernel1D, _check_unit_domain
-from .projection import DualFunctionals, ProjectionFlavor, mesh_quadrature, tabulate_functionals
+from .projection import (DualFunctionals, ProjectionFlavor, interior_field, mesh_quadrature,
+                         tabulate_functionals)
 from .quadrature import (DEFAULT_QUAD_POINTS, composite_rule, default_quad_points,
                          gauss_legendre_rule)
 
@@ -57,22 +72,39 @@ _BLOCK_POINTS = 1024
 
 @dataclass(frozen=True)
 class SourceTerm:
-    """A right-hand-side functional: smooth density plus point terms.
+    """A right-hand-side functional: smooth density plus point terms, plus
+    optionally a coarse field's piecewise second derivative.
 
     `breakpoints` are known derivative-kink locations of the smooth part;
     `point_sources`/`point_dipoles` are (location, strength) pairs for
     delta and delta-prime loads.  Green's applications add their analytic
-    responses; quadrature never sees them.
+    responses; quadrature never sees them.  `coarse` is a primal field
+    whose second derivative, taken element by element, adds to the smooth
+    density; `flattened` folds it in.
     """
 
     smooth: Callable[[np.ndarray], np.ndarray] | None = None
     breakpoints: tuple = ()
     point_sources: tuple = ()
     point_dipoles: tuple = ()
+    coarse: Field | None = None
 
     @classmethod
     def from_function(cls, f, breakpoints: Sequence[float] = ()) -> "SourceTerm":
         return cls(smooth=f, breakpoints=tuple(float(b) for b in breakpoints))
+
+    def flattened(self) -> "SourceTerm":
+        """The same source with the coarse field's piecewise second
+        derivative folded into the smooth density."""
+        if self.coarse is None:
+            return self
+        fld, smooth = self.coarse, self.smooth
+
+        def total(s):
+            second = field_eval(fld, s, deriv=2)
+            return second if smooth is None else np.asarray(smooth(s), dtype=float) + second
+
+        return replace(self, smooth=total, coarse=None)
 
 
 def _poisson_apply(density, x, cuts, quad_points: int, deriv: int = 0) -> np.ndarray:
@@ -119,7 +151,7 @@ def _poisson_apply(density, x, cuts, quad_points: int, deriv: int = 0) -> np.nda
     return b - a if deriv else (1.0 - x)[:, None] * a + x[:, None] * b
 
 
-def _lift(fns: DualFunctionals, x, quad_points: int, deriv: int = 0) -> np.ndarray:
+def _lift(fns: DualFunctionals, x, deriv: int = 0) -> np.ndarray:
     """Every lifted functional G(load_j), or its x-derivative, at x.
 
     For H10 the Poisson kernel inverts the load (minus the second
@@ -131,7 +163,9 @@ def _lift(fns: DualFunctionals, x, quad_points: int, deriv: int = 0) -> np.ndarr
     whole-element moment int_e s mu ds and its B is zero, right of it the
     reverse with int_e (1 - s) mu ds.  Only the p duals of the cell
     holding x are integrated, on the piece left of x; the right piece is
-    the whole-element moment minus it.
+    the whole-element moment minus it.  The moments integrate s mu and
+    (1 - s) mu, polynomials of degree p, so the (p // 2 + 1)-point Gauss
+    rule is exact.
     """
     if fns.flavor is ProjectionFlavor.H10:
         return tabulate_functionals(fns, x, deriv=deriv)
@@ -140,7 +174,7 @@ def _lift(fns: DualFunctionals, x, quad_points: int, deriv: int = 0) -> np.ndarr
     _check_unit_domain(x)
     x = np.clip(x, 0.0, 1.0)
     bounds, nel = mesh.boundaries, mesh.num_elements
-    rule = gauss_legendre_rule(quad_points)
+    rule = gauss_legendre_rule(mesh.degree // 2 + 1)
 
     def moments(lo, hi, elem):
         # (int s mu ds, int (1 - s) mu ds) of the duals of elem_i over [lo_i, hi_i]
@@ -177,6 +211,7 @@ def green_apply(kernel: GreensKernel1D, src: SourceTerm, x,
     """
     scalar = np.isscalar(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    src = src.flattened()
     lo = 0.0
     out = np.zeros_like(x)
     if src.smooth is not None:
@@ -237,7 +272,7 @@ def dual_representers(kernel: GreensKernel1D, fns: DualFunctionals, s,
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if split:
-        return _lift(fns, s, quad_points, deriv)
+        return _lift(fns, s, deriv)
     xq, wq = composite_rule(gauss_legendre_rule(quad_points), fns.family.mesh.boundaries)
     if fns.flavor is ProjectionFlavor.H10:
         pair_tab = tabulate_functionals(fns, xq, deriv=1)
@@ -263,24 +298,30 @@ def apply_dual_green(kernel: GreensKernel1D, fns: DualFunctionals, src: SourceTe
 
     Computed by swapping integration order: the source is integrated
     against the representers, so point sources and dipoles reduce to
-    representer (derivative) evaluations.
+    representer (derivative) evaluations.  The split H10 representers are
+    the functionals K^{-1} psi, so the interior nodal basis is paired with
+    every term first and the stiffness is solved once.
     """
-    out = np.zeros(fns.size)
+    src = src.flattened()
+    terms = []  # (points, weighted values, derivative order)
     if src.smooth is not None:
         s, w = mesh_quadrature(fns.family, quad_points, src.breakpoints)
-        rep = dual_representers(kernel, fns, s, split=split, quad_points=quad_points)
-        out += rep.T @ (w * np.asarray(src.smooth(s), dtype=float))
+        terms.append((s, w * np.asarray(src.smooth(s), dtype=float), 0))
     if src.point_sources:
-        locs = np.array([loc for loc, _ in src.point_sources])
-        qs = np.array([q for _, q in src.point_sources])
-        rep = dual_representers(kernel, fns, locs, split=split, quad_points=quad_points)
-        out += rep.T @ qs
+        locs, qs = np.array(src.point_sources, dtype=float).T
+        terms.append((locs, qs, 0))
     if src.point_dipoles:
-        locs = np.array([loc for loc, _ in src.point_dipoles])
-        qs = np.array([q for _, q in src.point_dipoles])
-        drep = dual_representers(kernel, fns, locs, split=split,
-                                 quad_points=quad_points, deriv=1)
-        out -= drep.T @ qs
+        locs, qs = np.array(src.point_dipoles, dtype=float).T
+        terms.append((locs, -qs, 1))
+    if split and fns.flavor is ProjectionFlavor.H10:
+        paired = np.zeros(fns.family.mesh.num_nodal_dofs)
+        for pts, vals, deriv in terms:
+            paired += pair_basis(fns.family, SpaceKind.NODAL, pts, vals, deriv)
+        return fns.stiffness.solve(paired[1:-1])
+    out = np.zeros(fns.size)
+    for pts, vals, deriv in terms:
+        out += dual_representers(kernel, fns, pts, split=split, quad_points=quad_points,
+                                 deriv=deriv).T @ vals
     return out
 
 
@@ -311,19 +352,34 @@ class FineScaleOperator:
 
     def lifted_tab(self, x) -> np.ndarray:
         """Tabulate every lifted functional at x; shape (len(x), size)."""
-        return _lift(self.functionals, x, self.quad_points)
+        return _lift(self.functionals, x)
+
+    def apply_lifts(self, x, coef: np.ndarray) -> np.ndarray:
+        """The lifts combined with coefficients at x: lifted_tab(x) @ coef.
+
+        The H10 lifts are the functionals K^{-1} psi, so one solve gives
+        the combination's interior nodal coefficients.
+        """
+        if self.flavor is ProjectionFlavor.H10:
+            fns = self.functionals
+            return field_eval(interior_field(fns.family, fns.stiffness.solve(coef)), x)
+        return self.lifted_tab(x) @ coef
 
     def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
         return lu_solve(self._lu, np.asarray(rhs, dtype=float))
 
 
 def lift_functionals_direct(kernel: GreensKernel1D, fns: DualFunctionals, x,
-                            quad_points: int = DEFAULT_QUAD_POINTS) -> np.ndarray:
-    """Direct-quadrature evaluation of every lifted functional at x.
+                            quad_points: int = DEFAULT_QUAD_POINTS,
+                            deriv: int = 0) -> np.ndarray:
+    """Direct-quadrature evaluation of every lifted functional, or its
+    x-derivative (deriv=1), at x.
 
     Per-point verification path for the exact lifts: applies the Green's
-    kernel to each functional's load with one quadrature per point.
+    kernel (or its x-derivative) to each functional's load with one
+    quadrature per point.
     """
+    kern = kernel if deriv == 0 else kernel.derivative_x
     x = np.atleast_1d(np.asarray(x, dtype=float))
     mesh = fns.family.mesh
     smooth_tab, locs, strengths = functional_load(fns)
@@ -333,9 +389,9 @@ def lift_functionals_direct(kernel: GreensKernel1D, fns: DualFunctionals, x,
         cuts = np.unique(np.concatenate((mesh.boundaries, [xi])))
         cuts = cuts[(cuts >= mesh.a) & (cuts <= mesh.b)]
         s, w = composite_rule(rule, cuts)
-        out[i] = smooth_tab(s).T @ (w * kernel(xi, s))
+        out[i] = smooth_tab(s).T @ (w * kern(xi, s))
     for k, loc in enumerate(np.atleast_1d(locs)):
-        out += np.outer(kernel(x, loc), strengths[k])
+        out += np.outer(kern(x, loc), strengths[k])
     return out
 
 
@@ -354,8 +410,10 @@ def build_fine_scale_operator(kernel: GreensKernel1D, fns: DualFunctionals,
     # the flavor pairing of each functional with each lift
     deriv = 1 if fns.flavor is ProjectionFlavor.H10 else 0
     s, w = mesh_quadrature(fns.family, quad_points)
-    gram = tabulate_functionals(fns, s, deriv).T \
-        @ (w[:, None] * _lift(fns, s, quad_points, deriv))
+    tab = tabulate_functionals(fns, s, deriv)
+    # the H10 lifts are the functionals themselves
+    lifts = tab if fns.flavor is ProjectionFlavor.H10 else _lift(fns, s, deriv)
+    gram = tab.T @ (w[:, None] * lifts)
     cond = float(np.linalg.cond(gram)) if np.all(np.isfinite(gram)) else np.inf
     if cond > 1e14:
         raise ValueError("singular dual Gram matrix: assembly defect")
@@ -381,16 +439,34 @@ def fine_scale_eval(op: FineScaleOperator, x, s, split: bool = True) -> np.ndarr
     return out
 
 
+def _annihilated(op: FineScaleOperator, fld: Field | None) -> bool:
+    """Whether the operator annihilates the field's distributional second
+    derivative: an H10 operator and a nodal field of its family that
+    vanishes at both ends, so a member of the resolved space."""
+    return (op.flavor is ProjectionFlavor.H10 and fld is not None
+            and fld.space is SpaceKind.NODAL and fld.family is op.functionals.family
+            and fld.coeffs[0] == 0.0 and fld.coeffs[-1] == 0.0)
+
+
 def reconstruct_fine_scales(op: FineScaleOperator, residual: SourceTerm, grid,
                             split: bool = True) -> np.ndarray:
-    """Unresolved scales: the fine-scale operator applied to a residual, on a grid."""
+    """Unresolved scales: the fine-scale operator applied to a residual, on a grid.
+
+    The smooth part is integrated (Green's primitive and pairing), the
+    point terms enter analytically.  A coarse field's second derivative
+    is integrated with the smooth part, except for a split H10 operator
+    and a field of its resolved space (`_annihilated`), which the operator
+    maps to zero (see the module docstring): then only the source part is.
+    """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    if split and _annihilated(op, residual.coarse):
+        residual = replace(residual, coarse=None)
     lifted_residual = green_apply(op.kernel, residual, grid,
                                   quad_points=op.quad_points,
                                   mesh_boundaries=op.functionals.family.mesh.boundaries)
     data = apply_dual_green(op.kernel, op.functionals, residual, split=split,
                             quad_points=op.quad_points)
-    return lifted_residual - op.lifted_tab(grid) @ op.solve_gram(data)
+    return lifted_residual - op.apply_lifts(grid, op.solve_gram(data))
 
 
 def resolved_basis_reproduction(op: FineScaleOperator, x) -> np.ndarray:
@@ -408,25 +484,25 @@ def residual_from_field(u_bar: Field, source: Callable[[np.ndarray], np.ndarray]
     """Coarse-scale residual of -u'' = source: the source plus the field's
     distributional second derivative.
 
-    Nodal fields contribute a piecewise second derivative with element
-    boundaries as breakpoints; their interface delta loads are omitted
-    because mesh-node kernel columns are resolved exactly and therefore
-    annihilated.  Edge fields are discontinuous, so their interface and
-    boundary jump terms enter as explicit point sources and dipoles.
+    The scaled source is the smooth part and the field the `coarse` part,
+    whose piecewise second derivative (element boundaries as breakpoints)
+    is integrated with the source unless the operator annihilates it (see
+    `reconstruct_fine_scales`).  A nodal field's interface delta loads are
+    omitted because mesh-node kernel columns are resolved exactly and
+    therefore annihilated.  Edge fields are discontinuous, so their
+    interface and boundary jump terms enter as explicit point sources and
+    dipoles.
     """
-    family = u_bar.family
-    mesh = family.mesh
+    mesh = u_bar.family.mesh
     inner_breaks = tuple(mesh.boundaries[1:-1])
     if u_bar.space not in (SpaceKind.NODAL, SpaceKind.EDGE):
         raise ValueError("residual assembly handles primal nodal/edge fields")
-    tabulate = tabulate_nodal if u_bar.space is SpaceKind.NODAL else tabulate_edge
 
     def smooth(s):
-        return scale * np.asarray(source(s), dtype=float) + \
-            tabulate(family, s, deriv=2) @ u_bar.coeffs
+        return scale * np.asarray(source(s), dtype=float)
 
     if u_bar.space is SpaceKind.NODAL:
-        return SourceTerm(smooth=smooth, breakpoints=inner_breaks)
+        return SourceTerm(smooth=smooth, breakpoints=inner_breaks, coarse=u_bar)
     val_l, val_r = element_endpoint_values(u_bar, deriv=0)
     der_l, der_r = element_endpoint_values(u_bar, deriv=1)
     sources, dipoles = [], []
@@ -438,5 +514,5 @@ def residual_from_field(u_bar: Field, source: Callable[[np.ndarray], np.ndarray]
         loc = mesh.boundaries[k]
         sources.append((loc, right_d - left_d))
         dipoles.append((loc, right_v - left_v))
-    return SourceTerm(smooth=smooth, breakpoints=inner_breaks,
-                      point_sources=tuple(sources), point_dipoles=tuple(dipoles))
+    return SourceTerm(smooth=smooth, breakpoints=inner_breaks, point_sources=tuple(sources),
+                      point_dipoles=tuple(dipoles), coarse=u_bar)

@@ -18,7 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis1d import BasisFamily, Field, SpaceKind, lagrange_tab, nodal_deriv_jumps, tabulate_nodal
+from .basis1d import (BasisFamily, Field, SpaceKind, lagrange_tab, nodal_deriv_jumps, pair_basis,
+                      tabulate_nodal)
 from .dualspace import DualSet, SPDMatrix, _assemble_gram, build_duals, tabulate_duals
 from .quadrature import (
     composite_rule,
@@ -82,6 +83,26 @@ def tabulate_functionals(fns: DualFunctionals, x, deriv: int = 0) -> np.ndarray:
     return fns.stiffness.solve(tab.T).T
 
 
+def pair_functionals(fns: DualFunctionals, x, values, deriv: int = 0) -> np.ndarray:
+    """Every functional's realizing function (or a derivative) paired with
+    values at the points x: tabulate_functionals(fns, x, deriv).T @ values.
+
+    The H10 functionals are the interior nodal basis pushed through K^{-1},
+    so the basis is paired first, element by element, and one solve of the
+    paired vector gives the result: no table goes through the stiffness.
+    """
+    if fns.flavor is ProjectionFlavor.L2:
+        return tabulate_functionals(fns, x, deriv=deriv).T @ np.asarray(values, dtype=float)
+    return fns.stiffness.solve(pair_basis(fns.family, SpaceKind.NODAL, x, values, deriv)[1:-1])
+
+
+def interior_field(family: BasisFamily, interior: np.ndarray) -> Field:
+    """The nodal field with the given interior coefficients and zero end values."""
+    coeffs = np.zeros(family.mesh.num_nodal_dofs)
+    coeffs[1:-1] = interior
+    return Field(family, SpaceKind.NODAL, coeffs)
+
+
 def mesh_quadrature(family: BasisFamily, quad_points: int | None = None,
                     breakpoints: Sequence[float] = ()):
     """Composite Gauss rule over all elements plus optional extra breakpoints."""
@@ -111,8 +132,7 @@ def project(fns: DualFunctionals, f: Callable[[np.ndarray], np.ndarray],
     family = fns.family
     x, w = mesh_quadrature(family, quad_points, breakpoints)
     if fns.flavor is ProjectionFlavor.L2:
-        tab = tabulate_functionals(fns, x)
-        coeffs = tab.T @ (w * np.asarray(f(x), dtype=float))
+        coeffs = pair_functionals(fns, x, w * np.asarray(f(x), dtype=float))
         return Field(family, SpaceKind.EDGE, coeffs)
     mesh = family.mesh
     fa, fb = float(np.asarray(f(np.array([mesh.a])))[0]), float(np.asarray(f(np.array([mesh.b])))[0])
@@ -122,11 +142,8 @@ def project(fns: DualFunctionals, f: Callable[[np.ndarray], np.ndarray],
             f"H10 projection needs zero boundary values, got f(a)={fa:.3e}, f(b)={fb:.3e}"
         )
     df = f_prime if f_prime is not None else _finite_difference(f)
-    dtab = tabulate_functionals(fns, x, deriv=1)
-    interior = dtab.T @ (w * np.asarray(df(x), dtype=float))
-    coeffs = np.zeros(mesh.num_nodal_dofs)
-    coeffs[1:-1] = interior
-    return Field(family, SpaceKind.NODAL, coeffs)
+    return interior_field(family, pair_functionals(fns, x, w * np.asarray(df(x), dtype=float),
+                                                   deriv=1))
 
 
 def h10_project_from_source(fns: DualFunctionals,
@@ -143,11 +160,7 @@ def h10_project_from_source(fns: DualFunctionals,
         raise ValueError("source shortcut exists for the H10 flavor only")
     family = fns.family
     x, w = mesh_quadrature(family, quad_points, breakpoints)
-    tab = tabulate_functionals(fns, x)
-    interior = tab.T @ (w * np.asarray(source(x), dtype=float))
-    coeffs = np.zeros(family.mesh.num_nodal_dofs)
-    coeffs[1:-1] = interior
-    return Field(family, SpaceKind.NODAL, coeffs)
+    return interior_field(family, pair_functionals(fns, x, w * np.asarray(source(x), dtype=float)))
 
 
 def h10_project_values(fns: DualFunctionals,
@@ -170,11 +183,11 @@ def h10_project_values(fns: DualFunctionals,
     mesh = family.mesh
     pts = np.asarray(breakpoints, dtype=float)
     x, w = mesh_quadrature(family, quad_points, pts[(pts >= mesh.a) & (pts <= mesh.b)])
-    coeffs = -tabulate_functionals(fns, x, deriv=2).T @ (w * np.asarray(u(x), dtype=float))
+    paired = -pair_basis(family, SpaceKind.NODAL, x, w * np.asarray(u(x), dtype=float),
+                         deriv=2)[1:-1]
     interfaces = mesh.boundaries[1:-1]
     if interfaces.size:
-        # one-sided derivative jumps of the functionals, left minus right
-        jumps = -fns.stiffness.solve(nodal_deriv_jumps(family).T).T
-        coeffs += jumps.T @ np.asarray(u(interfaces), dtype=float)
-    return coeffs
+        # one-sided derivative jumps of the interior nodal basis, right minus left
+        paired -= nodal_deriv_jumps(family).T @ np.asarray(u(interfaces), dtype=float)
+    return fns.stiffness.solve(paired)
 

@@ -28,7 +28,7 @@ and the fine-grid values.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -56,6 +56,7 @@ from .finescale import (
 from .projection import (
     DualFunctionals,
     ProjectionFlavor,
+    interior_field,
     mesh_quadrature,
     tabulate_functionals,
 )
@@ -91,19 +92,16 @@ def galerkin_solve(problem: AdvDiffProblem, family: BasisFamily,
                    quad_points: int | None = None,
                    breakpoints=()) -> Field:
     """Plain Galerkin solution on the nodal space, for comparison runs."""
-    mesh = family.mesh
     x, w = mesh_quadrature(family, quad_points, breakpoints)
     tab = tabulate_nodal(family, x)[:, 1:-1]
     dtab = tabulate_nodal(family, x, deriv=1)[:, 1:-1]
     system = problem.advection * tab.T @ (w[:, None] * dtab) \
         + problem.diffusion * dtab.T @ (w[:, None] * dtab)
     rhs = tab.T @ (w * np.asarray(problem.source(x), dtype=float))
-    coeffs = np.zeros(mesh.num_nodal_dofs)
     try:
-        coeffs[1:-1] = np.linalg.solve(system, rhs)
+        return interior_field(family, np.linalg.solve(system, rhs))
     except np.linalg.LinAlgError as exc:
         raise ValueError("singular Galerkin system") from exc
-    return Field(family, SpaceKind.NODAL, coeffs)
 
 
 @dataclass
@@ -312,9 +310,7 @@ def coarse_update(fns: DualFunctionals, problem: AdvDiffProblem, u_bar: Field,
     rhs = mu_tab.T @ (w * np.asarray(problem.source(x), dtype=float)) / nu \
         + (c / nu) * (mu_dtab.T @ (w * fine))
     interior = lu_solve(_factor_coarse_matrix(problem, mu_dtab.T @ (w[:, None] * psi_tab)), rhs)
-    coeffs = np.zeros(family.mesh.num_nodal_dofs)
-    coeffs[1:-1] = interior
-    return coeffs
+    return interior_field(family, interior).coeffs
 
 
 def fine_update(op: FineScaleOperator, problem: AdvDiffProblem, u_bar: Field,
@@ -364,9 +360,7 @@ def iterate(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator
     if not (np.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError("tolerance must be finite and positive")
     ws = make_workspace(problem, fns, op, fine_grid_points, quad_points)
-    family = fns.family
-    ndof = family.mesh.num_nodal_dofs
-    interior = np.zeros(ndof - 2)
+    interior = np.zeros(fns.size)
     fine = np.zeros(ws.grid.size)
     history = []
     converged = False
@@ -382,9 +376,7 @@ def iterate(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator
         if step_norm < tolerance:
             converged = True
             break
-    coeffs = np.zeros(ndof)
-    coeffs[1:-1] = interior
-    return IterationState(Field(family, SpaceKind.NODAL, coeffs), ws.grid.copy(),
+    return IterationState(interior_field(fns.family, interior), ws.grid.copy(),
                           fine, iteration, history, converged)
 
 
@@ -406,7 +398,5 @@ def reconstruct_with_exact_gradient(op: FineScaleOperator, problem: AdvDiffProbl
     resid = residual_from_field(u_bar, modified_source)
     if len(breakpoints):
         extra = tuple(sorted(set(resid.breakpoints) | {float(b) for b in breakpoints}))
-        resid = SourceTerm(smooth=resid.smooth, breakpoints=extra,
-                           point_sources=resid.point_sources,
-                           point_dipoles=resid.point_dipoles)
+        resid = replace(resid, breakpoints=extra)
     return reconstruct_fine_scales(op, resid, grid)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsgreens.basis1d import (
     Field,
@@ -162,3 +164,38 @@ def test_element_endpoint_values_edge_field():
     # p=1 edge functions are element constants coeff / h
     assert np.allclose(left, [2.0, -4.0])
     assert np.allclose(right, [2.0, -4.0])
+
+
+# ---------------------------------------------------------------------------
+# element-local evaluation against the dense tables
+
+
+@st.composite
+def _fields(draw):
+    degree = draw(st.integers(1, 8))
+    num_elements = draw(st.integers(1, 12))
+    widths = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=num_elements,
+                                    max_size=num_elements)))
+    bounds = np.concatenate(([0.0], np.cumsum(widths) / widths.sum()))
+    bounds[-1] = 1.0
+    family = basis_family(Mesh1D(0.0, 1.0, num_elements, degree, bounds))
+    space = draw(st.sampled_from((SpaceKind.NODAL, SpaceKind.EDGE)))
+    ndof = {SpaceKind.NODAL: family.mesh.num_nodal_dofs,
+            SpaceKind.EDGE: family.mesh.num_edge_dofs}[space]
+    coeffs = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=ndof)
+    # every boundary (interior ones take the left element's values) and free points
+    free = draw(st.lists(st.floats(0.0, 1.0), max_size=12))
+    return Field(family, space, coeffs), np.unique(np.concatenate((bounds, free)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_fields())
+def test_field_eval_gathers_the_dense_tabulation(case):
+    fld, x = case
+    nodal = fld.space is SpaceKind.NODAL
+    tabulate = tabulate_nodal if nodal else tabulate_edge
+    # derivatives above the field's degree vanish: their tables are rounding noise
+    for deriv in range(min(3, fld.family.degree + nodal)):
+        want = tabulate(fld.family, x, deriv=deriv) @ fld.coeffs
+        got = field_eval(fld, x, deriv=deriv)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

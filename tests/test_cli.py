@@ -243,6 +243,37 @@ def test_write_table_matches_per_value_format(tmp_path):
                                                            sort_keys=True) + "\n"
 
 
+def _per_row_csv(columns, rows) -> str:
+    # the writer's earlier form, one `%` operation per row: the reference
+    values = np.asarray(rows, dtype=float).tolist()
+    row_fmt = ",".join(["%.17g"] * len(columns))
+    lines = [",".join(columns)]
+    lines.extend(row_fmt % tuple(row) for row in values)
+    return "\n".join(lines) + "\n"
+
+
+def _random_table(seed, nrows, ncols):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(nrows, ncols)) * 10.0 ** rng.integers(-300, 301, size=(nrows, ncols))
+
+
+@pytest.mark.parametrize("rows", [
+    _random_table(1, 401, 5),
+    _random_table(2, 1, 3),
+    np.array([[np.nan, np.inf, -np.inf, -0.0, 5e-324]]),
+    np.vstack((_random_table(3, 7, 5), [[np.nan, 1.0, np.inf, -np.nan, -np.inf]])),
+    np.empty((0, 4)),
+    [],
+], ids=["401x5", "one-row", "nan-inf", "mixed", "zero-rows", "empty-list"])
+def test_write_table_matches_per_row_formatter(tmp_path, rows):
+    columns = [f"c{i}" for i in range(np.shape(rows)[1] if np.ndim(rows) == 2 else 4)]
+    path = tmp_path / "t.csv"
+    from fsgreens.cli import write_table
+
+    write_table(str(path), columns, rows, {}, "csv")
+    assert path.read_bytes() == _per_row_csv(columns, rows).encode()
+
+
 @pytest.mark.parametrize("argv", [
     ("greens", "--kernel", "poisson2d", "--s1", "nan"),
     ("greens", "--kernel", "poisson2d", "--s1", "2"),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fsgreens.basis1d import (
     Field,
@@ -7,6 +9,7 @@ from fsgreens.basis1d import (
     SpaceKind,
     basis_family,
     field_eval,
+    nodal_deriv_jumps,
     tabulate_edge,
     tabulate_nodal,
 )
@@ -193,3 +196,54 @@ def test_value_only_projection_matches_pairing(family):
     direct = project(fns, CASE.solution, CASE.gradient)
     values = h10_project_values(fns, CASE.solution)
     assert np.max(np.abs(values - direct.coeffs[1:-1])) < 1e-11
+
+
+# ---------------------------------------------------------------------------
+# pair, then solve once: against the table-first formulas
+
+
+@st.composite
+def _h10_meshes(draw):
+    degree = draw(st.integers(1, 8))
+    num_elements = draw(st.integers(1, 12))
+    assume(num_elements * degree >= 2)
+    widths = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=num_elements,
+                                    max_size=num_elements)))
+    bounds = np.concatenate(([0.0], np.cumsum(widths) / widths.sum()))
+    bounds[-1] = 1.0
+    return Mesh1D(0.0, 1.0, num_elements, degree, bounds)
+
+
+def _rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@settings(max_examples=30, deadline=None)
+@given(mesh=_h10_meshes(), shift=st.floats(0.0, 1.0))
+def test_h10_pair_then_solve_projections_match_table_first(mesh, shift):
+    # each table-first formula pushes the (points x N p) table through the
+    # stiffness and then pairs it; the library pairs first and solves once
+    family = basis_family(mesh)
+    fns = build_dual_functionals(family, ProjectionFlavor.H10)
+    u = lambda x: np.sin(np.pi * x) * np.cos(3.0 * x + shift)
+    du = lambda x: np.pi * np.cos(np.pi * x) * np.cos(3.0 * x + shift) \
+        - 3.0 * np.sin(np.pi * x) * np.sin(3.0 * x + shift)
+    f = lambda x: np.exp(x) * np.cos(5.0 * x + shift)
+    x, w = mesh_quadrature(family)
+
+    want = tabulate_functionals(fns, x, deriv=1).T @ (w * du(x))
+    assert _rel_err(project(fns, u, du).coeffs[1:-1], want) <= 1e-13
+
+    want = tabulate_functionals(fns, x).T @ (w * f(x))
+    assert _rel_err(h10_project_from_source(fns, f).coeffs[1:-1], want) <= 1e-13
+
+    # the value-only pairing cancels terms about p^3 times larger than its
+    # result: at N=12, p=8 the table-first formula itself is up to 1.7e-13
+    # (relative) away from the derivative pairing, so the two formulas are
+    # compared at 1e-12
+    want = -tabulate_functionals(fns, x, deriv=2).T @ (w * u(x))
+    interfaces = mesh.boundaries[1:-1]
+    if interfaces.size:
+        jumps = -fns.stiffness.solve(nodal_deriv_jumps(family).T).T
+        want += jumps.T @ u(interfaces)
+    assert _rel_err(h10_project_values(fns, u), want) <= 1e-12
