@@ -41,8 +41,8 @@ def sin2pix_case() -> AnalyticCase1D:
     )
 
 
-def advdiff_const_case(c: float, nu: float, width: float = 1.0) -> AnalyticCase1D:
-    """c u' - nu u'' = 1 on [0, width] with zero boundary values.
+def advdiff_const_case(c: float, nu: float) -> AnalyticCase1D:
+    """c u' - nu u'' = 1 on [0, 1] with zero boundary values.
 
     The solution rises linearly at slope 1/c and drops to zero through an
     outflow boundary layer of width ~nu/c.  All exponentials are written
@@ -51,19 +51,19 @@ def advdiff_const_case(c: float, nu: float, width: float = 1.0) -> AnalyticCase1
     if nu <= 0.0 or c == 0.0:
         raise ValueError("need nu > 0 and c != 0")
     beta = c / nu
-    denom = -np.expm1(-beta * width)
+    denom = -np.expm1(-beta)
 
     def solution(x):
         x = np.asarray(x, dtype=float)
-        return (x - width * (np.exp(beta * (x - width)) - np.exp(-beta * width)) / denom) / c
+        return (x - (np.exp(beta * (x - 1.0)) - np.exp(-beta)) / denom) / c
 
     def gradient(x):
         x = np.asarray(x, dtype=float)
-        return (1.0 - width * beta * np.exp(beta * (x - width)) / denom) / c
+        return (1.0 - beta * np.exp(beta * (x - 1.0)) / denom) / c
 
     def second(x):
         x = np.asarray(x, dtype=float)
-        return -width * beta**2 * np.exp(beta * (x - width)) / (c * denom)
+        return -beta**2 * np.exp(beta * (x - 1.0)) / (c * denom)
 
     return AnalyticCase1D(
         name="advdiff-const",
@@ -87,10 +87,10 @@ def sin2pixy_case() -> AnalyticCase2D:
     )
 
 
-def boundary_layer_breakpoints(c: float, nu: float, width: float = 1.0) -> np.ndarray:
+def boundary_layer_breakpoints(c: float, nu: float) -> np.ndarray:
     """Geometrically graded split points resolving the outflow boundary layer.
 
-    Quadrature intervals shrink toward x = width so each subinterval sees
+    Quadrature intervals shrink toward x = 1 so each subinterval sees
     at most a few decay lengths nu/c of the layer exponential.  Raises
     ValueError when nu/|c| is not positive, as when it underflows to zero.
     """
@@ -99,7 +99,7 @@ def boundary_layer_breakpoints(c: float, nu: float, width: float = 1.0) -> np.nd
         raise ValueError(f"boundary layer width nu/|c| must be positive, got {scale:g}")
     offsets = []
     d = 3.0 * scale
-    while d < 0.45 * width:
-        offsets.append(width - d)
+    while d < 0.45:
+        offsets.append(1.0 - d)
         d *= 4.0
     return np.array(sorted(offsets))

@@ -2,10 +2,12 @@
 
 Each subcommand runs one pipeline deterministically and writes CSV
 (default) or JSON.  Files are written atomically (temp file plus rename)
-and identical flags produce byte-identical output.  The default quadrature
-density is max(20, p + 8) points per subinterval, enough for the degree-2p
-integrands of the mass, stiffness and Gram assemblies; the FSG_QUAD_POINTS
-environment variable overrides it.
+and identical flags produce byte-identical output.  The mass, stiffness
+and Gram matrices are piecewise polynomial and always integrated by the
+exact Gauss rule of their degree.  `--quad-points` (or the FSG_QUAD_POINTS
+environment variable) sizes only the integrals against a source: Gauss
+points per subinterval, default max(20, p + 8).  The 1D commands that
+integrate a source exit 1 when given fewer than p points.
 
 Exit codes: 0 success, 1 numerical defect (failed factorization or
 required convergence not reached), 2 usage errors.
@@ -88,11 +90,9 @@ def _flavor(name: str) -> ProjectionFlavor:
     return ProjectionFlavor.H10 if name == "h10" else ProjectionFlavor.L2
 
 
-def _build(args) -> tuple[DualFunctionals, int]:
-    quad = args.quad_points
+def _build(args) -> DualFunctionals:
     mesh = Mesh1D.uniform(0.0, 1.0, args.elements, args.p)
-    family = basis_family(mesh)
-    return build_dual_functionals(family, _flavor(args.projection), quad), quad
+    return build_dual_functionals(basis_family(mesh), _flavor(args.projection))
 
 
 def _meta(args, **extra) -> dict:
@@ -124,7 +124,7 @@ def cmd_dual(args):
     mesh = Mesh1D.uniform(args.a, args.b, args.elements, args.p)
     family = basis_family(mesh)
     kind = SpaceKind.DUAL_NODAL if args.kind == "nodal" else SpaceKind.DUAL_EDGE
-    duals = build_duals(family, kind, args.quad_points)
+    duals = build_duals(family, kind)
     x = np.linspace(args.a, args.b, args.grid)
     tab = tabulate_duals(duals, x)
     columns = ["x"] + [f"dual_{args.kind}_{i}" for i in range(tab.shape[1])]
@@ -133,7 +133,7 @@ def cmd_dual(args):
 
 
 def cmd_project(args):
-    fns, quad = _build(args)
+    fns, quad = _build(args), args.quad_points
     case = sin2pix_case()
     if fns.flavor is ProjectionFlavor.H10:
         fld = project(fns, case.solution, case.gradient, quad)
@@ -160,8 +160,7 @@ def cmd_greens(args):
 
 
 def cmd_finescale(args):
-    fns, quad = _build(args)
-    op = build_fine_scale_operator(GreensKernel1D.poisson(), fns, quad)
+    op = build_fine_scale_operator(GreensKernel1D.poisson(), _build(args), args.quad_points)
     x = np.linspace(0.0, 1.0, args.grid)
     full = op.kernel(x[:, None], x[None, :])
     fine = fine_scale_eval(op, x, x)
@@ -172,7 +171,7 @@ def cmd_finescale(args):
 
 
 def cmd_reconstruct(args):
-    fns, quad = _build(args)
+    fns, quad = _build(args), args.quad_points
     grid = np.linspace(0.0, 1.0, args.grid)
     kernel = GreensKernel1D.poisson()
     op = build_fine_scale_operator(kernel, fns, quad)
@@ -207,7 +206,7 @@ def cmd_vms_iter(args):
     problem = AdvDiffProblem(args.c, args.nu, case.source)
     mesh = Mesh1D.uniform(0.0, 1.0, args.elements, args.p)
     family = basis_family(mesh)
-    fns = build_dual_functionals(family, ProjectionFlavor.H10, args.quad_points)
+    fns = build_dual_functionals(family, ProjectionFlavor.H10)
     op = build_fine_scale_operator(GreensKernel1D.poisson(), fns, args.quad_points)
     state = iterate(problem, fns, op, relaxation=args.w, tolerance=args.eps,
                     max_iter=args.max_iter, fine_grid_points=args.fine_grid,
@@ -295,8 +294,8 @@ def _add_common(sub, grid_default=401):
     sub.add_argument("--grid", type=_positive_int, default=grid_default,
                      help="output sample count")
     sub.add_argument("--quad-points", type=_positive_int, default=None,
-                     help="quadrature points per subinterval "
-                          "(default max(20, p + 8), or FSG_QUAD_POINTS)")
+                     help="quadrature points per subinterval of source integrals, "
+                          "at least p (default max(20, p + 8), or FSG_QUAD_POINTS)")
 
 
 def _add_mesh(sub, p_default=2, n_default=2):

@@ -51,8 +51,7 @@ class SPDMatrix:
         return cho_solve(self._factor, np.asarray(rhs, dtype=float))
 
 
-def _assemble_gram(family: BasisFamily, ref_tab, deriv: int, jac_power: int,
-                   quad_points: int | None) -> np.ndarray:
+def _assemble_gram(family: BasisFamily, ref_tab, deriv: int, jac_power: int) -> np.ndarray:
     """Sum J_e^jac_power times the reference Gram matrix of the reference
     tabulation `ref_tab(family, xi, deriv=deriv)` into every element's slice.
 
@@ -62,7 +61,7 @@ def _assemble_gram(family: BasisFamily, ref_tab, deriv: int, jac_power: int,
     mesh = family.mesh
     p = mesh.degree
     # p+2 Gauss points integrate the degree-2p Gram integrands exactly.
-    rule = gauss_legendre_rule(quad_points if quad_points is not None else p + 2)
+    rule = gauss_legendre_rule(p + 2)
     tab = ref_tab(family, rule.nodes, deriv=deriv)
     ref_gram = tab.T @ (rule.weights[:, None] * tab)
     nloc = ref_gram.shape[0]
@@ -74,8 +73,7 @@ def _assemble_gram(family: BasisFamily, ref_tab, deriv: int, jac_power: int,
     return entries
 
 
-def assemble_mass(family: BasisFamily, kind: SpaceKind,
-                  quad_points: int | None = None) -> SPDMatrix:
+def assemble_mass(family: BasisFamily, kind: SpaceKind) -> SPDMatrix:
     """Assemble the global nodal or edge mass matrix.
 
     Nodal assembly sums the overlapping interface-node contributions of
@@ -83,12 +81,10 @@ def assemble_mass(family: BasisFamily, kind: SpaceKind,
     functions never cross element boundaries.
     """
     if kind is SpaceKind.NODAL:
-        return SPDMatrix(_assemble_gram(family, lagrange_tab, deriv=0, jac_power=1,
-                                        quad_points=quad_points))
+        return SPDMatrix(_assemble_gram(family, lagrange_tab, deriv=0, jac_power=1))
     if kind is SpaceKind.EDGE:
         # two 1/J pullbacks against one J from dx
-        return SPDMatrix(_assemble_gram(family, _reference_edge_tab, deriv=0, jac_power=-1,
-                                        quad_points=quad_points))
+        return SPDMatrix(_assemble_gram(family, _reference_edge_tab, deriv=0, jac_power=-1))
     raise ValueError("mass matrices exist for the primal nodal/edge spaces")
 
 
@@ -126,11 +122,10 @@ class DualSet:
         return self.mass.entries.shape[0]
 
 
-def build_duals(family: BasisFamily, kind: SpaceKind,
-                quad_points: int | None = None) -> DualSet:
+def build_duals(family: BasisFamily, kind: SpaceKind) -> DualSet:
     """Construct the dual-nodal (edge-based) or dual-edge (node-based) set."""
     primal = SpaceKind.EDGE if kind is SpaceKind.DUAL_NODAL else SpaceKind.NODAL
-    return DualSet(family, kind, assemble_mass(family, primal, quad_points))
+    return DualSet(family, kind, assemble_mass(family, primal))
 
 
 def _reference_duals(duals: DualSet, xi, deriv: int = 0) -> np.ndarray:

@@ -62,8 +62,7 @@ from .dualspace import _reference_duals
 from .kernels import GreensKernel1D, _check_unit_domain
 from .projection import (DualFunctionals, ProjectionFlavor, interior_field, mesh_quadrature,
                          tabulate_functionals)
-from .quadrature import (DEFAULT_QUAD_POINTS, composite_rule, default_quad_points,
-                         gauss_legendre_rule)
+from .quadrature import DEFAULT_QUAD_POINTS, default_quad_points, gauss_legendre_rule
 
 # Rule points tabulated at once by the Green's primitive: bounds its working
 # set, which would otherwise grow with the evaluation points.
@@ -222,7 +221,7 @@ def green_apply(kernel: GreensKernel1D, src: SourceTerm, x,
         out += q * kernel(x, loc)
     for loc, q in src.point_dipoles:
         gs = kernel.derivative_s(x, loc)
-        if loc <= lo + 1e-14 * kernel.width:
+        if loc <= lo + 1e-14:
             # Evaluation exactly on a left-boundary dipole takes the limit
             # from inside the domain, matching the element-assignment
             # convention used for discontinuous fields.
@@ -256,7 +255,7 @@ def functional_load(fns: DualFunctionals):
 
 def dual_representers(kernel: GreensKernel1D, fns: DualFunctionals, s,
                       split: bool = True,
-                      quad_points: int = DEFAULT_QUAD_POINTS,
+                      quad_points: int | None = None,
                       deriv: int = 0) -> np.ndarray:
     """Riesz representers of (duals G) evaluated at the points s.
 
@@ -267,13 +266,13 @@ def dual_representers(kernel: GreensKernel1D, fns: DualFunctionals, s,
     With `split` the kernel kink x = s_q is integrated exactly: the kernel
     is self-adjoint, so the representers are the lifts (G duals) and are
     evaluated as such.  Without it the x-integral is cut only at the mesh
-    boundaries, the naive quadrature that misses the derivative
-    discontinuity.
+    boundaries (`mesh_quadrature`), the naive quadrature that misses the
+    derivative discontinuity.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if split:
         return _lift(fns, s, deriv)
-    xq, wq = composite_rule(gauss_legendre_rule(quad_points), fns.family.mesh.boundaries)
+    xq, wq = mesh_quadrature(fns.family, quad_points)
     if fns.flavor is ProjectionFlavor.H10:
         pair_tab = tabulate_functionals(fns, xq, deriv=1)
         # d2 g / dx ds is -1 on both sides of the diagonal
@@ -293,7 +292,7 @@ def dual_representers(kernel: GreensKernel1D, fns: DualFunctionals, s,
 
 def apply_dual_green(kernel: GreensKernel1D, fns: DualFunctionals, src: SourceTerm,
                      split: bool = True,
-                     quad_points: int = DEFAULT_QUAD_POINTS) -> np.ndarray:
+                     quad_points: int | None = None) -> np.ndarray:
     """Pair every functional with the Green's image of a source.
 
     Computed by swapping integration order: the source is integrated
@@ -332,7 +331,7 @@ class FineScaleOperator:
     Holds the factorized Gram matrix, its 2-norm condition number and the
     functionals whose flavor pairing drives all dual applications.  The
     lifted functionals are exact and evaluated on demand, so nothing else
-    is stored.
+    is stored.  `quad_points` is the reconstructions' source rule.
     """
 
     kernel: GreensKernel1D
@@ -370,7 +369,7 @@ class FineScaleOperator:
 
 
 def lift_functionals_direct(kernel: GreensKernel1D, fns: DualFunctionals, x,
-                            quad_points: int = DEFAULT_QUAD_POINTS,
+                            quad_points: int | None = None,
                             deriv: int = 0) -> np.ndarray:
     """Direct-quadrature evaluation of every lifted functional, or its
     x-derivative (deriv=1), at x.
@@ -381,14 +380,11 @@ def lift_functionals_direct(kernel: GreensKernel1D, fns: DualFunctionals, x,
     """
     kern = kernel if deriv == 0 else kernel.derivative_x
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    mesh = fns.family.mesh
     smooth_tab, locs, strengths = functional_load(fns)
-    rule = gauss_legendre_rule(quad_points)
     out = np.zeros((x.size, fns.size))
     for i, xi in enumerate(x):
-        cuts = np.unique(np.concatenate((mesh.boundaries, [xi])))
-        cuts = cuts[(cuts >= mesh.a) & (cuts <= mesh.b)]
-        s, w = composite_rule(rule, cuts)
+        # the source rule, cut at the kernel kink s = xi
+        s, w = mesh_quadrature(fns.family, quad_points, [xi])
         out[i] = smooth_tab(s).T @ (w * kern(xi, s))
     for k, loc in enumerate(np.atleast_1d(locs)):
         out += np.outer(kern(x, loc), strengths[k])
@@ -399,17 +395,21 @@ def build_fine_scale_operator(kernel: GreensKernel1D, fns: DualFunctionals,
                               quad_points: int | None = None) -> FineScaleOperator:
     """Assemble and factorize the Gram matrix of the functionals under G.
 
-    Without `quad_points` the rule grows with the degree
-    (`default_quad_points`).
+    The Gram integrands are piecewise polynomials of degree at most 2p:
+    the L2 pairing multiplies the degree p - 1 duals by their degree p + 1
+    lifts, the H10 pairing two degree p - 1 derivatives.  So the
+    (p + 1)-point mesh rule integrates them exactly, whatever `quad_points`
+    is.  `quad_points` is only stored as the reconstructions' source rule;
+    without it the rule grows with the degree (`default_quad_points`).
     """
     mesh = fns.family.mesh
     if quad_points is None:
         quad_points = default_quad_points(mesh.degree)
-    if abs(mesh.a) > 1e-14 or abs(mesh.b - kernel.width) > 1e-14:
-        raise ValueError("mesh must cover the kernel domain [0, width]")
+    if abs(mesh.a) > 1e-14 or abs(mesh.b - 1.0) > 1e-14:
+        raise ValueError("mesh must cover the kernel domain [0, 1]")
     # the flavor pairing of each functional with each lift
     deriv = 1 if fns.flavor is ProjectionFlavor.H10 else 0
-    s, w = mesh_quadrature(fns.family, quad_points)
+    s, w = mesh_quadrature(fns.family, mesh.degree + 1)
     tab = tabulate_functionals(fns, s, deriv)
     # the H10 lifts are the functionals themselves
     lifts = tab if fns.flavor is ProjectionFlavor.H10 else _lift(fns, s, deriv)

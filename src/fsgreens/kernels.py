@@ -59,8 +59,8 @@ def element_green(x, s, a: float, b: float):
     return np.where(inside, val, 0.0)
 
 
-def advdiff_green(x, s, c: float, nu: float, width: float = 1.0):
-    """Green's function of c u' - nu u'' on [0, width], zero boundary values.
+def advdiff_green(x, s, c: float, nu: float):
+    """Green's function of c u' - nu u'' on [0, 1], zero boundary values.
 
     Written with nonpositive exponents throughout: the response to a
     source at s is exponentially small upstream and forms a plateau of
@@ -72,28 +72,25 @@ def advdiff_green(x, s, c: float, nu: float, width: float = 1.0):
         raise ValueError("advection speed must be nonzero (use the Poisson kernel)")
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
-    for name, arr in (("x", x), ("s", s)):
-        # written so that NaN fails too
-        if not np.all((arr >= -_DOMAIN_TOL * width) & (arr <= width * (1.0 + _DOMAIN_TOL))):
-            raise ValueError(f"{name} outside [0, {width}]")
+    _check_unit_domain(x, s)
     if c < 0.0:
         # mirror symmetry maps the negative-speed problem onto the positive one
-        return advdiff_green(width - x, width - s, -c, nu, width)
+        return advdiff_green(1.0 - x, 1.0 - s, -c, nu)
     beta = c / nu
-    denom = c * (-np.expm1(-beta * width))
-    if beta * width < 0.5:
+    denom = c * (-np.expm1(-beta))
+    if beta < 0.5:
         # product form: no cancellation when the exponentials are all near 1
-        upstream = np.expm1(beta * x) * (-np.expm1(-beta * (width - s))) \
+        upstream = np.expm1(beta * x) * (-np.expm1(-beta * (1.0 - s))) \
             * np.exp(-beta * s) / denom
     else:
         # shifted form: every argument nonpositive, finite at large Peclet
         upstream = (
             np.exp(-beta * (s - x))
-            - np.exp(-beta * (width - x))
+            - np.exp(-beta * (1.0 - x))
             - np.exp(-beta * s)
-            + np.exp(-beta * width)
+            + np.exp(-beta)
         ) / denom
-    downstream = np.expm1(-beta * (width - x)) * np.expm1(-beta * s) / denom
+    downstream = np.expm1(-beta * (1.0 - x)) * np.expm1(-beta * s) / denom
     return np.where(x <= s, upstream, downstream)
 
 
@@ -137,9 +134,7 @@ def poisson2d_green(x, y, s1, s2, num_terms: int = DEFAULT_SERIES_TERMS):
 
 @dataclass(frozen=True)
 class GreensKernel1D:
-    """The 1D Poisson kernel on [0, width] with homogeneous Dirichlet conditions."""
-
-    width: float = 1.0
+    """The 1D Poisson kernel on [0, 1] with homogeneous Dirichlet conditions."""
 
     @classmethod
     def poisson(cls) -> "GreensKernel1D":

@@ -36,12 +36,12 @@ class ProjectionFlavor(Enum):
     H10 = "h10"
 
 
-def assemble_stiffness(family: BasisFamily, quad_points: int | None = None) -> SPDMatrix:
+def assemble_stiffness(family: BasisFamily) -> SPDMatrix:
     """Interior-node stiffness matrix (homogeneous Dirichlet built in)."""
     if family.mesh.num_nodal_dofs < 3:
         raise ValueError("need at least one interior node for the H10 space")
     # one J from dx against two 1/J from the pulled-back derivatives
-    full = _assemble_gram(family, lagrange_tab, deriv=1, jac_power=-1, quad_points=quad_points)
+    full = _assemble_gram(family, lagrange_tab, deriv=1, jac_power=-1)
     return SPDMatrix(full[1:-1, 1:-1])
 
 
@@ -66,13 +66,11 @@ class DualFunctionals:
         return self.stiffness.entries.shape[0]
 
 
-def build_dual_functionals(family: BasisFamily, flavor: ProjectionFlavor,
-                           quad_points: int | None = None) -> DualFunctionals:
+def build_dual_functionals(family: BasisFamily, flavor: ProjectionFlavor) -> DualFunctionals:
     """Build the functional set for a projection flavor on one basis family."""
     if flavor is ProjectionFlavor.L2:
-        return DualFunctionals(flavor, family,
-                               duals=build_duals(family, SpaceKind.DUAL_NODAL, quad_points))
-    return DualFunctionals(flavor, family, stiffness=assemble_stiffness(family, quad_points))
+        return DualFunctionals(flavor, family, duals=build_duals(family, SpaceKind.DUAL_NODAL))
+    return DualFunctionals(flavor, family, stiffness=assemble_stiffness(family))
 
 
 def tabulate_functionals(fns: DualFunctionals, x, deriv: int = 0) -> np.ndarray:
@@ -105,8 +103,13 @@ def interior_field(family: BasisFamily, interior: np.ndarray) -> Field:
 
 def mesh_quadrature(family: BasisFamily, quad_points: int | None = None,
                     breakpoints: Sequence[float] = ()):
-    """Composite Gauss rule over all elements plus optional extra breakpoints."""
+    """The source rule: a composite Gauss rule over all elements plus extra
+    breakpoints.  Fewer than p points per subinterval are rejected; p keep
+    the degree-2p-1 pairings of functionals with basis derivatives exact."""
     npts = quad_points if quad_points is not None else default_quad_points(family.degree)
+    if npts < family.degree:
+        raise ValueError(f"the source rule needs at least p = {family.degree} points "
+                         f"per subinterval, got {npts}")
     pts = np.asarray(breakpoints, dtype=float)
     bounds = np.unique(np.concatenate((family.mesh.boundaries, pts)))
     return composite_rule(gauss_legendre_rule(npts), bounds)

@@ -15,9 +15,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# Points per subinterval for integrals of non-polynomial functions, at
-# least; `default_quad_points` grows it with the degree.  The CLI can
-# override it via FSG_QUAD_POINTS; library calls take an explicit argument.
+# Points per subinterval for integrals against a source (the source rule),
+# at least; `default_quad_points` grows it with the degree.  The mass,
+# stiffness and Gram use the exact rule of their degree instead.
 DEFAULT_QUAD_POINTS = 20
 
 _NEWTON_TOL = 1e-15
@@ -120,9 +120,9 @@ def gll_rule(p: int) -> QuadratureRule:
 
 
 def default_quad_points(degree: int) -> int:
-    """Points per subinterval when none are given for degree-p bases:
-    max(DEFAULT_QUAD_POINTS, p + 8), enough for the degree-2p integrands
-    of the mass, stiffness and Gram assemblies."""
+    """Source-rule points per subinterval when none are given for degree-p
+    bases: max(DEFAULT_QUAD_POINTS, p + 8).  `mesh_quadrature` rejects
+    fewer than p."""
     return max(DEFAULT_QUAD_POINTS, degree + 8)
 
 

@@ -60,7 +60,7 @@ from .projection import (
     mesh_quadrature,
     tabulate_functionals,
 )
-from .quadrature import DEFAULT_QUAD_POINTS, gauss_legendre_rule
+from .quadrature import default_quad_points, gauss_legendre_rule
 
 DEFAULT_FINE_GRID = 2001
 DEFAULT_TOLERANCE = 1e-8
@@ -229,11 +229,13 @@ def _nodal_antiderivative(family: BasisFamily, grid: np.ndarray) -> np.ndarray:
 
 def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator,
                    fine_grid_points: int = DEFAULT_FINE_GRID,
-                   quad_points: int = DEFAULT_QUAD_POINTS) -> _Workspace:
+                   quad_points: int | None = None) -> _Workspace:
     if fns.flavor is not ProjectionFlavor.H10:
         raise ValueError("the iterative scheme is built on the H10 functionals")
     family = fns.family
     mesh = family.mesh
+    if quad_points is None:
+        quad_points = default_quad_points(family.degree)
     ratio = problem.advection / problem.diffusion
     grid = fine_grid(mesh, fine_grid_points)
 
@@ -291,7 +293,7 @@ def _sweep(ws: _Workspace, interior: np.ndarray,
 
 def coarse_update(fns: DualFunctionals, problem: AdvDiffProblem, u_bar: Field,
                   u_prime_grid: np.ndarray, u_prime: np.ndarray,
-                  quad_points: int = DEFAULT_QUAD_POINTS) -> np.ndarray:
+                  quad_points: int | None = None) -> np.ndarray:
     """One application of the coarse-scale map; returns full nodal coefficients.
 
     Solves the coarse-scale equation for the new coarse coefficients u_bar:
@@ -340,7 +342,7 @@ def iterate(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator
             tolerance: float = DEFAULT_TOLERANCE,
             max_iter: int = DEFAULT_MAX_ITER,
             fine_grid_points: int = DEFAULT_FINE_GRID,
-            quad_points: int = DEFAULT_QUAD_POINTS) -> IterationState:
+            quad_points: int | None = None) -> IterationState:
     """Under-relaxed coupled iteration from zero initial coarse and fine scales.
 
     Each sweep solves the coarse-scale equation for the coarse coefficients

@@ -120,7 +120,7 @@ def test_quad_points_environment_override(tmp_path, monkeypatch):
 
 
 def test_default_quadrature_grows_with_degree(tmp_path, monkeypatch):
-    # a fixed 20-point rule cannot assemble the degree-2p integrands at p = 24
+    # the default source rule is max(20, p + 8) points: 32 at p = 24
     monkeypatch.delenv("FSG_QUAD_POINTS", raising=False)
     for flavor in ("h10", "l2"):
         out = tmp_path / f"{flavor}.csv"
@@ -182,10 +182,33 @@ def test_usage_errors_exit_two(tmp_path, monkeypatch):
 
 
 def test_numerical_defect_exits_one(tmp_path):
-    # eight points per subinterval under-integrate the degree-24 stiffness
+    # eight points per subinterval fall short of the p = 24 source rule
     status = _run(tmp_path, "reconstruct", "--p", "24", "--elements", "1",
                   "--quad-points", "8", "--grid", "11", "--out", str(tmp_path / "x.csv"))
     assert status == 1
+    # the source rule needs p points per subinterval, and p suffice
+    for p in (4, 24):
+        for flavor in ("h10", "l2"):
+            for quad, want in ((p, 0), (p - 1, 1)):
+                assert _run(tmp_path, "reconstruct", "--projection", flavor, "--p", str(p),
+                            "--elements", "2", "--quad-points", str(quad), "--grid", "11",
+                            "--out", str(tmp_path / "x.csv")) == want
+
+
+def test_source_free_commands_ignore_the_source_rule(tmp_path, monkeypatch):
+    # finescale and dual integrate no source: any rule, even one below p
+    # points, writes the bytes of the default rule
+    monkeypatch.delenv("FSG_QUAD_POINTS", raising=False)
+    for argv in (("finescale", "--projection", "h10", "--p", "4", "--grid", "9"),
+                 ("finescale", "--projection", "l2", "--p", "4", "--grid", "9"),
+                 ("dual", "--kind", "nodal", "--p", "4", "--grid", "21"),
+                 ("dual", "--kind", "edge", "--p", "4", "--grid", "21")):
+        outputs = []
+        for quad in ((), ("--quad-points", "1"), ("--quad-points", "3")):
+            out = tmp_path / "out.csv"
+            assert _run(tmp_path, *argv, *quad, "--out", str(out)) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_health_values_in_json_meta(tmp_path, monkeypatch):
@@ -197,7 +220,7 @@ def test_health_values_in_json_meta(tmp_path, monkeypatch):
 
     def gram_cond_log10(elements, p):
         fns = build_dual_functionals(basis_family(Mesh1D.uniform(0.0, 1.0, elements, p)),
-                                     ProjectionFlavor.H10, 20)
+                                     ProjectionFlavor.H10)
         op = build_fine_scale_operator(GreensKernel1D.poisson(), fns, 20)
         return np.log10(np.linalg.cond(op.gram))
 

@@ -145,7 +145,7 @@ def test_lifts_exact_on_jittered_mesh(flavor, num_elements):
 def test_domain_mismatch_rejected():
     family = basis_family(Mesh1D.uniform(0.0, 2.0, 2, 2))
     fns = build_dual_functionals(family, ProjectionFlavor.H10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
         build_fine_scale_operator(KERNEL, fns)
 
 
@@ -165,23 +165,49 @@ def test_gram_symmetry(flavor):
     assert np.max(np.abs(op.gram - op.gram.T)) < 1e-8
 
 
+def _gram_meshes(degree):
+    """The uniform N=2 mesh, one with interior boundaries moved by up to
+    30% of an element width, and two higher degrees."""
+    jitter = np.array([0.0, 0.3, -0.25, 0.1, 0.0]) * 0.25
+    jittered = Mesh1D(0.0, 1.0, 4, 3, np.linspace(0.0, 1.0, 5) + jitter)
+    return [Mesh1D.uniform(0.0, 1.0, 2, degree), jittered,
+            Mesh1D.uniform(0.0, 1.0, 3, 5), Mesh1D.uniform(0.0, 1.0, 2, 8)]
+
+
 def test_gram_h10_equals_inverse_stiffness():
     # two routes to the same matrix: assembled pairings vs the algebraic
     # inverse of the interior stiffness
-    family, fns, op = _setup(2, 3, ProjectionFlavor.H10)
-    inv = np.linalg.inv(fns.stiffness.entries)
-    assert np.max(np.abs(op.gram - inv)) < 1e-11
+    for mesh in _gram_meshes(3):
+        fns = build_dual_functionals(basis_family(mesh), ProjectionFlavor.H10)
+        op = build_fine_scale_operator(KERNEL, fns)
+        inv = np.linalg.inv(fns.stiffness.entries)
+        assert np.max(np.abs(op.gram - inv)) < 1e-11
 
 
 def test_gram_l2_pairings_against_quadrature_oracle():
     # entries are the L2 pairings of the functionals with their lifts,
     # recomputed here with an independent nested quadrature
-    family, fns, op = _setup(2, 2, ProjectionFlavor.L2)
-    x, w = mesh_quadrature(family, 30)
-    lift = lift_functionals_direct(KERNEL, fns, x, quad_points=30)
-    tab = tabulate_functionals(fns, x)
-    oracle = tab.T @ (w[:, None] * lift)
-    assert np.max(np.abs(op.gram - oracle)) < 1e-10
+    for mesh in _gram_meshes(2):
+        family = basis_family(mesh)
+        fns = build_dual_functionals(family, ProjectionFlavor.L2)
+        op = build_fine_scale_operator(KERNEL, fns)
+        x, w = mesh_quadrature(family, 30)
+        lift = lift_functionals_direct(KERNEL, fns, x, quad_points=30)
+        tab = tabulate_functionals(fns, x)
+        oracle = tab.T @ (w[:, None] * lift)
+        assert np.max(np.abs(op.gram - oracle)) < 1e-10
+
+
+@pytest.mark.parametrize("flavor", [ProjectionFlavor.H10, ProjectionFlavor.L2])
+def test_gram_independent_of_source_rule(flavor):
+    # the Gram integrands are polynomials integrated on their exact rule;
+    # quad_points only sets the reconstructions' source rule
+    for mesh in _gram_meshes(4)[::2]:
+        fns = build_dual_functionals(basis_family(mesh), flavor)
+        ops = [build_fine_scale_operator(KERNEL, fns, q) for q in (mesh.degree, 20, 40)]
+        assert [op.quad_points for op in ops] == [mesh.degree, 20, 40]
+        for op in ops[1:]:
+            np.testing.assert_array_equal(op.gram, ops[0].gram)
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +427,7 @@ def test_edge_field_residual_jump_terms():
 
 @pytest.mark.parametrize("flavor", [ProjectionFlavor.H10, ProjectionFlavor.L2])
 def test_high_degree_builds_on_library_defaults(flavor):
-    # the default rule grows with the degree: 20 points leave the p=24
-    # Gram singular
+    # the default source rule grows with the degree: 32 points at p = 24
     family, fns, op = _setup(1, 24, flavor)
     assert op.quad_points == 32
     if flavor is ProjectionFlavor.H10:

@@ -15,7 +15,7 @@ from fsgreens.projection import (
     project,
     tabulate_functionals,
 )
-from fsgreens.quadrature import composite_rule, gauss_legendre_rule
+from fsgreens.quadrature import composite_rule, default_quad_points, gauss_legendre_rule
 from fsgreens.vms_advdiff import (
     AdvDiffProblem,
     coarse_update,
@@ -167,6 +167,19 @@ def test_workspace_sweeps_match_generic_updates():
     assert np.max(np.abs(fast_coarse - slow_coarse[1:-1])) < 1e-11
     slow_fine = fine_update(op, problem, u_bar, ws.grid, fine)
     assert np.max(np.abs(fast_fine - slow_fine)) < 1e-6
+
+
+def test_workspace_defaults_to_the_degree_source_rule():
+    # without quad_points the workspace integrates the source on the rule
+    # that grows with the degree, not on a fixed 20 points
+    c, nu = 1.0, 0.05
+    problem = AdvDiffProblem(c, nu, advdiff_const_case(c, nu).source)
+    _, fns, op = _h10_setup(1, 24)
+    got = make_workspace(problem, fns, op)
+    want = make_workspace(problem, fns, op, quad_points=default_quad_points(24))
+    for name in ("coarse_rhs", "fine_const", "fine_lin", "lifted_gram", "pair_coef"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    np.testing.assert_array_equal(got.coarse_lu[0], want.coarse_lu[0])
 
 
 def test_nodal_antiderivative_gives_green_of_nodal_derivatives():
