@@ -6,7 +6,7 @@ and identical flags produce byte-identical output.  The mass, stiffness
 and Gram matrices are piecewise polynomial and always integrated by the
 exact Gauss rule of their degree.  `--quad-points` (or the FSG_QUAD_POINTS
 environment variable) sizes only the integrals against a source: Gauss
-points per subinterval, default max(20, p + 8).  The 1D commands that
+points per subinterval, default max(20, p + 8).  The commands that
 integrate a source exit 1 when given fewer than p points.
 
 Exit codes: 0 success, 1 numerical defect (failed factorization or
@@ -95,8 +95,14 @@ def _build(args) -> DualFunctionals:
     return build_dual_functionals(basis_family(mesh), _flavor(args.projection))
 
 
+# commands that integrate no source: --quad-points changes nothing they
+# write, so it stays out of their metadata too
+_SOURCE_FREE = ("dual", "finescale")
+
+
 def _meta(args, **extra) -> dict:
-    meta = {k: v for k, v in vars(args).items() if k not in ("func", "format", "out")}
+    skip = ("func", "format", "out") + (("quad_points",) if args.command in _SOURCE_FREE else ())
+    meta = {k: v for k, v in vars(args).items() if k not in skip}
     meta.update(extra)
     return meta
 
@@ -160,7 +166,7 @@ def cmd_greens(args):
 
 
 def cmd_finescale(args):
-    op = build_fine_scale_operator(GreensKernel1D.poisson(), _build(args), args.quad_points)
+    op = build_fine_scale_operator(GreensKernel1D.poisson(), _build(args))
     x = np.linspace(0.0, 1.0, args.grid)
     full = op.kernel(x[:, None], x[None, :])
     fine = fine_scale_eval(op, x, x)

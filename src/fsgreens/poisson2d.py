@@ -30,7 +30,7 @@ from scipy.linalg import cho_solve, eigh
 from .basis1d import BasisFamily, Mesh1D, SpaceKind, basis_family, nodal_deriv_jumps, tabulate_nodal
 from .dualspace import assemble_mass
 from .kernels import DEFAULT_SERIES_TERMS, _check_unit_domain
-from .projection import assemble_stiffness
+from .projection import assemble_stiffness, mesh_quadrature, source_rule_points
 from .quadrature import composite_rule, gauss_legendre_rule
 
 DEFAULT_PAIRING_POINTS = 12
@@ -156,7 +156,7 @@ def project_2d(d2: DualFunctionals2D,
     or use the diffusion shortcut and pair the functionals with the source.
     """
     family = d2.family
-    x, w = composite_rule(gauss_legendre_rule(quad_points), family.mesh.boundaries)
+    x, w = mesh_quadrature(family, quad_points)
     tab = _psi_tab(d2, x)
     dtab = _psi_tab(d2, x, 1)
     grid_w = np.outer(w, w)
@@ -229,6 +229,7 @@ def build_series_operator_2d(d2: DualFunctionals2D,
     if num_terms < d2.interior_size:
         raise ValueError(f"the 2D Gram needs a series term per interior node and "
                          f"direction: {num_terms} < {d2.interior_size}")
+    quad_points = source_rule_points(d2.family, quad_points)
     s_nodes, s_weights = _oscillatory_rule(d2.family.mesh, num_terms)
     sine_weighted = _sine_table(num_terms, s_nodes) * s_weights[None, :]
     moments = sine_weighted @ _psi_tab(d2, s_nodes)           # (terms, m)
@@ -252,8 +253,7 @@ def _green_pairing(op: SeriesOperator2D, residual: Callable) -> np.ndarray:
     leaving per-term 1D integrals of the residual's sine moments against
     the basis profiles.
     """
-    y_nodes, y_weights = composite_rule(gauss_legendre_rule(op.quad_points),
-                                        op.duals.family.mesh.boundaries)
+    y_nodes, y_weights = mesh_quadrature(op.duals.family, op.quad_points)
     r_grid = np.asarray(residual(op.osc_nodes[:, None], y_nodes[None, :]), dtype=float)
     d_table = op.sine_weighted @ r_grid                        # (terms, ny)
     contracted = d_table @ (y_weights[:, None] * _psi_tab(op.duals, y_nodes))  # (terms, m)
@@ -359,7 +359,7 @@ def h10_project_values_2d(d2: DualFunctionals2D, u: Callable,
     accept 1D arrays and return the meshgrid values.
     """
     mesh = d2.family.mesh
-    x, w = composite_rule(gauss_legendre_rule(quad_points), mesh.boundaries)
+    x, w = mesh_quadrature(d2.family, quad_points)
     tab = _psi_tab(d2, x)
     d2tab = _psi_tab(d2, x, 2)
     u_grid = w[:, None] * np.asarray(u(x, x), dtype=float) * w[None, :]

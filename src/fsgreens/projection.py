@@ -101,18 +101,24 @@ def interior_field(family: BasisFamily, interior: np.ndarray) -> Field:
     return Field(family, SpaceKind.NODAL, coeffs)
 
 
-def mesh_quadrature(family: BasisFamily, quad_points: int | None = None,
-                    breakpoints: Sequence[float] = ()):
-    """The source rule: a composite Gauss rule over all elements plus extra
-    breakpoints.  Fewer than p points per subinterval are rejected; p keep
-    the degree-2p-1 pairings of functionals with basis derivatives exact."""
+def source_rule_points(family: BasisFamily, quad_points: int | None = None) -> int:
+    """Gauss points per subinterval of the source rule: the degree's default,
+    or quad_points.  Fewer than p points are rejected; p keep the
+    degree-2p-1 pairings of functionals with basis derivatives exact."""
     npts = quad_points if quad_points is not None else default_quad_points(family.degree)
     if npts < family.degree:
         raise ValueError(f"the source rule needs at least p = {family.degree} points "
                          f"per subinterval, got {npts}")
+    return npts
+
+
+def mesh_quadrature(family: BasisFamily, quad_points: int | None = None,
+                    breakpoints: Sequence[float] = ()):
+    """The source rule: a composite Gauss rule of source_rule_points over all
+    elements plus extra breakpoints."""
     pts = np.asarray(breakpoints, dtype=float)
     bounds = np.unique(np.concatenate((family.mesh.boundaries, pts)))
-    return composite_rule(gauss_legendre_rule(npts), bounds)
+    return composite_rule(gauss_legendre_rule(source_rule_points(family, quad_points)), bounds)
 
 
 def _finite_difference(f: Callable[[np.ndarray], np.ndarray]):

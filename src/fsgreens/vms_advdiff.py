@@ -20,22 +20,27 @@ vanishing at the ends), and the fine-scale operator annihilates a
 coarse field's second derivative.  The spline depends only on the
 grid and the mesh, so its coefficients, its pairing with the functionals
 and its antiderivative on the grid are linear maps of the fine-grid
-values: the collocation matrix is LU-factored once per workspace and a
-sweep is one sparse solve plus one affine map of the coarse coefficients
-and the fine-grid values.
+values.  Its collocation matrix C is banded and totally positive, and
+tridiagonal but for the two not-a-knot rows next to each mesh joint; one
+row operation per such row gives R C = T tridiagonal, factored once
+(LAPACK gttrf).  The iteration keeps the fine scales as g = R u', so a
+sweep is one tridiagonal solve, one cumulative sum, one sparse
+antiderivative product and one dense affine map, with the relaxation
+folded into the maps; u' = R^{-1} g is recovered once at the end.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 from scipy.interpolate import BSpline, make_interp_spline
-from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
-from scipy.sparse import csr_array
-from scipy.sparse.linalg import SuperLU, splu
+from scipy.linalg import LinAlgWarning, get_blas_funcs, get_lapack_funcs, lu_factor, lu_solve
+from scipy.sparse import csr_array, diags_array, eye_array
+from scipy.sparse.linalg import spsolve
 
 from .basis1d import (
     BasisFamily,
@@ -65,9 +70,11 @@ from .quadrature import default_quad_points, gauss_legendre_rule
 DEFAULT_FINE_GRID = 2001
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_MAX_ITER = 100_000
-# LAPACK's LU solve, called on the cached coarse factors: scipy's lu_solve
-# checks and batches its arguments, which costs more than the 5x5 solve
-_getrs, = get_lapack_funcs(("getrs",), dtype=np.float64)
+# LAPACK's LU solves, called on the cached coarse and collocation factors:
+# scipy's lu_solve checks and batches its arguments, which costs more than
+# the 5x5 solve; gemv blends the relaxed update into the state in place
+_getrs, _gttrf, _gttrs = get_lapack_funcs(("getrs", "gttrf", "gttrs"), dtype=np.float64)
+_gemv, = get_blas_funcs(("gemv",), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -135,9 +142,23 @@ class _Workspace:
     functionals times the Gram inverse on the grid.  Only t and
     G(du'/dx) need the fine-scale interpolant, and both are linear in its
     B-spline coefficients b = C^{-1} u', C the collocation matrix on the
-    grid (interp_lu): t = pair_coef b, and with the antiderivative's
-    coefficients a = [0, cumsum(b anti_steps)] (de Boor's rule),
-    G(du'/dx) = x a[-1] - anti_design a.
+    grid, through the antiderivative's coefficients a = [0, cumsum(D b)],
+    D = diag(anti_steps) (de Boor's rule): t = (c/nu) (mu', B_i) b and
+    G(du'/dx) = x a[-1] - anti_design a[1:].  row_op R clears the
+    not-a-knot rows' entries two off the diagonal, so T = R C is
+    tridiagonal; interp_tri factors T D^{-1}, whose solve of R u' gives
+    the increments D b directly, and pair_coef acts on those increments.
+
+    iterate keeps the fine scales as g = R u' and folds the relaxation w
+    into the maps, so one sweep is the tridiagonal solve D b = (T D^{-1})^{-1} g,
+    the cumulative sum a[1:] = cumsum(D b), the small products
+    t = pair_coef D b and u_bar_new = (I - (c/nu) A)^{-1} ((mu, f)/nu + t),
+    and the relaxed update
+
+        g <- (1 - w) g + w R [fine_lin, -lifted_gram, fine_const, -(c/nu) x] z
+               + w (c/nu) R anti_design a[1:],    z = [u_bar, t, 1, a[-1]],
+
+    one dense affine map (gemv) plus one sparse product.
 
     The coarse field's diffusive part of the residual, its distributional
     second derivative, is left out: the fine-scale operator maps it to
@@ -154,10 +175,10 @@ class _Workspace:
     fine_const: np.ndarray
     fine_lin: np.ndarray
     lifted_gram: np.ndarray
-    interp_lu: SuperLU             # sparse LU of the cubic collocation matrix C
-    pair_coef: np.ndarray          # (c/nu) (mu', B_i): t from the spline coefficients
-    anti_steps: np.ndarray         # (knots[i+4] - knots[i]) / 4, de Boor's antiderivative steps
-    anti_design: csr_array         # sparse degree-4 antiderivative basis on the grid
+    row_op: csr_array              # R: R C is tridiagonal
+    interp_tri: tuple              # gttrf factors of R C D^{-1}
+    pair_coef: np.ndarray          # (c/nu) (mu', B_i) / anti_steps_i: t from the increments D b
+    anti_design: csr_array         # degree-4 antiderivative basis on the grid, a[1:] to values
 
 
 def fine_grid(mesh, total_points: int = DEFAULT_FINE_GRID) -> np.ndarray:
@@ -173,14 +194,20 @@ def fine_grid(mesh, total_points: int = DEFAULT_FINE_GRID) -> np.ndarray:
     return np.unique(np.concatenate(pieces))
 
 
-def _interpolant_knots(family: BasisFamily, grid: np.ndarray) -> np.ndarray:
-    """Knots of the kink-safe cubic interpolant on an element-aligned grid."""
+def _joint_indices(family: BasisFamily, grid: np.ndarray) -> np.ndarray:
+    """Indices of the mesh joints in an element-aligned grid."""
     bounds = family.mesh.boundaries
     joints = np.searchsorted(grid, bounds - 1e-14)
     if np.any(joints >= grid.size) or np.any(np.abs(grid[joints] - bounds) > 1e-14):
         raise ValueError("every mesh joint must be a fine-grid point")
     if np.any(np.diff(joints) < 3):
         raise ValueError("need at least four samples per element")
+    return joints
+
+
+def _interpolant_knots(family: BasisFamily, grid: np.ndarray) -> np.ndarray:
+    """Knots of the kink-safe cubic interpolant on an element-aligned grid."""
+    joints = _joint_indices(family, grid)
     inner = [grid[lo + 2:hi - 1] for lo, hi in zip(joints[:-1], joints[1:])]
     # triple knots at the joints, quadruple at the two ends
     return np.sort(np.concatenate([np.repeat(grid[joints], 3), grid[joints[[0, -1]]], *inner]))
@@ -227,6 +254,32 @@ def _nodal_antiderivative(family: BasisFamily, grid: np.ndarray) -> np.ndarray:
     return np.concatenate((np.zeros((1, cells.shape[1])), np.cumsum(cells, axis=0)))
 
 
+def _collocation_factor(family: BasisFamily, grid: np.ndarray, knots: np.ndarray,
+                        anti_steps: np.ndarray) -> tuple[csr_array, tuple]:
+    """The row operation R and the gttrf factors of R C D^{-1}, C the cubic
+    collocation matrix on an element-aligned grid, D = diag(anti_steps).
+
+    Row lo+1 of an element [lo, hi] reaches column lo+3 and row hi-1
+    column hi-3 (not-a-knot); subtracting a multiple of the row between
+    (lo+2, hi-2), which is tridiagonal and itself left as it is, clears
+    that entry.  Needs at least five samples per element, as fine_grid
+    gives.
+    """
+    colloc = BSpline.design_matrix(grid, knots, 3)
+    joints = _joint_indices(family, grid)
+    rows = np.concatenate((joints[:-1] + 1, joints[1:] - 1))
+    pivots = np.concatenate((joints[:-1] + 2, joints[1:] - 2))
+    cols = np.concatenate((joints[:-1] + 3, joints[1:] - 3))
+    size = grid.size
+    row_op = eye_array(size, format="csr") + csr_array(
+        (-colloc[rows, cols] / colloc[pivots, cols], (rows, pivots)), shape=(size, size))
+    tri = row_op @ colloc @ diags_array(1.0 / anti_steps)
+    *factors, info = _gttrf(tri.diagonal(-1), tri.diagonal(), tri.diagonal(1))
+    if info:
+        raise ValueError("singular fine-scale collocation matrix")
+    return row_op, tuple(factors)
+
+
 def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator,
                    fine_grid_points: int = DEFAULT_FINE_GRID,
                    quad_points: int | None = None) -> _Workspace:
@@ -259,24 +312,24 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleO
     mass = assemble_mass(family, SpaceKind.NODAL).entries[1:-1, 1:-1]
 
     knots = _interpolant_knots(family, grid)
-    interp_lu = splu(BSpline.design_matrix(grid, knots, 3).tocsc())
+    anti_steps = (knots[4:] - knots[:-4]) / 4.0
+    row_op, interp_tri = _collocation_factor(family, grid, knots, anti_steps)
     # (c/nu) (mu', B_i) through the sparse design matrix at the pairing nodes
     pair_coef = ratio * (BSpline.design_matrix(x, knots, 3).T @ (w[:, None] * mu_dtab)).T
-    anti_steps = (knots[4:] - knots[:-4]) / 4.0
-    anti_design = BSpline.design_matrix(grid, np.r_[knots[0], knots, knots[-1]], 4)
+    anti_design = BSpline.design_matrix(grid, np.r_[knots[0], knots, knots[-1]], 4)[:, 1:]
     return _Workspace(grid, mass, ratio, coarse_rhs,
                       _factor_coarse_matrix(problem, adv_pairing),
                       fine_const, fine_lin, lifted_gram,
-                      interp_lu, pair_coef, anti_steps, anti_design)
+                      row_op, interp_tri, pair_coef / anti_steps, anti_design)
 
 
 def _interpolant_terms(ws: _Workspace, fine: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The fine-grid values' pairing t = (c/nu) (mu', u') and the Green's
     application G(du'/dx) on the grid, both through the fine-scale
-    interpolant's B-spline coefficients."""
-    spline_coef = ws.interp_lu.solve(fine)
-    anti_coef = np.concatenate(([0.0], np.cumsum(spline_coef * ws.anti_steps)))
-    return ws.pair_coef @ spline_coef, ws.grid * anti_coef[-1] - ws.anti_design @ anti_coef
+    interpolant's antiderivative increments."""
+    increments, _ = _gttrs(*ws.interp_tri, ws.row_op @ fine)
+    anti = np.cumsum(increments)
+    return ws.pair_coef @ increments, ws.grid * anti[-1] - ws.anti_design @ anti
 
 
 def _sweep(ws: _Workspace, interior: np.ndarray,
@@ -362,24 +415,51 @@ def iterate(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator
     if not (np.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError("tolerance must be finite and positive")
     ws = make_workspace(problem, fns, op, fine_grid_points, quad_points)
-    interior = np.zeros(fns.size)
-    fine = np.zeros(ws.grid.size)
+    size = fns.size
+    # the relaxed update of row_fine = R u' (see _Workspace):
+    #   row_fine <- (1 - w) row_fine + affine z + anti_map a[1:]
+    affine = np.asfortranarray(relaxation * (ws.row_op @ np.column_stack(
+        (ws.fine_lin, -ws.lifted_gram, ws.fine_const, -ws.ratio * ws.grid))))
+    anti_map = (relaxation * ws.ratio) * (ws.row_op @ ws.anti_design)
+    keep = 1.0 - relaxation
+    interior = np.zeros(size)
+    row_fine = np.zeros(ws.grid.size)
+    anti = np.empty(ws.grid.size)
+    z = np.zeros(2 * size + 2)
+    z[2 * size] = 1.0
     history = []
     converged = False
     iteration = 0
     while iteration < max_iter:
         iteration += 1
-        new_interior, new_fine = _sweep(ws, interior, fine)
+        increments, _ = _gttrs(*ws.interp_tri, row_fine)
+        np.cumsum(increments, out=anti)
+        fine_term = ws.pair_coef @ increments
+        new_interior, _ = _getrs(*ws.coarse_lu, ws.coarse_rhs + fine_term)
+        z[:size] = interior
+        z[size:2 * size] = fine_term
+        z[-1] = anti[-1]
+        row_fine = _gemv(1.0, affine, z, keep, row_fine, overwrite_y=1)
+        row_fine += anti_map @ anti
         step = new_interior - interior
-        interior = interior + relaxation * step
-        fine = fine + relaxation * (new_fine - fine)
-        step_norm = float(np.sqrt(step @ ws.mass @ step))
+        interior += relaxation * step
+        step_norm = _step_norm(ws.mass, step)
         history.append(step_norm)
         if step_norm < tolerance:
             converged = True
             break
     return IterationState(interior_field(fns.family, interior), ws.grid.copy(),
-                          fine, iteration, history, converged)
+                          spsolve(ws.row_op, row_fine), iteration, history, converged)
+
+
+def _step_norm(mass: np.ndarray, step: np.ndarray) -> float:
+    """sqrt(step^T M step), formed on step / max|step| so that neither a tiny
+    nor a huge step underflows or overflows."""
+    scale = float(np.abs(step).max())
+    if scale == 0.0:
+        return 0.0
+    unit = step / scale
+    return scale * math.sqrt(unit @ mass @ unit)
 
 
 def reconstruct_with_exact_gradient(op: FineScaleOperator, problem: AdvDiffProblem,

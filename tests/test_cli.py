@@ -209,6 +209,23 @@ def test_source_free_commands_ignore_the_source_rule(tmp_path, monkeypatch):
             assert _run(tmp_path, *argv, *quad, "--out", str(out)) == 0
             outputs.append(out.read_bytes())
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        # nor does the rule reach their JSON metadata
+        outputs = []
+        for quad in ((), ("--quad-points", "1"), ("--quad-points", "3")):
+            out = tmp_path / "out.json"
+            assert _run(tmp_path, *argv, *quad, "--format", "json", "--out", str(out)) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert "quad_points" not in json.loads(outputs[0])["meta"]
+
+
+def test_poisson2d_rejects_a_source_rule_below_the_degree(tmp_path, monkeypatch):
+    # the 2D pairings share the 1D source rule's floor of p points
+    monkeypatch.delenv("FSG_QUAD_POINTS", raising=False)
+    argv = ("poisson2d", "--p", "3", "--elements", "2", "--grid", "5")
+    for quad, status in (("1", 1), ("2", 1), ("3", 0)):
+        assert _run(tmp_path, *argv, "--quad-points", quad,
+                    "--out", str(tmp_path / "p2d.csv")) == status
 
 
 def test_health_values_in_json_meta(tmp_path, monkeypatch):

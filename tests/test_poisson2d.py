@@ -148,6 +148,20 @@ def test_series_operator_needs_a_term_per_interior_node():
     assert np.all(np.isfinite(op.gram_chol))
 
 
+def test_source_pairings_need_p_points(duals_p3):
+    # below p points per subinterval the 2D pairings are not exact for the
+    # degree-2p-1 integrands, as for the 1D source rule
+    zero = lambda x, y: np.zeros((np.size(x), np.size(y)))
+    for quad in (1, 2):
+        with pytest.raises(ValueError, match="at least p = 3"):
+            project_2d(duals_p3, source=CASE.source, quad_points=quad)
+        with pytest.raises(ValueError, match="at least p = 3"):
+            build_series_operator_2d(duals_p3, num_terms=10, quad_points=quad)
+        with pytest.raises(ValueError, match="at least p = 3"):
+            h10_project_values_2d(duals_p3, zero, quad_points=quad)
+    assert build_series_operator_2d(duals_p3, num_terms=10, quad_points=3).quad_points == 3
+
+
 def test_duals_and_series_operator_form_no_dense_2d_matrix():
     # at m = 23 a build through the dense m^2 x m^2 inverse, the terms x m x m^2
     # dual profiles and the dense Gram peaks at 44 MB; the eigen-space build

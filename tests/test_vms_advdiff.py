@@ -233,6 +233,91 @@ def test_workspace_interpolant_maps_match_spline(mesh, seed):
     assert np.max(np.abs(green_deriv - want_green)) <= 1e-12 * np.max(np.abs(want_green))
 
 
+@settings(max_examples=25, deadline=None)
+@given(mesh=_jittered_meshes(), points=st.integers(2, 301), seed=st.integers(0, 2**32 - 1))
+def test_tridiagonal_factor_gives_the_interpolant_coefficients(mesh, points, seed):
+    # the factored, row-transformed collocation system returns the spline's
+    # antiderivative increments, down to five samples per element
+    from fsgreens.vms_advdiff import _gttrs
+
+    c, nu = 1.0, 0.05
+    problem = AdvDiffProblem(c, nu, advdiff_const_case(c, nu).source)
+    family = basis_family(mesh)
+    fns = build_dual_functionals(family, ProjectionFlavor.H10)
+    ws = make_workspace(problem, fns, build_fine_scale_operator(KERNEL, fns), points)
+    fine = np.random.default_rng(seed).normal(size=ws.grid.size)
+    spline = fine_scale_interpolant(family, ws.grid, fine)
+    increments, info = _gttrs(*ws.interp_tri, ws.row_op @ fine)
+    assert info == 0
+    coef = increments / ((spline.t[4:] - spline.t[:-4]) / 4.0)
+    assert np.max(np.abs(coef - spline.c)) <= 1e-12 * np.max(np.abs(spline.c))
+
+
+@settings(max_examples=20, deadline=None)
+@given(mesh=_jittered_meshes(), points=st.integers(2, 401), nu=st.floats(0.02, 0.05),
+       max_iter=st.integers(1, 40))
+def test_iterate_matches_a_relaxed_loop_over_sweeps(mesh, points, nu, max_iter):
+    # the fused loop on the row-transformed fine scales takes the same path
+    # as relaxing _sweep's coarse and fine updates directly.  nu spans the
+    # benchmark's Peclet range: at p = 4 and nu near 0.1 or above, u' falls
+    # to about 1e-6 of the solution and the plain loop itself moves by up
+    # to 1e-13 of max|u'| when each sweep is perturbed by one ulp
+    from fsgreens.vms_advdiff import _sweep
+
+    c = 1.0
+    problem = AdvDiffProblem(c, nu, advdiff_const_case(c, nu).source)
+    family = basis_family(mesh)
+    fns = build_dual_functionals(family, ProjectionFlavor.H10)
+    op = build_fine_scale_operator(KERNEL, fns)
+    relaxation = nu / c
+    state = iterate(problem, fns, op, relaxation=relaxation, tolerance=1e-300,
+                    max_iter=max_iter, fine_grid_points=points)
+
+    ws = make_workspace(problem, fns, op, points)
+    interior, fine, history = np.zeros(fns.size), np.zeros(ws.grid.size), []
+    for _ in range(max_iter):
+        new_interior, new_fine = _sweep(ws, interior, fine)
+        step = new_interior - interior
+        interior = interior + relaxation * step
+        fine = fine + relaxation * (new_fine - fine)
+        history.append(np.sqrt(step @ ws.mass @ step))
+    assert state.iteration == max_iter and not state.converged
+    np.testing.assert_array_equal(state.u_prime_grid, ws.grid)
+    assert np.max(np.abs(state.u_prime - fine)) <= 1e-13 * np.max(np.abs(state.u_prime))
+    assert np.max(np.abs(np.array(state.residual_history) - history)) <= 1e-14
+    assert np.max(np.abs(state.u_bar.coeffs[1:-1] - interior)) <= 1e-13 * np.max(np.abs(interior))
+
+
+@pytest.mark.parametrize("num_elements,degree,nu,sweeps", [
+    (3, 2, 0.03, 593), (3, 2, 0.05, 362), (3, 2, 0.01, 1849), (5, 3, 0.04, 437),
+    (4, 4, 0.05, 348)])
+def test_iterate_sweep_counts(num_elements, degree, nu, sweeps):
+    # the default relaxation 1/(2 Pe), tolerance and fine grid: a change of
+    # these counts is a change of the Picard iteration itself
+    problem = AdvDiffProblem(1.0, nu, advdiff_const_case(1.0, nu).source)
+    _, fns, op = _h10_setup(num_elements, degree)
+    state = iterate(problem, fns, op)
+    assert state.converged
+    assert state.iteration == sweeps
+
+
+def test_iterate_step_norm_does_not_underflow():
+    # c = 1e200, nu = 1e-100: the first coarse step is near 1e-186, whose
+    # square underflows; the recorded norm is the scaled step's norm, scaled back
+    from fsgreens.vms_advdiff import _sweep
+
+    c, nu = 1e200, 1e-100
+    problem = AdvDiffProblem(c, nu, advdiff_const_case(c, nu).source)
+    _, fns, op = _h10_setup(3, 2)
+    state = iterate(problem, fns, op, relaxation=0.5, max_iter=1)
+    ws = make_workspace(problem, fns, op)
+    step, _ = _sweep(ws, np.zeros(fns.size), np.zeros(ws.grid.size))
+    scaled = 1e180 * step
+    want = 1e-180 * np.sqrt(scaled @ ws.mass @ scaled)
+    assert state.residual_history[0] > 0.0
+    assert abs(state.residual_history[0] - want) <= 1e-12 * want
+
+
 def test_fine_scale_interpolant_keeps_joint_kinks():
     # a continuous piecewise cubic with a different cubic on each element of
     # a jittered mesh is reproduced in value, derivative and antiderivative
