@@ -244,7 +244,8 @@ def nodal_points(family: BasisFamily) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Field:
-    """Discrete function: a space tag plus a coefficient vector."""
+    """Discrete function: a primal space tag (nodal or edge) plus a
+    coefficient vector."""
 
     family: BasisFamily
     space: SpaceKind
@@ -256,9 +257,10 @@ class Field:
         expected = {
             SpaceKind.NODAL: mesh.num_nodal_dofs,
             SpaceKind.EDGE: mesh.num_edge_dofs,
-            SpaceKind.DUAL_NODAL: mesh.num_edge_dofs,
-            SpaceKind.DUAL_EDGE: mesh.num_nodal_dofs,
-        }[self.space]
+        }.get(self.space)
+        if expected is None:
+            raise ValueError(f"a field lives in a primal nodal/edge space, not "
+                             f"{self.space.value}")
         if self.coeffs.shape != (expected,):
             raise ValueError(
                 f"{self.space.value} field needs {expected} coefficients, "
@@ -267,12 +269,10 @@ class Field:
 
 
 def field_eval(fld: Field, x, deriv: int = 0):
-    """Evaluate a primal (nodal or edge) field, optionally differentiated.
+    """Evaluate a field, optionally differentiated.
 
     Each point gathers the coefficients of its element's local functions.
     """
-    if fld.space not in (SpaceKind.NODAL, SpaceKind.EDGE):
-        raise ValueError("field_eval handles primal nodal/edge fields only")
     cols, vals = element_tab(fld.family, fld.space, x, deriv)
     out = np.einsum("ij,ij->i", vals, fld.coeffs[cols])
     return float(out[0]) if np.isscalar(x) else out
@@ -283,17 +283,15 @@ def element_endpoint_values(fld: Field, deriv: int = 0):
 
     Returns (left_values, right_values), each of length num_elements:
     the field evaluated inside element n at its left/right boundary.
-    Needed for jump bookkeeping of discontinuous edge fields.
+    The jumps between neighbours give a field's interface loads.
     """
     family, mesh = fld.family, fld.family.mesh
     if fld.space is SpaceKind.NODAL:
         ref_tab = lagrange_tab(family, np.array([-1.0, 1.0]), deriv=deriv)
         nloc, extra = mesh.degree + 1, 0
-    elif fld.space is SpaceKind.EDGE:
+    else:
         ref_tab = _reference_edge_tab(family, np.array([-1.0, 1.0]), deriv=deriv)
         nloc, extra = mesh.degree, 1
-    else:
-        raise ValueError("primal fields only")
     left = np.empty(mesh.num_elements)
     right = np.empty(mesh.num_elements)
     for n in range(mesh.num_elements):

@@ -18,20 +18,25 @@ point sources at the element nodes.  Residuals carry the same structure
 (smooth part, derivative-kink breakpoints, point sources/dipoles), which
 is what makes the discontinuity-split quadrature exact where naive
 quadrature fails.  A coarse-scale residual also holds its coarse field,
-whose piecewise second derivative joins the smooth part when the
-residual is flattened.
+nodal or edge, whose distributional second derivative (piecewise part,
+derivative-jump point sources, value-jump dipoles) `flattened` writes out.
 
-A reconstruction integrates the smooth part (by the Green's primitive
-below and by the functionals' pairing) and adds the point terms
-analytically.  The H10 pairing is K^{-1} applied to the interior nodal
-basis paired with the source: pairing first, then one solve.  A coarse
-field of the H10 space (nodal, of the operator's family, zero at both
-ends) is not integrated: the fine-scale operator is (I - Pi) G, G maps
-the field's whole distributional second derivative to minus the field,
-and the H10 projection Pi reproduces the field, so the term is zero
-(criterion 05; Hughes & Sangalli, SIAM J. Numer. Anal. 45, 2007).  L2
-residuals and the naive `split=False` quadrature integrate the
-flattened residual, which stays the oracle for the skipped term.
+A reconstruction is the residual's Green's image (the smooth part by the
+primitive below, the point terms analytically) minus its resolved part,
+applied in one step (`FineScaleOperator.resolved`): the reconstruction
+functions (G duals)^T [Gram]^{-1} times the functionals' pairing with
+the image.  The L2 ones are the lifts times a Gram solve; the H10 ones
+are the interior nodal basis (criterion 06) and need none.  The H10
+pairing is K^{-1} applied to the interior nodal basis paired with the
+source, so an H10 reconstruction is G r minus its H10 projection, with
+one stiffness solve.  A coarse field of the H10 space (nodal, of the
+operator's family, zero at both ends) is not integrated: the fine-scale
+operator is (I - Pi) G, G maps the field's whole distributional second
+derivative to minus the field, and the H10 projection Pi reproduces the
+field, so the term is zero (criterion 05; Hughes & Sangalli, SIAM J.
+Numer. Anal. 45, 2007).  L2 residuals and the naive `split=False`
+quadrature integrate the flattened residual, which stays the oracle for
+the skipped term.
 
 The Poisson kernel is self-adjoint, so the representers (duals G) and the
 lifts (G duals) are one function.  For H10 it is the functional itself,
@@ -56,12 +61,11 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .basis1d import (Field, SpaceKind, element_endpoint_values, field_eval, nodal_deriv_jumps,
-                      pair_basis)
+from .basis1d import (Field, SpaceKind, element_endpoint_values, element_tab, field_eval,
+                      nodal_deriv_jumps, pair_basis)
 from .dualspace import _reference_duals
 from .kernels import GreensKernel1D, _check_unit_domain
-from .projection import (DualFunctionals, ProjectionFlavor, interior_field, mesh_quadrature,
-                         tabulate_functionals)
+from .projection import DualFunctionals, ProjectionFlavor, mesh_quadrature, tabulate_functionals
 from .quadrature import DEFAULT_QUAD_POINTS, default_quad_points, gauss_legendre_rule
 
 # Rule points tabulated at once by the Green's primitive: bounds its working
@@ -72,14 +76,14 @@ _BLOCK_POINTS = 1024
 @dataclass(frozen=True)
 class SourceTerm:
     """A right-hand-side functional: smooth density plus point terms, plus
-    optionally a coarse field's piecewise second derivative.
+    optionally a coarse field's distributional second derivative.
 
     `breakpoints` are known derivative-kink locations of the smooth part;
     `point_sources`/`point_dipoles` are (location, strength) pairs for
     delta and delta-prime loads.  Green's applications add their analytic
-    responses; quadrature never sees them.  `coarse` is a primal field
-    whose second derivative, taken element by element, adds to the smooth
-    density; `flattened` folds it in.
+    responses; quadrature never sees them.  `coarse` is a field whose
+    distributional second derivative adds to the source; `flattened`
+    writes it out.
     """
 
     smooth: Callable[[np.ndarray], np.ndarray] | None = None
@@ -93,8 +97,13 @@ class SourceTerm:
         return cls(smooth=f, breakpoints=tuple(float(b) for b in breakpoints))
 
     def flattened(self) -> "SourceTerm":
-        """The same source with the coarse field's piecewise second
-        derivative folded into the smooth density."""
+        """The same source with the coarse field's distributional second
+        derivative written out, the field taken as zero outside the mesh.
+
+        The element-by-element second derivative joins the smooth density;
+        at every mesh node the right-minus-left derivative jump is a point
+        source and the value jump a dipole.
+        """
         if self.coarse is None:
             return self
         fld, smooth = self.coarse, self.smooth
@@ -103,7 +112,13 @@ class SourceTerm:
             second = field_eval(fld, s, deriv=2)
             return second if smooth is None else np.asarray(smooth(s), dtype=float) + second
 
-        return replace(self, smooth=total, coarse=None)
+        # (left-end, right-end) values of every element, for u and u'
+        ends = [element_endpoint_values(fld, deriv) for deriv in (0, 1)]
+        value_jump, deriv_jump = (np.r_[left, 0.0] - np.r_[0.0, right] for left, right in ends)
+        nodes = fld.family.mesh.boundaries
+        return replace(self, smooth=total, coarse=None,
+                       point_sources=self.point_sources + tuple(zip(nodes, deriv_jump)),
+                       point_dipoles=self.point_dipoles + tuple(zip(nodes, value_jump)))
 
 
 def _poisson_apply(density, x, cuts, quad_points: int, deriv: int = 0) -> np.ndarray:
@@ -353,16 +368,22 @@ class FineScaleOperator:
         """Tabulate every lifted functional at x; shape (len(x), size)."""
         return _lift(self.functionals, x)
 
-    def apply_lifts(self, x, coef: np.ndarray) -> np.ndarray:
-        """The lifts combined with coefficients at x: lifted_tab(x) @ coef.
+    def resolved(self, x, data: np.ndarray) -> np.ndarray:
+        """The resolved part sum_i R_i(x) data_i at x, where R_i are the
+        reconstruction functions (G duals)^T [Gram]^{-1}; `data` is one
+        vector, or one column per right side.
 
-        The H10 lifts are the functionals K^{-1} psi, so one solve gives
-        the combination's interior nodal coefficients.
+        The H10 reconstruction functions are the interior nodal basis, so
+        each point gathers its element's coefficients with no solve; the
+        L2 ones are the lifts times the Gram solution.
         """
-        if self.flavor is ProjectionFlavor.H10:
-            fns = self.functionals
-            return field_eval(interior_field(fns.family, fns.stiffness.solve(coef)), x)
-        return self.lifted_tab(x) @ coef
+        if self.flavor is ProjectionFlavor.L2:
+            return self.lifted_tab(x) @ self.solve_gram(data)
+        family = self.functionals.family
+        coeffs = np.zeros((family.mesh.num_nodal_dofs,) + np.shape(data)[1:])
+        coeffs[1:-1] = data
+        cols, vals = element_tab(family, SpaceKind.NODAL, x)
+        return np.einsum("ij,ij...->i...", vals, coeffs[cols])
 
     def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
         return lu_solve(self._lu, np.asarray(rhs, dtype=float))
@@ -425,15 +446,9 @@ def fine_scale_eval(op: FineScaleOperator, x, s, split: bool = True) -> np.ndarr
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     ss = np.atleast_1d(np.asarray(s, dtype=float))
     full = op.kernel(xs[:, None], ss[None, :])
-    lifted = op.lifted_tab(xs)
-    if split and np.array_equal(xs, ss):
-        # the split representers are the lifts
-        rep = lifted
-    else:
-        rep = dual_representers(op.kernel, op.functionals, ss, split=split,
-                                quad_points=op.quad_points)
-    corr = lifted @ op.solve_gram(rep.T)
-    out = full - corr
+    rep = dual_representers(op.kernel, op.functionals, ss, split=split,
+                            quad_points=op.quad_points)
+    out = full - op.resolved(xs, rep.T)
     if np.isscalar(x) and np.isscalar(s):
         return float(out[0, 0])
     return out
@@ -453,20 +468,21 @@ def reconstruct_fine_scales(op: FineScaleOperator, residual: SourceTerm, grid,
     """Unresolved scales: the fine-scale operator applied to a residual, on a grid.
 
     The smooth part is integrated (Green's primitive and pairing), the
-    point terms enter analytically.  A coarse field's second derivative
-    is integrated with the smooth part, except for a split H10 operator
-    and a field of its resolved space (`_annihilated`), which the operator
-    maps to zero (see the module docstring): then only the source part is.
+    point terms enter analytically.  A coarse field is flattened, except
+    for a split H10 operator and a field of its resolved space
+    (`_annihilated`), which the operator maps to zero (see the module
+    docstring): then only the source part is.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if split and _annihilated(op, residual.coarse):
         residual = replace(residual, coarse=None)
+    residual = residual.flattened()
     lifted_residual = green_apply(op.kernel, residual, grid,
                                   quad_points=op.quad_points,
                                   mesh_boundaries=op.functionals.family.mesh.boundaries)
     data = apply_dual_green(op.kernel, op.functionals, residual, split=split,
                             quad_points=op.quad_points)
-    return lifted_residual - op.apply_lifts(grid, op.solve_gram(data))
+    return lifted_residual - op.resolved(grid, data)
 
 
 def resolved_basis_reproduction(op: FineScaleOperator, x) -> np.ndarray:
@@ -484,35 +500,13 @@ def residual_from_field(u_bar: Field, source: Callable[[np.ndarray], np.ndarray]
     """Coarse-scale residual of -u'' = source: the source plus the field's
     distributional second derivative.
 
-    The scaled source is the smooth part and the field the `coarse` part,
-    whose piecewise second derivative (element boundaries as breakpoints)
-    is integrated with the source unless the operator annihilates it (see
-    `reconstruct_fine_scales`).  A nodal field's interface delta loads are
-    omitted because mesh-node kernel columns are resolved exactly and
-    therefore annihilated.  Edge fields are discontinuous, so their
-    interface and boundary jump terms enter as explicit point sources and
-    dipoles.
+    The scaled source is the smooth part, the inner element boundaries its
+    breakpoints, and the field, nodal or edge, the `coarse` part, which
+    `SourceTerm.flattened` writes out unless the operator annihilates it
+    (see `reconstruct_fine_scales`).
     """
-    mesh = u_bar.family.mesh
-    inner_breaks = tuple(mesh.boundaries[1:-1])
-    if u_bar.space not in (SpaceKind.NODAL, SpaceKind.EDGE):
-        raise ValueError("residual assembly handles primal nodal/edge fields")
-
     def smooth(s):
         return scale * np.asarray(source(s), dtype=float)
 
-    if u_bar.space is SpaceKind.NODAL:
-        return SourceTerm(smooth=smooth, breakpoints=inner_breaks, coarse=u_bar)
-    val_l, val_r = element_endpoint_values(u_bar, deriv=0)
-    der_l, der_r = element_endpoint_values(u_bar, deriv=1)
-    sources, dipoles = [], []
-    for k in range(mesh.num_elements + 1):
-        right_v = val_l[k] if k < mesh.num_elements else 0.0
-        left_v = val_r[k - 1] if k > 0 else 0.0
-        right_d = der_l[k] if k < mesh.num_elements else 0.0
-        left_d = der_r[k - 1] if k > 0 else 0.0
-        loc = mesh.boundaries[k]
-        sources.append((loc, right_d - left_d))
-        dipoles.append((loc, right_v - left_v))
-    return SourceTerm(smooth=smooth, breakpoints=inner_breaks, point_sources=tuple(sources),
-                      point_dipoles=tuple(dipoles), coarse=u_bar)
+    return SourceTerm(smooth=smooth, breakpoints=tuple(u_bar.family.mesh.boundaries[1:-1]),
+                      coarse=u_bar)

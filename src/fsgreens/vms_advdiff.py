@@ -56,7 +56,6 @@ from .finescale import (
     green_apply,
     reconstruct_fine_scales,
     residual_from_field,
-    resolved_basis_reproduction,
 )
 from .projection import (
     DualFunctionals,
@@ -138,8 +137,9 @@ class _Workspace:
 
     The coarse-scale matrix is factored once (coarse_lu).  fine_const is
     the fine-scale operator applied to f/nu; fine_lin applies it to the
-    coarse field's part of the residual; lifted_gram is the lifted
-    functionals times the Gram inverse on the grid.  Only t and
+    coarse field's part of the residual; lifted_gram tabulates the
+    reconstruction functions, lifts times Gram inverse, on the grid: the
+    interior nodal basis (`FineScaleOperator.resolved`).  Only t and
     G(du'/dx) need the fine-scale interpolant, and both are linear in its
     B-spline coefficients b = C^{-1} u', C the collocation matrix on the
     grid, through the antiderivative's coefficients a = [0, cumsum(D b)],
@@ -300,7 +300,7 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleO
         / problem.diffusion
     adv_pairing = mu_dtab.T @ (w[:, None] * psi_tab)
 
-    lifted_gram = resolved_basis_reproduction(op, grid)
+    lifted_gram = op.resolved(grid, np.eye(fns.size))
     green_source = green_apply(op.kernel, SourceTerm.from_function(problem.source),
                                grid, quad_points=quad_points,
                                mesh_boundaries=mesh.boundaries)

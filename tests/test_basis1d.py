@@ -124,6 +124,13 @@ def test_field_coefficient_length_checked(family_2x3):
         Field(family_2x3, SpaceKind.EDGE, np.zeros(7))
 
 
+def test_field_holds_primal_spaces_only(family_2x3):
+    # coefficient counts that would fit the dual spaces
+    for space, size in ((SpaceKind.DUAL_NODAL, 6), (SpaceKind.DUAL_EDGE, 7)):
+        with pytest.raises(ValueError, match="primal"):
+            Field(family_2x3, space, np.zeros(size))
+
+
 def test_interpolation_reproduces_values():
     family = basis_family(Mesh1D.uniform(0.0, 1.0, 5, 4))
     f = lambda x: np.sin(2.0 * np.pi * x)

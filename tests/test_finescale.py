@@ -3,7 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fsgreens.basis1d import Mesh1D, basis_family, field_eval, tabulate_edge, tabulate_nodal
+from fsgreens.basis1d import (Field, Mesh1D, SpaceKind, basis_family, element_endpoint_values,
+                              field_eval, nodal_points, tabulate_edge, tabulate_nodal)
 from fsgreens.dualspace import tabulate_duals
 from fsgreens.cases import sin2pix_case
 from fsgreens.finescale import (
@@ -411,18 +412,31 @@ def test_random_smooth_residuals_project_to_zero():
 
 
 def test_edge_field_residual_jump_terms():
-    # an edge coarse field carries explicit interface/boundary point terms
+    # an edge coarse field's flattened residual carries explicit
+    # interface/boundary point terms
     family, fns, op = _setup(5, 1, ProjectionFlavor.L2)
     u_bar = project(fns, CASE.solution)
-    resid = residual_from_field(u_bar, CASE.source)
+    resid = residual_from_field(u_bar, CASE.source).flattened()
     assert len(resid.point_sources) == 6
     assert len(resid.point_dipoles) == 6
     # interior dipole strengths are the field jumps
-    left, right = [], []
-    from fsgreens.basis1d import element_endpoint_values
-
     vl, vr = element_endpoint_values(u_bar)
     assert resid.point_dipoles[1][1] == pytest.approx(vl[1] - vr[0], abs=1e-14)
+
+
+def test_l2_reconstruction_keeps_a_nodal_fields_interface_loads():
+    # under the L2 operator a nodal coarse field's derivative jumps are
+    # loads like any other: G r = u - u_bar, so the fine scales are
+    # u - u_bar minus the lifts times the Gram solution of its pairing
+    family, fns, op = _setup(5, 2, ProjectionFlavor.L2)
+    u_bar = Field(family, SpaceKind.NODAL, CASE.solution(nodal_points(family)))
+    x = np.linspace(0.0, 1.0, 101)
+    got = reconstruct_fine_scales(op, residual_from_field(u_bar, CASE.source), x)
+    error = lambda q: CASE.solution(q) - field_eval(u_bar, q)
+    s, w = mesh_quadrature(family, op.quad_points)
+    data = tabulate_functionals(fns, s).T @ (w * error(s))
+    want = error(x) - op.lifted_tab(x) @ op.solve_gram(data)
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 @pytest.mark.parametrize("flavor", [ProjectionFlavor.H10, ProjectionFlavor.L2])
@@ -438,6 +452,17 @@ def test_high_degree_builds_on_library_defaults(flavor):
     u_prime = reconstruct_fine_scales(op, residual_from_field(u_bar, CASE.source), grid)
     total = field_eval(u_bar, grid) + u_prime
     assert np.max(np.abs(total - CASE.solution(grid))) < 1e-9
+
+
+@pytest.mark.parametrize("num_elements", [20, 80, 320])
+def test_h10_error_does_not_grow_with_the_element_count(num_elements):
+    # the H10 resolved part is the interior nodal basis: no Gram or
+    # stiffness solve whose rounding would grow with N
+    family, fns, op = _setup(num_elements, 4, ProjectionFlavor.H10)
+    u_bar = h10_project_from_source(fns, CASE.source)
+    x = np.linspace(0.0, 1.0, 401)
+    u_prime = reconstruct_fine_scales(op, residual_from_field(u_bar, CASE.source), x)
+    assert np.max(np.abs(field_eval(u_bar, x) + u_prime - CASE.solution(x))) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -545,15 +570,18 @@ _AMPS = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4)
 @given(mesh=_large_meshes(min_dofs=2), amps=_AMPS)
 def test_h10_source_only_reconstruction_matches_flattened_residual(mesh, amps):
     # the H10 operator skips the coarse field's second derivative; the
-    # flattened residual integrates it and must give the same fine scales
+    # flattened residual integrates it.  Both give the exact fine scales
+    # u - u_bar: the split path to rounding, the flattened oracle to the
+    # rounding floor of the integrated second derivative
     series = _SineSeries(amps)
     fns = build_dual_functionals(basis_family(mesh), ProjectionFlavor.H10)
     op = build_fine_scale_operator(KERNEL, fns)
-    resid = residual_from_field(h10_project_from_source(fns, series.source), series.source)
+    u_bar = h10_project_from_source(fns, series.source)
+    resid = residual_from_field(u_bar, series.source)
     x = np.unique(np.concatenate((np.linspace(0.0, 1.0, 101), mesh.boundaries)))
-    fast = reconstruct_fine_scales(op, resid, x)
-    full = reconstruct_fine_scales(op, resid.flattened(), x)
-    assert np.max(np.abs(fast - full)) <= 1e-13
+    want = series.solution(x) - field_eval(u_bar, x)
+    assert np.max(np.abs(reconstruct_fine_scales(op, resid, x) - want)) <= 1e-13
+    assert np.max(np.abs(reconstruct_fine_scales(op, resid.flattened(), x) - want)) <= 5e-13
 
 
 @settings(max_examples=30, deadline=None)
@@ -572,8 +600,8 @@ def test_l2_lifts_on_the_exact_rule_match_direct_quadrature(mesh):
 def test_h10_pair_then_solve_matches_table_first(mesh, amps):
     # the split H10 dual application pairs the interior nodal basis and
     # solves once; the table-first formula pushes every representer
-    # through the stiffness; likewise for the lifts combined with the
-    # Gram solution
+    # through the stiffness.  The resolved part gathers the interior nodal
+    # basis element by element against its dense table
     series = _SineSeries(amps)
     fns = build_dual_functionals(basis_family(mesh), ProjectionFlavor.H10)
     op = build_fine_scale_operator(KERNEL, fns)
@@ -588,5 +616,5 @@ def test_h10_pair_then_solve_matches_table_first(mesh, amps):
     got = apply_dual_green(KERNEL, fns, src, quad_points=op.quad_points)
     assert _rel_err(got, want) <= 1e-13
     x = np.unique(np.concatenate((np.linspace(0.0, 1.0, 41), mesh.boundaries)))
-    coef = op.solve_gram(got)
-    assert _rel_err(op.apply_lifts(x, coef), op.lifted_tab(x) @ coef) <= 1e-13
+    want = tabulate_nodal(fns.family, x)[:, 1:-1] @ got
+    assert _rel_err(op.resolved(x, got), want) <= 1e-13
