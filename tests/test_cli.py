@@ -348,3 +348,39 @@ def test_underflowing_boundary_layer_terminates(tmp_path):
     assert proc.returncode == 1
     assert "boundary layer" in proc.stderr
     assert not out.exists()
+
+
+_SPLINE_AND_SPARSE = ("scipy.interpolate", "scipy.sparse", "scipy.sparse.linalg")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (("reconstruct", "--projection", "l2"), ()),
+    (("reconstruct", "--case", "advdiff-const"), ()),
+    (("finescale",), ()),
+    (("poisson2d",), ()),
+    (("vms-iter", "--nu", "0.05", "--format", "json"), _SPLINE_AND_SPARSE),
+], ids=["reconstruct-l2", "reconstruct-advdiff", "finescale", "poisson2d", "vms-iter"])
+def test_cold_start_loads_spline_and_sparse_modules_only_for_the_iteration(
+        tmp_path, argv, loaded):
+    # A fresh interpreter, so no other test has loaded the modules; the
+    # vms-iter case shows every import the iteration defers is bound.
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {k: v for k, v in os.environ.items() if k != "FSG_QUAD_POINTS"}
+    env["PYTHONPATH"] = os.path.abspath(src)
+    script = ("import json, sys\n"
+              "from fsgreens.cli import main\n"
+              "status = main(sys.argv[1:])\n"
+              f"print(json.dumps([status, sorted(set({_SPLINE_AND_SPARSE!r}) & set(sys.modules))]))\n")
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(out)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    status, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert status == 0
+    assert modules == sorted(loaded)
+    if argv[0] == "vms-iter":
+        meta = json.loads(out.read_text())["meta"]
+        assert meta["converged"] is True and meta["iterations"] == 362
