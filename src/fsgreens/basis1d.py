@@ -276,27 +276,3 @@ def field_eval(fld: Field, x, deriv: int = 0):
     cols, vals = element_tab(fld.family, fld.space, x, deriv)
     out = np.einsum("ij,ij->i", vals, fld.coeffs[cols])
     return float(out[0]) if np.isscalar(x) else out
-
-
-def element_endpoint_values(fld: Field, deriv: int = 0):
-    """One-sided field values at every element's endpoints.
-
-    Returns (left_values, right_values), each of length num_elements:
-    the field evaluated inside element n at its left/right boundary.
-    The jumps between neighbours give a field's interface loads.
-    """
-    family, mesh = fld.family, fld.family.mesh
-    if fld.space is SpaceKind.NODAL:
-        ref_tab = lagrange_tab(family, np.array([-1.0, 1.0]), deriv=deriv)
-        nloc, extra = mesh.degree + 1, 0
-    else:
-        ref_tab = _reference_edge_tab(family, np.array([-1.0, 1.0]), deriv=deriv)
-        nloc, extra = mesh.degree, 1
-    left = np.empty(mesh.num_elements)
-    right = np.empty(mesh.num_elements)
-    for n in range(mesh.num_elements):
-        scale = mesh.jacobian(n) ** float(-(deriv + extra))
-        loc = fld.coeffs[n * mesh.degree: n * mesh.degree + nloc]
-        left[n] = scale * (ref_tab[0] @ loc)
-        right[n] = scale * (ref_tab[1] @ loc)
-    return left, right

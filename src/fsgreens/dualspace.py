@@ -144,9 +144,14 @@ def tabulate_duals(duals: DualSet, x, deriv: int = 0) -> np.ndarray:
     """
     family = duals.family
     if duals.kind is SpaceKind.DUAL_NODAL:
-        mesh = family.mesh
-        elem, jac, xi = _element_coords(mesh, x)
-        vals = _reference_duals(duals, xi, deriv) * (jac ** float(-deriv))[:, None]
-        return _global_scatter(_element_cols(mesh, elem, mesh.degree), vals, mesh.num_edge_dofs)
+        return _global_scatter(*element_duals(duals, x, deriv), family.mesh.num_edge_dofs)
     return duals.mass.solve(tabulate_nodal(family, x, deriv=deriv).T).T
 
+
+def element_duals(duals: DualSet, x, deriv: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero part of the dual nodal tabulation at x, as `element_tab`
+    gives it: each point's p duals in its element, (global columns, values)."""
+    mesh = duals.family.mesh
+    elem, jac, xi = _element_coords(mesh, x)
+    vals = _reference_duals(duals, xi, deriv) * (jac ** float(-deriv))[:, None]
+    return _element_cols(mesh, elem, mesh.degree), vals

@@ -10,33 +10,25 @@ operator, and the pairing of the functionals with the Green's image of a
 residual.
 
 Functionals act through their flavor pairing, which also pairs them with
-the lifts into the Gram matrix.  The L2 functionals are plain densities;
-the H10 functionals act through the derivative pairing, so their load on
-the kernel (`functional_load`, read by the direct-quadrature oracle) is
-the distributional second derivative: a piecewise-polynomial part plus
-point sources at the element nodes.  Residuals carry the same structure
-(smooth part, derivative-kink breakpoints, point sources/dipoles), which
-is what makes the discontinuity-split quadrature exact where naive
-quadrature fails.  A coarse-scale residual also holds its coarse field,
-nodal or edge, whose distributional second derivative (piecewise part,
-derivative-jump point sources, value-jump dipoles) `flattened` writes out.
+the lifts into the Gram matrix: plain densities for L2, the derivative
+pairing for H10, whose load on the kernel (`functional_load`, read by the
+direct-quadrature oracle) is a piecewise-polynomial part plus node point
+sources.  A residual carries a smooth part with its kink breakpoints,
+point sources and optionally a coarse field u_bar, nodal or edge.
 
-A reconstruction is the residual's Green's image (the smooth part by the
-primitive below, the point terms analytically) minus its resolved part,
-applied in one step (`FineScaleOperator.resolved`): the reconstruction
-functions (G duals)^T [Gram]^{-1} times the functionals' pairing with
-the image.  The L2 ones are the lifts times a Gram solve; the H10 ones
-are the interior nodal basis (criterion 06) and need none.  The H10
-pairing is K^{-1} applied to the interior nodal basis paired with the
-source, so an H10 reconstruction is G r minus its H10 projection, with
-one stiffness solve.  A coarse field of the H10 space (nodal, of the
-operator's family, zero at both ends) is not integrated: the fine-scale
-operator is (I - Pi) G, G maps the field's whole distributional second
-derivative to minus the field, and the H10 projection Pi reproduces the
-field, so the term is zero (criterion 05; Hughes & Sangalli, SIAM J.
-Numer. Anal. 45, 2007).  L2 residuals and the naive `split=False`
-quadrature integrate the flattened residual, which stays the oracle for
-the skipped term.
+G maps a field's distributional second derivative to minus the field,
+taken as zero outside the mesh (Hughes & Sangalli, SIAM J. Numer. Anal.
+45, 2007), so r = f + u_bar'' has G r = G f - u_bar in closed form.  A
+reconstruction is G r minus its resolved part (`FineScaleOperator.resolved`):
+the reconstruction functions (G duals)^T [Gram]^{-1} times the
+functionals' pairing with G r.  For L2 the pairing is element-local, of
+G r on the source rule, and the functions are the lifts times a Gram
+solve, summed from the lifts' element moments.  For H10 the pairing is
+the source's, through the interior nodal basis and one stiffness solve,
+minus u_bar's exact H10 pairing, and the functions are the interior nodal
+basis (criterion 06).  A field of the H10 space (nodal, of the operator's
+family, zero at both ends) is skipped, as its two terms cancel
+(criterion 05); an edge field has no H10 pairing.
 
 The Poisson kernel is self-adjoint, so the representers (duals G) and the
 lifts (G duals) are one function.  For H10 it is the functional itself,
@@ -61,12 +53,13 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .basis1d import (Field, SpaceKind, element_endpoint_values, element_tab, field_eval,
-                      nodal_deriv_jumps, pair_basis)
-from .dualspace import _reference_duals
+from .basis1d import Field, SpaceKind, element_tab, field_eval, nodal_deriv_jumps
+from .dualspace import _reference_duals, element_duals
 from .kernels import GreensKernel1D, _check_unit_domain
-from .projection import DualFunctionals, ProjectionFlavor, mesh_quadrature, tabulate_functionals
-from .quadrature import DEFAULT_QUAD_POINTS, default_quad_points, gauss_legendre_rule
+from .projection import (DualFunctionals, ProjectionFlavor, mesh_quadrature, pair_functionals,
+                         tabulate_functionals)
+from .quadrature import (DEFAULT_QUAD_POINTS, composite_rule, default_quad_points,
+                         gauss_legendre_rule)
 
 # Rule points tabulated at once by the Green's primitive: bounds its working
 # set, which would otherwise grow with the evaluation points.
@@ -75,50 +68,24 @@ _BLOCK_POINTS = 1024
 
 @dataclass(frozen=True)
 class SourceTerm:
-    """A right-hand-side functional: smooth density plus point terms, plus
+    """A right-hand-side functional: smooth density plus point sources, plus
     optionally a coarse field's distributional second derivative.
 
     `breakpoints` are known derivative-kink locations of the smooth part;
-    `point_sources`/`point_dipoles` are (location, strength) pairs for
-    delta and delta-prime loads.  Green's applications add their analytic
-    responses; quadrature never sees them.  `coarse` is a field whose
-    distributional second derivative adds to the source; `flattened`
-    writes it out.
+    `point_sources` are (location, strength) pairs for delta loads, whose
+    Green's responses are added analytically.  `coarse` is a field whose
+    distributional second derivative, the field taken as zero outside its
+    mesh, adds to the source; its Green's image is minus the field.
     """
 
     smooth: Callable[[np.ndarray], np.ndarray] | None = None
     breakpoints: tuple = ()
     point_sources: tuple = ()
-    point_dipoles: tuple = ()
     coarse: Field | None = None
 
     @classmethod
     def from_function(cls, f, breakpoints: Sequence[float] = ()) -> "SourceTerm":
         return cls(smooth=f, breakpoints=tuple(float(b) for b in breakpoints))
-
-    def flattened(self) -> "SourceTerm":
-        """The same source with the coarse field's distributional second
-        derivative written out, the field taken as zero outside the mesh.
-
-        The element-by-element second derivative joins the smooth density;
-        at every mesh node the right-minus-left derivative jump is a point
-        source and the value jump a dipole.
-        """
-        if self.coarse is None:
-            return self
-        fld, smooth = self.coarse, self.smooth
-
-        def total(s):
-            second = field_eval(fld, s, deriv=2)
-            return second if smooth is None else np.asarray(smooth(s), dtype=float) + second
-
-        # (left-end, right-end) values of every element, for u and u'
-        ends = [element_endpoint_values(fld, deriv) for deriv in (0, 1)]
-        value_jump, deriv_jump = (np.r_[left, 0.0] - np.r_[0.0, right] for left, right in ends)
-        nodes = fld.family.mesh.boundaries
-        return replace(self, smooth=total, coarse=None,
-                       point_sources=self.point_sources + tuple(zip(nodes, deriv_jump)),
-                       point_dipoles=self.point_dipoles + tuple(zip(nodes, value_jump)))
 
 
 def _poisson_apply(density, x, cuts, quad_points: int, deriv: int = 0) -> np.ndarray:
@@ -213,6 +180,23 @@ def _lift(fns: DualFunctionals, x, deriv: int = 0) -> np.ndarray:
     return b - a if deriv else (1.0 - x)[:, None] * a + x[:, None] * b
 
 
+def _lift_combination(fns: DualFunctionals, x, coeffs) -> np.ndarray:
+    """sum_j lift_j(x) coeffs_j for the L2 lifts, with no (points x N p)
+    table: G of the density sum_j mu_j coeffs_j, a polynomial of degree
+    p - 1 on each element, by the primitive on the exact (p // 2 + 1)-point
+    rule.  `coeffs` is one vector, or one column per right side.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+
+    def density(s):
+        cols, vals = element_duals(fns.duals, s)
+        return np.einsum("ij,ij...->i...", vals, coeffs[cols])
+
+    mesh = fns.family.mesh
+    out = _poisson_apply(density, x, mesh.boundaries, mesh.degree // 2 + 1)
+    return out if coeffs.ndim > 1 else out[:, 0]
+
+
 def green_apply(kernel: GreensKernel1D, src: SourceTerm, x,
                 quad_points: int = DEFAULT_QUAD_POINTS,
                 mesh_boundaries: Sequence[float] | None = None):
@@ -220,28 +204,24 @@ def green_apply(kernel: GreensKernel1D, src: SourceTerm, x,
 
     The smooth part is integrated by the cumulative-sum primitive, cut at
     every x, the source's own breakpoints and any supplied mesh
-    boundaries; point sources and dipoles contribute kernel and
-    kernel-derivative values directly.
+    boundaries; point sources contribute kernel values directly, and a
+    coarse field minus itself (G maps its distributional second derivative
+    to minus the field; at the mesh ends, its value inside the mesh).
     """
     scalar = np.isscalar(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    src = src.flattened()
-    lo = 0.0
     out = np.zeros_like(x)
     if src.smooth is not None:
         cuts = np.concatenate((() if mesh_boundaries is None else mesh_boundaries,
                                src.breakpoints))
         out += _poisson_apply(src.smooth, x, cuts, quad_points)[:, 0]
-    for loc, q in src.point_sources:
-        out += q * kernel(x, loc)
-    for loc, q in src.point_dipoles:
-        gs = kernel.derivative_s(x, loc)
-        if loc <= lo + 1e-14:
-            # Evaluation exactly on a left-boundary dipole takes the limit
-            # from inside the domain, matching the element-assignment
-            # convention used for discontinuous fields.
-            gs = np.where(x == loc, 1.0 - loc, gs)
-        out -= q * gs
+    locs, qs = np.array(src.point_sources, dtype=float).reshape(-1, 2).T
+    out += kernel(x[:, None], locs[None, :]) @ qs
+    if src.coarse is not None:
+        mesh = src.coarse.family.mesh
+        if abs(mesh.a) > 1e-14 or abs(mesh.b - 1.0) > 1e-14:
+            raise ValueError("a coarse field's mesh must cover the kernel domain [0, 1]")
+        out -= field_eval(src.coarse, x)
     return float(out[0]) if scalar else out
 
 
@@ -270,14 +250,12 @@ def functional_load(fns: DualFunctionals):
 
 def dual_representers(kernel: GreensKernel1D, fns: DualFunctionals, s,
                       split: bool = True,
-                      quad_points: int | None = None,
-                      deriv: int = 0) -> np.ndarray:
+                      quad_points: int | None = None) -> np.ndarray:
     """Riesz representers of (duals G) evaluated at the points s.
 
     Entry (q, j) is the pairing of functional j with the kernel column at
     s_q: the x-integral of the functional derivative against the kernel's
     x-derivative (H10) or of the functional against the kernel (L2).
-    `deriv=1` returns the s-derivative of the representers (dipole loads).
     With `split` the kernel kink x = s_q is integrated exactly: the kernel
     is self-adjoint, so the representers are the lifts (G duals) and are
     evaluated as such.  Without it the x-integral is cut only at the mesh
@@ -286,23 +264,62 @@ def dual_representers(kernel: GreensKernel1D, fns: DualFunctionals, s,
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if split:
-        return _lift(fns, s, deriv)
+        return _lift(fns, s)
     xq, wq = mesh_quadrature(fns.family, quad_points)
-    if fns.flavor is ProjectionFlavor.H10:
-        pair_tab = tabulate_functionals(fns, xq, deriv=1)
-        # d2 g / dx ds is -1 on both sides of the diagonal
-        kern = kernel.derivative_x(xq[:, None], s[None, :]) if deriv == 0 \
-            else -np.ones((xq.size, s.size))
+    h10 = fns.flavor is ProjectionFlavor.H10
+    pair_tab = tabulate_functionals(fns, xq, deriv=1 if h10 else 0)
+    kern = (kernel.derivative_x if h10 else kernel)(xq[:, None], s[None, :])
+    return kern.T @ (wq[:, None] * pair_tab)
+
+
+def _field_pairing(fns: DualFunctionals, fld: Field) -> np.ndarray:
+    """The functionals' exact flavor pairing with a coarse field: L2 against
+    the field, H10 against its derivative.
+
+    The integrands are polynomials of degree at most p + q - 1 between the
+    two meshes' boundaries, q the field's degree, so that Gauss rule is
+    exact.  An edge field jumps at the nodes, so its H10 pairing (and
+    projection) is undefined.
+    """
+    h10 = fns.flavor is ProjectionFlavor.H10
+    if h10 and fld.space is SpaceKind.EDGE:
+        raise ValueError("an edge field has no H10 pairing: its H10 projection is undefined")
+    bounds = np.unique(np.concatenate((fns.family.mesh.boundaries, fld.family.mesh.boundaries)))
+    rule = gauss_legendre_rule((fns.family.degree + fld.family.degree) // 2 + 1)
+    s, w = composite_rule(rule, bounds)
+    deriv = 1 if h10 else 0
+    return pair_functionals(fns, s, w * field_eval(fld, s, deriv=deriv), deriv=deriv)
+
+
+def _green_and_pairing(kernel: GreensKernel1D, fns: DualFunctionals, src: SourceTerm,
+                       grid: np.ndarray, split: bool, quad_points: int | None):
+    """G src on the grid, and every functional paired with G src.
+
+    G src = G f - u_bar (module docstring).  The split L2 pairing is
+    element-local, of G src on the source rule (cut also at the point
+    sources), which one primitive call tabulates with the grid.  Otherwise
+    the source part is paired through the representers, the split H10
+    ones by the interior nodal basis and one stiffness solve
+    (`pair_functionals`), the naive ones by unsplit quadrature, and the
+    coarse field's exact pairing is subtracted.
+    """
+    bounds = fns.family.mesh.boundaries
+    locs, qs = np.array(src.point_sources, dtype=float).reshape(-1, 2).T
+    if split and fns.flavor is ProjectionFlavor.L2:
+        s, w = mesh_quadrature(fns.family, quad_points, np.r_[src.breakpoints, locs])
+        image = green_apply(kernel, src, np.concatenate((grid, s)), quad_points, bounds)
+        return image[:grid.size], pair_functionals(fns, s, w * image[grid.size:])
+    image = green_apply(kernel, src, grid, quad_points, bounds) if grid.size else grid
+    s, w = mesh_quadrature(fns.family, quad_points, src.breakpoints)
+    smooth = w * np.asarray(src.smooth(s), dtype=float) if src.smooth is not None else 0.0 * w
+    pts, vals = np.r_[s, locs], np.r_[smooth, qs]
+    if split:
+        data = pair_functionals(fns, pts, vals)
     else:
-        pair_tab = tabulate_functionals(fns, xq)
-        kern = (kernel if deriv == 0 else kernel.derivative_s)(xq[:, None], s[None, :])
-    out = kern.T @ (wq[:, None] * pair_tab)
-    if fns.flavor is ProjectionFlavor.H10 and deriv == 1:
-        # Leibniz term from the moving kink: the kernel's x-derivative drops
-        # by one across x = s, so the split boundary's motion contributes
-        # the functional derivative itself.
-        out += tabulate_functionals(fns, s, deriv=1)
-    return out
+        data = dual_representers(kernel, fns, pts, split=False, quad_points=quad_points).T @ vals
+    if src.coarse is not None:
+        data = data - _field_pairing(fns, src.coarse)
+    return image, data
 
 
 def apply_dual_green(kernel: GreensKernel1D, fns: DualFunctionals, src: SourceTerm,
@@ -310,33 +327,9 @@ def apply_dual_green(kernel: GreensKernel1D, fns: DualFunctionals, src: SourceTe
                      quad_points: int | None = None) -> np.ndarray:
     """Pair every functional with the Green's image of a source.
 
-    Computed by swapping integration order: the source is integrated
-    against the representers, so point sources and dipoles reduce to
-    representer (derivative) evaluations.  The split H10 representers are
-    the functionals K^{-1} psi, so the interior nodal basis is paired with
-    every term first and the stiffness is solved once.
+    G src = G f - u_bar for a coarse field u_bar; see `_green_and_pairing`.
     """
-    src = src.flattened()
-    terms = []  # (points, weighted values, derivative order)
-    if src.smooth is not None:
-        s, w = mesh_quadrature(fns.family, quad_points, src.breakpoints)
-        terms.append((s, w * np.asarray(src.smooth(s), dtype=float), 0))
-    if src.point_sources:
-        locs, qs = np.array(src.point_sources, dtype=float).T
-        terms.append((locs, qs, 0))
-    if src.point_dipoles:
-        locs, qs = np.array(src.point_dipoles, dtype=float).T
-        terms.append((locs, -qs, 1))
-    if split and fns.flavor is ProjectionFlavor.H10:
-        paired = np.zeros(fns.family.mesh.num_nodal_dofs)
-        for pts, vals, deriv in terms:
-            paired += pair_basis(fns.family, SpaceKind.NODAL, pts, vals, deriv)
-        return fns.stiffness.solve(paired[1:-1])
-    out = np.zeros(fns.size)
-    for pts, vals, deriv in terms:
-        out += dual_representers(kernel, fns, pts, split=split, quad_points=quad_points,
-                                 deriv=deriv).T @ vals
-    return out
+    return _green_and_pairing(kernel, fns, src, np.empty(0), split, quad_points)[1]
 
 
 @dataclass(frozen=True)
@@ -375,10 +368,11 @@ class FineScaleOperator:
 
         The H10 reconstruction functions are the interior nodal basis, so
         each point gathers its element's coefficients with no solve; the
-        L2 ones are the lifts times the Gram solution.
+        L2 ones are the lifts times the Gram solution, summed in
+        O(points p) by `_lift_combination`.
         """
         if self.flavor is ProjectionFlavor.L2:
-            return self.lifted_tab(x) @ self.solve_gram(data)
+            return _lift_combination(self.functionals, x, self.solve_gram(data))
         family = self.functionals.family
         coeffs = np.zeros((family.mesh.num_nodal_dofs,) + np.shape(data)[1:])
         coeffs[1:-1] = data
@@ -442,13 +436,22 @@ def build_fine_scale_operator(kernel: GreensKernel1D, fns: DualFunctionals,
 
 
 def fine_scale_eval(op: FineScaleOperator, x, s, split: bool = True) -> np.ndarray:
-    """Evaluate the fine-scale kernel on the grid x (rows) by s (columns)."""
+    """Evaluate the fine-scale kernel on the grid x (rows) by s (columns).
+
+    When x is s the split L2 representers are the lifts at x, so the
+    resolved part L Gram^{-1} L^T comes from that one table, symmetrized
+    as the kernel is.
+    """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     ss = np.atleast_1d(np.asarray(s, dtype=float))
     full = op.kernel(xs[:, None], ss[None, :])
     rep = dual_representers(op.kernel, op.functionals, ss, split=split,
                             quad_points=op.quad_points)
-    out = full - op.resolved(xs, rep.T)
+    if split and op.flavor is ProjectionFlavor.L2 and np.array_equal(xs, ss):
+        resolved = rep @ op.solve_gram(rep.T)
+        out = full - 0.5 * (resolved + resolved.T)
+    else:
+        out = full - op.resolved(xs, rep.T)
     if np.isscalar(x) and np.isscalar(s):
         return float(out[0, 0])
     return out
@@ -467,22 +470,17 @@ def reconstruct_fine_scales(op: FineScaleOperator, residual: SourceTerm, grid,
                             split: bool = True) -> np.ndarray:
     """Unresolved scales: the fine-scale operator applied to a residual, on a grid.
 
-    The smooth part is integrated (Green's primitive and pairing), the
-    point terms enter analytically.  A coarse field is flattened, except
-    for a split H10 operator and a field of its resolved space
-    (`_annihilated`), which the operator maps to zero (see the module
-    docstring): then only the source part is.
+    G r - resolved(pairing of G r), with G r = G f - u_bar for a coarse
+    field u_bar (see the module docstring and `_green_and_pairing`).  A
+    field the operator annihilates (`_annihilated`: its two terms cancel)
+    is dropped.  An edge field under an H10 operator raises ValueError.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if split and _annihilated(op, residual.coarse):
+    if _annihilated(op, residual.coarse):
         residual = replace(residual, coarse=None)
-    residual = residual.flattened()
-    lifted_residual = green_apply(op.kernel, residual, grid,
-                                  quad_points=op.quad_points,
-                                  mesh_boundaries=op.functionals.family.mesh.boundaries)
-    data = apply_dual_green(op.kernel, op.functionals, residual, split=split,
-                            quad_points=op.quad_points)
-    return lifted_residual - op.resolved(grid, data)
+    image, data = _green_and_pairing(op.kernel, op.functionals, residual, grid, split,
+                                     op.quad_points)
+    return image - op.resolved(grid, data)
 
 
 def resolved_basis_reproduction(op: FineScaleOperator, x) -> np.ndarray:
@@ -501,9 +499,8 @@ def residual_from_field(u_bar: Field, source: Callable[[np.ndarray], np.ndarray]
     distributional second derivative.
 
     The scaled source is the smooth part, the inner element boundaries its
-    breakpoints, and the field, nodal or edge, the `coarse` part, which
-    `SourceTerm.flattened` writes out unless the operator annihilates it
-    (see `reconstruct_fine_scales`).
+    breakpoints, and the field, nodal or edge, the `coarse` part, whose
+    Green's image is minus the field (see `reconstruct_fine_scales`).
     """
     def smooth(s):
         return scale * np.asarray(source(s), dtype=float)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis1d import (BasisFamily, Field, SpaceKind, lagrange_tab, nodal_deriv_jumps, pair_basis,
                       tabulate_nodal)
-from .dualspace import DualSet, SPDMatrix, _assemble_gram, build_duals, tabulate_duals
+from .dualspace import DualSet, SPDMatrix, _assemble_gram, build_duals, element_duals, tabulate_duals
 from .quadrature import (
     composite_rule,
     default_quad_points,
@@ -85,12 +85,15 @@ def pair_functionals(fns: DualFunctionals, x, values, deriv: int = 0) -> np.ndar
     """Every functional's realizing function (or a derivative) paired with
     values at the points x: tabulate_functionals(fns, x, deriv).T @ values.
 
-    The H10 functionals are the interior nodal basis pushed through K^{-1},
-    so the basis is paired first, element by element, and one solve of the
-    paired vector gives the result: no table goes through the stiffness.
+    Paired element by element, with no (points x N p) table: each L2 dual
+    lives on one element, and the H10 functionals are the interior nodal
+    basis pushed through K^{-1}, so the basis is paired first and one
+    solve of the paired vector gives the result.
     """
     if fns.flavor is ProjectionFlavor.L2:
-        return tabulate_functionals(fns, x, deriv=deriv).T @ np.asarray(values, dtype=float)
+        cols, vals = element_duals(fns.duals, x, deriv)
+        weighted = vals * np.asarray(values, dtype=float)[:, None]
+        return np.bincount(cols.ravel(), weights=weighted.ravel(), minlength=fns.size)
     return fns.stiffness.solve(pair_basis(fns.family, SpaceKind.NODAL, x, values, deriv)[1:-1])
 
 

@@ -478,8 +478,9 @@ def reconstruct_with_exact_gradient(op: FineScaleOperator, problem: AdvDiffProbl
                                     grid, breakpoints=()) -> np.ndarray:
     """Demonstration-mode fine scales: residual built from the exact gradient.
 
-    Valid for both projection flavors; edge coarse fields contribute their
-    jump terms through the residual assembly.
+    The residual is r = f_mod + u_bar'' with f_mod = (f - c u')/nu, so its
+    Green's image is in closed form, G r = G f_mod - u_bar, for nodal and
+    edge coarse fields alike (L2; under H10 the field must be nodal).
     """
     c, nu = problem.advection, problem.diffusion
 

@@ -1,0 +1,129 @@
+"""The flattened residual: the oracle for the coarse field's closed form.
+
+The library applies G to a coarse-scale residual r = f + u_bar'' as
+G r = G f - u_bar.  This module integrates the residual the long way
+instead: u_bar's distributional second derivative, the field taken as zero
+outside the mesh, is written out as its element-wise second derivative
+(joining the smooth density), a point source at every mesh node (the
+derivative jump, right minus left) and a dipole there (the value jump).
+Each term then goes through the Green's kernel and the functionals'
+representers: the smooth part by the library's primitive and source rule,
+the point terms by kernel and representer (derivative) values.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from fsgreens.basis1d import Field, SpaceKind, _reference_edge_tab, field_eval, lagrange_tab
+from fsgreens.finescale import FineScaleOperator, SourceTerm, _lift, _poisson_apply
+from fsgreens.projection import ProjectionFlavor, mesh_quadrature
+
+
+def element_endpoint_values(fld: Field, deriv: int = 0):
+    """One-sided field values at every element's endpoints.
+
+    Returns (left_values, right_values), each of length num_elements:
+    the field evaluated inside element n at its left/right boundary.
+    The jumps between neighbours give a field's interface loads.
+    """
+    family, mesh = fld.family, fld.family.mesh
+    if fld.space is SpaceKind.NODAL:
+        ref_tab = lagrange_tab(family, np.array([-1.0, 1.0]), deriv=deriv)
+        nloc, extra = mesh.degree + 1, 0
+    else:
+        ref_tab = _reference_edge_tab(family, np.array([-1.0, 1.0]), deriv=deriv)
+        nloc, extra = mesh.degree, 1
+    left = np.empty(mesh.num_elements)
+    right = np.empty(mesh.num_elements)
+    for n in range(mesh.num_elements):
+        scale = mesh.jacobian(n) ** float(-(deriv + extra))
+        loc = fld.coeffs[n * mesh.degree: n * mesh.degree + nloc]
+        left[n] = scale * (ref_tab[0] @ loc)
+        right[n] = scale * (ref_tab[1] @ loc)
+    return left, right
+
+
+@dataclass(frozen=True)
+class FlatSource:
+    """A source with every term written out: smooth density and its
+    breakpoints, (location, strength) point sources and dipoles."""
+
+    smooth: object = None
+    breakpoints: tuple = ()
+    point_sources: tuple = ()
+    point_dipoles: tuple = ()
+
+
+def flattened(src: SourceTerm) -> FlatSource:
+    """The source with its coarse field's distributional second derivative
+    written out, the field taken as zero outside the mesh."""
+    if src.coarse is None:
+        return FlatSource(src.smooth, src.breakpoints, src.point_sources)
+    fld, smooth = src.coarse, src.smooth
+
+    def total(s):
+        second = field_eval(fld, s, deriv=2)
+        return second if smooth is None else np.asarray(smooth(s), dtype=float) + second
+
+    ends = [element_endpoint_values(fld, deriv) for deriv in (0, 1)]
+    value_jump, deriv_jump = (np.r_[left, 0.0] - np.r_[0.0, right] for left, right in ends)
+    nodes = fld.family.mesh.boundaries
+    return FlatSource(total, src.breakpoints,
+                      src.point_sources + tuple(zip(nodes, deriv_jump)),
+                      tuple(zip(nodes, value_jump)))
+
+
+def green_apply_flat(kernel, flat: FlatSource, x, quad_points: int, mesh_boundaries):
+    """G applied to a flattened source at x: the primitive for the smooth
+    part, kernel values for point sources, minus kernel s-derivatives for
+    dipoles."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.zeros_like(x)
+    if flat.smooth is not None:
+        cuts = np.concatenate((mesh_boundaries, flat.breakpoints))
+        out += _poisson_apply(flat.smooth, x, cuts, quad_points)[:, 0]
+    for loc, q in flat.point_sources:
+        out += q * kernel(x, loc)
+    for loc, q in flat.point_dipoles:
+        gs = kernel.derivative_s(x, loc)
+        if loc <= 1e-14:
+            # on the left-boundary dipole itself take the limit from inside
+            # the domain, as field evaluation assigns nodes to elements
+            gs = np.where(x == loc, 1.0 - loc, gs)
+        out -= q * gs
+    return out
+
+
+def pair_flat(fns, flat: FlatSource, quad_points: int) -> np.ndarray:
+    """Every functional paired with G of a flattened source, through the
+    split representers (the lifts) and their s-derivatives.
+
+    Under H10 a dipole on a domain end pairs to zero: its Green's image is
+    linear on (0, 1), and the H10 pairing is taken over the open interval.
+    The representer derivative there, the functional's one-sided
+    derivative, would count the end jump of the zero-extended field as if
+    it lay inside the domain.
+    """
+    dipoles = flat.point_dipoles
+    if fns.flavor is ProjectionFlavor.H10:
+        dipoles = tuple((loc, q) for loc, q in dipoles if 1e-14 < loc < 1.0 - 1e-14)
+    out = np.zeros(fns.size)
+    if flat.smooth is not None:
+        s, w = mesh_quadrature(fns.family, quad_points, flat.breakpoints)
+        out += _lift(fns, s).T @ (w * np.asarray(flat.smooth(s), dtype=float))
+    for deriv, terms in ((0, flat.point_sources), (1, dipoles)):
+        if terms:
+            locs, qs = np.array(terms, dtype=float).T
+            out += (-1) ** deriv * _lift(fns, locs, deriv).T @ qs
+    return out
+
+
+def reconstruct_flat(op: FineScaleOperator, src: SourceTerm, grid) -> np.ndarray:
+    """The fine scales of a residual, its coarse field integrated flattened."""
+    flat = flattened(src)
+    bounds = op.functionals.family.mesh.boundaries
+    green = green_apply_flat(op.kernel, flat, grid, op.quad_points, bounds)
+    return green - op.resolved(grid, pair_flat(op.functionals, flat, op.quad_points))

@@ -8,7 +8,6 @@ from fsgreens.basis1d import (
     Mesh1D,
     SpaceKind,
     basis_family,
-    element_endpoint_values,
     field_eval,
     find_element,
     nodal_points,
@@ -16,6 +15,8 @@ from fsgreens.basis1d import (
     tabulate_nodal,
 )
 from fsgreens.quadrature import gauss_legendre_rule, integrate
+
+from flattened_oracle import element_endpoint_values
 
 
 @pytest.fixture

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fsgreens.basis1d import (Field, Mesh1D, SpaceKind, basis_family, element_endpoint_values,
-                              field_eval, nodal_points, tabulate_edge, tabulate_nodal)
+from fsgreens.basis1d import (Field, Mesh1D, SpaceKind, basis_family, field_eval, nodal_points,
+                              tabulate_edge, tabulate_nodal)
 from fsgreens.dualspace import tabulate_duals
 from fsgreens.cases import sin2pix_case
 from fsgreens.finescale import (
     SourceTerm,
     _lift,
+    _lift_combination,
     _poisson_apply,
     apply_dual_green,
     build_fine_scale_operator,
@@ -28,9 +29,12 @@ from fsgreens.projection import (
     h10_project_from_source,
     h10_project_values,
     mesh_quadrature,
+    pair_functionals,
     project,
     tabulate_functionals,
 )
+
+from flattened_oracle import element_endpoint_values, flattened, reconstruct_flat
 
 KERNEL = GreensKernel1D.poisson()
 CASE = sin2pix_case()
@@ -416,7 +420,7 @@ def test_edge_field_residual_jump_terms():
     # interface/boundary point terms
     family, fns, op = _setup(5, 1, ProjectionFlavor.L2)
     u_bar = project(fns, CASE.solution)
-    resid = residual_from_field(u_bar, CASE.source).flattened()
+    resid = flattened(residual_from_field(u_bar, CASE.source))
     assert len(resid.point_sources) == 6
     assert len(resid.point_dipoles) == 6
     # interior dipole strengths are the field jumps
@@ -581,7 +585,7 @@ def test_h10_source_only_reconstruction_matches_flattened_residual(mesh, amps):
     x = np.unique(np.concatenate((np.linspace(0.0, 1.0, 101), mesh.boundaries)))
     want = series.solution(x) - field_eval(u_bar, x)
     assert np.max(np.abs(reconstruct_fine_scales(op, resid, x) - want)) <= 1e-13
-    assert np.max(np.abs(reconstruct_fine_scales(op, resid.flattened(), x) - want)) <= 5e-13
+    assert np.max(np.abs(reconstruct_flat(op, resid, x) - want)) <= 5e-13
 
 
 @settings(max_examples=30, deadline=None)
@@ -606,15 +610,128 @@ def test_h10_pair_then_solve_matches_table_first(mesh, amps):
     fns = build_dual_functionals(basis_family(mesh), ProjectionFlavor.H10)
     op = build_fine_scale_operator(KERNEL, fns)
     src = SourceTerm(smooth=series.source, breakpoints=(0.3,),
-                     point_sources=((0.4, 0.7), (mesh.boundaries[-1], -0.2)),
-                     point_dipoles=((0.6, 1.3), (mesh.boundaries[0], 0.5)))
+                     point_sources=((0.4, 0.7), (mesh.boundaries[-1], -0.2)))
     s, w = mesh_quadrature(fns.family, op.quad_points, src.breakpoints)
     want = tabulate_functionals(fns, s).T @ (w * series.source(s))
-    for deriv, terms in ((0, src.point_sources), (1, src.point_dipoles)):
-        locs, qs = np.array(terms).T
-        want += (-1) ** deriv * tabulate_functionals(fns, locs, deriv).T @ qs
+    locs, qs = np.array(src.point_sources).T
+    want += tabulate_functionals(fns, locs).T @ qs
     got = apply_dual_green(KERNEL, fns, src, quad_points=op.quad_points)
     assert _rel_err(got, want) <= 1e-13
     x = np.unique(np.concatenate((np.linspace(0.0, 1.0, 41), mesh.boundaries)))
     want = tabulate_nodal(fns.family, x)[:, 1:-1] @ got
     assert _rel_err(op.resolved(x, got), want) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the coarse field in closed form, G r = G f - u_bar, and the L2 resolved
+# part with no lift table
+
+
+def _jittered_mesh(num_elements, degree):
+    # interior boundaries moved by up to 30% of an element width
+    rng = np.random.default_rng(num_elements)
+    h = 1.0 / num_elements
+    inner = np.arange(1, num_elements) * h + rng.uniform(-0.3, 0.3, num_elements - 1) * h
+    return Mesh1D(0.0, 1.0, num_elements, degree, np.concatenate(([0.0], inner, [1.0])))
+
+
+@pytest.mark.parametrize("num_elements", [5, 20, 320])
+def test_l2_resolved_part_matches_the_lift_table(num_elements):
+    # sum_j lift_j(x) y_j summed from the lifts' element moments against the
+    # dense lift table, for one vector and 41 columns; then the resolved part
+    # on the data of a smooth function (random data would mostly measure
+    # the Gram solve's amplification of rounding)
+    mesh = _jittered_mesh(num_elements, 4)
+    fns = build_dual_functionals(basis_family(mesh), ProjectionFlavor.L2)
+    op = build_fine_scale_operator(KERNEL, fns)
+    x = np.unique(np.concatenate((np.linspace(0.0, 1.0, 401), mesh.boundaries)))
+    rng = np.random.default_rng(7)
+    for y in (rng.normal(size=op.size), rng.normal(size=(op.size, 41))):
+        want = op.lifted_tab(x) @ y
+        got = _lift_combination(fns, x, y)
+        assert got.shape == want.shape
+        assert _rel_err(got, want) <= 1e-14
+    s, w = mesh_quadrature(fns.family)
+    data = pair_functionals(fns, s, w * np.exp(s) * np.sin(3.0 * s))
+    assert _rel_err(op.resolved(x, data), op.lifted_tab(x) @ op.solve_gram(data)) <= 1e-14
+
+
+@pytest.mark.parametrize("num_elements", [2, 20])
+def test_l2_kernel_surface_lifts_the_grid_once(num_elements):
+    # x = s: the resolved part is L Gram^{-1} L^T from one lift table,
+    # symmetric like the kernel, and equal to lifting x and s separately
+    op = build_fine_scale_operator(KERNEL, build_dual_functionals(
+        basis_family(_jittered_mesh(num_elements, 4)), ProjectionFlavor.L2))
+    x = np.linspace(0.0, 1.0, 41)
+    surf = fine_scale_eval(op, x, x)
+    want = op.kernel(x[:, None], x[None, :]) - op.lifted_tab(x) @ op.solve_gram(op.lifted_tab(x).T)
+    assert np.max(np.abs(surf - want)) <= 1e-14
+    np.testing.assert_array_equal(surf, surf.T)
+
+
+@pytest.mark.parametrize("flavor", [ProjectionFlavor.H10, ProjectionFlavor.L2])
+def test_nodal_field_with_nonzero_ends(flavor):
+    # a nodal coarse field that is not zero at 0 and 1, so not in the H10
+    # space: its end values count as jumps.  The closed form against the
+    # flattened oracle, and against the fine scales of u - u_bar paired
+    # directly (G r = u - u_bar for the exact solution u)
+    mesh = _jittered_mesh(6, 3)
+    family = basis_family(mesh)
+    fns = build_dual_functionals(family, flavor)
+    op = build_fine_scale_operator(KERNEL, fns)
+    nodes = nodal_points(family)
+    u_bar = Field(family, SpaceKind.NODAL, CASE.solution(nodes) + 0.3 + 0.5 * nodes)
+    assert u_bar.coeffs[0] != 0.0 and u_bar.coeffs[-1] != 0.0
+    resid = residual_from_field(u_bar, CASE.source)
+    x = np.unique(np.concatenate((np.linspace(0.0, 1.0, 101), mesh.boundaries)))
+    got = reconstruct_fine_scales(op, resid, x)
+    assert np.max(np.abs(got - reconstruct_flat(op, resid, x))) <= 1e-12
+    s, w = mesh_quadrature(family, 30)
+    if flavor is ProjectionFlavor.L2:
+        data = tabulate_functionals(fns, s).T @ (w * (CASE.solution(s) - field_eval(u_bar, s)))
+    else:
+        data = tabulate_functionals(fns, s, deriv=1).T @ (
+            w * (CASE.gradient(s) - field_eval(u_bar, s, deriv=1)))
+    want = CASE.solution(x) - field_eval(u_bar, x) - resolved_basis_reproduction(op, x) @ data
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(mesh=_large_meshes(min_dofs=2), amps=_AMPS)
+def test_closed_form_reconstruction_on_random_meshes(mesh, amps):
+    # the bounds are the worst errors of a 296-mesh sweep (N <= 12, p <= 8)
+    # through the flattened residual, before the closed form; the oracle
+    # itself carries the rounding floor of u_bar's third Lagrange
+    # derivative, about 1e-12 at p = 8
+    series = _SineSeries(amps)
+    x = np.unique(np.concatenate((np.linspace(0.0, 1.0, 101), mesh.boundaries)))
+    for flavor, bound in ((ProjectionFlavor.H10, 5.55e-14), (ProjectionFlavor.L2, 7.22e-13)):
+        fns = build_dual_functionals(basis_family(mesh), flavor)
+        op = build_fine_scale_operator(KERNEL, fns)
+        if flavor is ProjectionFlavor.H10:
+            u_bar = h10_project_from_source(fns, series.source)
+        else:
+            u_bar = project(fns, series.solution)
+        resid = residual_from_field(u_bar, series.source)
+        got = reconstruct_fine_scales(op, resid, x)
+        assert np.max(np.abs(field_eval(u_bar, x) + got - series.solution(x))) <= bound
+        assert np.max(np.abs(got - reconstruct_flat(op, resid, x))) <= 2e-12
+
+
+def test_edge_field_under_h10_operator_raises():
+    # an edge field jumps at the nodes: its H10 projection is undefined
+    family, fns, op = _setup(3, 2, ProjectionFlavor.H10)
+    u_bar = project(build_dual_functionals(family, ProjectionFlavor.L2), CASE.solution)
+    resid = residual_from_field(u_bar, CASE.source)
+    for split in (True, False):
+        with pytest.raises(ValueError, match="H10"):
+            reconstruct_fine_scales(op, resid, np.linspace(0.0, 1.0, 11), split=split)
+
+
+def test_coarse_field_must_cover_the_kernel_domain():
+    _, _, op = _setup(3, 2, ProjectionFlavor.L2)
+    half = basis_family(Mesh1D.uniform(0.0, 0.5, 2, 2))
+    u_bar = Field(half, SpaceKind.NODAL, np.ones(5))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        reconstruct_fine_scales(op, residual_from_field(u_bar, CASE.source),
+                                np.linspace(0.0, 0.5, 11))

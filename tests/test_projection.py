@@ -21,6 +21,7 @@ from fsgreens.projection import (
     h10_project_from_source,
     h10_project_values,
     mesh_quadrature,
+    pair_functionals,
     project,
     tabulate_functionals,
 )
@@ -247,3 +248,22 @@ def test_h10_pair_then_solve_projections_match_table_first(mesh, shift):
         jumps = -fns.stiffness.solve(nodal_deriv_jumps(family).T).T
         want += jumps.T @ u(interfaces)
     assert _rel_err(h10_project_values(fns, u), want) <= 1e-12
+
+
+@pytest.mark.parametrize("num_elements", [5, 320])
+@pytest.mark.parametrize("deriv", [0, 1])
+def test_l2_pairing_is_element_local(num_elements, deriv):
+    # each point's p duals are paired into their element's columns, with no
+    # (points x N p) table; interior boundaries moved by up to 30% of an
+    # element width, and the mesh nodes among the points
+    rng = np.random.default_rng(num_elements)
+    h = 1.0 / num_elements
+    inner = np.arange(1, num_elements) * h + rng.uniform(-0.3, 0.3, num_elements - 1) * h
+    mesh = Mesh1D(0.0, 1.0, num_elements, 4, np.concatenate(([0.0], inner, [1.0])))
+    family = basis_family(mesh)
+    fns = build_dual_functionals(family, ProjectionFlavor.L2)
+    x, w = mesh_quadrature(family, breakpoints=[0.3])
+    x = np.concatenate((x, mesh.boundaries))
+    values = np.exp(x) * np.cos(7.0 * x) * np.r_[w, np.ones(mesh.boundaries.size)]
+    want = tabulate_functionals(fns, x, deriv).T @ values
+    assert _rel_err(pair_functionals(fns, x, values, deriv), want) <= 1e-14
