@@ -22,13 +22,14 @@ taken as zero outside the mesh (Hughes & Sangalli, SIAM J. Numer. Anal.
 reconstruction is G r minus its resolved part (`FineScaleOperator.resolved`):
 the reconstruction functions (G duals)^T [Gram]^{-1} times the
 functionals' pairing with G r.  For L2 the pairing is element-local, of
-G r on the source rule, and the functions are the lifts times a Gram
-solve, summed from the lifts' element moments.  For H10 the pairing is
-the source's, through the interior nodal basis and one stiffness solve,
-minus u_bar's exact H10 pairing, and the functions are the interior nodal
-basis (criterion 06).  A field of the H10 space (nodal, of the operator's
-family, zero at both ends) is skipped, as its two terms cancel
-(criterion 05); an edge field has no H10 pairing.
+G f on the source rule, minus u_bar's pairing (its coefficients for an
+edge field of the functionals' family), and the functions are the lifts
+times a Gram solve, summed from the lifts' element moments.  For H10 the
+pairing is the source's, through the interior nodal basis and one
+stiffness solve, minus u_bar's exact H10 pairing, and the functions are
+the interior nodal basis (criterion 06).  A field of the H10 space
+(nodal, of the operator's family, zero at both ends) is skipped, as its
+two terms cancel (criterion 05); an edge field has no H10 pairing.
 
 The Poisson kernel is self-adjoint, so the representers (duals G) and the
 lifts (G duals) are one function.  For H10 it is the functional itself,
@@ -295,20 +296,31 @@ def _green_and_pairing(kernel: GreensKernel1D, fns: DualFunctionals, src: Source
                        grid: np.ndarray, split: bool, quad_points: int | None):
     """G src on the grid, and every functional paired with G src.
 
-    G src = G f - u_bar (module docstring).  The split L2 pairing is
-    element-local, of G src on the source rule (cut also at the point
-    sources), which one primitive call tabulates with the grid.  Otherwise
-    the source part is paired through the representers, the split H10
-    ones by the interior nodal basis and one stiffness solve
-    (`pair_functionals`), the naive ones by unsplit quadrature, and the
-    coarse field's exact pairing is subtracted.
+    G src = G f - u_bar (module docstring).  The split L2 pairing of G f is
+    element-local, on the source rule (cut also at the point sources),
+    which one primitive call tabulates with the grid; u_bar's pairing is
+    then subtracted, for an edge field of the functionals' family its
+    coefficients (the functionals are biorthogonal to that basis).  That
+    is about ten times more accurate than pairing G f - u_bar tabulated
+    on the rule.  Otherwise the source part is paired through the
+    representers, the split H10 ones by the interior nodal basis and one
+    stiffness solve (`pair_functionals`), the naive ones by unsplit
+    quadrature, and the coarse field's exact pairing is subtracted.
     """
     bounds = fns.family.mesh.boundaries
     locs, qs = np.array(src.point_sources, dtype=float).reshape(-1, 2).T
+    coarse = src.coarse
     if split and fns.flavor is ProjectionFlavor.L2:
         s, w = mesh_quadrature(fns.family, quad_points, np.r_[src.breakpoints, locs])
-        image = green_apply(kernel, src, np.concatenate((grid, s)), quad_points, bounds)
-        return image[:grid.size], pair_functionals(fns, s, w * image[grid.size:])
+        image = green_apply(kernel, replace(src, coarse=None), np.concatenate((grid, s)),
+                            quad_points, bounds)
+        data = pair_functionals(fns, s, w * image[grid.size:])
+        image = image[:grid.size]
+        if coarse is not None:
+            image = image + green_apply(kernel, SourceTerm(coarse=coarse), grid)
+            own_edge = coarse.space is SpaceKind.EDGE and coarse.family is fns.family
+            data = data - (coarse.coeffs if own_edge else _field_pairing(fns, coarse))
+        return image, data
     image = green_apply(kernel, src, grid, quad_points, bounds) if grid.size else grid
     s, w = mesh_quadrature(fns.family, quad_points, src.breakpoints)
     smooth = w * np.asarray(src.smooth(s), dtype=float) if src.smooth is not None else 0.0 * w
@@ -317,8 +329,8 @@ def _green_and_pairing(kernel: GreensKernel1D, fns: DualFunctionals, src: Source
         data = pair_functionals(fns, pts, vals)
     else:
         data = dual_representers(kernel, fns, pts, split=False, quad_points=quad_points).T @ vals
-    if src.coarse is not None:
-        data = data - _field_pairing(fns, src.coarse)
+    if coarse is not None:
+        data = data - _field_pairing(fns, coarse)
     return image, data
 
 

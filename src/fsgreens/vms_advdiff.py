@@ -21,12 +21,18 @@ coarse field's second derivative.  The spline depends only on the
 grid and the mesh, so its coefficients, its pairing with the functionals
 and its antiderivative on the grid are linear maps of the fine-grid
 values.  Its collocation matrix C is banded and totally positive, and
-tridiagonal but for the two not-a-knot rows next to each mesh joint; one
-row operation per such row gives R C = T tridiagonal, factored once
-(LAPACK gttrf).  The iteration keeps the fine scales as g = R u', so a
-sweep is one tridiagonal solve, one cumulative sum, one sparse
+tridiagonal but for the two not-a-knot rows next to each mesh joint.  One
+row operation per such row makes it tridiagonal; each joint's row holds
+only its diagonal (a triple knot), so one more per row beside a joint
+clears the joint's column, and a positive diagonal scaling then makes the
+matrix symmetric.  The three fold into one row operation R with R C D^{-1}
+symmetric positive definite, D the antiderivative steps, factored once
+(LAPACK pttrf).  The iteration keeps the fine scales as g = R u', so a
+sweep is one SPD tridiagonal solve, one cumulative sum, one sparse
 antiderivative product and one dense affine map, with the relaxation
-folded into the maps; u' = R^{-1} g is recovered once at the end.
+folded into the maps, and its stop test is the BLAS norm of U times the
+coarse step, U the Cholesky factor of the mass matrix; u' = C D^{-1}
+times the solve of g is recovered once at the end.
 
 scipy.interpolate and scipy.sparse are imported inside the functions that
 use them: loading them at import time cost every other command about
@@ -35,13 +41,13 @@ use them: loading them at import time cost every other command about
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, get_blas_funcs, get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import (LinAlgWarning, cholesky, get_blas_funcs, get_lapack_funcs,
+                          lu_factor, lu_solve)
 
 from .basis1d import (
     BasisFamily,
@@ -70,11 +76,13 @@ from .quadrature import default_quad_points, gauss_legendre_rule
 DEFAULT_FINE_GRID = 2001
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_MAX_ITER = 100_000
-# LAPACK's LU solves, called on the cached coarse and collocation factors:
-# scipy's lu_solve checks and batches its arguments, which costs more than
-# the 5x5 solve; gemv blends the relaxed update into the state in place
-_getrs, _gttrf, _gttrs = get_lapack_funcs(("getrs", "gttrf", "gttrs"), dtype=np.float64)
-_gemv, = get_blas_funcs(("gemv",), dtype=np.float64)
+# LAPACK's solves, called on the cached coarse LU and collocation SPD
+# factors: scipy's lu_solve checks and batches its arguments, which costs
+# more than the 5x5 solve; gemv blends the relaxed update into the state in
+# place, and trmv and nrm2 (scaled, so it neither underflows nor
+# overflows) give the step norm
+_getrs, _pttrf, _pttrs = get_lapack_funcs(("getrs", "pttrf", "pttrs"), dtype=np.float64)
+_gemv, _nrm2, _trmv = get_blas_funcs(("gemv", "nrm2", "trmv"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -146,12 +154,15 @@ class _Workspace:
     grid, through the antiderivative's coefficients a = [0, cumsum(D b)],
     D = diag(anti_steps) (de Boor's rule): t = (c/nu) (mu', B_i) b and
     G(du'/dx) = x a[-1] - anti_design a[1:].  row_op R clears the
-    not-a-knot rows' entries two off the diagonal, so T = R C is
-    tridiagonal; interp_tri factors T D^{-1}, whose solve of R u' gives
-    the increments D b directly, and pair_coef acts on those increments.
+    not-a-knot rows' entries two off the diagonal and the joint columns
+    beside each joint's row, and scales the rows, so that R C D^{-1} is
+    symmetric positive definite and tridiagonal (`_collocation_factor`);
+    interp_tri holds its pttrf factors, whose solve of R u' gives the
+    increments D b directly, and pair_coef acts on those increments.
+    spline_values, C D^{-1}, takes the increments back to the values.
 
     iterate keeps the fine scales as g = R u' and folds the relaxation w
-    into the maps, so one sweep is the tridiagonal solve D b = (T D^{-1})^{-1} g,
+    into the maps, so one sweep is the SPD solve D b = (R C D^{-1})^{-1} g,
     the cumulative sum a[1:] = cumsum(D b), the small products
     t = pair_coef D b and u_bar_new = (I - (c/nu) A)^{-1} ((mu, f)/nu + t),
     and the relaxed update
@@ -159,7 +170,9 @@ class _Workspace:
         g <- (1 - w) g + w R [fine_lin, -lifted_gram, fine_const, -(c/nu) x] z
                + w (c/nu) R anti_design a[1:],    z = [u_bar, t, 1, a[-1]],
 
-    one dense affine map (gemv) plus one sparse product.
+    one dense affine map (gemv) plus one sparse product.  The step norm
+    sqrt(step^T mass step) is nrm2(U step), U the upper Cholesky factor of
+    mass; u' = spline_values D b once the loop ends.
 
     The coarse field's diffusive part of the residual, its distributional
     second derivative, is left out: the fine-scale operator maps it to
@@ -176,8 +189,9 @@ class _Workspace:
     fine_const: np.ndarray
     fine_lin: np.ndarray
     lifted_gram: np.ndarray
-    row_op: csr_array              # R: R C is tridiagonal
-    interp_tri: tuple              # gttrf factors of R C D^{-1}
+    row_op: csr_array              # R: R C D^{-1} is SPD tridiagonal
+    interp_tri: tuple              # pttrf factors (d, e) of R C D^{-1}
+    spline_values: csr_array       # C D^{-1}: the increments D b to the grid values
     pair_coef: np.ndarray          # (c/nu) (mu', B_i) / anti_steps_i: t from the increments D b
     anti_design: csr_array         # degree-4 antiderivative basis on the grid, a[1:] to values
 
@@ -258,32 +272,60 @@ def _nodal_antiderivative(family: BasisFamily, grid: np.ndarray) -> np.ndarray:
 
 
 def _collocation_factor(family: BasisFamily, grid: np.ndarray, knots: np.ndarray,
-                        anti_steps: np.ndarray) -> tuple[csr_array, tuple]:
-    """The row operation R and the gttrf factors of R C D^{-1}, C the cubic
-    collocation matrix on an element-aligned grid, D = diag(anti_steps).
+                        anti_steps: np.ndarray) -> tuple[csr_array, tuple, csr_array]:
+    """The row operation R, the pttrf factors of R C D^{-1} and C D^{-1}
+    itself, C the cubic collocation matrix on an element-aligned grid and
+    D = diag(anti_steps).
 
-    Row lo+1 of an element [lo, hi] reaches column lo+3 and row hi-1
-    column hi-3 (not-a-knot); subtracting a multiple of the row between
-    (lo+2, hi-2), which is tridiagonal and itself left as it is, clears
-    that entry.  Needs at least five samples per element, as fine_grid
-    gives.
+    R is three row operations in turn:
+
+    * row lo+1 of an element [lo, hi] reaches column lo+3 and row hi-1
+      column hi-3 (not-a-knot); subtracting a multiple of the row between
+      (lo+2, hi-2), which is tridiagonal and itself left as it is, clears
+      that entry, so that the result times D^{-1}, T, is tridiagonal;
+    * each joint's row of T holds only its diagonal (a triple knot), so
+      subtracting multiples of it clears the joint's column in rows lo+1
+      and hi-1, and T splits into one block per joint and one per
+      element's interior;
+    * the positive scaling l, with l_0 = 1 and l_{i+1} = l_i T[i, i+1] /
+      T[i+1, i] (l carries over where T splits), makes A = diag(l) T
+      symmetric.
+
+    The grid is uniform within each element, so an element's block of A is
+    one matrix, set by the samples per element, times a positive factor.
+    Its rows are diagonally dominant, strictly beside the element's ends,
+    with a positive diagonal, and it is irreducible, so A is positive
+    definite (the tests check every sample count's distinct rows).  A
+    nonpositive pivot still raises ValueError.  Needs at least five
+    samples per element, as fine_grid gives.
     """
     from scipy.interpolate import BSpline
     from scipy.sparse import csr_array, diags_array, eye_array
 
     colloc = BSpline.design_matrix(grid, knots, 3)
     joints = _joint_indices(family, grid)
-    rows = np.concatenate((joints[:-1] + 1, joints[1:] - 1))
+    beside = np.concatenate((joints[:-1] + 1, joints[1:] - 1))
     pivots = np.concatenate((joints[:-1] + 2, joints[1:] - 2))
     cols = np.concatenate((joints[:-1] + 3, joints[1:] - 3))
+    ends = np.concatenate((joints[:-1], joints[1:]))
     size = grid.size
-    row_op = eye_array(size, format="csr") + csr_array(
-        (-colloc[rows, cols] / colloc[pivots, cols], (rows, pivots)), shape=(size, size))
-    tri = row_op @ colloc @ diags_array(1.0 / anti_steps)
-    *factors, info = _gttrf(tri.diagonal(-1), tri.diagonal(), tri.diagonal(1))
+    not_a_knot = eye_array(size, format="csr") + csr_array(
+        (-colloc[beside, cols] / colloc[pivots, cols], (beside, pivots)), shape=(size, size))
+    spline_values = colloc @ diags_array(1.0 / anti_steps)
+    tri = not_a_knot @ spline_values
+    # not_a_knot leaves the joints' rows as they are, so clearing the joint
+    # columns after it is adding these entries to it
+    clear_joints = csr_array(
+        (-tri[beside, ends] / tri[ends, ends], (beside, ends)), shape=(size, size))
+    upper, lower = tri.diagonal(1), tri.diagonal(-1)
+    upper[joints[1:] - 1] = lower[joints[:-1]] = 0.0
+    ratio = np.divide(upper, lower, out=np.ones(size - 1), where=lower != 0.0)
+    scale = np.cumprod(np.concatenate(([1.0], ratio)))
+    *factors, info = _pttrf(scale * tri.diagonal(), scale[:-1] * upper)
     if info:
-        raise ValueError("singular fine-scale collocation matrix")
-    return row_op, tuple(factors)
+        raise ValueError("fine-scale collocation matrix is not positive definite")
+    row_op = diags_array(scale) @ (not_a_knot + clear_joints)
+    return row_op, tuple(factors), spline_values
 
 
 def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator,
@@ -321,21 +363,22 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleO
 
     knots = _interpolant_knots(family, grid)
     anti_steps = (knots[4:] - knots[:-4]) / 4.0
-    row_op, interp_tri = _collocation_factor(family, grid, knots, anti_steps)
+    row_op, interp_tri, spline_values = _collocation_factor(family, grid, knots, anti_steps)
     # (c/nu) (mu', B_i) through the sparse design matrix at the pairing nodes
     pair_coef = ratio * (BSpline.design_matrix(x, knots, 3).T @ (w[:, None] * mu_dtab)).T
     anti_design = BSpline.design_matrix(grid, np.r_[knots[0], knots, knots[-1]], 4)[:, 1:]
     return _Workspace(grid, mass, ratio, coarse_rhs,
                       _factor_coarse_matrix(problem, adv_pairing),
                       fine_const, fine_lin, lifted_gram,
-                      row_op, interp_tri, pair_coef / anti_steps, anti_design)
+                      row_op, interp_tri, spline_values, pair_coef / anti_steps,
+                      anti_design)
 
 
 def _interpolant_terms(ws: _Workspace, fine: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The fine-grid values' pairing t = (c/nu) (mu', u') and the Green's
     application G(du'/dx) on the grid, both through the fine-scale
     interpolant's antiderivative increments."""
-    increments, _ = _gttrs(*ws.interp_tri, ws.row_op @ fine)
+    increments, _ = _pttrs(*ws.interp_tri, ws.row_op @ fine)
     anti = np.cumsum(increments)
     return ws.pair_coef @ increments, ws.grid * anti[-1] - ws.anti_design @ anti
 
@@ -422,8 +465,6 @@ def iterate(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator
         raise ValueError("relaxation factor must lie in (0, 1]")
     if not (np.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError("tolerance must be finite and positive")
-    from scipy.sparse.linalg import spsolve
-
     ws = make_workspace(problem, fns, op, fine_grid_points, quad_points)
     size = fns.size
     # the relaxed update of row_fine = R u' (see _Workspace):
@@ -432,6 +473,7 @@ def iterate(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator
         (ws.fine_lin, -ws.lifted_gram, ws.fine_const, -ws.ratio * ws.grid))))
     anti_map = (relaxation * ws.ratio) * (ws.row_op @ ws.anti_design)
     keep = 1.0 - relaxation
+    mass_chol = np.asfortranarray(cholesky(ws.mass))
     interior = np.zeros(size)
     row_fine = np.zeros(ws.grid.size)
     anti = np.empty(ws.grid.size)
@@ -442,7 +484,7 @@ def iterate(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator
     iteration = 0
     while iteration < max_iter:
         iteration += 1
-        increments, _ = _gttrs(*ws.interp_tri, row_fine)
+        increments, _ = _pttrs(*ws.interp_tri, row_fine)
         np.cumsum(increments, out=anti)
         fine_term = ws.pair_coef @ increments
         new_interior, _ = _getrs(*ws.coarse_lu, ws.coarse_rhs + fine_term)
@@ -453,23 +495,14 @@ def iterate(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator
         row_fine += anti_map @ anti
         step = new_interior - interior
         interior += relaxation * step
-        step_norm = _step_norm(ws.mass, step)
+        step_norm = _nrm2(_trmv(mass_chol, step))
         history.append(step_norm)
         if step_norm < tolerance:
             converged = True
             break
+    u_prime = ws.spline_values @ _pttrs(*ws.interp_tri, row_fine)[0]
     return IterationState(interior_field(fns.family, interior), ws.grid.copy(),
-                          spsolve(ws.row_op, row_fine), iteration, history, converged)
-
-
-def _step_norm(mass: np.ndarray, step: np.ndarray) -> float:
-    """sqrt(step^T M step), formed on step / max|step| so that neither a tiny
-    nor a huge step underflows or overflows."""
-    scale = float(np.abs(step).max())
-    if scale == 0.0:
-        return 0.0
-    unit = step / scale
-    return scale * math.sqrt(unit @ mass @ unit)
+                          u_prime, iteration, history, converged)
 
 
 def reconstruct_with_exact_gradient(op: FineScaleOperator, problem: AdvDiffProblem,

@@ -94,9 +94,9 @@ def test_exact_gradient_reconstruction(p, n, flavor):
 
 
 def test_l2_exact_gradient_reconstruction_pointwise_data():
-    # the L2 data pair G r = G f - u_bar tabulated on the source rule;
-    # pairing G f through the representers (the lifts) instead, then
-    # subtracting u_bar's coefficients, is exact too but gave 1.2e-13 here
+    # the L2 data pair G f tabulated on the source rule, minus u_bar's
+    # coefficients; pairing G f through the representers (the lifts)
+    # instead is exact too but gave 1.2e-13 here
     c, nu = 1.0, 0.01
     case = advdiff_const_case(c, nu)
     problem = AdvDiffProblem(c, nu, case.source)
@@ -256,7 +256,7 @@ def test_workspace_interpolant_maps_match_spline(mesh, seed):
 def test_tridiagonal_factor_gives_the_interpolant_coefficients(mesh, points, seed):
     # the factored, row-transformed collocation system returns the spline's
     # antiderivative increments, down to five samples per element
-    from fsgreens.vms_advdiff import _gttrs
+    from fsgreens.vms_advdiff import _pttrs
 
     c, nu = 1.0, 0.05
     problem = AdvDiffProblem(c, nu, advdiff_const_case(c, nu).source)
@@ -265,10 +265,64 @@ def test_tridiagonal_factor_gives_the_interpolant_coefficients(mesh, points, see
     ws = make_workspace(problem, fns, build_fine_scale_operator(KERNEL, fns), points)
     fine = np.random.default_rng(seed).normal(size=ws.grid.size)
     spline = fine_scale_interpolant(family, ws.grid, fine)
-    increments, info = _gttrs(*ws.interp_tri, ws.row_op @ fine)
+    increments, info = _pttrs(*ws.interp_tri, ws.row_op @ fine)
     assert info == 0
     coef = increments / ((spline.t[4:] - spline.t[:-4]) / 4.0)
     assert np.max(np.abs(coef - spline.c)) <= 1e-12 * np.max(np.abs(spline.c))
+
+
+@st.composite
+def _graded_meshes(draw):
+    num_elements = draw(st.integers(1, 8))
+    widths = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=num_elements,
+                                    max_size=num_elements)))
+    bounds = np.concatenate(([0.0], np.cumsum(widths) / widths.sum()))
+    bounds[-1] = 1.0
+    return Mesh1D(0.0, 1.0, num_elements, 2, bounds)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mesh=_graded_meshes(), points=st.integers(5, 2001), seed=st.integers(0, 2**32 - 1))
+def test_spd_collocation_factor_on_graded_meshes(mesh, points, seed):
+    # element widths down to 1:100 of each other: pttrf finds every pivot
+    # positive, and its solve gives make_interp_spline's coefficients
+    from fsgreens.vms_advdiff import _collocation_factor, _interpolant_knots, _pttrs
+
+    family = basis_family(mesh)
+    grid = fine_grid(mesh, points)
+    knots = _interpolant_knots(family, grid)
+    steps = (knots[4:] - knots[:-4]) / 4.0
+    row_op, factors, _ = _collocation_factor(family, grid, knots, steps)
+    assert np.all(factors[0] > 0.0)
+    fine = np.random.default_rng(seed).normal(size=grid.size)
+    spline = fine_scale_interpolant(family, grid, fine)
+    increments, info = _pttrs(*factors, row_op @ fine)
+    assert info == 0
+    assert np.max(np.abs(increments / steps - spline.c)) <= 1e-12 * np.max(np.abs(spline.c))
+
+
+@pytest.mark.parametrize("samples", [*range(5, 13), 101, 2001])
+def test_symmetrized_collocation_is_diagonally_dominant(samples):
+    # R C D^{-1} is symmetric tridiagonal with a positive diagonal, and its
+    # rows are diagonally dominant (strictly beside the ends) within
+    # irreducible blocks, so it is positive definite.  On an element-aligned
+    # grid each element's block is one element's matrix for the same
+    # sample count, scaled, and from eight samples on the rows near the
+    # ends repeat, so these counts cover every grid
+    from fsgreens.vms_advdiff import _collocation_factor, _interpolant_knots
+
+    family = basis_family(Mesh1D.uniform(0.0, 1.0, 1, 2))
+    grid = np.linspace(0.0, 1.0, samples)
+    knots = _interpolant_knots(family, grid)
+    row_op, _, spline_values = _collocation_factor(family, grid, knots,
+                                                   (knots[4:] - knots[:-4]) / 4.0)
+    sym = (row_op @ spline_values).toarray()
+    scale = np.max(np.abs(sym))
+    assert np.max(np.abs(sym - np.triu(np.tril(sym, 1), -1))) <= 1e-14 * scale
+    assert np.max(np.abs(sym - sym.T)) <= 1e-14 * scale
+    diag = np.diag(sym)
+    assert np.all(diag > 0.0)
+    assert np.all(np.abs(sym).sum(axis=1) - diag <= (1.0 + 1e-14) * diag)
 
 
 @settings(max_examples=20, deadline=None)
