@@ -48,8 +48,8 @@ def advdiff_const_case(c: float, nu: float) -> AnalyticCase1D:
     outflow boundary layer of width ~nu/c.  All exponentials are written
     with nonpositive arguments so large Peclet numbers stay finite.
     """
-    if nu <= 0.0 or c == 0.0:
-        raise ValueError("need nu > 0 and c != 0")
+    if not (0.0 < nu < np.inf and np.isfinite(c) and c != 0.0):
+        raise ValueError(f"need a finite nu > 0 and a finite c != 0, got nu={nu}, c={c}")
     beta = c / nu
     denom = -np.expm1(-beta)
 

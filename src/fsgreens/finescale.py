@@ -31,9 +31,10 @@ the interior nodal basis (criterion 06).  A field of the H10 space
 (nodal, of the operator's family, zero at both ends) is skipped, as its
 two terms cancel (criterion 05); an edge field has no H10 pairing.
 
-The Poisson kernel is self-adjoint, so the representers (duals G) and the
-lifts (G duals) are one function.  For H10 it is the functional itself,
-since G inverts its load exactly; for L2 it is computed on demand from
+The Poisson kernel is self-adjoint, so the representers (duals G) are the
+lifts (G duals), and the library has one of them (`_lift`).  For H10 the
+lift is the functional itself, since G inverts its load exactly; for L2 it
+is computed on demand from
 
     G f(x) = (1 - x) int_0^x s f(s) ds + x int_x^1 (1 - s) f(s) ds,
 
@@ -44,6 +45,10 @@ moment minus that one, so each point's density is tabulated once.  Every
 smooth Green's application goes through that one primitive, except the
 L2 lifts: each dual lives on one element, so outside it both integrals
 are its whole-element moments.
+
+Every integral of the kernel is thus split at its kink x = s, the one
+quadrature under which the derivative pairing works; a rule cut only at
+the mesh boundaries misses the kink's derivative jump (criterion 12).
 """
 
 from __future__ import annotations
@@ -249,30 +254,6 @@ def functional_load(fns: DualFunctionals):
     return smooth, mesh.boundaries.copy(), strengths
 
 
-def dual_representers(kernel: GreensKernel1D, fns: DualFunctionals, s,
-                      split: bool = True,
-                      quad_points: int | None = None) -> np.ndarray:
-    """Riesz representers of (duals G) evaluated at the points s.
-
-    Entry (q, j) is the pairing of functional j with the kernel column at
-    s_q: the x-integral of the functional derivative against the kernel's
-    x-derivative (H10) or of the functional against the kernel (L2).
-    With `split` the kernel kink x = s_q is integrated exactly: the kernel
-    is self-adjoint, so the representers are the lifts (G duals) and are
-    evaluated as such.  Without it the x-integral is cut only at the mesh
-    boundaries (`mesh_quadrature`), the naive quadrature that misses the
-    derivative discontinuity.
-    """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    if split:
-        return _lift(fns, s)
-    xq, wq = mesh_quadrature(fns.family, quad_points)
-    h10 = fns.flavor is ProjectionFlavor.H10
-    pair_tab = tabulate_functionals(fns, xq, deriv=1 if h10 else 0)
-    kern = (kernel.derivative_x if h10 else kernel)(xq[:, None], s[None, :])
-    return kern.T @ (wq[:, None] * pair_tab)
-
-
 def _field_pairing(fns: DualFunctionals, fld: Field) -> np.ndarray:
     """The functionals' exact flavor pairing with a coarse field: L2 against
     the field, H10 against its derivative.
@@ -293,24 +274,23 @@ def _field_pairing(fns: DualFunctionals, fld: Field) -> np.ndarray:
 
 
 def _green_and_pairing(kernel: GreensKernel1D, fns: DualFunctionals, src: SourceTerm,
-                       grid: np.ndarray, split: bool, quad_points: int | None):
+                       grid: np.ndarray, quad_points: int | None):
     """G src on the grid, and every functional paired with G src.
 
-    G src = G f - u_bar (module docstring).  The split L2 pairing of G f is
+    G src = G f - u_bar (module docstring).  The L2 pairing of G f is
     element-local, on the source rule (cut also at the point sources),
     which one primitive call tabulates with the grid; u_bar's pairing is
     then subtracted, for an edge field of the functionals' family its
     coefficients (the functionals are biorthogonal to that basis).  That
     is about ten times more accurate than pairing G f - u_bar tabulated
-    on the rule.  Otherwise the source part is paired through the
-    representers, the split H10 ones by the interior nodal basis and one
-    stiffness solve (`pair_functionals`), the naive ones by unsplit
-    quadrature, and the coarse field's exact pairing is subtracted.
+    on the rule.  The H10 pairing of G f is the source's own, by the
+    interior nodal basis and one stiffness solve (`pair_functionals`),
+    minus the coarse field's exact pairing.
     """
     bounds = fns.family.mesh.boundaries
     locs, qs = np.array(src.point_sources, dtype=float).reshape(-1, 2).T
     coarse = src.coarse
-    if split and fns.flavor is ProjectionFlavor.L2:
+    if fns.flavor is ProjectionFlavor.L2:
         s, w = mesh_quadrature(fns.family, quad_points, np.r_[src.breakpoints, locs])
         image = green_apply(kernel, replace(src, coarse=None), np.concatenate((grid, s)),
                             quad_points, bounds)
@@ -324,24 +304,19 @@ def _green_and_pairing(kernel: GreensKernel1D, fns: DualFunctionals, src: Source
     image = green_apply(kernel, src, grid, quad_points, bounds) if grid.size else grid
     s, w = mesh_quadrature(fns.family, quad_points, src.breakpoints)
     smooth = w * np.asarray(src.smooth(s), dtype=float) if src.smooth is not None else 0.0 * w
-    pts, vals = np.r_[s, locs], np.r_[smooth, qs]
-    if split:
-        data = pair_functionals(fns, pts, vals)
-    else:
-        data = dual_representers(kernel, fns, pts, split=False, quad_points=quad_points).T @ vals
+    data = pair_functionals(fns, np.r_[s, locs], np.r_[smooth, qs])
     if coarse is not None:
         data = data - _field_pairing(fns, coarse)
     return image, data
 
 
 def apply_dual_green(kernel: GreensKernel1D, fns: DualFunctionals, src: SourceTerm,
-                     split: bool = True,
                      quad_points: int | None = None) -> np.ndarray:
     """Pair every functional with the Green's image of a source.
 
     G src = G f - u_bar for a coarse field u_bar; see `_green_and_pairing`.
     """
-    return _green_and_pairing(kernel, fns, src, np.empty(0), split, quad_points)[1]
+    return _green_and_pairing(kernel, fns, src, np.empty(0), quad_points)[1]
 
 
 @dataclass(frozen=True)
@@ -447,19 +422,18 @@ def build_fine_scale_operator(kernel: GreensKernel1D, fns: DualFunctionals,
     return FineScaleOperator(kernel, fns, quad_points, gram, cond, lu_factor(gram))
 
 
-def fine_scale_eval(op: FineScaleOperator, x, s, split: bool = True) -> np.ndarray:
+def fine_scale_eval(op: FineScaleOperator, x, s) -> np.ndarray:
     """Evaluate the fine-scale kernel on the grid x (rows) by s (columns).
 
-    When x is s the split L2 representers are the lifts at x, so the
+    The representers at s are the lifts there.  When x is s the L2
     resolved part L Gram^{-1} L^T comes from that one table, symmetrized
     as the kernel is.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     ss = np.atleast_1d(np.asarray(s, dtype=float))
     full = op.kernel(xs[:, None], ss[None, :])
-    rep = dual_representers(op.kernel, op.functionals, ss, split=split,
-                            quad_points=op.quad_points)
-    if split and op.flavor is ProjectionFlavor.L2 and np.array_equal(xs, ss):
+    rep = op.lifted_tab(ss)
+    if op.flavor is ProjectionFlavor.L2 and np.array_equal(xs, ss):
         resolved = rep @ op.solve_gram(rep.T)
         out = full - 0.5 * (resolved + resolved.T)
     else:
@@ -478,8 +452,7 @@ def _annihilated(op: FineScaleOperator, fld: Field | None) -> bool:
             and fld.coeffs[0] == 0.0 and fld.coeffs[-1] == 0.0)
 
 
-def reconstruct_fine_scales(op: FineScaleOperator, residual: SourceTerm, grid,
-                            split: bool = True) -> np.ndarray:
+def reconstruct_fine_scales(op: FineScaleOperator, residual: SourceTerm, grid) -> np.ndarray:
     """Unresolved scales: the fine-scale operator applied to a residual, on a grid.
 
     G r - resolved(pairing of G r), with G r = G f - u_bar for a coarse
@@ -490,8 +463,7 @@ def reconstruct_fine_scales(op: FineScaleOperator, residual: SourceTerm, grid,
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if _annihilated(op, residual.coarse):
         residual = replace(residual, coarse=None)
-    image, data = _green_and_pairing(op.kernel, op.functionals, residual, grid, split,
-                                     op.quad_points)
+    image, data = _green_and_pairing(op.kernel, op.functionals, residual, grid, op.quad_points)
     return image - op.resolved(grid, data)
 
 
@@ -505,17 +477,13 @@ def resolved_basis_reproduction(op: FineScaleOperator, x) -> np.ndarray:
     return op.solve_gram(op.lifted_tab(x).T).T
 
 
-def residual_from_field(u_bar: Field, source: Callable[[np.ndarray], np.ndarray],
-                        scale: float = 1.0) -> SourceTerm:
+def residual_from_field(u_bar: Field, source: Callable[[np.ndarray], np.ndarray]) -> SourceTerm:
     """Coarse-scale residual of -u'' = source: the source plus the field's
     distributional second derivative.
 
-    The scaled source is the smooth part, the inner element boundaries its
+    The source is the smooth part, the inner element boundaries its
     breakpoints, and the field, nodal or edge, the `coarse` part, whose
     Green's image is minus the field (see `reconstruct_fine_scales`).
     """
-    def smooth(s):
-        return scale * np.asarray(source(s), dtype=float)
-
-    return SourceTerm(smooth=smooth, breakpoints=tuple(u_bar.family.mesh.boundaries[1:-1]),
+    return SourceTerm(smooth=source, breakpoints=tuple(u_bar.family.mesh.boundaries[1:-1]),
                       coarse=u_bar)

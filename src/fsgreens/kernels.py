@@ -66,10 +66,10 @@ def advdiff_green(x, s, c: float, nu: float):
     source at s is exponentially small upstream and forms a plateau of
     height ~1/c downstream, ending in the outflow boundary layer.
     """
-    if nu <= 0.0:
-        raise ValueError(f"diffusion coefficient must be positive, got {nu}")
-    if c == 0.0:
-        raise ValueError("advection speed must be nonzero (use the Poisson kernel)")
+    if not 0.0 < nu < np.inf:
+        raise ValueError(f"diffusion coefficient must be finite and positive, got {nu}")
+    if not np.isfinite(c) or c == 0.0:
+        raise ValueError(f"advection speed must be finite and nonzero, got {c}")
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
     _check_unit_domain(x, s)

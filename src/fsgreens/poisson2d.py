@@ -54,10 +54,9 @@ class Mesh2D:
             raise ValueError("the square-domain machinery expects [0, 1] per direction")
 
 
-def stiffness_2d_direct(family: BasisFamily, quad_points: int | None = None) -> np.ndarray:
+def stiffness_2d_direct(family: BasisFamily) -> np.ndarray:
     """Interior 2D stiffness by direct tensor quadrature (consistency oracle)."""
-    npts = quad_points if quad_points is not None else family.degree + 2
-    x, w = composite_rule(gauss_legendre_rule(npts), family.mesh.boundaries)
+    x, w = composite_rule(gauss_legendre_rule(family.degree + 2), family.mesh.boundaries)
     tab = tabulate_nodal(family, x)[:, 1:-1]
     dtab = tabulate_nodal(family, x, deriv=1)[:, 1:-1]
     mass = tab.T @ (w[:, None] * tab)

@@ -27,7 +27,6 @@ from .quadrature import (
     gauss_legendre_rule,
 )
 
-_FD_STEP = 1e-6
 _BOUNDARY_TOL = 1e-9
 
 
@@ -124,13 +123,6 @@ def mesh_quadrature(family: BasisFamily, quad_points: int | None = None,
     return composite_rule(gauss_legendre_rule(source_rule_points(family, quad_points)), bounds)
 
 
-def _finite_difference(f: Callable[[np.ndarray], np.ndarray]):
-    def df(x):
-        return (np.asarray(f(x + _FD_STEP)) - np.asarray(f(x - _FD_STEP))) / (2.0 * _FD_STEP)
-
-    return df
-
-
 def project(fns: DualFunctionals, f: Callable[[np.ndarray], np.ndarray],
             f_prime: Callable[[np.ndarray], np.ndarray] | None = None,
             quad_points: int | None = None,
@@ -138,8 +130,9 @@ def project(fns: DualFunctionals, f: Callable[[np.ndarray], np.ndarray],
     """Project f onto the flavor's target space via the dual pairing.
 
     The H10 pairing needs f'; pass it analytically when available,
-    otherwise a central difference with step 1e-6 is used.  H10 also
-    requires homogeneous boundary values of f.
+    otherwise the projection is taken from values of f alone
+    (`h10_project_values`).  H10 also requires homogeneous boundary
+    values of f.
     """
     family = fns.family
     x, w = mesh_quadrature(family, quad_points, breakpoints)
@@ -153,9 +146,10 @@ def project(fns: DualFunctionals, f: Callable[[np.ndarray], np.ndarray],
         raise ValueError(
             f"H10 projection needs zero boundary values, got f(a)={fa:.3e}, f(b)={fb:.3e}"
         )
-    df = f_prime if f_prime is not None else _finite_difference(f)
-    return interior_field(family, pair_functionals(fns, x, w * np.asarray(df(x), dtype=float),
-                                                   deriv=1))
+    if f_prime is None:
+        return interior_field(family, h10_project_values(fns, f, quad_points, breakpoints))
+    df = np.asarray(f_prime(x), dtype=float)
+    return interior_field(family, pair_functionals(fns, x, w * df, deriv=1))
 
 
 def h10_project_from_source(fns: DualFunctionals,

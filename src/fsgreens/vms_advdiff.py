@@ -94,8 +94,10 @@ class AdvDiffProblem:
     source: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        if self.diffusion <= 0.0:
-            raise ValueError("diffusion coefficient must be positive")
+        if not 0.0 < self.diffusion < np.inf:
+            raise ValueError(f"diffusion must be finite and positive, got {self.diffusion}")
+        if not np.isfinite(self.advection):
+            raise ValueError(f"advection speed must be finite, got {self.advection}")
 
     @property
     def peclet(self) -> float:

@@ -9,6 +9,11 @@ derivative jump, right minus left) and a dipole there (the value jump).
 Each term then goes through the Green's kernel and the functionals'
 representers: the smooth part by the library's primitive and source rule,
 the point terms by kernel and representer (derivative) values.
+
+It also holds the naive pairing (`pair_naive`): the functionals paired
+with G src on a rule cut only at the mesh boundaries, not at the kernel
+kink x = s.  The library splits every such integral at the kink; this
+unsplit rule is kept here only to show, in criterion 12, that it fails.
 """
 
 from __future__ import annotations
@@ -18,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from fsgreens.basis1d import Field, SpaceKind, _reference_edge_tab, field_eval, lagrange_tab
-from fsgreens.finescale import FineScaleOperator, SourceTerm, _lift, _poisson_apply
-from fsgreens.projection import ProjectionFlavor, mesh_quadrature
+from fsgreens.finescale import (FineScaleOperator, SourceTerm, _field_pairing, _lift,
+                                _poisson_apply)
+from fsgreens.projection import ProjectionFlavor, mesh_quadrature, tabulate_functionals
 
 
 def element_endpoint_values(fld: Field, deriv: int = 0):
@@ -127,3 +133,26 @@ def reconstruct_flat(op: FineScaleOperator, src: SourceTerm, grid) -> np.ndarray
     bounds = op.functionals.family.mesh.boundaries
     green = green_apply_flat(op.kernel, flat, grid, op.quad_points, bounds)
     return green - op.resolved(grid, pair_flat(op.functionals, flat, op.quad_points))
+
+
+def pair_naive(kernel, fns, src: SourceTerm, quad_points: int | None = None) -> np.ndarray:
+    """Every functional paired with G src by unsplit quadrature.
+
+    Each representer at a source point s is the x-integral of the
+    functional (its derivative, for H10) against the kernel (its
+    x-derivative) on the source rule, which is cut at the mesh boundaries
+    but not at the kink x = s.  The coarse field's exact pairing is then
+    subtracted, as in the library.
+    """
+    h10 = fns.flavor is ProjectionFlavor.H10
+    xq, wq = mesh_quadrature(fns.family, quad_points)
+    pair_tab = tabulate_functionals(fns, xq, deriv=1 if h10 else 0)
+    s, w = mesh_quadrature(fns.family, quad_points, src.breakpoints)
+    smooth = w * np.asarray(src.smooth(s), dtype=float) if src.smooth is not None else 0.0 * w
+    locs, qs = np.array(src.point_sources, dtype=float).reshape(-1, 2).T
+    pts, vals = np.r_[s, locs], np.r_[smooth, qs]
+    kern = (kernel.derivative_x if h10 else kernel)(xq[:, None], pts[None, :])
+    data = (kern.T @ (wq[:, None] * pair_tab)).T @ vals
+    if src.coarse is not None:
+        data = data - _field_pairing(fns, src.coarse)
+    return data

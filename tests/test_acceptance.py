@@ -56,6 +56,8 @@ from fsgreens.quadrature import gll_nodes, legendre_eval
 from fsgreens.basis1d import SpaceKind
 from fsgreens.vms_advdiff import AdvDiffProblem, fine_scale_interpolant, iterate
 
+from flattened_oracle import pair_naive
+
 KERNEL = GreensKernel1D.poisson()
 SINE = sin2pix_case()
 
@@ -321,11 +323,11 @@ def test_criterion_12_split_quadrature_necessity():
     family, fns, op = _setup(2, 3, ProjectionFlavor.H10)
     u_bar = h10_project_from_source(fns, SINE.source)
     resid = residual_from_field(u_bar, SINE.source)
-    split = apply_dual_green(KERNEL, fns, resid, split=True)
-    naive = apply_dual_green(KERNEL, fns, resid, split=False)
+    split = apply_dual_green(KERNEL, fns, resid)
+    naive = pair_naive(KERNEL, fns, resid)
     contrast = float(np.max(np.abs(split - naive)))
     grid = np.linspace(0.0, 1.0, 401)
-    total = field_eval(u_bar, grid) + reconstruct_fine_scales(op, resid, grid, split=True)
+    total = field_eval(u_bar, grid) + reconstruct_fine_scales(op, resid, grid)
     recon = float(np.max(np.abs(total - SINE.solution(grid))))
     ok = contrast > 1e-3 and recon < 1e-5
     _report(12, "split quadrature necessary and sufficient", ok,

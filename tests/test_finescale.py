@@ -14,7 +14,6 @@ from fsgreens.finescale import (
     _poisson_apply,
     apply_dual_green,
     build_fine_scale_operator,
-    dual_representers,
     fine_scale_eval,
     functional_load,
     lift_functionals_direct,
@@ -34,7 +33,7 @@ from fsgreens.projection import (
     tabulate_functionals,
 )
 
-from flattened_oracle import element_endpoint_values, flattened, reconstruct_flat
+from flattened_oracle import element_endpoint_values, flattened, pair_naive, reconstruct_flat
 
 KERNEL = GreensKernel1D.poisson()
 CASE = sin2pix_case()
@@ -73,10 +72,15 @@ def test_lifted_functionals_vanish_at_boundary(flavor):
 
 
 def test_lifted_h10_functionals_reproduce_duals():
-    # the derivative-pairing load of a functional inverts the kernel exactly
+    # the derivative-pairing load of a functional inverts the kernel
+    # exactly, so the lifts, which are also the representers of the
+    # self-adjoint kernel, are the functionals themselves
     family, fns, op = _setup(3, 2, ProjectionFlavor.H10)
     x = np.linspace(0.0, 1.0, 151)
     assert np.max(np.abs(op.lifted_tab(x) - tabulate_functionals(fns, x))) < 1e-11
+    _, fns, op = _setup(2, 3, ProjectionFlavor.H10)
+    s = np.linspace(0.05, 0.95, 21)
+    assert np.max(np.abs(op.lifted_tab(s) - tabulate_functionals(fns, s))) < 1e-12
 
 
 def test_lifted_l2_weak_identity():
@@ -133,8 +137,9 @@ def test_splines_match_direct_quadrature():
 @pytest.mark.parametrize("flavor", [ProjectionFlavor.H10, ProjectionFlavor.L2])
 @pytest.mark.parametrize("num_elements", [6, 10])
 def test_lifts_exact_on_jittered_mesh(flavor, num_elements):
-    # the on-demand lifts and the split representers against the per-point
-    # oracle, on interior boundaries moved by up to 30% of an element width
+    # the on-demand lifts, which are also the representers, against the
+    # per-point oracle, on interior boundaries moved by up to 30% of an
+    # element width
     rng = np.random.default_rng(num_elements)
     h = 1.0 / num_elements
     inner = np.arange(1, num_elements) * h + rng.uniform(-0.3, 0.3, num_elements - 1) * h
@@ -144,7 +149,6 @@ def test_lifts_exact_on_jittered_mesh(flavor, num_elements):
     x = np.linspace(0.0, 1.0, 97)
     direct = lift_functionals_direct(KERNEL, fns, x)
     assert np.max(np.abs(op.lifted_tab(x) - direct)) < 1e-13
-    assert np.max(np.abs(dual_representers(KERNEL, fns, x) - direct)) < 1e-13
 
 
 def test_domain_mismatch_rejected():
@@ -219,13 +223,6 @@ def test_gram_independent_of_source_rule(flavor):
 # dual pairings of lifted residuals
 
 
-def test_representers_are_h10_functionals():
-    family, fns, op = _setup(2, 3, ProjectionFlavor.H10)
-    s = np.linspace(0.05, 0.95, 21)
-    rep = dual_representers(KERNEL, fns, s)
-    assert np.max(np.abs(rep - tabulate_functionals(fns, s))) < 1e-12
-
-
 def test_apply_dual_green_matches_plain_pairing():
     # for the derivative pairing the dual application of the kernel image
     # reduces to the plain pairing with the residual itself
@@ -249,8 +246,8 @@ def test_split_vs_naive_quadrature_contrast():
     family, fns, _ = _setup(2, 3, ProjectionFlavor.H10)
     u_bar = h10_project_from_source(fns, CASE.source)
     resid = residual_from_field(u_bar, CASE.source)
-    split = apply_dual_green(KERNEL, fns, resid, split=True)
-    naive = apply_dual_green(KERNEL, fns, resid, split=False)
+    split = apply_dual_green(KERNEL, fns, resid)
+    naive = pair_naive(KERNEL, fns, resid)
     assert np.max(np.abs(split - naive)) > 1e-3
     assert np.max(np.abs(split)) < 1e-9  # exact-projection residual data vanishes
 
@@ -739,9 +736,10 @@ def test_edge_field_under_h10_operator_raises():
     family, fns, op = _setup(3, 2, ProjectionFlavor.H10)
     u_bar = project(build_dual_functionals(family, ProjectionFlavor.L2), CASE.solution)
     resid = residual_from_field(u_bar, CASE.source)
-    for split in (True, False):
-        with pytest.raises(ValueError, match="H10"):
-            reconstruct_fine_scales(op, resid, np.linspace(0.0, 1.0, 11), split=split)
+    with pytest.raises(ValueError, match="H10"):
+        reconstruct_fine_scales(op, resid, np.linspace(0.0, 1.0, 11))
+    with pytest.raises(ValueError, match="H10"):
+        pair_naive(KERNEL, fns, resid)
 
 
 def test_coarse_field_must_cover_the_kernel_domain():

@@ -83,6 +83,16 @@ def test_advdiff_parameter_validation():
         advdiff_green(0.5, 0.5, 0.0, 0.01)
 
 
+@pytest.mark.parametrize("c,nu", [(bad, 0.01) for bad in (np.nan, np.inf, -np.inf)]
+                         + [(1.0, bad) for bad in (np.nan, np.inf, -np.inf)])
+def test_advdiff_rejects_nonfinite_coefficients(c, nu):
+    # a NaN or infinite coefficient would give NaN or 0 values silently
+    with pytest.raises(ValueError):
+        advdiff_green(0.3, 0.5, c, nu)
+    with pytest.raises(ValueError):
+        advdiff_const_case(c, nu)
+
+
 @pytest.mark.parametrize("x,s", [(np.nan, 0.5), (0.5, np.nan),
                                  (np.array([0.2, np.nan]), 0.5), (0.5, np.array([np.nan, 0.3]))])
 def test_advdiff_rejects_nan_arguments(x, s):

@@ -166,12 +166,16 @@ def test_h10_rejects_nonzero_boundary_values(family):
         project(fns, lambda x: np.cos(2.0 * np.pi * x))
 
 
-def test_h10_finite_difference_fallback():
-    family = basis_family(Mesh1D.uniform(0.0, 1.0, 3, 2))
+@pytest.mark.parametrize("num_elements,degree", [(3, 2), (5, 4), (12, 8)])
+def test_h10_projection_without_gradient_uses_values(num_elements, degree):
+    # with no f' the H10 projection is taken from values of f by parts
+    # (h10_project_values), which agrees with the derivative pairing to
+    # rounding
+    family = basis_family(Mesh1D.uniform(0.0, 1.0, num_elements, degree))
     fns = build_dual_functionals(family, ProjectionFlavor.H10)
     with_grad = project(fns, CASE.solution, CASE.gradient)
     without = project(fns, CASE.solution)
-    assert np.max(np.abs(with_grad.coeffs - without.coeffs)) < 1e-6
+    assert np.max(np.abs(with_grad.coeffs - without.coeffs)) < 1e-13
 
 
 def test_source_shortcut_matches_direct_projection(family):

@@ -45,6 +45,14 @@ def test_problem_validation():
     assert problem.peclet == pytest.approx(50.0)
 
 
+@pytest.mark.parametrize("c,nu", [(bad, 0.01) for bad in (np.nan, np.inf, -np.inf)]
+                         + [(1.0, bad) for bad in (np.nan, np.inf, -np.inf)])
+def test_problem_rejects_nonfinite_coefficients(c, nu):
+    # a NaN coefficient would give NaN Galerkin coefficients silently
+    with pytest.raises(ValueError):
+        AdvDiffProblem(c, nu, lambda x: np.ones_like(x))
+
+
 def test_galerkin_diffusion_limit_polynomial_exact():
     # c = 0, f = 2: the solution x(1-x)/nu lies in the p >= 2 space
     nu = 0.25
