@@ -48,8 +48,9 @@ def advdiff_const_case(c: float, nu: float) -> AnalyticCase1D:
     outflow boundary layer of width ~nu/c.  All exponentials are written
     with nonpositive arguments so large Peclet numbers stay finite.
     """
-    if not (0.0 < nu < np.inf and np.isfinite(c) and c != 0.0):
-        raise ValueError(f"need a finite nu > 0 and a finite c != 0, got nu={nu}, c={c}")
+    if not (0.0 < nu < np.inf and np.isfinite(c) and c != 0.0 and np.isfinite(c / nu)):
+        raise ValueError(f"need a finite nu > 0 and a finite c != 0 whose ratio c / nu "
+                         f"does not overflow, got nu={nu}, c={c}")
     beta = c / nu
     denom = -np.expm1(-beta)
 

@@ -190,9 +190,9 @@ def cmd_reconstruct(args):
         resid = residual_from_field(u_bar, case.source)
         u_prime = reconstruct_fine_scales(op, resid, grid)
     else:
+        layer = boundary_layer_breakpoints(args.c, args.nu)
         case = advdiff_const_case(args.c, args.nu)
         problem = AdvDiffProblem(args.c, args.nu, case.source)
-        layer = boundary_layer_breakpoints(args.c, args.nu)
         if fns.flavor is ProjectionFlavor.H10:
             u_bar = project(fns, case.solution, case.gradient, quad, breakpoints=layer)
         else:

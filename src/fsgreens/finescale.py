@@ -63,9 +63,8 @@ from .basis1d import Field, SpaceKind, element_tab, field_eval, nodal_deriv_jump
 from .dualspace import _reference_duals, element_duals
 from .kernels import GreensKernel1D, _check_unit_domain
 from .projection import (DualFunctionals, ProjectionFlavor, mesh_quadrature, pair_functionals,
-                         tabulate_functionals)
-from .quadrature import (DEFAULT_QUAD_POINTS, composite_rule, default_quad_points,
-                         gauss_legendre_rule)
+                         source_rule_points, tabulate_functionals)
+from .quadrature import composite_rule, default_quad_points, gauss_legendre_rule
 
 # Rule points tabulated at once by the Green's primitive: bounds its working
 # set, which would otherwise grow with the evaluation points.
@@ -203,8 +202,7 @@ def _lift_combination(fns: DualFunctionals, x, coeffs) -> np.ndarray:
     return out if coeffs.ndim > 1 else out[:, 0]
 
 
-def green_apply(kernel: GreensKernel1D, src: SourceTerm, x,
-                quad_points: int = DEFAULT_QUAD_POINTS,
+def green_apply(kernel: GreensKernel1D, src: SourceTerm, x, quad_points: int,
                 mesh_boundaries: Sequence[float] | None = None):
     """Evaluate the Poisson Green's operator applied to a source at the points x.
 
@@ -287,6 +285,7 @@ def _green_and_pairing(kernel: GreensKernel1D, fns: DualFunctionals, src: Source
     interior nodal basis and one stiffness solve (`pair_functionals`),
     minus the coarse field's exact pairing.
     """
+    quad_points = source_rule_points(fns.family, quad_points)
     bounds = fns.family.mesh.boundaries
     locs, qs = np.array(src.point_sources, dtype=float).reshape(-1, 2).T
     coarse = src.coarse
@@ -297,7 +296,7 @@ def _green_and_pairing(kernel: GreensKernel1D, fns: DualFunctionals, src: Source
         data = pair_functionals(fns, s, w * image[grid.size:])
         image = image[:grid.size]
         if coarse is not None:
-            image = image + green_apply(kernel, SourceTerm(coarse=coarse), grid)
+            image = image + green_apply(kernel, SourceTerm(coarse=coarse), grid, quad_points)
             own_edge = coarse.space is SpaceKind.EDGE and coarse.family is fns.family
             data = data - (coarse.coeffs if own_edge else _field_pairing(fns, coarse))
         return image, data

@@ -70,6 +70,8 @@ def advdiff_green(x, s, c: float, nu: float):
         raise ValueError(f"diffusion coefficient must be finite and positive, got {nu}")
     if not np.isfinite(c) or c == 0.0:
         raise ValueError(f"advection speed must be finite and nonzero, got {c}")
+    if not np.isfinite(c / nu):
+        raise ValueError(f"the Peclet ratio c / nu overflows: c={c}, nu={nu}")
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
     _check_unit_domain(x, s)

@@ -17,6 +17,10 @@ Gauss rule (the 1D Poisson primitive's cumulative sums, cf. Greengard &
 Rokhlin, CPAM 44, 1991).  Pairings of the truncated operator reduce to
 sums of 1D integrals, keeping the whole pipeline consistent with the same
 truncated kernel the reconstruction uses.
+
+As in 1D the fine-scale operator annihilates the resolved space (Hughes &
+Sangalli, SIAM J. Numer. Anal. 45, 2007), so the fine scales depend on the
+source alone (`residual_2d`).
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .kernels import DEFAULT_SERIES_TERMS, _check_unit_domain
 from .projection import assemble_stiffness, mesh_quadrature, source_rule_points
 from .quadrature import composite_rule, gauss_legendre_rule
 
-DEFAULT_PAIRING_POINTS = 12
 _OSC_MARGIN = 12
 # Convolution pieces: e^{-k t} of the steepest term changes by at most
 # e^_PIECE_DECAY across one, which _PIECE_POINTS Gauss points integrate to
@@ -141,14 +144,11 @@ class Field2D:
         by = _interior_tab(self.family, y, deriv_y)
         return bx @ self.coeff_matrix() @ by.T
 
-    def laplacian_grid(self, x, y) -> np.ndarray:
-        return self.eval_grid(x, y, 2, 0) + self.eval_grid(x, y, 0, 2)
-
 
 def project_2d(d2: DualFunctionals2D,
                gradient: tuple[Callable, Callable] | None = None,
                source: Callable | None = None,
-               quad_points: int = DEFAULT_PAIRING_POINTS) -> Field2D:
+               quad_points: int | None = None) -> Field2D:
     """Derivative-pairing projection onto the interior tensor nodal space.
 
     Either pair the functional gradients with an analytic solution gradient,
@@ -219,7 +219,7 @@ class SeriesOperator2D:
 
 def build_series_operator_2d(d2: DualFunctionals2D,
                              num_terms: int = DEFAULT_SERIES_TERMS,
-                             quad_points: int = DEFAULT_PAIRING_POINTS) -> SeriesOperator2D:
+                             quad_points: int | None = None) -> SeriesOperator2D:
     """Precompute the sine moments and the factorized block-diagonal Gram.
 
     A block has rank at most `num_terms`, so fewer terms than interior
@@ -329,26 +329,17 @@ def reconstruct_fine_scales_2d(op: SeriesOperator2D, residual: Callable,
 
 
 def residual_2d(source: Callable, u_bar: Field2D | None) -> Callable:
-    """Residual of the diffusion problem: source plus the coarse Laplacian.
+    """The residual the fine-scale operator is applied to: the source alone.
 
-    Element lines are the only derivative kinks; the convolution and
-    pairing rules already split there.
+    The exact operator annihilates u_bar's distributional Laplacian, the
+    element-wise part plus the line loads [d u_bar / dn] delta on the mesh
+    lines, as u_bar is resolved; the element-wise part alone it does not.
     """
-    if u_bar is None:
-        return source
-
-    def resid(s1, s2):
-        s1 = np.asarray(s1, dtype=float)
-        s2 = np.asarray(s2, dtype=float)
-        xs = s1[:, 0] if s1.ndim == 2 else np.atleast_1d(s1)
-        ys = s2[0, :] if s2.ndim == 2 else np.atleast_1d(s2)
-        return np.asarray(source(s1, s2), dtype=float) + u_bar.laplacian_grid(xs, ys)
-
-    return resid
+    return source
 
 
 def h10_project_values_2d(d2: DualFunctionals2D, u: Callable,
-                          quad_points: int = DEFAULT_PAIRING_POINTS) -> np.ndarray:
+                          quad_points: int | None = None) -> np.ndarray:
     """Derivative-pairing projection of a field known only by its values.
 
     Element-wise integration by parts against psi_a (x) psi_b: area

@@ -141,8 +141,9 @@ def project(fns: DualFunctionals, f: Callable[[np.ndarray], np.ndarray],
         return Field(family, SpaceKind.EDGE, coeffs)
     mesh = family.mesh
     fa, fb = float(np.asarray(f(np.array([mesh.a])))[0]), float(np.asarray(f(np.array([mesh.b])))[0])
-    scale = max(1.0, float(np.max(np.abs(f(x)))))
-    if max(abs(fa), abs(fb)) > _BOUNDARY_TOL * scale:
+    end = max(abs(fa), abs(fb))
+    # the check's scale is at least 1, so f is tabulated for it only past the tolerance
+    if end > _BOUNDARY_TOL and end > _BOUNDARY_TOL * max(1.0, float(np.max(np.abs(f(x))))):
         raise ValueError(
             f"H10 projection needs zero boundary values, got f(a)={fa:.3e}, f(b)={fb:.3e}"
         )

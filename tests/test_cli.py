@@ -195,6 +195,16 @@ def test_numerical_defect_exits_one(tmp_path):
                             "--out", str(tmp_path / "x.csv")) == want
 
 
+def test_overflowing_peclet_ratio_exits_one(tmp_path, capsys):
+    # nu = 1e-320 is finite and positive, but c / nu overflows
+    for argv in (("greens", "--kernel", "advdiff"), ("reconstruct", "--case", "advdiff-const"),
+                 ("vms-iter",)):
+        out = tmp_path / "x.csv"
+        assert _run(tmp_path, *argv, "--nu", "1e-320", "--out", str(out)) == 1
+        assert not out.exists()
+        assert "overflow" in capsys.readouterr().err
+
+
 def test_source_free_commands_ignore_the_source_rule(tmp_path, monkeypatch):
     # finescale and dual integrate no source: any rule, even one below p
     # points, writes the bytes of the default rule

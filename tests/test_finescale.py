@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -32,6 +34,7 @@ from fsgreens.projection import (
     project,
     tabulate_functionals,
 )
+from fsgreens.quadrature import default_quad_points
 
 from flattened_oracle import element_endpoint_values, flattened, pair_naive, reconstruct_flat
 
@@ -238,6 +241,20 @@ def test_apply_dual_green_zero_residual():
     _, fns, _ = _setup(2, 2, ProjectionFlavor.H10)
     zero = SourceTerm.from_function(lambda s: np.zeros_like(s))
     assert np.max(np.abs(apply_dual_green(KERNEL, fns, zero))) == 0.0
+
+
+@pytest.mark.parametrize("coarse", [False, True])
+def test_l2_apply_dual_green_defaults_to_the_degree_rule(coarse):
+    # with no quad_points the L2 pairing of G f, and G u_bar, use the
+    # degree's default source rule
+    family, fns, _ = _setup(3, 4, ProjectionFlavor.L2)
+    src = SourceTerm.from_function(CASE.source, breakpoints=(0.3,))
+    if coarse:
+        src = replace(src, coarse=h10_project_from_source(
+            build_dual_functionals(family, ProjectionFlavor.H10), CASE.source))
+    got = apply_dual_green(KERNEL, fns, src)
+    want = apply_dual_green(KERNEL, fns, src, quad_points=default_quad_points(4))
+    assert np.array_equal(got, want)
 
 
 def test_split_vs_naive_quadrature_contrast():

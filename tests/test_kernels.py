@@ -93,6 +93,15 @@ def test_advdiff_rejects_nonfinite_coefficients(c, nu):
         advdiff_const_case(c, nu)
 
 
+@pytest.mark.parametrize("c,nu", [(1.0, 1e-320), (1e300, 1e-10), (-1e300, 1e-10)])
+def test_advdiff_rejects_an_overflowing_peclet_ratio(c, nu):
+    # finite coefficients whose ratio c / nu overflows gave NaN values
+    with pytest.raises(ValueError, match="overflow"):
+        advdiff_green(0.5, 0.5, c, nu)
+    with pytest.raises(ValueError, match="overflow"):
+        advdiff_const_case(c, nu)
+
+
 @pytest.mark.parametrize("x,s", [(np.nan, 0.5), (0.5, np.nan),
                                  (np.array([0.2, np.nan]), 0.5), (0.5, np.array([np.nan, 0.3]))])
 def test_advdiff_rejects_nan_arguments(x, s):

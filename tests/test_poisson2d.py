@@ -21,7 +21,7 @@ from fsgreens.poisson2d import (
     stiffness_2d_direct,
     tabulate_functionals_2d,
 )
-from fsgreens.quadrature import composite_rule, gauss_legendre_rule
+from fsgreens.quadrature import composite_rule, default_quad_points, gauss_legendre_rule
 
 CASE = sin2pixy_case()
 
@@ -160,6 +160,8 @@ def test_source_pairings_need_p_points(duals_p3):
         with pytest.raises(ValueError, match="at least p = 3"):
             h10_project_values_2d(duals_p3, zero, quad_points=quad)
     assert build_series_operator_2d(duals_p3, num_terms=10, quad_points=3).quad_points == 3
+    # with no rule the 2D pairings take the 1D source rule's default
+    assert build_series_operator_2d(duals_p3, num_terms=10).quad_points == default_quad_points(3)
 
 
 def test_duals_and_series_operator_form_no_dense_2d_matrix():
@@ -194,6 +196,46 @@ def test_reconstruction_recovers_exact_solution(p, tol):
     total = u_bar.eval_grid(grid, grid) + u_prime
     exact = CASE.solution(grid[:, None], grid[None, :])
     assert np.max(np.abs(total - exact)) < tol
+
+
+def test_residual_is_the_source_alone(duals_p3):
+    assert residual_2d(CASE.source, project_2d(duals_p3, source=CASE.source)) is CASE.source
+
+
+def _reconstruction_error(source, solution, n, p, terms):
+    d2 = build_dual_functionals_2d(_mesh(n, p))
+    u_bar = project_2d(d2, source=source)
+    op = build_series_operator_2d(d2, num_terms=terms)
+    grid = np.linspace(0.0, 1.0, 41)
+    u_prime = reconstruct_fine_scales_2d(op, residual_2d(source, u_bar), grid, grid)
+    exact = solution(grid[:, None], grid[None, :])
+    return np.max(np.abs(u_bar.eval_grid(grid, grid) + u_prime - exact))
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_error_keeps_falling_with_the_term_count(n):
+    # adding the coarse field's element-wise Laplacian, without its line
+    # loads, stalled the error: K = 400 then gave 0.55 (N = 4) and 0.30
+    # (N = 6) of the error at K = 100
+    errs = [_reconstruction_error(CASE.source, CASE.solution, n, 3, k) for k in (100, 400)]
+    assert errs[1] <= 0.25 * errs[0]
+
+
+def _exp_source(x, y):
+    return np.exp(x) * x * (x + 3.0) * y * (1.0 - y) + 2.0 * np.exp(x) * x * (1.0 - x)
+
+
+def _exp_solution(x, y):
+    return np.exp(x) * x * (1.0 - x) * y * (1.0 - y)
+
+
+@pytest.mark.parametrize("n,p,terms,bound", [(4, 3, 100, 1.14e-6), (4, 3, 400, 2.78e-7),
+                                             (8, 4, 100, 2.80e-10), (8, 4, 400, 3.96e-11)])
+def test_source_with_nonzero_traces(n, p, terms, bound):
+    # u = e^x x (1 - x) y (1 - y): f does not vanish on x = 1, so its sine
+    # series in x decays slowly.  The bounds are the errors with the coarse
+    # Laplacian in the residual, plus 2%
+    assert _reconstruction_error(_exp_source, _exp_solution, n, p, terms) <= 1.02 * bound
 
 
 def test_zero_source_reconstructs_zero(operator_p3):

@@ -166,6 +166,30 @@ def test_h10_rejects_nonzero_boundary_values(family):
         project(fns, lambda x: np.cos(2.0 * np.pi * x))
 
 
+def test_h10_boundary_check_tabulates_f_only_when_needed():
+    # a zero-trace f is evaluated at the two end points only for the check
+    family = basis_family(Mesh1D.uniform(0.0, 1.0, 4, 3))
+    fns = build_dual_functionals(family, ProjectionFlavor.H10)
+    rule_size = mesh_quadrature(family)[0].size
+    sizes = []
+
+    def f(x):
+        sizes.append(np.size(x))
+        return CASE.solution(x)
+
+    project(fns, f, CASE.gradient)
+    assert sizes == [1, 1]
+    sizes.clear()
+    project(fns, f)
+    # the two end values, the rule once, the three interface values
+    assert sizes.count(rule_size) == 1 and sum(sizes) == rule_size + 2 + 3
+    # end values past the tolerance are still judged relative to the size of f
+    big = lambda x: 1e6 * np.sin(np.pi * x) + 1e-4
+    project(fns, big)
+    with pytest.raises(ValueError):
+        project(fns, lambda x: CASE.solution(x) + 1e-8)
+
+
 @pytest.mark.parametrize("num_elements,degree", [(3, 2), (5, 4), (12, 8)])
 def test_h10_projection_without_gradient_uses_values(num_elements, degree):
     # with no f' the H10 projection is taken from values of f by parts
