@@ -123,8 +123,14 @@ def lagrange_tab(family: BasisFamily, xi: np.ndarray, deriv: int = 0) -> np.ndar
     multiplying the value tabulation with powers of the differentiation
     matrix, which is exact for polynomials.
     """
+    return _lagrange_tab(family.ref_nodes, family.bary_weights, family.diff_matrix, xi, deriv)
+
+
+def _lagrange_tab(nodes: np.ndarray, bary: np.ndarray, diff_matrix: np.ndarray,
+                  xi: np.ndarray, deriv: int = 0) -> np.ndarray:
+    """`lagrange_tab` on any reference nodes, given their barycentric
+    weights and differentiation matrix; shape (len(xi), len(nodes))."""
     xi = np.asarray(xi, dtype=float)
-    nodes, bary = family.ref_nodes, family.bary_weights
     diff = np.subtract.outer(xi, nodes)
     exact = np.abs(diff) < 1e-14
     diff[exact] = 1.0
@@ -135,7 +141,7 @@ def lagrange_tab(family: BasisFamily, xi: np.ndarray, deriv: int = 0) -> np.ndar
         tab[exact.any(axis=-1)] = 0.0
         tab[exact] = 1.0
     for _ in range(deriv):
-        tab = tab @ family.diff_matrix
+        tab = tab @ diff_matrix
     return tab
 
 

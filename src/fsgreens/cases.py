@@ -91,9 +91,10 @@ def sin2pixy_case() -> AnalyticCase2D:
 def boundary_layer_breakpoints(c: float, nu: float) -> np.ndarray:
     """Geometrically graded split points resolving the outflow boundary layer.
 
-    Quadrature intervals shrink toward x = 1 so each subinterval sees
-    at most a few decay lengths nu/c of the layer exponential.  Raises
-    ValueError when nu/|c| is not positive, as when it underflows to zero.
+    Quadrature intervals shrink toward the outflow end, x = 1 for c > 0 and
+    x = 0 for c < 0, so each subinterval sees at most a few decay lengths
+    nu/|c| of the layer exponential.  Raises ValueError when nu/|c| is not
+    positive, as when it underflows to zero.
     """
     scale = nu / abs(c)
     if not scale > 0.0:
@@ -101,6 +102,6 @@ def boundary_layer_breakpoints(c: float, nu: float) -> np.ndarray:
     offsets = []
     d = 3.0 * scale
     while d < 0.45:
-        offsets.append(1.0 - d)
+        offsets.append(1.0 - d if c > 0 else d)
         d *= 4.0
     return np.array(sorted(offsets))

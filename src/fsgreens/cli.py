@@ -50,7 +50,8 @@ from .projection import (
     project,
 )
 from .quadrature import default_quad_points, gll_rule
-from .vms_advdiff import AdvDiffProblem, galerkin_solve, iterate, reconstruct_with_exact_gradient
+from .vms_advdiff import (AdvDiffProblem, galerkin_solve, iterate, reconstruct_with_exact_gradient,
+                          sweep_spectral_radius)
 
 
 def _write_atomic(path: str, text: str):
@@ -229,7 +230,9 @@ def cmd_vms_iter(args):
     write_table(args.out, ["x", "u_exact", "u_bar", "u_prime", "galerkin"],
                 rows, _meta(args, converged=state.converged, iterations=state.iteration,
                             final_step=state.residual_history[-1],
-                            gram_cond_log10=float(np.log10(op.gram_cond))),
+                            gram_cond_log10=float(np.log10(op.gram_cond)),
+                            sweep_spectral_radius=sweep_spectral_radius(
+                                problem, fns, op, args.w, args.quad_points)),
                 args.format)
     history_rows = [[i + 1, inc] for i, inc in enumerate(state.residual_history)]
     write_table(args.history_out, ["iteration", "increment"], history_rows,
@@ -376,11 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--c", type=_nonzero_float, default=1.0)
     sub.add_argument("--nu", type=_positive_float, default=0.01)
     sub.add_argument("--w", type=_relaxation, default=None,
-                     help="relaxation factor (default: 1/(2 alpha))")
+                     help="relaxation factor (default: min(1, nu/|c|))")
     sub.add_argument("--eps", type=_positive_float, default=1e-8,
                      help="stop when the L2 norm of the unrelaxed coarse step drops below this")
     sub.add_argument("--max-iter", type=_positive_int, default=100_000)
-    sub.add_argument("--fine-grid", type=_positive_int, default=2001)
+    sub.add_argument("--fine-grid", type=_positive_int, default=2001,
+                     help="points of the output grid the fine scales are written on")
     sub.add_argument("--history-out", default=None)
     _add_common(sub)
     sub.set_defaults(func=cmd_vms_iter)

@@ -54,7 +54,7 @@ from fsgreens.projection import (
 )
 from fsgreens.quadrature import gll_nodes, legendre_eval
 from fsgreens.basis1d import SpaceKind
-from fsgreens.vms_advdiff import AdvDiffProblem, fine_scale_interpolant, iterate
+from fsgreens.vms_advdiff import AdvDiffProblem, iterate
 
 from flattened_oracle import pair_naive
 
@@ -281,7 +281,7 @@ def test_criterion_10_iterative_vms(degree, elements):
     c, nu = 1.0, 0.01
     case = advdiff_const_case(c, nu)
     problem = AdvDiffProblem(c, nu, case.source)
-    family, fns, op = _setup(elements, degree, ProjectionFlavor.H10)
+    _, fns, op = _setup(elements, degree, ProjectionFlavor.H10)
     state = iterate(problem, fns, op, relaxation=0.01, tolerance=1e-8, max_iter=2500)
     history = np.asarray(state.residual_history)
     growth = history[-1] / np.min(history)
@@ -292,8 +292,7 @@ def test_criterion_10_iterative_vms(degree, elements):
         layer = boundary_layer_breakpoints(c, nu)
         direct = project(fns, case.solution, case.gradient, breakpoints=layer)
         coarse_gap = np.max(np.abs(field_eval(state.u_bar, grid) - field_eval(direct, grid)))
-        interp = fine_scale_interpolant(family, state.u_prime_grid, state.u_prime)
-        fine_gap = np.max(np.abs(interp(grid)
+        fine_gap = np.max(np.abs(state.fine_scales(grid)
                                  - (case.solution(grid) - field_eval(direct, grid))))
         ok = coarse_gap < 5e-4 and fine_gap < 5e-4
         detail = f"coarse gap {coarse_gap:.2e}, fine gap {fine_gap:.2e}"

@@ -85,6 +85,27 @@ def test_vms_iter_nonconvergence_exit_code(tmp_path):
     assert out.exists()  # data still written
 
 
+@pytest.mark.parametrize("c, nu, sweeps", [("-1", "0.05", 362), ("0.5", "1", 2)])
+def test_vms_iter_default_relaxation_for_either_sign_and_any_peclet(tmp_path, c, nu, sweeps):
+    # the default w = min(1, nu/|c|) lies in (0, 1] for c < 0 and for nu > |c|
+    out = tmp_path / "vms.json"
+    assert _run(tmp_path, "vms-iter", "--c", c, "--nu", nu, "--format", "json",
+                "--out", str(out)) == 0
+    meta = json.loads(out.read_text())["meta"]
+    assert meta["converged"] is True and meta["iterations"] == sweeps
+
+
+def test_vms_iter_rejects_an_overflowing_sweep_map(tmp_path, capsys):
+    # c/nu = 1e300: the relaxed sweep map's spectral radius cannot be
+    # computed, so the run is a numerical defect and writes nothing
+    out = tmp_path / "vms.csv"
+    status = _run(tmp_path, "vms-iter", "--c", "1e200", "--nu", "1e-100", "--w", "0.5",
+                  "--out", str(out))
+    assert status == 1
+    assert "sweep map overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_poisson2d_subcommand(tmp_path):
     out = tmp_path / "p2d.csv"
     assert _run(tmp_path, "poisson2d", "--p", "1", "--elements", "2",
@@ -269,6 +290,7 @@ def test_health_values_in_json_meta(tmp_path, monkeypatch):
     assert meta["gram_cond_log10"] == pytest.approx(gram_cond_log10(3, 2), abs=1e-12)
     assert meta["final_step"] == history[-1][1] < 1e-8
     assert meta["iterations"] == len(history)
+    assert 0.95 < meta["sweep_spectral_radius"] < 0.96
 
 
 def test_write_table_matches_per_value_format(tmp_path):
@@ -368,12 +390,12 @@ _SPLINE_AND_SPARSE = ("scipy.interpolate", "scipy.sparse", "scipy.sparse.linalg"
     (("reconstruct", "--case", "advdiff-const"), ()),
     (("finescale",), ()),
     (("poisson2d",), ()),
-    (("vms-iter", "--nu", "0.05", "--format", "json"), _SPLINE_AND_SPARSE),
+    (("vms-iter", "--nu", "0.05", "--format", "json"), ()),
 ], ids=["reconstruct-l2", "reconstruct-advdiff", "finescale", "poisson2d", "vms-iter"])
 def test_cold_start_loads_spline_and_sparse_modules_only_for_the_iteration(
         tmp_path, argv, loaded):
-    # A fresh interpreter, so no other test has loaded the modules; the
-    # vms-iter case shows every import the iteration defers is bound.
+    # A fresh interpreter, so no other test has loaded the modules; no
+    # command needs them, the coupled iteration included.
     import subprocess
     import sys
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,22 +13,21 @@ from fsgreens.projection import (
     ProjectionFlavor,
     build_dual_functionals,
     h10_project_from_source,
-    mesh_quadrature,
     project,
-    tabulate_functionals,
 )
-from fsgreens.quadrature import composite_rule, default_quad_points, gauss_legendre_rule
+from fsgreens.quadrature import default_quad_points
 from fsgreens.vms_advdiff import (
     AdvDiffProblem,
-    coarse_update,
+    _cell_interpolant,
+    _sweep,
     fine_grid,
-    fine_scale_interpolant,
-    fine_update,
     galerkin_solve,
     iterate,
     make_workspace,
     reconstruct_with_exact_gradient,
+    sweep_spectral_radius,
 )
+from sweep_oracle import coarse_update, fine_update
 
 KERNEL = GreensKernel1D.poisson()
 
@@ -124,9 +125,8 @@ def test_coarse_update_diffusive_limit_is_source_projection():
     case = sin2pix_case()
     problem = AdvDiffProblem(0.0, nu, case.source)
     family, fns, _ = _h10_setup(3, 2)
-    grid = fine_grid(family.mesh, 101)
     zero_field = Field(family, SpaceKind.NODAL, np.zeros(family.mesh.num_nodal_dofs))
-    got = coarse_update(fns, problem, zero_field, grid, np.zeros(grid.size))
+    got = coarse_update(fns, problem, zero_field, np.zeros_like)
     want = h10_project_from_source(fns, lambda x: case.source(x) / nu)
     assert np.max(np.abs(got - want.coeffs)) < 1e-12
 
@@ -137,9 +137,8 @@ def test_coarse_update_without_fine_scales_is_galerkin_solve():
     case = advdiff_const_case(c, nu)
     problem = AdvDiffProblem(c, nu, case.source)
     family, fns, _ = _h10_setup(3, 2)
-    grid = fine_grid(family.mesh, 101)
     zero_field = Field(family, SpaceKind.NODAL, np.zeros(family.mesh.num_nodal_dofs))
-    got = coarse_update(fns, problem, zero_field, grid, np.zeros(grid.size))
+    got = coarse_update(fns, problem, zero_field, np.zeros_like)
     want = galerkin_solve(problem, family)
     assert np.max(np.abs(got - want.coeffs)) < 1e-12
 
@@ -152,12 +151,18 @@ def test_updates_fixed_point_consistency():
     family, fns, op = _h10_setup(3, 2)
     layer = boundary_layer_breakpoints(c, nu)
     u_bar = project(fns, case.solution, case.gradient, breakpoints=layer)
-    grid = fine_grid(family.mesh, 2001)
-    u_prime = case.solution(grid) - field_eval(u_bar, grid)
-    new_coarse = coarse_update(fns, problem, u_bar, grid, u_prime)
+
+    def u_prime(x):
+        return case.solution(x) - field_eval(u_bar, x)
+
+    def du_prime(x):
+        return case.gradient(x) - field_eval(u_bar, x, deriv=1)
+
+    new_coarse = coarse_update(fns, problem, u_bar, u_prime, breakpoints=layer)
     assert np.max(np.abs(new_coarse - u_bar.coeffs)) < 5e-6
-    new_fine = fine_update(op, problem, u_bar, grid, u_prime)
-    assert np.max(np.abs(new_fine - u_prime)) < 5e-4
+    grid = fine_grid(family.mesh, 2001)
+    new_fine = fine_update(op, problem, u_bar, du_prime, grid, breakpoints=layer)
+    assert np.max(np.abs(new_fine - u_prime(grid))) < 5e-4
 
 
 def test_fine_update_specializes_to_diffusion_fine_scales():
@@ -167,7 +172,7 @@ def test_fine_update_specializes_to_diffusion_fine_scales():
     family, fns, op = _h10_setup(5, 2)
     grid = np.linspace(0.0, 1.0, 1001)
     zero_field = Field(family, SpaceKind.NODAL, np.zeros(family.mesh.num_nodal_dofs))
-    got = fine_update(op, problem, zero_field, grid, np.zeros(grid.size))
+    got = fine_update(op, problem, zero_field, np.zeros_like, grid)
     from fsgreens.finescale import SourceTerm
 
     want = reconstruct_fine_scales(
@@ -176,23 +181,29 @@ def test_fine_update_specializes_to_diffusion_fine_scales():
 
 
 def test_workspace_sweeps_match_generic_updates():
-    from fsgreens.vms_advdiff import _sweep
-
+    # both maps see the same cell-wise interpolant of the node values, on
+    # the same cells; samples of a smooth function keep its jumps at the
+    # layer breakpoints, which the generic residual leaves out, at rounding
     c, nu = 1.0, 0.05
     case = advdiff_const_case(c, nu)
     problem = AdvDiffProblem(c, nu, case.source)
     family, fns, op = _h10_setup(3, 2)
-    ws = make_workspace(problem, fns, op, 1201)
+    ws = make_workspace(problem, fns, op)
     rng = np.random.default_rng(2)
     coeffs = np.zeros(family.mesh.num_nodal_dofs)
     coeffs[1:-1] = 0.1 * rng.normal(size=coeffs.size - 2)
     u_bar = Field(family, SpaceKind.NODAL, coeffs)
-    fine = 0.03 * np.sin(2.5 * np.pi * ws.grid) * ws.grid * (1 - ws.grid)
+    fine = 0.03 * np.sin(2.5 * np.pi * ws.nodes) * ws.nodes * (1 - ws.nodes)
     fast_coarse, fast_fine = _sweep(ws, coeffs[1:-1], fine)
-    slow_coarse = coarse_update(fns, problem, u_bar, ws.grid, fine)
+    layer = boundary_layer_breakpoints(c, nu)
+    slow_coarse = coarse_update(fns, problem, u_bar,
+                                lambda x: _cell_interpolant(ws.cells, fine, x),
+                                breakpoints=layer)
     assert np.max(np.abs(fast_coarse - slow_coarse[1:-1])) < 1e-11
-    slow_fine = fine_update(op, problem, u_bar, ws.grid, fine)
-    assert np.max(np.abs(fast_fine - slow_fine)) < 1e-6
+    slow_fine = fine_update(op, problem, u_bar,
+                            lambda x: _cell_interpolant(ws.cells, fine, x, deriv=1),
+                            ws.nodes, breakpoints=layer)
+    assert np.max(np.abs(fast_fine - slow_fine)) <= 1e-12
 
 
 def test_workspace_defaults_to_the_degree_source_rule():
@@ -203,7 +214,8 @@ def test_workspace_defaults_to_the_degree_source_rule():
     _, fns, op = _h10_setup(1, 24)
     got = make_workspace(problem, fns, op)
     want = make_workspace(problem, fns, op, quad_points=default_quad_points(24))
-    for name in ("coarse_rhs", "fine_const", "fine_lin", "lifted_gram", "pair_coef"):
+    for name in ("coarse_rhs", "fine_const", "fine_lin", "lifted_gram", "pairing",
+                 "green_deriv"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
     np.testing.assert_array_equal(got.coarse_lu[0], want.coarse_lu[0])
 
@@ -236,114 +248,65 @@ def _jittered_meshes(draw):
 
 
 @settings(max_examples=25, deadline=None)
-@given(mesh=_jittered_meshes(), seed=st.integers(0, 2**32 - 1))
-def test_workspace_interpolant_maps_match_spline(mesh, seed):
-    # the factored collocation, pairing and antiderivative maps of a sweep
-    # equal the spline-built interpolant's pairing and antiderivative
-    from fsgreens.vms_advdiff import _interpolant_terms
-
-    c, nu = 1.0, 0.05
+@given(mesh=_jittered_meshes(), q=st.integers(4, 12), seed=st.integers(0, 2**32 - 1))
+def test_fine_scales_reproduce_cellwise_polynomials(mesh, q, seed):
+    # a polynomial of degree q - 1 on each cell, a different one on each
+    # and discontinuous between them, is reproduced from its node values in
+    # value and derivative, and the workspace's integral map
+    # G(I[v]') = x int_0^1 - int_0^x is exact on it
+    c, nu = 1.0, 0.02
     problem = AdvDiffProblem(c, nu, advdiff_const_case(c, nu).source)
     family = basis_family(mesh)
     fns = build_dual_functionals(family, ProjectionFlavor.H10)
-    ws = make_workspace(problem, fns, build_fine_scale_operator(KERNEL, fns), 201)
-    fine = np.random.default_rng(seed).normal(size=ws.grid.size)
-    pairing, green_deriv = _interpolant_terms(ws, fine)
+    op = build_fine_scale_operator(KERNEL, fns)
+    q = max(q, mesh.degree)
+    ws = make_workspace(problem, fns, op, quad_points=q)
+    np.testing.assert_array_equal(
+        ws.cells, np.union1d(mesh.boundaries, boundary_layer_breakpoints(c, nu)))
+    coef = np.random.default_rng(seed).normal(size=(ws.cells.size - 1, q))
+    powers = np.arange(q)
 
-    spline = fine_scale_interpolant(family, ws.grid, fine)
-    x, w = mesh_quadrature(family)
-    want_pairing = (c / nu) * tabulate_functionals(fns, x, deriv=1).T @ (w * spline(x))
-    anti = spline.antiderivative()
-    want_green = ws.grid * anti(1.0) - anti(ws.grid)
-    assert np.max(np.abs(pairing - want_pairing)) <= 1e-12 * np.max(np.abs(want_pairing))
-    assert np.max(np.abs(green_deriv - want_green)) <= 1e-12 * np.max(np.abs(want_green))
+    def local(x):
+        cell = np.clip(np.searchsorted(ws.cells, x, side="left") - 1, 0, ws.cells.size - 2)
+        half = 0.5 * (ws.cells[cell + 1] - ws.cells[cell])
+        return cell, half, (x - ws.cells[cell]) / half - 1.0
 
+    def poly(x, deriv=0):
+        cell, half, t = local(x)
+        if deriv:
+            return np.sum(coef[cell, 1:] * powers[1:] * t[:, None] ** powers[:-1], axis=1) / half
+        return np.sum(coef[cell] * t[:, None] ** powers, axis=1)
 
-@settings(max_examples=25, deadline=None)
-@given(mesh=_jittered_meshes(), points=st.integers(2, 301), seed=st.integers(0, 2**32 - 1))
-def test_tridiagonal_factor_gives_the_interpolant_coefficients(mesh, points, seed):
-    # the factored, row-transformed collocation system returns the spline's
-    # antiderivative increments, down to five samples per element
-    from fsgreens.vms_advdiff import _pttrs
+    def integral(x):
+        # whole cells left of x plus the part of x's own cell
+        cell, half, t = local(x)
+        whole = 2.0 * 0.5 * np.diff(ws.cells) * np.sum(coef[:, ::2] / (powers[::2] + 1), axis=1)
+        before = np.concatenate(([0.0], np.cumsum(whole)))[cell]
+        own = half * np.sum(coef[cell] * (t[:, None] ** (powers + 1) - (-1.0) ** (powers + 1))
+                            / (powers + 1), axis=1)
+        return before + own
 
-    c, nu = 1.0, 0.05
-    problem = AdvDiffProblem(c, nu, advdiff_const_case(c, nu).source)
-    family = basis_family(mesh)
-    fns = build_dual_functionals(family, ProjectionFlavor.H10)
-    ws = make_workspace(problem, fns, build_fine_scale_operator(KERNEL, fns), points)
-    fine = np.random.default_rng(seed).normal(size=ws.grid.size)
-    spline = fine_scale_interpolant(family, ws.grid, fine)
-    increments, info = _pttrs(*ws.interp_tri, ws.row_op @ fine)
-    assert info == 0
-    coef = increments / ((spline.t[4:] - spline.t[:-4]) / 4.0)
-    assert np.max(np.abs(coef - spline.c)) <= 1e-12 * np.max(np.abs(spline.c))
-
-
-@st.composite
-def _graded_meshes(draw):
-    num_elements = draw(st.integers(1, 8))
-    widths = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=num_elements,
-                                    max_size=num_elements)))
-    bounds = np.concatenate(([0.0], np.cumsum(widths) / widths.sum()))
-    bounds[-1] = 1.0
-    return Mesh1D(0.0, 1.0, num_elements, 2, bounds)
-
-
-@settings(max_examples=30, deadline=None)
-@given(mesh=_graded_meshes(), points=st.integers(5, 2001), seed=st.integers(0, 2**32 - 1))
-def test_spd_collocation_factor_on_graded_meshes(mesh, points, seed):
-    # element widths down to 1:100 of each other: pttrf finds every pivot
-    # positive, and its solve gives make_interp_spline's coefficients
-    from fsgreens.vms_advdiff import _collocation_factor, _interpolant_knots, _pttrs
-
-    family = basis_family(mesh)
-    grid = fine_grid(mesh, points)
-    knots = _interpolant_knots(family, grid)
-    steps = (knots[4:] - knots[:-4]) / 4.0
-    row_op, factors, _ = _collocation_factor(family, grid, knots, steps)
-    assert np.all(factors[0] > 0.0)
-    fine = np.random.default_rng(seed).normal(size=grid.size)
-    spline = fine_scale_interpolant(family, grid, fine)
-    increments, info = _pttrs(*factors, row_op @ fine)
-    assert info == 0
-    assert np.max(np.abs(increments / steps - spline.c)) <= 1e-12 * np.max(np.abs(spline.c))
-
-
-@pytest.mark.parametrize("samples", [*range(5, 13), 101, 2001])
-def test_symmetrized_collocation_is_diagonally_dominant(samples):
-    # R C D^{-1} is symmetric tridiagonal with a positive diagonal, and its
-    # rows are diagonally dominant (strictly beside the ends) within
-    # irreducible blocks, so it is positive definite.  On an element-aligned
-    # grid each element's block is one element's matrix for the same
-    # sample count, scaled, and from eight samples on the rows near the
-    # ends repeat, so these counts cover every grid
-    from fsgreens.vms_advdiff import _collocation_factor, _interpolant_knots
-
-    family = basis_family(Mesh1D.uniform(0.0, 1.0, 1, 2))
-    grid = np.linspace(0.0, 1.0, samples)
-    knots = _interpolant_knots(family, grid)
-    row_op, _, spline_values = _collocation_factor(family, grid, knots,
-                                                   (knots[4:] - knots[:-4]) / 4.0)
-    sym = (row_op @ spline_values).toarray()
-    scale = np.max(np.abs(sym))
-    assert np.max(np.abs(sym - np.triu(np.tril(sym, 1), -1))) <= 1e-14 * scale
-    assert np.max(np.abs(sym - sym.T)) <= 1e-14 * scale
-    diag = np.diag(sym)
-    assert np.all(diag > 0.0)
-    assert np.all(np.abs(sym).sum(axis=1) - diag <= (1.0 + 1e-14) * diag)
+    state = iterate(problem, fns, op, max_iter=1, quad_points=q)
+    state = replace(state, fine_values=poly(ws.nodes))
+    x = np.sort(np.concatenate((np.linspace(0.0, 1.0, 97), ws.cells)))
+    scale = np.max(np.abs(coef))
+    assert np.max(np.abs(state.fine_scales(x) - poly(x))) <= 1e-12 * scale
+    assert np.max(np.abs(state.fine_scales(x, deriv=1) - poly(x, 1))) \
+        <= 1e-10 * scale * np.max(1.0 / np.diff(ws.cells))
+    want = ws.nodes * integral(np.array([1.0]))[0] - integral(ws.nodes)
+    assert np.max(np.abs(ws.green_deriv @ state.fine_values - want)) <= 1e-13 * scale
 
 
 @settings(max_examples=20, deadline=None)
 @given(mesh=_jittered_meshes(), points=st.integers(2, 401), nu=st.floats(0.02, 0.05),
        max_iter=st.integers(1, 40))
 def test_iterate_matches_a_relaxed_loop_over_sweeps(mesh, points, nu, max_iter):
-    # the fused loop on the row-transformed fine scales takes the same path
-    # as relaxing _sweep's coarse and fine updates directly.  nu spans the
+    # the fused loop takes the same path as relaxing _sweep's coarse and
+    # fine updates directly, and writes the fine scales on the grid of
+    # the requested size.  nu spans the
     # benchmark's Peclet range: at p = 4 and nu near 0.1 or above, u' falls
     # to about 1e-6 of the solution and the plain loop itself moves by up
     # to 1e-13 of max|u'| when each sweep is perturbed by one ulp
-    from fsgreens.vms_advdiff import _sweep
-
     c = 1.0
     problem = AdvDiffProblem(c, nu, advdiff_const_case(c, nu).source)
     family = basis_family(mesh)
@@ -353,8 +316,8 @@ def test_iterate_matches_a_relaxed_loop_over_sweeps(mesh, points, nu, max_iter):
     state = iterate(problem, fns, op, relaxation=relaxation, tolerance=1e-300,
                     max_iter=max_iter, fine_grid_points=points)
 
-    ws = make_workspace(problem, fns, op, points)
-    interior, fine, history = np.zeros(fns.size), np.zeros(ws.grid.size), []
+    ws = make_workspace(problem, fns, op)
+    interior, fine, history = np.zeros(fns.size), np.zeros(ws.nodes.size), []
     for _ in range(max_iter):
         new_interior, new_fine = _sweep(ws, interior, fine)
         step = new_interior - interior
@@ -362,8 +325,9 @@ def test_iterate_matches_a_relaxed_loop_over_sweeps(mesh, points, nu, max_iter):
         fine = fine + relaxation * (new_fine - fine)
         history.append(np.sqrt(step @ ws.mass @ step))
     assert state.iteration == max_iter and not state.converged
-    np.testing.assert_array_equal(state.u_prime_grid, ws.grid)
-    assert np.max(np.abs(state.u_prime - fine)) <= 1e-13 * np.max(np.abs(state.u_prime))
+    np.testing.assert_array_equal(state.u_prime_grid, fine_grid(mesh, points))
+    np.testing.assert_array_equal(state.u_prime, state.fine_scales(state.u_prime_grid))
+    assert np.max(np.abs(state.fine_values - fine)) <= 1e-13 * np.max(np.abs(state.fine_values))
     assert np.max(np.abs(np.array(state.residual_history) - history)) <= 1e-14
     assert np.max(np.abs(state.u_bar.coeffs[1:-1] - interior)) <= 1e-13 * np.max(np.abs(interior))
 
@@ -372,7 +336,7 @@ def test_iterate_matches_a_relaxed_loop_over_sweeps(mesh, points, nu, max_iter):
     (3, 2, 0.03, 593), (3, 2, 0.05, 362), (3, 2, 0.01, 1849), (5, 3, 0.04, 437),
     (4, 4, 0.05, 348)])
 def test_iterate_sweep_counts(num_elements, degree, nu, sweeps):
-    # the default relaxation 1/(2 Pe), tolerance and fine grid: a change of
+    # the default relaxation nu/c, tolerance and source rule: a change of
     # these counts is a change of the Picard iteration itself
     problem = AdvDiffProblem(1.0, nu, advdiff_const_case(1.0, nu).source)
     _, fns, op = _h10_setup(num_elements, degree)
@@ -384,50 +348,16 @@ def test_iterate_sweep_counts(num_elements, degree, nu, sweeps):
 def test_iterate_step_norm_does_not_underflow():
     # c = 1e200, nu = 1e-100: the first coarse step is near 1e-186, whose
     # square underflows; the recorded norm is the scaled step's norm, scaled back
-    from fsgreens.vms_advdiff import _sweep
-
     c, nu = 1e200, 1e-100
     problem = AdvDiffProblem(c, nu, advdiff_const_case(c, nu).source)
     _, fns, op = _h10_setup(3, 2)
     state = iterate(problem, fns, op, relaxation=0.5, max_iter=1)
     ws = make_workspace(problem, fns, op)
-    step, _ = _sweep(ws, np.zeros(fns.size), np.zeros(ws.grid.size))
+    step, _ = _sweep(ws, np.zeros(fns.size), np.zeros(ws.nodes.size))
     scaled = 1e180 * step
     want = 1e-180 * np.sqrt(scaled @ ws.mass @ scaled)
     assert state.residual_history[0] > 0.0
     assert abs(state.residual_history[0] - want) <= 1e-12 * want
-
-
-def test_fine_scale_interpolant_keeps_joint_kinks():
-    # a continuous piecewise cubic with a different cubic on each element of
-    # a jittered mesh is reproduced in value, derivative and antiderivative
-    mesh = Mesh1D(0.0, 1.0, 3, 3, np.array([0.0, 0.29, 0.68, 1.0]))
-    family = basis_family(mesh)
-    coeffs = np.random.default_rng(5).normal(size=mesh.num_nodal_dofs)
-    cubic = Field(family, SpaceKind.NODAL, coeffs)
-    grid = fine_grid(mesh, 61)
-    spline = fine_scale_interpolant(family, grid, field_eval(cubic, grid))
-    x = (np.arange(96) + 0.5) / 96.0  # no sample on a joint
-
-    def integral(upper):
-        # two Gauss points per cubic piece are exact
-        cuts = np.append(mesh.boundaries[mesh.boundaries < upper], upper)
-        s, w = composite_rule(gauss_legendre_rule(2), cuts)
-        return w @ field_eval(cubic, s)
-
-    anti = [integral(xi) for xi in x]
-    assert np.max(np.abs(spline(x) - field_eval(cubic, x))) < 1e-12
-    assert np.max(np.abs(spline.derivative()(x) - field_eval(cubic, x, deriv=1))) < 1e-12
-    assert np.max(np.abs(spline.antiderivative()(x) - anti)) < 1e-12
-
-    middle = grid[(grid > mesh.boundaries[1]) & (grid < mesh.boundaries[2])]
-    sparse = np.concatenate((grid[grid <= mesh.boundaries[1]], middle[:1],
-                             grid[grid >= mesh.boundaries[2]]))
-    with pytest.raises(ValueError):
-        fine_scale_interpolant(family, sparse, np.zeros(sparse.size))
-    no_joint = grid[grid != mesh.boundaries[1]]
-    with pytest.raises(ValueError):
-        fine_scale_interpolant(family, no_joint, np.zeros(no_joint.size))
 
 
 def test_iterate_diffusive_limit_matches_projection():
@@ -453,9 +383,8 @@ def test_iterate_converges_with_default_rule_at_moderate_peclet():
     direct = project(fns, case.solution, case.gradient, breakpoints=layer)
     grid = np.linspace(0.0, 1.0, 401)
     assert np.max(np.abs(field_eval(state.u_bar, grid) - field_eval(direct, grid))) < 5e-4
-    spline = fine_scale_interpolant(family, state.u_prime_grid, state.u_prime)
     exact_fine = case.solution(grid) - field_eval(direct, grid)
-    assert np.max(np.abs(spline(grid) - exact_fine)) < 5e-4
+    assert np.max(np.abs(state.fine_scales(grid) - exact_fine)) < 5e-4
     # monotone tail within ten percent slack
     tail = np.asarray(state.residual_history[-10:])
     assert np.all(tail[1:] <= 1.1 * tail[:-1])
@@ -478,9 +407,8 @@ def test_iterate_high_peclet_converges_inside_stability_region():
     direct = project(fns, case.solution, case.gradient, breakpoints=layer)
     grid = np.linspace(0.0, 1.0, 401)
     assert np.max(np.abs(field_eval(state.u_bar, grid) - field_eval(direct, grid))) < 5e-4
-    interp = fine_scale_interpolant(family, state.u_prime_grid, state.u_prime)
     exact_fine = case.solution(grid) - field_eval(direct, grid)
-    assert np.max(np.abs(interp(grid) - exact_fine)) < 5e-4
+    assert np.max(np.abs(state.fine_scales(grid) - exact_fine)) < 5e-4
 
 
 def test_iterate_nonconvergence_is_reported_not_raised():
@@ -502,3 +430,55 @@ def test_iterate_rejects_bad_parameters():
     for tolerance in (-1.0, 0.0, np.inf, np.nan):
         with pytest.raises(ValueError):
             iterate(problem, fns, op, tolerance=tolerance)
+
+
+def test_fine_scales_reject_points_outside_the_domain():
+    problem = AdvDiffProblem(1.0, 0.05, advdiff_const_case(1.0, 0.05).source)
+    _, fns, op = _h10_setup(3, 2)
+    state = iterate(problem, fns, op, max_iter=1)
+    for bad in (-0.1, np.array([0.5, 1.5]), np.nan):
+        with pytest.raises(ValueError):
+            state.fine_scales(bad)
+
+
+@pytest.mark.parametrize("nu", [0.05, 0.01])
+def test_negative_advection_mirrors_the_positive_one(nu):
+    # c = -1 puts the outflow layer at x = 0: the layer's breakpoints mirror
+    # there, the default relaxation min(1, nu/|c|) stays positive, and the
+    # iteration is the c = +1 one under x -> 1 - x
+    layer = boundary_layer_breakpoints(1.0, nu)
+    np.testing.assert_allclose(boundary_layer_breakpoints(-1.0, nu), 1.0 - layer[::-1],
+                               rtol=0.0, atol=1e-15)
+    _, fns, op = _h10_setup(3, 2)
+    one = lambda x: np.ones_like(x)  # noqa: E731
+    forward = iterate(AdvDiffProblem(1.0, nu, one), fns, op)
+    backward = iterate(AdvDiffProblem(-1.0, nu, one), fns, op)
+    assert forward.converged and backward.converged
+    assert backward.iteration == forward.iteration
+    x = np.linspace(0.0, 1.0, 401)
+    want = field_eval(forward.u_bar, x) + forward.fine_scales(x)
+    got = field_eval(backward.u_bar, 1.0 - x) + backward.fine_scales(1.0 - x)
+    assert np.max(np.abs(got - want)) <= 1e-10
+
+
+def test_default_relaxation_is_at_most_one():
+    # nu/|c| = 2 here; the rule caps it at 1, where the map contracts fast
+    problem = AdvDiffProblem(0.5, 1.0, advdiff_const_case(0.5, 1.0).source)
+    _, fns, op = _h10_setup(3, 2)
+    state = iterate(problem, fns, op)
+    assert state.converged and state.iteration == 2
+
+
+@pytest.mark.parametrize("num_elements,degree,nu,converges", [
+    (3, 2, 0.03, True), (3, 2, 0.05, True), (3, 2, 0.01, True), (5, 3, 0.04, True),
+    (4, 4, 0.05, True), (3, 2, 0.001, False)])
+def test_sweep_spectral_radius_tells_whether_the_relaxation_converges(
+        num_elements, degree, nu, converges):
+    # at the default relaxation: below 1 at the pinned sweep counts, and
+    # above 1 at alpha = 500, where the relaxed iteration diverges
+    problem = AdvDiffProblem(1.0, nu, advdiff_const_case(1.0, nu).source)
+    _, fns, op = _h10_setup(num_elements, degree)
+    radius = sweep_spectral_radius(problem, fns, op)
+    assert (radius < 1.0) is converges
+    if not converges:
+        assert not iterate(problem, fns, op, max_iter=3000).converged
