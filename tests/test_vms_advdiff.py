@@ -297,6 +297,38 @@ def test_fine_scales_reproduce_cellwise_polynomials(mesh, q, seed):
     assert np.max(np.abs(ws.green_deriv @ state.fine_values - want)) <= 1e-13 * scale
 
 
+def test_fine_scale_interpolant_keeps_joint_kinks():
+    # a continuous piecewise cubic with a different cubic on each element of
+    # a jittered mesh is reproduced in value, derivative and antiderivative
+    from fsgreens.quadrature import composite_rule, gauss_legendre_rule
+
+    # c = 0 puts no layer cells in: the cells are the mesh elements
+    problem = AdvDiffProblem(0.0, 1.0, lambda x: np.full_like(x, 2.0))
+    mesh = Mesh1D(0.0, 1.0, 3, 3, np.array([0.0, 0.29, 0.68, 1.0]))
+    family = basis_family(mesh)
+    fns = build_dual_functionals(family, ProjectionFlavor.H10)
+    op = build_fine_scale_operator(KERNEL, fns)
+    coeffs = np.random.default_rng(5).normal(size=mesh.num_nodal_dofs)
+    cubic = Field(family, SpaceKind.NODAL, coeffs)
+    ws = make_workspace(problem, fns, op)
+    state = iterate(problem, fns, op, max_iter=1)
+    np.testing.assert_array_equal(ws.cells, mesh.boundaries)
+    state = replace(state, fine_values=field_eval(cubic, ws.nodes))
+    x = (np.arange(96) + 0.5) / 96.0  # no sample on a joint
+
+    def integral(upper):
+        # two Gauss points per cubic piece are exact
+        cuts = np.append(mesh.boundaries[mesh.boundaries < upper], upper)
+        s, w = composite_rule(gauss_legendre_rule(2), cuts)
+        return w @ field_eval(cubic, s)
+
+    anti = np.array([integral(xi) for xi in ws.nodes])
+    assert np.max(np.abs(state.fine_scales(x) - field_eval(cubic, x))) < 1e-12
+    assert np.max(np.abs(state.fine_scales(x, deriv=1) - field_eval(cubic, x, deriv=1))) < 1e-12
+    want = ws.nodes * integral(1.0) - anti
+    assert np.max(np.abs(ws.green_deriv @ state.fine_values - want)) < 1e-12
+
+
 @settings(max_examples=20, deadline=None)
 @given(mesh=_jittered_meshes(), points=st.integers(2, 401), nu=st.floats(0.02, 0.05),
        max_iter=st.integers(1, 40))
