@@ -45,12 +45,22 @@ def advdiff_const_case(c: float, nu: float) -> AnalyticCase1D:
     """c u' - nu u'' = 1 on [0, 1] with zero boundary values.
 
     The solution rises linearly at slope 1/c and drops to zero through an
-    outflow boundary layer of width ~nu/c.  All exponentials are written
-    with nonpositive arguments so large Peclet numbers stay finite.
+    outflow boundary layer of width ~nu/|c|.  All exponentials are written
+    with nonpositive arguments so large Peclet numbers stay finite; c < 0 is
+    the c > 0 case mirrored, u(x) = v(1 - x).
     """
     if not (0.0 < nu < np.inf and np.isfinite(c) and c != 0.0 and np.isfinite(c / nu)):
         raise ValueError(f"need a finite nu > 0 and a finite c != 0 whose ratio c / nu "
                          f"does not overflow, got nu={nu}, c={c}")
+    if c < 0.0:
+        mirror = advdiff_const_case(-c, nu)
+        return AnalyticCase1D(
+            name=mirror.name,
+            source=mirror.source,
+            solution=lambda x: mirror.solution(1.0 - np.asarray(x, dtype=float)),
+            gradient=lambda x: -mirror.gradient(1.0 - np.asarray(x, dtype=float)),
+            second=lambda x: mirror.second(1.0 - np.asarray(x, dtype=float)),
+        )
     beta = c / nu
     denom = -np.expm1(-beta)
 

@@ -20,10 +20,10 @@ and applying the diffusion Green's operator to the derivative needs only
 integrals, G(I[v]') = x int_0^1 I[v] - int_0^x I[v] (in the weak sense, as
 G vanishes at both ends), which are linear in v.  The fine-scale operator
 annihilates a coarse field's second derivative.  So a sweep is a fixed
-affine map: the coarse-scale matrix is factored once, the relaxation is
-folded into the maps, and one sweep is the pairing product, one LU solve
-of the coarse system and one dense matrix-vector product.  The fine scales
-on any other grid are the interpolant evaluated there.
+affine map of the coarse coefficients and v, held as one matrix with the
+coarse-scale solve folded in; with the relaxation folded into its
+fine-scale rows, one sweep is one dense matrix-vector product.  The fine
+scales on any other grid are the interpolant evaluated there.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import (LinAlgWarning, cholesky, get_blas_funcs, get_lapack_funcs,
-                          lu_factor, lu_solve)
+from scipy.linalg import LinAlgWarning, cholesky, get_blas_funcs, lu_factor, lu_solve
 
 from .basis1d import (
     BasisFamily,
@@ -51,6 +50,7 @@ from .dualspace import assemble_mass
 from .finescale import (
     FineScaleOperator,
     SourceTerm,
+    _poisson_apply,
     green_apply,
     reconstruct_fine_scales,
     residual_from_field,
@@ -68,11 +68,8 @@ from .quadrature import gauss_legendre_rule
 DEFAULT_FINE_GRID = 2001
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_MAX_ITER = 100_000
-# LAPACK's solve, called on the cached coarse LU factors: scipy's lu_solve
-# checks and batches its arguments, which costs more than the 5x5 solve;
 # gemv applies the relaxed sweep, and trmv and nrm2 (scaled, so it neither
 # underflows nor overflows) give the step norm
-_getrs = get_lapack_funcs("getrs", dtype=np.float64)
 _gemv, _nrm2, _trmv = get_blas_funcs(("gemv", "nrm2", "trmv"), dtype=np.float64)
 
 
@@ -169,45 +166,39 @@ class IterationState:
 
 @dataclass(frozen=True)
 class _Workspace:
-    """One sweep of the coupled iteration as an affine map, for one
-    mesh/problem pair.
+    """One unrelaxed sweep of the coupled iteration as an affine map, for
+    one mesh/problem pair: `sweep` = [M | b] maps z = (u_bar, v, 1), the
+    interior coarse coefficients and the fine scales at the nodes, to the
+    new (u_bar, v).
 
-    With A the advective pairing (mu_j', psi_k), G the Poisson Green's
-    operator, v the fine scales at the nodes and t = (c/nu) (mu', I[v]) =
-    pairing v their pairing on the rule, a sweep maps the interior coarse
-    coefficients u_bar and v to
+    With A the advective pairing (mu_j', psi_k), P v = (c/nu) (mu', I[v])
+    the fine scales' pairing on the rule and g' = G - R (mu, .) the
+    fine-scale operator, G the Poisson Green's operator and R the
+    reconstruction functions at the nodes (the interior nodal basis,
+    `FineScaleOperator.resolved`), a sweep is
 
-        u_bar <- (I - (c/nu) A)^{-1} ((mu, f)/nu + t),
-        v     <- fine_const + fine_lin u_bar - (c/nu) green_deriv v - lifted_gram t.
+        u_bar <- (I - (c/nu) A)^{-1} ((mu, f)/nu + P v),
+        v     <- g' (f/nu - (c/nu) (u_bar' + I[v]')).
 
-    The coarse-scale matrix is factored once (coarse_lu).  fine_const is
-    the fine-scale operator applied to f/nu; fine_lin applies it to the
-    coarse field's part of the residual; lifted_gram tabulates the
-    reconstruction functions, lifts times Gram inverse, at the nodes: the
-    interior nodal basis (`FineScaleOperator.resolved`).  green_deriv v is
+    So the coarse rows are the coarse-scale solve of [P | (mu, f)/nu] next
+    to a zero u_bar block; in the fine rows (mu, w') = -(mu', w) turns
+    (c/nu) g'(I[v]') into (c/nu) green_deriv v + R P v.  green_deriv v is
     G(I[v]') = x w^T v - Q v at the nodes, Q v the integrals of I[v] from 0
     to each node: block lower triangular, with the full weights of every
     earlier cell and, within a cell, the reference integrals of its
     Lagrange basis scaled by half the cell width.
 
-    The coarse field's diffusive part of the residual, its distributional
+    The residual's diffusive part, the coarse field's distributional
     second derivative, is left out: the fine-scale operator maps it to
     (I - Pi) of the coarse field itself, which is zero, since the H10
-    projection Pi reproduces the coarse space.  So fine_lin holds only
-    the advective part.
+    projection Pi reproduces the coarse space.
     """
 
     nodes: np.ndarray
     cells: np.ndarray              # the cell boundaries: mesh joints and layer breakpoints
     mass: np.ndarray               # interior block of the nodal mass matrix, for the step norm
-    ratio: float                   # c/nu
-    coarse_rhs: np.ndarray         # (mu_j, f)/nu
-    coarse_lu: tuple               # LU factors of I - (c/nu) A
-    pairing: np.ndarray            # (c/nu) (mu_j', l_i): t from v
     green_deriv: np.ndarray        # G(I[v]') at the nodes from v
-    fine_const: np.ndarray
-    fine_lin: np.ndarray
-    lifted_gram: np.ndarray
+    sweep: np.ndarray              # [M | b]: z = (u_bar, v, 1) to the unrelaxed (u_bar, v)
 
 
 def fine_grid(mesh, total_points: int = DEFAULT_FINE_GRID) -> np.ndarray:
@@ -230,26 +221,12 @@ def _factor_coarse_matrix(problem: AdvDiffProblem, adv_pairing: np.ndarray) -> t
             raise ValueError("singular coarse-scale system") from exc
 
 
-def _nodal_antiderivative(family: BasisFamily, grid: np.ndarray) -> np.ndarray:
-    """int_0^x psi_k at every point x of an element-aligned grid, one column
-    per interior nodal function.
-
-    Each grid interval lies in one element, where psi_k is a polynomial of
-    degree p, so a (p // 2 + 1)-point Gauss rule per interval is exact.
-    """
-    rule = gauss_legendre_rule(family.degree // 2 + 1)
-    lo, hi = grid[:-1, None], grid[1:, None]
-    pts = 0.5 * (lo + hi) + 0.5 * (hi - lo) * rule.nodes
-    tab = tabulate_nodal(family, pts.ravel())[:, 1:-1].reshape(pts.shape + (-1,))
-    cells = np.einsum("iq,iqk->ik", 0.5 * (hi - lo) * rule.weights, tab)
-    return np.concatenate((np.zeros((1, cells.shape[1])), np.cumsum(cells, axis=0)))
-
-
 def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator,
                    quad_points: int | None = None) -> _Workspace:
-    """The sweep's maps on the source rule's nodes: `source_rule_points`
+    """The sweep's map on the source rule's nodes: `source_rule_points`
     Gauss nodes per cell, the cells cut at `boundary_layer_breakpoints`
-    when c is not zero, without which the layer is unresolved."""
+    when c is not zero, without which the layer is unresolved.  Raises
+    ValueError when the map is not finite."""
     if fns.flavor is not ProjectionFlavor.H10:
         raise ValueError("the iterative scheme is built on the H10 functionals")
     family = fns.family
@@ -267,16 +244,15 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleO
     coarse_rhs = mu_tab.T @ (w * np.asarray(problem.source(x), dtype=float)) \
         / problem.diffusion
     adv_pairing = mu_dtab.T @ (w[:, None] * psi_tab)
+    pairing = ratio * (mu_dtab.T * w)
 
     lifted_gram = op.resolved(x, np.eye(fns.size))
     green_source = green_apply(op.kernel, SourceTerm.from_function(problem.source),
                                x, quad_points=q, mesh_boundaries=mesh.boundaries)
-    # G(psi_k') = x int_0^1 psi_k - int_0^x psi_k, as psi_k vanishes at both ends
-    joined = np.sort(np.concatenate((mesh.boundaries, x)))
-    anti = _nodal_antiderivative(family, joined)
-    green_first_deriv = x[:, None] * anti[-1] - anti[np.searchsorted(joined, x)]
-    fine_const = green_source / problem.diffusion - lifted_gram @ coarse_rhs
-    fine_lin = -ratio * (green_first_deriv + lifted_gram @ adv_pairing)
+    # G(psi_k'): s psi_k'(s) has degree p on each element, so the
+    # (p // 2 + 1)-point rule is exact
+    green_psi_deriv = _poisson_apply(lambda s: tabulate_nodal(family, s, deriv=1)[:, 1:-1],
+                                     x, mesh.boundaries, family.degree // 2 + 1)
     mass = assemble_mass(family, SpaceKind.NODAL).entries[1:-1, 1:-1]
 
     num_cells = cells.size - 1
@@ -285,22 +261,18 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleO
     blocks = partial.reshape(num_cells, q, num_cells, q)
     diagonal = np.arange(num_cells)
     blocks[diagonal, :, diagonal, :] = 0.5 * np.diff(cells)[:, None, None] * _reference_cell(q)[3]
-    return _Workspace(x, cells, mass, ratio, coarse_rhs,
-                      _factor_coarse_matrix(problem, adv_pairing),
-                      ratio * (mu_dtab.T * w), x[:, None] * w - partial,
-                      fine_const, fine_lin, lifted_gram)
+    green_deriv = x[:, None] * w - partial
 
-
-def _sweep(ws: _Workspace, interior: np.ndarray,
-           fine: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One unrelaxed sweep: the coarse coefficients solving the coarse-scale
-    equation and the fine-scale map, both from the current interior coarse
-    coefficients and fine-scale node values."""
-    fine_term = ws.pairing @ fine
-    new_interior, _ = _getrs(*ws.coarse_lu, ws.coarse_rhs + fine_term)
-    new_fine = ws.fine_const + ws.fine_lin @ interior \
-        - ws.ratio * (ws.green_deriv @ fine) - ws.lifted_gram @ fine_term
-    return new_interior, new_fine
+    coarse = lu_solve(_factor_coarse_matrix(problem, adv_pairing),
+                      np.column_stack((pairing, coarse_rhs)))
+    sweep = np.block([
+        [np.zeros((fns.size, fns.size)), coarse],
+        [-ratio * (green_psi_deriv + lifted_gram @ adv_pairing),
+         -ratio * green_deriv - lifted_gram @ pairing,
+         (green_source / problem.diffusion - lifted_gram @ coarse_rhs)[:, None]]])
+    if not np.all(np.isfinite(sweep)):
+        raise ValueError("the sweep map overflows; c/nu is too large")
+    return _Workspace(x, cells, mass, green_deriv, sweep)
 
 
 def _relaxation(problem: AdvDiffProblem, relaxation: float | None) -> float:
@@ -330,63 +302,56 @@ def iterate(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator
     relaxation, drops below the tolerance; residual_history records that
     norm for every sweep.  The relaxed increment would understate the
     distance to the fixed point by about one over the relaxation factor.
-    Hitting max_iter is reported through the converged flag, not raised.
-    The fine scales are returned on `fine_grid(mesh, fine_grid_points)`.
+    Hitting max_iter is reported through the converged flag, not raised; a
+    sweep map that overflows raises ValueError.  The fine scales are
+    returned on `fine_grid(mesh, fine_grid_points)`.
     """
     relaxation = _relaxation(problem, relaxation)
     if not (np.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError("tolerance must be finite and positive")
     ws = make_workspace(problem, fns, op, quad_points)
-    size, nodes = fns.size, ws.nodes.size
-    # the relaxed fine-scale update as one affine map of z = [u_bar, v, t, 1]
-    affine = np.asfortranarray(np.column_stack((
-        relaxation * ws.fine_lin,
-        (1.0 - relaxation) * np.eye(nodes) - (relaxation * ws.ratio) * ws.green_deriv,
-        -relaxation * ws.lifted_gram,
-        relaxation * ws.fine_const)))
+    size = fns.size
+    # the fine rows relaxed, (1 - w) I + w M; the coarse rows stay M's, so
+    # each sweep gives the unrelaxed coarse step
+    affine = ws.sweep.copy()
+    affine[size:] *= relaxation
+    affine[size:, size:-1] += (1.0 - relaxation) * np.eye(ws.nodes.size)
+    affine = np.asfortranarray(affine)
     mass_chol = np.asfortranarray(cholesky(ws.mass))
-    z = np.zeros(2 * size + nodes + 1)
+    z = np.zeros(affine.shape[1])
     z[-1] = 1.0
-    interior, fine, fine_term = z[:size], z[size:size + nodes], z[size + nodes:-1]
     history = []
     converged = False
     iteration = 0
     while iteration < max_iter:
         iteration += 1
-        np.dot(ws.pairing, fine, out=fine_term)
-        new_interior, _ = _getrs(*ws.coarse_lu, ws.coarse_rhs + fine_term)
-        fine[:] = _gemv(1.0, affine, z)
-        step = new_interior - interior
-        interior += relaxation * step
+        new = _gemv(1.0, affine, z)
+        step = new[:size] - z[:size]
+        z[:size] += relaxation * step
+        z[size:-1] = new[size:]
         step_norm = _nrm2(_trmv(mass_chol, step))
         history.append(step_norm)
         if step_norm < tolerance:
             converged = True
             break
     grid = fine_grid(fns.family.mesh, fine_grid_points)
-    return IterationState(interior_field(fns.family, interior.copy()), grid,
+    fine = z[size:-1].copy()
+    return IterationState(interior_field(fns.family, z[:size].copy()), grid,
                           _cell_interpolant(ws.cells, fine, grid), iteration, history,
-                          converged, ws.cells, fine.copy())
+                          converged, ws.cells, fine)
 
 
 def sweep_spectral_radius(problem: AdvDiffProblem, fns: DualFunctionals,
                           op: FineScaleOperator, relaxation: float | None = None,
                           quad_points: int | None = None) -> float:
-    """Largest |eigenvalue| of the linear part of `iterate`'s relaxed sweep,
-    the dense map of (u_bar, v): below 1 the relaxed iteration converges
-    from any start, above 1 it diverges."""
+    """Largest |eigenvalue| of (1 - w) I + w M, the linear part of
+    `iterate`'s relaxed sweep of (u_bar, v), M that of the unrelaxed one:
+    below 1 the relaxed iteration converges from any start, above 1 it
+    diverges."""
     relaxation = _relaxation(problem, relaxation)
-    ws = make_workspace(problem, fns, op, quad_points)
-    size, nodes = fns.size, ws.nodes.size
-    keep = 1.0 - relaxation
-    sweep = np.block([
-        [keep * np.eye(size), relaxation * lu_solve(ws.coarse_lu, ws.pairing)],
-        [relaxation * ws.fine_lin,
-         keep * np.eye(nodes) - relaxation * (ws.ratio * ws.green_deriv
-                                              + ws.lifted_gram @ ws.pairing)]])
-    if not np.all(np.isfinite(sweep)):
-        raise ValueError("the relaxed sweep map overflows; c/nu is too large")
-    return float(np.max(np.abs(np.linalg.eigvals(sweep))))
+    relaxed = relaxation * make_workspace(problem, fns, op, quad_points).sweep[:, :-1]
+    relaxed[np.diag_indices_from(relaxed)] += 1.0 - relaxation
+    return float(np.max(np.abs(np.linalg.eigvals(relaxed))))
 
 
 def reconstruct_with_exact_gradient(op: FineScaleOperator, problem: AdvDiffProblem,

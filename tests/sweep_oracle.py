@@ -1,5 +1,6 @@
 """The coupled iteration's two update maps, written out the long way: the
-oracles for the precomputed sweep in `fsgreens.vms_advdiff`.
+oracles for the precomputed sweep in `fsgreens.vms_advdiff`, which `sweep`
+applies.
 
 Each map is built from the problem's pieces on every call: the coarse map
 tabulates the functionals and solves the coarse-scale system, and the fine
@@ -69,3 +70,9 @@ def fine_update(op: FineScaleOperator, problem: AdvDiffProblem, u_bar: Field,
     kinks = np.union1d(mesh.boundaries[1:-1], np.asarray(breakpoints, dtype=float))
     resid = SourceTerm(smooth=smooth, breakpoints=tuple(kinks))
     return reconstruct_fine_scales(op, resid, grid)
+
+
+def sweep(ws, interior: np.ndarray, fine: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One unrelaxed sweep, the workspace's map applied to (u_bar, v, 1)."""
+    new = ws.sweep @ np.concatenate((interior, fine, [1.0]))
+    return new[:interior.size], new[interior.size:]

@@ -152,6 +152,29 @@ def test_advdiff_exact_solution_solves_equation():
     assert abs(case.solution(np.array([1.0]))[0]) < 1e-15
 
 
+def test_advdiff_const_case_mirrors_negative_speed():
+    # c < 0 is the c > 0 case under x -> 1 - x; the unmirrored formula has
+    # positive exponents there and overflows to NaN at high Peclet
+    x = np.linspace(0.0, 1.0, 101)
+    steep = advdiff_const_case(-1.0, 1e-3)
+    for f in (steep.solution, steep.gradient, steep.second):
+        assert np.all(np.isfinite(f(x)))
+    for nu in (1e-3, 0.05):
+        back, fwd = advdiff_const_case(-1.0, nu), advdiff_const_case(1.0, nu)
+        np.testing.assert_array_equal(back.solution(x), fwd.solution(1.0 - x))
+        np.testing.assert_array_equal(back.gradient(x), -fwd.gradient(1.0 - x))
+        np.testing.assert_array_equal(back.second(x), fwd.second(1.0 - x))
+    # where the unmirrored formula is finite the two agree
+    c, nu = -1.0, 0.05
+    beta, case = c / nu, advdiff_const_case(c, nu)
+    denom = -np.expm1(-beta)
+    grow = np.exp(beta * (x - 1.0))
+    for got, want in ((case.solution(x), (x - (grow - np.exp(-beta)) / denom) / c),
+                      (case.gradient(x), (1.0 - beta * grow / denom) / c),
+                      (case.second(x), -beta**2 * grow / (c * denom))):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
 def test_poisson2d_boundary_and_symmetry():
     y = np.linspace(0.1, 0.9, 5)
     assert np.max(np.abs(poisson2d_green(0.0, y, 0.4, 0.6))) == 0.0

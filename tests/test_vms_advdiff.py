@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsgreens.basis1d import Field, Mesh1D, SpaceKind, basis_family, field_eval, tabulate_nodal
+from fsgreens.basis1d import Field, Mesh1D, SpaceKind, basis_family, field_eval
 from fsgreens.cases import advdiff_const_case, boundary_layer_breakpoints, sin2pix_case
 from fsgreens.finescale import build_fine_scale_operator, reconstruct_fine_scales
 from fsgreens.kernels import GreensKernel1D
@@ -13,13 +13,13 @@ from fsgreens.projection import (
     ProjectionFlavor,
     build_dual_functionals,
     h10_project_from_source,
+    interior_field,
     project,
 )
-from fsgreens.quadrature import default_quad_points
+from fsgreens.quadrature import default_quad_points, gauss_legendre_rule
 from fsgreens.vms_advdiff import (
     AdvDiffProblem,
     _cell_interpolant,
-    _sweep,
     fine_grid,
     galerkin_solve,
     iterate,
@@ -27,7 +27,7 @@ from fsgreens.vms_advdiff import (
     reconstruct_with_exact_gradient,
     sweep_spectral_radius,
 )
-from sweep_oracle import coarse_update, fine_update
+from sweep_oracle import coarse_update, fine_update, sweep
 
 KERNEL = GreensKernel1D.poisson()
 
@@ -194,7 +194,7 @@ def test_workspace_sweeps_match_generic_updates():
     coeffs[1:-1] = 0.1 * rng.normal(size=coeffs.size - 2)
     u_bar = Field(family, SpaceKind.NODAL, coeffs)
     fine = 0.03 * np.sin(2.5 * np.pi * ws.nodes) * ws.nodes * (1 - ws.nodes)
-    fast_coarse, fast_fine = _sweep(ws, coeffs[1:-1], fine)
+    fast_coarse, fast_fine = sweep(ws, coeffs[1:-1], fine)
     layer = boundary_layer_breakpoints(c, nu)
     slow_coarse = coarse_update(fns, problem, u_bar,
                                 lambda x: _cell_interpolant(ws.cells, fine, x),
@@ -214,26 +214,8 @@ def test_workspace_defaults_to_the_degree_source_rule():
     _, fns, op = _h10_setup(1, 24)
     got = make_workspace(problem, fns, op)
     want = make_workspace(problem, fns, op, quad_points=default_quad_points(24))
-    for name in ("coarse_rhs", "fine_const", "fine_lin", "lifted_gram", "pairing",
-                 "green_deriv"):
+    for name in ("nodes", "green_deriv", "sweep"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-    np.testing.assert_array_equal(got.coarse_lu[0], want.coarse_lu[0])
-
-
-def test_nodal_antiderivative_gives_green_of_nodal_derivatives():
-    # G(psi_k') from the per-interval antiderivative equals the Green's
-    # operator applied to the tabulated derivatives, on a jittered mesh
-    from fsgreens.finescale import _poisson_apply
-    from fsgreens.vms_advdiff import _nodal_antiderivative
-
-    for degree in (1, 2, 4):
-        mesh = Mesh1D(0.0, 1.0, 3, degree, np.array([0.0, 0.29, 0.68, 1.0]))
-        family = basis_family(mesh)
-        grid = fine_grid(mesh, 301)
-        anti = _nodal_antiderivative(family, grid)
-        want = _poisson_apply(lambda s: tabulate_nodal(family, s, deriv=1)[:, 1:-1],
-                              grid, mesh.boundaries, 20)
-        assert np.max(np.abs(grid[:, None] * anti[-1] - anti - want)) < 1e-14
 
 
 @st.composite
@@ -286,8 +268,13 @@ def test_fine_scales_reproduce_cellwise_polynomials(mesh, q, seed):
                             / (powers + 1), axis=1)
         return before + own
 
+    # the node values at the rule's reference nodes: mapping a node back
+    # from x loses about eps |x| / half in t, 4e-12 on a 9e-5-wide cell
+    # where a mesh joint falls next to a layer breakpoint
+    ref = gauss_legendre_rule(q).nodes
+    values = np.sum(coef[:, None, :] * ref[None, :, None] ** powers, axis=2).ravel()
     state = iterate(problem, fns, op, max_iter=1, quad_points=q)
-    state = replace(state, fine_values=poly(ws.nodes))
+    state = replace(state, fine_values=values)
     x = np.sort(np.concatenate((np.linspace(0.0, 1.0, 97), ws.cells)))
     scale = np.max(np.abs(coef))
     assert np.max(np.abs(state.fine_scales(x) - poly(x))) <= 1e-12 * scale
@@ -300,7 +287,7 @@ def test_fine_scales_reproduce_cellwise_polynomials(mesh, q, seed):
 def test_fine_scale_interpolant_keeps_joint_kinks():
     # a continuous piecewise cubic with a different cubic on each element of
     # a jittered mesh is reproduced in value, derivative and antiderivative
-    from fsgreens.quadrature import composite_rule, gauss_legendre_rule
+    from fsgreens.quadrature import composite_rule
 
     # c = 0 puts no layer cells in: the cells are the mesh elements
     problem = AdvDiffProblem(0.0, 1.0, lambda x: np.full_like(x, 2.0))
@@ -333,9 +320,9 @@ def test_fine_scale_interpolant_keeps_joint_kinks():
 @given(mesh=_jittered_meshes(), points=st.integers(2, 401), nu=st.floats(0.02, 0.05),
        max_iter=st.integers(1, 40))
 def test_iterate_matches_a_relaxed_loop_over_sweeps(mesh, points, nu, max_iter):
-    # the fused loop takes the same path as relaxing _sweep's coarse and
-    # fine updates directly, and writes the fine scales on the grid of
-    # the requested size.  nu spans the
+    # the fused loop takes the same path as relaxing the unrelaxed sweep's
+    # coarse and fine updates directly, and writes the fine scales on the
+    # grid of the requested size.  nu spans the
     # benchmark's Peclet range: at p = 4 and nu near 0.1 or above, u' falls
     # to about 1e-6 of the solution and the plain loop itself moves by up
     # to 1e-13 of max|u'| when each sweep is perturbed by one ulp
@@ -351,7 +338,7 @@ def test_iterate_matches_a_relaxed_loop_over_sweeps(mesh, points, nu, max_iter):
     ws = make_workspace(problem, fns, op)
     interior, fine, history = np.zeros(fns.size), np.zeros(ws.nodes.size), []
     for _ in range(max_iter):
-        new_interior, new_fine = _sweep(ws, interior, fine)
+        new_interior, new_fine = sweep(ws, interior, fine)
         step = new_interior - interior
         interior = interior + relaxation * step
         fine = fine + relaxation * (new_fine - fine)
@@ -378,18 +365,49 @@ def test_iterate_sweep_counts(num_elements, degree, nu, sweeps):
 
 
 def test_iterate_step_norm_does_not_underflow():
-    # c = 1e200, nu = 1e-100: the first coarse step is near 1e-186, whose
+    # a source of 1e-180: the first coarse step is near 1e-181, whose
     # square underflows; the recorded norm is the scaled step's norm, scaled back
-    c, nu = 1e200, 1e-100
-    problem = AdvDiffProblem(c, nu, advdiff_const_case(c, nu).source)
+    problem = AdvDiffProblem(1.0, 0.05, lambda x: np.full_like(x, 1e-180))
     _, fns, op = _h10_setup(3, 2)
     state = iterate(problem, fns, op, relaxation=0.5, max_iter=1)
     ws = make_workspace(problem, fns, op)
-    step, _ = _sweep(ws, np.zeros(fns.size), np.zeros(ws.nodes.size))
+    step, _ = sweep(ws, np.zeros(fns.size), np.zeros(ws.nodes.size))
     scaled = 1e180 * step
     want = 1e-180 * np.sqrt(scaled @ ws.mass @ scaled)
     assert state.residual_history[0] > 0.0
     assert abs(state.residual_history[0] - want) <= 1e-12 * want
+
+
+def test_iterate_rejects_an_overflowing_sweep_map():
+    # c/nu = 1e300: the sweep map is not finite; taken anyway, its first
+    # step passes the absolute stop rule with u' near 4e84
+    c, nu = 1e200, 1e-100
+    problem = AdvDiffProblem(c, nu, advdiff_const_case(c, nu).source)
+    _, fns, op = _h10_setup(3, 2)
+    with pytest.raises(ValueError, match="sweep map overflows"):
+        iterate(problem, fns, op, relaxation=0.5)
+
+
+@pytest.mark.parametrize("nu", [0.05, 0.03, 0.01])
+def test_sweep_map_fixed_point_is_the_exact_solution(nu):
+    # one dense solve of (I - M) z = b: the map's fixed point, to which the
+    # relaxed iteration converges
+    c = 1.0
+    case = advdiff_const_case(c, nu)
+    problem = AdvDiffProblem(c, nu, case.source)
+    family, fns, op = _h10_setup(3, 2)
+    ws = make_workspace(problem, fns, op)
+    linear, const = ws.sweep[:, :-1], ws.sweep[:, -1]
+    z = np.linalg.solve(np.eye(const.size) - linear, const)
+    interior, fine = z[:fns.size], z[fns.size:]
+    grid = fine_grid(family.mesh, 2001)
+    total = field_eval(interior_field(family, interior), grid) \
+        + _cell_interpolant(ws.cells, fine, grid)
+    assert np.max(np.abs(total - case.solution(grid))) <= 1e-12
+    state = iterate(problem, fns, op)
+    assert state.converged
+    assert np.max(np.abs(state.u_bar.coeffs[1:-1] - interior)) <= 1e-7
+    assert np.max(np.abs(state.fine_values - fine)) <= 1e-7
 
 
 def test_iterate_diffusive_limit_matches_projection():
