@@ -50,8 +50,8 @@ from .projection import (
     project,
 )
 from .quadrature import default_quad_points, gll_rule
-from .vms_advdiff import (AdvDiffProblem, galerkin_solve, iterate, reconstruct_with_exact_gradient,
-                          sweep_spectral_radius)
+from .vms_advdiff import (AdvDiffProblem, galerkin_solve, iterate, make_workspace,
+                          reconstruct_with_exact_gradient, sweep_spectral_radius)
 
 
 def _write_atomic(path: str, text: str):
@@ -215,9 +215,9 @@ def cmd_vms_iter(args):
     family = basis_family(mesh)
     fns = build_dual_functionals(family, ProjectionFlavor.H10)
     op = build_fine_scale_operator(GreensKernel1D.poisson(), fns, args.quad_points)
+    ws = make_workspace(problem, fns, op, args.quad_points)
     state = iterate(problem, fns, op, relaxation=args.w, tolerance=args.eps,
-                    max_iter=args.max_iter, fine_grid_points=args.fine_grid,
-                    quad_points=args.quad_points)
+                    max_iter=args.max_iter, fine_grid_points=args.fine_grid, workspace=ws)
     galerkin = galerkin_solve(problem, family, args.quad_points, breakpoints=layer)
     grid = state.u_prime_grid
     rows = np.column_stack([
@@ -232,7 +232,7 @@ def cmd_vms_iter(args):
                             final_step=state.residual_history[-1],
                             gram_cond_log10=float(np.log10(op.gram_cond)),
                             sweep_spectral_radius=sweep_spectral_radius(
-                                problem, fns, op, args.w, args.quad_points)),
+                                problem, fns, op, args.w, workspace=ws)),
                 args.format)
     history_rows = [[i + 1, inc] for i, inc in enumerate(state.residual_history)]
     write_table(args.history_out, ["iteration", "increment"], history_rows,

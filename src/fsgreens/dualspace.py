@@ -11,30 +11,41 @@ every dual nodal function lives on one element.  They are tabulated by
 per-element solves with one cached Cholesky factor of the p x p reference
 edge mass; the dual edge functions go through the cached factor of the
 global nodal mass.  Duals are always evaluated through solves, never
-through explicit inverses; the H10 functionals of `projection` follow the
-same rule with the interior stiffness.  Mass and stiffness matrices are
-one `SPDMatrix` type, assembled element by element by one helper.
+through explicit inverses of a mass matrix; the H10 functionals of
+`projection` follow the same rule with the interior stiffness.  The solves
+substitute through the Cholesky factor, inverting only its diagonal
+blocks, which are at most `_SUBSTITUTION_BLOCK` wide.  Mass and stiffness
+matrices are one `SPDMatrix` type, assembled element by element by one
+helper.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .basis1d import (BasisFamily, SpaceKind, _element_cols, _element_coords, _global_scatter,
                       _reference_edge_tab, lagrange_tab, tabulate_nodal)
 from .quadrature import gauss_legendre_rule
 
+# Width of the diagonal blocks of the triangular substitution.
+_SUBSTITUTION_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class SPDMatrix:
     """Dense SPD Gram matrix of a basis (mass or stiffness), with a cached
-    Cholesky factor."""
+    lower Cholesky factor L.
+
+    numpy has no triangular solve, so L is solved by blocked substitution:
+    the part off the diagonal blocks is one matrix product per block, and
+    the diagonal blocks are inverted once, on the first solve.
+    """
 
     entries: np.ndarray
-    _factor: tuple = field(init=False, repr=False, default=None)
+    _chol: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", np.asarray(self.entries, dtype=float))
@@ -42,13 +53,38 @@ class SPDMatrix:
         if sym_err > 1e-12 * max(1.0, np.max(np.abs(self.entries))):
             raise ValueError(f"Gram matrix not symmetric (error {sym_err:.2e})")
         try:
-            factor = cho_factor(self.entries)
+            chol = np.linalg.cholesky(self.entries)
         except np.linalg.LinAlgError as exc:
             raise ValueError("Gram matrix not positive definite") from exc
-        object.__setattr__(self, "_factor", factor)
+        object.__setattr__(self, "_chol", chol)
+
+    @functools.cached_property
+    def _block_inverses(self) -> tuple:
+        width = _SUBSTITUTION_BLOCK
+        return tuple(np.linalg.inv(self._chol[lo:lo + width, lo:lo + width])
+                     for lo in range(0, self._chol.shape[0], width))
+
+    def substitute(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """L^-1 rhs, or L^-T rhs with `transpose`, by forward (back)
+        substitution over the diagonal blocks; rhs is one vector or one
+        column per right side."""
+        tri = self._chol.T if transpose else self._chol
+        # row blocks of a C-ordered copy are contiguous, which the products favor
+        x = np.array(rhs, dtype=float, order="C")
+        n = tri.shape[0]
+        blocks = list(enumerate(range(0, n, _SUBSTITUTION_BLOCK)))
+        for b, lo in reversed(blocks) if transpose else blocks:
+            hi = min(lo + _SUBSTITUTION_BLOCK, n)
+            if transpose and hi < n:
+                x[lo:hi] -= tri[lo:hi, hi:] @ x[hi:]
+            elif not transpose and lo:
+                x[lo:hi] -= tri[lo:hi, :lo] @ x[:lo]
+            inverse = self._block_inverses[b]
+            x[lo:hi] = (inverse.T if transpose else inverse) @ x[lo:hi]
+        return x
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve(self._factor, np.asarray(rhs, dtype=float))
+        return self.substitute(self.substitute(rhs), transpose=True)
 
 
 def _assemble_gram(family: BasisFamily, ref_tab, deriv: int, jac_power: int) -> np.ndarray:
@@ -92,14 +128,14 @@ def assemble_mass(family: BasisFamily, kind: SpaceKind) -> SPDMatrix:
 class DualSet:
     """A dual basis: primal family data plus the paired mass factorization.
 
-    Dual nodal sets also cache the Cholesky factor of the reference edge
-    mass, recovered from the first element's block of the edge mass.
+    Dual nodal sets also cache the reference edge mass with its Cholesky
+    factor, recovered from the first element's block of the edge mass.
     """
 
     family: BasisFamily
     kind: SpaceKind
     mass: SPDMatrix
-    _ref_factor: tuple = field(init=False, repr=False, default=None)
+    _ref_mass: SPDMatrix = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.kind not in (SpaceKind.DUAL_NODAL, SpaceKind.DUAL_EDGE):
@@ -115,7 +151,7 @@ class DualSet:
         if dual_nodal:
             p = self.family.degree
             ref_mass = self.mass.entries[:p, :p] * mesh.jacobian(0)
-            object.__setattr__(self, "_ref_factor", cho_factor(ref_mass))
+            object.__setattr__(self, "_ref_mass", SPDMatrix(ref_mass))
 
     @property
     def size(self) -> int:
@@ -132,7 +168,7 @@ def _reference_duals(duals: DualSet, xi, deriv: int = 0) -> np.ndarray:
     """The p dual nodal functions of one element at reference coordinates xi,
     before the J^-deriv pullback; shape (len(xi), p)."""
     edge = _reference_edge_tab(duals.family, np.atleast_1d(xi), deriv=deriv)
-    return cho_solve(duals._ref_factor, edge.T).T
+    return duals._ref_mass.solve(edge.T).T
 
 
 def tabulate_duals(duals: DualSet, x, deriv: int = 0) -> np.ndarray:

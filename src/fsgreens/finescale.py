@@ -53,14 +53,14 @@ the mesh boundaries misses the kink's derivative jump (criterion 12).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import functools
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .basis1d import Field, SpaceKind, element_tab, field_eval, nodal_deriv_jumps
-from .dualspace import _reference_duals, element_duals
+from .dualspace import SPDMatrix, _reference_duals, element_duals
 from .kernels import GreensKernel1D, _check_unit_domain
 from .projection import (DualFunctionals, ProjectionFlavor, mesh_quadrature, pair_functionals,
                          source_rule_points, tabulate_functionals)
@@ -322,10 +322,12 @@ def apply_dual_green(kernel: GreensKernel1D, fns: DualFunctionals, src: SourceTe
 class FineScaleOperator:
     """Precomputed fine-scale Green's operator for one kernel and dual set.
 
-    Holds the factorized Gram matrix, its 2-norm condition number and the
+    Holds the Gram matrix, its 2-norm condition number and the
     functionals whose flavor pairing drives all dual applications.  The
-    lifted functionals are exact and evaluated on demand, so nothing else
-    is stored.  `quad_points` is the reconstructions' source rule.
+    Gram is SPD for both flavors; it is Cholesky-factored on the first
+    solve, which H10 reconstructions never need.  The lifted functionals
+    are exact and evaluated on demand, so nothing else is stored.
+    `quad_points` is the reconstructions' source rule.
     """
 
     kernel: GreensKernel1D
@@ -333,7 +335,6 @@ class FineScaleOperator:
     quad_points: int
     gram: np.ndarray
     gram_cond: float
-    _lu: tuple = field(repr=False, default=None)
 
     @property
     def flavor(self) -> ProjectionFlavor:
@@ -365,8 +366,12 @@ class FineScaleOperator:
         cols, vals = element_tab(family, SpaceKind.NODAL, x)
         return np.einsum("ij,ij...->i...", vals, coeffs[cols])
 
+    @functools.cached_property
+    def _gram_spd(self) -> SPDMatrix:
+        return SPDMatrix(self.gram)
+
     def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
-        return lu_solve(self._lu, np.asarray(rhs, dtype=float))
+        return self._gram_spd.solve(rhs)
 
 
 def lift_functionals_direct(kernel: GreensKernel1D, fns: DualFunctionals, x,
@@ -418,7 +423,7 @@ def build_fine_scale_operator(kernel: GreensKernel1D, fns: DualFunctionals,
     cond = float(np.linalg.cond(gram)) if np.all(np.isfinite(gram)) else np.inf
     if cond > 1e14:
         raise ValueError("singular dual Gram matrix: assembly defect")
-    return FineScaleOperator(kernel, fns, quad_points, gram, cond, lu_factor(gram))
+    return FineScaleOperator(kernel, fns, quad_points, gram, cond)
 
 
 def fine_scale_eval(op: FineScaleOperator, x, s) -> np.ndarray:

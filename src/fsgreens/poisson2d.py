@@ -29,10 +29,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_solve, eigh
 
 from .basis1d import BasisFamily, Mesh1D, SpaceKind, basis_family, nodal_deriv_jumps, tabulate_nodal
-from .dualspace import assemble_mass
+from .dualspace import SPDMatrix, assemble_mass
 from .kernels import DEFAULT_SERIES_TERMS, _check_unit_domain
 from .projection import assemble_stiffness, mesh_quadrature, source_rule_points
 from .quadrature import composite_rule, gauss_legendre_rule
@@ -95,8 +94,13 @@ class DualFunctionals2D:
 def build_dual_functionals_2d(mesh: Mesh2D) -> DualFunctionals2D:
     family = basis_family(mesh.mesh1d)
     stiff = assemble_stiffness(family).entries
-    mass = assemble_mass(family, SpaceKind.NODAL).entries[1:-1, 1:-1]
-    eigvals, eigvecs = eigh(stiff, mass)
+    # K V = M V diag(lam) through M = L L^T: the standard problem of
+    # L^-1 K L^-T, symmetrized against rounding, whose eigenvectors Y give
+    # V = L^-T Y
+    mass = SPDMatrix(assemble_mass(family, SpaceKind.NODAL).entries[1:-1, 1:-1])
+    reduced = mass.substitute(mass.substitute(stiff).T)
+    eigvals, reduced_vecs = np.linalg.eigh(0.5 * (reduced + reduced.T))
+    eigvecs = mass.substitute(reduced_vecs, transpose=True)
     if eigvals[0] <= 0.0:
         raise ValueError("2D stiffness not positive definite")
     return DualFunctionals2D(family, eigvecs, eigvals)
@@ -212,9 +216,9 @@ class SeriesOperator2D:
 
     def solve_gram(self, rhs):
         """Solve the block-diagonal Gram for an (m, m) right side indexed [a, b]."""
-        rhs = np.asarray(rhs, dtype=float)
-        return np.column_stack([cho_solve((chol, True), rhs[:, b])
-                                for b, chol in enumerate(self.gram_chol)])
+        # block b solves L_b L_b^T x = rhs[:, b], all blocks in one batched solve each
+        half = np.linalg.solve(self.gram_chol, np.asarray(rhs, dtype=float).T[..., None])
+        return np.linalg.solve(self.gram_chol.transpose(0, 2, 1), half)[..., 0].T
 
 
 def build_series_operator_2d(d2: DualFunctionals2D,

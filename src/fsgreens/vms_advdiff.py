@@ -29,12 +29,11 @@ scales on any other grid are the interpolant evaluated there.
 from __future__ import annotations
 
 import functools
-import warnings
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, cholesky, get_blas_funcs, lu_factor, lu_solve
 
 from .basis1d import (
     BasisFamily,
@@ -68,9 +67,6 @@ from .quadrature import gauss_legendre_rule
 DEFAULT_FINE_GRID = 2001
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_MAX_ITER = 100_000
-# gemv applies the relaxed sweep, and trmv and nrm2 (scaled, so it neither
-# underflows nor overflows) give the step norm
-_gemv, _nrm2, _trmv = get_blas_funcs(("gemv", "nrm2", "trmv"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -209,16 +205,16 @@ def fine_grid(mesh, total_points: int = DEFAULT_FINE_GRID) -> np.ndarray:
     return np.unique(np.concatenate(pieces))
 
 
-def _factor_coarse_matrix(problem: AdvDiffProblem, adv_pairing: np.ndarray) -> tuple:
-    """LU factors of the coarse-scale matrix I - (c/nu) (mu_j', psi_k)."""
+def _coarse_solve(problem: AdvDiffProblem, adv_pairing: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the coarse-scale system I - (c/nu) (mu_j', psi_k) for rhs, one
+    vector or one column per right side; an exactly singular matrix raises
+    ValueError."""
     matrix = np.eye(adv_pairing.shape[0]) \
         - (problem.advection / problem.diffusion) * adv_pairing
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", LinAlgWarning)
-        try:
-            return lu_factor(matrix)
-        except LinAlgWarning as exc:
-            raise ValueError("singular coarse-scale system") from exc
+    try:
+        return np.linalg.solve(matrix, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("singular coarse-scale system") from exc
 
 
 def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator,
@@ -263,8 +259,7 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleO
     blocks[diagonal, :, diagonal, :] = 0.5 * np.diff(cells)[:, None, None] * _reference_cell(q)[3]
     green_deriv = x[:, None] * w - partial
 
-    coarse = lu_solve(_factor_coarse_matrix(problem, adv_pairing),
-                      np.column_stack((pairing, coarse_rhs)))
+    coarse = _coarse_solve(problem, adv_pairing, np.column_stack((pairing, coarse_rhs)))
     sweep = np.block([
         [np.zeros((fns.size, fns.size)), coarse],
         [-ratio * (green_psi_deriv + lifted_gram @ adv_pairing),
@@ -291,7 +286,8 @@ def iterate(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator
             tolerance: float = DEFAULT_TOLERANCE,
             max_iter: int = DEFAULT_MAX_ITER,
             fine_grid_points: int = DEFAULT_FINE_GRID,
-            quad_points: int | None = None) -> IterationState:
+            quad_points: int | None = None,
+            workspace: _Workspace | None = None) -> IterationState:
     """Under-relaxed coupled iteration from zero initial coarse and fine scales.
 
     Each sweep solves the coarse-scale equation for the coarse coefficients
@@ -304,20 +300,20 @@ def iterate(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator
     distance to the fixed point by about one over the relaxation factor.
     Hitting max_iter is reported through the converged flag, not raised; a
     sweep map that overflows raises ValueError.  The fine scales are
-    returned on `fine_grid(mesh, fine_grid_points)`.
+    returned on `fine_grid(mesh, fine_grid_points)`.  A `workspace` already
+    built by `make_workspace(problem, fns, op, quad_points)` is used as is.
     """
     relaxation = _relaxation(problem, relaxation)
     if not (np.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError("tolerance must be finite and positive")
-    ws = make_workspace(problem, fns, op, quad_points)
+    ws = workspace if workspace is not None else make_workspace(problem, fns, op, quad_points)
     size = fns.size
     # the fine rows relaxed, (1 - w) I + w M; the coarse rows stay M's, so
     # each sweep gives the unrelaxed coarse step
     affine = ws.sweep.copy()
     affine[size:] *= relaxation
     affine[size:, size:-1] += (1.0 - relaxation) * np.eye(ws.nodes.size)
-    affine = np.asfortranarray(affine)
-    mass_chol = np.asfortranarray(cholesky(ws.mass))
+    mass_chol_t = np.linalg.cholesky(ws.mass).T.copy()
     z = np.zeros(affine.shape[1])
     z[-1] = 1.0
     history = []
@@ -325,11 +321,12 @@ def iterate(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator
     iteration = 0
     while iteration < max_iter:
         iteration += 1
-        new = _gemv(1.0, affine, z)
+        new = affine.dot(z)
         step = new[:size] - z[:size]
         z[:size] += relaxation * step
         z[size:-1] = new[size:]
-        step_norm = _nrm2(_trmv(mass_chol, step))
+        # hypot scales, so the norm neither underflows nor overflows
+        step_norm = math.hypot(*mass_chol_t.dot(step).tolist())
         history.append(step_norm)
         if step_norm < tolerance:
             converged = True
@@ -343,13 +340,15 @@ def iterate(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator
 
 def sweep_spectral_radius(problem: AdvDiffProblem, fns: DualFunctionals,
                           op: FineScaleOperator, relaxation: float | None = None,
-                          quad_points: int | None = None) -> float:
+                          quad_points: int | None = None,
+                          workspace: _Workspace | None = None) -> float:
     """Largest |eigenvalue| of (1 - w) I + w M, the linear part of
     `iterate`'s relaxed sweep of (u_bar, v), M that of the unrelaxed one:
     below 1 the relaxed iteration converges from any start, above 1 it
-    diverges."""
+    diverges.  A `workspace` is used as in `iterate`."""
     relaxation = _relaxation(problem, relaxation)
-    relaxed = relaxation * make_workspace(problem, fns, op, quad_points).sweep[:, :-1]
+    ws = workspace if workspace is not None else make_workspace(problem, fns, op, quad_points)
+    relaxed = relaxation * ws.sweep[:, :-1]
     relaxed[np.diag_indices_from(relaxed)] += 1.0 - relaxation
     return float(np.max(np.abs(np.linalg.eigvals(relaxed))))
 

@@ -16,12 +16,11 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lu_solve
 
 from fsgreens.basis1d import Field, field_eval, tabulate_nodal
 from fsgreens.finescale import FineScaleOperator, SourceTerm, reconstruct_fine_scales
 from fsgreens.projection import DualFunctionals, interior_field, mesh_quadrature, tabulate_functionals
-from fsgreens.vms_advdiff import AdvDiffProblem, _factor_coarse_matrix
+from fsgreens.vms_advdiff import AdvDiffProblem, _coarse_solve
 
 FineScales = Callable[[np.ndarray], np.ndarray]
 
@@ -46,7 +45,7 @@ def coarse_update(fns: DualFunctionals, problem: AdvDiffProblem, u_bar: Field,
     psi_tab = tabulate_nodal(family, x)[:, 1:-1]
     rhs = mu_tab.T @ (w * np.asarray(problem.source(x), dtype=float)) / nu \
         + (c / nu) * (mu_dtab.T @ (w * u_prime(x)))
-    interior = lu_solve(_factor_coarse_matrix(problem, mu_dtab.T @ (w[:, None] * psi_tab)), rhs)
+    interior = _coarse_solve(problem, mu_dtab.T @ (w[:, None] * psi_tab), rhs)
     return interior_field(family, interior).coeffs
 
 

@@ -416,3 +416,38 @@ def test_cold_start_loads_spline_and_sparse_modules_only_for_the_iteration(
     if argv[0] == "vms-iter":
         meta = json.loads(out.read_text())["meta"]
         assert meta["converged"] is True and meta["iterations"] == 362
+
+
+@pytest.mark.parametrize("argv", [
+    ("gll", "--p", "3"),
+    ("basis",),
+    ("dual",),
+    ("project",),
+    ("greens",),
+    ("reconstruct", "--projection", "h10"),
+    ("reconstruct", "--projection", "l2"),
+    ("finescale",),
+    ("poisson2d",),
+    ("vms-iter", "--nu", "0.05"),
+], ids=["gll", "basis", "dual", "project", "greens", "reconstruct-h10", "reconstruct-l2",
+        "finescale", "poisson2d", "vms-iter"])
+def test_no_command_loads_scipy(tmp_path, argv):
+    # A fresh interpreter per command, with the modules listed after the
+    # command has run: a scipy import deferred into the run counts too.
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {k: v for k, v in os.environ.items() if k != "FSG_QUAD_POINTS"}
+    env["PYTHONPATH"] = os.path.abspath(src)
+    script = ("import json, sys\n"
+              "from fsgreens.cli import main\n"
+              "status = main(sys.argv[1:])\n"
+              "print(json.dumps([status, sorted(m for m in sys.modules\n"
+              "                                 if m == 'scipy' or m.startswith('scipy.'))]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    status, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert status == 0
+    assert modules == []

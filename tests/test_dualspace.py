@@ -72,6 +72,52 @@ def test_spd_matrix_rejects_asymmetric_and_indefinite():
         SPDMatrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
+def _spd(n, seed):
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    return a @ a.T + n * np.eye(n)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+@pytest.mark.parametrize("columns", [None, 7])
+def test_spd_solve_matches_cho_solve(n, columns):
+    # scipy is a test-only oracle: the library itself loads no scipy module
+    from scipy.linalg import cho_factor, cho_solve
+
+    matrix = _spd(n, seed=n)
+    shape = (n,) if columns is None else (n, columns)
+    rhs = np.random.default_rng(n + 1).standard_normal(shape)
+    want = cho_solve(cho_factor(matrix), rhs)
+    got = SPDMatrix(matrix).solve(rhs)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_spd_solve_matches_cho_solve_on_a_fine_mesh_stiffness():
+    # cond(K) is 4.7e6 at N=640, p=4, so solutions carry rounding up to
+    # about 1e-9 (relative): cho_solve's upper and lower factors already
+    # differ by 3e-11.  The solve must be backward stable and agree with
+    # cho_solve a decade inside that bound.
+    from scipy.linalg import cho_factor, cho_solve
+
+    stiffness = build_dual_functionals(basis_family(Mesh1D.uniform(0.0, 1.0, 640, 4)),
+                                       ProjectionFlavor.H10).stiffness
+    entries = stiffness.entries
+    rhs = np.random.default_rng(0).standard_normal((entries.shape[0], 3))
+    for side in (rhs, rhs[:, 0]):
+        want = cho_solve(cho_factor(entries), side)
+        got = stiffness.solve(side)
+        scale = np.max(np.abs(got))
+        assert np.max(np.abs(entries @ got - side)) <= 1e-14 * np.max(np.abs(entries)) * scale
+        assert np.max(np.abs(got - want)) <= 1e-10 * scale
+
+
+def test_spd_matrix_rejects_an_indefinite_matrix_wider_than_a_block():
+    matrix = _spd(65, seed=3)
+    matrix[64, 64] = -1.0
+    with pytest.raises(ValueError, match="positive definite"):
+        SPDMatrix(matrix)
+
+
 def test_dual_set_rejects_the_other_mass_matrix():
     family = basis_family(Mesh1D.uniform(0.0, 1.0, 2, 2))
     with pytest.raises(ValueError):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from fsgreens import poisson2d
-from fsgreens.basis1d import Mesh1D, basis_family
+from fsgreens.basis1d import Mesh1D, SpaceKind, basis_family
 from fsgreens.cases import sin2pixy_case
+from fsgreens.dualspace import assemble_mass
 from fsgreens.poisson2d import (
     Field2D,
     Mesh2D,
@@ -21,6 +22,7 @@ from fsgreens.poisson2d import (
     stiffness_2d_direct,
     tabulate_functionals_2d,
 )
+from fsgreens.projection import assemble_stiffness
 from fsgreens.quadrature import composite_rule, default_quad_points, gauss_legendre_rule
 
 CASE = sin2pixy_case()
@@ -47,6 +49,20 @@ def test_eigenpairs_diagonalize_direct_assembly(n, p):
     diagonal = vv.T @ stiffness_2d_direct(d2.family) @ vv
     scale = np.max(d2.eigvals)
     assert np.max(np.abs(diagonal - np.diag(d2.eig_sums.ravel()))) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("n,p", [(8, 4), (12, 4), (40, 8)])
+def test_eigenpairs_solve_the_generalized_problem(n, p):
+    # K V = M V diag(lam) and V^T M V = I for the 1D interior stiffness K
+    # and mass M that the eigenbasis is built from
+    d2 = build_dual_functionals_2d(_mesh(n, p))
+    stiff = assemble_stiffness(d2.family).entries
+    mass = assemble_mass(d2.family, SpaceKind.NODAL).entries[1:-1, 1:-1]
+    v, lam = d2.eigvecs, d2.eigvals
+    residual = stiff @ v - mass @ v * lam
+    assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(stiff)) * np.max(np.abs(v))
+    assert np.max(np.abs(v.T @ mass @ v - np.eye(lam.size))) <= 1e-12
+    assert np.all(np.diff(lam) > 0.0)
 
 
 def test_domain_must_be_unit_square():

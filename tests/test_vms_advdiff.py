@@ -20,6 +20,7 @@ from fsgreens.quadrature import default_quad_points, gauss_legendre_rule
 from fsgreens.vms_advdiff import (
     AdvDiffProblem,
     _cell_interpolant,
+    _coarse_solve,
     fine_grid,
     galerkin_solve,
     iterate,
@@ -532,3 +533,22 @@ def test_sweep_spectral_radius_tells_whether_the_relaxation_converges(
     assert (radius < 1.0) is converges
     if not converges:
         assert not iterate(problem, fns, op, max_iter=3000).converged
+
+
+def test_a_built_workspace_gives_the_same_sweeps_and_radius():
+    problem = AdvDiffProblem(1.0, 0.05, advdiff_const_case(1.0, 0.05).source)
+    _, fns, op = _h10_setup(3, 2)
+    ws = make_workspace(problem, fns, op)
+    state, reused = iterate(problem, fns, op), iterate(problem, fns, op, workspace=ws)
+    assert reused.iteration == state.iteration == 362
+    assert reused.residual_history == state.residual_history
+    np.testing.assert_array_equal(reused.u_prime, state.u_prime)
+    assert sweep_spectral_radius(problem, fns, op, workspace=ws) \
+        == sweep_spectral_radius(problem, fns, op)
+
+
+def test_an_exactly_singular_coarse_matrix_raises():
+    # c/nu = 1, so I - (c/nu) A has an exactly zero first row
+    problem = AdvDiffProblem(1.0, 1.0, lambda x: np.ones_like(x))
+    with pytest.raises(ValueError, match="singular coarse-scale system"):
+        _coarse_solve(problem, np.diag([1.0, 0.5, 0.25]), np.ones(3))
