@@ -237,17 +237,6 @@ def nodal_deriv_jumps(family: BasisFamily) -> np.ndarray:
     return jumps[:, 1:-1]
 
 
-def nodal_points(family: BasisFamily) -> np.ndarray:
-    """Physical coordinates of the global nodal degrees of freedom."""
-    mesh = family.mesh
-    pts = np.empty(mesh.num_nodal_dofs)
-    for n in range(mesh.num_elements):
-        lo, hi = mesh.boundaries[n], mesh.boundaries[n + 1]
-        mapped = 0.5 * (lo + hi) + 0.5 * (hi - lo) * family.ref_nodes
-        pts[n * mesh.degree: (n + 1) * mesh.degree + 1] = mapped
-    return pts
-
-
 @dataclass(frozen=True)
 class Field:
     """Discrete function: a primal space tag (nodal or edge) plus a

@@ -114,14 +114,19 @@ def cmd_gll(args):
     write_table(args.out, ["i", "node", "weight"], rows, _meta(args), args.format)
 
 
+def _finite(tab: np.ndarray, args) -> np.ndarray:
+    """The table, or ValueError if it overflowed on an interval too short for its basis."""
+    if not np.all(np.isfinite(tab)):
+        raise ValueError(f"the {args.kind} {args.command} table on [{args.a:g}, {args.b:g}] "
+                         "is not finite: the interval is too short for its basis")
+    return tab
+
+
 def cmd_basis(args):
     mesh = Mesh1D.uniform(args.a, args.b, args.elements, args.p)
     family = basis_family(mesh)
     x = np.linspace(args.a, args.b, args.grid)
-    if args.kind == "nodal":
-        tab = tabulate_nodal(family, x)
-    else:
-        tab = tabulate_edge(family, x)
+    tab = _finite((tabulate_nodal if args.kind == "nodal" else tabulate_edge)(family, x), args)
     columns = ["x"] + [f"{args.kind}_{i}" for i in range(tab.shape[1])]
     rows = np.column_stack([x, tab])
     write_table(args.out, columns, rows, _meta(args), args.format)
@@ -133,7 +138,7 @@ def cmd_dual(args):
     kind = SpaceKind.DUAL_NODAL if args.kind == "nodal" else SpaceKind.DUAL_EDGE
     duals = build_duals(family, kind)
     x = np.linspace(args.a, args.b, args.grid)
-    tab = tabulate_duals(duals, x)
+    tab = _finite(tabulate_duals(duals, x), args)
     columns = ["x"] + [f"dual_{args.kind}_{i}" for i in range(tab.shape[1])]
     rows = np.column_stack([x, tab])
     write_table(args.out, columns, rows, _meta(args), args.format)

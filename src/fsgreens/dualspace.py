@@ -8,15 +8,15 @@ its primal partner in L2.
 Edge functions never cross an element, so the edge mass matrix is block
 diagonal, element e's block being the reference edge mass over J_e, and
 every dual nodal function lives on one element.  They are tabulated by
-per-element solves with one cached Cholesky factor of the p x p reference
-edge mass; the dual edge functions go through the cached factor of the
-global nodal mass.  Duals are always evaluated through solves, never
-through explicit inverses of a mass matrix; the H10 functionals of
-`projection` follow the same rule with the interior stiffness.  The solves
-substitute through the Cholesky factor, inverting only its diagonal
-blocks, which are at most `_SUBSTITUTION_BLOCK` wide.  Mass and stiffness
-matrices are one `SPDMatrix` type, assembled element by element by one
-helper.
+per-element solves with one cached Cholesky factor of the p x p
+reference edge mass, the only mass a dual nodal set holds; the dual edge
+functions go through the cached factor of the global nodal mass.  Duals
+are always evaluated through solves, never through explicit inverses of
+a mass matrix; the H10 functionals of `projection` follow the same rule
+with the interior stiffness.  The solves substitute through the Cholesky
+factor, inverting only its diagonal blocks, which are at most
+`_SUBSTITUTION_BLOCK` wide.  Mass and stiffness matrices are one
+`SPDMatrix` type, assembled element by element by one helper.
 """
 
 from __future__ import annotations
@@ -87,19 +87,24 @@ class SPDMatrix:
         return self.substitute(self.substitute(rhs), transpose=True)
 
 
+def _reference_gram(family: BasisFamily, ref_tab, deriv: int) -> np.ndarray:
+    """The Gram matrix over [-1, 1] of the reference tabulation `ref_tab`."""
+    # p+2 Gauss points integrate the degree-2p Gram integrands exactly.
+    rule = gauss_legendre_rule(family.degree + 2)
+    tab = ref_tab(family, rule.nodes, deriv=deriv)
+    return tab.T @ (rule.weights[:, None] * tab)
+
+
 def _assemble_gram(family: BasisFamily, ref_tab, deriv: int, jac_power: int) -> np.ndarray:
-    """Sum J_e^jac_power times the reference Gram matrix of the reference
-    tabulation `ref_tab(family, xi, deriv=deriv)` into every element's slice.
+    """Sum J_e^jac_power times the reference Gram matrix of `ref_tab` into
+    every element's slice.
 
     Consecutive elements share their first and last local function when the
     tabulation has p + 1 columns (nodal), and nothing when it has p (edge).
     """
     mesh = family.mesh
     p = mesh.degree
-    # p+2 Gauss points integrate the degree-2p Gram integrands exactly.
-    rule = gauss_legendre_rule(p + 2)
-    tab = ref_tab(family, rule.nodes, deriv=deriv)
-    ref_gram = tab.T @ (rule.weights[:, None] * tab)
+    ref_gram = _reference_gram(family, ref_tab, deriv)
     nloc = ref_gram.shape[0]
     ndof = (mesh.num_elements - 1) * p + nloc
     entries = np.zeros((ndof, ndof))
@@ -126,49 +131,50 @@ def assemble_mass(family: BasisFamily, kind: SpaceKind) -> SPDMatrix:
 
 @dataclass(frozen=True)
 class DualSet:
-    """A dual basis: primal family data plus the paired mass factorization.
+    """A dual basis: primal family data plus the mass it solves with.
 
-    Dual nodal sets also cache the reference edge mass with its Cholesky
-    factor, recovered from the first element's block of the edge mass.
+    A dual nodal set holds the p x p reference edge mass (checked entry by
+    entry: on one element the global edge mass has its size), a dual edge
+    set the global nodal mass.
     """
 
     family: BasisFamily
     kind: SpaceKind
     mass: SPDMatrix
-    _ref_mass: SPDMatrix = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.kind not in (SpaceKind.DUAL_NODAL, SpaceKind.DUAL_EDGE):
             raise ValueError("DualSet kind must be dual-nodal or dual-edge")
-        mesh = self.family.mesh
         dual_nodal = self.kind is SpaceKind.DUAL_NODAL
-        # N p edge dofs against N p + 1 nodal ones: the size tells the two masses apart
-        ndof = mesh.num_edge_dofs if dual_nodal else mesh.num_nodal_dofs
-        if self.size != ndof:
-            primal = "edge" if dual_nodal else "nodal"
-            raise ValueError(f"{self.kind.value} duals need the {ndof}-dof {primal} "
-                             f"mass matrix, got size {self.size}")
         if dual_nodal:
-            p = self.family.degree
-            ref_mass = self.mass.entries[:p, :p] * mesh.jacobian(0)
-            object.__setattr__(self, "_ref_mass", SPDMatrix(ref_mass))
+            ref = _reference_gram(self.family, _reference_edge_tab, deriv=0)
+            ok = np.array_equal(self.mass.entries, ref)
+        else:
+            ok = self.mass.entries.shape[0] == self.family.mesh.num_nodal_dofs
+        if not ok:
+            primal = "p x p reference edge" if dual_nodal else "global nodal"
+            raise ValueError(f"{self.kind.value} duals need the {primal} mass matrix")
 
     @property
     def size(self) -> int:
-        return self.mass.entries.shape[0]
+        mesh = self.family.mesh
+        return mesh.num_edge_dofs if self.kind is SpaceKind.DUAL_NODAL else mesh.num_nodal_dofs
 
 
 def build_duals(family: BasisFamily, kind: SpaceKind) -> DualSet:
     """Construct the dual-nodal (edge-based) or dual-edge (node-based) set."""
-    primal = SpaceKind.EDGE if kind is SpaceKind.DUAL_NODAL else SpaceKind.NODAL
-    return DualSet(family, kind, assemble_mass(family, primal))
+    if kind is SpaceKind.DUAL_NODAL:
+        mass = SPDMatrix(_reference_gram(family, _reference_edge_tab, deriv=0))
+    else:
+        mass = assemble_mass(family, SpaceKind.NODAL)
+    return DualSet(family, kind, mass)
 
 
 def _reference_duals(duals: DualSet, xi, deriv: int = 0) -> np.ndarray:
     """The p dual nodal functions of one element at reference coordinates xi,
     before the J^-deriv pullback; shape (len(xi), p)."""
     edge = _reference_edge_tab(duals.family, np.atleast_1d(xi), deriv=deriv)
-    return duals._ref_mass.solve(edge.T).T
+    return duals.mass.solve(edge.T).T
 
 
 def tabulate_duals(duals: DualSet, x, deriv: int = 0) -> np.ndarray:

@@ -11,10 +11,9 @@ residual.
 
 Functionals act through their flavor pairing, which also pairs them with
 the lifts into the Gram matrix: plain densities for L2, the derivative
-pairing for H10, whose load on the kernel (`functional_load`, read by the
-direct-quadrature oracle) is a piecewise-polynomial part plus node point
-sources.  A residual carries a smooth part with its kink breakpoints,
-point sources and optionally a coarse field u_bar, nodal or edge.
+pairing for H10, whose load on the kernel is a piecewise-polynomial part
+plus node point sources.  A residual carries a smooth part with its kink
+breakpoints, point sources and optionally a coarse field u_bar, nodal or edge.
 
 G maps a field's distributional second derivative to minus the field,
 taken as zero outside the mesh (Hughes & Sangalli, SIAM J. Numer. Anal.
@@ -59,7 +58,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis1d import Field, SpaceKind, element_tab, field_eval, nodal_deriv_jumps
+from .basis1d import Field, SpaceKind, element_tab, field_eval
 from .dualspace import SPDMatrix, _reference_duals, element_duals
 from .kernels import GreensKernel1D, _check_unit_domain
 from .projection import (DualFunctionals, ProjectionFlavor, mesh_quadrature, pair_functionals,
@@ -229,29 +228,6 @@ def green_apply(kernel: GreensKernel1D, src: SourceTerm, x, quad_points: int,
     return float(out[0]) if scalar else out
 
 
-def functional_load(fns: DualFunctionals):
-    """The load each functional places on the kernel, as a SourceTerm batch.
-
-    Returns (smooth_tab, point_locs, point_strengths) where smooth_tab(s)
-    tabulates all loads' smooth densities, point_locs lists delta
-    locations and point_strengths is the (len(locs), n) strength matrix.
-    For the L2 flavor the load is the dual function itself; for H10 it is
-    the negative distributional second derivative of the functional.
-    """
-    mesh = fns.family.mesh
-    if fns.flavor is ProjectionFlavor.L2:
-        smooth = lambda s: tabulate_functionals(fns, s)
-        return smooth, np.empty(0), np.empty((0, fns.size))
-    smooth = lambda s: -tabulate_functionals(fns, s, deriv=2)
-    a, b = mesh.a, mesh.b
-    deriv_a = tabulate_functionals(fns, np.array([a]), deriv=1)[0]
-    deriv_b = tabulate_functionals(fns, np.array([b]), deriv=1)[0]
-    # interface strengths are the derivative jumps, left minus right
-    jumps = -fns.stiffness.solve(nodal_deriv_jumps(fns.family).T).T
-    strengths = np.vstack([-deriv_a, jumps, deriv_b])
-    return smooth, mesh.boundaries.copy(), strengths
-
-
 def _field_pairing(fns: DualFunctionals, fld: Field) -> np.ndarray:
     """The functionals' exact flavor pairing with a coarse field: L2 against
     the field, H10 against its derivative.
@@ -309,15 +285,6 @@ def _green_and_pairing(kernel: GreensKernel1D, fns: DualFunctionals, src: Source
     return image, data
 
 
-def apply_dual_green(kernel: GreensKernel1D, fns: DualFunctionals, src: SourceTerm,
-                     quad_points: int | None = None) -> np.ndarray:
-    """Pair every functional with the Green's image of a source.
-
-    G src = G f - u_bar for a coarse field u_bar; see `_green_and_pairing`.
-    """
-    return _green_and_pairing(kernel, fns, src, np.empty(0), quad_points)[1]
-
-
 @dataclass(frozen=True)
 class FineScaleOperator:
     """Precomputed fine-scale Green's operator for one kernel and dual set.
@@ -372,29 +339,6 @@ class FineScaleOperator:
 
     def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
         return self._gram_spd.solve(rhs)
-
-
-def lift_functionals_direct(kernel: GreensKernel1D, fns: DualFunctionals, x,
-                            quad_points: int | None = None,
-                            deriv: int = 0) -> np.ndarray:
-    """Direct-quadrature evaluation of every lifted functional, or its
-    x-derivative (deriv=1), at x.
-
-    Per-point verification path for the exact lifts: applies the Green's
-    kernel (or its x-derivative) to each functional's load with one
-    quadrature per point.
-    """
-    kern = kernel if deriv == 0 else kernel.derivative_x
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    smooth_tab, locs, strengths = functional_load(fns)
-    out = np.zeros((x.size, fns.size))
-    for i, xi in enumerate(x):
-        # the source rule, cut at the kernel kink s = xi
-        s, w = mesh_quadrature(fns.family, quad_points, [xi])
-        out[i] = smooth_tab(s).T @ (w * kern(xi, s))
-    for k, loc in enumerate(np.atleast_1d(locs)):
-        out += np.outer(kern(x, loc), strengths[k])
-    return out
 
 
 def build_fine_scale_operator(kernel: GreensKernel1D, fns: DualFunctionals,

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis1d import BasisFamily, Mesh1D, SpaceKind, basis_family, nodal_deriv_jumps, tabulate_nodal
+from .basis1d import BasisFamily, Mesh1D, SpaceKind, basis_family, tabulate_nodal
 from .dualspace import SPDMatrix, assemble_mass
 from .kernels import DEFAULT_SERIES_TERMS, _check_unit_domain
 from .projection import assemble_stiffness, mesh_quadrature, source_rule_points
@@ -54,16 +54,6 @@ class Mesh2D:
     def __post_init__(self):
         if abs(self.mesh1d.a) > 1e-14 or abs(self.mesh1d.b - 1.0) > 1e-14:
             raise ValueError("the square-domain machinery expects [0, 1] per direction")
-
-
-def stiffness_2d_direct(family: BasisFamily) -> np.ndarray:
-    """Interior 2D stiffness by direct tensor quadrature (consistency oracle)."""
-    x, w = composite_rule(gauss_legendre_rule(family.degree + 2), family.mesh.boundaries)
-    tab = tabulate_nodal(family, x)[:, 1:-1]
-    dtab = tabulate_nodal(family, x, deriv=1)[:, 1:-1]
-    mass = tab.T @ (w[:, None] * tab)
-    stiff = dtab.T @ (w[:, None] * dtab)
-    return np.kron(stiff, mass) + np.kron(mass, stiff)
 
 
 @dataclass(frozen=True)
@@ -124,12 +114,6 @@ def _interior_tab(family: BasisFamily, pts, deriv: int = 0) -> np.ndarray:
 
 def _psi_tab(d2: DualFunctionals2D, pts, deriv: int = 0) -> np.ndarray:
     return _interior_tab(d2.family, pts, deriv) @ d2.eigvecs
-
-
-def tabulate_functionals_2d(d2: DualFunctionals2D, x, y,
-                            deriv_x: int = 0, deriv_y: int = 0) -> np.ndarray:
-    """Meshgrid tabulation of every 2D functional: shape (len(x), len(y), size)."""
-    return _tensor_duals(d2, _psi_tab(d2, x, deriv_x), _psi_tab(d2, y, deriv_y))
 
 
 @dataclass(frozen=True)
@@ -340,31 +324,3 @@ def residual_2d(source: Callable, u_bar: Field2D | None) -> Callable:
     lines, as u_bar is resolved; the element-wise part alone it does not.
     """
     return source
-
-
-def h10_project_values_2d(d2: DualFunctionals2D, u: Callable,
-                          quad_points: int | None = None) -> np.ndarray:
-    """Derivative-pairing projection of a field known only by its values.
-
-    Element-wise integration by parts against psi_a (x) psi_b: area
-    integrals of the field against their Laplacians plus line integrals
-    against the normal-derivative jumps across interior mesh lines, then
-    one stiffness solve.  Assumes zero boundary trace.  `u(x, y)` must
-    accept 1D arrays and return the meshgrid values.
-    """
-    mesh = d2.family.mesh
-    x, w = mesh_quadrature(d2.family, quad_points)
-    tab = _psi_tab(d2, x)
-    d2tab = _psi_tab(d2, x, 2)
-    u_grid = w[:, None] * np.asarray(u(x, x), dtype=float) * w[None, :]
-    load = -(d2tab.T @ u_grid @ tab + tab.T @ u_grid @ d2tab)
-
-    jumps = nodal_deriv_jumps(d2.family) @ d2.eigvecs         # (n_ifaces, m)
-    for c, xc in enumerate(mesh.boundaries[1:-1]):
-        # vertical line x = xc: jump of the x-derivative, left minus right
-        u_line = np.asarray(u(np.array([xc]), x), dtype=float)[0]
-        load -= np.outer(jumps[c], tab.T @ (w * u_line))
-        # horizontal line y = xc
-        u_line = np.asarray(u(x, np.array([xc])), dtype=float)[:, 0]
-        load -= np.outer(tab.T @ (w * u_line), jumps[c])
-    return _stiffness_solve(d2, load).ravel()

@@ -14,6 +14,12 @@ It also holds the naive pairing (`pair_naive`): the functionals paired
 with G src on a rule cut only at the mesh boundaries, not at the kernel
 kink x = s.  The library splits every such integral at the kink; this
 unsplit rule is kept here only to show, in criterion 12, that it fails.
+
+The other 1D oracles the tests check the library against live here too:
+each functional's load on the kernel (`functional_load`) and its lift by
+one direct quadrature per point (`lift_functionals_direct`), the
+pairing alone of a source (`apply_dual_green`) and the nodal points
+(`nodal_points`).
 """
 
 from __future__ import annotations
@@ -22,10 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fsgreens.basis1d import Field, SpaceKind, _reference_edge_tab, field_eval, lagrange_tab
-from fsgreens.finescale import (FineScaleOperator, SourceTerm, _field_pairing, _lift,
-                                _poisson_apply)
-from fsgreens.projection import ProjectionFlavor, mesh_quadrature, tabulate_functionals
+from fsgreens.basis1d import (BasisFamily, Field, SpaceKind, _reference_edge_tab, field_eval,
+                              lagrange_tab, nodal_deriv_jumps)
+from fsgreens.finescale import (FineScaleOperator, SourceTerm, _field_pairing, _green_and_pairing,
+                                _lift, _poisson_apply)
+from fsgreens.kernels import GreensKernel1D
+from fsgreens.projection import (DualFunctionals, ProjectionFlavor, mesh_quadrature,
+                                 tabulate_functionals)
 
 
 def element_endpoint_values(fld: Field, deriv: int = 0):
@@ -156,3 +165,69 @@ def pair_naive(kernel, fns, src: SourceTerm, quad_points: int | None = None) -> 
     if src.coarse is not None:
         data = data - _field_pairing(fns, src.coarse)
     return data
+
+
+def functional_load(fns: DualFunctionals):
+    """The load each functional places on the kernel, as a SourceTerm batch.
+
+    Returns (smooth_tab, point_locs, point_strengths) where smooth_tab(s)
+    tabulates all loads' smooth densities, point_locs lists delta
+    locations and point_strengths is the (len(locs), n) strength matrix.
+    For the L2 flavor the load is the dual function itself; for H10 it is
+    the negative distributional second derivative of the functional.
+    """
+    mesh = fns.family.mesh
+    if fns.flavor is ProjectionFlavor.L2:
+        smooth = lambda s: tabulate_functionals(fns, s)
+        return smooth, np.empty(0), np.empty((0, fns.size))
+    smooth = lambda s: -tabulate_functionals(fns, s, deriv=2)
+    a, b = mesh.a, mesh.b
+    deriv_a = tabulate_functionals(fns, np.array([a]), deriv=1)[0]
+    deriv_b = tabulate_functionals(fns, np.array([b]), deriv=1)[0]
+    # interface strengths are the derivative jumps, left minus right
+    jumps = -fns.stiffness.solve(nodal_deriv_jumps(fns.family).T).T
+    strengths = np.vstack([-deriv_a, jumps, deriv_b])
+    return smooth, mesh.boundaries.copy(), strengths
+
+
+def apply_dual_green(kernel: GreensKernel1D, fns: DualFunctionals, src: SourceTerm,
+                     quad_points: int | None = None) -> np.ndarray:
+    """Pair every functional with the Green's image of a source.
+
+    G src = G f - u_bar for a coarse field u_bar; see `_green_and_pairing`.
+    """
+    return _green_and_pairing(kernel, fns, src, np.empty(0), quad_points)[1]
+
+
+def lift_functionals_direct(kernel: GreensKernel1D, fns: DualFunctionals, x,
+                            quad_points: int | None = None,
+                            deriv: int = 0) -> np.ndarray:
+    """Direct-quadrature evaluation of every lifted functional, or its
+    x-derivative (deriv=1), at x.
+
+    Per-point verification path for the exact lifts: applies the Green's
+    kernel (or its x-derivative) to each functional's load with one
+    quadrature per point.
+    """
+    kern = kernel if deriv == 0 else kernel.derivative_x
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    smooth_tab, locs, strengths = functional_load(fns)
+    out = np.zeros((x.size, fns.size))
+    for i, xi in enumerate(x):
+        # the source rule, cut at the kernel kink s = xi
+        s, w = mesh_quadrature(fns.family, quad_points, [xi])
+        out[i] = smooth_tab(s).T @ (w * kern(xi, s))
+    for k, loc in enumerate(np.atleast_1d(locs)):
+        out += np.outer(kern(x, loc), strengths[k])
+    return out
+
+
+def nodal_points(family: BasisFamily) -> np.ndarray:
+    """Physical coordinates of the global nodal degrees of freedom."""
+    mesh = family.mesh
+    pts = np.empty(mesh.num_nodal_dofs)
+    for n in range(mesh.num_elements):
+        lo, hi = mesh.boundaries[n], mesh.boundaries[n + 1]
+        mapped = 0.5 * (lo + hi) + 0.5 * (hi - lo) * family.ref_nodes
+        pts[n * mesh.degree: (n + 1) * mesh.degree + 1] = mapped
+    return pts

@@ -26,10 +26,8 @@ from fsgreens.cli import main as cli_main
 from fsgreens.dualspace import build_duals, tabulate_duals
 from fsgreens.finescale import (
     SourceTerm,
-    apply_dual_green,
     build_fine_scale_operator,
     fine_scale_eval,
-    functional_load,
     reconstruct_fine_scales,
     resolved_basis_reproduction,
     residual_from_field,
@@ -42,7 +40,6 @@ from fsgreens.poisson2d import (
     project_2d,
     reconstruct_fine_scales_2d,
     residual_2d,
-    tabulate_functionals_2d,
 )
 from fsgreens.projection import (
     ProjectionFlavor,
@@ -56,7 +53,8 @@ from fsgreens.quadrature import gll_nodes, legendre_eval
 from fsgreens.basis1d import SpaceKind
 from fsgreens.vms_advdiff import AdvDiffProblem, iterate
 
-from flattened_oracle import pair_naive
+from flattened_oracle import apply_dual_green, functional_load, pair_naive
+from oracle_2d import tabulate_functionals_2d
 
 KERNEL = GreensKernel1D.poisson()
 SINE = sin2pix_case()

@@ -10,13 +10,12 @@ from fsgreens.basis1d import (
     basis_family,
     field_eval,
     find_element,
-    nodal_points,
     tabulate_edge,
     tabulate_nodal,
 )
 from fsgreens.quadrature import gauss_legendre_rule, integrate
 
-from flattened_oracle import element_endpoint_values
+from flattened_oracle import element_endpoint_values, nodal_points
 
 
 @pytest.fixture

@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from fsgreens.basis1d import Mesh1D, SpaceKind, basis_family
 from fsgreens.cli import main
+from fsgreens.dualspace import build_duals, tabulate_duals
 
 
 def _run(tmp_path, *argv):
@@ -362,6 +364,31 @@ def test_bad_interval_and_source_point_exit_two(tmp_path, capsys, argv):
     assert err.value.code == 2
     assert "error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("basis", "--kind", "edge", "--a", "0", "--b", "1e-310"),
+    ("dual", "--kind", "edge", "--a", "0", "--b", "1e-307"),
+], ids=["basis", "dual"])
+def test_interval_too_short_for_its_basis_exits_one(tmp_path, capsys, argv):
+    # the edge functions scale as 1/J, which overflows on these intervals
+    out = tmp_path / "short.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _run(tmp_path, *argv, "--out", str(out)) == 1
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dual_nodal_values_do_not_depend_on_the_interval_length(tmp_path):
+    # a dual nodal function is its reference dual whatever the element
+    # width.  The subnormal grid rounds its own points (its step by 3e-12),
+    # so the values are checked at the written points, mapped to [0, 1].
+    out = tmp_path / "tiny.csv"
+    assert _run(tmp_path, "dual", "--a", "0", "--b", "1e-310", "--out", str(out)) == 0
+    _, rows = _read_csv(out)
+    family = basis_family(Mesh1D.uniform(0.0, 1.0, 2, 3))
+    want = tabulate_duals(build_duals(family, SpaceKind.DUAL_NODAL), rows[:, 0] / 1e-310)
+    assert np.max(np.abs(rows[:, 1:] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_underflowing_boundary_layer_terminates(tmp_path):

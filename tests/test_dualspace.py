@@ -124,6 +124,19 @@ def test_dual_set_rejects_the_other_mass_matrix():
         DualSet(family, SpaceKind.DUAL_NODAL, assemble_mass(family, SpaceKind.NODAL))
     with pytest.raises(ValueError):
         DualSet(family, SpaceKind.DUAL_EDGE, assemble_mass(family, SpaceKind.EDGE))
+    # one element: the global edge mass is p x p too, but scaled by 1/J
+    family = basis_family(Mesh1D.uniform(0.0, 1.0, 1, 2))
+    with pytest.raises(ValueError):
+        DualSet(family, SpaceKind.DUAL_NODAL, assemble_mass(family, SpaceKind.EDGE))
+
+
+def test_dual_nodal_set_holds_only_the_reference_edge_mass():
+    # every dual nodal function lives on one element: the p x p reference
+    # edge mass is all the set solves with, whatever the mesh
+    family = basis_family(Mesh1D.uniform(0.0, 1.0, 640, 4))
+    duals = build_duals(family, SpaceKind.DUAL_NODAL)
+    assert duals.mass.entries.shape == (4, 4)
+    assert duals.size == 2560
 
 
 def test_dual_nodal_scalar_case():

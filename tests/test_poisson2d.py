@@ -14,16 +14,15 @@ from fsgreens.poisson2d import (
     build_dual_functionals_2d,
     build_series_operator_2d,
     green_apply_2d,
-    h10_project_values_2d,
     lifted_duals_grid,
     project_2d,
     reconstruct_fine_scales_2d,
     residual_2d,
-    stiffness_2d_direct,
-    tabulate_functionals_2d,
 )
 from fsgreens.projection import assemble_stiffness
 from fsgreens.quadrature import composite_rule, default_quad_points, gauss_legendre_rule
+
+from oracle_2d import h10_project_values_2d, stiffness_2d_direct, tabulate_functionals_2d
 
 CASE = sin2pixy_case()
 
