@@ -110,12 +110,14 @@ def _meta(args, **extra) -> dict:
 
 def cmd_gll(args):
     rule = gll_rule(args.p)
-    rows = [[i, rule.nodes[i], rule.weights[i]] for i in range(rule.npoints)]
+    rows = np.column_stack([np.arange(rule.npoints), rule.nodes, rule.weights])
     write_table(args.out, ["i", "node", "weight"], rows, _meta(args), args.format)
 
 
 def _finite(tab: np.ndarray, args) -> np.ndarray:
-    """The table, or ValueError if it overflowed on an interval too short for its basis."""
+    """The table, or ValueError if it overflowed on an interval too short for its basis.
+    Callers tabulate under np.errstate(over="ignore", invalid="ignore"), so
+    that this error is the only message."""
     if not np.all(np.isfinite(tab)):
         raise ValueError(f"the {args.kind} {args.command} table on [{args.a:g}, {args.b:g}] "
                          "is not finite: the interval is too short for its basis")
@@ -126,7 +128,8 @@ def cmd_basis(args):
     mesh = Mesh1D.uniform(args.a, args.b, args.elements, args.p)
     family = basis_family(mesh)
     x = np.linspace(args.a, args.b, args.grid)
-    tab = _finite((tabulate_nodal if args.kind == "nodal" else tabulate_edge)(family, x), args)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tab = _finite((tabulate_nodal if args.kind == "nodal" else tabulate_edge)(family, x), args)
     columns = ["x"] + [f"{args.kind}_{i}" for i in range(tab.shape[1])]
     rows = np.column_stack([x, tab])
     write_table(args.out, columns, rows, _meta(args), args.format)
@@ -138,7 +141,8 @@ def cmd_dual(args):
     kind = SpaceKind.DUAL_NODAL if args.kind == "nodal" else SpaceKind.DUAL_EDGE
     duals = build_duals(family, kind)
     x = np.linspace(args.a, args.b, args.grid)
-    tab = _finite(tabulate_duals(duals, x), args)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tab = _finite(tabulate_duals(duals, x), args)
     columns = ["x"] + [f"dual_{args.kind}_{i}" for i in range(tab.shape[1])]
     rows = np.column_stack([x, tab])
     write_table(args.out, columns, rows, _meta(args), args.format)
@@ -166,7 +170,7 @@ def cmd_greens(args):
         g = poisson_green(x[:, None], x[None, :])
     else:
         g = advdiff_green(x[:, None], x[None, :], args.c, args.nu)
-    rows = [[xv, sv, g[i, j]] for i, xv in enumerate(x) for j, sv in enumerate(x)]
+    rows = np.column_stack([np.repeat(x, x.size), np.tile(x, x.size), g.ravel()])
     columns = ["x", "y", "g"] if args.kernel == "poisson2d" else ["x", "s", "g"]
     write_table(args.out, columns, rows, _meta(args), args.format)
 
@@ -176,8 +180,7 @@ def cmd_finescale(args):
     x = np.linspace(0.0, 1.0, args.grid)
     full = op.kernel(x[:, None], x[None, :])
     fine = fine_scale_eval(op, x, x)
-    rows = [[x[i], x[j], full[i, j], fine[i, j]]
-            for i in range(x.size) for j in range(x.size)]
+    rows = np.column_stack([np.repeat(x, x.size), np.tile(x, x.size), full.ravel(), fine.ravel()])
     write_table(args.out, ["x", "s", "g", "g_prime"], rows,
                 _meta(args, gram_cond_log10=float(np.log10(op.gram_cond))), args.format)
 
@@ -220,7 +223,7 @@ def cmd_vms_iter(args):
     family = basis_family(mesh)
     fns = build_dual_functionals(family, ProjectionFlavor.H10)
     op = build_fine_scale_operator(GreensKernel1D.poisson(), fns, args.quad_points)
-    ws = make_workspace(problem, fns, op, args.quad_points)
+    ws = make_workspace(problem, fns, op)
     state = iterate(problem, fns, op, relaxation=args.w, tolerance=args.eps,
                     max_iter=args.max_iter, fine_grid_points=args.fine_grid, workspace=ws)
     galerkin = galerkin_solve(problem, family, args.quad_points, breakpoints=layer)
@@ -260,9 +263,8 @@ def cmd_poisson2d(args):
     u_prime = reconstruct_fine_scales_2d(op, residual_2d(case.source, u_bar), grid, grid)
     u_bar_grid = u_bar.eval_grid(grid, grid)
     exact = case.solution(grid[:, None], grid[None, :])
-    rows = [[grid[i], grid[j], exact[i, j], u_bar_grid[i, j], u_prime[i, j],
-             u_bar_grid[i, j] + u_prime[i, j]]
-            for i in range(grid.size) for j in range(grid.size)]
+    rows = np.column_stack([np.repeat(grid, grid.size), np.tile(grid, grid.size), exact.ravel(),
+                            u_bar_grid.ravel(), u_prime.ravel(), (u_bar_grid + u_prime).ravel()])
     write_table(args.out, ["x", "y", "phi_exact", "phi_bar", "u_prime", "phi_total"],
                 rows, _meta(args), args.format)
 

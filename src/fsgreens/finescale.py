@@ -41,9 +41,8 @@ whose two integrals are cumulative sums of Gauss rules over the cells
 between the mesh boundaries and source breakpoints.  The cell holding x is
 integrated only on its piece left of x; its right piece is the whole-cell
 moment minus that one, so each point's density is tabulated once.  Every
-smooth Green's application goes through that one primitive, except the
-L2 lifts: each dual lives on one element, so outside it both integrals
-are its whole-element moments.
+smooth Green's application goes through that one primitive (`_poisson_apply`),
+the L2 lifts included.
 
 Every integral of the kernel is thus split at its kink x = s, the one
 quadrature under which the derivative pairing works; a rule cut only at
@@ -59,11 +58,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .basis1d import Field, SpaceKind, element_tab, field_eval
-from .dualspace import SPDMatrix, _reference_duals, element_duals
-from .kernels import GreensKernel1D, _check_unit_domain
+from .dualspace import SPDMatrix, element_duals, tabulate_duals
+from .kernels import GreensKernel1D, _check_unit_domain, poisson_green
 from .projection import (DualFunctionals, ProjectionFlavor, mesh_quadrature, pair_functionals,
                          source_rule_points, tabulate_functionals)
-from .quadrature import composite_rule, default_quad_points, gauss_legendre_rule
+from .quadrature import composite_rule, default_quad_points, gauss_legendre_rule, map_rule
 
 # Rule points tabulated at once by the Green's primitive: bounds its working
 # set, which would otherwise grow with the evaluation points.
@@ -118,9 +117,7 @@ def _poisson_apply(density, x, cuts, quad_points: int, deriv: int = 0) -> np.nda
         # (int s f ds, int (1 - s) f ds) over every [lo_i, hi_i]
         parts = []
         for start in range(0, lo.size, step):
-            a, b = lo[start:start + step, None], hi[start:start + step, None]
-            s = 0.5 * (a + b) + 0.5 * (b - a) * rule.nodes
-            w = 0.5 * (b - a) * rule.weights
+            s, w = map_rule(rule, lo[start:start + step], hi[start:start + step])
             f = np.asarray(density(s.ravel()), dtype=float).reshape(s.shape + (-1,))
             parts.append(np.einsum("jiq,iqk->jik", np.stack((s * w, (1.0 - s) * w)), f))
         return np.concatenate(parts, axis=1)
@@ -142,46 +139,15 @@ def _lift(fns: DualFunctionals, x, deriv: int = 0) -> np.ndarray:
     For H10 the Poisson kernel inverts the load (minus the second
     derivative plus the node point sources) exactly, so the lift is the
     functional itself; derivatives at mesh nodes are the left element's.
-    For L2 the load is the dual density and the lift is its exact
-    Poisson image, the `_poisson_apply` formula specialised to densities
-    that live on one element each: left of its element a dual's A is its
-    whole-element moment int_e s mu ds and its B is zero, right of it the
-    reverse with int_e (1 - s) mu ds.  Only the p duals of the cell
-    holding x are integrated, on the piece left of x; the right piece is
-    the whole-element moment minus it.  The moments integrate s mu and
-    (1 - s) mu, polynomials of degree p, so the (p // 2 + 1)-point Gauss
-    rule is exact.
+    For L2 the load is the dual density and the lift is its exact Poisson
+    image by the primitive: s mu and (1 - s) mu are polynomials of degree
+    p on each element, so the (p // 2 + 1)-point rule is exact.
     """
     if fns.flavor is ProjectionFlavor.H10:
         return tabulate_functionals(fns, x, deriv=deriv)
     mesh = fns.family.mesh
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_unit_domain(x)
-    x = np.clip(x, 0.0, 1.0)
-    bounds, nel = mesh.boundaries, mesh.num_elements
-    rule = gauss_legendre_rule(mesh.degree // 2 + 1)
-
-    def moments(lo, hi, elem):
-        # (int s mu ds, int (1 - s) mu ds) of the duals of elem_i over [lo_i, hi_i]
-        s = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * rule.nodes
-        w = 0.5 * (hi - lo)[:, None] * rule.weights
-        jac = mesh.jacobian(elem)[:, None]
-        xi = (s - bounds[elem][:, None]) / jac - 1.0
-        mu = _reference_duals(fns.duals, xi.ravel()).reshape(s.shape + (-1,))
-        return np.einsum("jiq,iqk->jik", np.stack((s * w, (1.0 - s) * w)), mu)
-
-    whole = moments(bounds[:-1], bounds[1:], np.arange(nel))
-    cell = np.clip(np.searchsorted(bounds, x, side="right") - 1, 0, nel - 1)
-    side = np.sign(np.arange(nel)[None, :] - cell[:, None])[:, :, None]
-    a = np.where(side < 0, whole[0], 0.0)
-    b = np.where(side > 0, whole[1], 0.0)
-    rows, lo, hi = np.arange(x.size), bounds[cell], bounds[cell + 1]
-    split = np.clip(x, lo, hi)  # a mesh short of [0, 1] leaves x outside every cell
-    left = moments(lo, split, cell)
-    a[rows, cell] = left[0]
-    b[rows, cell] = whole[1][cell] - left[1]
-    a, b = a.reshape(x.size, -1), b.reshape(x.size, -1)
-    return b - a if deriv else (1.0 - x)[:, None] * a + x[:, None] * b
+    return _poisson_apply(lambda s: tabulate_duals(fns.duals, s), x, mesh.boundaries,
+                          mesh.degree // 2 + 1, deriv)
 
 
 def _lift_combination(fns: DualFunctionals, x, coeffs) -> np.ndarray:
@@ -201,13 +167,13 @@ def _lift_combination(fns: DualFunctionals, x, coeffs) -> np.ndarray:
     return out if coeffs.ndim > 1 else out[:, 0]
 
 
-def green_apply(kernel: GreensKernel1D, src: SourceTerm, x, quad_points: int,
+def green_apply(src: SourceTerm, x, quad_points: int,
                 mesh_boundaries: Sequence[float] | None = None):
     """Evaluate the Poisson Green's operator applied to a source at the points x.
 
     The smooth part is integrated by the cumulative-sum primitive, cut at
     every x, the source's own breakpoints and any supplied mesh
-    boundaries; point sources contribute kernel values directly, and a
+    boundaries; point sources contribute `poisson_green` values, and a
     coarse field minus itself (G maps its distributional second derivative
     to minus the field; at the mesh ends, its value inside the mesh).
     """
@@ -219,7 +185,7 @@ def green_apply(kernel: GreensKernel1D, src: SourceTerm, x, quad_points: int,
                                src.breakpoints))
         out += _poisson_apply(src.smooth, x, cuts, quad_points)[:, 0]
     locs, qs = np.array(src.point_sources, dtype=float).reshape(-1, 2).T
-    out += kernel(x[:, None], locs[None, :]) @ qs
+    out += poisson_green(x[:, None], locs[None, :]) @ qs
     if src.coarse is not None:
         mesh = src.coarse.family.mesh
         if abs(mesh.a) > 1e-14 or abs(mesh.b - 1.0) > 1e-14:
@@ -247,8 +213,8 @@ def _field_pairing(fns: DualFunctionals, fld: Field) -> np.ndarray:
     return pair_functionals(fns, s, w * field_eval(fld, s, deriv=deriv), deriv=deriv)
 
 
-def _green_and_pairing(kernel: GreensKernel1D, fns: DualFunctionals, src: SourceTerm,
-                       grid: np.ndarray, quad_points: int | None):
+def _green_and_pairing(fns: DualFunctionals, src: SourceTerm, grid: np.ndarray,
+                       quad_points: int | None):
     """G src on the grid, and every functional paired with G src.
 
     G src = G f - u_bar (module docstring).  The L2 pairing of G f is
@@ -267,16 +233,16 @@ def _green_and_pairing(kernel: GreensKernel1D, fns: DualFunctionals, src: Source
     coarse = src.coarse
     if fns.flavor is ProjectionFlavor.L2:
         s, w = mesh_quadrature(fns.family, quad_points, np.r_[src.breakpoints, locs])
-        image = green_apply(kernel, replace(src, coarse=None), np.concatenate((grid, s)),
+        image = green_apply(replace(src, coarse=None), np.concatenate((grid, s)),
                             quad_points, bounds)
         data = pair_functionals(fns, s, w * image[grid.size:])
         image = image[:grid.size]
         if coarse is not None:
-            image = image + green_apply(kernel, SourceTerm(coarse=coarse), grid, quad_points)
+            image = image + green_apply(SourceTerm(coarse=coarse), grid, quad_points)
             own_edge = coarse.space is SpaceKind.EDGE and coarse.family is fns.family
             data = data - (coarse.coeffs if own_edge else _field_pairing(fns, coarse))
         return image, data
-    image = green_apply(kernel, src, grid, quad_points, bounds) if grid.size else grid
+    image = green_apply(src, grid, quad_points, bounds) if grid.size else grid
     s, w = mesh_quadrature(fns.family, quad_points, src.breakpoints)
     smooth = w * np.asarray(src.smooth(s), dtype=float) if src.smooth is not None else 0.0 * w
     data = pair_functionals(fns, np.r_[s, locs], np.r_[smooth, qs])
@@ -411,7 +377,7 @@ def reconstruct_fine_scales(op: FineScaleOperator, residual: SourceTerm, grid) -
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if _annihilated(op, residual.coarse):
         residual = replace(residual, coarse=None)
-    image, data = _green_and_pairing(op.kernel, op.functionals, residual, grid, op.quad_points)
+    image, data = _green_and_pairing(op.functionals, residual, grid, op.quad_points)
     return image - op.resolved(grid, data)
 
 

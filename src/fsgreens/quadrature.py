@@ -136,12 +136,18 @@ def gauss_legendre_rule(n: int) -> QuadratureRule:
     return QuadratureRule(nodes, weights)
 
 
-def map_rule(rule: QuadratureRule, a: float, b: float):
-    """Affinely map a reference rule to [a, b]; returns (nodes, weights)."""
-    if not b > a:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    half = 0.5 * (b - a)
-    return 0.5 * (a + b) + half * rule.nodes, half * rule.weights
+def map_rule(rule: QuadratureRule, a, b):
+    """Affinely map a reference rule to [a, b]; returns (nodes, weights).
+
+    The ends may be arrays of equal shape, one interval each, and then
+    every returned row is one interval's rule.  A zero-width interval gets
+    zero weights; b < a raises ValueError.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if not np.all(b >= a):
+        raise ValueError(f"need a <= b, got [{a}, {b}]")
+    half = 0.5 * (b - a)[..., None]
+    return 0.5 * (a + b)[..., None] + half * rule.nodes, half * rule.weights
 
 
 def partition_interval(a: float, b: float, breakpoints: Sequence[float]) -> np.ndarray:
@@ -168,12 +174,8 @@ def composite_rule(rule: QuadratureRule, boundaries: Sequence[float]):
     boundaries = np.asarray(boundaries, dtype=float)
     if boundaries.size < 2 or np.any(np.diff(boundaries) <= 0.0):
         raise ValueError("boundaries must be strictly increasing with length >= 2")
-    xs, ws = [], []
-    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-        x, w = map_rule(rule, lo, hi)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+    x, w = map_rule(rule, boundaries[:-1], boundaries[1:])
+    return x.ravel(), w.ravel()
 
 
 def integrate(

@@ -59,7 +59,7 @@ from .projection import (
     ProjectionFlavor,
     interior_field,
     mesh_quadrature,
-    source_rule_points,
+    pair_functionals,
     tabulate_functionals,
 )
 from .quadrature import gauss_legendre_rule
@@ -170,8 +170,7 @@ class _Workspace:
     With A the advective pairing (mu_j', psi_k), P v = (c/nu) (mu', I[v])
     the fine scales' pairing on the rule and g' = G - R (mu, .) the
     fine-scale operator, G the Poisson Green's operator and R the
-    reconstruction functions at the nodes (the interior nodal basis,
-    `FineScaleOperator.resolved`), a sweep is
+    reconstruction functions at the nodes, a sweep is
 
         u_bar <- (I - (c/nu) A)^{-1} ((mu, f)/nu + P v),
         v     <- g' (f/nu - (c/nu) (u_bar' + I[v]')).
@@ -182,7 +181,10 @@ class _Workspace:
     G(I[v]') = x w^T v - Q v at the nodes, Q v the integrals of I[v] from 0
     to each node: block lower triangular, with the full weights of every
     earlier cell and, within a cell, the reference integrals of its
-    Lagrange basis scaled by half the cell width.
+    Lagrange basis scaled by half the cell width.  The H10 reconstruction
+    functions are the interior nodal basis (`FineScaleOperator.resolved`),
+    so R is the table psi of A, and (mu, f) is `pair_functionals` on the
+    operator's source rule.
 
     The residual's diffusive part, the coarse field's distributional
     second derivative, is left out: the fine-scale operator maps it to
@@ -217,12 +219,12 @@ def _coarse_solve(problem: AdvDiffProblem, adv_pairing: np.ndarray, rhs: np.ndar
         raise ValueError("singular coarse-scale system") from exc
 
 
-def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator,
-                   quad_points: int | None = None) -> _Workspace:
-    """The sweep's map on the source rule's nodes: `source_rule_points`
-    Gauss nodes per cell, the cells cut at `boundary_layer_breakpoints`
-    when c is not zero, without which the layer is unresolved.  Raises
-    ValueError when the map is not finite."""
+def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals,
+                   op: FineScaleOperator) -> _Workspace:
+    """The sweep's map on the nodes of the operator's source rule:
+    `op.quad_points` Gauss nodes per cell, the cells cut at
+    `boundary_layer_breakpoints` when c is not zero, without which the
+    layer is unresolved.  Raises ValueError when the map is not finite."""
     if fns.flavor is not ProjectionFlavor.H10:
         raise ValueError("the iterative scheme is built on the H10 functionals")
     family = fns.family
@@ -231,20 +233,18 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleO
     layer = boundary_layer_breakpoints(problem.advection, problem.diffusion) \
         if problem.advection != 0.0 else np.empty(0)
     cells = np.unique(np.concatenate((mesh.boundaries, layer)))
-    q = source_rule_points(family, quad_points)
+    q = op.quad_points
     x, w = mesh_quadrature(family, q, layer)
 
-    mu_tab = tabulate_functionals(fns, x)
     mu_dtab = tabulate_functionals(fns, x, deriv=1)
     psi_tab = tabulate_nodal(family, x)[:, 1:-1]
-    coarse_rhs = mu_tab.T @ (w * np.asarray(problem.source(x), dtype=float)) \
+    coarse_rhs = pair_functionals(fns, x, w * np.asarray(problem.source(x), dtype=float)) \
         / problem.diffusion
     adv_pairing = mu_dtab.T @ (w[:, None] * psi_tab)
     pairing = ratio * (mu_dtab.T * w)
 
-    lifted_gram = op.resolved(x, np.eye(fns.size))
-    green_source = green_apply(op.kernel, SourceTerm.from_function(problem.source),
-                               x, quad_points=q, mesh_boundaries=mesh.boundaries)
+    green_source = green_apply(SourceTerm.from_function(problem.source), x,
+                               quad_points=q, mesh_boundaries=mesh.boundaries)
     # G(psi_k'): s psi_k'(s) has degree p on each element, so the
     # (p // 2 + 1)-point rule is exact
     green_psi_deriv = _poisson_apply(lambda s: tabulate_nodal(family, s, deriv=1)[:, 1:-1],
@@ -262,9 +262,9 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleO
     coarse = _coarse_solve(problem, adv_pairing, np.column_stack((pairing, coarse_rhs)))
     sweep = np.block([
         [np.zeros((fns.size, fns.size)), coarse],
-        [-ratio * (green_psi_deriv + lifted_gram @ adv_pairing),
-         -ratio * green_deriv - lifted_gram @ pairing,
-         (green_source / problem.diffusion - lifted_gram @ coarse_rhs)[:, None]]])
+        [-ratio * (green_psi_deriv + psi_tab @ adv_pairing),
+         -ratio * green_deriv - psi_tab @ pairing,
+         (green_source / problem.diffusion - psi_tab @ coarse_rhs)[:, None]]])
     if not np.all(np.isfinite(sweep)):
         raise ValueError("the sweep map overflows; c/nu is too large")
     return _Workspace(x, cells, mass, green_deriv, sweep)
@@ -286,7 +286,6 @@ def iterate(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator
             tolerance: float = DEFAULT_TOLERANCE,
             max_iter: int = DEFAULT_MAX_ITER,
             fine_grid_points: int = DEFAULT_FINE_GRID,
-            quad_points: int | None = None,
             workspace: _Workspace | None = None) -> IterationState:
     """Under-relaxed coupled iteration from zero initial coarse and fine scales.
 
@@ -301,12 +300,12 @@ def iterate(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator
     Hitting max_iter is reported through the converged flag, not raised; a
     sweep map that overflows raises ValueError.  The fine scales are
     returned on `fine_grid(mesh, fine_grid_points)`.  A `workspace` already
-    built by `make_workspace(problem, fns, op, quad_points)` is used as is.
+    built by `make_workspace(problem, fns, op)` is used as is.
     """
     relaxation = _relaxation(problem, relaxation)
     if not (np.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError("tolerance must be finite and positive")
-    ws = workspace if workspace is not None else make_workspace(problem, fns, op, quad_points)
+    ws = workspace if workspace is not None else make_workspace(problem, fns, op)
     size = fns.size
     # the fine rows relaxed, (1 - w) I + w M; the coarse rows stay M's, so
     # each sweep gives the unrelaxed coarse step
@@ -340,14 +339,13 @@ def iterate(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator
 
 def sweep_spectral_radius(problem: AdvDiffProblem, fns: DualFunctionals,
                           op: FineScaleOperator, relaxation: float | None = None,
-                          quad_points: int | None = None,
                           workspace: _Workspace | None = None) -> float:
     """Largest |eigenvalue| of (1 - w) I + w M, the linear part of
     `iterate`'s relaxed sweep of (u_bar, v), M that of the unrelaxed one:
     below 1 the relaxed iteration converges from any start, above 1 it
     diverges.  A `workspace` is used as in `iterate`."""
     relaxation = _relaxation(problem, relaxation)
-    ws = workspace if workspace is not None else make_workspace(problem, fns, op, quad_points)
+    ws = workspace if workspace is not None else make_workspace(problem, fns, op)
     relaxed = relaxation * ws.sweep[:, :-1]
     relaxed[np.diag_indices_from(relaxed)] += 1.0 - relaxation
     return float(np.max(np.abs(np.linalg.eigvals(relaxed))))

@@ -196,7 +196,7 @@ def apply_dual_green(kernel: GreensKernel1D, fns: DualFunctionals, src: SourceTe
 
     G src = G f - u_bar for a coarse field u_bar; see `_green_and_pairing`.
     """
-    return _green_and_pairing(kernel, fns, src, np.empty(0), quad_points)[1]
+    return _green_and_pairing(fns, src, np.empty(0), quad_points)[1]
 
 
 def lift_functionals_direct(kernel: GreensKernel1D, fns: DualFunctionals, x,

@@ -97,6 +97,32 @@ def test_vms_iter_default_relaxation_for_either_sign_and_any_peclet(tmp_path, c,
     assert meta["converged"] is True and meta["iterations"] == sweeps
 
 
+def test_vms_iter_source_rule_is_the_operators(tmp_path):
+    # --quad-points sizes the operator's source rule, which the sweep map
+    # reads: 373 sweeps at 4 points against 362 at the default rule
+    out = tmp_path / "vms.json"
+    assert _run(tmp_path, "vms-iter", "--nu", "0.05", "--quad-points", "4", "--format", "json",
+                "--out", str(out)) == 0
+    data = json.loads(out.read_text())
+    assert data["meta"]["converged"] is True and data["meta"]["iterations"] == 373
+    from fsgreens.basis1d import field_eval
+    from fsgreens.cases import advdiff_const_case
+    from fsgreens.finescale import build_fine_scale_operator
+    from fsgreens.kernels import GreensKernel1D
+    from fsgreens.projection import ProjectionFlavor, build_dual_functionals
+    from fsgreens.vms_advdiff import AdvDiffProblem, iterate
+
+    fns = build_dual_functionals(basis_family(Mesh1D.uniform(0.0, 1.0, 3, 2)),
+                                 ProjectionFlavor.H10)
+    state = iterate(AdvDiffProblem(1.0, 0.05, advdiff_const_case(1.0, 0.05).source), fns,
+                    build_fine_scale_operator(GreensKernel1D.poisson(), fns, 4))
+    rows = np.array(data["rows"])
+    assert state.iteration == 373
+    np.testing.assert_array_equal(rows[:, 0], state.u_prime_grid)
+    np.testing.assert_array_equal(rows[:, 2], field_eval(state.u_bar, state.u_prime_grid))
+    np.testing.assert_array_equal(rows[:, 3], state.u_prime)
+
+
 def test_vms_iter_rejects_an_overflowing_sweep_map(tmp_path, capsys):
     # c/nu = 1e300: the relaxed sweep map's spectral radius cannot be
     # computed, so the run is a numerical defect and writes nothing
@@ -377,6 +403,27 @@ def test_interval_too_short_for_its_basis_exits_one(tmp_path, capsys, argv):
         assert _run(tmp_path, *argv, "--out", str(out)) == 1
     assert "not finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("basis", "--kind", "edge", "--a", "0", "--b", "1e-310"),
+    ("dual", "--kind", "edge", "--a", "0", "--b", "1e-307"),
+], ids=["basis", "dual"])
+def test_interval_too_short_for_its_basis_prints_one_line(tmp_path, argv):
+    # numpy's overflow warnings stay off stderr, warnings shown or not:
+    # the exit-1 message is the whole report
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "fsgreens.cli", *argv,
+         "--out", str(tmp_path / "short.csv")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("fsgreens: ") and "not finite" in lines[0]
 
 
 def test_dual_nodal_values_do_not_depend_on_the_interval_length(tmp_path):

@@ -141,6 +141,22 @@ def test_composite_rule_concatenates():
     x, w = composite_rule(rule, [0.0, 0.5, 1.0])
     assert x.size == 8 and abs(np.sum(w) - 1.0) < 1e-15
     assert np.all(np.diff(x) > 0)
+    # the array map is the per-interval scalar map, row by row, bit for bit
+    bounds = np.array([0.0, 0.1, 0.37, 0.5, 0.93, 1.0])
+    rows = [map_rule(rule, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    xs, ws = map_rule(rule, bounds[:-1], bounds[1:])
+    assert xs.shape == ws.shape == (bounds.size - 1, rule.npoints)
+    assert np.array_equal(xs, [r[0] for r in rows]) and np.array_equal(ws, [r[1] for r in rows])
+    x, w = composite_rule(rule, bounds)
+    assert np.array_equal(x, np.concatenate([r[0] for r in rows]))
+    assert np.array_equal(w, np.concatenate([r[1] for r in rows]))
+    # a zero-width interval gets zero weights; reversed ends raise
+    xs, ws = map_rule(rule, [0.2, 0.3], [0.2, 0.4])
+    assert np.all(xs[0] == 0.2) and np.all(ws[0] == 0.0) and np.all(ws[1] > 0.0)
+    with pytest.raises(ValueError):
+        map_rule(rule, 0.5, 0.4)
+    with pytest.raises(ValueError):
+        map_rule(rule, [0.0, 0.5], [0.1, 0.4])
 
 
 def test_gauss_legendre_rule_is_shared_and_read_only():

@@ -208,13 +208,14 @@ def test_workspace_sweeps_match_generic_updates():
 
 
 def test_workspace_defaults_to_the_degree_source_rule():
-    # without quad_points the workspace integrates the source on the rule
-    # that grows with the degree, not on a fixed 20 points
+    # an operator built without quad_points gives the workspace the source
+    # rule that grows with the degree, not a fixed 20 points
     c, nu = 1.0, 0.05
     problem = AdvDiffProblem(c, nu, advdiff_const_case(c, nu).source)
     _, fns, op = _h10_setup(1, 24)
     got = make_workspace(problem, fns, op)
-    want = make_workspace(problem, fns, op, quad_points=default_quad_points(24))
+    want = make_workspace(problem, fns,
+                          build_fine_scale_operator(KERNEL, fns, default_quad_points(24)))
     for name in ("nodes", "green_deriv", "sweep"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
@@ -241,9 +242,9 @@ def test_fine_scales_reproduce_cellwise_polynomials(mesh, q, seed):
     problem = AdvDiffProblem(c, nu, advdiff_const_case(c, nu).source)
     family = basis_family(mesh)
     fns = build_dual_functionals(family, ProjectionFlavor.H10)
-    op = build_fine_scale_operator(KERNEL, fns)
     q = max(q, mesh.degree)
-    ws = make_workspace(problem, fns, op, quad_points=q)
+    op = build_fine_scale_operator(KERNEL, fns, q)
+    ws = make_workspace(problem, fns, op)
     np.testing.assert_array_equal(
         ws.cells, np.union1d(mesh.boundaries, boundary_layer_breakpoints(c, nu)))
     coef = np.random.default_rng(seed).normal(size=(ws.cells.size - 1, q))
@@ -274,7 +275,7 @@ def test_fine_scales_reproduce_cellwise_polynomials(mesh, q, seed):
     # where a mesh joint falls next to a layer breakpoint
     ref = gauss_legendre_rule(q).nodes
     values = np.sum(coef[:, None, :] * ref[None, :, None] ** powers, axis=2).ravel()
-    state = iterate(problem, fns, op, max_iter=1, quad_points=q)
+    state = iterate(problem, fns, op, max_iter=1)
     state = replace(state, fine_values=values)
     x = np.sort(np.concatenate((np.linspace(0.0, 1.0, 97), ws.cells)))
     scale = np.max(np.abs(coef))
