@@ -2,7 +2,10 @@
 
 Each subcommand runs one pipeline deterministically and writes CSV
 (default) or JSON.  Files are written atomically (temp file plus rename)
-and identical flags produce byte-identical output.  The mass, stiffness
+and identical flags produce byte-identical output.  A CSV field is
+exactly Python's `'%.17g' % value` (17 significant digits, so every double
+round-trips), on every platform; the writer computes most fields with
+numpy and passes the rest to `%` itself.  The mass, stiffness
 and Gram matrices are piecewise polynomial and always integrated by the
 exact Gauss rule of their degree.  `--quad-points` (or the FSG_QUAD_POINTS
 environment variable) sizes only the integrals against a source: Gauss
@@ -16,6 +19,8 @@ required convergence not reached), 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import os
 import sys
@@ -54,12 +59,13 @@ from .vms_advdiff import (AdvDiffProblem, galerkin_solve, iterate, make_workspac
                           reconstruct_with_exact_gradient, sweep_spectral_radius)
 
 
-def _write_atomic(path: str, text: str):
+def _write_atomic(path: str, pieces):
+    """Write the strings `pieces`, in order, to a temp file renamed to `path`."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fsgreens-")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -67,24 +73,155 @@ def _write_atomic(path: str, text: str):
         raise
 
 
+# The vectorised `%.17g` below scales |x| in [1e-11, 1e17) to 17 integer
+# digits by one multiplication in x87 80-bit long double: 10**k is exact
+# there for k <= 27 (5**27 < 2**64), so the product y is t = |x| 10**k
+# rounded once, to a grid of spacing 2**-7 or finer that holds every
+# half-integer.  Rounding is monotone, so y and t lie on the same side of
+# each half-integer, and the integer nearest y is the correctly rounded
+# digits of t unless y is itself a half-integer.  Those values, the rest
+# of the range, and every value on a platform whose long double is not the
+# 80-bit format go through `%` itself.
+_X87_LONG_DOUBLE = np.finfo(np.longdouble).nmant == 63
+_CHUNK = 2048  # values per pass: larger chunks raise the peak memory, smaller ones the overhead
+_FIELD = 25  # bytes of the widest field, '-2.2250738585072014e-308', plus its separator
+# One row of bytes per value: its `%` text NUL-padded in 0-23, or its digits
+# in 3-19 (four 4-digit words at 4-byte-aligned columns); then the constant
+# bytes "-,\n.e0123456789" and a NUL that stands for "no byte".
+_DIGITS = 3
+_MINUS, _COMMA, _NEWLINE, _DOT, _EXP, _ZERO = range(24, 30)
+_NUL = 39
+_SHAPES = 28 * 17  # (exponent in [-11, 16]) x (1-17 significant digits)
+
+
+@functools.cache
+def _g17_tables():
+    """The digit tables of the vectorised `%.17g`, built once on first use:
+    the four ASCII digits of 0-9999 as one word, their trailing zeros, the
+    scales 10**(16 - E), and a row template holding the constant bytes."""
+    group = np.arange(10_000, dtype=np.int16)
+    chars = 48 + np.stack([group // 1000, group // 100 % 10, group // 10 % 10, group % 10], 1)
+    words = chars.astype(np.uint8).view(np.uint32)[:, 0]
+    trailing_zeros = ((group % 10 == 0).astype(np.uint8) + (group % 100 == 0)
+                      + (group % 1000 == 0) + (group == 0))
+    powers = np.zeros(30, dtype=np.longdouble)  # powers[17 - E] = 10**(16 - E); 0 off range
+    powers[1:29] = np.cumprod(np.append(1, np.full(27, 10)).astype(np.longdouble))  # each exact
+    template = np.zeros((_CHUNK, _NUL + 1), dtype=np.uint8)
+    template[:, _MINUS:_NUL] = np.frombuffer(b"-,\n.e0123456789", dtype=np.uint8)
+    return words, trailing_zeros, powers, template
+
+
+@functools.cache
+def _g17_layouts() -> np.ndarray:
+    """The source column of each byte of a field, one row per key
+    4 * shape + 2 * negative + last.  A shape is an exponent E and a count
+    n of significant digits (%g prints E < -4 as d.ddde-XX and the rest
+    fixed), or _SHAPES, the `%` text.  Small integer types keep the build's
+    temporaries to a few kB."""
+    e = np.arange(-11, 17, dtype=np.int8)[:, None, None]
+    n = np.arange(1, 18, dtype=np.int8)[None, :, None]
+    b = np.arange(_FIELD - 1, dtype=np.int8)[None, None, :]  # byte after the sign
+    sci = e < -4
+    prefix = np.where((e < 0) & ~sci, 1 - e, 0)  # the "0.00" of 0.00ddd
+    ndig = np.where(e >= 0, np.maximum(n, e + 1), n)  # digits printed
+    split = np.where(e >= 0, e + 1, np.where(sci, 1, ndig))  # digits before the dot
+    dot = ndig > split
+    d = b - prefix
+    k = d - ndig - dot
+    exponent = np.where(k == 0, _EXP, np.where(k == 1, _MINUS,
+                        _ZERO + np.where(k == 2, -e // 10, -e % 10)))
+    body = np.select(
+        [b < prefix, dot & (d == split), d < ndig + dot, sci & (k < 4), k == 4 * sci],
+        [np.where(b == 1, _DOT, _ZERO), _DOT, _DIGITS + d - (dot & (d > split)), exponent, -1],
+        _NUL).astype(np.int8).reshape(_SHAPES, _FIELD - 1)
+    sign = np.array([_NUL, _MINUS], dtype=np.int8)
+    fast = np.concatenate([np.broadcast_to(sign[:, None, None], (2, _SHAPES, 1)),
+                           np.broadcast_to(body, (2,) + body.shape)], axis=2)
+    fallback = np.append(np.arange(_FIELD - 1, dtype=np.int8), np.int8(-1))
+    layout = np.concatenate([fast, np.broadcast_to(fallback, (2, 1, _FIELD))], axis=1)
+    separator = np.array([_COMMA, _NEWLINE], dtype=np.int8)[:, None, None, None]
+    layout = np.where(layout == -1, separator, layout)  # (separator, sign, shape, byte)
+    return np.ascontiguousarray(layout.transpose(2, 1, 0, 3)).reshape(-1, _FIELD)
+
+
+def _divmod(a: np.ndarray, unit: int):
+    """np.divmod of uint64 by a constant, several times faster than numpy's."""
+    quotient = a // np.uint64(unit)
+    return quotient, a - quotient * np.uint64(unit)
+
+
+def _g17_sources(x: np.ndarray):
+    """Each value's row of source bytes and its field shape: the index of its
+    exponent and significant-digit count, or _SHAPES for the `%` text."""
+    words, trailing_zeros, powers, template = _g17_tables()
+    ax = np.abs(x)
+    fast = (ax >= 1e-11) & (ax < 1e17) & _X87_LONG_DOUBLE
+    ax[~fast] = 1.0
+    e = np.floor(np.log10(ax)).astype(np.intp)  # off by one near 10**E: those fall back
+    y = ax.astype(np.longdouble) * powers.take(17 - e)
+    digits = np.rint(y)
+    # y < 1e16: E was one too high (y = 1e16 from a t just below it prints alike)
+    fast &= (y >= 1e16) & (np.abs(y - digits) < 0.5)
+    digits = digits.astype(np.uint64)
+    fast &= digits < 10**17  # a guard: an exponent one too low would give 18 digits
+    slow = np.flatnonzero(~fast)
+    digits[slow] = 10**16
+    src = template[:len(x)].copy()
+    lead, rest = _divmod(digits, 10**16)
+    src[:, _DIGITS] = lead + 48
+    hi, lo = _divmod(rest, 10**8)
+    zeros = 0  # trailing zeros of the digits, over the 4-digit groups
+    for col, group in enumerate(_divmod(hi, 10**4) + _divmod(lo, 10**4), 1):
+        src.view(np.uint32)[:, col] = words.take(group)
+        z = trailing_zeros.take(group)
+        zeros = z + (z == 4) * zeros
+    shape = (e + 11) * 17 + 16 - zeros
+    shape[slow] = _SHAPES
+    if len(slow):  # space-padded to 24 bytes, the spaces then made NULs
+        text = ("%-24.17g" * len(slow)) % tuple(x[slow].tolist())
+        src[slow, :_FIELD - 1] = np.frombuffer(text.replace(" ", "\0").encode(),
+                                               dtype=np.uint8).reshape(-1, _FIELD - 1)
+    return src, shape
+
+
+def _g17_chunk(x: np.ndarray, last: np.ndarray) -> bytes:
+    """The `%.17g` fields of at most _CHUNK values, each followed by a comma,
+    or by a newline where `last` is 1: one gather places every byte, then
+    the NULs are dropped."""
+    src, shape = _g17_sources(x)
+    columns = _g17_layouts().take(4 * shape + 2 * (x < 0) + last, axis=0)
+    out = src.ravel().take(np.add(columns, np.arange(0, src.size, src.shape[1])[:, None]))
+    return out[out != 0].tobytes()
+
+
+def _g17_pieces(values: np.ndarray, ncols: int):
+    """`'%.17g' % v` for every value, comma-separated, a newline after every
+    `ncols`-th (the text of one `%` operation over the table), in pieces of
+    _CHUNK fields."""
+    for start in range(0, values.size, _CHUNK):
+        x = values[start:start + _CHUNK]
+        last = (np.arange(start, start + x.size) % ncols == ncols - 1).astype(np.intp)
+        yield _g17_chunk(x, last).decode("ascii")
+
+
 def write_table(path: str, columns, rows, meta: dict, fmt: str):
-    """Serialize a column-labelled table as CSV or JSON, atomically, with
-    17 significant digits (every double round-trips) in CSV.  The CSV body
-    is one `%` operation over the flattened table."""
+    """Serialize a column-labelled table as CSV or JSON, atomically.  A CSV
+    field is exactly `'%.17g' % value` (every double round-trips), the same
+    bytes on every platform."""
     table = np.asarray(rows, dtype=float)
     if fmt == "csv":
-        lines = [",".join(columns)]
-        if len(table):
-            row_fmt = ",".join(["%.17g"] * len(columns))
-            lines.append("\n".join([row_fmt] * len(table)) % tuple(table.ravel().tolist()))
-        _write_atomic(path, "\n".join(lines) + "\n")
+        if table.size != len(table) * len(columns):
+            raise ValueError(f"{table.size} values do not fill {len(table)} rows "
+                             f"of {len(columns)} columns")
+        _write_atomic(path, itertools.chain([",".join(columns) + "\n"],
+                                            _g17_pieces(table.ravel(), len(columns))))
     else:
         payload = {
             "meta": dict(meta, version=__version__),
             "columns": list(columns),
             "rows": table.tolist(),
         }
-        _write_atomic(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        _write_atomic(path, [json.dumps(payload, indent=1, sort_keys=True) + "\n"])
 
 
 def _flavor(name: str) -> ProjectionFlavor:
@@ -242,8 +379,9 @@ def cmd_vms_iter(args):
                             sweep_spectral_radius=sweep_spectral_radius(
                                 problem, fns, op, args.w, workspace=ws)),
                 args.format)
-    history_rows = [[i + 1, inc] for i, inc in enumerate(state.residual_history)]
-    write_table(args.history_out, ["iteration", "increment"], history_rows,
+    steps = state.residual_history
+    history = np.column_stack([np.arange(1, len(steps) + 1), steps])
+    write_table(args.history_out, ["iteration", "increment"], history,
                 _meta(args, converged=state.converged), args.format)
     if not state.converged:
         print(f"fsgreens: iteration did not reach eps={args.eps} "

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsgreens.basis1d import Mesh1D, SpaceKind, basis_family
 from fsgreens.cli import main
@@ -357,6 +359,12 @@ def _random_table(seed, nrows, ncols):
     return rng.normal(size=(nrows, ncols)) * 10.0 ** rng.integers(-300, 301, size=(nrows, ncols))
 
 
+def _with_neighbours(values):
+    # each value between the doubles just below and just above it
+    values = np.array(values, dtype=float)
+    return np.column_stack([np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)])
+
+
 @pytest.mark.parametrize("rows", [
     _random_table(1, 401, 5),
     _random_table(2, 1, 3),
@@ -364,7 +372,17 @@ def _random_table(seed, nrows, ncols):
     np.vstack((_random_table(3, 7, 5), [[np.nan, 1.0, np.inf, -np.nan, -np.inf]])),
     np.empty((0, 4)),
     [],
-], ids=["401x5", "one-row", "nan-inf", "mixed", "zero-rows", "empty-list"])
+    [[1234567890123456.25, 1234567890123456.75, -1234567890123456.25, -1234567890123456.75]],
+    # scaled to 17 digits in 80-bit long double, each lands exactly on a
+    # half-integer that its exact decimal value misses by under 0.004
+    [[9.09927260907539, 3245.349864251381, 0.0038009315571367166, 759983803.713655,
+      9.78230888492652e-07]],
+    _with_neighbours([float(f"1e{k}") for k in range(-12, 19)]),
+    _with_neighbours([1e-4, 1e-5, 1e16, 1e17, 9.99999999999999995e-5, 99999999999999999.0]),
+    [[1e-11, np.nextafter(1e-11, 0.0), -1e-11]],
+    [[5e-324, 1e-300, -1e-300]],
+], ids=["401x5", "one-row", "nan-inf", "mixed", "zero-rows", "empty-list", "exact-ties",
+        "near-ties", "powers-of-ten", "notation-switches", "fast-range-floor", "tiny"])
 def test_write_table_matches_per_row_formatter(tmp_path, rows):
     columns = [f"c{i}" for i in range(np.shape(rows)[1] if np.ndim(rows) == 2 else 4)]
     path = tmp_path / "t.csv"
@@ -372,6 +390,50 @@ def test_write_table_matches_per_row_formatter(tmp_path, rows):
 
     write_table(str(path), columns, rows, {}, "csv")
     assert path.read_bytes() == _per_row_csv(columns, rows).encode()
+
+
+def _tables_of_doubles():
+    # any 64-bit pattern, half of them from the magnitudes the vectorised
+    # path formats, [1e-12, 1e18], with either sign
+    near = st.integers(*np.array([1e-12, 1e18]).view(np.int64).tolist())
+    value = st.tuples(st.booleans(), st.one_of(st.integers(0, 2**63 - 1), near)).map(
+        lambda sign_bits: sign_bits[0] << 63 | sign_bits[1])
+    return st.integers(1, 7).flatmap(lambda ncols: st.lists(
+        value, min_size=ncols, max_size=12 * ncols).map(
+        lambda bits: np.array(bits[:len(bits) // ncols * ncols], dtype=np.uint64)
+        .view(np.float64).reshape(-1, ncols)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_tables_of_doubles())
+def test_write_table_matches_per_row_formatter_on_any_doubles(tmp_path_factory, rows):
+    from fsgreens.cli import write_table
+
+    columns = [f"c{i}" for i in range(rows.shape[1])]
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_table(str(path), columns, rows, {}, "csv")
+    assert path.read_bytes() == _per_row_csv(columns, rows).encode()
+
+
+def test_write_table_rejects_rows_that_do_not_fill_the_columns(tmp_path):
+    from fsgreens.cli import write_table
+
+    with pytest.raises(ValueError, match="do not fill"):
+        write_table(str(tmp_path / "t.csv"), ["a", "b"], [1.0, 2.0, 3.0], {}, "csv")
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_write_table_without_an_extended_long_double(tmp_path, monkeypatch):
+    # where long double is not the x87 80-bit format every value goes
+    # through `%`, with the same bytes
+    from fsgreens import cli
+
+    rows = np.vstack((_random_table(4, 40, 5), np.reshape(_with_neighbours(
+        [1234567890123456.25, 1e-5, 1e16, 0.1, 3.0]), (-1, 5))))
+    columns = [f"c{i}" for i in range(5)]
+    monkeypatch.setattr(cli, "_X87_LONG_DOUBLE", False)
+    cli.write_table(str(tmp_path / "t.csv"), columns, rows, {}, "csv")
+    assert (tmp_path / "t.csv").read_bytes() == _per_row_csv(columns, rows).encode()
 
 
 @pytest.mark.parametrize("argv", [
