@@ -341,7 +341,9 @@ def fine_scale_eval(op: FineScaleOperator, x, s) -> np.ndarray:
 
     The representers at s are the lifts there.  When x is s the L2
     resolved part L Gram^{-1} L^T comes from that one table, symmetrized
-    as the kernel is.
+    as the kernel is.  The H10 fine-scale kernel is each element's own
+    Green's function, so it is exactly zero where x and s lie in different
+    elements or either lies on a mesh node.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     ss = np.atleast_1d(np.asarray(s, dtype=float))
@@ -352,6 +354,11 @@ def fine_scale_eval(op: FineScaleOperator, x, s) -> np.ndarray:
         out = full - 0.5 * (resolved + resolved.T)
     else:
         out = full - op.resolved(xs, rep.T)
+    if op.flavor is ProjectionFlavor.H10:
+        bounds = op.functionals.family.mesh.boundaries
+        # the element holding each point, -1 on a node
+        ex, es = (np.where(np.isin(p, bounds), -1, np.searchsorted(bounds, p)) for p in (xs, ss))
+        out[(ex[:, None] != es[None, :]) | (ex[:, None] < 0)] = 0.0
     if np.isscalar(x) and np.isscalar(s):
         return float(out[0, 0])
     return out

@@ -21,9 +21,9 @@ integrals, G(I[v]') = x int_0^1 I[v] - int_0^x I[v] (in the weak sense, as
 G vanishes at both ends), which are linear in v.  The fine-scale operator
 annihilates a coarse field's second derivative.  So a sweep is a fixed
 affine map of the coarse coefficients and v, held as one matrix with the
-coarse-scale solve folded in; with the relaxation folded into its
-fine-scale rows, one sweep is one dense matrix-vector product.  The fine
-scales on any other grid are the interpolant evaluated there.
+coarse-scale solve folded in; with the relaxation folded into its rows,
+one sweep is one dense matrix-vector product.  The fine scales on any
+other grid are the interpolant evaluated there.
 """
 
 from __future__ import annotations
@@ -67,6 +67,9 @@ from .quadrature import gauss_legendre_rule
 DEFAULT_FINE_GRID = 2001
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_MAX_ITER = 100_000
+# Sweeps per block of `iterate`: the block's step norms come from one
+# matrix product (8, 16 and 32 ran equally fast at N=3, p=2)
+_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -281,6 +284,14 @@ def _relaxation(problem: AdvDiffProblem, relaxation: float | None) -> float:
     return relaxation
 
 
+def _relaxed_map(ws: _Workspace, relaxation: float) -> np.ndarray:
+    """The relaxed sweep (1 - w) I + w [M | b] of z = (u_bar, v, 1), the
+    identity beside the constant column."""
+    relaxed = relaxation * ws.sweep
+    relaxed[:, :-1][np.diag_indices(relaxed.shape[0])] += 1.0 - relaxation
+    return relaxed
+
+
 def iterate(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator,
             relaxation: float | None = None,
             tolerance: float = DEFAULT_TOLERANCE,
@@ -301,38 +312,50 @@ def iterate(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator
     sweep map that overflows raises ValueError.  The fine scales are
     returned on `fine_grid(mesh, fine_grid_points)`.  A `workspace` already
     built by `make_workspace(problem, fns, op)` is used as is.
+
+    The sweeps run in blocks of up to _BLOCK: each sweep is one product
+    of the relaxed map (1 - w) I + w [M | b] with the previous state, and
+    the block's unrelaxed coarse steps, scaled by the mass matrix's
+    Cholesky factor L (step norm = |L^T step|), come from one product of
+    its states with L^T ([M | b]'s coarse rows - [I 0]).  Their norms are
+    taken in order, so the run stops at the first one below the tolerance
+    with the state after exactly that many sweeps; the sweeps computed
+    past it are dropped.
     """
     relaxation = _relaxation(problem, relaxation)
     if not (np.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError("tolerance must be finite and positive")
     ws = workspace if workspace is not None else make_workspace(problem, fns, op)
     size = fns.size
-    # the fine rows relaxed, (1 - w) I + w M; the coarse rows stay M's, so
-    # each sweep gives the unrelaxed coarse step
-    affine = ws.sweep.copy()
-    affine[size:] *= relaxation
-    affine[size:, size:-1] += (1.0 - relaxation) * np.eye(ws.nodes.size)
-    mass_chol_t = np.linalg.cholesky(ws.mass).T.copy()
-    z = np.zeros(affine.shape[1])
-    z[-1] = 1.0
+    relaxed = _relaxed_map(ws, relaxation)
+    coarse_step = ws.sweep[:size] - np.eye(size, relaxed.shape[1])
+    scaled_step = np.linalg.cholesky(ws.mass).T @ coarse_step
+    # rows[j] is the state z = (u_bar, v, 1) after j sweeps of the block
+    rows = np.zeros((_BLOCK + 1, relaxed.shape[1]))
+    rows[:, -1] = 1.0
+    sweeps = [(rows[j], rows[j + 1, :-1]) for j in range(_BLOCK)]
     history = []
     converged = False
     iteration = 0
+    done = 0
     while iteration < max_iter:
-        iteration += 1
-        new = affine.dot(z)
-        step = new[:size] - z[:size]
-        z[:size] += relaxation * step
-        z[size:-1] = new[size:]
+        block = min(_BLOCK, max_iter - iteration)
+        for old, new in sweeps[:block]:
+            np.dot(relaxed, old, out=new)
         # hypot scales, so the norm neither underflows nor overflows
-        step_norm = math.hypot(*mass_chol_t.dot(step).tolist())
-        history.append(step_norm)
-        if step_norm < tolerance:
-            converged = True
+        for done, step in enumerate((rows[:block] @ scaled_step.T).tolist(), 1):
+            step_norm = math.hypot(*step)
+            history.append(step_norm)
+            if step_norm < tolerance:
+                converged = True
+                break
+        iteration += done
+        if converged:
             break
+        rows[0] = rows[block]
     grid = fine_grid(fns.family.mesh, fine_grid_points)
-    fine = z[size:-1].copy()
-    return IterationState(interior_field(fns.family, z[:size].copy()), grid,
+    fine = rows[done, size:-1].copy()
+    return IterationState(interior_field(fns.family, rows[done, :size].copy()), grid,
                           _cell_interpolant(ws.cells, fine, grid), iteration, history,
                           converged, ws.cells, fine)
 
@@ -346,8 +369,7 @@ def sweep_spectral_radius(problem: AdvDiffProblem, fns: DualFunctionals,
     diverges.  A `workspace` is used as in `iterate`."""
     relaxation = _relaxation(problem, relaxation)
     ws = workspace if workspace is not None else make_workspace(problem, fns, op)
-    relaxed = relaxation * ws.sweep[:, :-1]
-    relaxed[np.diag_indices_from(relaxed)] += 1.0 - relaxation
+    relaxed = _relaxed_map(ws, relaxation)[:, :-1]
     return float(np.max(np.abs(np.linalg.eigvals(relaxed))))
 
 

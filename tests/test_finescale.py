@@ -683,6 +683,43 @@ def test_l2_kernel_surface_lifts_the_grid_once(num_elements):
     np.testing.assert_array_equal(surf, surf.T)
 
 
+@pytest.mark.parametrize("num_elements,degree", [(2, 2), (20, 4)])
+def test_h10_kernel_surface_is_exactly_zero_off_its_elements(num_elements, degree):
+    # the H10 fine-scale kernel is each element's Green's function: exactly
+    # 0 where x and s lie in different elements or on a node, where the
+    # kernel minus the resolved part leaves rounding residue; inside an
+    # element it is that difference, and the L2 surface is untouched
+    mesh = _jittered_mesh(num_elements, degree)
+    family = basis_family(mesh)
+    bounds = mesh.boundaries
+    grid = np.unique(np.concatenate((np.linspace(0.0, 1.0, 41), bounds)))
+    other = np.unique(np.concatenate((np.random.default_rng(3).uniform(0.0, 1.0, 37), bounds)))
+
+    def inside(x, s):
+        element = [np.sum(p[:, None] > bounds, axis=1) for p in (x, s)]
+        interior = [~np.isin(p, bounds) for p in (x, s)]
+        return (element[0][:, None] == element[1]) & interior[0][:, None] & interior[1]
+
+    for flavor in ProjectionFlavor:
+        op = build_fine_scale_operator(KERNEL, build_dual_functionals(family, flavor))
+        for x, s in ((grid, grid), (grid, other)):
+            surf = fine_scale_eval(op, x, s)
+            full = op.kernel(x[:, None], s[None, :])
+            rep = op.lifted_tab(s)
+            if flavor is ProjectionFlavor.L2:
+                if x is s:
+                    resolved = rep @ op.solve_gram(rep.T)
+                    np.testing.assert_array_equal(surf, full - 0.5 * (resolved + resolved.T))
+                else:
+                    np.testing.assert_array_equal(surf, full - op.resolved(x, rep.T))
+                continue
+            unmasked = full - op.resolved(x, rep.T)
+            mask = inside(x, s)
+            assert np.all(surf[~mask] == 0.0) and np.any(unmasked[~mask] != 0.0)
+            np.testing.assert_array_equal(surf[mask], unmasked[mask])
+            assert np.all(surf[mask] != 0.0)
+
+
 @pytest.mark.parametrize("flavor", [ProjectionFlavor.H10, ProjectionFlavor.L2])
 def test_nodal_field_with_nonzero_ends(flavor):
     # a nodal coarse field that is not zero at 0 and 1, so not in the H10

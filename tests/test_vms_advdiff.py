@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,8 @@ from fsgreens.projection import (
 )
 from fsgreens.quadrature import default_quad_points, gauss_legendre_rule
 from fsgreens.vms_advdiff import (
+    _BLOCK,
+    DEFAULT_TOLERANCE,
     AdvDiffProblem,
     _cell_interpolant,
     _coarse_solve,
@@ -336,21 +339,69 @@ def test_iterate_matches_a_relaxed_loop_over_sweeps(mesh, points, nu, max_iter):
     relaxation = nu / c
     state = iterate(problem, fns, op, relaxation=relaxation, tolerance=1e-300,
                     max_iter=max_iter, fine_grid_points=points)
+    assert state.iteration == max_iter and not state.converged
+    np.testing.assert_array_equal(state.u_prime_grid, fine_grid(mesh, points))
+    np.testing.assert_array_equal(state.u_prime, state.fine_scales(state.u_prime_grid))
+    _assert_matches_a_relaxed_loop(state, problem, fns, op, relaxation)
 
+
+def _assert_matches_a_relaxed_loop(state, problem, fns, op, relaxation):
+    # state.iteration sweeps of the unrelaxed map, each update relaxed
+    # directly, and the mass-matrix norm of every coarse step
     ws = make_workspace(problem, fns, op)
     interior, fine, history = np.zeros(fns.size), np.zeros(ws.nodes.size), []
-    for _ in range(max_iter):
+    for _ in range(state.iteration):
         new_interior, new_fine = sweep(ws, interior, fine)
         step = new_interior - interior
         interior = interior + relaxation * step
         fine = fine + relaxation * (new_fine - fine)
         history.append(np.sqrt(step @ ws.mass @ step))
-    assert state.iteration == max_iter and not state.converged
-    np.testing.assert_array_equal(state.u_prime_grid, fine_grid(mesh, points))
-    np.testing.assert_array_equal(state.u_prime, state.fine_scales(state.u_prime_grid))
+    assert len(state.residual_history) == state.iteration
     assert np.max(np.abs(state.fine_values - fine)) <= 1e-13 * np.max(np.abs(state.fine_values))
     assert np.max(np.abs(np.array(state.residual_history) - history)) <= 1e-14
     assert np.max(np.abs(state.u_bar.coeffs[1:-1] - interior)) <= 1e-13 * np.max(np.abs(interior))
+
+
+@pytest.mark.parametrize("max_iter", [1, _BLOCK - 1, _BLOCK + 1, 37])
+def test_iterate_runs_exactly_max_iter_sweeps_across_blocks(max_iter):
+    # a last block shorter than _BLOCK, and a run shorter than one block,
+    # neither overrun nor truncate the sweeps
+    c, nu = 1.0, 0.03
+    problem = AdvDiffProblem(c, nu, advdiff_const_case(c, nu).source)
+    _, fns, op = _h10_setup(3, 2)
+    state = iterate(problem, fns, op, tolerance=1e-300, max_iter=max_iter)
+    assert state.iteration == max_iter and not state.converged
+    _assert_matches_a_relaxed_loop(state, problem, fns, op, nu / c)
+
+
+def test_iterate_stopping_inside_a_block_returns_that_sweeps_state():
+    # 362 sweeps end 10 into a block: the state is the one after sweep
+    # 362, not the block's last, the same as a run capped there, and the
+    # history stops there
+    c, nu = 1.0, 0.05
+    problem = AdvDiffProblem(c, nu, advdiff_const_case(c, nu).source)
+    _, fns, op = _h10_setup(3, 2)
+    state = iterate(problem, fns, op)
+    assert state.converged and state.iteration == 362 and state.iteration % _BLOCK != 0
+    assert state.residual_history[-1] < DEFAULT_TOLERANCE <= min(state.residual_history[:-1])
+    _assert_matches_a_relaxed_loop(state, problem, fns, op, nu / c)
+    capped = iterate(problem, fns, op, tolerance=1e-300, max_iter=state.iteration)
+    np.testing.assert_array_equal(capped.fine_values, state.fine_values)
+    np.testing.assert_array_equal(capped.u_bar.coeffs, state.u_bar.coeffs)
+
+
+def test_iterate_diverging_run_ends_at_max_iter_without_warning():
+    # alpha = 500: the default relaxation's spectral radius is 1.0004, so
+    # the steps oscillate with a slowly growing envelope
+    c, nu = 1.0, 0.001
+    problem = AdvDiffProblem(c, nu, advdiff_const_case(c, nu).source)
+    _, fns, op = _h10_setup(3, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = iterate(problem, fns, op, max_iter=3000)
+    assert not state.converged and state.iteration == 3000
+    assert len(state.residual_history) == 3000
+    assert max(state.residual_history[1500:]) > max(state.residual_history[:1500])
 
 
 @pytest.mark.parametrize("num_elements,degree,nu,sweeps", [
