@@ -5,7 +5,11 @@ functional is the 2D interior stiffness solve of one tensor nodal basis
 function.  The stiffness K2 = K (x) M + M (x) K is fast-diagonalized (Lynch,
 Rice & Thomas, 1964): with the 1D eigenpairs K V = M V diag(lam), V^T M V = I,
 K2^{-1} = (V (x) V) diag(1 / (lam_a + lam_b)) (V (x) V)^T, so every solve is
-m x m work and no m^2 x m^2 matrix is formed.
+m x m work and no m^2 x m^2 matrix is formed.  The series Gram of the lifted
+duals is fast-diagonalized the same way: its m blocks are A + lam_b B for
+two fixed m x m matrices, so one generalized eigensolve (`_generalized_eigh`,
+shared with the stiffness) diagonalizes them all and a Gram solve is two
+m x m products.
 
 All kernel applications exploit the separable eigenfunction series: the
 sine direction is integrated once against high-order per-element rules
@@ -81,18 +85,26 @@ class DualFunctionals2D:
         return self.eigvals[:, None] + self.eigvals[None, :]
 
 
+def _generalized_eigh(a: np.ndarray, b: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a W = b W diag(theta), W^T b W = I, for a symmetric a
+    and an SPD b; raises unless every theta is positive.
+
+    Through b = L L^T this is the standard problem of L^-1 a L^-T,
+    symmetrized against rounding, whose eigenvectors Y give W = L^-T Y.
+    """
+    chol = SPDMatrix(b)
+    reduced = chol.substitute(chol.substitute(a).T)
+    theta, reduced_vecs = np.linalg.eigh(0.5 * (reduced + reduced.T))
+    if theta[0] <= 0.0:
+        raise ValueError(f"{name} not positive definite")
+    return theta, chol.substitute(reduced_vecs, transpose=True)
+
+
 def build_dual_functionals_2d(mesh: Mesh2D) -> DualFunctionals2D:
     family = basis_family(mesh.mesh1d)
     stiff = assemble_stiffness(family).entries
-    # K V = M V diag(lam) through M = L L^T: the standard problem of
-    # L^-1 K L^-T, symmetrized against rounding, whose eigenvectors Y give
-    # V = L^-T Y
-    mass = SPDMatrix(assemble_mass(family, SpaceKind.NODAL).entries[1:-1, 1:-1])
-    reduced = mass.substitute(mass.substitute(stiff).T)
-    eigvals, reduced_vecs = np.linalg.eigh(0.5 * (reduced + reduced.T))
-    eigvecs = mass.substitute(reduced_vecs, transpose=True)
-    if eigvals[0] <= 0.0:
-        raise ValueError("2D stiffness not positive definite")
+    mass = assemble_mass(family, SpaceKind.NODAL).entries[1:-1, 1:-1]
+    eigvals, eigvecs = _generalized_eigh(stiff, mass, "2D stiffness")
     return DualFunctionals2D(family, eigvecs, eigvals)
 
 
@@ -145,7 +157,6 @@ def project_2d(d2: DualFunctionals2D,
     family = d2.family
     x, w = mesh_quadrature(family, quad_points)
     tab = _psi_tab(d2, x)
-    dtab = _psi_tab(d2, x, 1)
     grid_w = np.outer(w, w)
     if source is not None:
         load = grid_w * np.asarray(source(x[:, None], x[None, :]), dtype=float)
@@ -154,6 +165,7 @@ def project_2d(d2: DualFunctionals2D,
         gx, gy = gradient
         lx = grid_w * np.asarray(gx(x[:, None], x[None, :]), dtype=float)
         ly = grid_w * np.asarray(gy(x[:, None], x[None, :]), dtype=float)
+        dtab = _psi_tab(d2, x, 1)
         pair = dtab.T @ lx @ tab + tab.T @ ly @ dtab
     else:
         raise ValueError("provide the source or the solution gradient")
@@ -187,7 +199,10 @@ class SeriesOperator2D:
     sum_n 2 S[n, a] sin(n pi x) psi_b(y), S = sine_moments.  The Gram is the
     derivative-pairing Gram of the lifts.  The sines are orthogonal and the
     psi_b M- and K-orthogonal, so it couples only equal b: block b is
-    2 S^T diag((n pi)^2 + lam_b) S.
+    2 S^T diag((n pi)^2 + lam_b) S = A + lam_b B, with A = 2 S^T diag((n pi)^2) S
+    and B = 2 S^T S.  The Gram is fast-diagonalized like the stiffness: the
+    eigenpairs of A W = B W diag(theta), W^T B W = I, give
+    W^T (block b) W = diag(theta + lam_b) for every b at once.
     """
 
     duals: DualFunctionals2D
@@ -196,19 +211,20 @@ class SeriesOperator2D:
     sine_weighted: np.ndarray     # (terms, n_osc): sin(n pi s) * w at the sine rule
     osc_nodes: np.ndarray
     sine_moments: np.ndarray      # (terms, m): int sin(n pi s) psi_a(s) ds
-    gram_chol: np.ndarray         # (m, m, m): lower Cholesky factor of Gram block b at [b]
+    gram_eigvecs: np.ndarray      # (m, m) W, with W^T B W = I and W^T A W = diag(gram_eigvals)
+    gram_eigvals: np.ndarray      # (m,) theta
 
     def solve_gram(self, rhs):
         """Solve the block-diagonal Gram for an (m, m) right side indexed [a, b]."""
-        # block b solves L_b L_b^T x = rhs[:, b], all blocks in one batched solve each
-        half = np.linalg.solve(self.gram_chol, np.asarray(rhs, dtype=float).T[..., None])
-        return np.linalg.solve(self.gram_chol.transpose(0, 2, 1), half)[..., 0].T
+        w = self.gram_eigvecs
+        scale = self.gram_eigvals[:, None] + self.duals.eigvals[None, :]
+        return w @ ((w.T @ np.asarray(rhs, dtype=float)) / scale)
 
 
 def build_series_operator_2d(d2: DualFunctionals2D,
                              num_terms: int = DEFAULT_SERIES_TERMS,
                              quad_points: int | None = None) -> SeriesOperator2D:
-    """Precompute the sine moments and the factorized block-diagonal Gram.
+    """Precompute the sine moments and the fast-diagonalized block-diagonal Gram.
 
     A block has rank at most `num_terms`, so fewer terms than interior
     nodes per direction leave it singular.
@@ -220,11 +236,11 @@ def build_series_operator_2d(d2: DualFunctionals2D,
     s_nodes, s_weights = _oscillatory_rule(d2.family.mesh, num_terms)
     sine_weighted = _sine_table(num_terms, s_nodes) * s_weights[None, :]
     moments = sine_weighted @ _psi_tab(d2, s_nodes)           # (terms, m)
-    weights = (np.pi * np.arange(1, num_terms + 1))[:, None] ** 2 + d2.eigvals[None, :]
-    # block b is 2 S^T diag(weights[:, b]) S, all blocks in one batched product
-    blocks = 2.0 * (moments.T[None] * weights.T[:, None]) @ moments
+    scaled = (np.pi * np.arange(1, num_terms + 1))[:, None] * moments
+    theta, w = _generalized_eigh(2.0 * (scaled.T @ scaled), 2.0 * (moments.T @ moments),
+                                 "2D series Gram")
     return SeriesOperator2D(d2, num_terms, quad_points,
-                            sine_weighted, s_nodes, moments, np.linalg.cholesky(blocks))
+                            sine_weighted, s_nodes, moments, w, theta)
 
 
 def lifted_duals_grid(op: SeriesOperator2D, x, y) -> np.ndarray:
@@ -252,29 +268,27 @@ def apply_duals_to_green_2d(op: SeriesOperator2D, residual: Callable) -> np.ndar
     return _stiffness_solve(op.duals, _green_pairing(op, residual)).ravel()
 
 
-def green_apply_2d(op: SeriesOperator2D, residual: Callable, x, y) -> np.ndarray:
-    """Truncated-kernel convolution with a residual on the meshgrid (x, y).
+def _piece_ends(cuts: np.ndarray, splits: np.ndarray) -> np.ndarray:
+    """Every cut interval [a, b] split into its n equal pieces: the ends
+    np.linspace(a, b, n + 1) gives, bit for bit, joined in order."""
+    last = np.cumsum(splits) - 1
+    interval = np.repeat(np.arange(splits.size), splits)
+    count = np.arange(1, last[-1] + 2) - np.repeat(last + 1 - splits, splits)
+    step = np.diff(cuts) / splits
+    ends = count * step[interval] + cuts[interval]
+    ends[last] = cuts[1:]
+    return np.concatenate((cuts[:1], ends))
 
-    Term n is (2 / k) sin(k x) int P_k(y, t) D_n(t) dt, k = n pi, with D_n
-    the sine moment of the residual (the precomputed sine rule) and
 
-        P_k(y, t) = e^{-k|y - t|} (1 - e^{-2k min}) (1 - e^{-2k (1 - max)}) / (2 (1 - e^{-2k})).
-
-    P_k is semiseparable, so the profile integral is a left and a right
-    damped running sum over pieces of [0, 1] cut at the mesh lines and at
-    every output ordinate, each step scaled by e^{-k width}: no exponent is
-    positive at any term count.  A piece spans at most _PIECE_DECAY / k_max,
-    which its fixed Gauss rule integrates to rounding.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+def _green_profiles(op: SeriesOperator2D, residual: Callable, y) -> np.ndarray:
+    """Profile (terms, len(y)) of each term of `green_apply_2d`, (2 / k) times
+    its profile integral, so that the image is sines(x)^T @ profiles."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     _check_unit_domain(y)
     y = np.clip(y, 0.0, 1.0)
     k = np.pi * np.arange(1, op.num_terms + 1)
     cuts = np.unique(np.concatenate((op.duals.family.mesh.boundaries, y)))
-    splits = np.ceil(k[-1] * np.diff(cuts) / _PIECE_DECAY).astype(int)
-    ends = np.concatenate([cuts[:1]] + [np.linspace(a, b, n + 1)[1:]
-                                        for a, b, n in zip(cuts[:-1], cuts[1:], splits)])
+    ends = _piece_ends(cuts, np.ceil(k[-1] * np.diff(cuts) / _PIECE_DECAY).astype(int))
     pieces = ends.size - 1
     rule = gauss_legendre_rule(_PIECE_POINTS)
     # left[:, j] and right[:, j]: the two damped sums at ends[j], first per piece
@@ -301,19 +315,37 @@ def green_apply_2d(op: SeriesOperator2D, residual: Callable, x, y) -> np.ndarray
     profile = (-np.expm1(-np.outer(k, 2.0 * (1.0 - y))) * left[:, at]
                - np.expm1(-np.outer(k, 2.0 * y)) * right[:, at]) \
         / (-2.0 * np.expm1(-2.0 * k))[:, None]
-    return (_sine_table(op.num_terms, x) * (2.0 / k)[:, None]).T @ profile
+    return profile * (2.0 / k)[:, None]
+
+
+def green_apply_2d(op: SeriesOperator2D, residual: Callable, x, y) -> np.ndarray:
+    """Truncated-kernel convolution with a residual on the meshgrid (x, y).
+
+    Term n is (2 / k) sin(k x) int P_k(y, t) D_n(t) dt, k = n pi, with D_n
+    the sine moment of the residual (the precomputed sine rule) and
+
+        P_k(y, t) = e^{-k|y - t|} (1 - e^{-2k min}) (1 - e^{-2k (1 - max)}) / (2 (1 - e^{-2k})).
+
+    P_k is semiseparable, so the profile integral is a left and a right
+    damped running sum over pieces of [0, 1] cut at the mesh lines and at
+    every output ordinate, each step scaled by e^{-k width}: no exponent is
+    positive at any term count.  A piece spans at most _PIECE_DECAY / k_max,
+    which its fixed Gauss rule integrates to rounding.
+    """
+    return _sine_table(op.num_terms, x).T @ _green_profiles(op, residual, y)
 
 
 def reconstruct_fine_scales_2d(op: SeriesOperator2D, residual: Callable,
                                x, y) -> np.ndarray:
     """Fine scales of the 2D diffusion problem on the meshgrid (x, y).
 
-    In the psi_a (x) psi_b basis the lifted data is (2 sines^T S) data psi(y)^T.
+    In the psi_a (x) psi_b basis the lifted data is (2 sines^T S) data psi(y)^T,
+    so the convolution image and the lift share one sine table in x.
     """
     data = op.solve_gram(_green_pairing(op, residual))
-    lifted = green_apply_2d(op, residual, x, y)
-    lift_x = 2.0 * _sine_table(op.num_terms, x).T @ op.sine_moments
-    return lifted - lift_x @ data @ _psi_tab(op.duals, y).T
+    profiles = _green_profiles(op, residual, y)
+    lift = 2.0 * op.sine_moments @ data @ _psi_tab(op.duals, y).T
+    return _sine_table(op.num_terms, x).T @ (profiles - lift)
 
 
 def residual_2d(source: Callable, u_bar: Field2D | None) -> Callable:

@@ -148,10 +148,12 @@ def test_projection_zero_source(duals_p3):
 
 def test_gram_approaches_inverse_stiffness(duals_p3, operator_p3):
     # in the basis psi_a (x) psi_b the exact-kernel Gram is diag(lam_a + lam_b);
-    # Gram block b holds the entries [a, a'] of column b
+    # Gram block b holds the entries [a, a'] of column b, and is
+    # W^-T diag(theta + lam_b) W^-1
     sums = duals_p3.eig_sums
-    for b, chol in enumerate(operator_p3.gram_chol):
-        block = chol @ chol.T
+    inv_w = np.linalg.inv(operator_p3.gram_eigvecs)
+    for b, lam in enumerate(duals_p3.eigvals):
+        block = inv_w.T @ np.diag(operator_p3.gram_eigvals + lam) @ inv_w
         assert np.max(np.abs(block - np.diag(sums[:, b]))) < 0.02 * np.max(sums)
 
 
@@ -160,7 +162,19 @@ def test_series_operator_needs_a_term_per_interior_node():
     with pytest.raises(ValueError):
         build_series_operator_2d(d2, num_terms=d2.interior_size - 1)
     op = build_series_operator_2d(d2, num_terms=d2.interior_size)
-    assert np.all(np.isfinite(op.gram_chol))
+    assert np.all(np.isfinite(op.gram_eigvecs))
+    assert np.all(op.gram_eigvals > 0.0)
+
+
+def test_generalized_eigh_rejects_indefinite_pencils():
+    spd = np.array([[2.0, 0.5], [0.5, 1.0]])
+    theta, w = poisson2d._generalized_eigh(spd, np.eye(2) + 0.1, "pencil")
+    assert np.max(np.abs(w.T @ (np.eye(2) + 0.1) @ w - np.eye(2))) < 1e-15
+    assert np.max(np.abs(w.T @ spd @ w - np.diag(theta))) < 1e-15
+    with pytest.raises(ValueError, match="pencil not positive definite"):
+        poisson2d._generalized_eigh(-spd, np.eye(2), "pencil")
+    with pytest.raises(ValueError, match="not positive definite"):
+        poisson2d._generalized_eigh(spd, np.diag([1.0, -1.0]), "pencil")
 
 
 def test_source_pairings_need_p_points(duals_p3):
@@ -187,6 +201,21 @@ def test_duals_and_series_operator_form_no_dense_2d_matrix():
     try:
         d2 = build_dual_functionals_2d(_mesh(6, 4))
         build_series_operator_2d(d2, num_terms=100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_series_gram_forms_no_stack_of_blocks():
+    # at m = 95 and 400 terms the m x m x m stack of Gram blocks and its
+    # Cholesky factors peaked at 38 MB; the eigenpairs of two m x m
+    # matrices need about 7 MB
+    tracemalloc.start()
+    try:
+        d2 = build_dual_functionals_2d(_mesh(24, 4))
+        op = build_series_operator_2d(d2, num_terms=400)
+        op.solve_gram(np.ones((d2.interior_size, d2.interior_size)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -365,14 +394,69 @@ def test_reconstruction_matches_half_domain_rule(monkeypatch, n, p):
     assert np.max(np.abs(got - want)) < 1e-12 * scale
 
 
+def _gram_blocks(op):
+    # block b of the series Gram, formed directly: 2 S^T diag((n pi)^2 + lam_b) S
+    k2 = (np.pi * np.arange(1, op.num_terms + 1)) ** 2
+    s = op.sine_moments
+    return [2.0 * s.T @ np.diag(k2 + lam) @ s for lam in op.duals.eigvals]
+
+
 def test_gram_factor_matches_blockwise_products():
     d2 = build_dual_functionals_2d(_jittered_mesh(5, 3, 5))
     op = build_series_operator_2d(d2, num_terms=100)
-    k2 = (np.pi * np.arange(1, 101)) ** 2
-    for b, chol in enumerate(op.gram_chol):
-        block = 2.0 * op.sine_moments.T @ np.diag(k2 + d2.eigvals[b]) @ op.sine_moments
-        want = np.linalg.cholesky(block)
-        assert np.max(np.abs(chol - want)) < 1e-13 * np.max(np.abs(want))
+    w = op.gram_eigvecs
+    for lam, block in zip(d2.eigvals, _gram_blocks(op)):
+        want = np.diag(op.gram_eigvals + lam)
+        assert np.max(np.abs(w.T @ block @ w - want)) < 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n,p,terms", [(5, 3, 100), (6, 4, 23), (6, 4, 1000), (12, 4, 100)])
+def test_gram_solve_matches_blockwise_solves(n, p, terms):
+    # 23 terms is one per interior node, the fewest the build accepts
+    op = build_series_operator_2d(build_dual_functionals_2d(_jittered_mesh(n, p, n)),
+                                  num_terms=terms)
+    rhs = np.random.default_rng(n).normal(size=(op.duals.interior_size,) * 2)
+    want = np.column_stack([np.linalg.solve(block, rhs[:, b])
+                            for b, block in enumerate(_gram_blocks(op))])
+    assert np.max(np.abs(op.solve_gram(rhs) - want)) < 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("terms", [100, 1000])
+@pytest.mark.parametrize("mesh", [_mesh(8, 4), _jittered_mesh(5, 3, 5), _jittered_mesh(7, 2, 3)],
+                         ids=["uniform", "jittered5", "jittered7"])
+def test_piece_ends_match_linspace(mesh, terms):
+    # cut at the mesh lines and at the ordinates, as the convolution cuts
+    for y in (np.linspace(0.0, 1.0, 41), np.array([0.9, 0.123, 0.5, 0.77777, 0.0])):
+        cuts = np.unique(np.concatenate((mesh.mesh1d.boundaries, y)))
+        splits = np.ceil(terms * np.pi * np.diff(cuts) / poisson2d._PIECE_DECAY).astype(int)
+        want = np.concatenate([cuts[:1]] + [np.linspace(a, b, n + 1)[1:]
+                                            for a, b, n in zip(cuts[:-1], cuts[1:], splits)])
+        assert np.array_equal(poisson2d._piece_ends(cuts, splits), want)
+
+
+def _kink_profile(y, y0):
+    # g solves -g'' + pi^2 g = |y - y0|, g(0) = g(1) = 0: the 1D kernel
+    # integrated by a Gauss rule split at y and y0
+    out = []
+    for yv in y:
+        t, w = composite_rule(gauss_legendre_rule(30),
+                              np.unique([0.0, min(yv, y0), max(yv, y0), 1.0]))
+        lo, hi = np.minimum(t, yv), np.maximum(t, yv)
+        kernel = np.sinh(np.pi * lo) * np.sinh(np.pi * (1.0 - hi)) / (np.pi * np.sinh(np.pi))
+        out.append(w @ (kernel * np.abs(t - y0)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("y0,bound", [(0.37, 1.56e-8), (0.5123, 3.73e-8)])
+def test_convolution_of_a_source_with_a_kink(y0, bound):
+    # f = |y - y0| sin(pi x) has one sine term, so the error is the piece
+    # rules' on the piece holding the kink.  The bounds are the errors with
+    # 20 Gauss points per piece, plus 2%: sampling the pieces more coarsely fails
+    op = build_series_operator_2d(build_dual_functionals_2d(_mesh(8, 4)), num_terms=100)
+    grid = np.linspace(0.0, 1.0, 41)
+    got = green_apply_2d(op, lambda x, y: np.abs(y - y0) * np.sin(np.pi * x), grid, grid)
+    want = np.sin(np.pi * grid)[:, None] * _kink_profile(grid, y0)[None, :]
+    assert np.max(np.abs(got - want)) <= 1.02 * bound
 
 
 def test_convolution_ordinates_in_any_order(duals_p3, operator_p3):
