@@ -10,7 +10,11 @@ diagonal, element e's block being the reference edge mass over J_e, and
 every dual nodal function lives on one element.  They are tabulated by
 per-element solves with one cached Cholesky factor of the p x p
 reference edge mass, the only mass a dual nodal set holds; the dual edge
-functions go through the cached factor of the global nodal mass.  Duals
+functions go through the cached factor of the global nodal mass.  A dual
+nodal set also caches two antiderivatives of its reference duals, from
+which its moments int s mu_j and int (1 - s) mu_j over any part of an
+element follow (`partial_moments`), as the closed-form L2 lifts of
+`finescale` need them.  Duals
 are always evaluated through solves, never through explicit inverses of
 a mass matrix; the H10 functionals of `projection` follow the same rule
 with the interior stiffness.  The solves substitute through the Cholesky
@@ -26,9 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis1d import (BasisFamily, SpaceKind, _element_cols, _element_coords, _global_scatter,
-                      _reference_edge_tab, lagrange_tab, tabulate_nodal)
-from .quadrature import gauss_legendre_rule
+from .basis1d import (BasisFamily, SpaceKind, _barycentric_weights, _element_cols, _element_coords,
+                      _global_scatter, _lagrange_tab, _reference_edge_tab, lagrange_tab,
+                      tabulate_nodal)
+from .quadrature import gauss_legendre_rule, gll_nodes, map_rule
 
 # Width of the diagonal blocks of the triangular substitution.
 _SUBSTITUTION_BLOCK = 64
@@ -160,6 +165,26 @@ class DualSet:
         mesh = self.family.mesh
         return mesh.num_edge_dofs if self.kind is SpaceKind.DUAL_NODAL else mesh.num_nodal_dofs
 
+    @functools.cached_property
+    def _antiderivatives(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # the p + 2 GLL nodes of degree p + 1, their barycentric weights and
+        # the two antiderivatives there, each node's integral on the exact
+        # (p // 2 + 1)-point rule
+        nodes = gll_nodes(self.family.degree + 1)
+        s, w = map_rule(gauss_legendre_rule(self.family.degree // 2 + 1),
+                        np.full(nodes.size, -1.0), nodes)
+        duals = _reference_duals(self, s.ravel()).reshape(s.shape + (-1,))
+        table = [np.einsum("kq,kqj->kj", w * (1.0 + sign * s), duals) for sign in (-1.0, 1.0)]
+        return nodes, _barycentric_weights(nodes), np.stack(table)
+
+    @functools.cached_property
+    def moments(self) -> np.ndarray:
+        """The moments int s mu_j ds and int (1 - s) mu_j ds of every dual
+        nodal function mu_j, shape (2, N, p): by element, then the
+        element's duals."""
+        num = self.family.mesh.num_elements
+        return partial_moments(self, np.arange(num), np.ones(num))
+
 
 def build_duals(family: BasisFamily, kind: SpaceKind) -> DualSet:
     """Construct the dual-nodal (edge-based) or dual-edge (node-based) set."""
@@ -188,6 +213,27 @@ def tabulate_duals(duals: DualSet, x, deriv: int = 0) -> np.ndarray:
     if duals.kind is SpaceKind.DUAL_NODAL:
         return _global_scatter(*element_duals(duals, x, deriv), family.mesh.num_edge_dofs)
     return duals.mass.solve(tabulate_nodal(family, x, deriv=deriv).T).T
+
+
+def partial_moments(duals: DualSet, elem, xi) -> np.ndarray:
+    """int_{a_e}^x s mu_j ds and int_{a_e}^x (1 - s) mu_j ds for the p dual
+    nodal functions mu_j of each point's element e = [a_e, b_e], x at
+    reference coordinate xi in it; shape (2, len(xi), p).
+
+    The antiderivatives M_j and P_j of (1 - eta) mu_j and (1 + eta) mu_j on
+    the reference element are polynomials of degree p + 1, so their values
+    at the p + 2 GLL nodes of degree p + 1, integrated once per set, give
+    them everywhere by interpolation.  With s = a_e (1 - eta) / 2 + b_e
+    (1 + eta) / 2 and ds = J_e d eta they give J_e / 2 (a_e M_j + b_e P_j)
+    and J_e / 2 ((1 - a_e) M_j + (1 - b_e) P_j).
+    """
+    nodes, bary, table = duals._antiderivatives
+    minus, plus = _lagrange_tab(nodes, bary, None, np.atleast_1d(xi)) @ table
+    mesh = duals.family.mesh
+    lo, hi = mesh.boundaries[elem][:, None], mesh.boundaries[elem + 1][:, None]
+    half = 0.5 * mesh.jacobian(elem)[:, None]
+    return np.stack((half * (lo * minus + hi * plus),
+                     half * ((1.0 - lo) * minus + (1.0 - hi) * plus)))
 
 
 def element_duals(duals: DualSet, x, deriv: int = 0) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ the reconstruction functions (G duals)^T [Gram]^{-1} times the
 functionals' pairing with G r.  For L2 the pairing is element-local, of
 G f on the source rule, minus u_bar's pairing (its coefficients for an
 edge field of the functionals' family), and the functions are the lifts
-times a Gram solve, summed from the lifts' element moments.  For H10 the
+times a Gram solve, summed in closed form.  For H10 the
 pairing is the source's, through the interior nodal basis and one
 stiffness solve, minus u_bar's exact H10 pairing, and the functions are
 the interior nodal basis (criterion 06).  A field of the H10 space
@@ -32,17 +32,26 @@ two terms cancel (criterion 05); an edge field has no H10 pairing.
 
 The Poisson kernel is self-adjoint, so the representers (duals G) are the
 lifts (G duals), and the library has one of them (`_lift`).  For H10 the
-lift is the functional itself, since G inverts its load exactly; for L2 it
-is computed on demand from
+lift is the functional itself, since G inverts its load exactly.  For L2
+it is in closed form: the kernel G(x, s) = x (1 - s) for x < s is
+semiseparable, and each dual mu_j lives on one element, so its lift is
+x beta_j left of that element, (1 - x) alpha_j right of it and one
+polynomial of degree p + 1 inside it, with alpha_j = int s mu_j and
+beta_j = int (1 - s) mu_j the dual moments.  Inside, it comes from two
+antiderivative tables of the reference duals (`dualspace.partial_moments`).
+The same moments make the L2 Gram semiseparable off its diagonal blocks
+(`_l2_gram`) and sum the L2 resolved part by a prefix and a suffix sum.
+The H10 Gram is K^{-1}, K the interior stiffness, so its condition number
+is K's and the H10 operator forms its Gram only when read.
+
+Smooth sources go through one primitive (`_poisson_apply`),
 
     G f(x) = (1 - x) int_0^x s f(s) ds + x int_x^1 (1 - s) f(s) ds,
 
 whose two integrals are cumulative sums of Gauss rules over the cells
 between the mesh boundaries and source breakpoints.  The cell holding x is
 integrated only on its piece left of x; its right piece is the whole-cell
-moment minus that one, so each point's density is tabulated once.  Every
-smooth Green's application goes through that one primitive (`_poisson_apply`),
-the L2 lifts included.
+moment minus that one, so each point's density is tabulated once.
 
 Every integral of the kernel is thus split at its kink x = s, the one
 quadrature under which the derivative pairing works; a rule cut only at
@@ -57,12 +66,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis1d import Field, SpaceKind, element_tab, field_eval
-from .dualspace import SPDMatrix, element_duals, tabulate_duals
+from .basis1d import Field, SpaceKind, _element_cols, _element_coords, element_tab, field_eval
+from .dualspace import SPDMatrix, _reference_duals, partial_moments
 from .kernels import GreensKernel1D, _check_unit_domain, poisson_green
 from .projection import (DualFunctionals, ProjectionFlavor, mesh_quadrature, pair_functionals,
                          source_rule_points, tabulate_functionals)
-from .quadrature import composite_rule, default_quad_points, gauss_legendre_rule, map_rule
+from .quadrature import (composite_rule, default_quad_points, gauss_legendre_rule, map_rule,
+                         sorted_unique)
 
 # Rule points tabulated at once by the Green's primitive: bounds its working
 # set, which would otherwise grow with the evaluation points.
@@ -108,7 +118,7 @@ def _poisson_apply(density, x, cuts, quad_points: int, deriv: int = 0) -> np.nda
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _check_unit_domain(x)
     x = np.clip(x, 0.0, 1.0)
-    bounds = np.unique(np.concatenate(([0.0, 1.0], np.asarray(cuts, dtype=float))))
+    bounds = sorted_unique(np.concatenate(([0.0, 1.0], np.asarray(cuts, dtype=float))))
     bounds = bounds[(bounds >= 0.0) & (bounds <= 1.0)]
     rule = gauss_legendre_rule(quad_points)
     step = max(1, _BLOCK_POINTS // rule.npoints)
@@ -133,38 +143,81 @@ def _poisson_apply(density, x, cuts, quad_points: int, deriv: int = 0) -> np.nda
     return b - a if deriv else (1.0 - x)[:, None] * a + x[:, None] * b
 
 
+def _l2_element_lifts(fns: DualFunctionals, elem, xi, x, deriv: int = 0) -> np.ndarray:
+    """The lifts (or x-derivatives) at x of the p duals of its element elem,
+    xi its reference coordinate there; shape (len(x), p).
+
+    With A_j(x) = int_{a_e}^x s mu_j and B_j(x) = int_x^{b_e} (1 - s) mu_j =
+    beta_j - int_{a_e}^x (1 - s) mu_j (`dualspace.partial_moments`),
+    G mu_j = (1 - x) A_j + x B_j inside the element, as `_poisson_apply`
+    forms G f, and its x-derivative is B_j - A_j.
+    """
+    lower, partial = partial_moments(fns.duals, elem, xi)
+    upper = fns.duals.moments[1][elem] - partial
+    if deriv:
+        return upper - lower
+    x = np.asarray(x, dtype=float)[:, None]
+    return (1.0 - x) * lower + x * upper
+
+
+def _l2_lifts_at(fns: DualFunctionals, x, deriv: int = 0):
+    """x as a 1D array in [0, 1] (rejected outside it, NaN too), each
+    point's element and the lifts (or x-derivatives) of that element's p
+    duals at the point."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    _check_unit_domain(x)
+    x = np.clip(x, 0.0, 1.0)
+    elem, _, xi = _element_coords(fns.family.mesh, x)
+    return x, elem, _l2_element_lifts(fns, elem, xi, x, deriv)
+
+
 def _lift(fns: DualFunctionals, x, deriv: int = 0) -> np.ndarray:
     """Every lifted functional G(load_j), or its x-derivative, at x.
 
     For H10 the Poisson kernel inverts the load (minus the second
     derivative plus the node point sources) exactly, so the lift is the
     functional itself; derivatives at mesh nodes are the left element's.
-    For L2 the load is the dual density and the lift is its exact Poisson
-    image by the primitive: s mu and (1 - s) mu are polynomials of degree
-    p on each element, so the (p // 2 + 1)-point rule is exact.
+    For L2 the load is the dual density mu_j, one element's, and the lift
+    is in closed form: x beta_j left of the dual's element, (1 - x) alpha_j
+    right of it (`DualSet.moments`) and `_l2_element_lifts` inside; the
+    x-derivatives left and right are beta_j and -alpha_j.  The lift is C^1,
+    so a point on a mesh node may take either side.
     """
     if fns.flavor is ProjectionFlavor.H10:
         return tabulate_functionals(fns, x, deriv=deriv)
-    mesh = fns.family.mesh
-    return _poisson_apply(lambda s: tabulate_duals(fns.duals, s), x, mesh.boundaries,
-                          mesh.degree // 2 + 1, deriv)
+    x, elem, local = _l2_lifts_at(fns, x, deriv)
+    alpha, beta = fns.duals.moments
+    p = fns.family.degree
+    # the duals of elements left of each point's element: it lies right of them
+    right = np.arange(fns.size)[None, :] < (p * elem)[:, None]
+    if deriv:
+        out = np.where(right, -alpha.ravel(), beta.ravel())
+    else:
+        out = np.where(right, np.multiply.outer(1.0 - x, alpha.ravel()),
+                       np.multiply.outer(x, beta.ravel()))
+    out[np.arange(x.size)[:, None], _element_cols(fns.family.mesh, elem, p)] = local
+    return out
 
 
-def _lift_combination(fns: DualFunctionals, x, coeffs) -> np.ndarray:
+def _l2_lift_sum(fns: DualFunctionals, x, coeffs) -> np.ndarray:
     """sum_j lift_j(x) coeffs_j for the L2 lifts, with no (points x N p)
-    table: G of the density sum_j mu_j coeffs_j, a polynomial of degree
-    p - 1 on each element, by the primitive on the exact (p // 2 + 1)-point
-    rule.  `coeffs` is one vector, or one column per right side.
+    table: (1 - x) times the sum of alpha_j coeffs_j over the elements left
+    of x, x times that of beta_j coeffs_j over those right of it, plus x's
+    own element's p lifts.  `coeffs` is one vector, or one column per right
+    side.
     """
+    x, elem, local = _l2_lifts_at(fns, x)
+    alpha, beta = fns.duals.moments
     coeffs = np.asarray(coeffs, dtype=float)
-
-    def density(s):
-        cols, vals = element_duals(fns.duals, s)
-        return np.einsum("ij,ij...->i...", vals, coeffs[cols])
-
-    mesh = fns.family.mesh
-    out = _poisson_apply(density, x, mesh.boundaries, mesh.degree // 2 + 1)
-    return out if coeffs.ndim > 1 else out[:, 0]
+    per_elem = coeffs.reshape(alpha.shape + coeffs.shape[1:])
+    zero = np.zeros((1,) + coeffs.shape[1:])
+    # before[e]: alpha c over the elements left of e; after[e + 1]: beta c right of e
+    before = np.cumsum(np.concatenate((zero, np.einsum("ek,ek...->e...", alpha, per_elem))), 0)
+    after = np.cumsum(np.concatenate((np.einsum("ek,ek...->e...", beta, per_elem), zero))[::-1],
+                      0)[::-1]
+    x = x.reshape((-1,) + (1,) * (coeffs.ndim - 1))
+    return ((1.0 - x) * before[elem] + x * after[elem + 1]
+            + np.einsum("ij,ij...->i...", local, per_elem[elem]))
 
 
 def green_apply(src: SourceTerm, x, quad_points: int,
@@ -206,7 +259,8 @@ def _field_pairing(fns: DualFunctionals, fld: Field) -> np.ndarray:
     h10 = fns.flavor is ProjectionFlavor.H10
     if h10 and fld.space is SpaceKind.EDGE:
         raise ValueError("an edge field has no H10 pairing: its H10 projection is undefined")
-    bounds = np.unique(np.concatenate((fns.family.mesh.boundaries, fld.family.mesh.boundaries)))
+    bounds = sorted_unique(np.concatenate((fns.family.mesh.boundaries,
+                                           fld.family.mesh.boundaries)))
     rule = gauss_legendre_rule((fns.family.degree + fld.family.degree) // 2 + 1)
     s, w = composite_rule(rule, bounds)
     deriv = 1 if h10 else 0
@@ -251,23 +305,50 @@ def _green_and_pairing(fns: DualFunctionals, src: SourceTerm, grid: np.ndarray,
     return image, data
 
 
+def _l2_gram(fns: DualFunctionals) -> np.ndarray:
+    """The L2 Gram matrix (mu_i, G mu_j) in closed form.
+
+    Off the diagonal blocks it is semiseparable: alpha_i beta_j when dual
+    i's element lies left of dual j's, and its mirror when right.  Each
+    diagonal block pairs its element's duals with their lifts inside it,
+    polynomials of degree p - 1 and p + 1, on the exact (p + 1)-point
+    rule, and is symmetrized as the Gram is.
+    """
+    mesh = fns.family.mesh
+    num, p = mesh.num_elements, mesh.degree
+    alpha, beta = fns.duals.moments
+    rule = gauss_legendre_rule(p + 1)
+    elem = np.repeat(np.arange(num), rule.npoints)
+    xi = np.tile(rule.nodes, num)
+    x = mesh.boundaries[elem] + mesh.jacobian(elem) * (1.0 + xi)
+    lifts = _l2_element_lifts(fns, elem, xi, x).reshape(num, rule.npoints, p)
+    # mu_i(x) dx = mu_i(xi) J_e d xi on the reference element
+    mu = _reference_duals(fns.duals, rule.nodes) * rule.weights[:, None]
+    local = mesh.jacobian(np.arange(num))[:, None, None] * np.einsum("qi,eqj->eij", mu, lifts)
+    upper = np.triu(np.outer(alpha, beta), 1)
+    gram = upper + upper.T
+    diag = np.arange(num)
+    gram.reshape(num, p, num, p)[diag, :, diag, :] = 0.5 * (local + local.transpose(0, 2, 1))
+    return gram
+
+
 @dataclass(frozen=True)
 class FineScaleOperator:
     """Precomputed fine-scale Green's operator for one kernel and dual set.
 
-    Holds the Gram matrix, its 2-norm condition number and the
-    functionals whose flavor pairing drives all dual applications.  The
-    Gram is SPD for both flavors; it is Cholesky-factored on the first
-    solve, which H10 reconstructions never need.  The lifted functionals
-    are exact and evaluated on demand, so nothing else is stored.
+    Holds the functionals whose flavor pairing drives all dual
+    applications, and forms what it needs of the rest on first use.  The
+    lifted functionals are exact and evaluated on demand: for L2 in closed
+    form from the dual moments, for H10 the functionals themselves.  The
+    Gram is SPD for both flavors and Cholesky-factored on the first solve,
+    which H10 reconstructions never need; an H10 operator forms no Gram
+    unless it is read, as its condition number is the stiffness's.
     `quad_points` is the reconstructions' source rule.
     """
 
     kernel: GreensKernel1D
     functionals: DualFunctionals
     quad_points: int
-    gram: np.ndarray
-    gram_cond: float
 
     @property
     def flavor(self) -> ProjectionFlavor:
@@ -276,6 +357,36 @@ class FineScaleOperator:
     @property
     def size(self) -> int:
         return self.functionals.size
+
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        """The Gram matrix duals G duals^T, the flavor pairing of each
+        functional with each lift.
+
+        Its integrands are piecewise polynomials of degree at most 2p: the
+        L2 pairing multiplies the degree p - 1 duals by their degree p + 1
+        lifts (`_l2_gram`), the H10 pairing two degree p - 1 derivatives,
+        on the (p + 1)-point mesh rule.
+        """
+        fns = self.functionals
+        if self.flavor is ProjectionFlavor.L2:
+            return _l2_gram(fns)
+        # the H10 lifts are the functionals themselves
+        s, w = mesh_quadrature(fns.family, fns.family.degree + 1)
+        tab = tabulate_functionals(fns, s, deriv=1)
+        return tab.T @ (w[:, None] * tab)
+
+    @functools.cached_property
+    def gram_cond(self) -> float:
+        """The Gram's 2-norm condition number, from the extreme eigenvalues
+        of the symmetric L2 Gram, or for H10 of the stiffness K, as the H10
+        Gram is K^{-1}."""
+        l2 = self.flavor is ProjectionFlavor.L2
+        mat = self.gram if l2 else self.functionals.stiffness.entries
+        if not np.all(np.isfinite(mat)):
+            return np.inf
+        eig = np.abs(np.linalg.eigvalsh(mat))
+        return float(eig.max() / eig.min()) if eig.min() > 0.0 else np.inf
 
     def lifted_tab(self, x) -> np.ndarray:
         """Tabulate every lifted functional at x; shape (len(x), size)."""
@@ -288,11 +399,13 @@ class FineScaleOperator:
 
         The H10 reconstruction functions are the interior nodal basis, so
         each point gathers its element's coefficients with no solve; the
-        L2 ones are the lifts times the Gram solution, summed in
-        O(points p) by `_lift_combination`.
+        L2 ones are the lifts times the Gram solution, summed in closed
+        form in O(points p) by `_l2_lift_sum`: a prefix sum of the
+        alpha moments, a suffix sum of the beta moments and the point's
+        own element's p lifts.
         """
         if self.flavor is ProjectionFlavor.L2:
-            return _lift_combination(self.functionals, x, self.solve_gram(data))
+            return _l2_lift_sum(self.functionals, x, self.solve_gram(data))
         family = self.functionals.family
         coeffs = np.zeros((family.mesh.num_nodal_dofs,) + np.shape(data)[1:])
         coeffs[1:-1] = data
@@ -309,31 +422,24 @@ class FineScaleOperator:
 
 def build_fine_scale_operator(kernel: GreensKernel1D, fns: DualFunctionals,
                               quad_points: int | None = None) -> FineScaleOperator:
-    """Assemble and factorize the Gram matrix of the functionals under G.
+    """Build the operator and check its Gram's condition number.
 
-    The Gram integrands are piecewise polynomials of degree at most 2p:
-    the L2 pairing multiplies the degree p - 1 duals by their degree p + 1
-    lifts, the H10 pairing two degree p - 1 derivatives.  So the
-    (p + 1)-point mesh rule integrates them exactly, whatever `quad_points`
-    is.  `quad_points` is only stored as the reconstructions' source rule;
-    without it the rule grows with the degree (`default_quad_points`).
+    The L2 build assembles the Gram in closed form (`_l2_gram`); the H10
+    build forms none, taking the condition number from the stiffness.  The
+    Gram integrands are polynomials integrated exactly, whatever
+    `quad_points` is.  `quad_points` is only stored as the reconstructions'
+    source rule; without it the rule grows with the degree
+    (`default_quad_points`).
     """
     mesh = fns.family.mesh
     if quad_points is None:
         quad_points = default_quad_points(mesh.degree)
     if abs(mesh.a) > 1e-14 or abs(mesh.b - 1.0) > 1e-14:
         raise ValueError("mesh must cover the kernel domain [0, 1]")
-    # the flavor pairing of each functional with each lift
-    deriv = 1 if fns.flavor is ProjectionFlavor.H10 else 0
-    s, w = mesh_quadrature(fns.family, mesh.degree + 1)
-    tab = tabulate_functionals(fns, s, deriv)
-    # the H10 lifts are the functionals themselves
-    lifts = tab if fns.flavor is ProjectionFlavor.H10 else _lift(fns, s, deriv)
-    gram = tab.T @ (w[:, None] * lifts)
-    cond = float(np.linalg.cond(gram)) if np.all(np.isfinite(gram)) else np.inf
-    if cond > 1e14:
+    op = FineScaleOperator(kernel, fns, quad_points)
+    if op.gram_cond > 1e14:
         raise ValueError("singular dual Gram matrix: assembly defect")
-    return FineScaleOperator(kernel, fns, quad_points, gram, cond)
+    return op
 
 
 def fine_scale_eval(op: FineScaleOperator, x, s) -> np.ndarray:

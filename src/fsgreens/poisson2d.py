@@ -38,7 +38,7 @@ from .basis1d import BasisFamily, Mesh1D, SpaceKind, basis_family, tabulate_noda
 from .dualspace import SPDMatrix, assemble_mass
 from .kernels import DEFAULT_SERIES_TERMS, _check_unit_domain
 from .projection import assemble_stiffness, mesh_quadrature, source_rule_points
-from .quadrature import composite_rule, gauss_legendre_rule
+from .quadrature import composite_rule, gauss_legendre_rule, sorted_unique
 
 _OSC_MARGIN = 12
 # Convolution pieces: e^{-k t} of the steepest term changes by at most
@@ -287,7 +287,7 @@ def _green_profiles(op: SeriesOperator2D, residual: Callable, y) -> np.ndarray:
     _check_unit_domain(y)
     y = np.clip(y, 0.0, 1.0)
     k = np.pi * np.arange(1, op.num_terms + 1)
-    cuts = np.unique(np.concatenate((op.duals.family.mesh.boundaries, y)))
+    cuts = sorted_unique(np.concatenate((op.duals.family.mesh.boundaries, y)))
     ends = _piece_ends(cuts, np.ceil(k[-1] * np.diff(cuts) / _PIECE_DECAY).astype(int))
     pieces = ends.size - 1
     rule = gauss_legendre_rule(_PIECE_POINTS)

@@ -25,6 +25,7 @@ from .quadrature import (
     composite_rule,
     default_quad_points,
     gauss_legendre_rule,
+    sorted_unique,
 )
 
 _BOUNDARY_TOL = 1e-9
@@ -119,7 +120,7 @@ def mesh_quadrature(family: BasisFamily, quad_points: int | None = None,
     """The source rule: a composite Gauss rule of source_rule_points over all
     elements plus extra breakpoints."""
     pts = np.asarray(breakpoints, dtype=float)
-    bounds = np.unique(np.concatenate((family.mesh.boundaries, pts)))
+    bounds = sorted_unique(np.concatenate((family.mesh.boundaries, pts)))
     return composite_rule(gauss_legendre_rule(source_rule_points(family, quad_points)), bounds)
 
 

@@ -126,6 +126,19 @@ def default_quad_points(degree: int) -> int:
     return max(DEFAULT_QUAD_POINTS, degree + 8)
 
 
+def sorted_unique(values) -> np.ndarray:
+    """np.unique of an array, as its sorted distinct values, NaN once at the
+    end: a sort and a mask of equal neighbours.  np.unique itself imports
+    numpy.ma on its first call, a cold-start cost of every command."""
+    out = np.sort(np.ravel(values))
+    keep = np.empty(out.size, dtype=bool)
+    keep[:1] = True
+    # NaN sorts last and differs from itself: only the first of them
+    # follows a value equal to itself
+    keep[1:] = (out[1:] != out[:-1]) & (out[:-1] == out[:-1])
+    return out[keep]
+
+
 @functools.cache
 def gauss_legendre_rule(n: int) -> QuadratureRule:
     """n-point Gauss-Legendre rule, exact through degree 2n-1; one shared

@@ -62,7 +62,7 @@ from .projection import (
     pair_functionals,
     tabulate_functionals,
 )
-from .quadrature import gauss_legendre_rule
+from .quadrature import gauss_legendre_rule, sorted_unique
 
 DEFAULT_FINE_GRID = 2001
 DEFAULT_TOLERANCE = 1e-8
@@ -207,7 +207,7 @@ def fine_grid(mesh, total_points: int = DEFAULT_FINE_GRID) -> np.ndarray:
     per_elem = max(5, int(np.ceil((total_points - 1) / mesh.num_elements)) + 1)
     pieces = [np.linspace(mesh.boundaries[n], mesh.boundaries[n + 1], per_elem)
               for n in range(mesh.num_elements)]
-    return np.unique(np.concatenate(pieces))
+    return sorted_unique(np.concatenate(pieces))
 
 
 def _coarse_solve(problem: AdvDiffProblem, adv_pairing: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -235,7 +235,7 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals,
     ratio = problem.advection / problem.diffusion
     layer = boundary_layer_breakpoints(problem.advection, problem.diffusion) \
         if problem.advection != 0.0 else np.empty(0)
-    cells = np.unique(np.concatenate((mesh.boundaries, layer)))
+    cells = sorted_unique(np.concatenate((mesh.boundaries, layer)))
     q = op.quad_points
     x, w = mesh_quadrature(family, q, layer)
 

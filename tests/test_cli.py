@@ -518,6 +518,38 @@ def test_underflowing_boundary_layer_terminates(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("reconstruct",),
+    ("reconstruct", "--projection", "l2"),
+    ("vms-iter", "--nu", "0.05"),
+    ("poisson2d",),
+], ids=["reconstruct-h10", "reconstruct-l2", "vms-iter", "poisson2d"])
+def test_no_command_loads_numpy_ma(tmp_path, argv):
+    # np.unique imports numpy.ma on its first call, about 17 ms of a cold
+    # start; the library merges its breakpoints by `sorted_unique` instead
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {k: v for k, v in os.environ.items() if k != "FSG_QUAD_POINTS"}
+    env["PYTHONPATH"] = os.path.abspath(src)
+    script = ("import json, sys\n"
+              "import numpy\n"
+              "bare = 'numpy.ma' in sys.modules\n"
+              "from fsgreens.cli import main\n"
+              "status = main(sys.argv[1:])\n"
+              "ma = sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.'))\n"
+              "print(json.dumps([bare, status, ma]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    bare, status, modules = json.loads(proc.stdout.splitlines()[-1])
+    if bare:
+        pytest.skip("importing numpy alone loads numpy.ma here")
+    assert status == 0
+    assert modules == []
+
+
 _SPLINE_AND_SPARSE = ("scipy.interpolate", "scipy.sparse", "scipy.sparse.linalg")
 
 

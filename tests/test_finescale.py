@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from fsgreens.basis1d import (Field, Mesh1D, SpaceKind, basis_family, field_eval, tabulate_edge,
                               tabulate_nodal)
-from fsgreens.dualspace import assemble_mass, tabulate_duals
+from fsgreens.dualspace import _reference_duals, assemble_mass, tabulate_duals
 from fsgreens.cases import sin2pix_case
 from fsgreens.finescale import (
     SourceTerm,
+    _l2_lift_sum,
     _lift,
-    _lift_combination,
     _poisson_apply,
     build_fine_scale_operator,
     fine_scale_eval,
@@ -31,7 +31,7 @@ from fsgreens.projection import (
     project,
     tabulate_functionals,
 )
-from fsgreens.quadrature import default_quad_points
+from fsgreens.quadrature import default_quad_points, gauss_legendre_rule
 
 from flattened_oracle import (apply_dual_green, element_endpoint_values, flattened, functional_load,
                               lift_functionals_direct, nodal_points, pair_naive, reconstruct_flat)
@@ -218,6 +218,68 @@ def test_gram_independent_of_source_rule(flavor):
         assert [op.quad_points for op in ops] == [mesh.degree, 20, 40]
         for op in ops[1:]:
             np.testing.assert_array_equal(op.gram, ops[0].gram)
+
+
+@pytest.mark.parametrize("num_elements,degree", [(6, 2), (12, 4), (40, 3)])
+def test_l2_gram_matches_the_quadrature_oracle_on_jittered_meshes(num_elements, degree):
+    # the closed form (semiseparable off the diagonal blocks) against the
+    # functionals paired with the per-point oracle's lifts on the exact rule
+    mesh = _jittered_mesh(num_elements, degree)
+    fns = build_dual_functionals(basis_family(mesh), ProjectionFlavor.L2)
+    op = build_fine_scale_operator(KERNEL, fns)
+    s, w = mesh_quadrature(fns.family, degree + 1)
+    lift = lift_functionals_direct(KERNEL, fns, s, quad_points=degree + 1)
+    oracle = tabulate_functionals(fns, s).T @ (w[:, None] * lift)
+    assert _rel_err(op.gram, oracle) <= 1e-13
+
+
+@pytest.mark.parametrize("flavor", [ProjectionFlavor.H10, ProjectionFlavor.L2])
+@pytest.mark.parametrize("num_elements,degree", [(2, 2), (10, 2), (10, 4), (40, 2), (40, 4)])
+def test_gram_cond_is_the_condition_number_of_the_formed_gram(flavor, num_elements, degree):
+    # the extreme eigenvalues of the L2 Gram, or of the stiffness K for H10
+    # (the Gram is K^{-1}), against the SVD of the formed Gram.  Both are
+    # backward stable, so the smallest eigenvalue carries about eps cond of
+    # relative rounding, above 1e-12 in log10 at N = 40, p = 4 (L2: 3.3e-12
+    # measured)
+    fns = build_dual_functionals(basis_family(_jittered_mesh(num_elements, degree)), flavor)
+    op = build_fine_scale_operator(KERNEL, fns)
+    tol = max(1e-12, np.finfo(float).eps * op.gram_cond)
+    assert np.log10(op.gram_cond) == pytest.approx(np.log10(np.linalg.cond(op.gram)), abs=tol)
+
+
+def test_h10_build_and_reconstruction_form_no_gram():
+    # the H10 condition number is the stiffness's and the resolved part the
+    # interior nodal basis: the Gram is formed only when read
+    family, fns, op = _setup(20, 4, ProjectionFlavor.H10)
+    u_bar = h10_project_from_source(fns, CASE.source)
+    x = np.linspace(0.0, 1.0, 41)
+    reconstruct_fine_scales(op, residual_from_field(u_bar, CASE.source), x)
+    fine_scale_eval(op, x, x)
+    assert "gram" not in vars(op)
+    assert op.gram.shape == (fns.size, fns.size)
+    assert "gram" in vars(op)
+
+
+def test_l2_build_and_reconstruction_hold_a_few_gram_sized_arrays():
+    # the Gram, its Cholesky factor and the symmetry check's temporaries:
+    # 3.0 Gram sizes measured at N = 320, p = 4, against 9.8 when the lifts
+    # went through dense (points x N p) dual tables
+    import tracemalloc
+
+    family = basis_family(Mesh1D.uniform(0.0, 1.0, 320, 4))
+    fns = build_dual_functionals(family, ProjectionFlavor.L2)
+    u_bar = project(fns, CASE.solution)
+    resid = residual_from_field(u_bar, CASE.source)
+    x = np.linspace(0.0, 1.0, 401)
+    tracemalloc.start()
+    try:
+        op = build_fine_scale_operator(KERNEL, fns)
+        u_prime = reconstruct_fine_scales(op, resid, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * op.gram.nbytes
+    assert np.max(np.abs(field_eval(u_bar, x) + u_prime - CASE.solution(x))) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +675,33 @@ def test_l2_lifts_on_the_exact_rule_match_direct_quadrature(mesh):
         assert _rel_err(_lift(fns, x, deriv), direct) <= 5e-14
 
 
+@pytest.mark.parametrize("num_elements,bound", [(80, 3.4e-14), (320, 1.2e-13)])
+def test_l2_lifts_at_scale_match_direct_quadrature(num_elements, bound):
+    # uniform p = 4 meshes, on a grid plus every (N / 20)-th node and
+    # midpoint.  The bounds are the primitive's error against the oracle:
+    # 3.3e-14 at N = 80 on the grid plus every node and midpoint (2.8e-14
+    # on these points), 1.17e-13 at N = 320 on these points; the closed
+    # form measured 2.7e-14 and 8.3e-14.  The oracle and the primitive
+    # evaluate the duals at physical points, whose reference coordinates
+    # carry about eps / h of rounding.  The closed form's dual moments,
+    # taken on the reference element, meet a rule on the reference nodes
+    # to 1e-14 (8.5e-16 measured at N = 320)
+    mesh = Mesh1D.uniform(0.0, 1.0, num_elements, 4)
+    fns = build_dual_functionals(basis_family(mesh), ProjectionFlavor.L2)
+    bounds, step = mesh.boundaries, num_elements // 20
+    mids = 0.5 * (bounds[1:] + bounds[:-1])
+    x = np.unique(np.concatenate((np.linspace(0.0, 1.0, 41), bounds[::step], mids[::step])))
+    for deriv in (0, 1):
+        direct = lift_functionals_direct(KERNEL, fns, x, deriv=deriv)
+        assert _rel_err(_lift(fns, x, deriv), direct) <= bound
+    rule = gauss_legendre_rule(mesh.degree + 1)
+    jac = 0.5 * np.diff(bounds)[:, None]
+    s = bounds[:-1, None] + jac * (1.0 + rule.nodes)
+    duals = _reference_duals(fns.duals, rule.nodes)
+    for got, weight in zip(fns.duals.moments, (s, 1.0 - s)):
+        assert _rel_err(got, jac * ((rule.weights * weight) @ duals)) <= 1e-14
+
+
 @settings(max_examples=30, deadline=None)
 @given(mesh=_large_meshes(min_dofs=2), amps=_AMPS)
 def test_h10_pair_then_solve_matches_table_first(mesh, amps):
@@ -651,23 +740,26 @@ def _jittered_mesh(num_elements, degree):
 
 @pytest.mark.parametrize("num_elements", [5, 20, 320])
 def test_l2_resolved_part_matches_the_lift_table(num_elements):
-    # sum_j lift_j(x) y_j summed from the lifts' element moments against the
-    # dense lift table, for one vector and 41 columns; then the resolved part
-    # on the data of a smooth function (random data would mostly measure
-    # the Gram solve's amplification of rounding)
+    # sum_j lift_j(x) y_j in closed form (prefix and suffix sums of the dual
+    # moments plus each point's own element) against the dense lift table,
+    # for one vector and 41 columns; then the resolved part against the lift
+    # table times the same Gram solution, on the data of a smooth function
+    # (random data would mostly measure the Gram solve's amplification of
+    # rounding)
     mesh = _jittered_mesh(num_elements, 4)
     fns = build_dual_functionals(basis_family(mesh), ProjectionFlavor.L2)
     op = build_fine_scale_operator(KERNEL, fns)
     x = np.unique(np.concatenate((np.linspace(0.0, 1.0, 401), mesh.boundaries)))
+    table = op.lifted_tab(x)
     rng = np.random.default_rng(7)
     for y in (rng.normal(size=op.size), rng.normal(size=(op.size, 41))):
-        want = op.lifted_tab(x) @ y
-        got = _lift_combination(fns, x, y)
+        want = table @ y
+        got = _l2_lift_sum(fns, x, y)
         assert got.shape == want.shape
         assert _rel_err(got, want) <= 1e-14
     s, w = mesh_quadrature(fns.family)
     data = pair_functionals(fns, s, w * np.exp(s) * np.sin(3.0 * s))
-    assert _rel_err(op.resolved(x, data), op.lifted_tab(x) @ op.solve_gram(data)) <= 1e-14
+    assert _rel_err(op.resolved(x, data), table @ op.solve_gram(data)) <= 1e-14
 
 
 @pytest.mark.parametrize("num_elements", [2, 20])

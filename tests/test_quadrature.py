@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fsgreens.quadrature import (
     QuadratureRule,
@@ -11,6 +13,7 @@ from fsgreens.quadrature import (
     integrate,
     legendre_eval,
     map_rule,
+    sorted_unique,
 )
 
 
@@ -173,3 +176,14 @@ def test_rule_does_not_freeze_caller_arrays():
     QuadratureRule(nodes, weights)
     nodes[0] = -0.6
     assert nodes[0] == -0.6
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0, np.nan, 1.0, -1.0, 0.5, np.inf, -np.inf, 5e-324]),
+                max_size=12),
+       st.lists(st.floats(allow_nan=True), max_size=12))
+def test_sorted_unique_is_np_unique(picks, floats):
+    # bit for bit, -0.0 against 0.0 and NaN included, on ties and free floats
+    values = np.array(picks + floats, dtype=float)
+    want = np.unique(values)
+    got = sorted_unique(values)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
