@@ -224,19 +224,6 @@ def pair_basis(family: BasisFamily, space: SpaceKind, x, values,
     return np.bincount(cols.ravel(), weights=weighted.ravel(), minlength=ndof)
 
 
-def nodal_deriv_jumps(family: BasisFamily) -> np.ndarray:
-    """Right-minus-left derivative jumps of the interior nodal basis at the
-    interior mesh nodes; shape (num_elements - 1, num_nodal_dofs - 2)."""
-    mesh = family.mesh
-    p = mesh.degree
-    ref = lagrange_tab(family, np.array([-1.0, 1.0]), deriv=1)
-    jumps = np.zeros((mesh.num_elements - 1, mesh.num_nodal_dofs))
-    for k in range(1, mesh.num_elements):
-        jumps[k - 1, (k - 1) * p: k * p + 1] -= ref[1] / mesh.jacobian(k - 1)
-        jumps[k - 1, k * p: (k + 1) * p + 1] += ref[0] / mesh.jacobian(k)
-    return jumps[:, 1:-1]
-
-
 @dataclass(frozen=True)
 class Field:
     """Discrete function: a primal space tag (nodal or edge) plus a

@@ -261,37 +261,30 @@ def _finite(tab: np.ndarray, args) -> np.ndarray:
     return tab
 
 
-def cmd_basis(args):
-    mesh = Mesh1D.uniform(args.a, args.b, args.elements, args.p)
-    family = basis_family(mesh)
+def _sample(args, tabulate, column_prefix: str):
+    """Write `tabulate(family, x)` on --grid points of [--a, --b], the
+    family on the uniform mesh of --elements and --p."""
+    family = basis_family(Mesh1D.uniform(args.a, args.b, args.elements, args.p))
     x = np.linspace(args.a, args.b, args.grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        tab = _finite((tabulate_nodal if args.kind == "nodal" else tabulate_edge)(family, x), args)
-    columns = ["x"] + [f"{args.kind}_{i}" for i in range(tab.shape[1])]
-    rows = np.column_stack([x, tab])
-    write_table(args.out, columns, rows, _meta(args), args.format)
+        tab = _finite(tabulate(family, x), args)
+    columns = ["x"] + [f"{column_prefix}_{i}" for i in range(tab.shape[1])]
+    write_table(args.out, columns, np.column_stack([x, tab]), _meta(args), args.format)
+
+
+def cmd_basis(args):
+    _sample(args, tabulate_nodal if args.kind == "nodal" else tabulate_edge, args.kind)
 
 
 def cmd_dual(args):
-    mesh = Mesh1D.uniform(args.a, args.b, args.elements, args.p)
-    family = basis_family(mesh)
     kind = SpaceKind.DUAL_NODAL if args.kind == "nodal" else SpaceKind.DUAL_EDGE
-    duals = build_duals(family, kind)
-    x = np.linspace(args.a, args.b, args.grid)
-    with np.errstate(over="ignore", invalid="ignore"):
-        tab = _finite(tabulate_duals(duals, x), args)
-    columns = ["x"] + [f"dual_{args.kind}_{i}" for i in range(tab.shape[1])]
-    rows = np.column_stack([x, tab])
-    write_table(args.out, columns, rows, _meta(args), args.format)
+    _sample(args, lambda family, x: tabulate_duals(build_duals(family, kind), x),
+            f"dual_{args.kind}")
 
 
 def cmd_project(args):
-    fns, quad = _build(args), args.quad_points
     case = sin2pix_case()
-    if fns.flavor is ProjectionFlavor.H10:
-        fld = project(fns, case.solution, case.gradient, quad)
-    else:
-        fld = project(fns, case.solution, quad_points=quad)
+    fld = project(_build(args), case.solution, case.gradient, args.quad_points)
     x = np.linspace(0.0, 1.0, args.grid)
     projected = field_eval(fld, x)
     exact = case.solution(x)
@@ -325,8 +318,7 @@ def cmd_finescale(args):
 def cmd_reconstruct(args):
     fns, quad = _build(args), args.quad_points
     grid = np.linspace(0.0, 1.0, args.grid)
-    kernel = GreensKernel1D.poisson()
-    op = build_fine_scale_operator(kernel, fns, quad)
+    op = build_fine_scale_operator(GreensKernel1D.poisson(), fns, quad)
     if args.case == "sin2pix":
         case = sin2pix_case()
         if fns.flavor is ProjectionFlavor.H10:
@@ -339,10 +331,7 @@ def cmd_reconstruct(args):
         layer = boundary_layer_breakpoints(args.c, args.nu)
         case = advdiff_const_case(args.c, args.nu)
         problem = AdvDiffProblem(args.c, args.nu, case.source)
-        if fns.flavor is ProjectionFlavor.H10:
-            u_bar = project(fns, case.solution, case.gradient, quad, breakpoints=layer)
-        else:
-            u_bar = project(fns, case.solution, quad_points=quad, breakpoints=layer)
+        u_bar = project(fns, case.solution, case.gradient, quad, breakpoints=layer)
         u_prime = reconstruct_with_exact_gradient(op, problem, u_bar, case.gradient,
                                                   grid, breakpoints=layer)
     u_bar_vals = field_eval(u_bar, grid)

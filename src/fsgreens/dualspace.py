@@ -7,18 +7,19 @@ its primal partner in L2.
 
 Edge functions never cross an element, so the edge mass matrix is block
 diagonal, element e's block being the reference edge mass over J_e, and
-every dual nodal function lives on one element.  They are tabulated by
-per-element solves with one cached Cholesky factor of the p x p
-reference edge mass, the only mass a dual nodal set holds; the dual edge
-functions go through the cached factor of the global nodal mass.  A dual
-nodal set also caches two antiderivatives of its reference duals, from
-which its moments int s mu_j and int (1 - s) mu_j over any part of an
-element follow (`partial_moments`), as the closed-form L2 lifts of
-`finescale` need them.  Duals
-are always evaluated through solves, never through explicit inverses of
-a mass matrix; the H10 functionals of `projection` follow the same rule
-with the interior stiffness.  The solves substitute through the Cholesky
-factor, inverting only its diagonal blocks, which are at most
+every dual nodal function lives on one element.  A dual set is its family
+and its kind; it forms the mass that these fix on first use.  Dual nodal
+functions are tabulated by per-element solves with one cached Cholesky
+factor of the p x p reference edge mass, the only mass a dual nodal set
+holds; the dual edge functions go through the cached factor of the global
+nodal mass.  A dual nodal set also caches two antiderivatives of its
+reference duals, from which its moments int s mu_j and int (1 - s) mu_j
+over any part of an element follow (`partial_moments`), as the
+closed-form L2 lifts of `finescale` need them.  Duals are always
+evaluated through solves, never through explicit inverses of a mass
+matrix; the H10 functionals of `projection` follow the same rule with the
+interior stiffness.  The solves substitute through the Cholesky factor,
+inverting only its diagonal blocks, which are at most
 `_SUBSTITUTION_BLOCK` wide.  Mass and stiffness matrices are one
 `SPDMatrix` type, assembled element by element by one helper.
 """
@@ -53,9 +54,16 @@ class SPDMatrix:
     _chol: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", np.asarray(self.entries, dtype=float))
-        sym_err = np.max(np.abs(self.entries - self.entries.T))
-        if sym_err > 1e-12 * max(1.0, np.max(np.abs(self.entries))):
+        entries = np.asarray(self.entries, dtype=float)
+        object.__setattr__(self, "entries", entries)
+        # by row blocks, so that the check forms no (n x n) temporary
+        sym_err = scale = 0.0
+        for lo in range(0, entries.shape[0], _SUBSTITUTION_BLOCK):
+            rows = entries[lo:lo + _SUBSTITUTION_BLOCK]
+            cols = entries[:, lo:lo + _SUBSTITUTION_BLOCK]
+            sym_err = max(sym_err, np.max(np.abs(rows - cols.T)))
+            scale = max(scale, np.max(np.abs(rows)))
+        if sym_err > 1e-12 * max(1.0, scale):
             raise ValueError(f"Gram matrix not symmetric (error {sym_err:.2e})")
         try:
             chol = np.linalg.cholesky(self.entries)
@@ -136,29 +144,25 @@ def assemble_mass(family: BasisFamily, kind: SpaceKind) -> SPDMatrix:
 
 @dataclass(frozen=True)
 class DualSet:
-    """A dual basis: primal family data plus the mass it solves with.
+    """A dual basis: the primal family plus the kind of its duals.
 
-    A dual nodal set holds the p x p reference edge mass (checked entry by
-    entry: on one element the global edge mass has its size), a dual edge
-    set the global nodal mass.
+    The mass it solves with is the one its kind fixes, formed on first use:
+    the p x p reference edge mass for a dual nodal set, the global nodal
+    mass for a dual edge set.
     """
 
     family: BasisFamily
     kind: SpaceKind
-    mass: SPDMatrix
 
     def __post_init__(self):
         if self.kind not in (SpaceKind.DUAL_NODAL, SpaceKind.DUAL_EDGE):
             raise ValueError("DualSet kind must be dual-nodal or dual-edge")
-        dual_nodal = self.kind is SpaceKind.DUAL_NODAL
-        if dual_nodal:
-            ref = _reference_gram(self.family, _reference_edge_tab, deriv=0)
-            ok = np.array_equal(self.mass.entries, ref)
-        else:
-            ok = self.mass.entries.shape[0] == self.family.mesh.num_nodal_dofs
-        if not ok:
-            primal = "p x p reference edge" if dual_nodal else "global nodal"
-            raise ValueError(f"{self.kind.value} duals need the {primal} mass matrix")
+
+    @functools.cached_property
+    def mass(self) -> SPDMatrix:
+        if self.kind is SpaceKind.DUAL_NODAL:
+            return SPDMatrix(_reference_gram(self.family, _reference_edge_tab, deriv=0))
+        return assemble_mass(self.family, SpaceKind.NODAL)
 
     @property
     def size(self) -> int:
@@ -188,11 +192,7 @@ class DualSet:
 
 def build_duals(family: BasisFamily, kind: SpaceKind) -> DualSet:
     """Construct the dual-nodal (edge-based) or dual-edge (node-based) set."""
-    if kind is SpaceKind.DUAL_NODAL:
-        mass = SPDMatrix(_reference_gram(family, _reference_edge_tab, deriv=0))
-    else:
-        mass = assemble_mass(family, SpaceKind.NODAL)
-    return DualSet(family, kind, mass)
+    return DualSet(family, kind)
 
 
 def _reference_duals(duals: DualSet, xi, deriv: int = 0) -> np.ndarray:

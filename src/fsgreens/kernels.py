@@ -4,7 +4,8 @@ All kernels satisfy homogeneous Dirichlet conditions.  The
 advection-diffusion kernel keeps every exponential argument nonpositive so
 it stays finite at large Peclet number, and the 2D eigenfunction series
 evaluates its sinh ratios the same way so terms beyond n*pi > 700 cannot
-overflow.
+overflow.  The 1D kernel's derivatives and the element-local Dirichlet
+kernel, which only the tests read, live beside the tests' oracles.
 """
 
 from __future__ import annotations
@@ -30,33 +31,6 @@ def poisson_green(x, s):
     s = np.asarray(s, dtype=float)
     _check_unit_domain(x, s)
     return np.where(x <= s, x * (1.0 - s), s * (1.0 - x))
-
-
-def poisson_green_dx(x, s):
-    """d/dx of the Poisson kernel; jumps by -1 across x = s."""
-    x = np.asarray(x, dtype=float)
-    s = np.asarray(s, dtype=float)
-    _check_unit_domain(x, s)
-    return np.where(x < s, 1.0 - s, -s)
-
-
-def poisson_green_ds(x, s):
-    """d/ds of the Poisson kernel; jumps by -1 across s = x."""
-    x = np.asarray(x, dtype=float)
-    s = np.asarray(s, dtype=float)
-    _check_unit_domain(x, s)
-    return np.where(s < x, 1.0 - x, -x)
-
-
-def element_green(x, s, a: float, b: float):
-    """Local Dirichlet kernel of -u'' on one element [a, b]; zero if x or s lies outside."""
-    x = np.asarray(x, dtype=float)
-    s = np.asarray(s, dtype=float)
-    inside = (x >= a) & (x <= b) & (s >= a) & (s <= b)
-    lo = np.minimum(x, s)
-    hi = np.maximum(x, s)
-    val = (lo - a) * (b - hi) / (b - a)
-    return np.where(inside, val, 0.0)
 
 
 def advdiff_green(x, s, c: float, nu: float):
@@ -144,9 +118,3 @@ class GreensKernel1D:
 
     def __call__(self, x, s):
         return poisson_green(x, s)
-
-    def derivative_x(self, x, s):
-        return poisson_green_dx(x, s)
-
-    def derivative_s(self, x, s):
-        return poisson_green_ds(x, s)

@@ -18,8 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis1d import (BasisFamily, Field, SpaceKind, lagrange_tab, nodal_deriv_jumps, pair_basis,
-                      tabulate_nodal)
+from .basis1d import BasisFamily, Field, SpaceKind, lagrange_tab, pair_basis, tabulate_nodal
 from .dualspace import DualSet, SPDMatrix, _assemble_gram, build_duals, element_duals, tabulate_duals
 from .quadrature import (
     composite_rule,
@@ -133,7 +132,8 @@ def project(fns: DualFunctionals, f: Callable[[np.ndarray], np.ndarray],
     The H10 pairing needs f'; pass it analytically when available,
     otherwise the projection is taken from values of f alone
     (`h10_project_values`).  H10 also requires homogeneous boundary
-    values of f.
+    values of f.  The L2 pairing reads values of f only and ignores
+    f_prime, so one call serves both flavors.
     """
     family = fns.family
     x, w = mesh_quadrature(family, quad_points, breakpoints)
@@ -177,13 +177,13 @@ def h10_project_values(fns: DualFunctionals,
                        breakpoints: Sequence[float] = ()) -> np.ndarray:
     """H10 projection coefficients of u using values of u only.
 
-    Element-wise integration by parts moves both derivatives of the
-    pairing onto the (piecewise polynomial) functionals, leaving element
-    integrals of u against their second derivatives plus interface terms
-    weighted by their one-sided first-derivative jumps.  Intended for
-    sampled or interpolated fields whose derivative is unreliable; assumes
-    u vanishes at both domain endpoints.  Known kinks of u inside elements
-    can be declared as extra breakpoints.
+    Pi u = I u + Pi (u - I u), I u the piecewise-linear interpolant of u's
+    vertex values, which the nodal space holds.  Integrated by parts on
+    each element, the pairing of w = u - I u moves both derivatives onto
+    the interior nodal basis, with no interface term, as w vanishes at
+    every vertex.  Intended for sampled or interpolated fields whose
+    derivative is unreliable; assumes u vanishes at both domain endpoints.
+    Known kinks of u inside elements can be declared as extra breakpoints.
     """
     if fns.flavor is not ProjectionFlavor.H10:
         raise ValueError("value-only projection implemented for the H10 flavor")
@@ -191,11 +191,11 @@ def h10_project_values(fns: DualFunctionals,
     mesh = family.mesh
     pts = np.asarray(breakpoints, dtype=float)
     x, w = mesh_quadrature(family, quad_points, pts[(pts >= mesh.a) & (pts <= mesh.b)])
-    paired = -pair_basis(family, SpaceKind.NODAL, x, w * np.asarray(u(x), dtype=float),
-                         deriv=2)[1:-1]
-    interfaces = mesh.boundaries[1:-1]
-    if interfaces.size:
-        # one-sided derivative jumps of the interior nodal basis, right minus left
-        paired -= nodal_deriv_jumps(family).T @ np.asarray(u(interfaces), dtype=float)
-    return fns.stiffness.solve(paired)
-
+    values = np.asarray(u(x), dtype=float)
+    vertex = np.r_[0.0, u(mesh.boundaries[1:-1]), 0.0]
+    fine = values - np.interp(x, mesh.boundaries, vertex)
+    paired = -pair_basis(family, SpaceKind.NODAL, x, w * fine, deriv=2)[1:-1]
+    # I u at each element's first p GLL nodes
+    t = 0.5 * (family.ref_nodes[:-1] + 1.0)
+    linear = np.ravel(vertex[:-1, None] * (1.0 - t) + vertex[1:, None] * t)
+    return linear[1:] + fns.stiffness.solve(paired)

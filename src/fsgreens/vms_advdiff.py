@@ -86,11 +86,6 @@ class AdvDiffProblem:
         if not np.isfinite(self.advection):
             raise ValueError(f"advection speed must be finite, got {self.advection}")
 
-    @property
-    def peclet(self) -> float:
-        """Mesh Peclet number over the unit domain width."""
-        return self.advection / (2.0 * self.diffusion)
-
 
 def galerkin_solve(problem: AdvDiffProblem, family: BasisFamily,
                    quad_points: int | None = None,
@@ -227,14 +222,20 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals,
     """The sweep's map on the nodes of the operator's source rule:
     `op.quad_points` Gauss nodes per cell, the cells cut at
     `boundary_layer_breakpoints` when c is not zero, without which the
-    layer is unresolved.  Raises ValueError when the map is not finite."""
+    layer is unresolved.  A breakpoint within nu/(100 |c|) of a mesh joint
+    is dropped, from the cells and the rule: it would cut a sliver cell
+    whose node coordinates and derivative map carry the rounding of its
+    width.  Raises ValueError when the map is not finite."""
     if fns.flavor is not ProjectionFlavor.H10:
         raise ValueError("the iterative scheme is built on the H10 functionals")
     family = fns.family
     mesh = family.mesh
     ratio = problem.advection / problem.diffusion
-    layer = boundary_layer_breakpoints(problem.advection, problem.diffusion) \
-        if problem.advection != 0.0 else np.empty(0)
+    layer = np.empty(0)
+    if problem.advection != 0.0:
+        layer = boundary_layer_breakpoints(problem.advection, problem.diffusion)
+        gap = np.min(np.abs(np.subtract.outer(layer, mesh.boundaries)), axis=1)
+        layer = layer[gap >= problem.diffusion / (100.0 * abs(problem.advection))]
     cells = sorted_unique(np.concatenate((mesh.boundaries, layer)))
     q = op.quad_points
     x, w = mesh_quadrature(family, q, layer)
@@ -390,7 +391,5 @@ def reconstruct_with_exact_gradient(op: FineScaleOperator, problem: AdvDiffProbl
             - (c / nu) * np.asarray(exact_gradient(s), dtype=float)
 
     resid = residual_from_field(u_bar, modified_source)
-    if len(breakpoints):
-        extra = tuple(sorted(set(resid.breakpoints) | {float(b) for b in breakpoints}))
-        resid = replace(resid, breakpoints=extra)
+    resid = replace(resid, breakpoints=resid.breakpoints + tuple(map(float, breakpoints)))
     return reconstruct_fine_scales(op, resid, grid)

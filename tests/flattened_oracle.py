@@ -19,7 +19,11 @@ The other 1D oracles the tests check the library against live here too:
 each functional's load on the kernel (`functional_load`) and its lift by
 one direct quadrature per point (`lift_functionals_direct`), the
 pairing alone of a source (`apply_dual_green`) and the nodal points
-(`nodal_points`).
+(`nodal_points`).  So do the pieces that only these oracles and the tests
+read: the Poisson kernel's two derivatives (`poisson_green_dx`,
+`poisson_green_ds`), the element-local Dirichlet kernel (`element_green`)
+and the interior nodal basis's derivative jumps at the mesh joints
+(`nodal_deriv_jumps`).
 """
 
 from __future__ import annotations
@@ -29,12 +33,52 @@ from dataclasses import dataclass
 import numpy as np
 
 from fsgreens.basis1d import (BasisFamily, Field, SpaceKind, _reference_edge_tab, field_eval,
-                              lagrange_tab, nodal_deriv_jumps)
+                              lagrange_tab)
 from fsgreens.finescale import (FineScaleOperator, SourceTerm, _field_pairing, _green_and_pairing,
                                 _lift, _poisson_apply)
-from fsgreens.kernels import GreensKernel1D
+from fsgreens.kernels import GreensKernel1D, _check_unit_domain
 from fsgreens.projection import (DualFunctionals, ProjectionFlavor, mesh_quadrature,
                                  tabulate_functionals)
+
+
+def poisson_green_dx(x, s):
+    """d/dx of the Poisson kernel; jumps by -1 across x = s."""
+    x = np.asarray(x, dtype=float)
+    s = np.asarray(s, dtype=float)
+    _check_unit_domain(x, s)
+    return np.where(x < s, 1.0 - s, -s)
+
+
+def poisson_green_ds(x, s):
+    """d/ds of the Poisson kernel; jumps by -1 across s = x."""
+    x = np.asarray(x, dtype=float)
+    s = np.asarray(s, dtype=float)
+    _check_unit_domain(x, s)
+    return np.where(s < x, 1.0 - x, -x)
+
+
+def element_green(x, s, a: float, b: float):
+    """Local Dirichlet kernel of -u'' on one element [a, b]; zero if x or s lies outside."""
+    x = np.asarray(x, dtype=float)
+    s = np.asarray(s, dtype=float)
+    inside = (x >= a) & (x <= b) & (s >= a) & (s <= b)
+    lo = np.minimum(x, s)
+    hi = np.maximum(x, s)
+    val = (lo - a) * (b - hi) / (b - a)
+    return np.where(inside, val, 0.0)
+
+
+def nodal_deriv_jumps(family: BasisFamily) -> np.ndarray:
+    """Right-minus-left derivative jumps of the interior nodal basis at the
+    interior mesh nodes; shape (num_elements - 1, num_nodal_dofs - 2)."""
+    mesh = family.mesh
+    p = mesh.degree
+    ref = lagrange_tab(family, np.array([-1.0, 1.0]), deriv=1)
+    jumps = np.zeros((mesh.num_elements - 1, mesh.num_nodal_dofs))
+    for k in range(1, mesh.num_elements):
+        jumps[k - 1, (k - 1) * p: k * p + 1] -= ref[1] / mesh.jacobian(k - 1)
+        jumps[k - 1, k * p: (k + 1) * p + 1] += ref[0] / mesh.jacobian(k)
+    return jumps[:, 1:-1]
 
 
 def element_endpoint_values(fld: Field, deriv: int = 0):
@@ -103,7 +147,7 @@ def green_apply_flat(kernel, flat: FlatSource, x, quad_points: int, mesh_boundar
     for loc, q in flat.point_sources:
         out += q * kernel(x, loc)
     for loc, q in flat.point_dipoles:
-        gs = kernel.derivative_s(x, loc)
+        gs = poisson_green_ds(x, loc)
         if loc <= 1e-14:
             # on the left-boundary dipole itself take the limit from inside
             # the domain, as field evaluation assigns nodes to elements
@@ -160,7 +204,7 @@ def pair_naive(kernel, fns, src: SourceTerm, quad_points: int | None = None) -> 
     smooth = w * np.asarray(src.smooth(s), dtype=float) if src.smooth is not None else 0.0 * w
     locs, qs = np.array(src.point_sources, dtype=float).reshape(-1, 2).T
     pts, vals = np.r_[s, locs], np.r_[smooth, qs]
-    kern = (kernel.derivative_x if h10 else kernel)(xq[:, None], pts[None, :])
+    kern = (poisson_green_dx if h10 else kernel)(xq[:, None], pts[None, :])
     data = (kern.T @ (wq[:, None] * pair_tab)).T @ vals
     if src.coarse is not None:
         data = data - _field_pairing(fns, src.coarse)
@@ -209,7 +253,7 @@ def lift_functionals_direct(kernel: GreensKernel1D, fns: DualFunctionals, x,
     kernel (or its x-derivative) to each functional's load with one
     quadrature per point.
     """
-    kern = kernel if deriv == 0 else kernel.derivative_x
+    kern = kernel if deriv == 0 else poisson_green_dx
     x = np.atleast_1d(np.asarray(x, dtype=float))
     smooth_tab, locs, strengths = functional_load(fns)
     out = np.zeros((x.size, fns.size))

@@ -14,10 +14,12 @@ from typing import Callable
 
 import numpy as np
 
-from fsgreens.basis1d import BasisFamily, nodal_deriv_jumps, tabulate_nodal
+from fsgreens.basis1d import BasisFamily, tabulate_nodal
 from fsgreens.poisson2d import DualFunctionals2D, _psi_tab, _stiffness_solve, _tensor_duals
 from fsgreens.projection import mesh_quadrature
 from fsgreens.quadrature import composite_rule, gauss_legendre_rule
+
+from flattened_oracle import nodal_deriv_jumps
 
 
 def stiffness_2d_direct(family: BasisFamily) -> np.ndarray:

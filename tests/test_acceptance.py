@@ -32,7 +32,7 @@ from fsgreens.finescale import (
     resolved_basis_reproduction,
     residual_from_field,
 )
-from fsgreens.kernels import GreensKernel1D, element_green
+from fsgreens.kernels import GreensKernel1D
 from fsgreens.poisson2d import (
     Mesh2D,
     build_dual_functionals_2d,
@@ -53,7 +53,7 @@ from fsgreens.quadrature import gll_nodes, legendre_eval
 from fsgreens.basis1d import SpaceKind
 from fsgreens.vms_advdiff import AdvDiffProblem, iterate
 
-from flattened_oracle import apply_dual_green, functional_load, pair_naive
+from flattened_oracle import apply_dual_green, element_green, functional_load, pair_naive
 from oracle_2d import tabulate_functionals_2d
 
 KERNEL = GreensKernel1D.poisson()

@@ -36,17 +36,28 @@ def test_gll_subcommand(tmp_path):
     assert rows[1, 1] == pytest.approx(-1.0 / np.sqrt(5.0), abs=1e-15)
 
 
-def test_basis_subcommand_matches_tabulation(tmp_path):
-    out = tmp_path / "basis.csv"
-    assert _run(tmp_path, "basis", "--p", "3", "--elements", "1", "--kind", "nodal",
-                "--grid", "33", "--out", str(out)) == 0
-    header, rows = _read_csv(out)
-    assert header[0] == "x" and len(header) == 5
-    from fsgreens.basis1d import Mesh1D, basis_family, tabulate_nodal
+@pytest.mark.parametrize("command", ["basis", "dual"])
+@pytest.mark.parametrize("kind", ["nodal", "edge"])
+def test_basis_subcommand_matches_tabulation(tmp_path, command, kind):
+    # basis and dual share one sampler: its columns are named after the
+    # kind and hold the library's tabulation on the uniform mesh
+    from fsgreens.basis1d import tabulate_edge, tabulate_nodal
 
-    family = basis_family(Mesh1D.uniform(-1.0, 1.0, 1, 3))
-    tab = tabulate_nodal(family, rows[:, 0])
-    assert np.max(np.abs(rows[:, 1:] - tab)) < 1e-15
+    out = tmp_path / "sample.csv"
+    assert _run(tmp_path, command, "--p", "3", "--elements", "2", "--kind", kind,
+                "--a", "-0.5", "--b", "2", "--grid", "33", "--out", str(out)) == 0
+    header, rows = _read_csv(out)
+    family = basis_family(Mesh1D.uniform(-0.5, 2.0, 2, 3))
+    if command == "basis":
+        prefix = kind
+        tab = (tabulate_nodal if kind == "nodal" else tabulate_edge)(family, rows[:, 0])
+    else:
+        prefix = f"dual_{kind}"
+        dual_kind = SpaceKind.DUAL_NODAL if kind == "nodal" else SpaceKind.DUAL_EDGE
+        tab = tabulate_duals(build_duals(family, dual_kind), rows[:, 0])
+    assert header == ["x"] + [f"{prefix}_{i}" for i in range(tab.shape[1])]
+    np.testing.assert_array_equal(rows[:, 0], np.linspace(-0.5, 2.0, 33))
+    np.testing.assert_array_equal(rows[:, 1:], tab)
 
 
 def test_finescale_subcommand_columns(tmp_path):

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fsgreens.basis1d import Mesh1D, SpaceKind, basis_family, tabulate_edge, tabulate_nodal
-from fsgreens.dualspace import DualSet, SPDMatrix, assemble_mass, build_duals, tabulate_duals
+from fsgreens.basis1d import (Mesh1D, SpaceKind, _reference_edge_tab, basis_family, tabulate_edge,
+                              tabulate_nodal)
+from fsgreens.dualspace import (DualSet, SPDMatrix, _reference_gram, assemble_mass, build_duals,
+                                tabulate_duals)
 from fsgreens.projection import ProjectionFlavor, build_dual_functionals, tabulate_functionals
 from fsgreens.quadrature import composite_rule, gauss_legendre_rule
 
@@ -118,16 +120,21 @@ def test_spd_matrix_rejects_an_indefinite_matrix_wider_than_a_block():
         SPDMatrix(matrix)
 
 
-def test_dual_set_rejects_the_other_mass_matrix():
-    family = basis_family(Mesh1D.uniform(0.0, 1.0, 2, 2))
+def test_dual_set_forms_its_mass_on_first_use():
+    # the family and the kind fix the mass: none is formed before the first
+    # tabulation, and then it is the p x p reference edge mass (dual nodal)
+    # or the global nodal mass (dual edge)
+    family = basis_family(Mesh1D(0.0, 1.0, 3, 3, np.array([0.0, 0.2, 0.7, 1.0])))
+    x = np.linspace(0.0, 1.0, 11)
+    for kind, want in [(SpaceKind.DUAL_NODAL, _reference_gram(family, _reference_edge_tab, 0)),
+                       (SpaceKind.DUAL_EDGE, assemble_mass(family, SpaceKind.NODAL).entries)]:
+        duals = build_duals(family, kind)
+        assert "mass" not in vars(duals)
+        tabulate_duals(duals, x)
+        assert "mass" in vars(duals)
+        np.testing.assert_array_equal(duals.mass.entries, want)
     with pytest.raises(ValueError):
-        DualSet(family, SpaceKind.DUAL_NODAL, assemble_mass(family, SpaceKind.NODAL))
-    with pytest.raises(ValueError):
-        DualSet(family, SpaceKind.DUAL_EDGE, assemble_mass(family, SpaceKind.EDGE))
-    # one element: the global edge mass is p x p too, but scaled by 1/J
-    family = basis_family(Mesh1D.uniform(0.0, 1.0, 1, 2))
-    with pytest.raises(ValueError):
-        DualSet(family, SpaceKind.DUAL_NODAL, assemble_mass(family, SpaceKind.EDGE))
+        DualSet(family, SpaceKind.NODAL)
 
 
 def test_dual_nodal_set_holds_only_the_reference_edge_mass():

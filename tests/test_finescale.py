@@ -20,7 +20,7 @@ from fsgreens.finescale import (
     resolved_basis_reproduction,
     residual_from_field,
 )
-from fsgreens.kernels import GreensKernel1D, element_green
+from fsgreens.kernels import GreensKernel1D
 from fsgreens.projection import (
     ProjectionFlavor,
     build_dual_functionals,
@@ -33,8 +33,9 @@ from fsgreens.projection import (
 )
 from fsgreens.quadrature import default_quad_points, gauss_legendre_rule
 
-from flattened_oracle import (apply_dual_green, element_endpoint_values, flattened, functional_load,
-                              lift_functionals_direct, nodal_points, pair_naive, reconstruct_flat)
+from flattened_oracle import (apply_dual_green, element_endpoint_values, element_green, flattened,
+                              functional_load, lift_functionals_direct, nodal_points, pair_naive,
+                              reconstruct_flat)
 
 KERNEL = GreensKernel1D.poisson()
 CASE = sin2pix_case()
@@ -261,8 +262,9 @@ def test_h10_build_and_reconstruction_form_no_gram():
 
 
 def test_l2_build_and_reconstruction_hold_a_few_gram_sized_arrays():
-    # the Gram, its Cholesky factor and the symmetry check's temporaries:
-    # 3.0 Gram sizes measured at N = 320, p = 4, against 9.8 when the lifts
+    # the Gram and its Cholesky factor, the symmetry check taking row
+    # blocks: 2.14 Gram sizes measured at N = 320, p = 4, against 3.0 when
+    # the check formed two Gram-sized temporaries and 9.8 when the lifts
     # went through dense (points x N p) dual tables
     import tracemalloc
 
@@ -278,7 +280,7 @@ def test_l2_build_and_reconstruction_hold_a_few_gram_sized_arrays():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * op.gram.nbytes
+    assert peak <= 2.5 * op.gram.nbytes
     assert np.max(np.abs(field_eval(u_bar, x) + u_prime - CASE.solution(x))) <= 1e-14
 
 

@@ -9,7 +9,6 @@ from fsgreens.basis1d import (
     SpaceKind,
     basis_family,
     field_eval,
-    nodal_deriv_jumps,
     tabulate_edge,
     tabulate_nodal,
 )
@@ -25,6 +24,8 @@ from fsgreens.projection import (
     project,
     tabulate_functionals,
 )
+
+from flattened_oracle import nodal_deriv_jumps
 
 CASE = sin2pix_case()
 
@@ -227,6 +228,56 @@ def test_value_only_projection_matches_pairing(family):
     assert np.max(np.abs(values - direct.coeffs[1:-1])) < 1e-11
 
 
+def _jittered_value_cases(count, seed=0):
+    # meshes with N <= 12, p <= 8 whose element widths differ by up to 20x,
+    # each with u = sin(pi x) e^{kx} and its derivative
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        num_elements, degree = int(rng.integers(1, 13)), int(rng.integers(1, 9))
+        degree = 2 if num_elements * degree < 2 else degree
+        widths = rng.uniform(0.05, 1.0, num_elements)
+        bounds = np.concatenate(([0.0], np.cumsum(widths) / widths.sum()))
+        bounds[-1] = 1.0
+        k = rng.uniform(-2.0, 2.0)
+        yield (Mesh1D(0.0, 1.0, num_elements, degree, bounds),
+               lambda x, k=k: np.sin(np.pi * x) * np.exp(k * x),
+               lambda x, k=k: (np.pi * np.cos(np.pi * x) + k * np.sin(np.pi * x)) * np.exp(k * x))
+
+
+def test_value_only_projection_is_close_to_the_derivative_pairing_on_jittered_meshes():
+    # the value-only form pairs u minus its vertex interpolant with the
+    # basis's second derivatives, so no interface term cancels against the
+    # element integrals.  On this draw it is at most 4.2e-13 (median 7e-15)
+    # from the derivative pairing; pairing u itself plus the interface
+    # terms gave 5.8e-13 (median 1.7e-14).  The largest cases are set by
+    # the rounding of u's own values against the second derivatives, which
+    # both forms share, so the median is the steadier of the two figures
+    errors = []
+    for mesh, u, du in _jittered_value_cases(200):
+        fns = build_dual_functionals(basis_family(mesh), ProjectionFlavor.H10)
+        want = project(fns, u, du).coeffs[1:-1]
+        errors.append(_rel_err(h10_project_values(fns, u), want))
+    assert max(errors) <= 5e-13
+    assert np.median(errors) <= 1e-14
+
+
+def test_value_only_projection_keeps_the_vertex_values():
+    # the 1D H10 projection is exact at the mesh nodes, and the value-only
+    # form adds to the vertex interpolant a part that vanishes there
+    for mesh, u, _ in _jittered_value_cases(50, seed=1):
+        fns = build_dual_functionals(basis_family(mesh), ProjectionFlavor.H10)
+        coeffs = h10_project_values(fns, u)
+        vertices = mesh.boundaries[1:-1]
+        got = coeffs[np.arange(1, mesh.num_elements) * mesh.degree - 1]
+        assert np.max(np.abs(got - u(vertices)), initial=0.0) \
+            <= 1e-14 * np.max(np.abs(coeffs))
+    # at p = 1 the projection is the interpolant
+    mesh = Mesh1D(0.0, 1.0, 5, 1, np.array([0.0, 0.1, 0.35, 0.4, 0.8, 1.0]))
+    fns = build_dual_functionals(basis_family(mesh), ProjectionFlavor.H10)
+    np.testing.assert_array_equal(h10_project_values(fns, CASE.solution),
+                                  CASE.solution(mesh.boundaries[1:-1]))
+
+
 # ---------------------------------------------------------------------------
 # pair, then solve once: against the table-first formulas
 
@@ -266,10 +317,11 @@ def test_h10_pair_then_solve_projections_match_table_first(mesh, shift):
     want = tabulate_functionals(fns, x).T @ (w * f(x))
     assert _rel_err(h10_project_from_source(fns, f).coeffs[1:-1], want) <= 1e-13
 
-    # the value-only pairing cancels terms about p^3 times larger than its
-    # result: at N=12, p=8 the table-first formula itself is up to 1.7e-13
-    # (relative) away from the derivative pairing, so the two formulas are
-    # compared at 1e-12
+    # the table-first value-only formula pairs u itself and adds the
+    # interface terms, cancelling terms about p^3 times larger than its
+    # result: at N=12, p=8 it is up to 1.7e-13 (relative) away from the
+    # derivative pairing, so it is compared with the library's form, which
+    # pairs u minus its vertex interpolant, at 1e-12
     want = -tabulate_functionals(fns, x, deriv=2).T @ (w * u(x))
     interfaces = mesh.boundaries[1:-1]
     if interfaces.size:

@@ -116,7 +116,7 @@ def test_integrate_constant_any_breakpoints():
 
 def test_integrate_kernel_derivative_telescopes():
     # integral of dg/dx over [0, 1] is g(1, s) - g(0, s) = 0
-    from fsgreens.kernels import poisson_green_dx
+    from flattened_oracle import poisson_green_dx
 
     rule = gauss_legendre_rule(5)
     val = integrate(lambda x: poisson_green_dx(x, 0.4), 0.0, 1.0, rule, breakpoints=[0.4])
