@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .basis1d import BasisFamily, Field, Mesh1D, SpaceKind, basis_family, field_eval
 from .cases import advdiff_const_case, sin2pix_case, sin2pixy_case
-from .dualspace import DualSet, SPDMatrix, assemble_mass, build_duals
+from .dualspace import DualSet, SPDMatrix, assemble_mass
 from .finescale import (
     FineScaleOperator,
     SourceTerm,
@@ -37,7 +37,7 @@ from .projection import (
     h10_project_from_source,
     project,
 )
-from .quadrature import QuadratureRule, gauss_legendre_rule, gll_rule, integrate
+from .quadrature import QuadratureRule, gauss_legendre_rule, gll_rule
 from .vms_advdiff import AdvDiffProblem, IterationState, galerkin_solve, iterate
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "basis_family",
     "build_dual_functionals",
     "build_dual_functionals_2d",
-    "build_duals",
     "build_fine_scale_operator",
     "build_series_operator_2d",
     "field_eval",
@@ -72,7 +71,6 @@ __all__ = [
     "gauss_legendre_rule",
     "gll_rule",
     "h10_project_from_source",
-    "integrate",
     "iterate",
     "poisson2d_green",
     "poisson_green",

@@ -69,12 +69,6 @@ class Mesh1D:
         return 0.5 * self.element_width(n)
 
 
-def find_element(mesh: Mesh1D, x: np.ndarray) -> np.ndarray:
-    """Element index containing each x; points on interior boundaries go left."""
-    idx = np.searchsorted(mesh.boundaries, x, side="left") - 1
-    return np.clip(idx, 0, mesh.num_elements - 1)
-
-
 def _barycentric_weights(nodes: np.ndarray) -> np.ndarray:
     diff = np.subtract.outer(nodes, nodes)
     np.fill_diagonal(diff, 1.0)
@@ -164,14 +158,19 @@ def _global_scatter(cols: np.ndarray, vals: np.ndarray, ncols: int) -> np.ndarra
     return out
 
 
-def _element_coords(mesh: Mesh1D, x):
-    """Element index, Jacobian and reference coordinate of each point x."""
+def _locate(bounds: np.ndarray, x):
+    """Cell index, half width and reference coordinate in [-1, 1] of each
+    point x among the cells between consecutive `bounds` (mesh elements or
+    any finer cells).  A point on an inner bound goes to the left cell;
+    points more than 1e-12 outside the bounds, NaN included, raise
+    ValueError."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x < mesh.a - 1e-12) or np.any(x > mesh.b + 1e-12):
-        raise ValueError(f"evaluation points outside [{mesh.a}, {mesh.b}]")
-    elem = find_element(mesh, x)
-    jac = mesh.jacobian(elem)
-    return elem, jac, (x - mesh.boundaries[elem]) / jac - 1.0
+    # written so that NaN fails too
+    if not np.all((x >= bounds[0] - 1e-12) & (x <= bounds[-1] + 1e-12)):
+        raise ValueError(f"evaluation points outside [{bounds[0]}, {bounds[-1]}]")
+    cell = np.clip(np.searchsorted(bounds, x, side="left") - 1, 0, bounds.size - 2)
+    half = 0.5 * (bounds[cell + 1] - bounds[cell])
+    return cell, half, (x - bounds[cell]) / half - 1.0
 
 
 def element_tab(family: BasisFamily, space: SpaceKind, x,
@@ -186,7 +185,7 @@ def element_tab(family: BasisFamily, space: SpaceKind, x,
     derivative order; nodal functions only the latter.
     """
     mesh = family.mesh
-    elem, jac, xi = _element_coords(mesh, x)
+    elem, jac, xi = _locate(mesh.boundaries, x)
     if space is SpaceKind.NODAL:
         local, power = lagrange_tab(family, xi, deriv=deriv), deriv
     elif space is SpaceKind.EDGE:

@@ -12,20 +12,17 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class AnalyticCase1D:
-    """A manufactured 1D problem: source, exact solution and derivatives."""
+    """A manufactured 1D problem: source, exact solution and its derivative."""
 
-    name: str
     source: Callable[[np.ndarray], np.ndarray]
     solution: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
-    second: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class AnalyticCase2D:
     """A manufactured 2D Poisson problem on the unit square."""
 
-    name: str
     source: Callable[[np.ndarray, np.ndarray], np.ndarray]
     solution: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -33,11 +30,9 @@ class AnalyticCase2D:
 def sin2pix_case() -> AnalyticCase1D:
     """-u'' = 4 pi^2 sin(2 pi x) with u = sin(2 pi x) on [0, 1]."""
     return AnalyticCase1D(
-        name="sin2pix",
         source=lambda x: 4.0 * np.pi**2 * np.sin(TWO_PI * np.asarray(x, dtype=float)),
         solution=lambda x: np.sin(TWO_PI * np.asarray(x, dtype=float)),
         gradient=lambda x: TWO_PI * np.cos(TWO_PI * np.asarray(x, dtype=float)),
-        second=lambda x: -(TWO_PI**2) * np.sin(TWO_PI * np.asarray(x, dtype=float)),
     )
 
 
@@ -55,11 +50,9 @@ def advdiff_const_case(c: float, nu: float) -> AnalyticCase1D:
     if c < 0.0:
         mirror = advdiff_const_case(-c, nu)
         return AnalyticCase1D(
-            name=mirror.name,
             source=mirror.source,
             solution=lambda x: mirror.solution(1.0 - np.asarray(x, dtype=float)),
             gradient=lambda x: -mirror.gradient(1.0 - np.asarray(x, dtype=float)),
-            second=lambda x: mirror.second(1.0 - np.asarray(x, dtype=float)),
         )
     beta = c / nu
     denom = -np.expm1(-beta)
@@ -72,16 +65,10 @@ def advdiff_const_case(c: float, nu: float) -> AnalyticCase1D:
         x = np.asarray(x, dtype=float)
         return (1.0 - beta * np.exp(beta * (x - 1.0)) / denom) / c
 
-    def second(x):
-        x = np.asarray(x, dtype=float)
-        return -beta**2 * np.exp(beta * (x - 1.0)) / (c * denom)
-
     return AnalyticCase1D(
-        name="advdiff-const",
         source=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         solution=solution,
         gradient=gradient,
-        second=second,
     )
 
 
@@ -92,7 +79,6 @@ def sin2pixy_case() -> AnalyticCase2D:
         return 8.0 * np.pi**2 * np.sin(TWO_PI * x) * np.sin(TWO_PI * y)
 
     return AnalyticCase2D(
-        name="sin2pixy",
         source=source,
         solution=lambda x, y: np.sin(TWO_PI * x) * np.sin(TWO_PI * y),
     )

@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .basis1d import Mesh1D, SpaceKind, basis_family, field_eval, tabulate_edge, tabulate_nodal
 from .cases import advdiff_const_case, boundary_layer_breakpoints, sin2pix_case, sin2pixy_case
-from .dualspace import build_duals, tabulate_duals
+from .dualspace import DualSet, tabulate_duals
 from .finescale import (
     build_fine_scale_operator,
     fine_scale_eval,
@@ -278,7 +278,7 @@ def cmd_basis(args):
 
 def cmd_dual(args):
     kind = SpaceKind.DUAL_NODAL if args.kind == "nodal" else SpaceKind.DUAL_EDGE
-    _sample(args, lambda family, x: tabulate_duals(build_duals(family, kind), x),
+    _sample(args, lambda family, x: tabulate_duals(DualSet(family, kind), x),
             f"dual_{args.kind}")
 
 

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis1d import (BasisFamily, SpaceKind, _barycentric_weights, _element_cols, _element_coords,
-                      _global_scatter, _lagrange_tab, _reference_edge_tab, lagrange_tab,
+from .basis1d import (BasisFamily, SpaceKind, _barycentric_weights, _element_cols,
+                      _global_scatter, _lagrange_tab, _locate, _reference_edge_tab, lagrange_tab,
                       tabulate_nodal)
 from .quadrature import gauss_legendre_rule, gll_nodes, map_rule
 
@@ -190,11 +190,6 @@ class DualSet:
         return partial_moments(self, np.arange(num), np.ones(num))
 
 
-def build_duals(family: BasisFamily, kind: SpaceKind) -> DualSet:
-    """Construct the dual-nodal (edge-based) or dual-edge (node-based) set."""
-    return DualSet(family, kind)
-
-
 def _reference_duals(duals: DualSet, xi, deriv: int = 0) -> np.ndarray:
     """The p dual nodal functions of one element at reference coordinates xi,
     before the J^-deriv pullback; shape (len(xi), p)."""
@@ -240,6 +235,6 @@ def element_duals(duals: DualSet, x, deriv: int = 0) -> tuple[np.ndarray, np.nda
     """The nonzero part of the dual nodal tabulation at x, as `element_tab`
     gives it: each point's p duals in its element, (global columns, values)."""
     mesh = duals.family.mesh
-    elem, jac, xi = _element_coords(mesh, x)
+    elem, jac, xi = _locate(mesh.boundaries, x)
     vals = _reference_duals(duals, xi, deriv) * (jac ** float(-deriv))[:, None]
     return _element_cols(mesh, elem, mesh.degree), vals

@@ -17,7 +17,9 @@ breakpoints, point sources and optionally a coarse field u_bar, nodal or edge.
 
 G maps a field's distributional second derivative to minus the field,
 taken as zero outside the mesh (Hughes & Sangalli, SIAM J. Numer. Anal.
-45, 2007), so r = f + u_bar'' has G r = G f - u_bar in closed form.  A
+45, 2007), so r = f + u_bar'' has G r = G f - u_bar in closed form;
+`green_apply` integrates only f and point loads, and u_bar and its
+pairing are subtracted once, in `_green_and_pairing`.  A
 reconstruction is G r minus its resolved part (`FineScaleOperator.resolved`):
 the reconstruction functions (G duals)^T [Gram]^{-1} times the
 functionals' pairing with G r.  For L2 the pairing is element-local, of
@@ -42,7 +44,7 @@ antiderivative tables of the reference duals (`dualspace.partial_moments`).
 The same moments make the L2 Gram semiseparable off its diagonal blocks
 (`_l2_gram`) and sum the L2 resolved part by a prefix and a suffix sum.
 The H10 Gram is K^{-1}, K the interior stiffness, so its condition number
-is K's and the H10 operator forms its Gram only when read.
+is K's and the H10 operator forms its Gram, by one solve, only when read.
 
 Smooth sources go through one primitive (`_poisson_apply`),
 
@@ -66,7 +68,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis1d import Field, SpaceKind, _element_cols, _element_coords, element_tab, field_eval
+from .basis1d import Field, SpaceKind, _element_cols, _locate, element_tab, field_eval
 from .dualspace import SPDMatrix, _reference_duals, partial_moments
 from .kernels import GreensKernel1D, _check_unit_domain, poisson_green
 from .projection import (DualFunctionals, ProjectionFlavor, mesh_quadrature, pair_functionals,
@@ -161,13 +163,11 @@ def _l2_element_lifts(fns: DualFunctionals, elem, xi, x, deriv: int = 0) -> np.n
 
 
 def _l2_lifts_at(fns: DualFunctionals, x, deriv: int = 0):
-    """x as a 1D array in [0, 1] (rejected outside it, NaN too), each
-    point's element and the lifts (or x-derivatives) of that element's p
-    duals at the point."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_unit_domain(x)
-    x = np.clip(x, 0.0, 1.0)
-    elem, _, xi = _element_coords(fns.family.mesh, x)
+    """x as a 1D array clipped to [0, 1] (rejected outside the mesh, NaN
+    too), each point's element and the lifts (or x-derivatives) of that
+    element's p duals at the point."""
+    elem, _, xi = _locate(fns.family.mesh.boundaries, x)
+    x = np.clip(np.atleast_1d(np.asarray(x, dtype=float)), 0.0, 1.0)
     return x, elem, _l2_element_lifts(fns, elem, xi, x, deriv)
 
 
@@ -226,10 +226,13 @@ def green_apply(src: SourceTerm, x, quad_points: int,
 
     The smooth part is integrated by the cumulative-sum primitive, cut at
     every x, the source's own breakpoints and any supplied mesh
-    boundaries; point sources contribute `poisson_green` values, and a
-    coarse field minus itself (G maps its distributional second derivative
-    to minus the field; at the mesh ends, its value inside the mesh).
+    boundaries; point sources contribute `poisson_green` values.  A coarse
+    field raises ValueError: its image, minus the field, is subtracted
+    once, by `reconstruct_fine_scales`.
     """
+    if src.coarse is not None:
+        raise ValueError("green_apply takes no coarse field; its Green's image is minus "
+                         "the field")
     scalar = np.isscalar(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros_like(x)
@@ -239,11 +242,6 @@ def green_apply(src: SourceTerm, x, quad_points: int,
         out += _poisson_apply(src.smooth, x, cuts, quad_points)[:, 0]
     locs, qs = np.array(src.point_sources, dtype=float).reshape(-1, 2).T
     out += poisson_green(x[:, None], locs[None, :]) @ qs
-    if src.coarse is not None:
-        mesh = src.coarse.family.mesh
-        if abs(mesh.a) > 1e-14 or abs(mesh.b - 1.0) > 1e-14:
-            raise ValueError("a coarse field's mesh must cover the kernel domain [0, 1]")
-        out -= field_eval(src.coarse, x)
     return float(out[0]) if scalar else out
 
 
@@ -271,37 +269,40 @@ def _green_and_pairing(fns: DualFunctionals, src: SourceTerm, grid: np.ndarray,
                        quad_points: int | None):
     """G src on the grid, and every functional paired with G src.
 
-    G src = G f - u_bar (module docstring).  The L2 pairing of G f is
-    element-local, on the source rule (cut also at the point sources),
-    which one primitive call tabulates with the grid; u_bar's pairing is
-    then subtracted, for an edge field of the functionals' family its
-    coefficients (the functionals are biorthogonal to that basis).  That
-    is about ten times more accurate than pairing G f - u_bar tabulated
-    on the rule.  The H10 pairing of G f is the source's own, by the
-    interior nodal basis and one stiffness solve (`pair_functionals`),
-    minus the coarse field's exact pairing.
+    G src = G f - u_bar (module docstring): the smooth part and point
+    sources first, then u_bar and its pairing subtracted once.  The L2
+    pairing of G f is element-local, on the source rule (cut also at the
+    point sources), which one primitive call tabulates with the grid.  The
+    H10 pairing of G f is the source's own, by the interior nodal basis
+    and one stiffness solve (`pair_functionals`).  u_bar's pairing is
+    exact (`_field_pairing`); for an edge field of the L2 functionals'
+    family it is its coefficients (the functionals are biorthogonal to
+    that basis), about ten times more accurate than pairing G f - u_bar
+    tabulated on the rule.
     """
     quad_points = source_rule_points(fns.family, quad_points)
     bounds = fns.family.mesh.boundaries
     locs, qs = np.array(src.point_sources, dtype=float).reshape(-1, 2).T
-    coarse = src.coarse
+    loads = replace(src, coarse=None)
     if fns.flavor is ProjectionFlavor.L2:
         s, w = mesh_quadrature(fns.family, quad_points, np.r_[src.breakpoints, locs])
-        image = green_apply(replace(src, coarse=None), np.concatenate((grid, s)),
-                            quad_points, bounds)
+        image = green_apply(loads, np.concatenate((grid, s)), quad_points, bounds)
         data = pair_functionals(fns, s, w * image[grid.size:])
         image = image[:grid.size]
-        if coarse is not None:
-            image = image + green_apply(SourceTerm(coarse=coarse), grid, quad_points)
-            own_edge = coarse.space is SpaceKind.EDGE and coarse.family is fns.family
-            data = data - (coarse.coeffs if own_edge else _field_pairing(fns, coarse))
-        return image, data
-    image = green_apply(src, grid, quad_points, bounds) if grid.size else grid
-    s, w = mesh_quadrature(fns.family, quad_points, src.breakpoints)
-    smooth = w * np.asarray(src.smooth(s), dtype=float) if src.smooth is not None else 0.0 * w
-    data = pair_functionals(fns, np.r_[s, locs], np.r_[smooth, qs])
+    else:
+        image = green_apply(loads, grid, quad_points, bounds) if grid.size else grid
+        s, w = mesh_quadrature(fns.family, quad_points, src.breakpoints)
+        smooth = w * np.asarray(src.smooth(s), dtype=float) if src.smooth is not None else 0.0 * w
+        data = pair_functionals(fns, np.r_[s, locs], np.r_[smooth, qs])
+    coarse = src.coarse
     if coarse is not None:
-        data = data - _field_pairing(fns, coarse)
+        mesh = coarse.family.mesh
+        if abs(mesh.a) > 1e-14 or abs(mesh.b - 1.0) > 1e-14:
+            raise ValueError("a coarse field's mesh must cover the kernel domain [0, 1]")
+        own_edge = (fns.flavor is ProjectionFlavor.L2 and coarse.space is SpaceKind.EDGE
+                    and coarse.family is fns.family)
+        image = image - field_eval(coarse, grid)
+        data = data - (coarse.coeffs if own_edge else _field_pairing(fns, coarse))
     return image, data
 
 
@@ -361,20 +362,18 @@ class FineScaleOperator:
     @functools.cached_property
     def gram(self) -> np.ndarray:
         """The Gram matrix duals G duals^T, the flavor pairing of each
-        functional with each lift.
+        functional with each lift, exactly symmetric.
 
-        Its integrands are piecewise polynomials of degree at most 2p: the
-        L2 pairing multiplies the degree p - 1 duals by their degree p + 1
-        lifts (`_l2_gram`), the H10 pairing two degree p - 1 derivatives,
-        on the (p + 1)-point mesh rule.
+        For L2 it is in closed form from the dual moments (`_l2_gram`).
+        For H10 the lifts are the functionals K^{-1} psi, so their H10
+        pairing is K^{-1} K K^{-1} = K^{-1}: one solve of the identity,
+        symmetrized.
         """
         fns = self.functionals
         if self.flavor is ProjectionFlavor.L2:
             return _l2_gram(fns)
-        # the H10 lifts are the functionals themselves
-        s, w = mesh_quadrature(fns.family, fns.family.degree + 1)
-        tab = tabulate_functionals(fns, s, deriv=1)
-        return tab.T @ (w[:, None] * tab)
+        inverse = fns.stiffness.solve(np.eye(fns.size))
+        return 0.5 * (inverse + inverse.T)
 
     @functools.cached_property
     def gram_cond(self) -> float:
@@ -463,7 +462,7 @@ def fine_scale_eval(op: FineScaleOperator, x, s) -> np.ndarray:
     if op.flavor is ProjectionFlavor.H10:
         bounds = op.functionals.family.mesh.boundaries
         # the element holding each point, -1 on a node
-        ex, es = (np.where(np.isin(p, bounds), -1, np.searchsorted(bounds, p)) for p in (xs, ss))
+        ex, es = (np.where(np.isin(p, bounds), -1, _locate(bounds, p)[0]) for p in (xs, ss))
         out[(ex[:, None] != es[None, :]) | (ex[:, None] < 0)] = 0.0
     if np.isscalar(x) and np.isscalar(s):
         return float(out[0, 0])
@@ -508,9 +507,9 @@ def residual_from_field(u_bar: Field, source: Callable[[np.ndarray], np.ndarray]
     """Coarse-scale residual of -u'' = source: the source plus the field's
     distributional second derivative.
 
-    The source is the smooth part, the inner element boundaries its
-    breakpoints, and the field, nodal or edge, the `coarse` part, whose
-    Green's image is minus the field (see `reconstruct_fine_scales`).
+    The source is the smooth part and the field, nodal or edge, the
+    `coarse` part, whose Green's image is minus the field (see
+    `reconstruct_fine_scales`).  The field's element boundaries are not
+    kinks of the source; the operator's rules are cut at its own mesh.
     """
-    return SourceTerm(smooth=source, breakpoints=tuple(u_bar.family.mesh.boundaries[1:-1]),
-                      coarse=u_bar)
+    return SourceTerm(smooth=source, coarse=u_bar)

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .basis1d import BasisFamily, Field, SpaceKind, lagrange_tab, pair_basis, tabulate_nodal
-from .dualspace import DualSet, SPDMatrix, _assemble_gram, build_duals, element_duals, tabulate_duals
+from .dualspace import DualSet, SPDMatrix, _assemble_gram, element_duals, tabulate_duals
 from .quadrature import (
     composite_rule,
     default_quad_points,
@@ -68,7 +68,7 @@ class DualFunctionals:
 def build_dual_functionals(family: BasisFamily, flavor: ProjectionFlavor) -> DualFunctionals:
     """Build the functional set for a projection flavor on one basis family."""
     if flavor is ProjectionFlavor.L2:
-        return DualFunctionals(flavor, family, duals=build_duals(family, SpaceKind.DUAL_NODAL))
+        return DualFunctionals(flavor, family, duals=DualSet(family, SpaceKind.DUAL_NODAL))
     return DualFunctionals(flavor, family, stiffness=assemble_stiffness(family))
 
 
@@ -117,9 +117,13 @@ def source_rule_points(family: BasisFamily, quad_points: int | None = None) -> i
 def mesh_quadrature(family: BasisFamily, quad_points: int | None = None,
                     breakpoints: Sequence[float] = ()):
     """The source rule: a composite Gauss rule of source_rule_points over all
-    elements plus extra breakpoints."""
+    elements cut at extra breakpoints.  Breakpoints repeated or on a mesh
+    boundary cut once, those outside the mesh are dropped and NaN raises
+    ValueError."""
+    mesh = family.mesh
     pts = np.asarray(breakpoints, dtype=float)
-    bounds = sorted_unique(np.concatenate((family.mesh.boundaries, pts)))
+    bounds = sorted_unique(np.concatenate((mesh.boundaries,
+                                           pts[~((pts < mesh.a) | (pts > mesh.b))])))
     return composite_rule(gauss_legendre_rule(source_rule_points(family, quad_points)), bounds)
 
 
@@ -189,8 +193,7 @@ def h10_project_values(fns: DualFunctionals,
         raise ValueError("value-only projection implemented for the H10 flavor")
     family = fns.family
     mesh = family.mesh
-    pts = np.asarray(breakpoints, dtype=float)
-    x, w = mesh_quadrature(family, quad_points, pts[(pts >= mesh.a) & (pts <= mesh.b)])
+    x, w = mesh_quadrature(family, quad_points, breakpoints)
     values = np.asarray(u(x), dtype=float)
     vertex = np.r_[0.0, u(mesh.boundaries[1:-1]), 0.0]
     fine = values - np.interp(x, mesh.boundaries, vertex)

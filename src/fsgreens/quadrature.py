@@ -1,17 +1,17 @@
-"""Legendre polynomials, GLL and Gauss-Legendre rules, split-interval integration.
+"""Legendre polynomials, GLL and Gauss-Legendre rules, and their transport.
 
-Everything here lives on the reference interval [-1, 1]; `map_rule`,
-`composite_rule` and `integrate` handle affine transport to physical
-intervals.  `integrate` accepts a sorted list of interior breakpoints so
-that integrands with derivative kinks (Green's kernels, piecewise
-polynomials) are integrated sub-interval by sub-interval.
+Everything here lives on the reference interval [-1, 1]; `map_rule` and
+`composite_rule` handle affine transport to physical intervals, one copy
+of a rule per interval between consecutive boundaries.  The 1D source
+rule is cut at the mesh and at an integrand's kinks by
+`projection.mesh_quadrature`.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -163,45 +163,11 @@ def map_rule(rule: QuadratureRule, a, b):
     return 0.5 * (a + b)[..., None] + half * rule.nodes, half * rule.weights
 
 
-def partition_interval(a: float, b: float, breakpoints: Sequence[float]) -> np.ndarray:
-    """Return [a, *breakpoints, b] after validating order and range.
-
-    Breakpoints equal (within 1e-14) to an existing boundary are dropped so
-    callers may pass kink locations that happen to sit on element edges.
-    """
-    pts = np.asarray(breakpoints, dtype=float)
-    if pts.size and (np.any(np.diff(pts) <= 0.0)):
-        raise ValueError("breakpoints must be strictly increasing")
-    if pts.size and (pts[0] <= a or pts[-1] >= b):
-        keep = (pts > a + 1e-14 * max(1.0, abs(a))) & (pts < b - 1e-14 * max(1.0, abs(b)))
-        if not np.all(keep):
-            bad = pts[~keep]
-            if np.any((bad < a - 1e-12) | (bad > b + 1e-12)):
-                raise ValueError(f"breakpoints outside ({a}, {b}): {bad}")
-            pts = pts[keep]
-    return np.concatenate(([a], pts, [b]))
-
-
 def composite_rule(rule: QuadratureRule, boundaries: Sequence[float]):
     """Concatenate mapped copies of `rule` over consecutive boundary pairs."""
     boundaries = np.asarray(boundaries, dtype=float)
-    if boundaries.size < 2 or np.any(np.diff(boundaries) <= 0.0):
+    # written so that NaN fails too
+    if boundaries.size < 2 or not np.all(np.diff(boundaries) > 0.0):
         raise ValueError("boundaries must be strictly increasing with length >= 2")
     x, w = map_rule(rule, boundaries[:-1], boundaries[1:])
     return x.ravel(), w.ravel()
-
-
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    rule: QuadratureRule,
-    breakpoints: Sequence[float] = (),
-) -> float:
-    """Integrate a vectorised callable over [a, b], splitting at breakpoints.
-
-    With no breakpoints this is exactly the single mapped-rule quadrature,
-    so the split and plain paths agree bit for bit.
-    """
-    x, w = composite_rule(rule, partition_interval(a, b, breakpoints))
-    return float(np.dot(w, np.asarray(f(x), dtype=float)))

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -42,6 +42,7 @@ from .basis1d import (
     _barycentric_weights,
     _differentiation_matrix,
     _lagrange_tab,
+    _locate,
     tabulate_nodal,
 )
 from .cases import boundary_layer_breakpoints
@@ -52,7 +53,6 @@ from .finescale import (
     _poisson_apply,
     green_apply,
     reconstruct_fine_scales,
-    residual_from_field,
 )
 from .projection import (
     DualFunctionals,
@@ -123,14 +123,10 @@ def _cell_interpolant(cells: np.ndarray, values: np.ndarray, x, deriv: int = 0) 
     """The cell-wise Lagrange interpolant of values at the q Gauss nodes of
     each cell between consecutive `cells`, or its derivative, at x.  Points
     on an inner cell boundary take the left cell's (one-sided) value."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all((x >= cells[0] - 1e-12) & (x <= cells[-1] + 1e-12)):
-        raise ValueError(f"evaluation points outside [{cells[0]}, {cells[-1]}]")
+    cell, half, xi = _locate(cells, x)
     q = values.size // (cells.size - 1)
-    cell = np.clip(np.searchsorted(cells, x, side="left") - 1, 0, cells.size - 2)
-    half = 0.5 * (cells[cell + 1] - cells[cell])
     nodes, bary, diff, _ = _reference_cell(q)
-    tab = _lagrange_tab(nodes, bary, diff, (x - cells[cell]) / half - 1.0, deriv)
+    tab = _lagrange_tab(nodes, bary, diff, xi, deriv)
     return np.einsum("ij,ij->i", tab, values.reshape(-1, q)[cell]) / half**deriv
 
 
@@ -390,6 +386,5 @@ def reconstruct_with_exact_gradient(op: FineScaleOperator, problem: AdvDiffProbl
         return np.asarray(problem.source(s), dtype=float) / nu \
             - (c / nu) * np.asarray(exact_gradient(s), dtype=float)
 
-    resid = residual_from_field(u_bar, modified_source)
-    resid = replace(resid, breakpoints=resid.breakpoints + tuple(map(float, breakpoints)))
+    resid = SourceTerm(modified_source, tuple(map(float, breakpoints)), coarse=u_bar)
     return reconstruct_fine_scales(op, resid, grid)

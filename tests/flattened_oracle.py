@@ -118,7 +118,9 @@ class FlatSource:
 
 def flattened(src: SourceTerm) -> FlatSource:
     """The source with its coarse field's distributional second derivative
-    written out, the field taken as zero outside the mesh."""
+    written out, the field taken as zero outside the mesh.  The field's
+    element-wise second derivative kinks at its inner mesh boundaries,
+    which join the breakpoints."""
     if src.coarse is None:
         return FlatSource(src.smooth, src.breakpoints, src.point_sources)
     fld, smooth = src.coarse, src.smooth
@@ -130,7 +132,7 @@ def flattened(src: SourceTerm) -> FlatSource:
     ends = [element_endpoint_values(fld, deriv) for deriv in (0, 1)]
     value_jump, deriv_jump = (np.r_[left, 0.0] - np.r_[0.0, right] for left, right in ends)
     nodes = fld.family.mesh.boundaries
-    return FlatSource(total, src.breakpoints,
+    return FlatSource(total, src.breakpoints + tuple(nodes[1:-1]),
                       src.point_sources + tuple(zip(nodes, deriv_jump)),
                       tuple(zip(nodes, value_jump)))
 

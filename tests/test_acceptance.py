@@ -23,7 +23,7 @@ from fsgreens.cases import (
     sin2pixy_case,
 )
 from fsgreens.cli import main as cli_main
-from fsgreens.dualspace import build_duals, tabulate_duals
+from fsgreens.dualspace import DualSet, tabulate_duals
 from fsgreens.finescale import (
     SourceTerm,
     build_fine_scale_operator,
@@ -93,9 +93,9 @@ def test_criterion_01_gll_nodes():
 def test_criterion_02_biorthogonality(num_elements, degree):
     family = basis_family(Mesh1D.uniform(0.0, 1.0, num_elements, degree))
     x, w = mesh_quadrature(family, 16)
-    dn = build_duals(family, SpaceKind.DUAL_NODAL)
+    dn = DualSet(family, SpaceKind.DUAL_NODAL)
     gram_n = tabulate_duals(dn, x).T @ (w[:, None] * tabulate_edge(family, x))
-    de = build_duals(family, SpaceKind.DUAL_EDGE)
+    de = DualSet(family, SpaceKind.DUAL_EDGE)
     gram_e = tabulate_duals(de, x).T @ (w[:, None] * tabulate_nodal(family, x))
     worst = max(np.max(np.abs(gram_n - np.eye(gram_n.shape[0]))),
                 np.max(np.abs(gram_e - np.eye(gram_e.shape[0]))))

@@ -7,13 +7,14 @@ from fsgreens.basis1d import (
     Field,
     Mesh1D,
     SpaceKind,
+    _locate,
     basis_family,
+    element_tab,
     field_eval,
-    find_element,
     tabulate_edge,
     tabulate_nodal,
 )
-from fsgreens.quadrature import gauss_legendre_rule, integrate
+from fsgreens.quadrature import composite_rule, gauss_legendre_rule
 
 from flattened_oracle import element_endpoint_values, nodal_points
 
@@ -33,10 +34,24 @@ def test_mesh_validation():
     assert mesh.num_edge_dofs == 12
 
 
-def test_find_element_tie_breaks_left():
+def test_locate_tie_breaks_left():
+    # mesh elements, and cells cut finer as the coupled sweep's are: a point
+    # on an inner bound goes left, points within 1e-12 past an end clip to
+    # the end cell, and every reference coordinate is the point's own
     mesh = Mesh1D.uniform(0.0, 1.0, 4, 1)
     x = np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 1.0])
-    assert list(find_element(mesh, x)) == [0, 0, 0, 1, 1, 2, 3]
+    cell, half, xi = _locate(mesh.boundaries, x)
+    assert list(cell) == [0, 0, 0, 1, 1, 2, 3]
+    np.testing.assert_array_equal(half, 0.125)
+    np.testing.assert_allclose(xi, [-1.0, -0.2, 1.0, -0.6, 1.0, 1.0, 1.0], atol=1e-15)
+    cells = np.array([0.0, 0.4, 0.41, 0.97, 0.99, 1.0])
+    x = np.array([-1e-13, 0.4, 0.405, 0.41, 0.97, 0.995, 1.0 + 1e-13])
+    cell, half, xi = _locate(cells, x)
+    assert list(cell) == [0, 0, 1, 1, 2, 4, 4]
+    np.testing.assert_allclose(cells[cell] + half * (xi + 1.0), x, rtol=0.0, atol=1e-15)
+    for bad in (-1e-9, 1.0 + 1e-9, np.nan):
+        with pytest.raises(ValueError, match="outside"):
+            _locate(cells, np.array([0.5, bad]))
 
 
 def test_nodal_delta_property(family_2x3):
@@ -79,24 +94,29 @@ def test_out_of_domain_rejected(family_2x3):
         tabulate_nodal(family_2x3, np.array([1.2]))
     with pytest.raises(ValueError):
         tabulate_edge(family_2x3, np.array([-0.1]))
+    # NaN is outside every interval, not a point to evaluate
+    fld = Field(family_2x3, SpaceKind.NODAL, np.ones(7))
+    for evaluate in (lambda x: field_eval(fld, x),
+                     lambda x: tabulate_nodal(family_2x3, x),
+                     lambda x: tabulate_edge(family_2x3, x),
+                     lambda x: element_tab(family_2x3, SpaceKind.NODAL, x),
+                     lambda x: element_tab(family_2x3, SpaceKind.EDGE, x, deriv=1)):
+        with pytest.raises(ValueError, match="outside"):
+            evaluate(np.array([0.5, np.nan]))
+        with pytest.raises(ValueError, match="outside"):
+            evaluate(np.nan)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 5])
 def test_edge_histopolation_property(p):
     family = basis_family(Mesh1D.uniform(-1.0, 1.0, 1, p))
     nodes = family.ref_nodes
-    rule = gauss_legendre_rule(p + 3)
-    for i in range(1, p + 1):
-        for j in range(1, p + 1):
-            val = integrate(lambda s, i=i: tabulate_edge(family, s)[:, i - 1],
-                            nodes[j - 1], nodes[j], rule)
-            assert val == pytest.approx(1.0 if i == j else 0.0, abs=1e-13)
+    s, w = composite_rule(gauss_legendre_rule(p + 3), nodes)
+    # row j: the integrals of every edge function over [nodes[j], nodes[j + 1]]
+    sub = (w[:, None] * tabulate_edge(family, s)).reshape(p, p + 3, p).sum(axis=1)
+    assert np.max(np.abs(sub - np.eye(p))) < 1e-13
     # subinterval integrals of one edge function telescope to one
-    total = sum(
-        integrate(lambda s: tabulate_edge(family, s)[:, 1 % p], nodes[j - 1], nodes[j], rule)
-        for j in range(1, p + 1)
-    )
-    assert total == pytest.approx(1.0, abs=1e-13)
+    assert sub[:, 1 % p].sum() == pytest.approx(1.0, abs=1e-13)
 
 
 def test_edge_p1_is_constant():

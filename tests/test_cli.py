@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fsgreens.basis1d import Mesh1D, SpaceKind, basis_family
 from fsgreens.cli import main
-from fsgreens.dualspace import build_duals, tabulate_duals
+from fsgreens.dualspace import DualSet, tabulate_duals
 
 
 def _run(tmp_path, *argv):
@@ -54,7 +54,7 @@ def test_basis_subcommand_matches_tabulation(tmp_path, command, kind):
     else:
         prefix = f"dual_{kind}"
         dual_kind = SpaceKind.DUAL_NODAL if kind == "nodal" else SpaceKind.DUAL_EDGE
-        tab = tabulate_duals(build_duals(family, dual_kind), rows[:, 0])
+        tab = tabulate_duals(DualSet(family, dual_kind), rows[:, 0])
     assert header == ["x"] + [f"{prefix}_{i}" for i in range(tab.shape[1])]
     np.testing.assert_array_equal(rows[:, 0], np.linspace(-0.5, 2.0, 33))
     np.testing.assert_array_equal(rows[:, 1:], tab)
@@ -507,7 +507,7 @@ def test_dual_nodal_values_do_not_depend_on_the_interval_length(tmp_path):
     assert _run(tmp_path, "dual", "--a", "0", "--b", "1e-310", "--out", str(out)) == 0
     _, rows = _read_csv(out)
     family = basis_family(Mesh1D.uniform(0.0, 1.0, 2, 3))
-    want = tabulate_duals(build_duals(family, SpaceKind.DUAL_NODAL), rows[:, 0] / 1e-310)
+    want = tabulate_duals(DualSet(family, SpaceKind.DUAL_NODAL), rows[:, 0] / 1e-310)
     assert np.max(np.abs(rows[:, 1:] - want)) <= 1e-12 * np.max(np.abs(want))
 
 

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from fsgreens.basis1d import (Mesh1D, SpaceKind, _reference_edge_tab, basis_family, tabulate_edge,
                               tabulate_nodal)
-from fsgreens.dualspace import (DualSet, SPDMatrix, _reference_gram, assemble_mass, build_duals,
-                                tabulate_duals)
+from fsgreens.dualspace import DualSet, SPDMatrix, _reference_gram, assemble_mass, tabulate_duals
 from fsgreens.projection import ProjectionFlavor, build_dual_functionals, tabulate_functionals
 from fsgreens.quadrature import composite_rule, gauss_legendre_rule
 
@@ -59,10 +58,10 @@ def test_edge_mass_block_diagonal():
 def test_biorthogonality(num_elements, degree):
     family = basis_family(Mesh1D.uniform(0.0, 1.0, num_elements, degree))
     x, w = _pairing_grid(family.mesh)
-    dual_nodal = build_duals(family, SpaceKind.DUAL_NODAL)
+    dual_nodal = DualSet(family, SpaceKind.DUAL_NODAL)
     gram = tabulate_duals(dual_nodal, x).T @ (w[:, None] * tabulate_edge(family, x))
     assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-10
-    dual_edge = build_duals(family, SpaceKind.DUAL_EDGE)
+    dual_edge = DualSet(family, SpaceKind.DUAL_EDGE)
     gram = tabulate_duals(dual_edge, x).T @ (w[:, None] * tabulate_nodal(family, x))
     assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-10
 
@@ -128,7 +127,7 @@ def test_dual_set_forms_its_mass_on_first_use():
     x = np.linspace(0.0, 1.0, 11)
     for kind, want in [(SpaceKind.DUAL_NODAL, _reference_gram(family, _reference_edge_tab, 0)),
                        (SpaceKind.DUAL_EDGE, assemble_mass(family, SpaceKind.NODAL).entries)]:
-        duals = build_duals(family, kind)
+        duals = DualSet(family, kind)
         assert "mass" not in vars(duals)
         tabulate_duals(duals, x)
         assert "mass" in vars(duals)
@@ -141,7 +140,7 @@ def test_dual_nodal_set_holds_only_the_reference_edge_mass():
     # every dual nodal function lives on one element: the p x p reference
     # edge mass is all the set solves with, whatever the mesh
     family = basis_family(Mesh1D.uniform(0.0, 1.0, 640, 4))
-    duals = build_duals(family, SpaceKind.DUAL_NODAL)
+    duals = DualSet(family, SpaceKind.DUAL_NODAL)
     assert duals.mass.entries.shape == (4, 4)
     assert duals.size == 2560
 
@@ -149,7 +148,7 @@ def test_dual_nodal_set_holds_only_the_reference_edge_mass():
 def test_dual_nodal_scalar_case():
     # single p=1 element on [-1,1]: the one dual nodal function is constant 1
     family = basis_family(Mesh1D.uniform(-1.0, 1.0, 1, 1))
-    duals = build_duals(family, SpaceKind.DUAL_NODAL)
+    duals = DualSet(family, SpaceKind.DUAL_NODAL)
     x = np.linspace(-1.0, 1.0, 9)
     assert np.max(np.abs(tabulate_duals(duals, x)[:, 0] - 1.0)) < 1e-14
     assert tabulate_duals(duals, 0.3)[0, 0] == pytest.approx(1.0)
@@ -161,7 +160,7 @@ def test_dual_expansion_matches_projection_coefficients():
     from fsgreens.projection import project
 
     family = basis_family(Mesh1D.uniform(0.0, 1.0, 3, 2))
-    duals = build_duals(family, SpaceKind.DUAL_NODAL)
+    duals = DualSet(family, SpaceKind.DUAL_NODAL)
     f = lambda x: np.exp(x) * np.cos(3.0 * x)
     x, w = _pairing_grid(family.mesh, 20)
     coeffs = tabulate_duals(duals, x).T @ (w * f(x))
@@ -191,9 +190,9 @@ def test_biorthogonality_on_nonuniform_meshes(mesh):
     family = basis_family(mesh)
     # p+1 Gauss points per element integrate the degree-2p products exactly
     x, w = composite_rule(gauss_legendre_rule(mesh.degree + 1), mesh.boundaries)
-    pairs = [(tabulate_duals(build_duals(family, SpaceKind.DUAL_NODAL), x),
+    pairs = [(tabulate_duals(DualSet(family, SpaceKind.DUAL_NODAL), x),
               tabulate_edge(family, x)),
-             (tabulate_duals(build_duals(family, SpaceKind.DUAL_EDGE), x),
+             (tabulate_duals(DualSet(family, SpaceKind.DUAL_EDGE), x),
               tabulate_nodal(family, x))]
     if mesh.num_nodal_dofs >= 3:
         fns = build_dual_functionals(family, ProjectionFlavor.H10)

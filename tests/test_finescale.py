@@ -16,6 +16,7 @@ from fsgreens.finescale import (
     _poisson_apply,
     build_fine_scale_operator,
     fine_scale_eval,
+    green_apply,
     reconstruct_fine_scales,
     resolved_basis_reproduction,
     residual_from_field,
@@ -31,7 +32,7 @@ from fsgreens.projection import (
     project,
     tabulate_functionals,
 )
-from fsgreens.quadrature import default_quad_points, gauss_legendre_rule
+from fsgreens.quadrature import composite_rule, default_quad_points, gauss_legendre_rule
 
 from flattened_oracle import (apply_dual_green, element_endpoint_values, element_green, flattened,
                               functional_load, lift_functionals_direct, nodal_points, pair_naive,
@@ -91,16 +92,11 @@ def test_lifted_l2_weak_identity():
     family, fns, op = _setup(2, 2, ProjectionFlavor.L2)
     phi = lambda x: np.sin(np.pi * x) * x * (1.3 - x)
     ddphi_h = 1e-5
-    from fsgreens.quadrature import gauss_legendre_rule, integrate
-
-    rule = gauss_legendre_rule(20)
+    x, w = composite_rule(gauss_legendre_rule(20), family.mesh.boundaries)
+    ddphi = (phi(x + ddphi_h) - 2 * phi(x) + phi(x - ddphi_h)) / ddphi_h**2
     for i in range(fns.size):
-        lhs = -integrate(
-            lambda x: op.lifted_tab(x)[:, i]
-            * (phi(x + ddphi_h) - 2 * phi(x) + phi(x - ddphi_h)) / ddphi_h**2,
-            0.0, 1.0, rule, list(family.mesh.boundaries[1:-1]))
-        rhs = integrate(lambda x: tabulate_functionals(fns, x)[:, i] * phi(x),
-                        0.0, 1.0, rule, list(family.mesh.boundaries[1:-1]))
+        lhs = -w @ (op.lifted_tab(x)[:, i] * ddphi)
+        rhs = w @ (tabulate_functionals(fns, x)[:, i] * phi(x))
         assert lhs == pytest.approx(rhs, abs=1e-7)
 
 
@@ -110,14 +106,11 @@ def test_lifted_h10_greens_identity_against_load():
     family, fns, op = _setup(2, 3, ProjectionFlavor.H10)
     phi = lambda x: np.sin(np.pi * x) * (2.0 - x)
     ddphi = lambda x: -np.pi**2 * np.sin(np.pi * x) * (2.0 - x) - 2.0 * np.pi * np.cos(np.pi * x)
-    from fsgreens.quadrature import gauss_legendre_rule, integrate
-
-    rule = gauss_legendre_rule(24)
+    x, w = composite_rule(gauss_legendre_rule(24), family.mesh.boundaries)
     smooth_tab, locs, strengths = functional_load(fns)
-    inner = list(family.mesh.boundaries[1:-1])
     for i in range(fns.size):
-        lhs = -integrate(lambda x: op.lifted_tab(x)[:, i] * ddphi(x), 0.0, 1.0, rule, inner)
-        rhs = integrate(lambda x: smooth_tab(x)[:, i] * phi(x), 0.0, 1.0, rule, inner)
+        lhs = -w @ (op.lifted_tab(x)[:, i] * ddphi(x))
+        rhs = w @ (smooth_tab(x)[:, i] * phi(x))
         rhs += sum(strengths[k, i] * phi(loc) for k, loc in enumerate(locs))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
@@ -160,6 +153,26 @@ def test_domain_mismatch_rejected():
         build_fine_scale_operator(KERNEL, fns)
 
 
+@pytest.mark.parametrize("flavor", [ProjectionFlavor.H10, ProjectionFlavor.L2])
+def test_resolved_part_rejects_points_outside_the_mesh(flavor):
+    # both flavors locate a point by the basis's one rule: NaN is outside
+    # too, for one vector of data and for one column per right side
+    _, fns, op = _setup(3, 2, flavor)
+    for bad in (np.nan, -0.1, 1.1):
+        for data in (np.ones(op.size), np.ones((op.size, 2))):
+            with pytest.raises(ValueError, match="outside"):
+                op.resolved(np.array([0.5, bad]), data)
+
+
+def test_green_apply_takes_no_coarse_field():
+    # a coarse field's image, minus the field, is subtracted once, by the
+    # reconstruction; green_apply integrates the smooth part and point loads
+    family = basis_family(Mesh1D.uniform(0.0, 1.0, 3, 2))
+    u_bar = Field(family, SpaceKind.NODAL, np.zeros(family.mesh.num_nodal_dofs))
+    with pytest.raises(ValueError, match="coarse"):
+        green_apply(SourceTerm(CASE.source, coarse=u_bar), np.linspace(0.0, 1.0, 5), 20)
+
+
 # ---------------------------------------------------------------------------
 # Gram matrix
 
@@ -172,8 +185,11 @@ def test_gram_scalar_h10_case():
 
 @pytest.mark.parametrize("flavor", [ProjectionFlavor.H10, ProjectionFlavor.L2])
 def test_gram_symmetry(flavor):
-    _, fns, op = _setup(2, 3, flavor)
-    assert np.max(np.abs(op.gram - op.gram.T)) < 1e-8
+    # exactly symmetric, as formed, on jittered meshes
+    for num_elements, degree in ((2, 3), (7, 4), (20, 3), (40, 2)):
+        fns = build_dual_functionals(basis_family(_jittered_mesh(num_elements, degree)), flavor)
+        gram = build_fine_scale_operator(KERNEL, fns).gram
+        np.testing.assert_array_equal(gram, gram.T)
 
 
 def _gram_meshes(degree):
@@ -186,13 +202,16 @@ def _gram_meshes(degree):
 
 
 def test_gram_h10_equals_inverse_stiffness():
-    # two routes to the same matrix: assembled pairings vs the algebraic
-    # inverse of the interior stiffness
+    # the Gram, formed as K^{-1}, against two other routes to it: the
+    # pairings of the functionals' derivatives on the exact (p + 1)-point
+    # rule, and the inverse of the interior stiffness
     for mesh in _gram_meshes(3):
         fns = build_dual_functionals(basis_family(mesh), ProjectionFlavor.H10)
         op = build_fine_scale_operator(KERNEL, fns)
-        inv = np.linalg.inv(fns.stiffness.entries)
-        assert np.max(np.abs(op.gram - inv)) < 1e-11
+        s, w = mesh_quadrature(fns.family, mesh.degree + 1)
+        tab = tabulate_functionals(fns, s, deriv=1)
+        assert np.max(np.abs(op.gram - tab.T @ (w[:, None] * tab))) < 1e-11
+        assert np.max(np.abs(op.gram - np.linalg.inv(fns.stiffness.entries))) < 1e-11
 
 
 def test_gram_l2_pairings_against_quadrature_oracle():

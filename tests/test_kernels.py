@@ -3,7 +3,7 @@ import pytest
 
 from fsgreens.cases import advdiff_const_case, sin2pixy_case
 from fsgreens.kernels import advdiff_green, poisson2d_green, poisson_green
-from fsgreens.quadrature import composite_rule, gauss_legendre_rule, integrate
+from fsgreens.quadrature import composite_rule, gauss_legendre_rule
 
 from flattened_oracle import element_green, poisson_green_dx
 
@@ -39,7 +39,8 @@ def test_poisson_weak_delta_property():
     ddphi = lambda x: -np.pi**2 * np.sin(np.pi * x) * (1.0 + x) + 2.0 * np.pi * np.cos(np.pi * x)
     rule = gauss_legendre_rule(20)
     for s in (0.1, 0.3, 0.5, 0.62, 0.9):
-        val = -integrate(lambda x: poisson_green(x, s) * ddphi(x), 0.0, 1.0, rule, [s])
+        x, w = composite_rule(rule, [0.0, s, 1.0])
+        val = -w @ (poisson_green(x, s) * ddphi(x))
         assert val == pytest.approx(phi(s), abs=1e-8)
 
 
@@ -118,7 +119,8 @@ def test_advdiff_convolution_reproduces_exact_solution():
         for d in (0.4 * scale, 1.6 * scale, 8.0 * scale):
             cuts.update((d, min(x + d, 1.0 - 1e-9)))
         bps = sorted(b for b in cuts if 0.0 < b < 1.0)
-        val = integrate(lambda s: advdiff_green(x, s, c, nu), 0.0, 1.0, rule, bps)
+        s, w = composite_rule(rule, [0.0, *bps, 1.0])
+        val = w @ advdiff_green(x, s, c, nu)
         assert val == pytest.approx(case.solution(x), abs=1e-6)
 
 
@@ -142,8 +144,9 @@ def test_advdiff_exact_solution_solves_equation():
     c, nu = 1.0, 0.01
     case = advdiff_const_case(c, nu)
     x = np.linspace(0.02, 0.98, 31)
-    resid = c * case.gradient(x) - nu * case.second(x) - 1.0
-    assert np.max(np.abs(resid)) < 1e-12
+    # c u' - nu u'' = 1 integrated once: c u - nu u' - x is constant
+    first = c * case.solution(x) - nu * case.gradient(x) - x
+    assert np.max(np.abs(first - first[0])) < 1e-12
     assert abs(case.solution(np.array([0.0]))[0]) < 1e-15
     assert abs(case.solution(np.array([1.0]))[0]) < 1e-15
 
@@ -153,21 +156,19 @@ def test_advdiff_const_case_mirrors_negative_speed():
     # positive exponents there and overflows to NaN at high Peclet
     x = np.linspace(0.0, 1.0, 101)
     steep = advdiff_const_case(-1.0, 1e-3)
-    for f in (steep.solution, steep.gradient, steep.second):
+    for f in (steep.solution, steep.gradient):
         assert np.all(np.isfinite(f(x)))
     for nu in (1e-3, 0.05):
         back, fwd = advdiff_const_case(-1.0, nu), advdiff_const_case(1.0, nu)
         np.testing.assert_array_equal(back.solution(x), fwd.solution(1.0 - x))
         np.testing.assert_array_equal(back.gradient(x), -fwd.gradient(1.0 - x))
-        np.testing.assert_array_equal(back.second(x), fwd.second(1.0 - x))
     # where the unmirrored formula is finite the two agree
     c, nu = -1.0, 0.05
     beta, case = c / nu, advdiff_const_case(c, nu)
     denom = -np.expm1(-beta)
     grow = np.exp(beta * (x - 1.0))
     for got, want in ((case.solution(x), (x - (grow - np.exp(-beta)) / denom) / c),
-                      (case.gradient(x), (1.0 - beta * grow / denom) / c),
-                      (case.second(x), -beta**2 * grow / (c * denom))):
+                      (case.gradient(x), (1.0 - beta * grow / denom) / c)):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
 

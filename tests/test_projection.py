@@ -24,6 +24,7 @@ from fsgreens.projection import (
     project,
     tabulate_functionals,
 )
+from fsgreens.quadrature import composite_rule, gauss_legendre_rule
 
 from flattened_oracle import nodal_deriv_jumps
 
@@ -74,10 +75,10 @@ def test_h10_functionals_vanish_at_boundary_and_positive(family):
 
 
 def test_l2_build_matches_dual_nodal_exactly(family):
-    from fsgreens.dualspace import build_duals, tabulate_duals
+    from fsgreens.dualspace import DualSet, tabulate_duals
 
     fns = build_dual_functionals(family, ProjectionFlavor.L2)
-    duals = build_duals(family, SpaceKind.DUAL_NODAL)
+    duals = DualSet(family, SpaceKind.DUAL_NODAL)
     x = np.linspace(0.0, 1.0, 37)
     assert np.array_equal(tabulate_functionals(fns, x), tabulate_duals(duals, x))
 
@@ -328,6 +329,17 @@ def test_h10_pair_then_solve_projections_match_table_first(mesh, shift):
         jumps = -fns.stiffness.solve(nodal_deriv_jumps(family).T).T
         want += jumps.T @ u(interfaces)
     assert _rel_err(h10_project_values(fns, u), want) <= 1e-12
+
+
+def test_mesh_quadrature_is_the_one_breakpoint_policy():
+    # extra breakpoints merge with the mesh boundaries, unsorted, repeated
+    # or on a boundary, and cut once; those outside the mesh are dropped
+    family = basis_family(Mesh1D(0.0, 1.0, 2, 2, np.array([0.0, 0.3, 1.0])))
+    want = composite_rule(gauss_legendre_rule(5), [0.0, 0.3, 0.5, 1.0])
+    got = mesh_quadrature(family, 5, [0.5, 0.3, 1.0, 0.5, -0.2, 1.4])
+    np.testing.assert_array_equal(got, want)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        mesh_quadrature(family, 5, [0.5, np.nan])
 
 
 @pytest.mark.parametrize("num_elements", [5, 320])

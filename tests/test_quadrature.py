@@ -10,7 +10,6 @@ from fsgreens.quadrature import (
     gll_nodes,
     gll_rule,
     gll_weights,
-    integrate,
     legendre_eval,
     map_rule,
     sorted_unique,
@@ -103,40 +102,22 @@ def test_rule_validation():
 
 
 def test_integrate_split_absolute_value():
-    rule = gauss_legendre_rule(5)
-    val = integrate(np.abs, -1.0, 1.0, rule, breakpoints=[0.0])
-    assert abs(val - 1.0) < 1e-13
+    # a rule cut at the kink integrates |x| exactly
+    x, w = composite_rule(gauss_legendre_rule(5), [-1.0, 0.0, 1.0])
+    assert abs(w @ np.abs(x) - 1.0) < 1e-13
 
 
 def test_integrate_constant_any_breakpoints():
-    rule = gauss_legendre_rule(3)
-    val = integrate(lambda x: np.ones_like(x), 0.0, 2.0, rule, breakpoints=[0.3, 1.1])
-    assert abs(val - 2.0) < 1e-14
+    x, w = composite_rule(gauss_legendre_rule(3), [0.0, 0.3, 1.1, 2.0])
+    assert abs(w @ np.ones_like(x) - 2.0) < 1e-14
 
 
 def test_integrate_kernel_derivative_telescopes():
     # integral of dg/dx over [0, 1] is g(1, s) - g(0, s) = 0
     from flattened_oracle import poisson_green_dx
 
-    rule = gauss_legendre_rule(5)
-    val = integrate(lambda x: poisson_green_dx(x, 0.4), 0.0, 1.0, rule, breakpoints=[0.4])
-    assert abs(val) < 1e-15
-
-
-def test_integrate_no_breakpoints_bit_identical():
-    rule = gauss_legendre_rule(7)
-    f = lambda x: np.exp(x) * np.sin(3 * x)
-    x, w = map_rule(rule, 0.2, 1.7)
-    plain = float(np.dot(w, f(x)))
-    assert integrate(f, 0.2, 1.7, rule) == plain
-
-
-def test_integrate_rejects_bad_breakpoints():
-    rule = gauss_legendre_rule(3)
-    with pytest.raises(ValueError):
-        integrate(np.abs, 0.0, 1.0, rule, breakpoints=[0.7, 0.3])
-    with pytest.raises(ValueError):
-        integrate(np.abs, 0.0, 1.0, rule, breakpoints=[1.5])
+    x, w = composite_rule(gauss_legendre_rule(5), [0.0, 0.4, 1.0])
+    assert abs(w @ poisson_green_dx(x, 0.4)) < 1e-15
 
 
 def test_composite_rule_concatenates():

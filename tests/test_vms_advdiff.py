@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsgreens.basis1d import Field, Mesh1D, SpaceKind, basis_family, field_eval
@@ -346,9 +346,18 @@ def test_fine_scale_interpolant_keeps_joint_kinks():
     assert np.max(np.abs(ws.green_deriv @ state.fine_values - want)) < 1e-12
 
 
+# at nu = 0.0234375, two and three sweeps leave v small against the
+# unrelaxed sweep's values on this mesh: the two loops differ by 2.2e-13 and
+# 1.2e-13 of max|v|, but by about 5e-15 of the sweep's largest value
+_SMALL_ITERATE_MESH = Mesh1D(0.0, 1.0, 5, 4, np.array(
+    [0.0, 0.26890756, 0.53781513, 0.80672269, 0.94117647, 1.0]))
+
+
 @settings(max_examples=20, deadline=None)
 @given(mesh=_jittered_meshes(), points=st.integers(2, 401), nu=st.floats(0.02, 0.05),
        max_iter=st.integers(1, 40))
+@example(mesh=_SMALL_ITERATE_MESH, points=401, nu=0.0234375, max_iter=2)
+@example(mesh=_SMALL_ITERATE_MESH, points=401, nu=0.0234375, max_iter=3)
 def test_iterate_matches_a_relaxed_loop_over_sweeps(mesh, points, nu, max_iter):
     # the fused loop takes the same path as relaxing the unrelaxed sweep's
     # coarse and fine updates directly, and writes the fine scales on the
@@ -372,17 +381,22 @@ def test_iterate_matches_a_relaxed_loop_over_sweeps(mesh, points, nu, max_iter):
 
 def _assert_matches_a_relaxed_loop(state, problem, fns, op, relaxation):
     # state.iteration sweeps of the unrelaxed map, each update relaxed
-    # directly, and the mass-matrix norm of every coarse step
+    # directly, and the mass-matrix norm of every coarse step.  The fine
+    # values are rounded at the size of the unrelaxed sweep's, which the
+    # relaxed iterate reaches only after many sweeps, so the fine bound
+    # scales with the largest of those
     ws = make_workspace(problem, fns, op)
     interior, fine, history = np.zeros(fns.size), np.zeros(ws.nodes.size), []
+    fine_scale = 0.0
     for _ in range(state.iteration):
         new_interior, new_fine = sweep(ws, interior, fine)
         step = new_interior - interior
         interior = interior + relaxation * step
         fine = fine + relaxation * (new_fine - fine)
+        fine_scale = max(fine_scale, np.max(np.abs(new_fine)))
         history.append(np.sqrt(step @ ws.mass @ step))
     assert len(state.residual_history) == state.iteration
-    assert np.max(np.abs(state.fine_values - fine)) <= 1e-13 * np.max(np.abs(state.fine_values))
+    assert np.max(np.abs(state.fine_values - fine)) <= 1e-13 * fine_scale
     assert np.max(np.abs(np.array(state.residual_history) - history)) <= 1e-14
     assert np.max(np.abs(state.u_bar.coeffs[1:-1] - interior)) <= 1e-13 * np.max(np.abs(interior))
 
