@@ -204,10 +204,31 @@ def _g17_pieces(values: np.ndarray, ncols: int):
         yield _g17_chunk(x, last).decode("ascii")
 
 
+def _json_array(table: np.ndarray) -> str:
+    """`json.dumps(table.tolist(), indent=1)` for the value of a top-level
+    key, one level in: the floats by the repr of their list (NaN and the
+    infinities renamed as `json` writes them), the nesting by joins from
+    the innermost axis out."""
+    text = repr(table.ravel().tolist())[1:-1]
+    if not np.all(np.isfinite(table)):
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    items = text.split(", ") if table.size else []
+    for depth in range(table.ndim, 0, -1):
+        size, count = table.shape[depth - 1], int(np.prod(table.shape[:depth - 1]))
+        if size == 0:
+            items = ["[]"] * count
+            continue
+        sep, close = ",\n" + " " * (depth + 1), "\n" + " " * depth + "]"
+        items = ["[" + sep[1:] + sep.join(items[i:i + size]) + close
+                 for i in range(0, count * size, size)]
+    return items[0]
+
+
 def write_table(path: str, columns, rows, meta: dict, fmt: str):
     """Serialize a column-labelled table as CSV or JSON, atomically.  A CSV
     field is exactly `'%.17g' % value` (every double round-trips), the same
-    bytes on every platform."""
+    bytes on every platform.  The JSON is `json.dumps(payload, indent=1,
+    sort_keys=True)` byte for byte, the rows joined as `_json_array`."""
     table = np.asarray(rows, dtype=float)
     if fmt == "csv":
         if table.size != len(table) * len(columns):
@@ -216,12 +237,10 @@ def write_table(path: str, columns, rows, meta: dict, fmt: str):
         _write_atomic(path, itertools.chain([",".join(columns) + "\n"],
                                             _g17_pieces(table.ravel(), len(columns))))
     else:
-        payload = {
-            "meta": dict(meta, version=__version__),
-            "columns": list(columns),
-            "rows": table.tolist(),
-        }
-        _write_atomic(path, [json.dumps(payload, indent=1, sort_keys=True) + "\n"])
+        head = json.dumps({"meta": dict(meta, version=__version__), "columns": list(columns)},
+                          indent=1, sort_keys=True)
+        # "rows" sorts after "columns" and "meta": it closes the object
+        _write_atomic(path, [head[:-2], ',\n "rows": ', _json_array(table), "\n}\n"])
 
 
 def _flavor(name: str) -> ProjectionFlavor:

@@ -111,7 +111,8 @@ def _poisson_apply(density, x, cuts, quad_points: int, deriv: int = 0) -> np.nda
     `cuts` are its derivative-kink locations.  With A(x) = int_0^x s f ds
     and B(x) = int_x^1 (1 - s) f ds, G f = (1 - x) A + x B and
     (G f)' = B - A.  The cells between the cuts are integrated once and
-    summed cumulatively; the cell holding x adds its piece left of x to A
+    summed cumulatively; the cell holding x (the left one for x on a cut,
+    as `basis1d._locate` places it) adds its piece left of x to A
     and takes it from its whole-cell moment for B, so each point sees a
     quadrature split at the kernel kink with one Gauss rule per point.
     Densities are tabulated _BLOCK_POINTS rule points at a time.  Returns
@@ -138,7 +139,7 @@ def _poisson_apply(density, x, cuts, quad_points: int, deriv: int = 0) -> np.nda
     zero = np.zeros((1, whole.shape[2]))
     before = np.concatenate((zero, np.cumsum(whole[0], axis=0)))
     after = np.concatenate((np.cumsum(whole[1][::-1], axis=0)[::-1], zero))
-    cell = np.clip(np.searchsorted(bounds, x, side="right") - 1, 0, bounds.size - 2)
+    cell = _locate(bounds, x)[0]
     left = moments(bounds[cell], x)
     a = before[cell] + left[0]
     b = after[cell] - left[1]

@@ -20,7 +20,11 @@ running sum over all terms at once, on pieces short enough for a fixed
 Gauss rule (the 1D Poisson primitive's cumulative sums, cf. Greengard &
 Rokhlin, CPAM 44, 1991).  Pairings of the truncated operator reduce to
 sums of 1D integrals, keeping the whole pipeline consistent with the same
-truncated kernel the reconstruction uses.
+truncated kernel the reconstruction uses.  The pairing and the convolution
+need the residual only through its sine moments, so they share one
+tabulation on the convolution's pieces (`_green_tables`): each piece lies
+in one element, where the basis is a polynomial, and carries at least the
+source rule's points.
 
 As in 1D the fine-scale operator annihilates the resolved space (Hughes &
 Sangalli, SIAM J. Numer. Anal. 45, 2007), so the fine scales depend on the
@@ -43,7 +47,8 @@ from .quadrature import composite_rule, gauss_legendre_rule, sorted_unique
 _OSC_MARGIN = 12
 # Convolution pieces: e^{-k t} of the steepest term changes by at most
 # e^_PIECE_DECAY across one, which _PIECE_POINTS Gauss points integrate to
-# rounding; the residual is tabulated _BLOCK_POINTS rule points at a time.
+# rounding (a piece carries the source rule's points if those are more);
+# the residual is tabulated _BLOCK_POINTS rule points at a time.
 _PIECE_DECAY = 20.0
 _PIECE_POINTS = 20
 _BLOCK_POINTS = 256
@@ -207,7 +212,7 @@ class SeriesOperator2D:
 
     duals: DualFunctionals2D
     num_terms: int
-    quad_points: int
+    quad_points: int              # floor on the Gauss points per convolution piece
     sine_weighted: np.ndarray     # (terms, n_osc): sin(n pi s) * w at the sine rule
     osc_nodes: np.ndarray
     sine_moments: np.ndarray      # (terms, m): int sin(n pi s) psi_a(s) ds
@@ -249,25 +254,6 @@ def lifted_duals_grid(op: SeriesOperator2D, x, y) -> np.ndarray:
     return _tensor_duals(op.duals, lift_x, _psi_tab(op.duals, y))
 
 
-def _green_pairing(op: SeriesOperator2D, residual: Callable) -> np.ndarray:
-    """Pairing [a, b] of the truncated-kernel image of a residual with psi_a (x) psi_b.
-
-    Moving the Laplacian onto the kernel collapses the profile direction,
-    leaving per-term 1D integrals of the residual's sine moments against
-    the basis profiles.
-    """
-    y_nodes, y_weights = mesh_quadrature(op.duals.family, op.quad_points)
-    r_grid = np.asarray(residual(op.osc_nodes[:, None], y_nodes[None, :]), dtype=float)
-    d_table = op.sine_weighted @ r_grid                        # (terms, ny)
-    contracted = d_table @ (y_weights[:, None] * _psi_tab(op.duals, y_nodes))  # (terms, m)
-    return 2.0 * op.sine_moments.T @ contracted
-
-
-def apply_duals_to_green_2d(op: SeriesOperator2D, residual: Callable) -> np.ndarray:
-    """Pair every functional with the truncated-kernel image of a residual."""
-    return _stiffness_solve(op.duals, _green_pairing(op, residual)).ravel()
-
-
 def _piece_ends(cuts: np.ndarray, splits: np.ndarray) -> np.ndarray:
     """Every cut interval [a, b] split into its n equal pieces: the ends
     np.linspace(a, b, n + 1) gives, bit for bit, joined in order."""
@@ -280,9 +266,17 @@ def _piece_ends(cuts: np.ndarray, splits: np.ndarray) -> np.ndarray:
     return np.concatenate((cuts[:1], ends))
 
 
-def _green_profiles(op: SeriesOperator2D, residual: Callable, y) -> np.ndarray:
-    """Profile (terms, len(y)) of each term of `green_apply_2d`, (2 / k) times
-    its profile integral, so that the image is sines(x)^T @ profiles."""
+def _green_tables(op: SeriesOperator2D, residual: Callable, y) -> tuple[np.ndarray, np.ndarray]:
+    """Both uses of a residual's sine moments D_n(t), from one tabulation.
+
+    Returns the profiles (terms, len(y)) of the terms of `green_apply_2d`,
+    (2 / k) times each profile integral, so that the image is
+    sines(x)^T @ profiles, and the pairing [a, b] of that image with
+    psi_a (x) psi_b.  Moving the Laplacian onto the kernel collapses the
+    profile direction of the pairing to 2 S^T int D_n psi_b: every piece
+    lies in one element, where psi_b is a polynomial, so the pieces'
+    rule serves both integrals.
+    """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     _check_unit_domain(y)
     y = np.clip(y, 0.0, 1.0)
@@ -290,21 +284,24 @@ def _green_profiles(op: SeriesOperator2D, residual: Callable, y) -> np.ndarray:
     cuts = sorted_unique(np.concatenate((op.duals.family.mesh.boundaries, y)))
     ends = _piece_ends(cuts, np.ceil(k[-1] * np.diff(cuts) / _PIECE_DECAY).astype(int))
     pieces = ends.size - 1
-    rule = gauss_legendre_rule(_PIECE_POINTS)
+    points = max(_PIECE_POINTS, op.quad_points)
+    rule = gauss_legendre_rule(points)
     # left[:, j] and right[:, j]: the two damped sums at ends[j], first per piece
     left = np.zeros((k.size, ends.size))
     right = np.zeros_like(left)
-    block = _BLOCK_POINTS // _PIECE_POINTS
+    psi_moments = np.zeros((k.size, op.duals.interior_size))  # int D_n psi_b
+    block = max(1, _BLOCK_POINTS // points)
     for start in range(0, pieces, block):
         stop = min(start + block, pieces)
         t, w = composite_rule(rule, ends[start:stop + 1])
         r_grid = np.asarray(residual(op.osc_nodes[:, None], t[None, :]), dtype=float)
         d_table = (op.sine_weighted @ r_grid) * w[None, :]     # (terms, pts)
-        lo = np.repeat(ends[start:stop], _PIECE_POINTS)
-        hi = np.repeat(ends[start + 1:stop + 1], _PIECE_POINTS)
+        psi_moments += d_table @ _psi_tab(op.duals, t)
+        lo = np.repeat(ends[start:stop], points)
+        hi = np.repeat(ends[start + 1:stop + 1], points)
         to_hi = np.exp(-np.outer(k, hi - t)) * -np.expm1(-np.outer(k, 2.0 * t))
         to_lo = np.exp(-np.outer(k, t - lo)) * -np.expm1(-np.outer(k, 2.0 * (1.0 - t)))
-        shape = (k.size, stop - start, _PIECE_POINTS)
+        shape = (k.size, stop - start, points)
         left[:, start + 1:stop + 1] = (d_table * to_hi).reshape(shape).sum(axis=2)
         right[:, start:stop] = (d_table * to_lo).reshape(shape).sum(axis=2)
     decay = np.exp(-np.outer(k, np.diff(ends)))
@@ -315,7 +312,12 @@ def _green_profiles(op: SeriesOperator2D, residual: Callable, y) -> np.ndarray:
     profile = (-np.expm1(-np.outer(k, 2.0 * (1.0 - y))) * left[:, at]
                - np.expm1(-np.outer(k, 2.0 * y)) * right[:, at]) \
         / (-2.0 * np.expm1(-2.0 * k))[:, None]
-    return profile * (2.0 / k)[:, None]
+    return profile * (2.0 / k)[:, None], 2.0 * op.sine_moments.T @ psi_moments
+
+
+def apply_duals_to_green_2d(op: SeriesOperator2D, residual: Callable) -> np.ndarray:
+    """Pair every functional with the truncated-kernel image of a residual."""
+    return _stiffness_solve(op.duals, _green_tables(op, residual, ())[1]).ravel()
 
 
 def green_apply_2d(op: SeriesOperator2D, residual: Callable, x, y) -> np.ndarray:
@@ -330,20 +332,23 @@ def green_apply_2d(op: SeriesOperator2D, residual: Callable, x, y) -> np.ndarray
     damped running sum over pieces of [0, 1] cut at the mesh lines and at
     every output ordinate, each step scaled by e^{-k width}: no exponent is
     positive at any term count.  A piece spans at most _PIECE_DECAY / k_max,
-    which its fixed Gauss rule integrates to rounding.
+    which its Gauss rule of max(_PIECE_POINTS, quad_points) points
+    integrates to rounding.
     """
-    return _sine_table(op.num_terms, x).T @ _green_profiles(op, residual, y)
+    return _sine_table(op.num_terms, x).T @ _green_tables(op, residual, y)[0]
 
 
 def reconstruct_fine_scales_2d(op: SeriesOperator2D, residual: Callable,
                                x, y) -> np.ndarray:
     """Fine scales of the 2D diffusion problem on the meshgrid (x, y).
 
-    In the psi_a (x) psi_b basis the lifted data is (2 sines^T S) data psi(y)^T,
-    so the convolution image and the lift share one sine table in x.
+    The residual is tabulated once, for the convolution and the pairing
+    alike.  In the psi_a (x) psi_b basis the lifted data is
+    (2 sines^T S) data psi(y)^T, so the convolution image and the lift
+    share one sine table in x.
     """
-    data = op.solve_gram(_green_pairing(op, residual))
-    profiles = _green_profiles(op, residual, y)
+    profiles, pairing = _green_tables(op, residual, y)
+    data = op.solve_gram(pairing)
     lift = 2.0 * op.sine_moments @ data @ _psi_tab(op.duals, y).T
     return _sine_table(op.num_terms, x).T @ (profiles - lift)
 

@@ -79,8 +79,10 @@ def legendre_eval(p: int, x):
     return val, der
 
 
+@functools.cache
 def gll_nodes(p: int) -> np.ndarray:
-    """Gauss-Legendre-Lobatto nodes of degree p: the p+1 roots of (1-x^2) L_p'(x).
+    """Gauss-Legendre-Lobatto nodes of degree p: the p+1 roots of (1-x^2) L_p'(x),
+    one shared read-only array per p.
 
     Interior roots are found by Newton iteration on L_p' seeded with
     Chebyshev-Gauss-Lobatto points; the iterate is symmetrised so the node
@@ -88,22 +90,23 @@ def gll_nodes(p: int) -> np.ndarray:
     """
     if p < 1:
         raise ValueError(f"GLL degree must be >= 1, got {p}")
-    if p == 1:
-        return np.array([-1.0, 1.0])
-    # Chebyshev-Gauss-Lobatto initial guesses for the interior roots.
-    xi = np.cos(np.pi * np.arange(p - 1, 0, -1) / p)
-    for _ in range(_NEWTON_MAX_ITER):
-        lp, dlp = legendre_eval(p, xi)
-        # L_p'' from the Legendre ODE; xi stays strictly inside (-1, 1).
-        d2lp = (2.0 * xi * dlp - p * (p + 1) * lp) / (1.0 - xi * xi)
-        step = dlp / d2lp
-        xi = xi - step
-        if np.max(np.abs(step)) < _NEWTON_TOL:
-            break
-    else:
-        raise RuntimeError(f"GLL node iteration did not converge for p={p}")
-    xi = 0.5 * (xi - xi[::-1])
-    return np.concatenate(([-1.0], xi, [1.0]))
+    xi = np.empty(0)
+    if p > 1:
+        # Chebyshev-Gauss-Lobatto initial guesses for the interior roots.
+        xi = np.cos(np.pi * np.arange(p - 1, 0, -1) / p)
+        for _ in range(_NEWTON_MAX_ITER):
+            lp, dlp = legendre_eval(p, xi)
+            # L_p'' from the Legendre ODE; xi stays strictly inside (-1, 1).
+            d2lp = (2.0 * xi * dlp - p * (p + 1) * lp) / (1.0 - xi * xi)
+            step = dlp / d2lp
+            xi = xi - step
+            if np.max(np.abs(step)) < _NEWTON_TOL:
+                break
+        else:
+            raise RuntimeError(f"GLL node iteration did not converge for p={p}")
+    nodes = np.concatenate(([-1.0], 0.5 * (xi - xi[::-1]), [1.0]))
+    nodes.setflags(write=False)
+    return nodes
 
 
 def gll_weights(p: int, nodes: np.ndarray | None = None) -> np.ndarray:

@@ -5,7 +5,10 @@ The interior 2D stiffness by direct tensor quadrature
 (`tabulate_functionals_2d`) and the derivative-pairing projection of a
 field known only by its values (`h10_project_values_2d`).  The library
 itself never forms the m^2 x m^2 stiffness or a functional table: it works
-in the fast-diagonalized eigenbasis.
+in the fast-diagonalized eigenbasis.  The series pairing on the 1D
+source rule (`source_rule_pairing`) and the reconstruction from a given
+pairing (`reconstruct_with_pairing`) check the library's pairing, which
+reads the residual's one tabulation on the convolution's pieces.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from typing import Callable
 import numpy as np
 
 from fsgreens.basis1d import BasisFamily, tabulate_nodal
-from fsgreens.poisson2d import DualFunctionals2D, _psi_tab, _stiffness_solve, _tensor_duals
+from fsgreens.poisson2d import (DualFunctionals2D, SeriesOperator2D, _psi_tab, _sine_table,
+                                _stiffness_solve, _tensor_duals, green_apply_2d)
 from fsgreens.projection import mesh_quadrature
 from fsgreens.quadrature import composite_rule, gauss_legendre_rule
 
@@ -64,3 +68,25 @@ def h10_project_values_2d(d2: DualFunctionals2D, u: Callable,
         u_line = np.asarray(u(x, np.array([xc])), dtype=float)[:, 0]
         load -= np.outer(tab.T @ (w * u_line), jumps[c])
     return _stiffness_solve(d2, load).ravel()
+
+
+def source_rule_pairing(op: SeriesOperator2D, residual: Callable,
+                        breakpoints=()) -> np.ndarray:
+    """The pairing [a, b] of the truncated-kernel image of a residual with
+    psi_a (x) psi_b, its profile direction on the 1D source rule (cut at
+    extra breakpoints) rather than on the convolution's pieces: the
+    per-term integrals 2 S^T int D_n psi_b of the residual's sine moments
+    against the basis profiles."""
+    y_nodes, y_weights = mesh_quadrature(op.duals.family, op.quad_points, breakpoints)
+    r_grid = np.asarray(residual(op.osc_nodes[:, None], y_nodes[None, :]), dtype=float)
+    d_table = op.sine_weighted @ r_grid                        # (terms, ny)
+    contracted = d_table @ (y_weights[:, None] * _psi_tab(op.duals, y_nodes))  # (terms, m)
+    return 2.0 * op.sine_moments.T @ contracted
+
+
+def reconstruct_with_pairing(op: SeriesOperator2D, residual: Callable, x, y,
+                             pairing: np.ndarray) -> np.ndarray:
+    """`reconstruct_fine_scales_2d` with the given pairing in place of the
+    library's own: the convolution image less the lift of its Gram solve."""
+    lift = 2.0 * op.sine_moments @ op.solve_gram(pairing) @ _psi_tab(op.duals, y).T
+    return green_apply_2d(op, residual, x, y) - _sine_table(op.num_terms, x).T @ lift

@@ -426,6 +426,66 @@ def test_write_table_matches_per_row_formatter_on_any_doubles(tmp_path_factory, 
     assert path.read_bytes() == _per_row_csv(columns, rows).encode()
 
 
+def _json_reference(columns, rows, meta) -> str:
+    # the writer's earlier form: the pure-Python encoder over nested lists
+    from fsgreens import __version__
+
+    payload = {"meta": dict(meta, version=__version__), "columns": list(columns),
+               "rows": np.asarray(rows, dtype=float).tolist()}
+    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("rows", [
+    np.empty((0, 3)),
+    [],
+    np.empty((2, 0)),
+    [[0.5], [-2.0], [1e300]],
+    np.array([[0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -1e-300]]),
+    _random_table(6, 40, 5),
+], ids=["zero-rows", "empty-list", "zero-columns", "one-column", "signed-zeros-nan-inf", "40x5"])
+def test_write_table_json_matches_the_json_encoder(tmp_path, rows):
+    from fsgreens.cli import write_table
+
+    columns = [f"c{i}" for i in range(np.shape(rows)[1] if np.ndim(rows) == 2 else 3)]
+    meta = {"k": 1, "nested": {"b": [1, 2.5], "a": None}, "s": "x,y"}
+    write_table(str(tmp_path / "t.json"), columns, rows, meta, "json")
+    assert (tmp_path / "t.json").read_bytes() == _json_reference(columns, rows, meta).encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=_tables_of_doubles())
+def test_write_table_json_matches_the_json_encoder_on_any_doubles(tmp_path_factory, rows):
+    from fsgreens.cli import write_table
+
+    columns = [f"c{i}" for i in range(rows.shape[1])]
+    path = tmp_path_factory.mktemp("json") / "t.json"
+    write_table(str(path), columns, rows, {}, "json")
+    assert path.read_bytes() == _json_reference(columns, rows, {}).encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ("gll", "--p", "3"),
+    ("basis", "--kind", "edge"),
+    ("dual", "--kind", "nodal"),
+    ("project", "--projection", "l2"),
+    ("greens", "--kernel", "advdiff"),
+    ("finescale", "--projection", "h10"),
+    ("reconstruct", "--projection", "l2"),
+    ("vms-iter", "--nu", "0.05"),
+    ("poisson2d", "--p", "2", "--elements", "2"),
+], ids=lambda argv: argv[0])
+def test_cli_json_is_the_json_encoders_bytes(tmp_path, argv):
+    # every JSON table re-encodes to itself: the floats round-trip through
+    # json.load, so this is json.dumps of the same payload
+    out = tmp_path / "out.json"
+    assert _run(tmp_path, *argv, "--format", "json", "--out", str(out)) == 0
+    written = sorted(tmp_path.glob("*.json"))
+    assert out in written
+    for path in written:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
+
+
 def test_write_table_rejects_rows_that_do_not_fill_the_columns(tmp_path):
     from fsgreens.cli import write_table
 

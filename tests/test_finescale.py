@@ -173,6 +173,23 @@ def test_green_apply_takes_no_coarse_field():
         green_apply(SourceTerm(CASE.source, coarse=u_bar), np.linspace(0.0, 1.0, 5), 20)
 
 
+def test_poisson_primitive_puts_a_point_on_a_cut_in_the_left_cell():
+    # as basis1d._locate places it: the point's partial cell is the whole
+    # cell left of it, not a zero-width piece of the cell to its right
+    x = np.array([0.0, 0.25, 0.5, 0.7, 1.0])
+    calls = []
+
+    def density(s):
+        calls.append(s.reshape(x.size, -1))
+        return np.ones_like(s)
+
+    got = _poisson_apply(density, x, [0.25, 0.5], 20)[:, 0]
+    widths = np.ptp(calls[-1], axis=1)
+    assert np.all(widths[1:] > 0.0) and widths[0] == 0.0
+    assert np.all(calls[-1][1:3] < x[1:3, None])
+    assert np.max(np.abs(got - 0.5 * x * (1.0 - x))) < 1e-16
+
+
 # ---------------------------------------------------------------------------
 # Gram matrix
 

@@ -19,10 +19,16 @@ from fsgreens.poisson2d import (
     reconstruct_fine_scales_2d,
     residual_2d,
 )
-from fsgreens.projection import assemble_stiffness
+from fsgreens.projection import assemble_stiffness, mesh_quadrature
 from fsgreens.quadrature import composite_rule, default_quad_points, gauss_legendre_rule
 
-from oracle_2d import h10_project_values_2d, stiffness_2d_direct, tabulate_functionals_2d
+from oracle_2d import (
+    h10_project_values_2d,
+    reconstruct_with_pairing,
+    source_rule_pairing,
+    stiffness_2d_direct,
+    tabulate_functionals_2d,
+)
 
 CASE = sin2pixy_case()
 
@@ -474,3 +480,73 @@ def test_convolution_ordinates_in_any_order(duals_p3, operator_p3):
 def test_convolution_rejects_ordinates_outside_unit_interval(operator_p3, y):
     with pytest.raises(ValueError):
         green_apply_2d(operator_p3, CASE.source, np.linspace(0.0, 1.0, 5), [0.5, y])
+
+
+def _counted(source, calls):
+    # the source, recording the (x, y) of every call
+    def counted(x, y):
+        calls.append((np.ravel(x), np.ravel(y)))
+        return source(x, y)
+    return counted
+
+
+@pytest.mark.parametrize("n,p,points,evaluations", [(8, 4, 20, 236_800), (12, 4, 20, 334_080),
+                                                    (2, 14, 22, 197_120)])
+def test_reconstruction_tabulates_the_residual_once(n, p, points, evaluations):
+    # one tabulation on the convolution's pieces serves the pairing too: a
+    # second one on the source rule took 284,160 and 417,600 evaluations
+    # at N = 8 and 12; above p = 12 the default source rule's p + 8 points
+    # set the points per piece
+    op = build_series_operator_2d(build_dual_functionals_2d(_mesh(n, p)), num_terms=100)
+    grid = np.linspace(0.0, 1.0, 41)
+    cuts = np.unique(np.concatenate((op.duals.family.mesh.boundaries, grid)))
+    pieces = np.sum(np.ceil(100 * np.pi * np.diff(cuts) / poisson2d._PIECE_DECAY).astype(int))
+    calls = []
+    reconstruct_fine_scales_2d(op, _counted(CASE.source, calls), grid, grid)
+    assert all(np.array_equal(x, op.osc_nodes) for x, _ in calls)
+    assert sum(x.size * y.size for x, y in calls) == op.osc_nodes.size * pieces * points \
+        == evaluations
+    source_rule = mesh_quadrature(op.duals.family, op.quad_points)[0]
+    assert not np.isin(np.concatenate([y for _, y in calls]), source_rule).any()
+
+
+def _one(x, y):
+    return np.ones(np.broadcast(x, y).shape)
+
+
+@pytest.mark.parametrize("source", [CASE.source, _exp_source, _one], ids=["sin2pixy", "exp", "one"])
+@pytest.mark.parametrize("n,p", [(4, 3), (8, 4), (2, 14)])
+def test_one_pass_pairing_matches_the_source_rule_pairing(n, p, source):
+    # the fine scales are the difference of two terms of the convolution
+    # image's size, which at N = 8 is 1.6e5 times theirs for sin2pixy, so
+    # the two pairings are compared on the image's scale; they differ by
+    # at most 3e-15 of it
+    op = build_series_operator_2d(build_dual_functionals_2d(_mesh(n, p)), num_terms=100)
+    grid = np.linspace(0.0, 1.0, 41)
+    got = reconstruct_fine_scales_2d(op, source, grid, grid)
+    want = reconstruct_with_pairing(op, source, grid, grid, source_rule_pairing(op, source))
+    scale = np.max(np.abs(green_apply_2d(op, source, grid, grid)))
+    assert np.max(np.abs(got - want)) < 1e-13 * scale
+    assert np.max(np.abs(apply_duals_to_green_2d(op, source)
+                         - poisson2d._stiffness_solve(op.duals, source_rule_pairing(op, source))
+                         .ravel())) < 1e-13 * scale
+
+
+def _kink_source(x, y):
+    return np.abs(y - 0.37) + np.exp(x) * np.sin(3.0 * y)
+
+
+@pytest.mark.parametrize("n,p,bound", [(4, 3, 1.66e-8), (8, 4, 1.81e-8), (2, 12, 1.77e-8),
+                                       (2, 14, 2.24e-8)])
+def test_pairing_of_a_source_with_an_undeclared_kink(n, p, bound):
+    # against a pairing whose source rule is cut at the kink, the pieces'
+    # finer rule errs less than the uncut source rule (1.6e-7 to 1.3e-5
+    # here).  The bounds are the one-pass errors plus 2%
+    op = build_series_operator_2d(build_dual_functionals_2d(_mesh(n, p)), num_terms=100)
+    grid = np.linspace(0.0, 1.0, 41)
+    want = reconstruct_with_pairing(op, _kink_source, grid, grid,
+                                    source_rule_pairing(op, _kink_source, [0.37]))
+    uncut = reconstruct_with_pairing(op, _kink_source, grid, grid,
+                                     source_rule_pairing(op, _kink_source))
+    err = np.max(np.abs(reconstruct_fine_scales_2d(op, _kink_source, grid, grid) - want))
+    assert err <= min(1.02 * bound, np.max(np.abs(uncut - want)))

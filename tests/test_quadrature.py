@@ -53,6 +53,17 @@ def test_gll_nodes_are_roots(p):
     assert np.max(np.abs((1.0 - nodes[1:-1] ** 2) * der)) < 1e-12
 
 
+def test_gll_nodes_are_computed_once_and_read_only():
+    from fsgreens.basis1d import Mesh1D, basis_family
+
+    nodes = gll_nodes(5)
+    assert gll_nodes(5) is nodes
+    assert basis_family(Mesh1D.uniform(0.0, 1.0, 3, 5)).ref_nodes is nodes
+    with pytest.raises(ValueError, match="read-only"):
+        nodes[1] = 0.0
+    assert not gll_nodes(1).flags.writeable
+
+
 def test_gll_high_degree_converges():
     nodes = gll_nodes(64)
     _, der = legendre_eval(64, nodes[1:-1])
