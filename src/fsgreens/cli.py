@@ -38,7 +38,8 @@ from .finescale import (
     reconstruct_fine_scales,
     residual_from_field,
 )
-from .kernels import GreensKernel1D, advdiff_green, poisson2d_green, poisson_green
+from .kernels import (DEFAULT_SERIES_TERMS, GreensKernel1D, advdiff_green, poisson2d_green,
+                      poisson_green)
 from .poisson2d import (
     Mesh2D,
     build_dual_functionals_2d,
@@ -54,9 +55,9 @@ from .projection import (
     h10_project_from_source,
     project,
 )
-from .quadrature import default_quad_points, gll_rule
-from .vms_advdiff import (AdvDiffProblem, galerkin_solve, iterate, make_workspace,
-                          reconstruct_with_exact_gradient, sweep_spectral_radius)
+from .quadrature import DEFAULT_QUAD_POINTS, default_quad_points, gll_rule
+from .vms_advdiff import (DEFAULT_FINE_GRID, DEFAULT_MAX_ITER, DEFAULT_TOLERANCE, AdvDiffProblem,
+                          galerkin_solve, iterate, reconstruct_with_exact_gradient)
 
 
 def _write_atomic(path: str, pieces):
@@ -252,13 +253,14 @@ def _build(args) -> DualFunctionals:
     return build_dual_functionals(basis_family(mesh), _flavor(args.projection))
 
 
-# commands that integrate no source: --quad-points changes nothing they
-# write, so it stays out of their metadata too
-_SOURCE_FREE = ("dual", "finescale")
+# the commands that integrate a source: --quad-points changes nothing the
+# others write, so it stays out of their metadata too
+_SOURCE_COMMANDS = frozenset({"project", "reconstruct", "vms-iter", "poisson2d"})
 
 
 def _meta(args, **extra) -> dict:
-    skip = ("func", "format", "out") + (("quad_points",) if args.command in _SOURCE_FREE else ())
+    skip = ("func", "format", "out") + (() if args.command in _SOURCE_COMMANDS
+                                        else ("quad_points",))
     meta = {k: v for k, v in vars(args).items() if k not in skip}
     meta.update(extra)
     return meta
@@ -368,9 +370,8 @@ def cmd_vms_iter(args):
     family = basis_family(mesh)
     fns = build_dual_functionals(family, ProjectionFlavor.H10)
     op = build_fine_scale_operator(GreensKernel1D.poisson(), fns, args.quad_points)
-    ws = make_workspace(problem, fns, op)
     state = iterate(problem, fns, op, relaxation=args.w, tolerance=args.eps,
-                    max_iter=args.max_iter, fine_grid_points=args.fine_grid, workspace=ws)
+                    max_iter=args.max_iter, fine_grid_points=args.fine_grid)
     galerkin = galerkin_solve(problem, family, args.quad_points, breakpoints=layer)
     grid = state.u_prime_grid
     rows = np.column_stack([
@@ -384,8 +385,7 @@ def cmd_vms_iter(args):
                 rows, _meta(args, converged=state.converged, iterations=state.iteration,
                             final_step=state.residual_history[-1],
                             gram_cond_log10=float(np.log10(op.gram_cond)),
-                            sweep_spectral_radius=sweep_spectral_radius(
-                                problem, fns, op, args.w, workspace=ws)),
+                            sweep_spectral_radius=state.sweep_spectral_radius),
                 args.format)
     steps = state.residual_history
     history = np.column_stack([np.arange(1, len(steps) + 1), steps])
@@ -415,39 +415,26 @@ def cmd_poisson2d(args):
                 rows, _meta(args), args.format)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+def _checked(name: str, convert, valid, expected: str):
+    """An argparse type named `name`: `convert(text)`, or ArgumentTypeError
+    unless `valid` holds for the value.  argparse names the type by its
+    __name__ when `convert` raises ValueError on a non-number."""
+    def parse(text: str):
+        value = convert(text)
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text}")
+        return value
+    parse.__name__ = name
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (np.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text}")
-    return value
-
-
-def _unit_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text}")
-    return value
-
-
-def _nonzero_float(text: str) -> float:
-    value = float(text)
-    if not (np.isfinite(value) and value != 0.0):
-        raise argparse.ArgumentTypeError(f"expected a finite nonzero number, got {text}")
-    return value
-
-
-def _relaxation(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"expected a number in (0, 1], got {text}")
-    return value
+_positive_int = _checked("_positive_int", int, lambda v: v > 0, "a positive integer")
+_positive_float = _checked("_positive_float", float, lambda v: np.isfinite(v) and v > 0.0,
+                           "a finite positive number")
+_unit_float = _checked("_unit_float", float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+_nonzero_float = _checked("_nonzero_float", float, lambda v: np.isfinite(v) and v != 0.0,
+                          "a finite nonzero number")
+_relaxation = _checked("_relaxation", float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
 
 
 def _add_common(sub, grid_default=401):
@@ -457,7 +444,8 @@ def _add_common(sub, grid_default=401):
                      help="output sample count")
     sub.add_argument("--quad-points", type=_positive_int, default=None,
                      help="quadrature points per subinterval of source integrals, "
-                          "at least p (default max(20, p + 8), or FSG_QUAD_POINTS)")
+                          f"at least p (default max({DEFAULT_QUAD_POINTS}, p + 8), "
+                          "or FSG_QUAD_POINTS)")
 
 
 def _add_mesh(sub, p_default=2, n_default=2):
@@ -508,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--nu", type=_positive_float, default=0.01)
     sub.add_argument("--s1", type=_unit_float, default=0.5)
     sub.add_argument("--s2", type=_unit_float, default=0.5)
-    sub.add_argument("--terms", type=_positive_int, default=100)
+    sub.add_argument("--terms", type=_positive_int, default=DEFAULT_SERIES_TERMS)
     _add_common(sub, grid_default=101)
     sub.set_defaults(func=cmd_greens)
 
@@ -533,10 +521,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--nu", type=_positive_float, default=0.01)
     sub.add_argument("--w", type=_relaxation, default=None,
                      help="relaxation factor (default: min(1, nu/|c|))")
-    sub.add_argument("--eps", type=_positive_float, default=1e-8,
+    sub.add_argument("--eps", type=_positive_float, default=DEFAULT_TOLERANCE,
                      help="stop when the L2 norm of the unrelaxed coarse step drops below this")
-    sub.add_argument("--max-iter", type=_positive_int, default=100_000)
-    sub.add_argument("--fine-grid", type=_positive_int, default=2001,
+    sub.add_argument("--max-iter", type=_positive_int, default=DEFAULT_MAX_ITER)
+    sub.add_argument("--fine-grid", type=_positive_int, default=DEFAULT_FINE_GRID,
                      help="points of the output grid the fine scales are written on")
     sub.add_argument("--history-out", default=None)
     _add_common(sub)
@@ -544,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("poisson2d", help="2D projection and fine-scale reconstruction")
     _add_mesh(sub, p_default=1, n_default=2)
-    sub.add_argument("--terms", type=_positive_int, default=100)
+    sub.add_argument("--terms", type=_positive_int, default=DEFAULT_SERIES_TERMS)
     _add_common(sub, grid_default=41)
     sub.set_defaults(func=cmd_poisson2d)
     return parser

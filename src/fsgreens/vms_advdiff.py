@@ -137,7 +137,8 @@ class IterationState:
     The fine scales are fine_values, their values at the q Gauss nodes of
     each cell between consecutive `cells`, read through each cell's
     Lagrange interpolant; u_prime is that interpolant on u_prime_grid and
-    `fine_scales` evaluates it anywhere.
+    `fine_scales` evaluates it anywhere.  relaxed_map is the relaxed sweep
+    (1 - w) I + w [M | b] of z = (u_bar, v, 1) that the run iterated.
     """
 
     u_bar: Field
@@ -148,10 +149,17 @@ class IterationState:
     converged: bool
     cells: np.ndarray
     fine_values: np.ndarray
+    relaxed_map: np.ndarray
 
     def fine_scales(self, x, deriv: int = 0) -> np.ndarray:
         """The fine scales (deriv=0) or their cell-wise derivative at x."""
         return _cell_interpolant(self.cells, self.fine_values, x, deriv)
+
+    @functools.cached_property
+    def sweep_spectral_radius(self) -> float:
+        """Largest |eigenvalue| of the linear part of relaxed_map: below 1
+        the relaxed iteration converges from any start, above 1 it diverges."""
+        return float(np.max(np.abs(np.linalg.eigvals(self.relaxed_map[:, :-1]))))
 
 
 @dataclass(frozen=True)
@@ -184,13 +192,17 @@ class _Workspace:
     second derivative, is left out: the fine-scale operator maps it to
     (I - Pi) of the coarse field itself, which is zero, since the H10
     projection Pi reproduces the coarse space.
+
+    `step_rows` give the unrelaxed coarse step from z, multiplied by L^T,
+    L the Cholesky factor of the interior nodal mass matrix, so that the
+    step's L2 norm is the Euclidean norm of their product with z.
     """
 
     nodes: np.ndarray
     cells: np.ndarray              # the cell boundaries: mesh joints and layer breakpoints
-    mass: np.ndarray               # interior block of the nodal mass matrix, for the step norm
     green_deriv: np.ndarray        # G(I[v]') at the nodes from v
     sweep: np.ndarray              # [M | b]: z = (u_bar, v, 1) to the unrelaxed (u_bar, v)
+    step_rows: np.ndarray          # L^T ([M | b]'s coarse rows - [I 0]), for the step norm
 
 
 def fine_grid(mesh, total_points: int = DEFAULT_FINE_GRID) -> np.ndarray:
@@ -249,8 +261,6 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals,
     # (p // 2 + 1)-point rule is exact
     green_psi_deriv = _poisson_apply(lambda s: tabulate_nodal(family, s, deriv=1)[:, 1:-1],
                                      x, mesh.boundaries, family.degree // 2 + 1)
-    mass = assemble_mass(family, SpaceKind.NODAL).entries[1:-1, 1:-1]
-
     num_cells = cells.size - 1
     cell = np.repeat(np.arange(num_cells), q)
     partial = np.where(cell[:, None] > cell, w, 0.0)
@@ -267,66 +277,52 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals,
          (green_source / problem.diffusion - psi_tab @ coarse_rhs)[:, None]]])
     if not np.all(np.isfinite(sweep)):
         raise ValueError("the sweep map overflows; c/nu is too large")
-    return _Workspace(x, cells, mass, green_deriv, sweep)
-
-
-def _relaxation(problem: AdvDiffProblem, relaxation: float | None) -> float:
-    """The relaxation factor: the given one, or by default
-    min(1, nu/|c|) = min(1, 1/(2 |Pe|)), which is 1 without advection."""
-    if relaxation is None:
-        relaxation = min(1.0, problem.diffusion / abs(problem.advection)) \
-            if problem.advection != 0.0 else 1.0
-    if not 0.0 < relaxation <= 1.0:
-        raise ValueError("relaxation factor must lie in (0, 1]")
-    return relaxation
-
-
-def _relaxed_map(ws: _Workspace, relaxation: float) -> np.ndarray:
-    """The relaxed sweep (1 - w) I + w [M | b] of z = (u_bar, v, 1), the
-    identity beside the constant column."""
-    relaxed = relaxation * ws.sweep
-    relaxed[:, :-1][np.diag_indices(relaxed.shape[0])] += 1.0 - relaxation
-    return relaxed
+    mass = assemble_mass(family, SpaceKind.NODAL).entries[1:-1, 1:-1]
+    step_rows = np.linalg.cholesky(mass).T @ (sweep[:fns.size] - np.eye(fns.size, sweep.shape[1]))
+    return _Workspace(x, cells, green_deriv, sweep, step_rows)
 
 
 def iterate(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator,
             relaxation: float | None = None,
             tolerance: float = DEFAULT_TOLERANCE,
             max_iter: int = DEFAULT_MAX_ITER,
-            fine_grid_points: int = DEFAULT_FINE_GRID,
-            workspace: _Workspace | None = None) -> IterationState:
+            fine_grid_points: int = DEFAULT_FINE_GRID) -> IterationState:
     """Under-relaxed coupled iteration from zero initial coarse and fine scales.
 
     Each sweep solves the coarse-scale equation for the coarse coefficients
     given the current fine scales, applies the fine-scale map, and moves
-    both scales by the relaxation factor (default min(1, nu/|c|)) towards
-    the new values.  Stops when the L2 norm (through the nodal mass matrix)
-    of the unrelaxed coarse step, new minus old coefficients before
-    relaxation, drops below the tolerance; residual_history records that
-    norm for every sweep.  The relaxed increment would understate the
-    distance to the fixed point by about one over the relaxation factor.
-    Hitting max_iter is reported through the converged flag, not raised; a
-    sweep map that overflows raises ValueError.  The fine scales are
-    returned on `fine_grid(mesh, fine_grid_points)`.  A `workspace` already
-    built by `make_workspace(problem, fns, op)` is used as is.
+    both scales by the relaxation factor w towards the new values; w must
+    lie in (0, 1] and defaults to min(1, nu/|c|) = min(1, 1/(2 |Pe|)),
+    which is 1 without advection.  Stops when the L2 norm (through the
+    nodal mass matrix) of the unrelaxed coarse step, new minus old
+    coefficients before relaxation, drops below the tolerance;
+    residual_history records that norm for every sweep.  The relaxed
+    increment would understate the distance to the fixed point by about
+    one over the relaxation factor.  Hitting max_iter is reported through
+    the converged flag, not raised; a sweep map that overflows raises
+    ValueError.  The fine scales are returned on
+    `fine_grid(mesh, fine_grid_points)`, and the state keeps the relaxed
+    map, whose spectral radius it gives as `sweep_spectral_radius`.
 
     The sweeps run in blocks of up to _BLOCK: each sweep is one product
-    of the relaxed map (1 - w) I + w [M | b] with the previous state, and
-    the block's unrelaxed coarse steps, scaled by the mass matrix's
-    Cholesky factor L (step norm = |L^T step|), come from one product of
-    its states with L^T ([M | b]'s coarse rows - [I 0]).  Their norms are
-    taken in order, so the run stops at the first one below the tolerance
-    with the state after exactly that many sweeps; the sweeps computed
-    past it are dropped.
+    of the relaxed map (1 - w) I + w [M | b], the identity beside the
+    constant column, with the previous state, and the block's scaled
+    unrelaxed coarse steps come from one product of its states with the
+    workspace's `step_rows`.  Their norms are taken in order, so the run
+    stops at the first one below the tolerance with the state after
+    exactly that many sweeps; the sweeps computed past it are dropped.
     """
-    relaxation = _relaxation(problem, relaxation)
+    if relaxation is None:
+        relaxation = min(1.0, problem.diffusion / abs(problem.advection)) \
+            if problem.advection != 0.0 else 1.0
+    if not 0.0 < relaxation <= 1.0:
+        raise ValueError("relaxation factor must lie in (0, 1]")
     if not (np.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError("tolerance must be finite and positive")
-    ws = workspace if workspace is not None else make_workspace(problem, fns, op)
+    ws = make_workspace(problem, fns, op)
     size = fns.size
-    relaxed = _relaxed_map(ws, relaxation)
-    coarse_step = ws.sweep[:size] - np.eye(size, relaxed.shape[1])
-    scaled_step = np.linalg.cholesky(ws.mass).T @ coarse_step
+    relaxed = relaxation * ws.sweep
+    relaxed[:, :-1][np.diag_indices(relaxed.shape[0])] += 1.0 - relaxation
     # rows[j] is the state z = (u_bar, v, 1) after j sweeps of the block
     rows = np.zeros((_BLOCK + 1, relaxed.shape[1]))
     rows[:, -1] = 1.0
@@ -340,7 +336,7 @@ def iterate(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator
         for old, new in sweeps[:block]:
             np.dot(relaxed, old, out=new)
         # hypot scales, so the norm neither underflows nor overflows
-        for done, step in enumerate((rows[:block] @ scaled_step.T).tolist(), 1):
+        for done, step in enumerate((rows[:block] @ ws.step_rows.T).tolist(), 1):
             step_norm = math.hypot(*step)
             history.append(step_norm)
             if step_norm < tolerance:
@@ -354,20 +350,7 @@ def iterate(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator
     fine = rows[done, size:-1].copy()
     return IterationState(interior_field(fns.family, rows[done, :size].copy()), grid,
                           _cell_interpolant(ws.cells, fine, grid), iteration, history,
-                          converged, ws.cells, fine)
-
-
-def sweep_spectral_radius(problem: AdvDiffProblem, fns: DualFunctionals,
-                          op: FineScaleOperator, relaxation: float | None = None,
-                          workspace: _Workspace | None = None) -> float:
-    """Largest |eigenvalue| of (1 - w) I + w M, the linear part of
-    `iterate`'s relaxed sweep of (u_bar, v), M that of the unrelaxed one:
-    below 1 the relaxed iteration converges from any start, above 1 it
-    diverges.  A `workspace` is used as in `iterate`."""
-    relaxation = _relaxation(problem, relaxation)
-    ws = workspace if workspace is not None else make_workspace(problem, fns, op)
-    relaxed = _relaxed_map(ws, relaxation)[:, :-1]
-    return float(np.max(np.abs(np.linalg.eigvals(relaxed))))
+                          converged, ws.cells, fine, relaxed)
 
 
 def reconstruct_with_exact_gradient(op: FineScaleOperator, problem: AdvDiffProblem,

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsgreens.basis1d import Mesh1D, SpaceKind, basis_family
-from fsgreens.cli import main
+from fsgreens.cli import build_parser, main
 from fsgreens.dualspace import DualSet, tabulate_duals
 
 
@@ -243,6 +243,41 @@ def test_usage_errors_exit_two(tmp_path, monkeypatch):
         assert err.value.code == 2
 
 
+@pytest.mark.parametrize("command,flag,good,value,bad,message,parser", [
+    ("gll", "--p", "3", 3, "0", "expected a positive integer, got 0", "_positive_int"),
+    ("vms-iter", "--nu", "0.5", 0.5, "inf", "expected a finite positive number, got inf",
+     "_positive_float"),
+    ("greens", "--s1", "0", 0.0, "nan", "expected a number in [0, 1], got nan", "_unit_float"),
+    ("greens", "--c", "-1", -1.0, "0", "expected a finite nonzero number, got 0",
+     "_nonzero_float"),
+    ("vms-iter", "--w", "1", 1.0, "1e-400", "expected a number in (0, 1], got 1e-400",
+     "_relaxation"),
+])
+def test_checked_number_parsers(capsys, command, flag, good, value, bad, message, parser):
+    # a good value parses to its type; a bad one and a non-number exit 2 with
+    # argparse's line, the non-number's naming the parser
+    got = getattr(build_parser().parse_args([command, flag, good]), flag[2:])
+    assert got == value and type(got) is type(value)
+    for text, want in ((bad, message), ("x", f"invalid {parser} value: 'x'")):
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args([command, flag, text])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] \
+            == f"fsgreens {command}: error: argument {flag}: {want}"
+
+
+def test_parser_defaults_are_the_library_defaults():
+    from fsgreens.kernels import DEFAULT_SERIES_TERMS
+    from fsgreens.vms_advdiff import DEFAULT_FINE_GRID, DEFAULT_MAX_ITER, DEFAULT_TOLERANCE
+
+    parser = build_parser()
+    args = parser.parse_args(["vms-iter"])
+    assert (args.eps, args.max_iter, args.fine_grid) \
+        == (DEFAULT_TOLERANCE, DEFAULT_MAX_ITER, DEFAULT_FINE_GRID)
+    for command in ("greens", "poisson2d"):
+        assert parser.parse_args([command]).terms == DEFAULT_SERIES_TERMS
+
+
 def test_numerical_defect_exits_one(tmp_path):
     # eight points per subinterval fall short of the p = 24 source rule
     status = _run(tmp_path, "reconstruct", "--p", "24", "--elements", "1",
@@ -268,10 +303,14 @@ def test_overflowing_peclet_ratio_exits_one(tmp_path, capsys):
 
 
 def test_source_free_commands_ignore_the_source_rule(tmp_path, monkeypatch):
-    # finescale and dual integrate no source: any rule, even one below p
-    # points, writes the bytes of the default rule
+    # gll, basis, dual, greens and finescale integrate no source: any rule,
+    # even one below p points, writes the bytes of the default rule
     monkeypatch.delenv("FSG_QUAD_POINTS", raising=False)
-    for argv in (("finescale", "--projection", "h10", "--p", "4", "--grid", "9"),
+    for argv in (("gll", "--p", "4"),
+                 ("basis", "--kind", "edge", "--p", "4", "--grid", "21"),
+                 ("greens", "--kernel", "advdiff", "--grid", "9"),
+                 ("greens", "--kernel", "poisson2d", "--grid", "9"),
+                 ("finescale", "--projection", "h10", "--p", "4", "--grid", "9"),
                  ("finescale", "--projection", "l2", "--p", "4", "--grid", "9"),
                  ("dual", "--kind", "nodal", "--p", "4", "--grid", "21"),
                  ("dual", "--kind", "edge", "--p", "4", "--grid", "21")):

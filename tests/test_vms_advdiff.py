@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fsgreens.basis1d import Field, Mesh1D, SpaceKind, basis_family, field_eval
 from fsgreens.cases import advdiff_const_case, boundary_layer_breakpoints, sin2pix_case
+from fsgreens.dualspace import assemble_mass
 from fsgreens.finescale import build_fine_scale_operator, reconstruct_fine_scales
 from fsgreens.kernels import GreensKernel1D
 from fsgreens.projection import (
@@ -29,7 +30,6 @@ from fsgreens.vms_advdiff import (
     iterate,
     make_workspace,
     reconstruct_with_exact_gradient,
-    sweep_spectral_radius,
 )
 from sweep_oracle import coarse_update, fine_update, sweep
 
@@ -243,8 +243,7 @@ def test_workspace_drops_a_layer_breakpoint_next_to_a_mesh_joint():
     np.testing.assert_array_equal(ws.cells, np.append(mesh.boundaries[:-1], [0.94, 1.0]))
     assert np.min(np.diff(ws.cells)) >= nu / (100.0 * c)
     assert ws.nodes.size == (ws.cells.size - 1) * op.quad_points
-    state = iterate(problem, fns, op, relaxation=nu / c, tolerance=1e-300, max_iter=20,
-                    workspace=ws)
+    state = iterate(problem, fns, op, relaxation=nu / c, tolerance=1e-300, max_iter=20)
     _assert_matches_a_relaxed_loop(state, problem, fns, op, nu / c)
 
 
@@ -386,6 +385,7 @@ def _assert_matches_a_relaxed_loop(state, problem, fns, op, relaxation):
     # relaxed iterate reaches only after many sweeps, so the fine bound
     # scales with the largest of those
     ws = make_workspace(problem, fns, op)
+    mass = assemble_mass(fns.family, SpaceKind.NODAL).entries[1:-1, 1:-1]
     interior, fine, history = np.zeros(fns.size), np.zeros(ws.nodes.size), []
     fine_scale = 0.0
     for _ in range(state.iteration):
@@ -394,7 +394,7 @@ def _assert_matches_a_relaxed_loop(state, problem, fns, op, relaxation):
         interior = interior + relaxation * step
         fine = fine + relaxation * (new_fine - fine)
         fine_scale = max(fine_scale, np.max(np.abs(new_fine)))
-        history.append(np.sqrt(step @ ws.mass @ step))
+        history.append(np.sqrt(step @ mass @ step))
     assert len(state.residual_history) == state.iteration
     assert np.max(np.abs(state.fine_values - fine)) <= 1e-13 * fine_scale
     assert np.max(np.abs(np.array(state.residual_history) - history)) <= 1e-14
@@ -463,9 +463,10 @@ def test_iterate_step_norm_does_not_underflow():
     _, fns, op = _h10_setup(3, 2)
     state = iterate(problem, fns, op, relaxation=0.5, max_iter=1)
     ws = make_workspace(problem, fns, op)
+    mass = assemble_mass(fns.family, SpaceKind.NODAL).entries[1:-1, 1:-1]
     step, _ = sweep(ws, np.zeros(fns.size), np.zeros(ws.nodes.size))
     scaled = 1e180 * step
-    want = 1e-180 * np.sqrt(scaled @ ws.mass @ scaled)
+    want = 1e-180 * np.sqrt(scaled @ mass @ scaled)
     assert state.residual_history[0] > 0.0
     assert abs(state.residual_history[0] - want) <= 1e-12 * want
 
@@ -620,22 +621,30 @@ def test_sweep_spectral_radius_tells_whether_the_relaxation_converges(
     # above 1 at alpha = 500, where the relaxed iteration diverges
     problem = AdvDiffProblem(1.0, nu, advdiff_const_case(1.0, nu).source)
     _, fns, op = _h10_setup(num_elements, degree)
-    radius = sweep_spectral_radius(problem, fns, op)
+    radius = iterate(problem, fns, op, max_iter=1).sweep_spectral_radius
     assert (radius < 1.0) is converges
     if not converges:
         assert not iterate(problem, fns, op, max_iter=3000).converged
 
 
-def test_a_built_workspace_gives_the_same_sweeps_and_radius():
-    problem = AdvDiffProblem(1.0, 0.05, advdiff_const_case(1.0, 0.05).source)
+@pytest.mark.parametrize("relaxation", [None, 0.2])
+def test_sweep_spectral_radius_is_that_of_the_map_the_run_iterated(relaxation):
+    # the state keeps (1 - w) I + w [M | b] at the run's w, nu/c = 0.05 by
+    # default: one sweep from zero is its constant column, and the radius
+    # is max |eig| of (1 - w) I + w M, formed here from the unrelaxed map
+    c, nu = 1.0, 0.05
+    problem = AdvDiffProblem(c, nu, advdiff_const_case(c, nu).source)
     _, fns, op = _h10_setup(3, 2)
-    ws = make_workspace(problem, fns, op)
-    state, reused = iterate(problem, fns, op), iterate(problem, fns, op, workspace=ws)
-    assert reused.iteration == state.iteration == 362
-    assert reused.residual_history == state.residual_history
-    np.testing.assert_array_equal(reused.u_prime, state.u_prime)
-    assert sweep_spectral_radius(problem, fns, op, workspace=ws) \
-        == sweep_spectral_radius(problem, fns, op)
+    state = iterate(problem, fns, op, relaxation=relaxation, max_iter=1)
+    w = nu / c if relaxation is None else relaxation
+    linear = make_workspace(problem, fns, op).sweep[:, :-1]
+    want = np.max(np.abs(np.linalg.eigvals((1.0 - w) * np.eye(linear.shape[0]) + w * linear)))
+    assert state.sweep_spectral_radius == pytest.approx(want, rel=1e-14, abs=0.0)
+    np.testing.assert_array_equal(np.concatenate((state.u_bar.coeffs[1:-1], state.fine_values)),
+                                  state.relaxed_map[:, -1])
+    if relaxation is None:
+        # the value the CLI's default --nu 0.05 run reports
+        assert abs(state.sweep_spectral_radius - 0.9554922827201037) <= 1e-12
 
 
 def test_an_exactly_singular_coarse_matrix_raises():
