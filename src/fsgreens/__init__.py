@@ -19,7 +19,6 @@ from .finescale import (
     build_fine_scale_operator,
     fine_scale_eval,
     reconstruct_fine_scales,
-    resolved_basis_reproduction,
 )
 from .kernels import GreensKernel1D, advdiff_green, poisson2d_green, poisson_green
 from .poisson2d import (
@@ -78,7 +77,6 @@ __all__ = [
     "project_2d",
     "reconstruct_fine_scales",
     "reconstruct_fine_scales_2d",
-    "resolved_basis_reproduction",
     "sin2pix_case",
     "sin2pixy_case",
 ]

@@ -7,10 +7,12 @@ exactly Python's `'%.17g' % value` (17 significant digits, so every double
 round-trips), on every platform; the writer computes most fields with
 numpy and passes the rest to `%` itself.  The mass, stiffness
 and Gram matrices are piecewise polynomial and always integrated by the
-exact Gauss rule of their degree.  `--quad-points` (or the FSG_QUAD_POINTS
-environment variable) sizes only the integrals against a source: Gauss
-points per subinterval, default max(20, p + 8).  The commands that
-integrate a source exit 1 when given fewer than p points.
+exact Gauss rule of their degree.  Only the commands that integrate a
+source (project, reconstruct, vms-iter, poisson2d) take `--quad-points` or
+read the FSG_QUAD_POINTS environment variable: Gauss points per
+subinterval, at least p (fewer exit 1), default max(20, p + 8).  gll and
+vms-iter take no `--grid`.  The JSON `meta` records every parsed option
+but the output format and paths.
 
 Exit codes: 0 success, 1 numerical defect (failed factorization or
 required convergence not reached), 2 usage errors.
@@ -244,23 +246,13 @@ def write_table(path: str, columns, rows, meta: dict, fmt: str):
         _write_atomic(path, [head[:-2], ',\n "rows": ', _json_array(table), "\n}\n"])
 
 
-def _flavor(name: str) -> ProjectionFlavor:
-    return ProjectionFlavor.H10 if name == "h10" else ProjectionFlavor.L2
-
-
 def _build(args) -> DualFunctionals:
     mesh = Mesh1D.uniform(0.0, 1.0, args.elements, args.p)
-    return build_dual_functionals(basis_family(mesh), _flavor(args.projection))
-
-
-# the commands that integrate a source: --quad-points changes nothing the
-# others write, so it stays out of their metadata too
-_SOURCE_COMMANDS = frozenset({"project", "reconstruct", "vms-iter", "poisson2d"})
+    return build_dual_functionals(basis_family(mesh), ProjectionFlavor(args.projection))
 
 
 def _meta(args, **extra) -> dict:
-    skip = ("func", "format", "out") + (() if args.command in _SOURCE_COMMANDS
-                                        else ("quad_points",))
+    skip = ("func", "format", "out", "history_out")
     meta = {k: v for k, v in vars(args).items() if k not in skip}
     meta.update(extra)
     return meta
@@ -298,7 +290,7 @@ def cmd_basis(args):
 
 
 def cmd_dual(args):
-    kind = SpaceKind.DUAL_NODAL if args.kind == "nodal" else SpaceKind.DUAL_EDGE
+    kind = SpaceKind(f"dual-{args.kind}")
     _sample(args, lambda family, x: tabulate_duals(DualSet(family, kind), x),
             f"dual_{args.kind}")
 
@@ -438,10 +430,16 @@ _relaxation = _checked("_relaxation", float, lambda v: 0.0 < v <= 1.0, "a number
 
 
 def _add_common(sub, grid_default=401):
+    """--out and --format, and --grid unless `grid_default` is None."""
     sub.add_argument("--out", default=None, help="output path (default: derived)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--grid", type=_positive_int, default=grid_default,
-                     help="output sample count")
+    if grid_default is not None:
+        sub.add_argument("--grid", type=_positive_int, default=grid_default,
+                         help="output sample count")
+
+
+def _add_source_rule(sub):
+    """--quad-points, for the commands that integrate a source."""
     sub.add_argument("--quad-points", type=_positive_int, default=None,
                      help="quadrature points per subinterval of source integrals, "
                           f"at least p (default max({DEFAULT_QUAD_POINTS}, p + 8), "
@@ -463,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("gll", help="GLL nodes and weights")
     sub.add_argument("--p", type=_positive_int, required=True)
-    _add_common(sub)
+    _add_common(sub, grid_default=None)
     sub.set_defaults(func=cmd_gll)
 
     sub = subs.add_parser("basis", help="sample the primal nodal or edge basis")
@@ -487,6 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mesh(sub, p_default=2, n_default=5)
     sub.add_argument("--projection", choices=("h10", "l2"), default="h10")
     _add_common(sub)
+    _add_source_rule(sub)
     sub.set_defaults(func=cmd_project)
 
     sub = subs.add_parser("greens", help="sample an analytic kernel")
@@ -513,6 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--c", type=_nonzero_float, default=1.0)
     sub.add_argument("--nu", type=_positive_float, default=0.01)
     _add_common(sub)
+    _add_source_rule(sub)
     sub.set_defaults(func=cmd_reconstruct)
 
     sub = subs.add_parser("vms-iter", help="iterative coupled coarse/fine solve")
@@ -527,13 +527,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--fine-grid", type=_positive_int, default=DEFAULT_FINE_GRID,
                      help="points of the output grid the fine scales are written on")
     sub.add_argument("--history-out", default=None)
-    _add_common(sub)
+    _add_common(sub, grid_default=None)
+    _add_source_rule(sub)
     sub.set_defaults(func=cmd_vms_iter)
 
     sub = subs.add_parser("poisson2d", help="2D projection and fine-scale reconstruction")
     _add_mesh(sub, p_default=1, n_default=2)
     sub.add_argument("--terms", type=_positive_int, default=DEFAULT_SERIES_TERMS)
     _add_common(sub, grid_default=41)
+    _add_source_rule(sub)
     sub.set_defaults(func=cmd_poisson2d)
     return parser
 
@@ -541,11 +543,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.quad_points is None:
+    if "quad_points" in vars(args) and args.quad_points is None:
         env = os.environ.get("FSG_QUAD_POINTS")
         try:
-            args.quad_points = _positive_int(env) if env else \
-                default_quad_points(getattr(args, "p", 0))
+            args.quad_points = _positive_int(env) if env else default_quad_points(args.p)
         except (argparse.ArgumentTypeError, ValueError) as exc:
             parser.error(f"FSG_QUAD_POINTS: {exc}")
     h10 = args.command in ("vms-iter", "poisson2d") or getattr(args, "projection", None) == "h10"

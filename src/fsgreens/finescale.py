@@ -494,16 +494,6 @@ def reconstruct_fine_scales(op: FineScaleOperator, residual: SourceTerm, grid) -
     return image - op.resolved(grid, data)
 
 
-def resolved_basis_reproduction(op: FineScaleOperator, x) -> np.ndarray:
-    """Tabulate (G duals)^T [Gram]^{-1} at x; column i is reconstruction function i.
-
-    For the H10/Poisson pairing these coincide with the interior nodal
-    basis functions.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return op.solve_gram(op.lifted_tab(x).T).T
-
-
 def residual_from_field(u_bar: Field, source: Callable[[np.ndarray], np.ndarray]) -> SourceTerm:
     """Coarse-scale residual of -u'' = source: the source plus the field's
     distributional second derivative.

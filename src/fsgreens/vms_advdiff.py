@@ -292,8 +292,8 @@ def iterate(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator
     Each sweep solves the coarse-scale equation for the coarse coefficients
     given the current fine scales, applies the fine-scale map, and moves
     both scales by the relaxation factor w towards the new values; w must
-    lie in (0, 1] and defaults to min(1, nu/|c|) = min(1, 1/(2 |Pe|)),
-    which is 1 without advection.  Stops when the L2 norm (through the
+    lie in (0, 1] and defaults to min(1, nu/|c|), which is 1 without
+    advection.  Stops when the L2 norm (through the
     nodal mass matrix) of the unrelaxed coarse step, new minus old
     coefficients before relaxation, drops below the tolerance;
     residual_history records that norm for every sweep.  The relaxed

@@ -18,12 +18,13 @@ unsplit rule is kept here only to show, in criterion 12, that it fails.
 The other 1D oracles the tests check the library against live here too:
 each functional's load on the kernel (`functional_load`) and its lift by
 one direct quadrature per point (`lift_functionals_direct`), the
-pairing alone of a source (`apply_dual_green`) and the nodal points
-(`nodal_points`).  So do the pieces that only these oracles and the tests
-read: the Poisson kernel's two derivatives (`poisson_green_dx`,
-`poisson_green_ds`), the element-local Dirichlet kernel (`element_green`)
-and the interior nodal basis's derivative jumps at the mesh joints
-(`nodal_deriv_jumps`).
+pairing alone of a source (`apply_dual_green`), the reconstruction
+functions from the lift table and the Gram (`resolved_basis_reproduction`)
+and the nodal points (`nodal_points`).  So do the pieces that only these
+oracles and the tests read: the Poisson kernel's two derivatives
+(`poisson_green_dx`, `poisson_green_ds`), the element-local Dirichlet
+kernel (`element_green`) and the interior nodal basis's derivative jumps
+at the mesh joints (`nodal_deriv_jumps`).
 """
 
 from __future__ import annotations
@@ -266,6 +267,16 @@ def lift_functionals_direct(kernel: GreensKernel1D, fns: DualFunctionals, x,
     for k, loc in enumerate(np.atleast_1d(locs)):
         out += np.outer(kern(x, loc), strengths[k])
     return out
+
+
+def resolved_basis_reproduction(op: FineScaleOperator, x) -> np.ndarray:
+    """Tabulate (G duals)^T [Gram]^{-1} at x; column i is reconstruction function i.
+
+    For the H10/Poisson pairing these coincide with the interior nodal
+    basis functions.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return op.solve_gram(op.lifted_tab(x).T).T
 
 
 def nodal_points(family: BasisFamily) -> np.ndarray:

@@ -29,7 +29,6 @@ from fsgreens.finescale import (
     build_fine_scale_operator,
     fine_scale_eval,
     reconstruct_fine_scales,
-    resolved_basis_reproduction,
     residual_from_field,
 )
 from fsgreens.kernels import GreensKernel1D
@@ -53,7 +52,8 @@ from fsgreens.quadrature import gll_nodes, legendre_eval
 from fsgreens.basis1d import SpaceKind
 from fsgreens.vms_advdiff import AdvDiffProblem, iterate
 
-from flattened_oracle import apply_dual_green, element_green, functional_load, pair_naive
+from flattened_oracle import (apply_dual_green, element_green, functional_load, pair_naive,
+                              resolved_basis_reproduction)
 from oracle_2d import tabulate_functionals_2d
 
 KERNEL = GreensKernel1D.poisson()

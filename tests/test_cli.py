@@ -302,32 +302,70 @@ def test_overflowing_peclet_ratio_exits_one(tmp_path, capsys):
         assert "overflow" in capsys.readouterr().err
 
 
-def test_source_free_commands_ignore_the_source_rule(tmp_path, monkeypatch):
-    # gll, basis, dual, greens and finescale integrate no source: any rule,
-    # even one below p points, writes the bytes of the default rule
+_SOURCE_FREE = (("gll", "--p", "4"),
+                ("basis", "--kind", "edge", "--p", "4", "--grid", "21"),
+                ("greens", "--kernel", "advdiff", "--grid", "9"),
+                ("greens", "--kernel", "poisson2d", "--grid", "9"),
+                ("finescale", "--projection", "h10", "--p", "4", "--grid", "9"),
+                ("finescale", "--projection", "l2", "--p", "4", "--grid", "9"),
+                ("dual", "--kind", "nodal", "--p", "4", "--grid", "21"),
+                ("dual", "--kind", "edge", "--p", "4", "--grid", "21"))
+_SOURCE_COMMANDS = ("project", "reconstruct", "vms-iter", "poisson2d")
+
+
+@pytest.mark.parametrize("argv", _SOURCE_FREE, ids=lambda argv: "-".join(argv[:3:2]))
+def test_source_free_commands_do_not_read_the_source_rule(tmp_path, monkeypatch, argv):
+    # gll, basis, dual, greens and finescale integrate no source: with
+    # FSG_QUAD_POINTS unset, valid or not a number they write the same bytes
+    outputs = {"csv": [], "json": []}
+    for env in (None, "3", "abc"):
+        if env is None:
+            monkeypatch.delenv("FSG_QUAD_POINTS", raising=False)
+        else:
+            monkeypatch.setenv("FSG_QUAD_POINTS", env)
+        for fmt, found in outputs.items():
+            out = tmp_path / f"out.{fmt}"
+            assert _run(tmp_path, *argv, "--format", fmt, "--out", str(out)) == 0
+            found.append(out.read_bytes())
+    for found in outputs.values():
+        assert found[1] == found[0] and found[2] == found[0]
+    assert "quad_points" not in json.loads(outputs["json"][0])["meta"]
+
+
+@pytest.mark.parametrize("argv", [
+    *((*argv, "--quad-points", "4") for argv in _SOURCE_FREE),
+    ("gll", "--p", "3", "--grid", "5"),
+    ("vms-iter", "--grid", "5"),
+], ids=" ".join)
+def test_an_option_the_command_does_not_read_exits_two(tmp_path, argv):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as err:
+        _run(tmp_path, *argv, "--out", str(out))
+    assert err.value.code == 2
+    assert not out.exists()
+
+
+def test_vms_iter_output_paths_stay_out_of_the_files(tmp_path, monkeypatch):
+    # the data and history files of two runs that differ only in --out
+    # hold the same bytes
     monkeypatch.delenv("FSG_QUAD_POINTS", raising=False)
-    for argv in (("gll", "--p", "4"),
-                 ("basis", "--kind", "edge", "--p", "4", "--grid", "21"),
-                 ("greens", "--kernel", "advdiff", "--grid", "9"),
-                 ("greens", "--kernel", "poisson2d", "--grid", "9"),
-                 ("finescale", "--projection", "h10", "--p", "4", "--grid", "9"),
-                 ("finescale", "--projection", "l2", "--p", "4", "--grid", "9"),
-                 ("dual", "--kind", "nodal", "--p", "4", "--grid", "21"),
-                 ("dual", "--kind", "edge", "--p", "4", "--grid", "21")):
-        outputs = []
-        for quad in ((), ("--quad-points", "1"), ("--quad-points", "3")):
-            out = tmp_path / "out.csv"
-            assert _run(tmp_path, *argv, *quad, "--out", str(out)) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
-        # nor does the rule reach their JSON metadata
-        outputs = []
-        for quad in ((), ("--quad-points", "1"), ("--quad-points", "3")):
-            out = tmp_path / "out.json"
-            assert _run(tmp_path, *argv, *quad, "--format", "json", "--out", str(out)) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
-        assert "quad_points" not in json.loads(outputs[0])["meta"]
+    for name in ("a", "b"):
+        assert _run(tmp_path, "vms-iter", "--nu", "0.05", "--format", "json",
+                    "--out", str(tmp_path / f"{name}.json")) == 0
+    for suffix in (".json", "-history.json"):
+        a, b = (tmp_path / f"{name}{suffix}" for name in ("a", "b"))
+        assert a.read_bytes() == b.read_bytes()
+        meta = json.loads(a.read_text())["meta"]
+        assert "history_out" not in meta and "grid" not in meta
+
+
+@pytest.mark.parametrize("command", ["gll", "basis", "dual", "project", "greens", "finescale",
+                                     "reconstruct", "vms-iter", "poisson2d"])
+def test_help_lists_the_source_rule_only_for_source_commands(capsys, command):
+    with pytest.raises(SystemExit) as err:
+        build_parser().parse_args([command, "--help"])
+    assert err.value.code == 0
+    assert ("--quad-points" in capsys.readouterr().out) == (command in _SOURCE_COMMANDS)
 
 
 def test_poisson2d_rejects_a_source_rule_below_the_degree(tmp_path, monkeypatch):

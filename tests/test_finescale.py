@@ -18,7 +18,6 @@ from fsgreens.finescale import (
     fine_scale_eval,
     green_apply,
     reconstruct_fine_scales,
-    resolved_basis_reproduction,
     residual_from_field,
 )
 from fsgreens.kernels import GreensKernel1D
@@ -36,7 +35,7 @@ from fsgreens.quadrature import composite_rule, default_quad_points, gauss_legen
 
 from flattened_oracle import (apply_dual_green, element_endpoint_values, element_green, flattened,
                               functional_load, lift_functionals_direct, nodal_points, pair_naive,
-                              reconstruct_flat)
+                              reconstruct_flat, resolved_basis_reproduction)
 
 KERNEL = GreensKernel1D.poisson()
 CASE = sin2pix_case()
