@@ -15,7 +15,8 @@ vms-iter take no `--grid`.  The JSON `meta` records every parsed option
 but the output format and paths.
 
 Exit codes: 0 success, 1 numerical defect (failed factorization or
-required convergence not reached), 2 usage errors.
+required convergence not reached), 2 usage errors, an output path that
+cannot be written among them.  Output files get 0o666 less the umask.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import itertools
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -63,17 +63,18 @@ from .vms_advdiff import (DEFAULT_FINE_GRID, DEFAULT_MAX_ITER, DEFAULT_TOLERANCE
 
 
 def _write_atomic(path: str, pieces):
-    """Write the strings `pieces`, in order, to a temp file renamed to `path`."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fsgreens-")
+    """Write the strings `pieces`, in order, to a temp file renamed to `path`,
+    with the mode `open` gives a new file; an OSError names `path`."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".fsgreens-{os.urandom(8).hex()}")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w") as handle:
             handle.writelines(pieces)
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 # The vectorised `%.17g` below scales |x| in [1e-11, 1e17) to 17 integer
@@ -562,11 +563,17 @@ def main(argv=None) -> int:
     if args.command == "vms-iter" and args.history_out is None:
         stem, ext = os.path.splitext(args.out)
         args.history_out = f"{stem}-history{ext}"
+    for path in [args.out] + ([args.history_out] if args.command == "vms-iter" else []):
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            parser.error(f"cannot write {path}: not a file name in an existing directory")
     try:
         status = args.func(args)
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"fsgreens: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"fsgreens: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
     return int(status or 0)
 
 

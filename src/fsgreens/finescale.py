@@ -51,9 +51,9 @@ Smooth sources go through one primitive (`_poisson_apply`),
     G f(x) = (1 - x) int_0^x s f(s) ds + x int_x^1 (1 - s) f(s) ds,
 
 whose two integrals are cumulative sums of Gauss rules over the cells
-between the mesh boundaries and source breakpoints.  The cell holding x is
-integrated only on its piece left of x; its right piece is the whole-cell
-moment minus that one, so each point's density is tabulated once.
+between the mesh boundaries, the source breakpoints and every evaluation
+point x, as `poisson2d` cuts at its output ordinates; both are read at x
+from one prefix and one suffix sum, and nothing is subtracted.
 
 Every integral of the kernel is thus split at its kink x = s, the one
 quadrature under which the derivative pairing works; a rule cut only at
@@ -110,39 +110,32 @@ def _poisson_apply(density, x, cuts, quad_points: int, deriv: int = 0) -> np.nda
     `density(s)` returns one value per point, or one column per density;
     `cuts` are its derivative-kink locations.  With A(x) = int_0^x s f ds
     and B(x) = int_x^1 (1 - s) f ds, G f = (1 - x) A + x B and
-    (G f)' = B - A.  The cells between the cuts are integrated once and
-    summed cumulatively; the cell holding x (the left one for x on a cut,
-    as `basis1d._locate` places it) adds its piece left of x to A
-    and takes it from its whole-cell moment for B, so each point sees a
-    quadrature split at the kernel kink with one Gauss rule per point.
-    Densities are tabulated _BLOCK_POINTS rule points at a time.  Returns
-    shape (len(x), number of densities).
+    (G f)' = B - A.  The rule's cells run between 0, 1, the cuts and every
+    point x, as `poisson2d._green_tables` cuts at its ordinates, so each
+    integral is split at the kernel kink; A and B are a prefix and a
+    suffix sum of the cells' moments, read at x.  Densities are tabulated
+    _BLOCK_POINTS rule points at a time.  Returns shape
+    (len(x), number of densities).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _check_unit_domain(x)
     x = np.clip(x, 0.0, 1.0)
-    bounds = sorted_unique(np.concatenate(([0.0, 1.0], np.asarray(cuts, dtype=float))))
-    bounds = bounds[(bounds >= 0.0) & (bounds <= 1.0)]
+    ends = sorted_unique(np.concatenate(([0.0, 1.0], np.asarray(cuts, dtype=float), x)))
+    ends = ends[(ends >= 0.0) & (ends <= 1.0)]
     rule = gauss_legendre_rule(quad_points)
     step = max(1, _BLOCK_POINTS // rule.npoints)
-
-    def moments(lo, hi):
-        # (int s f ds, int (1 - s) f ds) over every [lo_i, hi_i]
-        parts = []
-        for start in range(0, lo.size, step):
-            s, w = map_rule(rule, lo[start:start + step], hi[start:start + step])
-            f = np.asarray(density(s.ravel()), dtype=float).reshape(s.shape + (-1,))
-            parts.append(np.einsum("jiq,iqk->jik", np.stack((s * w, (1.0 - s) * w)), f))
-        return np.concatenate(parts, axis=1)
-
-    whole = moments(bounds[:-1], bounds[1:])
-    zero = np.zeros((1, whole.shape[2]))
-    before = np.concatenate((zero, np.cumsum(whole[0], axis=0)))
-    after = np.concatenate((np.cumsum(whole[1][::-1], axis=0)[::-1], zero))
-    cell = _locate(bounds, x)[0]
-    left = moments(bounds[cell], x)
-    a = before[cell] + left[0]
-    b = after[cell] - left[1]
+    lo, hi = ends[:-1], ends[1:]
+    parts = []
+    for start in range(0, lo.size, step):
+        s, w = map_rule(rule, lo[start:start + step], hi[start:start + step])
+        f = np.asarray(density(s.ravel()), dtype=float).reshape(s.shape + (-1,))
+        parts.append(np.einsum("jiq,iqk->jik", np.stack((s * w, (1.0 - s) * w)), f))
+    # each cell's int s f ds and int (1 - s) f ds
+    a_cell, b_cell = np.concatenate(parts, axis=1)
+    zero = np.zeros((1, a_cell.shape[1]))
+    at = np.searchsorted(ends, x)
+    a = np.concatenate((zero, np.cumsum(a_cell, axis=0)))[at]
+    b = np.concatenate((np.cumsum(b_cell[::-1], axis=0)[::-1], zero))[at]
     return b - a if deriv else (1.0 - x)[:, None] * a + x[:, None] * b
 
 
@@ -291,7 +284,7 @@ def _green_and_pairing(fns: DualFunctionals, src: SourceTerm, grid: np.ndarray,
         data = pair_functionals(fns, s, w * image[grid.size:])
         image = image[:grid.size]
     else:
-        image = green_apply(loads, grid, quad_points, bounds) if grid.size else grid
+        image = green_apply(loads, grid, quad_points, bounds)
         s, w = mesh_quadrature(fns.family, quad_points, src.breakpoints)
         smooth = w * np.asarray(src.smooth(s), dtype=float) if src.smooth is not None else 0.0 * w
         data = pair_functionals(fns, np.r_[s, locs], np.r_[smooth, qs])

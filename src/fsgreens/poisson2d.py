@@ -42,7 +42,7 @@ from .basis1d import BasisFamily, Mesh1D, SpaceKind, basis_family, tabulate_noda
 from .dualspace import SPDMatrix, assemble_mass
 from .kernels import DEFAULT_SERIES_TERMS, _check_unit_domain
 from .projection import assemble_stiffness, mesh_quadrature, source_rule_points
-from .quadrature import composite_rule, gauss_legendre_rule, sorted_unique
+from .quadrature import _piece_ends, composite_rule, gauss_legendre_rule, sorted_unique
 
 _OSC_MARGIN = 12
 # Convolution pieces: e^{-k t} of the steepest term changes by at most
@@ -252,18 +252,6 @@ def lifted_duals_grid(op: SeriesOperator2D, x, y) -> np.ndarray:
     """Every lifted functional on the meshgrid of x and y: (len(x), len(y), size)."""
     lift_x = 2.0 * _sine_table(op.num_terms, x).T @ op.sine_moments
     return _tensor_duals(op.duals, lift_x, _psi_tab(op.duals, y))
-
-
-def _piece_ends(cuts: np.ndarray, splits: np.ndarray) -> np.ndarray:
-    """Every cut interval [a, b] split into its n equal pieces: the ends
-    np.linspace(a, b, n + 1) gives, bit for bit, joined in order."""
-    last = np.cumsum(splits) - 1
-    interval = np.repeat(np.arange(splits.size), splits)
-    count = np.arange(1, last[-1] + 2) - np.repeat(last + 1 - splits, splits)
-    step = np.diff(cuts) / splits
-    ends = count * step[interval] + cuts[interval]
-    ends[last] = cuts[1:]
-    return np.concatenate((cuts[:1], ends))
 
 
 def _green_tables(op: SeriesOperator2D, residual: Callable, y) -> tuple[np.ndarray, np.ndarray]:

@@ -142,6 +142,18 @@ def sorted_unique(values) -> np.ndarray:
     return out[keep]
 
 
+def _piece_ends(cuts: np.ndarray, splits: np.ndarray) -> np.ndarray:
+    """Every cut interval [a, b] split into its n equal pieces: the ends
+    np.linspace(a, b, n + 1) gives, bit for bit, joined in order."""
+    last = np.cumsum(splits) - 1
+    interval = np.repeat(np.arange(splits.size), splits)
+    count = np.arange(1, last[-1] + 2) - np.repeat(last + 1 - splits, splits)
+    step = np.diff(cuts) / splits
+    ends = count * step[interval] + cuts[interval]
+    ends[last] = cuts[1:]
+    return np.concatenate((cuts[:1], ends))
+
+
 @functools.cache
 def gauss_legendre_rule(n: int) -> QuadratureRule:
     """n-point Gauss-Legendre rule, exact through degree 2n-1; one shared

@@ -62,7 +62,7 @@ from .projection import (
     pair_functionals,
     tabulate_functionals,
 )
-from .quadrature import gauss_legendre_rule, sorted_unique
+from .quadrature import _piece_ends, gauss_legendre_rule, sorted_unique
 
 DEFAULT_FINE_GRID = 2001
 DEFAULT_TOLERANCE = 1e-8
@@ -207,10 +207,8 @@ class _Workspace:
 
 def fine_grid(mesh, total_points: int = DEFAULT_FINE_GRID) -> np.ndarray:
     """Element-aligned output grid: uniform within each element, joints shared."""
-    per_elem = max(5, int(np.ceil((total_points - 1) / mesh.num_elements)) + 1)
-    pieces = [np.linspace(mesh.boundaries[n], mesh.boundaries[n + 1], per_elem)
-              for n in range(mesh.num_elements)]
-    return sorted_unique(np.concatenate(pieces))
+    pieces = max(4, int(np.ceil((total_points - 1) / mesh.num_elements)))
+    return _piece_ends(mesh.boundaries, np.full(mesh.num_elements, pieces))
 
 
 def _coarse_solve(problem: AdvDiffProblem, adv_pairing: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -602,6 +602,49 @@ def test_bad_interval_and_source_point_exit_two(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("mask", [0o022, 0o077, 0o002])
+def test_output_files_follow_the_umask(tmp_path, fmt, mask):
+    # the mode open() gives a new file, 0o666 less the umask, not the 0600
+    # of a mkstemp temp file kept through the rename
+    old = os.umask(mask)
+    try:
+        assert _run(tmp_path, "gll", "--p", "3", "--format", fmt, "--out", "gll") == 0
+    finally:
+        os.umask(old)
+    assert (tmp_path / "gll").stat().st_mode & 0o777 == 0o666 & ~mask
+    assert [path.name for path in tmp_path.iterdir()] == ["gll"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("gll", "--p", "3", "--out", "missing/gll.csv"),
+    ("gll", "--p", "3", "--out", "sub"),
+    ("vms-iter", "--nu", "0.05", "--out", "vms.csv", "--history-out", "missing/history.csv"),
+], ids=["missing-directory", "directory", "history-out"])
+def test_unwritable_output_path_exits_two_before_running(tmp_path, capsys, argv):
+    # a usage error: no computation, no traceback, no file and no temp file
+    (tmp_path / "sub").mkdir()
+    with pytest.raises(SystemExit) as err:
+        _run(tmp_path, *argv)
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert [line for line in lines if line.startswith("fsgreens:")] \
+        == [f"fsgreens: error: cannot write {argv[-1]}: not a file name in an existing directory"]
+    assert not any("Traceback" in line for line in lines)
+    assert [path.name for path in tmp_path.rglob("*")] == ["sub"]
+
+
+def test_a_failed_write_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", src, None, dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert _run(tmp_path, "gll", "--p", "3", "--out", "gll.csv") == 2
+    assert capsys.readouterr().err.splitlines() \
+        == ["fsgreens: cannot write gll.csv: Permission denied"]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ("basis", "--kind", "edge", "--a", "0", "--b", "1e-310"),
     ("dual", "--kind", "edge", "--a", "0", "--b", "1e-307"),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fsgreens import finescale
 from fsgreens.basis1d import (Field, Mesh1D, SpaceKind, basis_family, field_eval, tabulate_edge,
                               tabulate_nodal)
 from fsgreens.dualspace import _reference_duals, assemble_mass, tabulate_duals
@@ -172,21 +173,40 @@ def test_green_apply_takes_no_coarse_field():
         green_apply(SourceTerm(CASE.source, coarse=u_bar), np.linspace(0.0, 1.0, 5), 20)
 
 
-def test_poisson_primitive_puts_a_point_on_a_cut_in_the_left_cell():
-    # as basis1d._locate places it: the point's partial cell is the whole
-    # cell left of it, not a zero-width piece of the cell to its right
-    x = np.array([0.0, 0.25, 0.5, 0.7, 1.0])
+@pytest.mark.parametrize("x,cuts,points", [
+    (np.array([0.0, 0.25, 0.5, 0.7, 1.0]), [0.25, 0.5], 20),
+    (np.linspace(0.0, 1.0, 301)[::-1], np.linspace(0.0, 1.0, 7), 9),
+], ids=["on-cuts", "blocks"])
+def test_poisson_primitive_tabulates_its_cells_once(x, cuts, points):
+    # the density sees the composite rule of the cells between 0, 1, the
+    # cuts and every point, each rule point once, in _BLOCK_POINTS blocks
+    # or fewer; a point on a cut adds no cell
     calls = []
 
     def density(s):
-        calls.append(s.reshape(x.size, -1))
+        calls.append(s)
         return np.ones_like(s)
 
-    got = _poisson_apply(density, x, [0.25, 0.5], 20)[:, 0]
-    widths = np.ptp(calls[-1], axis=1)
-    assert np.all(widths[1:] > 0.0) and widths[0] == 0.0
-    assert np.all(calls[-1][1:3] < x[1:3, None])
+    got = _poisson_apply(density, x, cuts, points)[:, 0]
+    ends = np.unique(np.concatenate(([0.0, 1.0], cuts, x)))
+    assert np.array_equal(np.concatenate(calls),
+                          composite_rule(gauss_legendre_rule(points), ends)[0])
+    assert max(c.size for c in calls) <= finescale._BLOCK_POINTS
     assert np.max(np.abs(got - 0.5 * x * (1.0 - x))) < 1e-16
+
+
+@pytest.mark.parametrize("deriv", [0, 1])
+def test_poisson_primitive_points_in_any_order(deriv):
+    # unsorted, repeated and on-cut points: the values of the sorted
+    # distinct points, and each point's value alone up to rounding
+    density = lambda s: np.abs(s - 0.3) + np.sin(3.0 * s)
+    cuts = [0.3, 0.5]
+    xs = np.array([0.9, 0.5, 0.2, 0.9, 0.0, 0.5, 1.0, 0.35, 0.3])
+    got = _poisson_apply(density, xs, cuts, 20, deriv)[:, 0]
+    uniq, inverse = np.unique(xs, return_inverse=True)
+    assert np.array_equal(got, _poisson_apply(density, uniq, cuts, 20, deriv)[inverse, 0])
+    alone = np.array([_poisson_apply(density, [xv], cuts, 20, deriv)[0, 0] for xv in xs])
+    assert np.max(np.abs(got - alone)) < 1e-15 * np.max(np.abs(got))
 
 
 # ---------------------------------------------------------------------------

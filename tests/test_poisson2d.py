@@ -20,7 +20,8 @@ from fsgreens.poisson2d import (
     residual_2d,
 )
 from fsgreens.projection import assemble_stiffness, mesh_quadrature
-from fsgreens.quadrature import composite_rule, default_quad_points, gauss_legendre_rule
+from fsgreens.quadrature import (_piece_ends, composite_rule, default_quad_points,
+                                 gauss_legendre_rule)
 
 from oracle_2d import (
     h10_project_values_2d,
@@ -437,7 +438,7 @@ def test_piece_ends_match_linspace(mesh, terms):
         splits = np.ceil(terms * np.pi * np.diff(cuts) / poisson2d._PIECE_DECAY).astype(int)
         want = np.concatenate([cuts[:1]] + [np.linspace(a, b, n + 1)[1:]
                                             for a, b, n in zip(cuts[:-1], cuts[1:], splits)])
-        assert np.array_equal(poisson2d._piece_ends(cuts, splits), want)
+        assert np.array_equal(_piece_ends(cuts, splits), want)
 
 
 def _kink_profile(y, y0):

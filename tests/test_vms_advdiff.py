@@ -258,6 +258,16 @@ def _jittered_meshes(draw):
     return Mesh1D(0.0, 1.0, num_elements, degree, bounds)
 
 
+@settings(max_examples=40, deadline=None)
+@given(mesh=_jittered_meshes(), points=st.integers(2, 5000))
+def test_fine_grid_is_each_elements_linspace(mesh, points):
+    # one np.linspace per element, the joints shared, bit for bit
+    per_elem = max(5, int(np.ceil((points - 1) / mesh.num_elements)) + 1)
+    want = np.unique(np.concatenate([np.linspace(a, b, per_elem)
+                                     for a, b in zip(mesh.boundaries[:-1], mesh.boundaries[1:])]))
+    np.testing.assert_array_equal(fine_grid(mesh, points), want)
+
+
 @settings(max_examples=25, deadline=None)
 @given(mesh=_jittered_meshes(), q=st.integers(4, 12), seed=st.integers(0, 2**32 - 1))
 def test_fine_scales_reproduce_cellwise_polynomials(mesh, q, seed):
