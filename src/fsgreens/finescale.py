@@ -46,14 +46,9 @@ The same moments make the L2 Gram semiseparable off its diagonal blocks
 The H10 Gram is K^{-1}, K the interior stiffness, so its condition number
 is K's and the H10 operator forms its Gram, by one solve, only when read.
 
-Smooth sources go through one primitive (`_poisson_apply`),
-
-    G f(x) = (1 - x) int_0^x s f(s) ds + x int_x^1 (1 - s) f(s) ds,
-
-whose two integrals are cumulative sums of Gauss rules over the cells
-between the mesh boundaries, the source breakpoints and every evaluation
-point x, as `poisson2d` cuts at its output ordinates; both are read at x
-from one prefix and one suffix sum, and nothing is subtracted.
+Smooth sources go through the Green's primitive of `kernels` at k = 0,
+G f(x) = (1 - x) int_0^x s f + x int_x^1 (1 - s) f, two running sums of
+Gauss rules cut at the mesh, the source's kinks and every point x.
 
 Every integral of the kernel is thus split at its kink x = s, the one
 quadrature under which the derivative pairing works; a rule cut only at
@@ -70,15 +65,10 @@ import numpy as np
 
 from .basis1d import Field, SpaceKind, _element_cols, _locate, element_tab, field_eval
 from .dualspace import SPDMatrix, _reference_duals, partial_moments
-from .kernels import GreensKernel1D, _check_unit_domain, poisson_green
+from .kernels import GreensKernel1D, _damped_green_apply, poisson_green
 from .projection import (DualFunctionals, ProjectionFlavor, mesh_quadrature, pair_functionals,
                          source_rule_points, tabulate_functionals)
-from .quadrature import (composite_rule, default_quad_points, gauss_legendre_rule, map_rule,
-                         sorted_unique)
-
-# Rule points tabulated at once by the Green's primitive: bounds its working
-# set, which would otherwise grow with the evaluation points.
-_BLOCK_POINTS = 1024
+from .quadrature import composite_rule, default_quad_points, gauss_legendre_rule, sorted_unique
 
 
 @dataclass(frozen=True)
@@ -103,50 +93,14 @@ class SourceTerm:
         return cls(smooth=f, breakpoints=tuple(float(b) for b in breakpoints))
 
 
-def _poisson_apply(density, x, cuts, quad_points: int, deriv: int = 0) -> np.ndarray:
-    """The Poisson Green's operator (deriv=0) or its x-derivative (deriv=1)
-    applied to a batch of densities, at the points x in [0, 1].
-
-    `density(s)` returns one value per point, or one column per density;
-    `cuts` are its derivative-kink locations.  With A(x) = int_0^x s f ds
-    and B(x) = int_x^1 (1 - s) f ds, G f = (1 - x) A + x B and
-    (G f)' = B - A.  The rule's cells run between 0, 1, the cuts and every
-    point x, as `poisson2d._green_tables` cuts at its ordinates, so each
-    integral is split at the kernel kink; A and B are a prefix and a
-    suffix sum of the cells' moments, read at x.  Densities are tabulated
-    _BLOCK_POINTS rule points at a time.  Returns shape
-    (len(x), number of densities).
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_unit_domain(x)
-    x = np.clip(x, 0.0, 1.0)
-    ends = sorted_unique(np.concatenate(([0.0, 1.0], np.asarray(cuts, dtype=float), x)))
-    ends = ends[(ends >= 0.0) & (ends <= 1.0)]
-    rule = gauss_legendre_rule(quad_points)
-    step = max(1, _BLOCK_POINTS // rule.npoints)
-    lo, hi = ends[:-1], ends[1:]
-    parts = []
-    for start in range(0, lo.size, step):
-        s, w = map_rule(rule, lo[start:start + step], hi[start:start + step])
-        f = np.asarray(density(s.ravel()), dtype=float).reshape(s.shape + (-1,))
-        parts.append(np.einsum("jiq,iqk->jik", np.stack((s * w, (1.0 - s) * w)), f))
-    # each cell's int s f ds and int (1 - s) f ds
-    a_cell, b_cell = np.concatenate(parts, axis=1)
-    zero = np.zeros((1, a_cell.shape[1]))
-    at = np.searchsorted(ends, x)
-    a = np.concatenate((zero, np.cumsum(a_cell, axis=0)))[at]
-    b = np.concatenate((np.cumsum(b_cell[::-1], axis=0)[::-1], zero))[at]
-    return b - a if deriv else (1.0 - x)[:, None] * a + x[:, None] * b
-
-
 def _l2_element_lifts(fns: DualFunctionals, elem, xi, x, deriv: int = 0) -> np.ndarray:
     """The lifts (or x-derivatives) at x of the p duals of its element elem,
     xi its reference coordinate there; shape (len(x), p).
 
     With A_j(x) = int_{a_e}^x s mu_j and B_j(x) = int_x^{b_e} (1 - s) mu_j =
     beta_j - int_{a_e}^x (1 - s) mu_j (`dualspace.partial_moments`),
-    G mu_j = (1 - x) A_j + x B_j inside the element, as `_poisson_apply`
-    forms G f, and its x-derivative is B_j - A_j.
+    G mu_j = (1 - x) A_j + x B_j inside the element, as the Green's primitive
+    of `kernels` forms G f at k = 0, and its x-derivative is B_j - A_j.
     """
     lower, partial = partial_moments(fns.duals, elem, xi)
     upper = fns.duals.moments[1][elem] - partial
@@ -218,7 +172,7 @@ def green_apply(src: SourceTerm, x, quad_points: int,
                 mesh_boundaries: Sequence[float] | None = None):
     """Evaluate the Poisson Green's operator applied to a source at the points x.
 
-    The smooth part is integrated by the cumulative-sum primitive, cut at
+    The smooth part is integrated by the Green's primitive at k = 0, cut at
     every x, the source's own breakpoints and any supplied mesh
     boundaries; point sources contribute `poisson_green` values.  A coarse
     field raises ValueError: its image, minus the field, is subtracted
@@ -233,7 +187,7 @@ def green_apply(src: SourceTerm, x, quad_points: int,
     if src.smooth is not None:
         cuts = np.concatenate((() if mesh_boundaries is None else mesh_boundaries,
                                src.breakpoints))
-        out += _poisson_apply(src.smooth, x, cuts, quad_points)[:, 0]
+        out += _damped_green_apply(src.smooth, x, cuts, quad_points)[0][:, 0]
     locs, qs = np.array(src.point_sources, dtype=float).reshape(-1, 2).T
     out += poisson_green(x[:, None], locs[None, :]) @ qs
     return float(out[0]) if scalar else out

@@ -5,7 +5,9 @@ advection-diffusion kernel keeps every exponential argument nonpositive so
 it stays finite at large Peclet number, and the 2D eigenfunction series
 evaluates its sinh ratios the same way so terms beyond n*pi > 700 cannot
 overflow.  The 1D kernel's derivatives and the element-local Dirichlet
-kernel, which only the tests read, live beside the tests' oracles.
+kernel, which only the tests read, live beside the tests' oracles.  One
+primitive applies a kernel to a density (`_damped_green_apply`): that of
+-u'' + k^2 u, the 1D Poisson kernel at k = 0 and 2D mode n at k = n pi.
 """
 
 from __future__ import annotations
@@ -14,8 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quadrature import _piece_ends, gauss_legendre_rule, sorted_unique
+
 _DOMAIN_TOL = 1e-12
 DEFAULT_SERIES_TERMS = 100
+# Across a piece of the primitive e^{-k t} falls by at most e^_PIECE_DECAY,
+# which 20 Gauss points integrate to rounding; it tabulates densities
+# _BLOCK_POINTS rule points at a time unless the caller sets the block.
+_PIECE_DECAY = 20.0
+_BLOCK_POINTS = 1024
 
 
 def _check_unit_domain(*arrays):
@@ -106,6 +115,81 @@ def poisson2d_green(x, y, s1, s2, num_terms: int = DEFAULT_SERIES_TERMS):
         npi = n * np.pi
         out = out + (2.0 / npi) * np.sin(npi * x) * np.sin(npi * s1) * series_term_profile(n, y, s2)
     return out
+
+
+def _damped(k, a):
+    """E_k(a) = (1 - e^{-2 k a}) / (2 k), k > 0 one rate per last-axis
+    column of a; E_0(a) = a."""
+    return np.expm1(-2.0 * k * a) / (-2.0 * k) if k.any() else a
+
+
+def _running_sums(c, d):
+    """s_j = c_j + d_j s_{j-1} along axis 1, 0 <= d_j <= 1, by a doubling
+    scan of log2(len) steps whose factors, products of d's, cannot overflow
+    (Hillis & Steele, CACM 29, 1986); one cumulative sum if every d_j is 1."""
+    if np.all(d == 1.0):
+        return np.cumsum(c, axis=1)
+    step = 1
+    while step < c.shape[1]:
+        c[:, step:] += d[:, step:] * c[:, :-step]
+        d[:, step:] *= d[:, :-step]
+        step *= 2
+    return c
+
+
+def _damped_green_apply(density, x, cuts, quad_points: int, rates=0.0, table=None,
+                        block_points: int = _BLOCK_POINTS):
+    """G_k f at the points x in [0, 1] and, with a table h, int_0^1 f h, for
+    G_k the Green's operator of -u'' + k^2 u on [0, 1] with zero ends.
+
+    `density(t)` gives one value per point or one column per density, each
+    with its rate k (all 0 or all positive), `cuts` are its kinks and
+    `table(t)` gives one row per point.  The kernel e^{-k |x - s|} E_k(min)
+    E_k(1 - max) / E_k(1) (`_damped`) is semiseparable (Greengard & Rokhlin,
+    CPAM 44, 1991): G_k f = [E_k(1 - x) L + E_k(x) R] / E_k(1), with
+    L = int_0^x e^{-k (x - s)} E_k(s) f and R = int_x^1 e^{-k (s - x)}
+    E_k(1 - s) f.  The Gauss rule is cut at 0, 1, the cuts and every x, so
+    each integral splits at the kink, and each cell into pieces
+    (`_PIECE_DECAY`), one at k = 0.  L and R are running sums of the pieces,
+    damped by e^{-k width} a step (`_running_sums`), read at x: no exponent
+    is positive.  Returns G_k f, (len(x), densities), and the moments,
+    (densities, table columns), or 0 without a table.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    _check_unit_domain(x)
+    x = np.clip(x, 0.0, 1.0)
+    k = np.atleast_1d(np.asarray(rates, dtype=float))
+    cells = sorted_unique(np.concatenate(([0.0, 1.0], np.asarray(cuts, dtype=float), x)))
+    cells = cells[(cells >= 0.0) & (cells <= 1.0)]
+    damped = k.max() > 0.0
+    ends = _piece_ends(cells, np.ceil(k.max() * np.diff(cells) / _PIECE_DECAY).astype(int)) \
+        if damped else cells
+    rule = gauss_legendre_rule(quad_points)
+    step = max(1, block_points // rule.npoints)
+    # map_rule's affine map, its midpoints and half widths formed once
+    mid, half = 0.5 * (ends[:-1] + ends[1:])[:, None], 0.5 * np.diff(ends)[:, None]
+    parts, moments = [], 0.0
+    for block in range(0, half.size, step):
+        h = half[block:block + step]
+        t, w = mid[block:block + step] + h * rule.nodes, h * rule.weights
+        f = np.asarray(density(t.ravel()), dtype=float).reshape(t.shape + (-1,)) * w[..., None]
+        if table is not None:
+            moments = moments + f.reshape(t.size, -1).T @ table(t.ravel())
+        # each piece's integral in L at its right end and in R at its left end
+        if damped:
+            t, lag = t[..., None], -k * h[..., None]
+            weights = np.stack((_damped(k, t) * np.exp(lag * (1.0 - rule.nodes[:, None])),
+                                _damped(k, 1.0 - t) * np.exp(lag * (1.0 + rule.nodes[:, None]))))
+        else:
+            weights = np.stack((t, 1.0 - t))
+        parts.append(np.einsum("jiq...,iq...->ji...", weights, f))
+    left, right = np.concatenate(parts, axis=1)
+    decay = np.exp(-k * np.diff(ends)[:, None])
+    left, right = _running_sums(np.stack((left, right[::-1])), np.stack((decay, decay[::-1])))
+    zero, at = np.zeros_like(left[:1]), np.searchsorted(ends, x)
+    x, scale = x[:, None], _damped(k, 1.0)
+    return (_damped(k, 1.0 - x) / scale * np.concatenate((zero, left))[at]
+            + _damped(k, x) / scale * np.concatenate((right[::-1], zero))[at]), moments
 
 
 @dataclass(frozen=True)

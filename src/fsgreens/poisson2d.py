@@ -14,17 +14,15 @@ m x m products.
 All kernel applications exploit the separable eigenfunction series: the
 sine direction is integrated once against high-order per-element rules
 sized to the truncation order and the element width.  Each term's profile
-in the other direction is the semiseparable Green's function of
--d^2/dy^2 + (n pi)^2, so the convolution is one left and one right damped
-running sum over all terms at once, on pieces short enough for a fixed
-Gauss rule (the 1D Poisson primitive's cumulative sums, cf. Greengard &
-Rokhlin, CPAM 44, 1991).  Pairings of the truncated operator reduce to
-sums of 1D integrals, keeping the whole pipeline consistent with the same
-truncated kernel the reconstruction uses.  The pairing and the convolution
-need the residual only through its sine moments, so they share one
-tabulation on the convolution's pieces (`_green_tables`): each piece lies
-in one element, where the basis is a polynomial, and carries at least the
-source rule's points.
+in the other direction is the Green's function of -d^2/dy^2 + (n pi)^2,
+which the Green's primitive of `kernels` applies to all terms at once, as
+it applies the 1D sources' at rate 0.  Pairings of the
+truncated operator reduce to sums of 1D integrals, keeping the whole
+pipeline consistent with the same truncated kernel the reconstruction
+uses.  The pairing and the convolution need the residual only through its
+sine moments, so they share one tabulation on the primitive's pieces
+(`_green_tables`): each piece lies in one element, where the basis is a
+polynomial, and carries at least the source rule's points.
 
 As in 1D the fine-scale operator annihilates the resolved space (Hughes &
 Sangalli, SIAM J. Numer. Anal. 45, 2007), so the fine scales depend on the
@@ -40,16 +38,14 @@ import numpy as np
 
 from .basis1d import BasisFamily, Mesh1D, SpaceKind, basis_family, tabulate_nodal
 from .dualspace import SPDMatrix, assemble_mass
-from .kernels import DEFAULT_SERIES_TERMS, _check_unit_domain
+from .kernels import DEFAULT_SERIES_TERMS, _damped_green_apply
 from .projection import assemble_stiffness, mesh_quadrature, source_rule_points
-from .quadrature import _piece_ends, composite_rule, gauss_legendre_rule, sorted_unique
+from .quadrature import composite_rule, gauss_legendre_rule
 
 _OSC_MARGIN = 12
-# Convolution pieces: e^{-k t} of the steepest term changes by at most
-# e^_PIECE_DECAY across one, which _PIECE_POINTS Gauss points integrate to
-# rounding (a piece carries the source rule's points if those are more);
-# the residual is tabulated _BLOCK_POINTS rule points at a time.
-_PIECE_DECAY = 20.0
+# Gauss points per convolution piece, which integrate it to rounding (a
+# piece carries the source rule's points if those are more); the residual
+# is tabulated _BLOCK_POINTS rule points at a time.
 _PIECE_POINTS = 20
 _BLOCK_POINTS = 256
 
@@ -257,50 +253,21 @@ def lifted_duals_grid(op: SeriesOperator2D, x, y) -> np.ndarray:
 def _green_tables(op: SeriesOperator2D, residual: Callable, y) -> tuple[np.ndarray, np.ndarray]:
     """Both uses of a residual's sine moments D_n(t), from one tabulation.
 
-    Returns the profiles (terms, len(y)) of the terms of `green_apply_2d`,
-    (2 / k) times each profile integral, so that the image is
-    sines(x)^T @ profiles, and the pairing [a, b] of that image with
-    psi_a (x) psi_b.  Moving the Laplacian onto the kernel collapses the
-    profile direction of the pairing to 2 S^T int D_n psi_b: every piece
-    lies in one element, where psi_b is a polynomial, so the pieces'
-    rule serves both integrals.
+    Returns the profiles 2 G_k D_n (terms, len(y)) of `green_apply_2d`,
+    so that the image is sines(x)^T @ profiles, and the pairing [a, b] of
+    that image with psi_a (x) psi_b.  Moving the Laplacian onto the kernel
+    collapses the pairing's profile direction to 2 S^T int D_n psi_b: each
+    of the primitive's pieces lies in one element, where psi_b is a
+    polynomial, so its one tabulation also gives these moments.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    _check_unit_domain(y)
-    y = np.clip(y, 0.0, 1.0)
-    k = np.pi * np.arange(1, op.num_terms + 1)
-    cuts = sorted_unique(np.concatenate((op.duals.family.mesh.boundaries, y)))
-    ends = _piece_ends(cuts, np.ceil(k[-1] * np.diff(cuts) / _PIECE_DECAY).astype(int))
-    pieces = ends.size - 1
-    points = max(_PIECE_POINTS, op.quad_points)
-    rule = gauss_legendre_rule(points)
-    # left[:, j] and right[:, j]: the two damped sums at ends[j], first per piece
-    left = np.zeros((k.size, ends.size))
-    right = np.zeros_like(left)
-    psi_moments = np.zeros((k.size, op.duals.interior_size))  # int D_n psi_b
-    block = max(1, _BLOCK_POINTS // points)
-    for start in range(0, pieces, block):
-        stop = min(start + block, pieces)
-        t, w = composite_rule(rule, ends[start:stop + 1])
+    def sine_moments(t):
         r_grid = np.asarray(residual(op.osc_nodes[:, None], t[None, :]), dtype=float)
-        d_table = (op.sine_weighted @ r_grid) * w[None, :]     # (terms, pts)
-        psi_moments += d_table @ _psi_tab(op.duals, t)
-        lo = np.repeat(ends[start:stop], points)
-        hi = np.repeat(ends[start + 1:stop + 1], points)
-        to_hi = np.exp(-np.outer(k, hi - t)) * -np.expm1(-np.outer(k, 2.0 * t))
-        to_lo = np.exp(-np.outer(k, t - lo)) * -np.expm1(-np.outer(k, 2.0 * (1.0 - t)))
-        shape = (k.size, stop - start, points)
-        left[:, start + 1:stop + 1] = (d_table * to_hi).reshape(shape).sum(axis=2)
-        right[:, start:stop] = (d_table * to_lo).reshape(shape).sum(axis=2)
-    decay = np.exp(-np.outer(k, np.diff(ends)))
-    for j in range(pieces):
-        left[:, j + 1] += decay[:, j] * left[:, j]
-        right[:, pieces - 1 - j] += decay[:, pieces - 1 - j] * right[:, pieces - j]
-    at = np.searchsorted(ends, y)
-    profile = (-np.expm1(-np.outer(k, 2.0 * (1.0 - y))) * left[:, at]
-               - np.expm1(-np.outer(k, 2.0 * y)) * right[:, at]) \
-        / (-2.0 * np.expm1(-2.0 * k))[:, None]
-    return profile * (2.0 / k)[:, None], 2.0 * op.sine_moments.T @ psi_moments
+        return (op.sine_weighted @ r_grid).T
+
+    profiles, psi_moments = _damped_green_apply(
+        sine_moments, y, op.duals.family.mesh.boundaries, max(_PIECE_POINTS, op.quad_points),
+        np.pi * np.arange(1, op.num_terms + 1), lambda t: _psi_tab(op.duals, t), _BLOCK_POINTS)
+    return 2.0 * profiles.T, 2.0 * op.sine_moments.T @ psi_moments
 
 
 def apply_duals_to_green_2d(op: SeriesOperator2D, residual: Callable) -> np.ndarray:
@@ -311,17 +278,11 @@ def apply_duals_to_green_2d(op: SeriesOperator2D, residual: Callable) -> np.ndar
 def green_apply_2d(op: SeriesOperator2D, residual: Callable, x, y) -> np.ndarray:
     """Truncated-kernel convolution with a residual on the meshgrid (x, y).
 
-    Term n is (2 / k) sin(k x) int P_k(y, t) D_n(t) dt, k = n pi, with D_n
-    the sine moment of the residual (the precomputed sine rule) and
-
-        P_k(y, t) = e^{-k|y - t|} (1 - e^{-2k min}) (1 - e^{-2k (1 - max)}) / (2 (1 - e^{-2k})).
-
-    P_k is semiseparable, so the profile integral is a left and a right
-    damped running sum over pieces of [0, 1] cut at the mesh lines and at
-    every output ordinate, each step scaled by e^{-k width}: no exponent is
-    positive at any term count.  A piece spans at most _PIECE_DECAY / k_max,
-    which its Gauss rule of max(_PIECE_POINTS, quad_points) points
-    integrates to rounding.
+    Term n is 2 sin(k x) G_k D_n(y), k = n pi, with D_n the sine moment
+    of the residual (the precomputed sine rule) and G_k the Green's
+    operator of -d^2/dy^2 + k^2, which `kernels._damped_green_apply`
+    applies on pieces cut at the mesh lines and at every ordinate, by a
+    Gauss rule of max(_PIECE_POINTS, quad_points) points a piece.
     """
     return _sine_table(op.num_terms, x).T @ _green_tables(op, residual, y)[0]
 

@@ -50,10 +50,10 @@ from .dualspace import assemble_mass
 from .finescale import (
     FineScaleOperator,
     SourceTerm,
-    _poisson_apply,
     green_apply,
     reconstruct_fine_scales,
 )
+from .kernels import _damped_green_apply
 from .projection import (
     DualFunctionals,
     ProjectionFlavor,
@@ -257,8 +257,8 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals,
                                quad_points=q, mesh_boundaries=mesh.boundaries)
     # G(psi_k'): s psi_k'(s) has degree p on each element, so the
     # (p // 2 + 1)-point rule is exact
-    green_psi_deriv = _poisson_apply(lambda s: tabulate_nodal(family, s, deriv=1)[:, 1:-1],
-                                     x, mesh.boundaries, family.degree // 2 + 1)
+    green_psi_deriv = _damped_green_apply(lambda s: tabulate_nodal(family, s, deriv=1)[:, 1:-1],
+                                          x, mesh.boundaries, family.degree // 2 + 1)[0]
     num_cells = cells.size - 1
     cell = np.repeat(np.arange(num_cells), q)
     partial = np.where(cell[:, None] > cell, w, 0.0)

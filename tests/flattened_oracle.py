@@ -7,8 +7,14 @@ outside the mesh, is written out as its element-wise second derivative
 (joining the smooth density), a point source at every mesh node (the
 derivative jump, right minus left) and a dipole there (the value jump).
 Each term then goes through the Green's kernel and the functionals'
-representers: the smooth part by the library's primitive and source rule,
-the point terms by kernel and representer (derivative) values.
+representers: the smooth part by the k = 0 oracle below and the source
+rule, the point terms by kernel and representer (derivative) values.
+
+The k = 0 oracle (`_poisson_apply`) is the library's former 1D Poisson
+primitive, prefix and suffix sums of the cells' moments, with the
+x-derivative (`deriv=1`) the library does not form; the tests check the
+library's damped primitive (`kernels._damped_green_apply`) at k = 0
+against it.
 
 It also holds the naive pairing (`pair_naive`): the functionals paired
 with G src on a rule cut only at the mesh boundaries, not at the kernel
@@ -36,10 +42,11 @@ import numpy as np
 from fsgreens.basis1d import (BasisFamily, Field, SpaceKind, _reference_edge_tab, field_eval,
                               lagrange_tab)
 from fsgreens.finescale import (FineScaleOperator, SourceTerm, _field_pairing, _green_and_pairing,
-                                _lift, _poisson_apply)
-from fsgreens.kernels import GreensKernel1D, _check_unit_domain
+                                _lift)
+from fsgreens.kernels import _BLOCK_POINTS, GreensKernel1D, _check_unit_domain
 from fsgreens.projection import (DualFunctionals, ProjectionFlavor, mesh_quadrature,
                                  tabulate_functionals)
+from fsgreens.quadrature import gauss_legendre_rule, map_rule, sorted_unique
 
 
 def poisson_green_dx(x, s):
@@ -56,6 +63,42 @@ def poisson_green_ds(x, s):
     s = np.asarray(s, dtype=float)
     _check_unit_domain(x, s)
     return np.where(s < x, 1.0 - x, -x)
+
+
+def _poisson_apply(density, x, cuts, quad_points: int, deriv: int = 0) -> np.ndarray:
+    """The Poisson Green's operator (deriv=0) or its x-derivative (deriv=1)
+    applied to a batch of densities, at the points x in [0, 1].
+
+    `density(s)` returns one value per point, or one column per density;
+    `cuts` are its derivative-kink locations.  With A(x) = int_0^x s f ds
+    and B(x) = int_x^1 (1 - s) f ds, G f = (1 - x) A + x B and
+    (G f)' = B - A.  The rule's cells run between 0, 1, the cuts and every
+    point x, as `poisson2d._green_tables` cuts at its ordinates, so each
+    integral is split at the kernel kink; A and B are a prefix and a
+    suffix sum of the cells' moments, read at x.  Densities are tabulated
+    _BLOCK_POINTS rule points at a time.  Returns shape
+    (len(x), number of densities).
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    _check_unit_domain(x)
+    x = np.clip(x, 0.0, 1.0)
+    ends = sorted_unique(np.concatenate(([0.0, 1.0], np.asarray(cuts, dtype=float), x)))
+    ends = ends[(ends >= 0.0) & (ends <= 1.0)]
+    rule = gauss_legendre_rule(quad_points)
+    step = max(1, _BLOCK_POINTS // rule.npoints)
+    lo, hi = ends[:-1], ends[1:]
+    parts = []
+    for start in range(0, lo.size, step):
+        s, w = map_rule(rule, lo[start:start + step], hi[start:start + step])
+        f = np.asarray(density(s.ravel()), dtype=float).reshape(s.shape + (-1,))
+        parts.append(np.einsum("jiq,iqk->jik", np.stack((s * w, (1.0 - s) * w)), f))
+    # each cell's int s f ds and int (1 - s) f ds
+    a_cell, b_cell = np.concatenate(parts, axis=1)
+    zero = np.zeros((1, a_cell.shape[1]))
+    at = np.searchsorted(ends, x)
+    a = np.concatenate((zero, np.cumsum(a_cell, axis=0)))[at]
+    b = np.concatenate((np.cumsum(b_cell[::-1], axis=0)[::-1], zero))[at]
+    return b - a if deriv else (1.0 - x)[:, None] * a + x[:, None] * b
 
 
 def element_green(x, s, a: float, b: float):

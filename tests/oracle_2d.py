@@ -8,7 +8,10 @@ itself never forms the m^2 x m^2 stiffness or a functional table: it works
 in the fast-diagonalized eigenbasis.  The series pairing on the 1D
 source rule (`source_rule_pairing`) and the reconstruction from a given
 pairing (`reconstruct_with_pairing`) check the library's pairing, which
-reads the residual's one tabulation on the convolution's pieces.
+reads the residual's one tabulation on the convolution's pieces.  The
+damped running sums with a Python recurrence over the pieces
+(`_green_tables`) are the library's former 2D convolution and pairing,
+against which the tests check its damped primitive at k = n pi.
 """
 
 from __future__ import annotations
@@ -18,10 +21,12 @@ from typing import Callable
 import numpy as np
 
 from fsgreens.basis1d import BasisFamily, tabulate_nodal
-from fsgreens.poisson2d import (DualFunctionals2D, SeriesOperator2D, _psi_tab, _sine_table,
-                                _stiffness_solve, _tensor_duals, green_apply_2d)
+from fsgreens.kernels import _PIECE_DECAY, _check_unit_domain
+from fsgreens.poisson2d import (_BLOCK_POINTS, _PIECE_POINTS, DualFunctionals2D, SeriesOperator2D,
+                                _psi_tab, _sine_table, _stiffness_solve, _tensor_duals,
+                                green_apply_2d)
 from fsgreens.projection import mesh_quadrature
-from fsgreens.quadrature import composite_rule, gauss_legendre_rule
+from fsgreens.quadrature import _piece_ends, composite_rule, gauss_legendre_rule, sorted_unique
 
 from flattened_oracle import nodal_deriv_jumps
 
@@ -90,3 +95,52 @@ def reconstruct_with_pairing(op: SeriesOperator2D, residual: Callable, x, y,
     library's own: the convolution image less the lift of its Gram solve."""
     lift = 2.0 * op.sine_moments @ op.solve_gram(pairing) @ _psi_tab(op.duals, y).T
     return green_apply_2d(op, residual, x, y) - _sine_table(op.num_terms, x).T @ lift
+
+
+def _green_tables(op: SeriesOperator2D, residual: Callable, y) -> tuple[np.ndarray, np.ndarray]:
+    """Both uses of a residual's sine moments D_n(t), from one tabulation.
+
+    Returns the profiles (terms, len(y)) of the terms of `green_apply_2d`,
+    (2 / k) times each profile integral, so that the image is
+    sines(x)^T @ profiles, and the pairing [a, b] of that image with
+    psi_a (x) psi_b.  Moving the Laplacian onto the kernel collapses the
+    profile direction of the pairing to 2 S^T int D_n psi_b: every piece
+    lies in one element, where psi_b is a polynomial, so the pieces'
+    rule serves both integrals.
+    """
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    _check_unit_domain(y)
+    y = np.clip(y, 0.0, 1.0)
+    k = np.pi * np.arange(1, op.num_terms + 1)
+    cuts = sorted_unique(np.concatenate((op.duals.family.mesh.boundaries, y)))
+    ends = _piece_ends(cuts, np.ceil(k[-1] * np.diff(cuts) / _PIECE_DECAY).astype(int))
+    pieces = ends.size - 1
+    points = max(_PIECE_POINTS, op.quad_points)
+    rule = gauss_legendre_rule(points)
+    # left[:, j] and right[:, j]: the two damped sums at ends[j], first per piece
+    left = np.zeros((k.size, ends.size))
+    right = np.zeros_like(left)
+    psi_moments = np.zeros((k.size, op.duals.interior_size))  # int D_n psi_b
+    block = max(1, _BLOCK_POINTS // points)
+    for start in range(0, pieces, block):
+        stop = min(start + block, pieces)
+        t, w = composite_rule(rule, ends[start:stop + 1])
+        r_grid = np.asarray(residual(op.osc_nodes[:, None], t[None, :]), dtype=float)
+        d_table = (op.sine_weighted @ r_grid) * w[None, :]     # (terms, pts)
+        psi_moments += d_table @ _psi_tab(op.duals, t)
+        lo = np.repeat(ends[start:stop], points)
+        hi = np.repeat(ends[start + 1:stop + 1], points)
+        to_hi = np.exp(-np.outer(k, hi - t)) * -np.expm1(-np.outer(k, 2.0 * t))
+        to_lo = np.exp(-np.outer(k, t - lo)) * -np.expm1(-np.outer(k, 2.0 * (1.0 - t)))
+        shape = (k.size, stop - start, points)
+        left[:, start + 1:stop + 1] = (d_table * to_hi).reshape(shape).sum(axis=2)
+        right[:, start:stop] = (d_table * to_lo).reshape(shape).sum(axis=2)
+    decay = np.exp(-np.outer(k, np.diff(ends)))
+    for j in range(pieces):
+        left[:, j + 1] += decay[:, j] * left[:, j]
+        right[:, pieces - 1 - j] += decay[:, pieces - 1 - j] * right[:, pieces - j]
+    at = np.searchsorted(ends, y)
+    profile = (-np.expm1(-np.outer(k, 2.0 * (1.0 - y))) * left[:, at]
+               - np.expm1(-np.outer(k, 2.0 * y)) * right[:, at]) \
+        / (-2.0 * np.expm1(-2.0 * k))[:, None]
+    return profile * (2.0 / k)[:, None], 2.0 * op.sine_moments.T @ psi_moments

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fsgreens import finescale
+from fsgreens import kernels
 from fsgreens.basis1d import (Field, Mesh1D, SpaceKind, basis_family, field_eval, tabulate_edge,
                               tabulate_nodal)
 from fsgreens.dualspace import _reference_duals, assemble_mass, tabulate_duals
@@ -14,14 +14,13 @@ from fsgreens.finescale import (
     SourceTerm,
     _l2_lift_sum,
     _lift,
-    _poisson_apply,
     build_fine_scale_operator,
     fine_scale_eval,
     green_apply,
     reconstruct_fine_scales,
     residual_from_field,
 )
-from fsgreens.kernels import GreensKernel1D
+from fsgreens.kernels import GreensKernel1D, _damped_green_apply
 from fsgreens.projection import (
     ProjectionFlavor,
     build_dual_functionals,
@@ -34,9 +33,10 @@ from fsgreens.projection import (
 )
 from fsgreens.quadrature import composite_rule, default_quad_points, gauss_legendre_rule
 
-from flattened_oracle import (apply_dual_green, element_endpoint_values, element_green, flattened,
-                              functional_load, lift_functionals_direct, nodal_points, pair_naive,
-                              reconstruct_flat, resolved_basis_reproduction)
+from flattened_oracle import (_poisson_apply, apply_dual_green, element_endpoint_values,
+                              element_green, flattened, functional_load, lift_functionals_direct,
+                              nodal_points, pair_naive, reconstruct_flat,
+                              resolved_basis_reproduction)
 
 KERNEL = GreensKernel1D.poisson()
 CASE = sin2pix_case()
@@ -187,25 +187,30 @@ def test_poisson_primitive_tabulates_its_cells_once(x, cuts, points):
         calls.append(s)
         return np.ones_like(s)
 
-    got = _poisson_apply(density, x, cuts, points)[:, 0]
+    got = _damped_green_apply(density, x, cuts, points)[0][:, 0]
     ends = np.unique(np.concatenate(([0.0, 1.0], cuts, x)))
     assert np.array_equal(np.concatenate(calls),
                           composite_rule(gauss_legendre_rule(points), ends)[0])
-    assert max(c.size for c in calls) <= finescale._BLOCK_POINTS
+    assert max(c.size for c in calls) <= kernels._BLOCK_POINTS
     assert np.max(np.abs(got - 0.5 * x * (1.0 - x))) < 1e-16
 
 
 @pytest.mark.parametrize("deriv", [0, 1])
 def test_poisson_primitive_points_in_any_order(deriv):
     # unsorted, repeated and on-cut points: the values of the sorted
-    # distinct points, and each point's value alone up to rounding
+    # distinct points, and each point's value alone up to rounding; the
+    # library's primitive at k = 0, and the oracle's x-derivative
     density = lambda s: np.abs(s - 0.3) + np.sin(3.0 * s)
     cuts = [0.3, 0.5]
+    if deriv:
+        apply = lambda xs: _poisson_apply(density, xs, cuts, 20, deriv)
+    else:
+        apply = lambda xs: _damped_green_apply(density, xs, cuts, 20)[0]
     xs = np.array([0.9, 0.5, 0.2, 0.9, 0.0, 0.5, 1.0, 0.35, 0.3])
-    got = _poisson_apply(density, xs, cuts, 20, deriv)[:, 0]
+    got = apply(xs)[:, 0]
     uniq, inverse = np.unique(xs, return_inverse=True)
-    assert np.array_equal(got, _poisson_apply(density, uniq, cuts, 20, deriv)[inverse, 0])
-    alone = np.array([_poisson_apply(density, [xv], cuts, 20, deriv)[0, 0] for xv in xs])
+    assert np.array_equal(got, apply(uniq)[inverse, 0])
+    alone = np.array([apply([xv])[0, 0] for xv in xs])
     assert np.max(np.abs(got - alone)) < 1e-15 * np.max(np.abs(got))
 
 
@@ -301,6 +306,20 @@ def test_gram_cond_is_the_condition_number_of_the_formed_gram(flavor, num_elemen
     op = build_fine_scale_operator(KERNEL, fns)
     tol = max(1e-12, np.finfo(float).eps * op.gram_cond)
     assert np.log10(op.gram_cond) == pytest.approx(np.log10(np.linalg.cond(op.gram)), abs=tol)
+
+
+@pytest.mark.parametrize("gap,singular", [(1e-6, True), (1e-3, False)])
+def test_l2_build_rejects_a_numerically_singular_gram(gap, singular):
+    # a sliver element of width gap at p = 4: the Gram's log10 condition
+    # number is 18.3 at 1e-6, past the 1e14 guard, and 9.97 at 1e-3.  The
+    # CLI cannot reach the guard, as it builds uniform meshes only
+    mesh = Mesh1D(0.0, 1.0, 3, 4, np.array([0.0, 0.5, 0.5 + gap, 1.0]))
+    fns = build_dual_functionals(basis_family(mesh), ProjectionFlavor.L2)
+    if singular:
+        with pytest.raises(ValueError, match="singular dual Gram"):
+            build_fine_scale_operator(KERNEL, fns)
+    else:
+        assert np.log10(build_fine_scale_operator(KERNEL, fns).gram_cond) < 10.0
 
 
 def test_h10_build_and_reconstruction_form_no_gram():

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from fsgreens.basis1d import Mesh1D
 from fsgreens.cases import advdiff_const_case, sin2pixy_case
-from fsgreens.kernels import advdiff_green, poisson2d_green, poisson_green
+from fsgreens.kernels import (_damped_green_apply, advdiff_green, poisson2d_green, poisson_green,
+                              series_term_profile)
+from fsgreens.poisson2d import Mesh2D, _psi_tab, build_dual_functionals_2d
 from fsgreens.quadrature import composite_rule, gauss_legendre_rule
 
-from flattened_oracle import element_green, poisson_green_dx
+from flattened_oracle import _poisson_apply, element_green, poisson_green_dx
 
 
 def test_poisson_values():
@@ -30,6 +33,21 @@ def test_poisson_domain_check():
         poisson_green(np.array([0.5, np.nan]), 0.5)
     with pytest.raises(ValueError):
         poisson2d_green(0.5, 0.5, np.nan, 0.5)
+
+
+@pytest.mark.parametrize("value,inside", [(1.0 + 1e-13, True), (-1e-13, True), (1.0 + 1e-9, False),
+                                          (-1e-9, False), (np.nan, False)])
+def test_unit_domain_tolerance(value, inside):
+    # rounding just outside [0, 1] is accepted and clipped; a point 1e-9
+    # outside, or NaN, is an error
+    applies = (lambda v: poisson_green(v, 0.5), lambda v: poisson_green(0.5, v),
+               lambda v: _damped_green_apply(np.exp, [0.5, v], [0.3], 20)[0])
+    for apply in applies:
+        if inside:
+            assert np.all(np.isfinite(apply(value)))
+        else:
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                apply(value)
 
 
 def test_poisson_weak_delta_property():
@@ -206,3 +224,75 @@ def test_poisson2d_convolution():
         f = case.source(s[:, None], sy[None, :])
         val = w @ (g * f) @ wy
         assert val == pytest.approx(case.solution(np.array(x), np.array(y)), abs=2e-3)
+
+
+# ---------------------------------------------------------------------------
+# the damped Green's primitive
+
+
+# unsorted, with a repeat, the ends and the density's kink at 0.37
+_POINTS = np.array([0.8123, 0.37, 0.0, 0.5, 0.37, 1.0, 0.01, 0.999, 0.2])
+
+
+def _kinked(t, column=0):
+    # positive, so that no value of the image comes from a cancellation
+    return np.abs(t - 0.37) + np.exp(-column * t)
+
+
+def _dense(kernel, x, density, width):
+    """int_0^1 kernel(x, t) density(t) dt at each x by a 30-point Gauss rule
+    on pieces at most `width` wide, cut at x and at the kink 0.37."""
+    out = []
+    for xv in x:
+        cuts = np.unique([0.0, xv, 0.37, 1.0])
+        ends = np.unique(np.concatenate([np.linspace(a, b, int(np.ceil((b - a) / width)) + 1)
+                                         for a, b in zip(cuts[:-1], cuts[1:])]))
+        t, w = composite_rule(gauss_legendre_rule(30), ends)
+        out.append((w * kernel(xv, t)) @ density(t))
+    return np.array(out)
+
+
+def test_damped_primitive_at_zero_rate_is_the_poisson_operator():
+    got, moments = _damped_green_apply(_kinked, _POINTS, [0.37], 20)
+    want = _dense(poisson_green, _POINTS, _kinked, 1.0)
+    assert got.shape == (_POINTS.size, 1) and moments == 0.0
+    assert np.max(np.abs(got[:, 0] - want)) < 1e-15 * np.max(want)
+    oracle = _poisson_apply(_kinked, _POINTS, [0.37], 20)
+    assert np.max(np.abs(got - oracle)) < 1e-15 * np.max(want)
+
+
+@pytest.mark.parametrize("terms", [100, 1000])
+def test_damped_primitive_applies_every_series_mode(terms):
+    # column n - 1 has rate k = n pi and its own density; its kernel is the
+    # 2D series profile over k, P_k = k g_k.  The dense side forms
+    # e^{-k |x - t|} from k min and k max, so it carries about eps k of
+    # rounding, and the bound grows with k
+    k = np.pi * np.arange(1, terms + 1)
+    columns = lambda t: _kinked(t[:, None], np.arange(terms) / terms)
+    got = _damped_green_apply(columns, _POINTS, [0.37], 20, k)[0]
+    assert got.shape == (_POINTS.size, terms)
+    for n in (1, 2, 37, terms):
+        want = _dense(lambda xv, t: series_term_profile(n, xv, t) / k[n - 1], _POINTS,
+                      lambda t: _kinked(t, (n - 1) / terms), 2.0 / k[-1])
+        bound = 1e-14 * max(1.0, k[n - 1] / 10.0)
+        assert np.max(np.abs(got[:, n - 1] - want)) < bound * np.max(want)
+
+
+def test_damped_primitive_moments_are_the_basis_pairings():
+    # int f psi_b against the 2D basis table, with no points or with some:
+    # each piece lies in one element, where psi_b is a polynomial.  psi_b
+    # sums nodal functions times eigenvectors of size up to 3.8, whose
+    # rounding at other rule points moves the pairings by up to 7.2e-15 of
+    # int |f psi_b|
+    d2 = build_dual_functionals_2d(Mesh2D(Mesh1D.uniform(0.0, 1.0, 4, 3)))
+    table = lambda t: _psi_tab(d2, t)
+    k = np.pi * np.arange(1, 8)
+    columns = lambda t: _kinked(t[:, None], np.arange(7.0))
+    cuts = np.r_[d2.family.mesh.boundaries, 0.37]
+    t, w = composite_rule(gauss_legendre_rule(30), np.unique(cuts))
+    want = (w[:, None] * columns(t)).T @ table(t)
+    scale = (w[:, None] * columns(t)).T @ np.abs(table(t))
+    for x in ([], _POINTS):
+        got, moments = _damped_green_apply(columns, x, cuts, 20, k, table, 64)
+        assert got.shape == (len(x), 7)
+        assert np.max(np.abs(moments - want) / scale) < 3e-14
