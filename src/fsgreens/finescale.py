@@ -93,56 +93,50 @@ class SourceTerm:
         return cls(smooth=f, breakpoints=tuple(float(b) for b in breakpoints))
 
 
-def _l2_element_lifts(fns: DualFunctionals, elem, xi, x, deriv: int = 0) -> np.ndarray:
-    """The lifts (or x-derivatives) at x of the p duals of its element elem,
-    xi its reference coordinate there; shape (len(x), p).
+def _l2_element_lifts(fns: DualFunctionals, elem, xi, x) -> np.ndarray:
+    """The lifts at x of the p duals of its element elem, xi its reference
+    coordinate there; shape (len(x), p).
 
     With A_j(x) = int_{a_e}^x s mu_j and B_j(x) = int_x^{b_e} (1 - s) mu_j =
     beta_j - int_{a_e}^x (1 - s) mu_j (`dualspace.partial_moments`),
     G mu_j = (1 - x) A_j + x B_j inside the element, as the Green's primitive
-    of `kernels` forms G f at k = 0, and its x-derivative is B_j - A_j.
+    of `kernels` forms G f at k = 0.
     """
     lower, partial = partial_moments(fns.duals, elem, xi)
     upper = fns.duals.moments[1][elem] - partial
-    if deriv:
-        return upper - lower
     x = np.asarray(x, dtype=float)[:, None]
     return (1.0 - x) * lower + x * upper
 
 
-def _l2_lifts_at(fns: DualFunctionals, x, deriv: int = 0):
+def _l2_lifts_at(fns: DualFunctionals, x):
     """x as a 1D array clipped to [0, 1] (rejected outside the mesh, NaN
-    too), each point's element and the lifts (or x-derivatives) of that
-    element's p duals at the point."""
+    too), each point's element and the lifts of that element's p duals at
+    the point."""
     elem, _, xi = _locate(fns.family.mesh.boundaries, x)
     x = np.clip(np.atleast_1d(np.asarray(x, dtype=float)), 0.0, 1.0)
-    return x, elem, _l2_element_lifts(fns, elem, xi, x, deriv)
+    return x, elem, _l2_element_lifts(fns, elem, xi, x)
 
 
-def _lift(fns: DualFunctionals, x, deriv: int = 0) -> np.ndarray:
-    """Every lifted functional G(load_j), or its x-derivative, at x.
+def _lift(fns: DualFunctionals, x) -> np.ndarray:
+    """Every lifted functional G(load_j) at x.
 
     For H10 the Poisson kernel inverts the load (minus the second
     derivative plus the node point sources) exactly, so the lift is the
-    functional itself; derivatives at mesh nodes are the left element's.
-    For L2 the load is the dual density mu_j, one element's, and the lift
-    is in closed form: x beta_j left of the dual's element, (1 - x) alpha_j
-    right of it (`DualSet.moments`) and `_l2_element_lifts` inside; the
-    x-derivatives left and right are beta_j and -alpha_j.  The lift is C^1,
-    so a point on a mesh node may take either side.
+    functional itself.  For L2 the load is the dual density mu_j, one
+    element's, and the lift is in closed form: x beta_j left of the dual's
+    element, (1 - x) alpha_j right of it (`DualSet.moments`) and
+    `_l2_element_lifts` inside.  The lift is C^1, so a point on a mesh node
+    may take either side.
     """
     if fns.flavor is ProjectionFlavor.H10:
-        return tabulate_functionals(fns, x, deriv=deriv)
-    x, elem, local = _l2_lifts_at(fns, x, deriv)
+        return tabulate_functionals(fns, x)
+    x, elem, local = _l2_lifts_at(fns, x)
     alpha, beta = fns.duals.moments
     p = fns.family.degree
     # the duals of elements left of each point's element: it lies right of them
     right = np.arange(fns.size)[None, :] < (p * elem)[:, None]
-    if deriv:
-        out = np.where(right, -alpha.ravel(), beta.ravel())
-    else:
-        out = np.where(right, np.multiply.outer(1.0 - x, alpha.ravel()),
-                       np.multiply.outer(x, beta.ravel()))
+    out = np.where(right, np.multiply.outer(1.0 - x, alpha.ravel()),
+                   np.multiply.outer(x, beta.ravel()))
     out[np.arange(x.size)[:, None], _element_cols(fns.family.mesh, elem, p)] = local
     return out
 

@@ -1,17 +1,18 @@
 """Analytic Green's functions: 1D Poisson, 1D advection-diffusion, 2D Poisson series.
 
-All kernels satisfy homogeneous Dirichlet conditions.  The
-advection-diffusion kernel keeps every exponential argument nonpositive so
-it stays finite at large Peclet number, and the 2D eigenfunction series
-evaluates its sinh ratios the same way so terms beyond n*pi > 700 cannot
-overflow.  The 1D kernel's derivatives and the element-local Dirichlet
-kernel, which only the tests read, live beside the tests' oracles.  One
-primitive applies a kernel to a density (`_damped_green_apply`): that of
--u'' + k^2 u, the 1D Poisson kernel at k = 0 and 2D mode n at k = n pi.
+All satisfy homogeneous Dirichlet conditions, and all are g_k, the Green's
+function of -u'' + k^2 u on [0, 1], evaluated by one formula
+(`_damped_green`) with no positive exponent: the 1D Poisson kernel at
+k = 0, 2D series mode n at k = n pi and advection-diffusion at
+k = |c| / (2 nu).  One primitive applies g_k to a density
+(`_damped_green_apply`).  The 1D kernel's derivatives and the
+element-local Dirichlet kernel, which only the tests read, live beside
+the tests' oracles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ import numpy as np
 from .quadrature import _piece_ends, gauss_legendre_rule, sorted_unique
 
 _DOMAIN_TOL = 1e-12
+_EPS = np.finfo(float).eps
 DEFAULT_SERIES_TERMS = 100
 # Across a piece of the primitive e^{-k t} falls by at most e^_PIECE_DECAY,
 # which 20 Gauss points integrate to rounding; it tabulates densities
@@ -34,20 +36,40 @@ def _check_unit_domain(*arrays):
             raise ValueError("arguments must lie in [0, 1]")
 
 
+def _damped_green(x, s, k: float = 0.0, drift: float = 0.0):
+    """e^{drift (x - s)} g_k(x, s), g_k the Green's function of -u'' + k^2 u
+    on [0, 1] with zero ends, for x, s in [0, 1] and |drift| <= k:
+    e^{drift (x - s) - k |x - s|} E_k(min) E_k(1 - max) / E_k(1) (`_damped`).
+    The exponent is never positive, the factors 1 - e^{-2 k a} lie in
+    [0, 1] and the one division, by 2 k (1 - e^{-2 k}), comes last, so no
+    rate overflows or underflows.  A rate at or below machine epsilon is
+    0, where E_k(a) = a to rounding: the Poisson kernel min (1 - max).
+    """
+    lo, hi = np.minimum(x, s), np.maximum(x, s)
+    if k <= _EPS:
+        return lo * (1.0 - hi)
+    t, m = x - s, -2.0 * k
+    return np.exp(np.minimum((drift - k) * t, (drift + k) * t)) * np.expm1(m * lo) \
+        * np.expm1(m * (1.0 - hi)) / (m * math.expm1(m))
+
+
 def poisson_green(x, s):
     """Green's function of -u'' on [0, 1] with zero boundary values."""
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
     _check_unit_domain(x, s)
-    return np.where(x <= s, x * (1.0 - s), s * (1.0 - x))
+    return _damped_green(x, s)
 
 
 def advdiff_green(x, s, c: float, nu: float):
     """Green's function of c u' - nu u'' on [0, 1], zero boundary values.
 
-    Written with nonpositive exponents throughout: the response to a
-    source at s is exponentially small upstream and forms a plateau of
-    height ~1/c downstream, ending in the outflow boundary layer.
+    With beta = c / nu, u = e^{beta x / 2} v gives -v'' + (beta / 2)^2 v =
+    e^{-beta x / 2} f / nu, so the kernel is e^{beta (x - s) / 2} g_k / nu
+    at k = |beta| / 2, its one exponent min(beta (x - s), 0): exponentially
+    small upstream of the source, a plateau of height 1/|c| downstream,
+    ending in the outflow layer.  At |beta| <= machine epsilon it is the
+    Poisson kernel over nu.
     """
     if not 0.0 < nu < np.inf:
         raise ValueError(f"diffusion coefficient must be finite and positive, got {nu}")
@@ -58,50 +80,18 @@ def advdiff_green(x, s, c: float, nu: float):
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
     _check_unit_domain(x, s)
-    if c < 0.0:
-        # mirror symmetry maps the negative-speed problem onto the positive one
-        return advdiff_green(1.0 - x, 1.0 - s, -c, nu)
-    beta = c / nu
-    denom = c * (-np.expm1(-beta))
-    if beta < 0.5:
-        # product form: no cancellation when the exponentials are all near 1
-        upstream = np.expm1(beta * x) * (-np.expm1(-beta * (1.0 - s))) \
-            * np.exp(-beta * s) / denom
-    else:
-        # shifted form: every argument nonpositive, finite at large Peclet
-        upstream = (
-            np.exp(-beta * (s - x))
-            - np.exp(-beta * (1.0 - x))
-            - np.exp(-beta * s)
-            + np.exp(-beta)
-        ) / denom
-    downstream = np.expm1(-beta * (1.0 - x)) * np.expm1(-beta * s) / denom
-    return np.where(x <= s, upstream, downstream)
-
-
-def _sinh_ratio(a, b, c):
-    """sinh(a) sinh(b) / sinh(c) for 0 <= a, b and a + b <= c, overflow safe."""
-    return 0.5 * (
-        np.exp(a + b - c) - np.exp(b - a - c) - np.exp(a - b - c) + np.exp(-a - b - c)
-    ) / (-np.expm1(-2.0 * c))
-
-
-def series_term_profile(n: int, y, s2):
-    """The y/s2 factor of series term n: sinh(n pi min) sinh(n pi (1-max)) / sinh(n pi)."""
-    y = np.asarray(y, dtype=float)
-    s2 = np.asarray(s2, dtype=float)
-    npi = n * np.pi
-    lo = np.minimum(y, s2)
-    hi = np.maximum(y, s2)
-    return _sinh_ratio(npi * lo, npi * (1.0 - hi), npi)
+    # a rounding outside [0, 1] would make an exponent positive
+    x, s, beta = np.clip(x, 0.0, 1.0), np.clip(s, 0.0, 1.0), c / nu
+    return _damped_green(x, s, abs(beta) / 2.0, beta / 2.0) / nu
 
 
 def poisson2d_green(x, y, s1, s2, num_terms: int = DEFAULT_SERIES_TERMS):
     """Truncated eigenfunction series for the Dirichlet Laplacian on the unit square.
 
-    Sine expansion in the first coordinate, matched sinh profiles in the
-    second; symmetric under swapping the field point with the source point
-    term by term.
+    Sine expansion in the first coordinate; term n is
+    2 sin(n pi x) sin(n pi s1) g_{n pi}(y, s2), the sinh profile over n pi
+    (`_damped_green`); symmetric under swapping the field point with the
+    source point term by term.
     """
     if num_terms < 1:
         raise ValueError("need at least one series term")
@@ -113,7 +103,7 @@ def poisson2d_green(x, y, s1, s2, num_terms: int = DEFAULT_SERIES_TERMS):
     out = np.zeros(np.broadcast(x, y, s1, s2).shape)
     for n in range(1, num_terms + 1):
         npi = n * np.pi
-        out = out + (2.0 / npi) * np.sin(npi * x) * np.sin(npi * s1) * series_term_profile(n, y, s2)
+        out = out + 2.0 * np.sin(npi * x) * np.sin(npi * s1) * _damped_green(y, s2, npi)
     return out
 
 

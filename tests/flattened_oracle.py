@@ -29,8 +29,12 @@ functions from the lift table and the Gram (`resolved_basis_reproduction`)
 and the nodal points (`nodal_points`).  So do the pieces that only these
 oracles and the tests read: the Poisson kernel's two derivatives
 (`poisson_green_dx`, `poisson_green_ds`), the element-local Dirichlet
-kernel (`element_green`) and the interior nodal basis's derivative jumps
-at the mesh joints (`nodal_deriv_jumps`).
+kernel (`element_green`), the lifts' x-derivatives (`lift_dx`) and the
+interior nodal basis's derivative jumps at the mesh joints
+(`nodal_deriv_jumps`).  The library's former advection-diffusion kernel
+(`advdiff_green`), written for c > 0 with a product form at low Peclet
+number and a shifted form above it, and mirrored for c < 0, checks the
+library's one damped formula by an independent path.
 """
 
 from __future__ import annotations
@@ -39,8 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fsgreens.basis1d import (BasisFamily, Field, SpaceKind, _reference_edge_tab, field_eval,
-                              lagrange_tab)
+from fsgreens.basis1d import (BasisFamily, Field, SpaceKind, _element_cols, _locate,
+                              _reference_edge_tab, field_eval, lagrange_tab)
+from fsgreens.dualspace import partial_moments
 from fsgreens.finescale import (FineScaleOperator, SourceTerm, _field_pairing, _green_and_pairing,
                                 _lift)
 from fsgreens.kernels import _BLOCK_POINTS, GreensKernel1D, _check_unit_domain
@@ -99,6 +104,65 @@ def _poisson_apply(density, x, cuts, quad_points: int, deriv: int = 0) -> np.nda
     a = np.concatenate((zero, np.cumsum(a_cell, axis=0)))[at]
     b = np.concatenate((np.cumsum(b_cell[::-1], axis=0)[::-1], zero))[at]
     return b - a if deriv else (1.0 - x)[:, None] * a + x[:, None] * b
+
+
+def advdiff_green(x, s, c: float, nu: float):
+    """Green's function of c u' - nu u'' on [0, 1], zero boundary values.
+
+    Written with nonpositive exponents throughout: the response to a
+    source at s is exponentially small upstream and forms a plateau of
+    height ~1/c downstream, ending in the outflow boundary layer.
+    """
+    if not 0.0 < nu < np.inf:
+        raise ValueError(f"diffusion coefficient must be finite and positive, got {nu}")
+    if not np.isfinite(c) or c == 0.0:
+        raise ValueError(f"advection speed must be finite and nonzero, got {c}")
+    if not np.isfinite(c / nu):
+        raise ValueError(f"the Peclet ratio c / nu overflows: c={c}, nu={nu}")
+    x = np.asarray(x, dtype=float)
+    s = np.asarray(s, dtype=float)
+    _check_unit_domain(x, s)
+    if c < 0.0:
+        # mirror symmetry maps the negative-speed problem onto the positive one
+        return advdiff_green(1.0 - x, 1.0 - s, -c, nu)
+    beta = c / nu
+    denom = c * (-np.expm1(-beta))
+    if beta < 0.5:
+        # product form: no cancellation when the exponentials are all near 1
+        upstream = np.expm1(beta * x) * (-np.expm1(-beta * (1.0 - s))) \
+            * np.exp(-beta * s) / denom
+    else:
+        # shifted form: every argument nonpositive, finite at large Peclet
+        upstream = (
+            np.exp(-beta * (s - x))
+            - np.exp(-beta * (1.0 - x))
+            - np.exp(-beta * s)
+            + np.exp(-beta)
+        ) / denom
+    downstream = np.expm1(-beta * (1.0 - x)) * np.expm1(-beta * s) / denom
+    return np.where(x <= s, upstream, downstream)
+
+
+def lift_dx(fns: DualFunctionals, x) -> np.ndarray:
+    """The x-derivative at x of every lifted functional (`finescale._lift`).
+
+    For H10 the functional's own derivative, the left element's at a mesh
+    node.  For L2 beta_j left of the dual's element, -alpha_j right of it
+    and B_j - A_j inside, with A_j(x) = int_{a_e}^x s mu_j and
+    B_j(x) = int_x^{b_e} (1 - s) mu_j from `dualspace.partial_moments`.
+    """
+    if fns.flavor is ProjectionFlavor.H10:
+        return tabulate_functionals(fns, x, deriv=1)
+    elem, _, xi = _locate(fns.family.mesh.boundaries, x)
+    x = np.clip(np.atleast_1d(np.asarray(x, dtype=float)), 0.0, 1.0)
+    lower, partial = partial_moments(fns.duals, elem, xi)
+    alpha, beta = fns.duals.moments
+    p = fns.family.degree
+    right = np.arange(fns.size)[None, :] < (p * elem)[:, None]
+    out = np.where(right, -alpha.ravel(), beta.ravel())
+    out[np.arange(x.size)[:, None], _element_cols(fns.family.mesh, elem, p)] = \
+        beta[elem] - partial - lower
+    return out
 
 
 def element_green(x, s, a: float, b: float):
@@ -219,10 +283,10 @@ def pair_flat(fns, flat: FlatSource, quad_points: int) -> np.ndarray:
     if flat.smooth is not None:
         s, w = mesh_quadrature(fns.family, quad_points, flat.breakpoints)
         out += _lift(fns, s).T @ (w * np.asarray(flat.smooth(s), dtype=float))
-    for deriv, terms in ((0, flat.point_sources), (1, dipoles)):
+    for lift, sign, terms in ((_lift, 1.0, flat.point_sources), (lift_dx, -1.0, dipoles)):
         if terms:
             locs, qs = np.array(terms, dtype=float).T
-            out += (-1) ** deriv * _lift(fns, locs, deriv).T @ qs
+            out += sign * lift(fns, locs).T @ qs
     return out
 
 

@@ -11,7 +11,10 @@ pairing (`reconstruct_with_pairing`) check the library's pairing, which
 reads the residual's one tabulation on the convolution's pieces.  The
 damped running sums with a Python recurrence over the pieces
 (`_green_tables`) are the library's former 2D convolution and pairing,
-against which the tests check its damped primitive at k = n pi.
+against which the tests check its damped primitive at k = n pi.  The
+series term's sinh-ratio profile (`series_term_profile`, `_sinh_ratio`)
+is the library's former evaluation of mode n, the dense reference of the
+damped primitive at k = n pi.
 """
 
 from __future__ import annotations
@@ -29,6 +32,23 @@ from fsgreens.projection import mesh_quadrature
 from fsgreens.quadrature import _piece_ends, composite_rule, gauss_legendre_rule, sorted_unique
 
 from flattened_oracle import nodal_deriv_jumps
+
+
+def _sinh_ratio(a, b, c):
+    """sinh(a) sinh(b) / sinh(c) for 0 <= a, b and a + b <= c, overflow safe."""
+    return 0.5 * (
+        np.exp(a + b - c) - np.exp(b - a - c) - np.exp(a - b - c) + np.exp(-a - b - c)
+    ) / (-np.expm1(-2.0 * c))
+
+
+def series_term_profile(n: int, y, s2):
+    """The y/s2 factor of series term n: sinh(n pi min) sinh(n pi (1-max)) / sinh(n pi)."""
+    y = np.asarray(y, dtype=float)
+    s2 = np.asarray(s2, dtype=float)
+    npi = n * np.pi
+    lo = np.minimum(y, s2)
+    hi = np.maximum(y, s2)
+    return _sinh_ratio(npi * lo, npi * (1.0 - hi), npi)
 
 
 def stiffness_2d_direct(family: BasisFamily) -> np.ndarray:

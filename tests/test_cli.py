@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -300,6 +301,20 @@ def test_overflowing_peclet_ratio_exits_one(tmp_path, capsys):
         assert _run(tmp_path, *argv, "--nu", "1e-320", "--out", str(out)) == 1
         assert not out.exists()
         assert "overflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("c,nu", [("1", "1e-4"), ("-1", "1e-4"), ("1e-310", "1")])
+def test_advdiff_kernel_at_edge_peclet_ratios_is_finite_and_quiet(tmp_path, capsys, c, nu):
+    # a kernel formed from a positive exponent overflows at nu = 1e-4, and
+    # the former one divided 0 by 0 at c = 1e-310
+    out = tmp_path / "g.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run(tmp_path, "greens", "--kernel", "advdiff", "--c", c, "--nu", nu,
+                    "--grid", "41", "--format", "json", "--out", str(out)) == 0
+    assert not caught and capsys.readouterr().err == ""
+    g = np.array(json.loads(out.read_text())["rows"])[:, 2]
+    assert g.size == 41 * 41 and np.all(np.isfinite(g)) and np.all(g >= 0.0)
 
 
 _SOURCE_FREE = (("gll", "--p", "4"),

@@ -34,8 +34,8 @@ from fsgreens.projection import (
 from fsgreens.quadrature import composite_rule, default_quad_points, gauss_legendre_rule
 
 from flattened_oracle import (_poisson_apply, apply_dual_green, element_endpoint_values,
-                              element_green, flattened, functional_load, lift_functionals_direct,
-                              nodal_points, pair_naive, reconstruct_flat,
+                              element_green, flattened, functional_load, lift_dx,
+                              lift_functionals_direct, nodal_points, pair_naive, reconstruct_flat,
                               resolved_basis_reproduction)
 
 KERNEL = GreensKernel1D.poisson()
@@ -664,7 +664,7 @@ def test_element_local_l2_lifts_match_dense_primitive(case):
     dense = lambda s: mass.solve(tabulate_edge(family, s).T).T
     for deriv in (0, 1):
         want = _poisson_apply(dense, x, mesh.boundaries, 20, deriv)
-        assert _rel_err(_lift(fns, x, deriv), want) < 1e-12
+        assert _rel_err((_lift, lift_dx)[deriv](fns, x), want) < 1e-12
     direct = lift_functionals_direct(KERNEL, fns, x)
     assert _rel_err(_lift(fns, x), direct) < 1e-12
 
@@ -748,7 +748,7 @@ def test_l2_lifts_on_the_exact_rule_match_direct_quadrature(mesh):
                                   0.5 * (mesh.boundaries[1:] + mesh.boundaries[:-1]))))
     for deriv in (0, 1):
         direct = lift_functionals_direct(KERNEL, fns, x, deriv=deriv)
-        assert _rel_err(_lift(fns, x, deriv), direct) <= 5e-14
+        assert _rel_err((_lift, lift_dx)[deriv](fns, x), direct) <= 5e-14
 
 
 @pytest.mark.parametrize("num_elements,bound", [(80, 3.4e-14), (320, 1.2e-13)])
@@ -769,7 +769,7 @@ def test_l2_lifts_at_scale_match_direct_quadrature(num_elements, bound):
     x = np.unique(np.concatenate((np.linspace(0.0, 1.0, 41), bounds[::step], mids[::step])))
     for deriv in (0, 1):
         direct = lift_functionals_direct(KERNEL, fns, x, deriv=deriv)
-        assert _rel_err(_lift(fns, x, deriv), direct) <= bound
+        assert _rel_err((_lift, lift_dx)[deriv](fns, x), direct) <= bound
     rule = gauss_legendre_rule(mesh.degree + 1)
     jac = 0.5 * np.diff(bounds)[:, None]
     s = bounds[:-1, None] + jac * (1.0 + rule.nodes)

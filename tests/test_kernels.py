@@ -1,14 +1,19 @@
+import warnings
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
 from fsgreens.basis1d import Mesh1D
 from fsgreens.cases import advdiff_const_case, sin2pixy_case
-from fsgreens.kernels import (_damped_green_apply, advdiff_green, poisson2d_green, poisson_green,
-                              series_term_profile)
+from fsgreens.kernels import (_damped_green, _damped_green_apply, advdiff_green, poisson2d_green,
+                              poisson_green)
 from fsgreens.poisson2d import Mesh2D, _psi_tab, build_dual_functionals_2d
 from fsgreens.quadrature import composite_rule, gauss_legendre_rule
 
 from flattened_oracle import _poisson_apply, element_green, poisson_green_dx
+from flattened_oracle import advdiff_green as oracle_advdiff_green
+from oracle_2d import series_term_profile
 
 
 def test_poisson_values():
@@ -77,11 +82,11 @@ def test_element_green_matches_global_on_unit_element():
 
 
 def test_advdiff_boundary_values():
-    s = np.linspace(0.05, 0.95, 9)
-    g0 = advdiff_green(np.zeros_like(s), s, 1.0, 0.01)
-    g1 = advdiff_green(np.ones_like(s), s, 1.0, 0.01)
-    assert np.max(np.abs(g0)) < 1e-15
-    assert np.max(np.abs(g1)) < 1e-15
+    # exactly 0 with x or s on an end, for either sign and any Peclet ratio
+    ends, inner = np.array([0.0, 1.0]), np.linspace(0.0, 1.0, 11)
+    for x, s in ((ends[:, None], inner[None, :]), (inner[:, None], ends[None, :])):
+        for c, nu in ((1.0, 0.01), (1.0, 1e-4), (-0.3, 0.05), (1.0, 1.0), (1e-310, 1.0)):
+            assert not np.any(advdiff_green(x, s, c, nu))
 
 
 def test_advdiff_continuity_at_kink():
@@ -193,6 +198,10 @@ def test_advdiff_const_case_mirrors_negative_speed():
 def test_poisson2d_boundary_and_symmetry():
     y = np.linspace(0.1, 0.9, 5)
     assert np.max(np.abs(poisson2d_green(0.0, y, 0.4, 0.6))) == 0.0
+    # and exactly 0 with y or s2 on an end, in every term
+    ends = np.array([0.0, 1.0])
+    assert not np.any(poisson2d_green(0.3, ends[:, None], 0.4, y[None, :], num_terms=1000))
+    assert not np.any(poisson2d_green(0.3, y[:, None], 0.4, ends[None, :], num_terms=1000))
     # sin(n pi) rounds to ~1e-17 rather than exactly zero at the right edge
     assert np.max(np.abs(poisson2d_green(1.0, y, 0.4, 0.6))) < 1e-15
     rng = np.random.default_rng(4)
@@ -296,3 +305,105 @@ def test_damped_primitive_moments_are_the_basis_pairings():
         got, moments = _damped_green_apply(columns, x, cuts, 20, k, table, 64)
         assert got.shape == (len(x), 7)
         assert np.max(np.abs(moments - want) / scale) < 3e-14
+
+
+# ---------------------------------------------------------------------------
+# the one damped formula against references
+
+
+@pytest.mark.parametrize("nu", [1.0, 0.05, 1e-3, 1e-4])
+def test_advdiff_green_matches_the_mirror_oracle(nu):
+    # for c > 0 the former product and shifted forms are accurate to
+    # rounding of the plateau on a grid and through the layers
+    x = np.unique(np.r_[np.linspace(0.0, 1.0, 101), 0.5 + 8.0 * nu * np.linspace(-1.0, 1.0, 41)])
+    x = x[(x >= 0.0) & (x <= 1.0)]
+    for c in (1.0, 0.3):
+        # the oracle forms both branches, and its upstream one overflows
+        # where it is not taken
+        with np.errstate(over="ignore"):
+            want = oracle_advdiff_green(x[:, None], x[None, :], c, nu)
+        got = advdiff_green(x[:, None], x[None, :], c, nu)
+        assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
+
+
+def _sinh(a: Decimal) -> Decimal:
+    return (a.exp() - (-a).exp()) / 2
+
+
+# a value below the smallest normal double may round to it or to 0
+_TINY = Decimal(np.finfo(float).tiny)
+
+
+def _pairs(rng, reach):
+    """200 pairs within `reach` of each other, clipped to [0, 1] (so some
+    lie on an end, where the kernels vanish), and the pairs (1e-9, 0.5)
+    and (0.5, 1e-9)."""
+    s = rng.uniform(0.0, 1.0, 200)
+    x = np.clip(s + rng.uniform(-reach, reach, 200), 0.0, 1.0)
+    return np.r_[x, 1e-9, 0.5], np.r_[s, 0.5, 1e-9]
+
+
+@pytest.mark.parametrize("nu", [1.0, 0.05, 1e-3, 1e-4])
+@pytest.mark.parametrize("c", [1.0, -1.0, 0.3, -0.3])
+def test_advdiff_green_is_accurate_to_rounding(c, nu):
+    # against 50-digit decimal arithmetic at the same float inputs,
+    # e^{beta (x - s) / 2} sinh(k min) sinh(k (1 - max)) / (nu k sinh k),
+    # k = |beta| / 2: relative error within 2e-15 max(1, |beta (x - s)|),
+    # the rounding of the exponent's argument
+    x, s = _pairs(np.random.default_rng(7), 8.0 * nu / abs(c))
+    got = advdiff_green(x, s, c, nu)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        beta = Decimal(c) / Decimal(nu)
+        k = abs(beta) / 2
+        for xv, sv, g in zip(x, s, got):
+            lo, hi = Decimal(min(xv, sv)), Decimal(max(xv, sv))
+            want = (beta * (Decimal(xv) - Decimal(sv)) / 2).exp() * _sinh(k * lo) \
+                * _sinh(k * (1 - hi)) / (Decimal(nu) * k * _sinh(k))
+            bound = Decimal(2e-15) * max(1, abs(beta * (Decimal(xv) - Decimal(sv))))
+            assert abs(Decimal(g) - want) <= bound * want + _TINY
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 100, 1000])
+def test_series_mode_is_accurate_to_rounding(n):
+    # mode n of the 2D series, k g_k at k = n pi, against 50-digit
+    # sinh(k min) sinh(k (1 - max)) / sinh(k) at the same float k: relative
+    # error within 2e-15 max(1, k |y - s|)
+    k = n * np.pi
+    y, s = _pairs(np.random.default_rng(n), 5.0 / k)
+    got = k * _damped_green(y, s, k)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        kd = Decimal(k)
+        for yv, sv, g in zip(y, s, got):
+            lo, hi = Decimal(min(yv, sv)), Decimal(max(yv, sv))
+            want = _sinh(kd * lo) * _sinh(kd * (1 - hi)) / _sinh(kd)
+            bound = Decimal(2e-15) * max(1, kd * (hi - lo))
+            assert abs(Decimal(g) - want) <= bound * want + _TINY
+
+
+@pytest.mark.parametrize("c", [1e-310, 1e-320])
+def test_advdiff_green_at_a_subnormal_peclet_ratio_is_poisson(c):
+    # c / nu at or below machine epsilon is the diffusive limit, G / nu;
+    # the former forms divided 0 by 0 there
+    x = np.linspace(0.0, 1.0, 41)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = advdiff_green(x[:, None], x[None, :], c, 1.0)
+    want = poisson_green(x[:, None], x[None, :])
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
+
+
+@pytest.mark.parametrize("c,nu", [(1.0, 1e-300), (1e300, 1e-7), (-1e300, 1e-7)])
+def test_advdiff_green_at_an_extreme_peclet_ratio_is_the_plateau(c, nu):
+    # downstream of the source and away from the outflow layer the kernel
+    # is 1 / |c|, with no overflow, underflow to 0 or warning
+    s = np.linspace(0.1, 0.9, 9)
+    x = np.clip(s + np.sign(c) * 0.05, 0.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = advdiff_green(x, s, c, nu)
+        # a rounding outside [0, 1] is the end, where the kernel vanishes
+        ends = advdiff_green(np.array([-1e-13, 1.0 + 1e-13]), 0.5, c, nu)
+    assert np.max(np.abs(got * abs(c) - 1.0)) <= 1e-15
+    assert not np.any(ends)
