@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .kernels import _check_advdiff
 
 TWO_PI = 2.0 * np.pi
 
@@ -42,11 +45,11 @@ def advdiff_const_case(c: float, nu: float) -> AnalyticCase1D:
     The solution rises linearly at slope 1/c and drops to zero through an
     outflow boundary layer of width ~nu/|c|.  All exponentials are written
     with nonpositive arguments so large Peclet numbers stay finite; c < 0 is
-    the c > 0 case mirrored, u(x) = v(1 - x).
+    the c > 0 case mirrored, u(x) = v(1 - x).  Below beta = c / nu = 1, where
+    that form cancels, u = beta / expm1(beta) sum_{m >= 2} beta^(m - 2)
+    (x - x^m) / (m! nu), of positive terms (x (1 - x) / (2 nu) as beta -> 0).
     """
-    if not (0.0 < nu < np.inf and np.isfinite(c) and c != 0.0 and np.isfinite(c / nu)):
-        raise ValueError(f"need a finite nu > 0 and a finite c != 0 whose ratio c / nu "
-                         f"does not overflow, got nu={nu}, c={c}")
+    _check_advdiff(c, nu)
     if c < 0.0:
         mirror = advdiff_const_case(-c, nu)
         return AnalyticCase1D(
@@ -55,15 +58,28 @@ def advdiff_const_case(c: float, nu: float) -> AnalyticCase1D:
             gradient=lambda x: -mirror.gradient(1.0 - np.asarray(x, dtype=float)),
         )
     beta = c / nu
-    denom = -np.expm1(-beta)
+    if beta < 1.0:
+        m = np.arange(2, 22)  # term 22 is below 1e-19 of the sum
+        coeffs = beta ** (m - 2.0) / np.array([math.factorial(k) for k in m], dtype=float) \
+            * (beta / math.expm1(beta) / nu)
 
-    def solution(x):
-        x = np.asarray(x, dtype=float)
-        return (x - (np.exp(beta * (x - 1.0)) - np.exp(-beta)) / denom) / c
+        def solution(x):
+            x = np.asarray(x, dtype=float)[..., None]
+            return (x - x ** m) @ coeffs
 
-    def gradient(x):
-        x = np.asarray(x, dtype=float)
-        return (1.0 - beta * np.exp(beta * (x - 1.0)) / denom) / c
+        def gradient(x):
+            x = np.asarray(x, dtype=float)[..., None]
+            return (1.0 - m * x ** (m - 1)) @ coeffs
+    else:
+        denom = -np.expm1(-beta)
+
+        def solution(x):
+            x = np.asarray(x, dtype=float)
+            return (x - (np.exp(beta * (x - 1.0)) - np.exp(-beta)) / denom) / c
+
+        def gradient(x):
+            x = np.asarray(x, dtype=float)
+            return (1.0 - beta * np.exp(beta * (x - 1.0)) / denom) / c
 
     return AnalyticCase1D(
         source=lambda x: np.ones_like(np.asarray(x, dtype=float)),
@@ -89,12 +105,11 @@ def boundary_layer_breakpoints(c: float, nu: float) -> np.ndarray:
 
     Quadrature intervals shrink toward the outflow end, x = 1 for c > 0 and
     x = 0 for c < 0, so each subinterval sees at most a few decay lengths
-    nu/|c| of the layer exponential.  Raises ValueError when nu/|c| is not
-    positive, as when it underflows to zero.
+    nu/|c| of the layer exponential.  The coefficients must pass
+    `kernels._check_advdiff`, so the width is positive.
     """
+    _check_advdiff(c, nu)
     scale = nu / abs(c)
-    if not scale > 0.0:
-        raise ValueError(f"boundary layer width nu/|c| must be positive, got {scale:g}")
     offsets = []
     d = 3.0 * scale
     while d < 0.45:

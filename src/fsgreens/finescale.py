@@ -17,12 +17,12 @@ breakpoints, point sources and optionally a coarse field u_bar, nodal or edge.
 
 G maps a field's distributional second derivative to minus the field,
 taken as zero outside the mesh (Hughes & Sangalli, SIAM J. Numer. Anal.
-45, 2007), so r = f + u_bar'' has G r = G f - u_bar in closed form;
-`green_apply` integrates only f and point loads, and u_bar and its
-pairing are subtracted once, in `_green_and_pairing`.  A
-reconstruction is G r minus its resolved part (`FineScaleOperator.resolved`):
-the reconstruction functions (G duals)^T [Gram]^{-1} times the
-functionals' pairing with G r.  For L2 the pairing is element-local, of
+45, 2007), so r = f + u_bar'' has G r = G f - u_bar in closed form:
+`_green_and_pairing` integrates only f, by the Green's primitive of
+`kernels`, adds the point loads' kernel values and subtracts u_bar and
+its pairing once.  A reconstruction is G r minus its resolved part
+(`FineScaleOperator.resolved`): the reconstruction functions
+(G duals)^T [Gram]^{-1} times the functionals' pairing with G r.  For L2 the pairing is element-local, of
 G f on the source rule, minus u_bar's pairing (its coefficients for an
 edge field of the functionals' family), and the functions are the lifts
 times a Gram solve, summed in closed form.  For H10 the
@@ -59,13 +59,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .basis1d import Field, SpaceKind, _element_cols, _locate, element_tab, field_eval
 from .dualspace import SPDMatrix, _reference_duals, partial_moments
-from .kernels import GreensKernel1D, _damped_green_apply, poisson_green
+from .kernels import GreensKernel1D, _check_unit_mesh, _damped_green_apply, poisson_green
 from .projection import (DualFunctionals, ProjectionFlavor, mesh_quadrature, pair_functionals,
                          source_rule_points, tabulate_functionals)
 from .quadrature import composite_rule, default_quad_points, gauss_legendre_rule, sorted_unique
@@ -87,10 +87,6 @@ class SourceTerm:
     breakpoints: tuple = ()
     point_sources: tuple = ()
     coarse: Field | None = None
-
-    @classmethod
-    def from_function(cls, f, breakpoints: Sequence[float] = ()) -> "SourceTerm":
-        return cls(smooth=f, breakpoints=tuple(float(b) for b in breakpoints))
 
 
 def _l2_element_lifts(fns: DualFunctionals, elem, xi, x) -> np.ndarray:
@@ -162,31 +158,6 @@ def _l2_lift_sum(fns: DualFunctionals, x, coeffs) -> np.ndarray:
             + np.einsum("ij,ij...->i...", local, per_elem[elem]))
 
 
-def green_apply(src: SourceTerm, x, quad_points: int,
-                mesh_boundaries: Sequence[float] | None = None):
-    """Evaluate the Poisson Green's operator applied to a source at the points x.
-
-    The smooth part is integrated by the Green's primitive at k = 0, cut at
-    every x, the source's own breakpoints and any supplied mesh
-    boundaries; point sources contribute `poisson_green` values.  A coarse
-    field raises ValueError: its image, minus the field, is subtracted
-    once, by `reconstruct_fine_scales`.
-    """
-    if src.coarse is not None:
-        raise ValueError("green_apply takes no coarse field; its Green's image is minus "
-                         "the field")
-    scalar = np.isscalar(x)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros_like(x)
-    if src.smooth is not None:
-        cuts = np.concatenate((() if mesh_boundaries is None else mesh_boundaries,
-                               src.breakpoints))
-        out += _damped_green_apply(src.smooth, x, cuts, quad_points)[0][:, 0]
-    locs, qs = np.array(src.point_sources, dtype=float).reshape(-1, 2).T
-    out += poisson_green(x[:, None], locs[None, :]) @ qs
-    return float(out[0]) if scalar else out
-
-
 def _field_pairing(fns: DualFunctionals, fld: Field) -> np.ndarray:
     """The functionals' exact flavor pairing with a coarse field: L2 against
     the field, H10 against its derivative.
@@ -211,10 +182,12 @@ def _green_and_pairing(fns: DualFunctionals, src: SourceTerm, grid: np.ndarray,
                        quad_points: int | None):
     """G src on the grid, and every functional paired with G src.
 
-    G src = G f - u_bar (module docstring): the smooth part and point
-    sources first, then u_bar and its pairing subtracted once.  The L2
-    pairing of G f is element-local, on the source rule (cut also at the
-    point sources), which one primitive call tabulates with the grid.  The
+    G src = G f - u_bar (module docstring): the point sources' kernel
+    values plus the Green's primitive at k = 0 of the smooth part, cut at
+    the mesh and its breakpoints, then u_bar and its pairing subtracted
+    once.  The L2 pairing of G f is element-local, on the source rule (cut
+    also at the point sources), which one primitive call tabulates with
+    the grid.  The
     H10 pairing of G f is the source's own, by the interior nodal basis
     and one stiffness solve (`pair_functionals`).  u_bar's pairing is
     exact (`_field_pairing`); for an edge field of the L2 functionals'
@@ -223,26 +196,24 @@ def _green_and_pairing(fns: DualFunctionals, src: SourceTerm, grid: np.ndarray,
     tabulated on the rule.
     """
     quad_points = source_rule_points(fns.family, quad_points)
-    bounds = fns.family.mesh.boundaries
     locs, qs = np.array(src.point_sources, dtype=float).reshape(-1, 2).T
-    loads = replace(src, coarse=None)
-    if fns.flavor is ProjectionFlavor.L2:
-        s, w = mesh_quadrature(fns.family, quad_points, np.r_[src.breakpoints, locs])
-        image = green_apply(loads, np.concatenate((grid, s)), quad_points, bounds)
+    l2 = fns.flavor is ProjectionFlavor.L2
+    s, w = mesh_quadrature(fns.family, quad_points, np.r_[src.breakpoints, locs if l2 else ()])
+    x = np.concatenate((grid, s)) if l2 else grid
+    image = poisson_green(x[:, None], locs[None, :]) @ qs
+    if src.smooth is not None:
+        cuts = np.r_[fns.family.mesh.boundaries, src.breakpoints]
+        image = image + _damped_green_apply(src.smooth, x, cuts, quad_points)[0][:, 0]
+    if l2:
         data = pair_functionals(fns, s, w * image[grid.size:])
         image = image[:grid.size]
     else:
-        image = green_apply(loads, grid, quad_points, bounds)
-        s, w = mesh_quadrature(fns.family, quad_points, src.breakpoints)
         smooth = w * np.asarray(src.smooth(s), dtype=float) if src.smooth is not None else 0.0 * w
         data = pair_functionals(fns, np.r_[s, locs], np.r_[smooth, qs])
     coarse = src.coarse
     if coarse is not None:
-        mesh = coarse.family.mesh
-        if abs(mesh.a) > 1e-14 or abs(mesh.b - 1.0) > 1e-14:
-            raise ValueError("a coarse field's mesh must cover the kernel domain [0, 1]")
-        own_edge = (fns.flavor is ProjectionFlavor.L2 and coarse.space is SpaceKind.EDGE
-                    and coarse.family is fns.family)
+        _check_unit_mesh(coarse.family.mesh, "a coarse field's mesh")
+        own_edge = l2 and coarse.space is SpaceKind.EDGE and coarse.family is fns.family
         image = image - field_eval(coarse, grid)
         data = data - (coarse.coeffs if own_edge else _field_pairing(fns, coarse))
     return image, data
@@ -375,8 +346,7 @@ def build_fine_scale_operator(kernel: GreensKernel1D, fns: DualFunctionals,
     mesh = fns.family.mesh
     if quad_points is None:
         quad_points = default_quad_points(mesh.degree)
-    if abs(mesh.a) > 1e-14 or abs(mesh.b - 1.0) > 1e-14:
-        raise ValueError("mesh must cover the kernel domain [0, 1]")
+    _check_unit_mesh(mesh)
     op = FineScaleOperator(kernel, fns, quad_points)
     if op.gram_cond > 1e14:
         raise ValueError("singular dual Gram matrix: assembly defect")

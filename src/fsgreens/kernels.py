@@ -23,9 +23,10 @@ _DOMAIN_TOL = 1e-12
 _EPS = np.finfo(float).eps
 DEFAULT_SERIES_TERMS = 100
 # Across a piece of the primitive e^{-k t} falls by at most e^_PIECE_DECAY,
-# which 20 Gauss points integrate to rounding; it tabulates densities
-# _BLOCK_POINTS rule points at a time unless the caller sets the block.
+# which _PIECE_POINTS Gauss points, a damped piece's floor, integrate to
+# rounding; it tabulates _BLOCK_POINTS rule points at a time by default.
 _PIECE_DECAY = 20.0
+_PIECE_POINTS = 20
 _BLOCK_POINTS = 1024
 
 
@@ -34,6 +35,27 @@ def _check_unit_domain(*arrays):
         # written so that NaN fails too
         if not np.all((arr >= -_DOMAIN_TOL) & (arr <= 1.0 + _DOMAIN_TOL)):
             raise ValueError("arguments must lie in [0, 1]")
+
+
+def _check_unit_mesh(mesh, name: str = "mesh"):
+    """Raise unless a 1D mesh covers [0, 1], the kernels' domain."""
+    if abs(mesh.a) > 1e-14 or abs(mesh.b - 1.0) > 1e-14:
+        raise ValueError(f"{name} must cover the kernel domain [0, 1]")
+
+
+def _check_advdiff(c: float, nu: float):
+    """Raise unless nu > 0 and c != 0 are finite and c / nu and 1 / nu do not
+    overflow, so neither c u' - nu u'' = f's kernel, at most 1 / (4 nu),
+    nor its unit-source solution, of slope at most about 1 / nu, does."""
+    if not 0.0 < nu < np.inf:
+        raise ValueError(f"diffusion coefficient must be finite and positive, got {nu}")
+    if not np.isfinite(c) or c == 0.0:
+        raise ValueError(f"advection speed must be finite and nonzero, got {c}")
+    if not np.isfinite(c / nu):
+        raise ValueError(f"the Peclet ratio c / nu overflows, and the boundary layer width "
+                         f"nu / |c| underflows: c={c}, nu={nu}")
+    if not np.isfinite(1.0 / nu):
+        raise ValueError(f"the kernel's scale 1 / nu overflows: nu={nu}")
 
 
 def _damped_green(x, s, k: float = 0.0, drift: float = 0.0):
@@ -69,14 +91,9 @@ def advdiff_green(x, s, c: float, nu: float):
     at k = |beta| / 2, its one exponent min(beta (x - s), 0): exponentially
     small upstream of the source, a plateau of height 1/|c| downstream,
     ending in the outflow layer.  At |beta| <= machine epsilon it is the
-    Poisson kernel over nu.
+    Poisson kernel over nu.  The coefficients must pass `_check_advdiff`.
     """
-    if not 0.0 < nu < np.inf:
-        raise ValueError(f"diffusion coefficient must be finite and positive, got {nu}")
-    if not np.isfinite(c) or c == 0.0:
-        raise ValueError(f"advection speed must be finite and nonzero, got {c}")
-    if not np.isfinite(c / nu):
-        raise ValueError(f"the Peclet ratio c / nu overflows: c={c}, nu={nu}")
+    _check_advdiff(c, nu)
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
     _check_unit_domain(x, s)
@@ -142,8 +159,10 @@ def _damped_green_apply(density, x, cuts, quad_points: int, rates=0.0, table=Non
     each integral splits at the kink, and each cell into pieces
     (`_PIECE_DECAY`), one at k = 0.  L and R are running sums of the pieces,
     damped by e^{-k width} a step (`_running_sums`), read at x: no exponent
-    is positive.  Returns G_k f, (len(x), densities), and the moments,
-    (densities, table columns), or 0 without a table.
+    is positive.  A damped piece carries at least _PIECE_POINTS Gauss
+    points, so callers pass their plain source rule.  Returns G_k f,
+    (len(x), densities), and the moments, (densities, table columns), or 0
+    without a table.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _check_unit_domain(x)
@@ -154,7 +173,7 @@ def _damped_green_apply(density, x, cuts, quad_points: int, rates=0.0, table=Non
     damped = k.max() > 0.0
     ends = _piece_ends(cells, np.ceil(k.max() * np.diff(cells) / _PIECE_DECAY).astype(int)) \
         if damped else cells
-    rule = gauss_legendre_rule(quad_points)
+    rule = gauss_legendre_rule(max(_PIECE_POINTS, quad_points) if damped else quad_points)
     step = max(1, block_points // rule.npoints)
     # map_rule's affine map, its midpoints and half widths formed once
     mid, half = 0.5 * (ends[:-1] + ends[1:])[:, None], 0.5 * np.diff(ends)[:, None]

@@ -22,7 +22,8 @@ pipeline consistent with the same truncated kernel the reconstruction
 uses.  The pairing and the convolution need the residual only through its
 sine moments, so they share one tabulation on the primitive's pieces
 (`_green_tables`): each piece lies in one element, where the basis is a
-polynomial, and carries at least the source rule's points.
+polynomial, and carries at least the source rule's points (and the
+primitive's floor, `kernels._PIECE_POINTS`).
 
 As in 1D the fine-scale operator annihilates the resolved space (Hughes &
 Sangalli, SIAM J. Numer. Anal. 45, 2007), so the fine scales depend on the
@@ -38,15 +39,12 @@ import numpy as np
 
 from .basis1d import BasisFamily, Mesh1D, SpaceKind, basis_family, tabulate_nodal
 from .dualspace import SPDMatrix, assemble_mass
-from .kernels import DEFAULT_SERIES_TERMS, _damped_green_apply
+from .kernels import DEFAULT_SERIES_TERMS, _check_unit_mesh, _damped_green_apply
 from .projection import assemble_stiffness, mesh_quadrature, source_rule_points
 from .quadrature import composite_rule, gauss_legendre_rule
 
 _OSC_MARGIN = 12
-# Gauss points per convolution piece, which integrate it to rounding (a
-# piece carries the source rule's points if those are more); the residual
-# is tabulated _BLOCK_POINTS rule points at a time.
-_PIECE_POINTS = 20
+# the residual is tabulated _BLOCK_POINTS rule points at a time
 _BLOCK_POINTS = 256
 
 
@@ -57,8 +55,7 @@ class Mesh2D:
     mesh1d: Mesh1D
 
     def __post_init__(self):
-        if abs(self.mesh1d.a) > 1e-14 or abs(self.mesh1d.b - 1.0) > 1e-14:
-            raise ValueError("the square-domain machinery expects [0, 1] per direction")
+        _check_unit_mesh(self.mesh1d, "the mesh of each direction")
 
 
 @dataclass(frozen=True)
@@ -208,7 +205,7 @@ class SeriesOperator2D:
 
     duals: DualFunctionals2D
     num_terms: int
-    quad_points: int              # floor on the Gauss points per convolution piece
+    quad_points: int              # the source rule, raised to 20 points a convolution piece
     sine_weighted: np.ndarray     # (terms, n_osc): sin(n pi s) * w at the sine rule
     osc_nodes: np.ndarray
     sine_moments: np.ndarray      # (terms, m): int sin(n pi s) psi_a(s) ds
@@ -265,7 +262,7 @@ def _green_tables(op: SeriesOperator2D, residual: Callable, y) -> tuple[np.ndarr
         return (op.sine_weighted @ r_grid).T
 
     profiles, psi_moments = _damped_green_apply(
-        sine_moments, y, op.duals.family.mesh.boundaries, max(_PIECE_POINTS, op.quad_points),
+        sine_moments, y, op.duals.family.mesh.boundaries, op.quad_points,
         np.pi * np.arange(1, op.num_terms + 1), lambda t: _psi_tab(op.duals, t), _BLOCK_POINTS)
     return 2.0 * profiles.T, 2.0 * op.sine_moments.T @ psi_moments
 
@@ -281,8 +278,9 @@ def green_apply_2d(op: SeriesOperator2D, residual: Callable, x, y) -> np.ndarray
     Term n is 2 sin(k x) G_k D_n(y), k = n pi, with D_n the sine moment
     of the residual (the precomputed sine rule) and G_k the Green's
     operator of -d^2/dy^2 + k^2, which `kernels._damped_green_apply`
-    applies on pieces cut at the mesh lines and at every ordinate, by a
-    Gauss rule of max(_PIECE_POINTS, quad_points) points a piece.
+    applies on pieces cut at the mesh lines and at every ordinate, by the
+    operator's source rule, raised to the primitive's floor of
+    `kernels._PIECE_POINTS` points a piece.
     """
     return _sine_table(op.num_terms, x).T @ _green_tables(op, residual, y)[0]
 

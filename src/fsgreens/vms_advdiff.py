@@ -47,12 +47,7 @@ from .basis1d import (
 )
 from .cases import boundary_layer_breakpoints
 from .dualspace import assemble_mass
-from .finescale import (
-    FineScaleOperator,
-    SourceTerm,
-    green_apply,
-    reconstruct_fine_scales,
-)
+from .finescale import FineScaleOperator, SourceTerm, reconstruct_fine_scales
 from .kernels import _damped_green_apply
 from .projection import (
     DualFunctionals,
@@ -253,8 +248,7 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals,
     adv_pairing = mu_dtab.T @ (w[:, None] * psi_tab)
     pairing = ratio * (mu_dtab.T * w)
 
-    green_source = green_apply(SourceTerm.from_function(problem.source), x,
-                               quad_points=q, mesh_boundaries=mesh.boundaries)
+    green_source = _damped_green_apply(problem.source, x, mesh.boundaries, q)[0][:, 0]
     # G(psi_k'): s psi_k'(s) has degree p on each element, so the
     # (p // 2 + 1)-point rule is exact
     green_psi_deriv = _damped_green_apply(lambda s: tabulate_nodal(family, s, deriv=1)[:, 1:-1],

@@ -303,6 +303,32 @@ def test_overflowing_peclet_ratio_exits_one(tmp_path, capsys):
         assert "overflow" in capsys.readouterr().err
 
 
+def test_overflowing_kernel_scale_exits_one(tmp_path, capsys):
+    # c / nu = 1 passes the Peclet check, but 1 / nu overflows: greens wrote
+    # inf, reconstruct NaN, and vms-iter blamed a large c / nu
+    for argv in (("greens", "--kernel", "advdiff"), ("reconstruct", "--case", "advdiff-const"),
+                 ("vms-iter",)):
+        out = tmp_path / "x.csv"
+        assert _run(tmp_path, *argv, "--c", "1e-320", "--nu", "1e-320", "--out", str(out)) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("fsgreens: ") and "1 / nu" in err
+
+
+@pytest.mark.parametrize("projection", ["h10", "l2"])
+def test_advdiff_reconstruction_at_a_small_peclet_ratio(tmp_path, projection):
+    # at c / nu = 1e-8 the exact solution's closed form cancelled: the L2
+    # run wrote u_total 0.2248 at x = 0.5 for 0.125, and the H10 one
+    # failed the projection's zero-boundary check
+    out = tmp_path / "r.json"
+    assert _run(tmp_path, "reconstruct", "--case", "advdiff-const", "--projection", projection,
+                "--c", "1e-8", "--nu", "1", "--format", "json", "--out", str(out)) == 0
+    table = json.loads(out.read_text())
+    rows = np.array(table["rows"])
+    col = table["columns"].index
+    assert np.max(np.abs(rows[:, col("u_total")] - rows[:, col("u_exact")])) <= 1e-12
+
+
 @pytest.mark.parametrize("c,nu", [("1", "1e-4"), ("-1", "1e-4"), ("1e-310", "1")])
 def test_advdiff_kernel_at_edge_peclet_ratios_is_finite_and_quiet(tmp_path, capsys, c, nu):
     # a kernel formed from a positive exponent overflows at nu = 1e-4, and

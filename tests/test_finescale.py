@@ -16,11 +16,11 @@ from fsgreens.finescale import (
     _lift,
     build_fine_scale_operator,
     fine_scale_eval,
-    green_apply,
     reconstruct_fine_scales,
     residual_from_field,
 )
 from fsgreens.kernels import GreensKernel1D, _damped_green_apply
+from fsgreens.poisson2d import Mesh2D
 from fsgreens.projection import (
     ProjectionFlavor,
     build_dual_functionals,
@@ -162,15 +162,6 @@ def test_resolved_part_rejects_points_outside_the_mesh(flavor):
         for data in (np.ones(op.size), np.ones((op.size, 2))):
             with pytest.raises(ValueError, match="outside"):
                 op.resolved(np.array([0.5, bad]), data)
-
-
-def test_green_apply_takes_no_coarse_field():
-    # a coarse field's image, minus the field, is subtracted once, by the
-    # reconstruction; green_apply integrates the smooth part and point loads
-    family = basis_family(Mesh1D.uniform(0.0, 1.0, 3, 2))
-    u_bar = Field(family, SpaceKind.NODAL, np.zeros(family.mesh.num_nodal_dofs))
-    with pytest.raises(ValueError, match="coarse"):
-        green_apply(SourceTerm(CASE.source, coarse=u_bar), np.linspace(0.0, 1.0, 5), 20)
 
 
 @pytest.mark.parametrize("x,cuts,points", [
@@ -367,7 +358,7 @@ def test_apply_dual_green_matches_plain_pairing():
     # reduces to the plain pairing with the residual itself
     family, fns, op = _setup(3, 2, ProjectionFlavor.H10)
     nu = lambda s: np.sin(3.1 * s) * (1.0 - s)
-    got = apply_dual_green(KERNEL, fns, SourceTerm.from_function(nu))
+    got = apply_dual_green(KERNEL, fns, SourceTerm(nu))
     x, w = mesh_quadrature(family)
     expected = tabulate_functionals(fns, x).T @ (w * nu(x))
     assert np.max(np.abs(got - expected)) < 1e-8
@@ -375,7 +366,7 @@ def test_apply_dual_green_matches_plain_pairing():
 
 def test_apply_dual_green_zero_residual():
     _, fns, _ = _setup(2, 2, ProjectionFlavor.H10)
-    zero = SourceTerm.from_function(lambda s: np.zeros_like(s))
+    zero = SourceTerm(lambda s: np.zeros_like(s))
     assert np.max(np.abs(apply_dual_green(KERNEL, fns, zero))) == 0.0
 
 
@@ -384,7 +375,7 @@ def test_l2_apply_dual_green_defaults_to_the_degree_rule(coarse):
     # with no quad_points the L2 pairing of G f, and G u_bar, use the
     # degree's default source rule
     family, fns, _ = _setup(3, 4, ProjectionFlavor.L2)
-    src = SourceTerm.from_function(CASE.source, breakpoints=(0.3,))
+    src = SourceTerm(CASE.source, (0.3,))
     if coarse:
         src = replace(src, coarse=h10_project_from_source(
             build_dual_functionals(family, ProjectionFlavor.H10), CASE.source))
@@ -511,7 +502,7 @@ def test_poisson_reconstruction(flavor, degree, elements):
 
 def test_zero_residual_reconstructs_zero():
     _, fns, op = _setup(2, 2, ProjectionFlavor.H10)
-    zero = SourceTerm.from_function(lambda s: np.zeros_like(s))
+    zero = SourceTerm(lambda s: np.zeros_like(s))
     grid = np.linspace(0.0, 1.0, 51)
     assert np.max(np.abs(reconstruct_fine_scales(op, zero, grid))) == 0.0
 
@@ -559,9 +550,9 @@ def test_random_smooth_residuals_project_to_zero():
     for _ in range(10):
         a, b, c = rng.normal(size=3)
         nu = lambda s: a * np.sin(2.3 * s) + b * s**2 + c
-        up = reconstruct_fine_scales(op, SourceTerm.from_function(nu), grid)
+        up = reconstruct_fine_scales(op, SourceTerm(nu), grid)
         coeffs = h10_project_values(
-            fns, lambda q: reconstruct_fine_scales(op, SourceTerm.from_function(nu), q))
+            fns, lambda q: reconstruct_fine_scales(op, SourceTerm(nu), q))
         assert np.max(np.abs(coeffs)) < 1e-8
 
 
@@ -971,3 +962,20 @@ def test_coarse_field_must_cover_the_kernel_domain():
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         reconstruct_fine_scales(op, residual_from_field(u_bar, CASE.source),
                                 np.linspace(0.0, 0.5, 11))
+
+
+@pytest.mark.parametrize("entry", ["operator", "coarse field", "2D mesh"])
+def test_every_entry_point_rejects_a_mesh_past_one(entry):
+    # the one cover check: a mesh ending 1e-9 past 1 is not the kernels' [0, 1]
+    long = Mesh1D.uniform(0.0, 1.0 + 1e-9, 3, 2)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        if entry == "operator":
+            build_fine_scale_operator(KERNEL, build_dual_functionals(basis_family(long),
+                                                                     ProjectionFlavor.L2))
+        elif entry == "coarse field":
+            _, _, op = _setup(3, 2, ProjectionFlavor.L2)
+            u_bar = Field(basis_family(long), SpaceKind.NODAL, np.zeros(7))
+            reconstruct_fine_scales(op, residual_from_field(u_bar, CASE.source),
+                                    np.linspace(0.0, 1.0, 11))
+        else:
+            Mesh2D(long)

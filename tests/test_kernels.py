@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fsgreens.basis1d import Mesh1D
-from fsgreens.cases import advdiff_const_case, sin2pixy_case
+from fsgreens.cases import advdiff_const_case, boundary_layer_breakpoints, sin2pixy_case
 from fsgreens.kernels import (_damped_green, _damped_green_apply, advdiff_green, poisson2d_green,
                               poisson_green)
 from fsgreens.poisson2d import Mesh2D, _psi_tab, build_dual_functionals_2d
@@ -113,13 +113,16 @@ def test_advdiff_rejects_nonfinite_coefficients(c, nu):
         advdiff_const_case(c, nu)
 
 
-@pytest.mark.parametrize("c,nu", [(1.0, 1e-320), (1e300, 1e-10), (-1e300, 1e-10)])
+@pytest.mark.parametrize("c,nu", [(1.0, 1e-320), (1e300, 1e-10), (-1e300, 1e-10),
+                                  (1e-320, 1e-320)])
 def test_advdiff_rejects_an_overflowing_peclet_ratio(c, nu):
-    # finite coefficients whose ratio c / nu overflows gave NaN values
-    with pytest.raises(ValueError, match="overflow"):
-        advdiff_green(0.5, 0.5, c, nu)
-    with pytest.raises(ValueError, match="overflow"):
-        advdiff_const_case(c, nu)
+    # finite coefficients whose ratio c / nu overflows gave NaN values;
+    # at c / nu = 1 and nu = 1e-320, 1 / nu overflows, and with it the
+    # kernel, near 1 / (4 nu), which was inf
+    for reject in (lambda: advdiff_green(0.5, 0.5, c, nu), lambda: advdiff_const_case(c, nu),
+                   lambda: boundary_layer_breakpoints(c, nu)):
+        with pytest.raises(ValueError, match="overflow"):
+            reject()
 
 
 @pytest.mark.parametrize("x,s", [(np.nan, 0.5), (0.5, np.nan),
@@ -193,6 +196,37 @@ def test_advdiff_const_case_mirrors_negative_speed():
     for got, want in ((case.solution(x), (x - (grow - np.exp(-beta)) / denom) / c),
                       (case.gradient(x), (1.0 - beta * grow / denom) / c)):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("beta", [1e-12, -1e-12, 1e-8, -1e-8, 1e-5, -1e-5, 0.5, -0.5, 1e-310])
+def test_advdiff_const_case_is_accurate_at_a_small_peclet_ratio(beta):
+    # against 50-digit decimal arithmetic at nu = 1: the closed form
+    # (x - expm1(beta x) / expm1(beta)) / c cancels below beta = 1 (0.054
+    # for 0.125 at u(0.5), beta = 1e-8; inf at 1e-310), where the limit is
+    # the diffusive x (1 - x) / 2
+    x = np.linspace(0.0, 1.0, 101)
+    case = advdiff_const_case(beta, 1.0)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        xs, b = [Decimal(v) for v in x], Decimal(beta)
+        if beta == 1e-310:
+            want = [v * (1 - v) / 2 for v in xs], [Decimal(0.5) - v for v in xs]
+        else:
+            d = b.exp() - 1
+            want = ([(v - ((b * v).exp() - 1) / d) / b for v in xs],
+                    [(1 - b * (b * v).exp() / d) / b for v in xs])
+        for f, ref, tol in zip((case.solution, case.gradient), want, (1e-14, 1e-13)):
+            err = max(abs(Decimal(g) - r) for g, r in zip(f(x), ref))
+            assert err <= Decimal(tol) * max(abs(r) for r in ref)
+
+
+@pytest.mark.parametrize("c,nu", [(1e-300, 1e-300), (1e-310, 1.0)])
+def test_advdiff_accepts_a_tiny_c_or_nu_whose_kernel_is_finite(c, nu):
+    x = np.linspace(0.0, 1.0, 41)
+    case = advdiff_const_case(c, nu)
+    for values in (case.solution(x), case.gradient(x),
+                   advdiff_green(x[:, None], x[None, :], c, nu)):
+        assert np.all(np.isfinite(values))
 
 
 def test_poisson2d_boundary_and_symmetry():
@@ -283,6 +317,21 @@ def test_damped_primitive_applies_every_series_mode(terms):
     for n in (1, 2, 37, terms):
         want = _dense(lambda xv, t: series_term_profile(n, xv, t) / k[n - 1], _POINTS,
                       lambda t: _kinked(t, (n - 1) / terms), 2.0 / k[-1])
+        bound = 1e-14 * max(1.0, k[n - 1] / 10.0)
+        assert np.max(np.abs(got[:, n - 1] - want)) < bound * np.max(want)
+
+
+def test_damped_primitive_raises_a_short_rule_to_its_piece_floor():
+    # a damped piece carries at least 20 Gauss points, whatever the
+    # caller's source rule: a 4-point call is the 20-point one, and both
+    # match the dense reference
+    k = np.pi * np.arange(1, 101)
+    columns = lambda t: _kinked(t[:, None], np.arange(100) / 100)
+    got = _damped_green_apply(columns, _POINTS, [0.37], 4, k)[0]
+    np.testing.assert_array_equal(got, _damped_green_apply(columns, _POINTS, [0.37], 20, k)[0])
+    for n in (1, 37, 100):
+        want = _dense(lambda xv, t: series_term_profile(n, xv, t) / k[n - 1], _POINTS,
+                      lambda t: _kinked(t, (n - 1) / 100), 2.0 / k[-1])
         bound = 1e-14 * max(1.0, k[n - 1] / 10.0)
         assert np.max(np.abs(got[:, n - 1] - want)) < bound * np.max(want)
 

@@ -179,7 +179,7 @@ def test_fine_update_specializes_to_diffusion_fine_scales():
     from fsgreens.finescale import SourceTerm
 
     want = reconstruct_fine_scales(
-        op, SourceTerm.from_function(lambda s: case.source(s) / nu), grid)
+        op, SourceTerm(lambda s: case.source(s) / nu), grid)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
