@@ -526,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="stop when the L2 norm of the unrelaxed coarse step drops below this")
     sub.add_argument("--max-iter", type=_positive_int, default=DEFAULT_MAX_ITER)
     sub.add_argument("--fine-grid", type=_positive_int, default=DEFAULT_FINE_GRID,
-                     help="points of the output grid the fine scales are written on")
+                     help="fine scales written on N*max(4, ceil((FINE_GRID-1)/N)) + 1 points")
     sub.add_argument("--history-out", default=None)
     _add_common(sub, grid_default=None)
     _add_source_rule(sub)

@@ -18,12 +18,14 @@ Lagrange interpolant I[v] (Nystrom).  On that interpolant every term a
 sweep needs is exact: the coarse pairing (mu', I[v]) is the rule itself,
 and applying the diffusion Green's operator to the derivative needs only
 integrals, G(I[v]') = x int_0^1 I[v] - int_0^x I[v] (in the weak sense, as
-G vanishes at both ends), which are linear in v.  The fine-scale operator
-annihilates a coarse field's second derivative.  So a sweep is a fixed
-affine map of the coarse coefficients and v, held as one matrix with the
-coarse-scale solve folded in; with the relaxation folded into its rows,
-one sweep is one dense matrix-vector product.  The fine scales on any
-other grid are the interpolant evaluated there.
+G vanishes at both ends), which are linear in v; the coarse basis, of
+degree p < q, is its own interpolant, so both read u_bar and v through
+their sum at the nodes.  The fine-scale operator annihilates a coarse
+field's second derivative.  So a sweep is a fixed affine map of the coarse
+coefficients and v, held as one matrix with the coarse-scale solve folded
+in; with the relaxation folded into its rows, one sweep is one dense
+matrix-vector product.  The fine scales on any other grid are the
+interpolant evaluated there.
 """
 
 from __future__ import annotations
@@ -164,24 +166,25 @@ class _Workspace:
     interior coarse coefficients and the fine scales at the nodes, to the
     new (u_bar, v).
 
-    With A the advective pairing (mu_j', psi_k), P v = (c/nu) (mu', I[v])
-    the fine scales' pairing on the rule and g' = G - R (mu, .) the
-    fine-scale operator, G the Poisson Green's operator and R the
-    reconstruction functions at the nodes, a sweep is
+    With P v = (c/nu) (mu', I[v]) the pairing on the rule, psi the interior
+    nodal basis at the nodes and g' = G - R (mu, .) the fine-scale
+    operator, G the Poisson Green's operator and R the reconstruction
+    functions at the nodes, a sweep is
 
-        u_bar <- (I - (c/nu) A)^{-1} ((mu, f)/nu + P v),
-        v     <- g' (f/nu - (c/nu) (u_bar' + I[v]')).
+        u_bar <- (mu, f)/nu + P (psi u_bar + v),
+        v     <- g' (f/nu - (c/nu) I[psi u_bar + v]').
 
-    So the coarse rows are the coarse-scale solve of [P | (mu, f)/nu] next
-    to a zero u_bar block; in the fine rows (mu, w') = -(mu', w) turns
-    (c/nu) g'(I[v]') into (c/nu) green_deriv v + R P v.  green_deriv v is
-    G(I[v]') = x w^T v - Q v at the nodes, Q v the integrals of I[v] from 0
-    to each node: block lower triangular, with the full weights of every
-    earlier cell and, within a cell, the reference integrals of its
-    Lagrange basis scaled by half the cell width.  The H10 reconstruction
-    functions are the interior nodal basis (`FineScaleOperator.resolved`),
-    so R is the table psi of A, and (mu, f) is `pair_functionals` on the
-    operator's source rule.
+    As I[psi] = psi, the coarse rows are the coarse-scale solve, coupling
+    P psi, of [P | (mu, f)/nu] next to a zero u_bar block; in the fine
+    rows (mu, w') = -(mu', w) turns -(c/nu) g'(I[v]') into F v, where
+    F = -(c/nu) green_deriv - R P: they are [F psi | F | g'(f/nu)].
+    green_deriv v is G(I[v]') = x w^T v - Q v at the nodes, Q v the
+    integrals of I[v] from 0 to each node: block lower triangular, with the
+    full weights of every earlier cell and, within a cell, the reference
+    integrals of its Lagrange basis scaled by half the cell width.  The H10
+    reconstruction functions are the interior nodal basis
+    (`FineScaleOperator.resolved`), so R is psi, and (mu, f) is
+    `pair_functionals` on the operator's source rule.
 
     The residual's diffusive part, the coarse field's distributional
     second derivative, is left out: the fine-scale operator maps it to
@@ -206,14 +209,11 @@ def fine_grid(mesh, total_points: int = DEFAULT_FINE_GRID) -> np.ndarray:
     return _piece_ends(mesh.boundaries, np.full(mesh.num_elements, pieces))
 
 
-def _coarse_solve(problem: AdvDiffProblem, adv_pairing: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the coarse-scale system I - (c/nu) (mu_j', psi_k) for rhs, one
-    vector or one column per right side; an exactly singular matrix raises
-    ValueError."""
-    matrix = np.eye(adv_pairing.shape[0]) \
-        - (problem.advection / problem.diffusion) * adv_pairing
+def _coarse_solve(coupling: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve I - coupling, coupling = (c/nu) (mu_j', psi_k), for rhs, one vector
+    or one column per right side; an exactly singular matrix raises ValueError."""
     try:
-        return np.linalg.solve(matrix, rhs)
+        return np.linalg.solve(np.eye(coupling.shape[0]) - coupling, rhs)
     except np.linalg.LinAlgError as exc:
         raise ValueError("singular coarse-scale system") from exc
 
@@ -221,16 +221,19 @@ def _coarse_solve(problem: AdvDiffProblem, adv_pairing: np.ndarray, rhs: np.ndar
 def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals,
                    op: FineScaleOperator) -> _Workspace:
     """The sweep's map on the nodes of the operator's source rule:
-    `op.quad_points` Gauss nodes per cell, the cells cut at
+    `op.quad_points` Gauss nodes per cell, more than p, the cells cut at
     `boundary_layer_breakpoints` when c is not zero, without which the
     layer is unresolved.  A breakpoint within nu/(100 |c|) of a mesh joint
     is dropped, from the cells and the rule: it would cut a sliver cell
     whose node coordinates and derivative map carry the rounding of its
-    width.  Raises ValueError when the map is not finite."""
+    width.  Raises ValueError on p points or fewer and when the map is not finite."""
     if fns.flavor is not ProjectionFlavor.H10:
         raise ValueError("the iterative scheme is built on the H10 functionals")
     family = fns.family
     mesh = family.mesh
+    q = op.quad_points
+    if q <= family.degree:
+        raise ValueError(f"the sweep needs more than p = {family.degree} points per cell, got {q}")
     ratio = problem.advection / problem.diffusion
     layer = np.empty(0)
     if problem.advection != 0.0:
@@ -238,21 +241,14 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals,
         gap = np.min(np.abs(np.subtract.outer(layer, mesh.boundaries)), axis=1)
         layer = layer[gap >= problem.diffusion / (100.0 * abs(problem.advection))]
     cells = sorted_unique(np.concatenate((mesh.boundaries, layer)))
-    q = op.quad_points
     x, w = mesh_quadrature(family, q, layer)
 
     mu_dtab = tabulate_functionals(fns, x, deriv=1)
     psi_tab = tabulate_nodal(family, x)[:, 1:-1]
     coarse_rhs = pair_functionals(fns, x, w * np.asarray(problem.source(x), dtype=float)) \
         / problem.diffusion
-    adv_pairing = mu_dtab.T @ (w[:, None] * psi_tab)
     pairing = ratio * (mu_dtab.T * w)
-
     green_source = _damped_green_apply(problem.source, x, mesh.boundaries, q)[0][:, 0]
-    # G(psi_k'): s psi_k'(s) has degree p on each element, so the
-    # (p // 2 + 1)-point rule is exact
-    green_psi_deriv = _damped_green_apply(lambda s: tabulate_nodal(family, s, deriv=1)[:, 1:-1],
-                                          x, mesh.boundaries, family.degree // 2 + 1)[0]
     num_cells = cells.size - 1
     cell = np.repeat(np.arange(num_cells), q)
     partial = np.where(cell[:, None] > cell, w, 0.0)
@@ -261,11 +257,11 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals,
     blocks[diagonal, :, diagonal, :] = 0.5 * np.diff(cells)[:, None, None] * _reference_cell(q)[3]
     green_deriv = x[:, None] * w - partial
 
-    coarse = _coarse_solve(problem, adv_pairing, np.column_stack((pairing, coarse_rhs)))
+    fine = -ratio * green_deriv - psi_tab @ pairing
+    coarse = _coarse_solve(pairing @ psi_tab, np.column_stack((pairing, coarse_rhs)))
     sweep = np.block([
         [np.zeros((fns.size, fns.size)), coarse],
-        [-ratio * (green_psi_deriv + psi_tab @ adv_pairing),
-         -ratio * green_deriv - psi_tab @ pairing,
+        [fine @ psi_tab, fine,
          (green_source / problem.diffusion - psi_tab @ coarse_rhs)[:, None]]])
     if not np.all(np.isfinite(sweep)):
         raise ValueError("the sweep map overflows; c/nu is too large")
@@ -292,9 +288,11 @@ def iterate(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator
     increment would understate the distance to the fixed point by about
     one over the relaxation factor.  Hitting max_iter is reported through
     the converged flag, not raised; a sweep map that overflows raises
-    ValueError.  The fine scales are returned on
-    `fine_grid(mesh, fine_grid_points)`, and the state keeps the relaxed
-    map, whose spectral radius it gives as `sweep_spectral_radius`.
+    ValueError, as do a relaxation, tolerance or max_iter out of range.  The
+    fine scales are returned on `fine_grid(mesh, fine_grid_points)`,
+    N max(4, ceil((fine_grid_points - 1)/N)) + 1 points (2,002 for 2,001 at
+    N = 3), and the state keeps the relaxed map, whose spectral radius it
+    gives as `sweep_spectral_radius`.
 
     The sweeps run in blocks of up to _BLOCK: each sweep is one product
     of the relaxed map (1 - w) I + w [M | b], the identity beside the
@@ -311,6 +309,8 @@ def iterate(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator
         raise ValueError("relaxation factor must lie in (0, 1]")
     if not (np.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError("tolerance must be finite and positive")
+    if not (isinstance(max_iter, (int, np.integer)) and max_iter > 0):
+        raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
     ws = make_workspace(problem, fns, op)
     size = fns.size
     relaxed = relaxation * ws.sweep
@@ -322,7 +322,6 @@ def iterate(problem: AdvDiffProblem, fns: DualFunctionals, op: FineScaleOperator
     history = []
     converged = False
     iteration = 0
-    done = 0
     while iteration < max_iter:
         block = min(_BLOCK, max_iter - iteration)
         for old, new in sweeps[:block]:

@@ -45,7 +45,7 @@ def coarse_update(fns: DualFunctionals, problem: AdvDiffProblem, u_bar: Field,
     psi_tab = tabulate_nodal(family, x)[:, 1:-1]
     rhs = mu_tab.T @ (w * np.asarray(problem.source(x), dtype=float)) / nu \
         + (c / nu) * (mu_dtab.T @ (w * u_prime(x)))
-    interior = _coarse_solve(problem, mu_dtab.T @ (w[:, None] * psi_tab), rhs)
+    interior = _coarse_solve((c / nu) * mu_dtab.T @ (w[:, None] * psi_tab), rhs)
     return interior_field(family, interior).coeffs
 
 

@@ -93,6 +93,15 @@ def test_vms_iter_writes_history_and_converges(tmp_path):
     assert hrows[-1, 1] < 1e-8
 
 
+def test_vms_iter_fine_grid_takes_whole_pieces_per_element(tmp_path):
+    # N ceil((points - 1)/N) + 1 rows, at least 4 pieces per element: the
+    # default 2,001 points give 2,002 rows at N = 3, and 5 points give 13
+    for argv, rows_written in (((), 2002), (("--fine-grid", "5"), 13)):
+        out = tmp_path / "vms.csv"
+        assert _run(tmp_path, "vms-iter", "--nu", "0.05", *argv, "--out", str(out)) == 0
+        assert _read_csv(out)[1].shape == (rows_written, 5)
+
+
 def test_vms_iter_nonconvergence_exit_code(tmp_path):
     out = tmp_path / "vms.csv"
     status = _run(tmp_path, "vms-iter", "--c", "1", "--nu", "0.025", "--p", "2",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fsgreens.basis1d import Field, Mesh1D, SpaceKind, basis_family, field_eval
+from fsgreens.basis1d import Field, Mesh1D, SpaceKind, basis_family, field_eval, tabulate_nodal
 from fsgreens.cases import advdiff_const_case, boundary_layer_breakpoints, sin2pix_case
 from fsgreens.dualspace import assemble_mass
 from fsgreens.finescale import build_fine_scale_operator, reconstruct_fine_scales
@@ -31,6 +31,7 @@ from fsgreens.vms_advdiff import (
     make_workspace,
     reconstruct_with_exact_gradient,
 )
+from flattened_oracle import _poisson_apply
 from sweep_oracle import coarse_update, fine_update, sweep
 
 KERNEL = GreensKernel1D.poisson()
@@ -279,7 +280,7 @@ def test_fine_scales_reproduce_cellwise_polynomials(mesh, q, seed):
     problem = AdvDiffProblem(c, nu, advdiff_const_case(c, nu).source)
     family = basis_family(mesh)
     fns = build_dual_functionals(family, ProjectionFlavor.H10)
-    q = max(q, mesh.degree)
+    q = max(q, mesh.degree + 1)
     op = build_fine_scale_operator(KERNEL, fns, q)
     ws = make_workspace(problem, fns, op)
     np.testing.assert_array_equal(ws.cells, np.union1d(mesh.boundaries, _kept_layer(mesh, c, nu)))
@@ -321,6 +322,32 @@ def test_fine_scales_reproduce_cellwise_polynomials(mesh, q, seed):
         <= 1e-10 * scale * np.max(1.0 / np.diff(ws.cells))
     want = ws.nodes * integral(np.array([1.0]))[0] - integral(ws.nodes)
     assert np.max(np.abs(ws.green_deriv @ state.fine_values - want)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("jittered", [False, True], ids=["uniform", "jittered"])
+@pytest.mark.parametrize("c", [1.0, -1.0, 0.0])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 6])
+def test_the_sweep_reads_the_coarse_field_through_the_total_field(degree, c, jittered):
+    # each psi_k has degree p < q on every cell, so the integral map is
+    # exact on it, G(psi') = green_deriv psi (against the k = 0 oracle on
+    # the (p // 2 + 1)-point rule, exact on s psi'(s)), and the sweep's
+    # fine rows see u_bar only through psi u_bar + v: their u_bar columns
+    # are their v columns times psi
+    nu = 0.02
+    mesh = Mesh1D(0.0, 1.0, 4, degree, np.array([0.0, 0.21, 0.47, 0.8, 1.0])) if jittered \
+        else Mesh1D.uniform(0.0, 1.0, 4, degree)
+    family = basis_family(mesh)
+    fns = build_dual_functionals(family, ProjectionFlavor.H10)
+    problem = AdvDiffProblem(c, nu, lambda x: np.ones_like(x))
+    ws = make_workspace(problem, fns, build_fine_scale_operator(KERNEL, fns))
+    psi = tabulate_nodal(family, ws.nodes)[:, 1:-1]
+    green_psi_deriv = _poisson_apply(lambda s: tabulate_nodal(family, s, deriv=1)[:, 1:-1],
+                                     ws.nodes, mesh.boundaries, degree // 2 + 1)
+    assert np.max(np.abs(ws.green_deriv @ psi - green_psi_deriv)) \
+        <= 1e-13 * np.max(np.abs(green_psi_deriv))
+    fine_rows = ws.sweep[fns.size:, :-1]
+    want = fine_rows[:, fns.size:] @ psi
+    assert np.max(np.abs(fine_rows[:, :fns.size] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def test_fine_scale_interpolant_keeps_joint_kinks():
@@ -583,6 +610,21 @@ def test_iterate_rejects_bad_parameters():
     for tolerance in (-1.0, 0.0, np.inf, np.nan):
         with pytest.raises(ValueError):
             iterate(problem, fns, op, tolerance=tolerance)
+    for max_iter in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="max_iter"):
+            iterate(problem, fns, op, max_iter=max_iter)
+
+
+def test_the_sweep_rejects_a_rule_of_p_points():
+    # p Gauss points per cell interpolate the degree-p coarse basis only
+    # to degree p - 1, so the sweep could not read u_bar through the
+    # total field at its nodes; p + 1 points can
+    problem = AdvDiffProblem(1.0, 0.05, advdiff_const_case(1.0, 0.05).source)
+    family = basis_family(Mesh1D.uniform(0.0, 1.0, 3, 2))
+    fns = build_dual_functionals(family, ProjectionFlavor.H10)
+    with pytest.raises(ValueError, match="more than p = 2 points"):
+        make_workspace(problem, fns, build_fine_scale_operator(KERNEL, fns, 2))
+    make_workspace(problem, fns, build_fine_scale_operator(KERNEL, fns, 3))
 
 
 def test_fine_scales_reject_points_outside_the_domain():
@@ -658,7 +700,7 @@ def test_sweep_spectral_radius_is_that_of_the_map_the_run_iterated(relaxation):
 
 
 def test_an_exactly_singular_coarse_matrix_raises():
-    # c/nu = 1, so I - (c/nu) A has an exactly zero first row
-    problem = AdvDiffProblem(1.0, 1.0, lambda x: np.ones_like(x))
+    # a coupling (c/nu) A = diag(1, 0.5, 0.25), as at c/nu = 1, leaves
+    # I - (c/nu) A an exactly zero first row
     with pytest.raises(ValueError, match="singular coarse-scale system"):
-        _coarse_solve(problem, np.diag([1.0, 0.5, 0.25]), np.ones(3))
+        _coarse_solve(np.diag([1.0, 0.5, 0.25]), np.ones(3))
