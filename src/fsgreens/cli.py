@@ -8,11 +8,11 @@ round-trips), on every platform; the writer computes most fields with
 numpy and passes the rest to `%` itself.  The mass, stiffness
 and Gram matrices are piecewise polynomial and always integrated by the
 exact Gauss rule of their degree.  Only the commands that integrate a
-source (project, reconstruct, vms-iter, poisson2d) take `--quad-points` or
-read the FSG_QUAD_POINTS environment variable: Gauss points per
-subinterval, at least p (fewer exit 1), default max(20, p + 8).  gll and
-vms-iter take no `--grid`.  The JSON `meta` records every parsed option
-but the output format and paths.
+source (project, reconstruct, vms-iter, poisson2d) take `--quad-points`:
+Gauss points per subinterval, at least p (fewer exit 1), default
+max(20, p + 8).  gll and vms-iter take no `--grid`.  A negative number
+may follow its option in any form, `--c -1e-3` as `--c=-1e-3`.  The JSON
+`meta` records every parsed option but the output format and paths.
 
 Exit codes: 0 success, 1 numerical defect (failed factorization or
 required convergence not reached), 2 usage errors, an output path that
@@ -26,6 +26,7 @@ import functools
 import itertools
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -51,13 +52,15 @@ from .poisson2d import (
     residual_2d,
 )
 from .projection import (
+    DEFAULT_QUAD_POINTS,
     DualFunctionals,
     ProjectionFlavor,
     build_dual_functionals,
     h10_project_from_source,
     project,
+    source_rule_points,
 )
-from .quadrature import DEFAULT_QUAD_POINTS, default_quad_points, gll_rule
+from .quadrature import gll_rule
 from .vms_advdiff import (DEFAULT_FINE_GRID, DEFAULT_MAX_ITER, DEFAULT_TOLERANCE, AdvDiffProblem,
                           galerkin_solve, iterate, reconstruct_with_exact_gradient)
 
@@ -443,8 +446,7 @@ def _add_source_rule(sub):
     """--quad-points, for the commands that integrate a source."""
     sub.add_argument("--quad-points", type=_positive_int, default=None,
                      help="quadrature points per subinterval of source integrals, "
-                          f"at least p (default max({DEFAULT_QUAD_POINTS}, p + 8), "
-                          "or FSG_QUAD_POINTS)")
+                          f"at least p (default max({DEFAULT_QUAD_POINTS}, p + 8))")
 
 
 def _add_mesh(sub, p_default=2, n_default=2):
@@ -543,13 +545,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads only forms like -1 and -.5 as numbers and -1e-3 as an
+    # option; no option here starts with a digit, so join such a token to its flag
+    for i in range(len(argv) - 1, 0, -1):
+        if re.match(r"-\.?\d", argv[i]) and re.fullmatch(r"--[^=]+", argv[i - 1]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
     if "quad_points" in vars(args) and args.quad_points is None:
-        env = os.environ.get("FSG_QUAD_POINTS")
-        try:
-            args.quad_points = _positive_int(env) if env else default_quad_points(args.p)
-        except (argparse.ArgumentTypeError, ValueError) as exc:
-            parser.error(f"FSG_QUAD_POINTS: {exc}")
+        args.quad_points = source_rule_points(args.p)
     h10 = args.command in ("vms-iter", "poisson2d") or getattr(args, "projection", None) == "h10"
     if h10 and args.p * args.elements < 2:
         parser.error("the H10 space needs an interior node: p * elements >= 2")

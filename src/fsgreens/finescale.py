@@ -68,7 +68,7 @@ from .dualspace import SPDMatrix, _reference_duals, partial_moments
 from .kernels import GreensKernel1D, _check_unit_mesh, _damped_green_apply, poisson_green
 from .projection import (DualFunctionals, ProjectionFlavor, mesh_quadrature, pair_functionals,
                          source_rule_points, tabulate_functionals)
-from .quadrature import composite_rule, default_quad_points, gauss_legendre_rule, sorted_unique
+from .quadrature import composite_rule, gauss_legendre_rule, sorted_unique
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,7 @@ def _field_pairing(fns: DualFunctionals, fld: Field) -> np.ndarray:
 
 
 def _green_and_pairing(fns: DualFunctionals, src: SourceTerm, grid: np.ndarray,
-                       quad_points: int | None):
+                       quad_points: int):
     """G src on the grid, and every functional paired with G src.
 
     G src = G f - u_bar (module docstring): the point sources' kernel
@@ -195,7 +195,6 @@ def _green_and_pairing(fns: DualFunctionals, src: SourceTerm, grid: np.ndarray,
     that basis), about ten times more accurate than pairing G f - u_bar
     tabulated on the rule.
     """
-    quad_points = source_rule_points(fns.family, quad_points)
     locs, qs = np.array(src.point_sources, dtype=float).reshape(-1, 2).T
     l2 = fns.flavor is ProjectionFlavor.L2
     s, w = mesh_quadrature(fns.family, quad_points, np.r_[src.breakpoints, locs if l2 else ()])
@@ -338,16 +337,11 @@ def build_fine_scale_operator(kernel: GreensKernel1D, fns: DualFunctionals,
 
     The L2 build assembles the Gram in closed form (`_l2_gram`); the H10
     build forms none, taking the condition number from the stiffness.  The
-    Gram integrands are polynomials integrated exactly, whatever
-    `quad_points` is.  `quad_points` is only stored as the reconstructions'
-    source rule; without it the rule grows with the degree
-    (`default_quad_points`).
+    Gram integrands are polynomials integrated exactly; `quad_points`,
+    resolved by `source_rule_points`, is only the reconstructions' rule.
     """
-    mesh = fns.family.mesh
-    if quad_points is None:
-        quad_points = default_quad_points(mesh.degree)
-    _check_unit_mesh(mesh)
-    op = FineScaleOperator(kernel, fns, quad_points)
+    _check_unit_mesh(fns.family.mesh)
+    op = FineScaleOperator(kernel, fns, source_rule_points(fns.family.degree, quad_points))
     if op.gram_cond > 1e14:
         raise ValueError("singular dual Gram matrix: assembly defect")
     return op

@@ -230,7 +230,7 @@ def build_series_operator_2d(d2: DualFunctionals2D,
     if num_terms < d2.interior_size:
         raise ValueError(f"the 2D Gram needs a series term per interior node and "
                          f"direction: {num_terms} < {d2.interior_size}")
-    quad_points = source_rule_points(d2.family, quad_points)
+    quad_points = source_rule_points(d2.family.degree, quad_points)
     s_nodes, s_weights = _oscillatory_rule(d2.family.mesh, num_terms)
     sine_weighted = _sine_table(num_terms, s_nodes) * s_weights[None, :]
     moments = sine_weighted @ _psi_tab(d2, s_nodes)           # (terms, m)

@@ -22,12 +22,15 @@ from .basis1d import BasisFamily, Field, SpaceKind, lagrange_tab, pair_basis, ta
 from .dualspace import DualSet, SPDMatrix, _assemble_gram, element_duals, tabulate_duals
 from .quadrature import (
     composite_rule,
-    default_quad_points,
     gauss_legendre_rule,
     sorted_unique,
 )
 
 _BOUNDARY_TOL = 1e-9
+# Points per subinterval for integrals against a source (the source rule),
+# at least; `source_rule_points` grows it with the degree.  The mass,
+# stiffness and Gram use the exact rule of their degree instead.
+DEFAULT_QUAD_POINTS = 20
 
 
 class ProjectionFlavor(Enum):
@@ -103,13 +106,14 @@ def interior_field(family: BasisFamily, interior: np.ndarray) -> Field:
     return Field(family, SpaceKind.NODAL, coeffs)
 
 
-def source_rule_points(family: BasisFamily, quad_points: int | None = None) -> int:
-    """Gauss points per subinterval of the source rule: the degree's default,
-    or quad_points.  Fewer than p points are rejected; p keep the
-    degree-2p-1 pairings of functionals with basis derivatives exact."""
-    npts = quad_points if quad_points is not None else default_quad_points(family.degree)
-    if npts < family.degree:
-        raise ValueError(f"the source rule needs at least p = {family.degree} points "
+def source_rule_points(degree: int, quad_points: int | None = None) -> int:
+    """Gauss points per subinterval of the source rule for degree-p bases:
+    quad_points, or max(DEFAULT_QUAD_POINTS, p + 8) without it.  Fewer than
+    p points are rejected; p keep the degree-2p-1 pairings of functionals
+    with basis derivatives exact."""
+    npts = quad_points if quad_points is not None else max(DEFAULT_QUAD_POINTS, degree + 8)
+    if npts < degree:
+        raise ValueError(f"the source rule needs at least p = {degree} points "
                          f"per subinterval, got {npts}")
     return npts
 
@@ -124,7 +128,7 @@ def mesh_quadrature(family: BasisFamily, quad_points: int | None = None,
     pts = np.asarray(breakpoints, dtype=float)
     bounds = sorted_unique(np.concatenate((mesh.boundaries,
                                            pts[~((pts < mesh.a) | (pts > mesh.b))])))
-    return composite_rule(gauss_legendre_rule(source_rule_points(family, quad_points)), bounds)
+    return composite_rule(gauss_legendre_rule(source_rule_points(mesh.degree, quad_points)), bounds)
 
 
 def project(fns: DualFunctionals, f: Callable[[np.ndarray], np.ndarray],

@@ -15,11 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-# Points per subinterval for integrals against a source (the source rule),
-# at least; `default_quad_points` grows it with the degree.  The mass,
-# stiffness and Gram use the exact rule of their degree instead.
-DEFAULT_QUAD_POINTS = 20
-
 _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITER = 100
 
@@ -120,13 +115,6 @@ def gll_weights(p: int, nodes: np.ndarray | None = None) -> np.ndarray:
 def gll_rule(p: int) -> QuadratureRule:
     nodes = gll_nodes(p)
     return QuadratureRule(nodes, gll_weights(p, nodes))
-
-
-def default_quad_points(degree: int) -> int:
-    """Source-rule points per subinterval when none are given for degree-p
-    bases: max(DEFAULT_QUAD_POINTS, p + 8).  `mesh_quadrature` rejects
-    fewer than p."""
-    return max(DEFAULT_QUAD_POINTS, degree + 8)
 
 
 def sorted_unique(values) -> np.ndarray:

@@ -353,12 +353,20 @@ def reconstruct_with_exact_gradient(op: FineScaleOperator, problem: AdvDiffProbl
     The residual is r = f_mod + u_bar'' with f_mod = (f - c u')/nu, so its
     Green's image is in closed form, G r = G f_mod - u_bar, for nodal and
     edge coarse fields alike (L2; under H10 the field must be nodal).
+    f_mod carries the rounding of f - c u' times 1/nu, so the error grows
+    with |c|/nu (at c = +-1 under 1e-9 of max |u| at 1e8, over 1e-8 at 1e9):
+    ValueError above 1e8 and for fine scales that are not finite.
     """
     c, nu = problem.advection, problem.diffusion
+    if abs(c) / nu > 1e8:
+        raise ValueError(f"demonstration mode needs |c| / nu <= 1e8, got c={c}, nu={nu}")
 
     def modified_source(s):
         return np.asarray(problem.source(s), dtype=float) / nu \
             - (c / nu) * np.asarray(exact_gradient(s), dtype=float)
 
     resid = SourceTerm(modified_source, tuple(map(float, breakpoints)), coarse=u_bar)
-    return reconstruct_fine_scales(op, resid, grid)
+    u_prime = reconstruct_fine_scales(op, resid, grid)
+    if not np.all(np.isfinite(u_prime)):
+        raise ValueError("the demonstration-mode fine scales are not finite")
+    return u_prime

@@ -50,7 +50,7 @@ from fsgreens.finescale import (FineScaleOperator, SourceTerm, _field_pairing, _
                                 _lift)
 from fsgreens.kernels import _BLOCK_POINTS, GreensKernel1D, _check_unit_domain
 from fsgreens.projection import (DualFunctionals, ProjectionFlavor, mesh_quadrature,
-                                 tabulate_functionals)
+                                 source_rule_points, tabulate_functionals)
 from fsgreens.quadrature import gauss_legendre_rule, map_rule, sorted_unique
 
 
@@ -350,6 +350,7 @@ def apply_dual_green(kernel: GreensKernel1D, fns: DualFunctionals, src: SourceTe
 
     G src = G f - u_bar for a coarse field u_bar; see `_green_and_pairing`.
     """
+    quad_points = source_rule_points(fns.family.degree, quad_points)
     return _green_and_pairing(fns, src, np.empty(0), quad_points)[1]
 
 

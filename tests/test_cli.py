@@ -184,16 +184,50 @@ def test_byte_identical_reruns(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_quad_points_environment_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("FSG_QUAD_POINTS", "25")
-    out = tmp_path / "rec.csv"
-    assert _run(tmp_path, "reconstruct", "--p", "1", "--elements", "2",
-                "--grid", "11", "--out", str(out)) == 0
+@pytest.mark.parametrize("argv", [
+    ("project",),
+    ("reconstruct",),
+    ("vms-iter", "--nu", "0.05"),
+    ("poisson2d",),
+], ids=lambda argv: argv[0])
+def test_the_environment_does_not_set_the_source_rule(tmp_path, monkeypatch, argv):
+    # --quad-points is the source rule's only setting: FSG_QUAD_POINTS,
+    # valid, not a number or negative, leaves every byte as the unset run's
+    found = {}
+    for env in (None, "4", "abc", "-3"):
+        if env is None:
+            monkeypatch.delenv("FSG_QUAD_POINTS", raising=False)
+        else:
+            monkeypatch.setenv("FSG_QUAD_POINTS", env)
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"{env}.{fmt}"
+            assert _run(tmp_path, *argv, "--format", fmt, "--out", str(out)) == 0
+            found[env, fmt] = out.read_bytes()
+    for (env, fmt), data in found.items():
+        assert data == found[None, fmt], (env, fmt)
 
 
-def test_default_quadrature_grows_with_degree(tmp_path, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ("greens", "--kernel", "advdiff", "--c", "-1e-3"),
+    ("reconstruct", "--case", "advdiff-const", "--c", "-1e-3"),
+    ("vms-iter", "--nu", "0.05", "--c", "-1e-3"),
+    ("basis", "--a", "-1e-1"),
+], ids=lambda argv: argv[0])
+def test_a_negative_number_in_exponent_form_follows_its_option(tmp_path, argv):
+    # argparse takes -1e-3 for an option; joined to the flag before it, it
+    # reads as --c=-1e-3 does
+    *head, flag, value = argv
+    found = []
+    for tail in ((flag, value), (f"{flag}={value}",)):
+        out = tmp_path / f"{len(found)}.json"
+        assert _run(tmp_path, *head, *tail, "--format", "json", "--out", str(out)) == 0
+        found.append(out.read_bytes())
+    assert found[0] == found[1]
+    assert json.loads(found[0])["meta"][flag[2:]] == float(value)
+
+
+def test_default_quadrature_grows_with_degree(tmp_path):
     # the default source rule is max(20, p + 8) points: 32 at p = 24
-    monkeypatch.delenv("FSG_QUAD_POINTS", raising=False)
     for flavor in ("h10", "l2"):
         out = tmp_path / f"{flavor}.csv"
         assert _run(tmp_path, "reconstruct", "--projection", flavor, "--p", "24",
@@ -202,7 +236,7 @@ def test_default_quadrature_grows_with_degree(tmp_path, monkeypatch):
         assert np.max(np.abs(rows[:, 4] - rows[:, 1])) < 1e-11
 
 
-def test_usage_errors_exit_two(tmp_path, monkeypatch):
+def test_usage_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as err:
         _run(tmp_path, "gll")
     assert err.value.code == 2
@@ -212,13 +246,6 @@ def test_usage_errors_exit_two(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as err:
         _run(tmp_path, "nonsense")
     assert err.value.code == 2
-    for bad in ("abc", "0", "-3"):
-        monkeypatch.setenv("FSG_QUAD_POINTS", bad)
-        with pytest.raises(SystemExit) as err:
-            _run(tmp_path, "reconstruct", "--p", "1", "--elements", "2",
-                 "--grid", "11", "--out", str(tmp_path / "rec.csv"))
-        assert err.value.code == 2
-    monkeypatch.delenv("FSG_QUAD_POINTS")
     # an H10 space with no interior node
     for argv in (("reconstruct",), ("finescale",), ("project", "--projection", "h10"),
                  ("vms-iter",), ("poisson2d",)):
@@ -364,22 +391,12 @@ _SOURCE_COMMANDS = ("project", "reconstruct", "vms-iter", "poisson2d")
 
 
 @pytest.mark.parametrize("argv", _SOURCE_FREE, ids=lambda argv: "-".join(argv[:3:2]))
-def test_source_free_commands_do_not_read_the_source_rule(tmp_path, monkeypatch, argv):
-    # gll, basis, dual, greens and finescale integrate no source: with
-    # FSG_QUAD_POINTS unset, valid or not a number they write the same bytes
-    outputs = {"csv": [], "json": []}
-    for env in (None, "3", "abc"):
-        if env is None:
-            monkeypatch.delenv("FSG_QUAD_POINTS", raising=False)
-        else:
-            monkeypatch.setenv("FSG_QUAD_POINTS", env)
-        for fmt, found in outputs.items():
-            out = tmp_path / f"out.{fmt}"
-            assert _run(tmp_path, *argv, "--format", fmt, "--out", str(out)) == 0
-            found.append(out.read_bytes())
-    for found in outputs.values():
-        assert found[1] == found[0] and found[2] == found[0]
-    assert "quad_points" not in json.loads(outputs["json"][0])["meta"]
+def test_source_free_commands_do_not_read_the_source_rule(tmp_path, argv):
+    # gll, basis, dual, greens and finescale integrate no source, so their
+    # meta records no source rule
+    out = tmp_path / "out.json"
+    assert _run(tmp_path, *argv, "--format", "json", "--out", str(out)) == 0
+    assert "quad_points" not in json.loads(out.read_text())["meta"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -395,10 +412,9 @@ def test_an_option_the_command_does_not_read_exits_two(tmp_path, argv):
     assert not out.exists()
 
 
-def test_vms_iter_output_paths_stay_out_of_the_files(tmp_path, monkeypatch):
+def test_vms_iter_output_paths_stay_out_of_the_files(tmp_path):
     # the data and history files of two runs that differ only in --out
     # hold the same bytes
-    monkeypatch.delenv("FSG_QUAD_POINTS", raising=False)
     for name in ("a", "b"):
         assert _run(tmp_path, "vms-iter", "--nu", "0.05", "--format", "json",
                     "--out", str(tmp_path / f"{name}.json")) == 0
@@ -418,17 +434,15 @@ def test_help_lists_the_source_rule_only_for_source_commands(capsys, command):
     assert ("--quad-points" in capsys.readouterr().out) == (command in _SOURCE_COMMANDS)
 
 
-def test_poisson2d_rejects_a_source_rule_below_the_degree(tmp_path, monkeypatch):
+def test_poisson2d_rejects_a_source_rule_below_the_degree(tmp_path):
     # the 2D pairings share the 1D source rule's floor of p points
-    monkeypatch.delenv("FSG_QUAD_POINTS", raising=False)
     argv = ("poisson2d", "--p", "3", "--elements", "2", "--grid", "5")
     for quad, status in (("1", 1), ("2", 1), ("3", 0)):
         assert _run(tmp_path, *argv, "--quad-points", quad,
                     "--out", str(tmp_path / "p2d.csv")) == status
 
 
-def test_health_values_in_json_meta(tmp_path, monkeypatch):
-    monkeypatch.delenv("FSG_QUAD_POINTS", raising=False)
+def test_health_values_in_json_meta(tmp_path):
     from fsgreens.basis1d import Mesh1D, basis_family
     from fsgreens.finescale import build_fine_scale_operator
     from fsgreens.kernels import GreensKernel1D
@@ -759,6 +773,28 @@ def test_underflowing_boundary_layer_terminates(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("nu", ["1e-10", "1e-50", "1e-160"])
+@pytest.mark.parametrize("c", ["1", "-1"])
+def test_demonstration_mode_beyond_its_peclet_bound_exits_one(tmp_path, c, nu):
+    # the exact-gradient residual's error grows with |c|/nu (1e34 at
+    # nu = 1e-50, NaN and overflow warnings at 1e-160): the one
+    # `fsgreens:` line is the whole report, warnings shown or not
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = tmp_path / "layer.csv"
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "fsgreens.cli", "reconstruct",
+         "--case", "advdiff-const", "--c", c, "--nu", nu, "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("fsgreens: ") and "|c| / nu" in lines[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("reconstruct",),
     ("reconstruct", "--projection", "l2"),
@@ -772,8 +808,7 @@ def test_no_command_loads_numpy_ma(tmp_path, argv):
     import sys
 
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = {k: v for k, v in os.environ.items() if k != "FSG_QUAD_POINTS"}
-    env["PYTHONPATH"] = os.path.abspath(src)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     script = ("import json, sys\n"
               "import numpy\n"
               "bare = 'numpy.ma' in sys.modules\n"
@@ -809,8 +844,7 @@ def test_cold_start_loads_spline_and_sparse_modules_only_for_the_iteration(
     import sys
 
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = {k: v for k, v in os.environ.items() if k != "FSG_QUAD_POINTS"}
-    env["PYTHONPATH"] = os.path.abspath(src)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     script = ("import json, sys\n"
               "from fsgreens.cli import main\n"
               "status = main(sys.argv[1:])\n"
@@ -847,8 +881,7 @@ def test_no_command_loads_scipy(tmp_path, argv):
     import sys
 
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = {k: v for k, v in os.environ.items() if k != "FSG_QUAD_POINTS"}
-    env["PYTHONPATH"] = os.path.abspath(src)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     script = ("import json, sys\n"
               "from fsgreens.cli import main\n"
               "status = main(sys.argv[1:])\n"

@@ -29,9 +29,10 @@ from fsgreens.projection import (
     mesh_quadrature,
     pair_functionals,
     project,
+    source_rule_points,
     tabulate_functionals,
 )
-from fsgreens.quadrature import composite_rule, default_quad_points, gauss_legendre_rule
+from fsgreens.quadrature import composite_rule, gauss_legendre_rule
 
 from flattened_oracle import (_poisson_apply, apply_dual_green, element_endpoint_values,
                               element_green, flattened, functional_load, lift_dx,
@@ -272,6 +273,18 @@ def test_gram_independent_of_source_rule(flavor):
             np.testing.assert_array_equal(op.gram, ops[0].gram)
 
 
+@pytest.mark.parametrize("flavor", [ProjectionFlavor.H10, ProjectionFlavor.L2])
+@pytest.mark.parametrize("degree", [2, 4])
+def test_build_rejects_a_source_rule_below_the_degree(flavor, degree):
+    # the build resolves its rule as every source integral does
+    # (`source_rule_points`): p points at least, the degree's default without one
+    fns = build_dual_functionals(basis_family(Mesh1D.uniform(0.0, 1.0, 3, degree)), flavor)
+    with pytest.raises(ValueError, match=f"at least p = {degree} points"):
+        build_fine_scale_operator(KERNEL, fns, degree - 1)
+    assert build_fine_scale_operator(KERNEL, fns, degree).quad_points == degree
+    assert build_fine_scale_operator(KERNEL, fns).quad_points == 20
+
+
 @pytest.mark.parametrize("num_elements,degree", [(6, 2), (12, 4), (40, 3)])
 def test_l2_gram_matches_the_quadrature_oracle_on_jittered_meshes(num_elements, degree):
     # the closed form (semiseparable off the diagonal blocks) against the
@@ -380,7 +393,7 @@ def test_l2_apply_dual_green_defaults_to_the_degree_rule(coarse):
         src = replace(src, coarse=h10_project_from_source(
             build_dual_functionals(family, ProjectionFlavor.H10), CASE.source))
     got = apply_dual_green(KERNEL, fns, src)
-    want = apply_dual_green(KERNEL, fns, src, quad_points=default_quad_points(4))
+    want = apply_dual_green(KERNEL, fns, src, quad_points=source_rule_points(4))
     assert np.array_equal(got, want)
 
 

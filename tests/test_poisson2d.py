@@ -19,9 +19,8 @@ from fsgreens.poisson2d import (
     reconstruct_fine_scales_2d,
     residual_2d,
 )
-from fsgreens.projection import assemble_stiffness, mesh_quadrature
-from fsgreens.quadrature import (_piece_ends, composite_rule, default_quad_points,
-                                 gauss_legendre_rule)
+from fsgreens.projection import assemble_stiffness, mesh_quadrature, source_rule_points
+from fsgreens.quadrature import _piece_ends, composite_rule, gauss_legendre_rule
 
 from oracle_2d import (
     _green_tables,
@@ -198,7 +197,7 @@ def test_source_pairings_need_p_points(duals_p3):
             h10_project_values_2d(duals_p3, zero, quad_points=quad)
     assert build_series_operator_2d(duals_p3, num_terms=10, quad_points=3).quad_points == 3
     # with no rule the 2D pairings take the 1D source rule's default
-    assert build_series_operator_2d(duals_p3, num_terms=10).quad_points == default_quad_points(3)
+    assert build_series_operator_2d(duals_p3, num_terms=10).quad_points == source_rule_points(3)
 
 
 def test_duals_and_series_operator_form_no_dense_2d_matrix():

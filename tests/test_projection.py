@@ -22,6 +22,7 @@ from fsgreens.projection import (
     mesh_quadrature,
     pair_functionals,
     project,
+    source_rule_points,
     tabulate_functionals,
 )
 from fsgreens.quadrature import composite_rule, gauss_legendre_rule
@@ -329,6 +330,14 @@ def test_h10_pair_then_solve_projections_match_table_first(mesh, shift):
         jumps = -fns.stiffness.solve(nodal_deriv_jumps(family).T).T
         want += jumps.T @ u(interfaces)
     assert _rel_err(h10_project_values(fns, u), want) <= 1e-12
+
+
+def test_source_rule_points_is_the_one_resolver():
+    # max(20, p + 8) points without quad_points, and at least p points
+    assert [source_rule_points(p) for p in (1, 12, 13, 24)] == [20, 20, 21, 32]
+    assert source_rule_points(3, 3) == 3
+    with pytest.raises(ValueError, match="at least p = 3 points"):
+        source_rule_points(3, 2)
 
 
 def test_mesh_quadrature_is_the_one_breakpoint_policy():

@@ -17,8 +17,9 @@ from fsgreens.projection import (
     h10_project_from_source,
     interior_field,
     project,
+    source_rule_points,
 )
-from fsgreens.quadrature import default_quad_points, gauss_legendre_rule
+from fsgreens.quadrature import gauss_legendre_rule
 from fsgreens.vms_advdiff import (
     _BLOCK,
     DEFAULT_TOLERANCE,
@@ -124,6 +125,41 @@ def test_l2_exact_gradient_reconstruction_pointwise_data():
     assert np.max(np.abs(field_eval(u_bar, grid) + u_prime - case.solution(grid))) <= 5e-14
 
 
+@pytest.mark.parametrize("flavor", [ProjectionFlavor.H10, ProjectionFlavor.L2])
+@pytest.mark.parametrize("c", [1.0, -1.0])
+def test_exact_gradient_reconstruction_bounds_the_peclet_ratio(c, flavor):
+    # the exact-gradient residual's error grows with |c|/nu: at the bound,
+    # |c|/nu = 1e8, it is within 1e-8 of max |u| (8e-10 on this mesh);
+    # past it the reconstruction raises (1e-7 at 1e10, 1e34 at 1e50)
+    family = basis_family(Mesh1D.uniform(0.0, 1.0, 5, 2))
+    op = build_fine_scale_operator(KERNEL, build_dual_functionals(family, flavor))
+    grid = np.linspace(0.0, 1.0, 401)
+    for nu in (1e-8, 1e-10):
+        case = advdiff_const_case(c, nu)
+        layer = boundary_layer_breakpoints(c, nu)
+        u_bar = project(op.functionals, case.solution, case.gradient, breakpoints=layer)
+
+        def run():
+            return reconstruct_with_exact_gradient(op, AdvDiffProblem(c, nu, case.source), u_bar,
+                                                   case.gradient, grid, breakpoints=layer)
+        if nu < 1e-8:
+            with pytest.raises(ValueError, match="demonstration mode"):
+                run()
+            continue
+        exact = case.solution(grid)
+        error = np.max(np.abs(field_eval(u_bar, grid) + run() - exact))
+        assert error <= 1e-8 * np.max(np.abs(exact))
+
+
+def test_exact_gradient_reconstruction_rejects_a_result_that_is_not_finite():
+    family, fns, op = _h10_setup(3, 2)
+    problem = AdvDiffProblem(1.0, 0.05, lambda x: np.full_like(x, np.nan))
+    u_bar = interior_field(family, np.zeros(fns.size))
+    with pytest.raises(ValueError, match="not finite"):
+        reconstruct_with_exact_gradient(op, problem, u_bar, np.zeros_like,
+                                        np.linspace(0.0, 1.0, 11))
+
+
 def test_coarse_update_diffusive_limit_is_source_projection():
     nu = 0.3
     case = sin2pix_case()
@@ -218,7 +254,7 @@ def test_workspace_defaults_to_the_degree_source_rule():
     _, fns, op = _h10_setup(1, 24)
     got = make_workspace(problem, fns, op)
     want = make_workspace(problem, fns,
-                          build_fine_scale_operator(KERNEL, fns, default_quad_points(24)))
+                          build_fine_scale_operator(KERNEL, fns, source_rule_points(24)))
     for name in ("nodes", "green_deriv", "sweep"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
