@@ -4,55 +4,38 @@ The operator is the full kernel minus its resolved part,
 
     fine kernel = g - (G duals)^T [duals G duals^T]^{-1} (duals G),
 
-built from three ingredients: the kernel lifted through each dual
-functional, the Gram matrix of the functionals under the Green's
-operator, and the pairing of the functionals with the Green's image of a
-residual.
-
-Functionals act through their flavor pairing, which also pairs them with
-the lifts into the Gram matrix: plain densities for L2, the derivative
-pairing for H10, whose load on the kernel is a piecewise-polynomial part
-plus node point sources.  A residual carries a smooth part with its kink
-breakpoints, point sources and optionally a coarse field u_bar, nodal or edge.
+built from the kernel lifted through each dual functional, the Gram matrix
+of the functionals under the Green's operator, and the pairing of the
+functionals with the Green's image of a residual.  Functionals act through
+their flavor pairing: plain densities for L2, the derivative pairing for
+H10.  A residual carries a smooth part with its kink breakpoints, point
+sources and optionally a coarse field u_bar, nodal or edge.
 
 G maps a field's distributional second derivative to minus the field,
 taken as zero outside the mesh (Hughes & Sangalli, SIAM J. Numer. Anal.
-45, 2007), so r = f + u_bar'' has G r = G f - u_bar in closed form:
-`_green_and_pairing` integrates only f, by the Green's primitive of
-`kernels`, adds the point loads' kernel values and subtracts u_bar and
-its pairing once.  A reconstruction is G r minus its resolved part
+45, 2007), so r = f + u_bar'' has G r = G f - u_bar in closed form
+(`_green_and_pairing`).  A reconstruction is G r minus its resolved part
 (`FineScaleOperator.resolved`): the reconstruction functions
-(G duals)^T [Gram]^{-1} times the functionals' pairing with G r.  For L2 the pairing is element-local, of
-G f on the source rule, minus u_bar's pairing (its coefficients for an
-edge field of the functionals' family), and the functions are the lifts
-times a Gram solve, summed in closed form.  For H10 the
-pairing is the source's, through the interior nodal basis and one
-stiffness solve, minus u_bar's exact H10 pairing, and the functions are
-the interior nodal basis (criterion 06).  A field of the H10 space
-(nodal, of the operator's family, zero at both ends) is skipped, as its
-two terms cancel (criterion 05); an edge field has no H10 pairing.
+(G duals)^T [Gram]^{-1} times the functionals' pairing with G r.  For L2
+the pairing is element-local, the functions are the lifts times a Gram
+solve, and lifts, Gram and resolved part are in closed form from the dual
+moments, as the kernel is semiseparable and each dual lives on one
+element (`_lift`, `_l2_gram`, `_l2_lift_sum`).  For H10 the pairing is the
+coefficients of G r's H10 projection, which reads G r at the vertices and
+adds each element's bubbles (`projection._h10_local`) with no solve with
+the global stiffness K, and the functions are the interior nodal basis
+(criterion 06).  So u_bar is u at the vertices and u_prime zero there,
+each to the rounding of the Green's primitive.  A field of the H10 space (nodal, of the
+operator's family, zero at both ends) is skipped, as its two terms cancel
+(criterion 05); an edge field has no H10 pairing.  The kernel is
+self-adjoint, so the representers (duals G) are the lifts (G duals); the
+H10 Gram is K^{-1}, formed only when read, and its condition number K's.
 
-The Poisson kernel is self-adjoint, so the representers (duals G) are the
-lifts (G duals), and the library has one of them (`_lift`).  For H10 the
-lift is the functional itself, since G inverts its load exactly.  For L2
-it is in closed form: the kernel G(x, s) = x (1 - s) for x < s is
-semiseparable, and each dual mu_j lives on one element, so its lift is
-x beta_j left of that element, (1 - x) alpha_j right of it and one
-polynomial of degree p + 1 inside it, with alpha_j = int s mu_j and
-beta_j = int (1 - s) mu_j the dual moments.  Inside, it comes from two
-antiderivative tables of the reference duals (`dualspace.partial_moments`).
-The same moments make the L2 Gram semiseparable off its diagonal blocks
-(`_l2_gram`) and sum the L2 resolved part by a prefix and a suffix sum.
-The H10 Gram is K^{-1}, K the interior stiffness, so its condition number
-is K's and the H10 operator forms its Gram, by one solve, only when read.
-
-Smooth sources go through the Green's primitive of `kernels` at k = 0,
-G f(x) = (1 - x) int_0^x s f + x int_x^1 (1 - s) f, two running sums of
-Gauss rules cut at the mesh, the source's kinks and every point x.
-
-Every integral of the kernel is thus split at its kink x = s, the one
-quadrature under which the derivative pairing works; a rule cut only at
-the mesh boundaries misses the kink's derivative jump (criterion 12).
+Smooth sources go through the Green's primitive of `kernels` at k = 0, two
+running sums of Gauss rules cut at the mesh, the source's kinks and every
+point x.  Every integral of the kernel is thus split at its kink x = s,
+the one quadrature under which the derivative pairing works; a rule cut
+only at the mesh boundaries misses the kink's derivative jump (criterion 12).
 """
 
 from __future__ import annotations
@@ -63,11 +46,12 @@ from typing import Callable
 
 import numpy as np
 
-from .basis1d import Field, SpaceKind, _element_cols, _locate, element_tab, field_eval
+from .basis1d import (Field, SpaceKind, _element_cols, _locate, element_tab, field_eval,
+                     pair_basis, tabulate_nodal)
 from .dualspace import SPDMatrix, _reference_duals, partial_moments
 from .kernels import GreensKernel1D, _check_unit_mesh, _damped_green_apply, poisson_green
-from .projection import (DualFunctionals, ProjectionFlavor, mesh_quadrature, pair_functionals,
-                         source_rule_points, tabulate_functionals)
+from .projection import (DualFunctionals, ProjectionFlavor, _h10_local, h10_project_from_source,
+                         mesh_quadrature, pair_functionals, source_rule_points)
 from .quadrature import composite_rule, gauss_legendre_rule, sorted_unique
 
 
@@ -118,22 +102,26 @@ def _lift(fns: DualFunctionals, x) -> np.ndarray:
 
     For H10 the Poisson kernel inverts the load (minus the second
     derivative plus the node point sources) exactly, so the lift is the
-    functional itself.  For L2 the load is the dual density mu_j, one
-    element's, and the lift is in closed form: x beta_j left of the dual's
-    element, (1 - x) alpha_j right of it (`DualSet.moments`) and
-    `_l2_element_lifts` inside.  The lift is C^1, so a point on a mesh node
-    may take either side.
+    functional itself, at x K^{-1} psi(x): the H10 projection of g(., x),
+    from the kernel's vertex values and the loads psi(x).  For L2 the load
+    is the dual density mu_j, one element's, and the lift is in closed
+    form: x beta_j left of the dual's element, (1 - x) alpha_j right of it
+    (`DualSet.moments`) and `_l2_element_lifts` inside.  The lift is C^1,
+    so a point on a mesh node may take either side.
     """
+    family = fns.family
     if fns.flavor is ProjectionFlavor.H10:
-        return tabulate_functionals(fns, x)
+        nodes = family.mesh.boundaries
+        return _h10_local(family, poisson_green(nodes[:, None], np.atleast_1d(x)[None, :]),
+                          tabulate_nodal(family, x).T).T
     x, elem, local = _l2_lifts_at(fns, x)
     alpha, beta = fns.duals.moments
-    p = fns.family.degree
+    p = family.degree
     # the duals of elements left of each point's element: it lies right of them
     right = np.arange(fns.size)[None, :] < (p * elem)[:, None]
     out = np.where(right, np.multiply.outer(1.0 - x, alpha.ravel()),
                    np.multiply.outer(x, beta.ravel()))
-    out[np.arange(x.size)[:, None], _element_cols(fns.family.mesh, elem, p)] = local
+    out[np.arange(x.size)[:, None], _element_cols(family.mesh, elem, p)] = local
     return out
 
 
@@ -160,44 +148,47 @@ def _l2_lift_sum(fns: DualFunctionals, x, coeffs) -> np.ndarray:
 
 def _field_pairing(fns: DualFunctionals, fld: Field) -> np.ndarray:
     """The functionals' exact flavor pairing with a coarse field: L2 against
-    the field, H10 against its derivative.
+    the field, H10 against its derivative, that is the coefficients of its
+    H10 projection from its vertex values and loads (`_h10_local`).
 
     The integrands are polynomials of degree at most p + q - 1 between the
     two meshes' boundaries, q the field's degree, so that Gauss rule is
     exact.  An edge field jumps at the nodes, so its H10 pairing (and
     projection) is undefined.
     """
-    h10 = fns.flavor is ProjectionFlavor.H10
-    if h10 and fld.space is SpaceKind.EDGE:
+    family = fns.family
+    bounds = sorted_unique(np.concatenate((family.mesh.boundaries, fld.family.mesh.boundaries)))
+    s, w = composite_rule(gauss_legendre_rule((family.degree + fld.family.degree) // 2 + 1), bounds)
+    if fns.flavor is ProjectionFlavor.L2:
+        return pair_functionals(fns, s, w * field_eval(fld, s))
+    if fld.space is SpaceKind.EDGE:
         raise ValueError("an edge field has no H10 pairing: its H10 projection is undefined")
-    bounds = sorted_unique(np.concatenate((fns.family.mesh.boundaries,
-                                           fld.family.mesh.boundaries)))
-    rule = gauss_legendre_rule((fns.family.degree + fld.family.degree) // 2 + 1)
-    s, w = composite_rule(rule, bounds)
-    deriv = 1 if h10 else 0
-    return pair_functionals(fns, s, w * field_eval(fld, s, deriv=deriv), deriv=deriv)
+    nodes, ends = family.mesh.boundaries, family.mesh.boundaries[[0, -1]]
+    # less the line through the field's end values, which the H10 pairing does not see
+    vertex = field_eval(fld, nodes) - np.interp(nodes, ends, field_eval(fld, ends))
+    loads = pair_basis(family, SpaceKind.NODAL, s, w * field_eval(fld, s, deriv=1), deriv=1)
+    return _h10_local(family, vertex, loads)
 
 
 def _green_and_pairing(fns: DualFunctionals, src: SourceTerm, grid: np.ndarray,
                        quad_points: int):
     """G src on the grid, and every functional paired with G src.
 
-    G src = G f - u_bar (module docstring): the point sources' kernel
-    values plus the Green's primitive at k = 0 of the smooth part, cut at
-    the mesh and its breakpoints, then u_bar and its pairing subtracted
-    once.  The L2 pairing of G f is element-local, on the source rule (cut
-    also at the point sources), which one primitive call tabulates with
-    the grid.  The
-    H10 pairing of G f is the source's own, by the interior nodal basis
-    and one stiffness solve (`pair_functionals`).  u_bar's pairing is
-    exact (`_field_pairing`); for an edge field of the L2 functionals'
-    family it is its coefficients (the functionals are biorthogonal to
-    that basis), about ten times more accurate than pairing G f - u_bar
-    tabulated on the rule.
+    G src = G f - u_bar: the point sources' kernel values plus the Green's
+    primitive at k = 0 of the smooth part, cut at the mesh and its
+    breakpoints, then u_bar and its pairing subtracted once.  The L2
+    pairing of G f is on the source rule (cut also at the point sources),
+    which one primitive call tabulates with the grid.  The H10 pairing is
+    the point sources' lifts plus `h10_project_from_source` of f, which
+    the resolved part of a smooth source then cancels bit for bit.  u_bar's
+    pairing is exact (`_field_pairing`); for an edge field of the L2
+    functionals' family it is its coefficients (the functionals are
+    biorthogonal to that basis), ten times more accurate than a rule's.
     """
     locs, qs = np.array(src.point_sources, dtype=float).reshape(-1, 2).T
     l2 = fns.flavor is ProjectionFlavor.L2
-    s, w = mesh_quadrature(fns.family, quad_points, np.r_[src.breakpoints, locs if l2 else ()])
+    if l2:
+        s, w = mesh_quadrature(fns.family, quad_points, np.r_[src.breakpoints, locs])
     x = np.concatenate((grid, s)) if l2 else grid
     image = poisson_green(x[:, None], locs[None, :]) @ qs
     if src.smooth is not None:
@@ -207,8 +198,10 @@ def _green_and_pairing(fns: DualFunctionals, src: SourceTerm, grid: np.ndarray,
         data = pair_functionals(fns, s, w * image[grid.size:])
         image = image[:grid.size]
     else:
-        smooth = w * np.asarray(src.smooth(s), dtype=float) if src.smooth is not None else 0.0 * w
-        data = pair_functionals(fns, np.r_[s, locs], np.r_[smooth, qs])
+        data = _lift(fns, locs).T @ qs
+        if src.smooth is not None:
+            data = data + h10_project_from_source(fns, src.smooth, quad_points,
+                                                  src.breakpoints).coeffs[1:-1]
     coarse = src.coarse
     if coarse is not None:
         _check_unit_mesh(coarse.family.mesh, "a coarse field's mesh")

@@ -6,8 +6,14 @@ coefficients of its projection onto that flavor's target space directly:
 * L2 flavor: the functionals are the dual nodal functions, the target
   space is the edge basis, and the pairing is the plain L2 inner product.
 * H10 flavor: each functional is the discrete-Laplacian preimage of an
-  interior nodal basis function (a stiffness solve), the target space is
-  the interior nodal basis, and the pairing is the H10 semi-inner product.
+  interior nodal basis function, the target space is the interior nodal
+  basis, and the pairing is the H10 semi-inner product.
+
+In 1D the H10 projection interpolates u at the mesh vertices (Tong, AIAA J.
+7(1), 1969), so no H10 projection solves with the global stiffness K: ū is
+u's vertex values plus each element's bubbles (`_h10_local`), with no
+cond(K) eps in either.  Only the coupled sweep reads the functionals' K
+tables and pairings.
 """
 
 from __future__ import annotations
@@ -19,12 +25,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .basis1d import BasisFamily, Field, SpaceKind, lagrange_tab, pair_basis, tabulate_nodal
-from .dualspace import DualSet, SPDMatrix, _assemble_gram, element_duals, tabulate_duals
-from .quadrature import (
-    composite_rule,
-    gauss_legendre_rule,
-    sorted_unique,
-)
+from .dualspace import (DualSet, SPDMatrix, _assemble_gram, _reference_gram, element_duals,
+                        tabulate_duals)
+from .kernels import _check_unit_mesh, _damped_green_apply
+from .quadrature import composite_rule, gauss_legendre_rule, sorted_unique
 
 _BOUNDARY_TOL = 1e-9
 # Points per subinterval for integrals against a source (the source rule),
@@ -53,7 +57,7 @@ class DualFunctionals:
 
     For L2 the set wraps the dual nodal basis; for H10 it holds the
     interior stiffness K, and the functionals are the interior nodal
-    basis pushed through K by solves.
+    basis pushed through K by solves.  The H10 size is read from the mesh.
     """
 
     flavor: ProjectionFlavor
@@ -65,7 +69,7 @@ class DualFunctionals:
     def size(self) -> int:
         if self.flavor is ProjectionFlavor.L2:
             return self.duals.size
-        return self.stiffness.entries.shape[0]
+        return self.family.mesh.num_nodal_dofs - 2
 
 
 def build_dual_functionals(family: BasisFamily, flavor: ProjectionFlavor) -> DualFunctionals:
@@ -131,35 +135,63 @@ def mesh_quadrature(family: BasisFamily, quad_points: int | None = None,
     return composite_rule(gauss_legendre_rule(source_rule_points(mesh.degree, quad_points)), bounds)
 
 
+def _h10_local(family: BasisFamily, vertex, loads) -> np.ndarray:
+    """Pi u's interior nodal coefficients from u's N + 1 vertex values and
+    the nodal loads (psi_k', u'), each a vector or one column per u: the
+    linear interpolant I u of the vertex values plus, on each element, the
+    projection of u - I u onto its p - 1 interior Lagrange functions, whose
+    loads are u's as I u' is constant there.  Their stiffness is the
+    reference one over J_e, so one reference solve serves every element."""
+    mesh = family.mesh
+    num, p = mesh.num_elements, mesh.degree
+    vertex = np.asarray(vertex, dtype=float)
+    cols = vertex[0].size
+    v = vertex.reshape(num + 1, 1, cols)
+    t = 0.5 * (family.ref_nodes[:-1, None] + 1.0)
+    # I u at each element's first p GLL nodes, then the bubbles at its inner ones
+    coeffs = v[:-1] * (1.0 - t) + v[1:] * t
+    if p > 1:
+        ref = _reference_gram(family, lagrange_tab, deriv=1)[1:-1, 1:-1]
+        inner = np.asarray(loads, dtype=float)[:-1].reshape(num, p, cols)[:, 1:]
+        bubble = np.linalg.solve(ref, inner.transpose(1, 0, 2).reshape(p - 1, num * cols))
+        coeffs[:, 1:] += mesh.jacobian(np.arange(num))[:, None, None] \
+            * bubble.reshape(p - 1, num, cols).transpose(1, 0, 2)
+    return coeffs.reshape((num * p,) + vertex.shape[1:])[1:]
+
+
 def project(fns: DualFunctionals, f: Callable[[np.ndarray], np.ndarray],
             f_prime: Callable[[np.ndarray], np.ndarray] | None = None,
             quad_points: int | None = None,
             breakpoints: Sequence[float] = ()) -> Field:
     """Project f onto the flavor's target space via the dual pairing.
 
-    The H10 pairing needs f'; pass it analytically when available,
-    otherwise the projection is taken from values of f alone
-    (`h10_project_values`).  H10 also requires homogeneous boundary
-    values of f.  The L2 pairing reads values of f only and ignores
-    f_prime, so one call serves both flavors.
+    The L2 pairing reads values of f only and ignores f_prime, so one call
+    serves both flavors.  H10 needs zero boundary values of f and reads f
+    at the vertices once, for that check and for `_h10_local`, with the
+    loads (psi_k', f') from f' or, without it, from values of f alone, by
+    parts on each element with no interface term, as f - I f vanishes at
+    every vertex.  That form suits fields whose derivative is unreliable;
+    kinks of f inside elements can be declared as breakpoints.
     """
     family = fns.family
     x, w = mesh_quadrature(family, quad_points, breakpoints)
     if fns.flavor is ProjectionFlavor.L2:
         coeffs = pair_functionals(fns, x, w * np.asarray(f(x), dtype=float))
         return Field(family, SpaceKind.EDGE, coeffs)
-    mesh = family.mesh
-    fa, fb = float(np.asarray(f(np.array([mesh.a])))[0]), float(np.asarray(f(np.array([mesh.b])))[0])
-    end = max(abs(fa), abs(fb))
+    nodes = family.mesh.boundaries
+    vertex = np.array(f(nodes), dtype=float)
+    end = max(abs(vertex[0]), abs(vertex[-1]))
     # the check's scale is at least 1, so f is tabulated for it only past the tolerance
     if end > _BOUNDARY_TOL and end > _BOUNDARY_TOL * max(1.0, float(np.max(np.abs(f(x))))):
-        raise ValueError(
-            f"H10 projection needs zero boundary values, got f(a)={fa:.3e}, f(b)={fb:.3e}"
-        )
+        raise ValueError(f"H10 projection needs zero boundary values, got "
+                         f"f(a)={vertex[0]:.3e}, f(b)={vertex[-1]:.3e}")
+    vertex[[0, -1]] = 0.0
     if f_prime is None:
-        return interior_field(family, h10_project_values(fns, f, quad_points, breakpoints))
-    df = np.asarray(f_prime(x), dtype=float)
-    return interior_field(family, pair_functionals(fns, x, w * df, deriv=1))
+        fine = np.asarray(f(x), dtype=float) - np.interp(x, nodes, vertex)
+        loads = -pair_basis(family, SpaceKind.NODAL, x, w * fine, deriv=2)
+    else:
+        loads = pair_basis(family, SpaceKind.NODAL, x, w * np.asarray(f_prime(x), float), deriv=1)
+    return interior_field(family, _h10_local(family, vertex, loads))
 
 
 def h10_project_from_source(fns: DualFunctionals,
@@ -168,41 +200,16 @@ def h10_project_from_source(fns: DualFunctionals,
                             breakpoints: Sequence[float] = ()) -> Field:
     """Exact H10 projection of the solution of -u'' = source, without solving.
 
-    The diffusion problem is built into the H10 pairing: integrating the
-    functionals against the source gives the projection of the exact
-    (never computed) solution directly.
+    The diffusion problem is built into the H10 pairing: the loads
+    (psi_k', u') are (psi_k, source), and u's vertex values come from the
+    Green's primitive of `kernels` on the same source rule.
     """
     if fns.flavor is not ProjectionFlavor.H10:
         raise ValueError("source shortcut exists for the H10 flavor only")
     family = fns.family
-    x, w = mesh_quadrature(family, quad_points, breakpoints)
-    return interior_field(family, pair_functionals(fns, x, w * np.asarray(source(x), dtype=float)))
-
-
-def h10_project_values(fns: DualFunctionals,
-                       u: Callable[[np.ndarray], np.ndarray],
-                       quad_points: int | None = None,
-                       breakpoints: Sequence[float] = ()) -> np.ndarray:
-    """H10 projection coefficients of u using values of u only.
-
-    Pi u = I u + Pi (u - I u), I u the piecewise-linear interpolant of u's
-    vertex values, which the nodal space holds.  Integrated by parts on
-    each element, the pairing of w = u - I u moves both derivatives onto
-    the interior nodal basis, with no interface term, as w vanishes at
-    every vertex.  Intended for sampled or interpolated fields whose
-    derivative is unreliable; assumes u vanishes at both domain endpoints.
-    Known kinks of u inside elements can be declared as extra breakpoints.
-    """
-    if fns.flavor is not ProjectionFlavor.H10:
-        raise ValueError("value-only projection implemented for the H10 flavor")
-    family = fns.family
-    mesh = family.mesh
-    x, w = mesh_quadrature(family, quad_points, breakpoints)
-    values = np.asarray(u(x), dtype=float)
-    vertex = np.r_[0.0, u(mesh.boundaries[1:-1]), 0.0]
-    fine = values - np.interp(x, mesh.boundaries, vertex)
-    paired = -pair_basis(family, SpaceKind.NODAL, x, w * fine, deriv=2)[1:-1]
-    # I u at each element's first p GLL nodes
-    t = 0.5 * (family.ref_nodes[:-1] + 1.0)
-    linear = np.ravel(vertex[:-1, None] * (1.0 - t) + vertex[1:, None] * t)
-    return linear[1:] + fns.stiffness.solve(paired)
+    _check_unit_mesh(family.mesh)
+    npts, nodes = source_rule_points(family.degree, quad_points), family.mesh.boundaries
+    x, w = mesh_quadrature(family, npts, breakpoints)
+    vertex = _damped_green_apply(source, nodes, np.r_[nodes, breakpoints], npts)[0][:, 0]
+    loads = pair_basis(family, SpaceKind.NODAL, x, w * np.asarray(source(x), dtype=float))
+    return interior_field(family, _h10_local(family, vertex, loads))

@@ -35,23 +35,32 @@ interior nodal basis's derivative jumps at the mesh joints
 (`advdiff_green`), written for c > 0 with a product form at low Peclet
 number and a shifted form above it, and mirrored for c < 0, checks the
 library's one damped formula by an independent path.
+
+The global H10 route (`global_h10_project`, `global_h10_project_values`,
+`global_h10_project_from_source`, `global_h10_reconstruct`) is the
+library's former H10 projection and reconstruction, each through a solve
+with the global interior stiffness K.  The library now reads u's vertex
+values and solves one element's bubbles at a time; the global route's
+vertex values carry cond(K) eps, which the exact-arithmetic tests show.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from fsgreens.basis1d import (BasisFamily, Field, SpaceKind, _element_cols, _locate,
-                              _reference_edge_tab, field_eval, lagrange_tab)
+                              _reference_edge_tab, field_eval, lagrange_tab, pair_basis)
 from fsgreens.dualspace import partial_moments
-from fsgreens.finescale import (FineScaleOperator, SourceTerm, _field_pairing, _green_and_pairing,
-                                _lift)
-from fsgreens.kernels import _BLOCK_POINTS, GreensKernel1D, _check_unit_domain
-from fsgreens.projection import (DualFunctionals, ProjectionFlavor, mesh_quadrature,
-                                 source_rule_points, tabulate_functionals)
-from fsgreens.quadrature import gauss_legendre_rule, map_rule, sorted_unique
+from fsgreens.finescale import (FineScaleOperator, SourceTerm, _annihilated, _field_pairing,
+                                _green_and_pairing, _lift)
+from fsgreens.kernels import (_BLOCK_POINTS, GreensKernel1D, _check_unit_domain,
+                              _damped_green_apply, poisson_green)
+from fsgreens.projection import (DualFunctionals, ProjectionFlavor, interior_field,
+                                 mesh_quadrature, pair_functionals, source_rule_points,
+                                 tabulate_functionals)
+from fsgreens.quadrature import composite_rule, gauss_legendre_rule, map_rule, sorted_unique
 
 
 def poisson_green_dx(x, s):
@@ -396,3 +405,79 @@ def nodal_points(family: BasisFamily) -> np.ndarray:
         mapped = 0.5 * (lo + hi) + 0.5 * (hi - lo) * family.ref_nodes
         pts[n * mesh.degree: (n + 1) * mesh.degree + 1] = mapped
     return pts
+
+
+# ---------------------------------------------------------------------------
+# the global H10 route: the library's projections and reconstruction as they
+# were before they went element-local, each through the global stiffness K
+
+
+def global_h10_project_values(fns: DualFunctionals, u, quad_points: int | None = None,
+                              breakpoints=()) -> np.ndarray:
+    """H10 projection coefficients of u using values of u only.
+
+    Pi u = I u + Pi (u - I u), I u the piecewise-linear interpolant of u's
+    vertex values, which the nodal space holds.  Integrated by parts on
+    each element, the pairing of w = u - I u moves both derivatives onto
+    the interior nodal basis, with no interface term, as w vanishes at
+    every vertex; one solve with K projects it.
+    """
+    family = fns.family
+    mesh = family.mesh
+    x, w = mesh_quadrature(family, quad_points, breakpoints)
+    values = np.asarray(u(x), dtype=float)
+    vertex = np.r_[0.0, u(mesh.boundaries[1:-1]), 0.0]
+    fine = values - np.interp(x, mesh.boundaries, vertex)
+    paired = -pair_basis(family, SpaceKind.NODAL, x, w * fine, deriv=2)[1:-1]
+    # I u at each element's first p GLL nodes
+    t = 0.5 * (family.ref_nodes[:-1] + 1.0)
+    linear = np.ravel(vertex[:-1, None] * (1.0 - t) + vertex[1:, None] * t)
+    return linear[1:] + fns.stiffness.solve(paired)
+
+
+def global_h10_project(fns: DualFunctionals, f, f_prime=None, quad_points: int | None = None,
+                       breakpoints=()) -> Field:
+    """The H10 projection of f: K^{-1} (psi', f'), or the value-only form
+    without f'."""
+    if f_prime is None:
+        return interior_field(fns.family, global_h10_project_values(fns, f, quad_points,
+                                                                    breakpoints))
+    x, w = mesh_quadrature(fns.family, quad_points, breakpoints)
+    df = np.asarray(f_prime(x), dtype=float)
+    return interior_field(fns.family, pair_functionals(fns, x, w * df, deriv=1))
+
+
+def global_h10_project_from_source(fns: DualFunctionals, source,
+                                   quad_points: int | None = None, breakpoints=()) -> Field:
+    """The H10 projection of the solution of -u'' = source: K^{-1} (psi, source)."""
+    x, w = mesh_quadrature(fns.family, quad_points, breakpoints)
+    return interior_field(fns.family,
+                          pair_functionals(fns, x, w * np.asarray(source(x), dtype=float)))
+
+
+def global_h10_reconstruct(op: FineScaleOperator, src: SourceTerm, grid) -> np.ndarray:
+    """H10 fine scales G r - resolved(K^{-1} (psi', (G r)')): the source's
+    pairing by the interior nodal basis and one solve, less the coarse
+    field's, by its derivative and one solve; a field of the resolved
+    space is dropped, as the library drops it."""
+    fns = op.functionals
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    if _annihilated(op, src.coarse):
+        src = replace(src, coarse=None)
+    locs, qs = np.array(src.point_sources, dtype=float).reshape(-1, 2).T
+    s, w = mesh_quadrature(fns.family, op.quad_points, src.breakpoints)
+    image = poisson_green(grid[:, None], locs[None, :]) @ qs
+    if src.smooth is not None:
+        cuts = np.r_[fns.family.mesh.boundaries, src.breakpoints]
+        image = image + _damped_green_apply(src.smooth, grid, cuts, op.quad_points)[0][:, 0]
+    smooth = w * np.asarray(src.smooth(s), dtype=float) if src.smooth is not None else 0.0 * w
+    data = pair_functionals(fns, np.r_[s, locs], np.r_[smooth, qs])
+    fld = src.coarse
+    if fld is not None:
+        bounds = sorted_unique(np.concatenate((fns.family.mesh.boundaries,
+                                               fld.family.mesh.boundaries)))
+        rule = gauss_legendre_rule((fns.family.degree + fld.family.degree) // 2 + 1)
+        t, v = composite_rule(rule, bounds)
+        image = image - field_eval(fld, grid)
+        data = data - pair_functionals(fns, t, v * field_eval(fld, t, deriv=1), deriv=1)
+    return image - op.resolved(grid, data)

@@ -1,0 +1,100 @@
+"""The H10 `u_bar` and `u_prime` columns, each against the exact projection.
+
+u is a polynomial of degree p + 3 with zero end values on dyadic meshes,
+so the mesh, the grid and u's coefficients are exact floats and
+`exact_h10` gives Pi u and u - Pi u in rational arithmetic.  Each column
+is checked on its own, in units of eps max |u|: the total u_bar + u_prime
+would hide errors that cancel.  The functionals carry no stiffness, as no
+H10 projection or reconstruction reads one, and the dense K of N = 1024,
+p = 8 would take half a gigabyte.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+from fsgreens.basis1d import Mesh1D, basis_family, field_eval
+from fsgreens.finescale import FineScaleOperator, reconstruct_fine_scales, residual_from_field
+from fsgreens.kernels import GreensKernel1D
+from fsgreens.projection import (DualFunctionals, ProjectionFlavor, build_dual_functionals,
+                                 h10_project_from_source, project, source_rule_points)
+
+from exact_h10 import ExactPolynomial, dyadic_mesh
+from flattened_oracle import (global_h10_project, global_h10_project_from_source,
+                              global_h10_reconstruct)
+
+EPS = np.finfo(float).eps
+# the largest error seen over these cases is 6.4 eps max |u|
+BOUND = 16.0
+
+
+@functools.lru_cache(maxsize=None)
+def _case(num_elements, degree, jittered):
+    """The mesh, its family, u, the grid (every 8th vertex and element
+    midpoints and quarter points among 129 dyadic points) and the exact
+    u and u - Pi u there."""
+    bounds = dyadic_mesh(num_elements, seed=num_elements + degree if jittered else None)
+    mesh = Mesh1D(0.0, 1.0, num_elements, degree, np.array(bounds))
+    b = mesh.boundaries
+    step = max(1, num_elements // 64)
+    grid = np.unique(np.concatenate((np.linspace(0.0, 1.0, 129), b[::step],
+                                     (0.5 * (b[:-1] + b[1:]))[::step],
+                                     (0.75 * b[:-1] + 0.25 * b[1:])[::step])))
+    poly = ExactPolynomial(degree, seed=degree)
+    exact = np.array([float(poly.exact(x)) for x in grid])
+    fine = np.array([float(poly.fine(bounds, degree, x)) for x in grid])
+    return basis_family(mesh), poly, grid, exact, fine
+
+
+def _errors(u_bar, u_prime, exact, fine):
+    """max |u_bar - Pi u| and max |u_prime - (u - Pi u)| in eps max |u|."""
+    scale = EPS * np.max(np.abs(exact))
+    return (np.max(np.abs(u_bar - (exact - fine))) / scale,
+            np.max(np.abs(u_prime - fine)) / scale)
+
+
+@pytest.mark.parametrize("jittered", [False, True], ids=["uniform", "jittered"])
+@pytest.mark.parametrize("degree", [2, 4, 8])
+@pytest.mark.parametrize("num_elements", [16, 256, 1024])
+def test_h10_columns_match_the_exact_projection(num_elements, degree, jittered):
+    # u_bar from the source shortcut and from project with and without f';
+    # u_prime from the reconstruction of each, and of a coarse field of
+    # another family (Pi u on every other element), which the operator does
+    # not skip.  The grid's vertices hold u itself and a zero u_prime
+    family, poly, grid, exact, fine = _case(num_elements, degree, jittered)
+    fns = DualFunctionals(ProjectionFlavor.H10, family)
+    op = FineScaleOperator(GreensKernel1D.poisson(), fns, source_rule_points(degree))
+    coarse = Mesh1D(0.0, 1.0, num_elements // 2, degree, family.mesh.boundaries[::2])
+    coarse_fns = DualFunctionals(ProjectionFlavor.H10, basis_family(coarse))
+    projections = [h10_project_from_source(fns, poly.source),
+                   project(fns, poly.solution, poly.gradient), project(fns, poly.solution)]
+    for u_bar in projections + [h10_project_from_source(coarse_fns, poly.source)]:
+        u_prime = reconstruct_fine_scales(op, residual_from_field(u_bar, poly.source), grid)
+        if u_bar.family is family:
+            assert max(_errors(field_eval(u_bar, grid), u_prime, exact, fine)) <= BOUND
+        else:
+            assert _errors(exact - fine, u_prime, exact, fine)[1] <= BOUND
+    vertices = family.mesh.boundaries
+    at_vertex = np.isin(grid, vertices)
+    assert at_vertex.sum() >= 17
+    for u_bar in projections:
+        assert _errors(field_eval(u_bar, vertices), 0.0, poly.solution(vertices), 0.0)[0] <= BOUND
+        assert np.max(np.abs(field_eval(u_bar, grid[at_vertex]) - exact[at_vertex])) \
+            <= BOUND * EPS * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("jittered", [False, True], ids=["uniform", "jittered"])
+def test_the_global_route_fails_the_exact_columns(jittered):
+    # the former route through the global stiffness K puts cond(K) eps into
+    # u_bar and, with the opposite sign, into u_prime: at N = 1024, p = 2 it
+    # misses both bounds by over a hundredfold, where the local route meets
+    # them (above)
+    family, poly, grid, exact, fine = _case(1024, 2, jittered)
+    fns = build_dual_functionals(family, ProjectionFlavor.H10)
+    op = FineScaleOperator(GreensKernel1D.poisson(), fns, source_rule_points(2))
+    for u_bar in (global_h10_project_from_source(fns, poly.source),
+                  global_h10_project(fns, poly.solution, poly.gradient)):
+        u_prime = global_h10_reconstruct(op, residual_from_field(u_bar, poly.source), grid)
+        bar_error, prime_error = _errors(field_eval(u_bar, grid), u_prime, exact, fine)
+        assert bar_error > 100.0 * BOUND and prime_error > 100.0 * BOUND

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from fsgreens import kernels
 from fsgreens.basis1d import (Field, Mesh1D, SpaceKind, basis_family, field_eval, tabulate_edge,
                               tabulate_nodal)
 from fsgreens.dualspace import _reference_duals, assemble_mass, tabulate_duals
-from fsgreens.cases import sin2pix_case
+from fsgreens.cases import advdiff_const_case, boundary_layer_breakpoints, sin2pix_case
 from fsgreens.finescale import (
     SourceTerm,
     _l2_lift_sum,
@@ -25,7 +25,6 @@ from fsgreens.projection import (
     ProjectionFlavor,
     build_dual_functionals,
     h10_project_from_source,
-    h10_project_values,
     mesh_quadrature,
     pair_functionals,
     project,
@@ -33,6 +32,7 @@ from fsgreens.projection import (
     tabulate_functionals,
 )
 from fsgreens.quadrature import composite_rule, gauss_legendre_rule
+from fsgreens.vms_advdiff import AdvDiffProblem, reconstruct_with_exact_gradient
 
 from flattened_oracle import (_poisson_apply, apply_dual_green, element_endpoint_values,
                               element_green, flattened, functional_load, lift_dx,
@@ -451,7 +451,7 @@ def test_fine_kernel_columns_project_to_zero(flavor):
             coeffs = tabulate_functionals(fns, x).T @ (w * col)
         else:
             column = lambda q, s=s: fine_scale_eval(op, q, np.array([s]))[:, 0]
-            coeffs = h10_project_values(fns, column, breakpoints=[s])
+            coeffs = project(fns, column, breakpoints=[s]).coeffs[1:-1]
         assert np.max(np.abs(coeffs)) < 1e-7
 
 
@@ -533,7 +533,7 @@ def test_reconstructed_scales_are_flavor_orthogonal(flavor):
         vals = reconstruct_fine_scales(op, resid, x)
         coeffs = tabulate_functionals(fns, x).T @ (w * vals)
     else:
-        coeffs = h10_project_values(fns, lambda q: reconstruct_fine_scales(op, resid, q))
+        coeffs = project(fns, lambda q: reconstruct_fine_scales(op, resid, q)).coeffs[1:-1]
     assert np.max(np.abs(coeffs)) < 1e-6
 
 
@@ -564,8 +564,8 @@ def test_random_smooth_residuals_project_to_zero():
         a, b, c = rng.normal(size=3)
         nu = lambda s: a * np.sin(2.3 * s) + b * s**2 + c
         up = reconstruct_fine_scales(op, SourceTerm(nu), grid)
-        coeffs = h10_project_values(
-            fns, lambda q: reconstruct_fine_scales(op, SourceTerm(nu), q))
+        coeffs = project(
+            fns, lambda q: reconstruct_fine_scales(op, SourceTerm(nu), q)).coeffs[1:-1]
         assert np.max(np.abs(coeffs)) < 1e-8
 
 
@@ -785,19 +785,26 @@ def test_l2_lifts_at_scale_match_direct_quadrature(num_elements, bound):
 @settings(max_examples=30, deadline=None)
 @given(mesh=_large_meshes(min_dofs=2), amps=_AMPS)
 def test_h10_pair_then_solve_matches_table_first(mesh, amps):
-    # the split H10 dual application pairs the interior nodal basis and
-    # solves once; the table-first formula pushes every representer
-    # through the stiffness.  The resolved part gathers the interior nodal
-    # basis element by element against its dense table
+    # `pair_functionals` pairs the interior nodal basis and solves once;
+    # the table-first formula pushes every representer through the
+    # stiffness.  The dual application reads the source's Green's image at
+    # the vertices and its loads, with no K; its table-first formula sums
+    # the lifts (each the projection of one kernel column) against the
+    # source.  Against the K tables it is up to 3e-13 (relative) off on
+    # this draw, their cond(K) eps.  The resolved part gathers the
+    # interior nodal basis element by element against its dense table
     series = _SineSeries(amps)
     fns = build_dual_functionals(basis_family(mesh), ProjectionFlavor.H10)
     op = build_fine_scale_operator(KERNEL, fns)
     src = SourceTerm(smooth=series.source, breakpoints=(0.3,),
                      point_sources=((0.4, 0.7), (mesh.boundaries[-1], -0.2)))
     s, w = mesh_quadrature(fns.family, op.quad_points, src.breakpoints)
-    want = tabulate_functionals(fns, s).T @ (w * series.source(s))
     locs, qs = np.array(src.point_sources).T
+    want = tabulate_functionals(fns, s).T @ (w * series.source(s))
     want += tabulate_functionals(fns, locs).T @ qs
+    paired = pair_functionals(fns, np.r_[s, locs], np.r_[w * series.source(s), qs])
+    assert _rel_err(paired, want) <= 1e-13
+    want = op.lifted_tab(s).T @ (w * series.source(s)) + op.lifted_tab(locs).T @ qs
     got = apply_dual_green(KERNEL, fns, src, quad_points=op.quad_points)
     assert _rel_err(got, want) <= 1e-13
     x = np.unique(np.concatenate((np.linspace(0.0, 1.0, 41), mesh.boundaries)))
@@ -992,3 +999,50 @@ def test_every_entry_point_rejects_a_mesh_past_one(entry):
                                     np.linspace(0.0, 1.0, 11))
         else:
             Mesh2D(long)
+
+
+# ---------------------------------------------------------------------------
+# no H10 projection or reconstruction solves with the global stiffness
+
+
+@dataclass(frozen=True)
+class _NoGlobalSolve:
+    """A stiffness that keeps its entries (for the condition number) and
+    raises on a solve."""
+
+    entries: np.ndarray
+
+    def solve(self, rhs):
+        raise AssertionError("a solve with the global stiffness K")
+
+
+def test_h10_projections_and_reconstructions_solve_no_global_stiffness():
+    # every call gives the bytes it gives with the stiffness intact
+    family = basis_family(_jittered_mesh(6, 3))
+    intact = build_dual_functionals(family, ProjectionFlavor.H10)
+    guarded = replace(intact, stiffness=_NoGlobalSolve(intact.stiffness.entries))
+    other = basis_family(Mesh1D.uniform(0.0, 1.0, 4, 2))
+    case = advdiff_const_case(1.0, 0.1)
+    layer = boundary_layer_breakpoints(1.0, 0.1)
+    grid = np.linspace(0.0, 1.0, 57)
+
+    def run(fns):
+        op = build_fine_scale_operator(KERNEL, fns)
+        u_bar = h10_project_from_source(fns, CASE.source)
+        with_grad = project(fns, case.solution, case.gradient, breakpoints=layer)
+        other_field = h10_project_from_source(
+            build_dual_functionals(other, ProjectionFlavor.H10), CASE.source)
+        points = SourceTerm(point_sources=((0.3, 1.0), (0.55, -0.4), (1.0 / 6.0, 0.2)))
+        return [u_bar.coeffs, project(fns, CASE.solution).coeffs,
+                project(fns, CASE.solution, CASE.gradient).coeffs, with_grad.coeffs,
+                reconstruct_fine_scales(op, residual_from_field(u_bar, CASE.source), grid),
+                reconstruct_fine_scales(op, points, grid),
+                reconstruct_fine_scales(op, residual_from_field(other_field, CASE.source), grid),
+                reconstruct_with_exact_gradient(op, AdvDiffProblem(1.0, 0.1, case.source),
+                                                with_grad, case.gradient, grid, layer),
+                fine_scale_eval(op, grid, grid)]
+
+    for got, want in zip(run(guarded), run(intact)):
+        np.testing.assert_array_equal(got, want)
+    with pytest.raises(AssertionError, match="global stiffness"):
+        tabulate_functionals(guarded, grid)
