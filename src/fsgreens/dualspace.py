@@ -17,11 +17,10 @@ reference duals, from which its moments int s mu_j and int (1 - s) mu_j
 over any part of an element follow (`partial_moments`), as the
 closed-form L2 lifts of `finescale` need them.  Duals are always
 evaluated through solves, never through explicit inverses of a mass
-matrix; the H10 functionals of `projection` follow the same rule with the
-interior stiffness.  The solves substitute through the Cholesky factor,
-inverting only its diagonal blocks, which are at most
-`_SUBSTITUTION_BLOCK` wide.  Mass and stiffness matrices are one
-`SPDMatrix` type, assembled element by element by one helper.
+matrix.  The solves substitute through the Cholesky factor, inverting
+only its diagonal blocks, which are at most `_SUBSTITUTION_BLOCK` wide.
+Mass and stiffness matrices are one `SPDMatrix` type, assembled element
+by element by one helper.
 """
 
 from __future__ import annotations

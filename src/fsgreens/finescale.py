@@ -25,11 +25,12 @@ coefficients of G r's H10 projection, which reads G r at the vertices and
 adds each element's bubbles (`projection._h10_local`) with no solve with
 the global stiffness K, and the functions are the interior nodal basis
 (criterion 06).  So u_bar is u at the vertices and u_prime zero there,
-each to the rounding of the Green's primitive.  A field of the H10 space (nodal, of the
-operator's family, zero at both ends) is skipped, as its two terms cancel
-(criterion 05); an edge field has no H10 pairing.  The kernel is
-self-adjoint, so the representers (duals G) are the lifts (G duals); the
-H10 Gram is K^{-1}, formed only when read, and its condition number K's.
+each to the rounding of the Green's primitive.  A field of the H10 space
+(nodal, of the operator's family, zero at both ends) is skipped, as its
+two terms cancel (criterion 05); an edge field has no H10 pairing.  The
+kernel is self-adjoint, so the representers (duals G) are the lifts
+(G duals), for H10 the element-local functional tables.  The H10 Gram is
+K^{-1} and its condition number K's, K assembled only where they are read.
 
 Smooth sources go through the Green's primitive of `kernels` at k = 0, two
 running sums of Gauss rules cut at the mesh, the source's kinks and every
@@ -47,11 +48,12 @@ from typing import Callable
 import numpy as np
 
 from .basis1d import (Field, SpaceKind, _element_cols, _locate, element_tab, field_eval,
-                     pair_basis, tabulate_nodal)
+                     pair_basis)
 from .dualspace import SPDMatrix, _reference_duals, partial_moments
 from .kernels import GreensKernel1D, _check_unit_mesh, _damped_green_apply, poisson_green
-from .projection import (DualFunctionals, ProjectionFlavor, _h10_local, h10_project_from_source,
-                         mesh_quadrature, pair_functionals, source_rule_points)
+from .projection import (DualFunctionals, ProjectionFlavor, _h10_local, assemble_stiffness,
+                         h10_project_from_source, mesh_quadrature, pair_functionals,
+                         source_rule_points, tabulate_functionals)
 from .quadrature import composite_rule, gauss_legendre_rule, sorted_unique
 
 
@@ -102,18 +104,15 @@ def _lift(fns: DualFunctionals, x) -> np.ndarray:
 
     For H10 the Poisson kernel inverts the load (minus the second
     derivative plus the node point sources) exactly, so the lift is the
-    functional itself, at x K^{-1} psi(x): the H10 projection of g(., x),
-    from the kernel's vertex values and the loads psi(x).  For L2 the load
+    functional itself (`tabulate_functionals`).  For L2 the load
     is the dual density mu_j, one element's, and the lift is in closed
     form: x beta_j left of the dual's element, (1 - x) alpha_j right of it
     (`DualSet.moments`) and `_l2_element_lifts` inside.  The lift is C^1,
     so a point on a mesh node may take either side.
     """
-    family = fns.family
     if fns.flavor is ProjectionFlavor.H10:
-        nodes = family.mesh.boundaries
-        return _h10_local(family, poisson_green(nodes[:, None], np.atleast_1d(x)[None, :]),
-                          tabulate_nodal(family, x).T).T
+        return tabulate_functionals(fns, x)
+    family = fns.family
     x, elem, local = _l2_lifts_at(fns, x)
     alpha, beta = fns.duals.moments
     p = family.degree
@@ -271,13 +270,13 @@ class FineScaleOperator:
 
         For L2 it is in closed form from the dual moments (`_l2_gram`).
         For H10 the lifts are the functionals K^{-1} psi, so their H10
-        pairing is K^{-1} K K^{-1} = K^{-1}: one solve of the identity,
-        symmetrized.
+        pairing is K^{-1} K K^{-1} = K^{-1}: K assembled here and one
+        solve of the identity, symmetrized, the library's one K solve.
         """
         fns = self.functionals
         if self.flavor is ProjectionFlavor.L2:
             return _l2_gram(fns)
-        inverse = fns.stiffness.solve(np.eye(fns.size))
+        inverse = assemble_stiffness(fns.family).solve(np.eye(fns.size))
         return 0.5 * (inverse + inverse.T)
 
     @functools.cached_property
@@ -286,7 +285,7 @@ class FineScaleOperator:
         of the symmetric L2 Gram, or for H10 of the stiffness K, as the H10
         Gram is K^{-1}."""
         l2 = self.flavor is ProjectionFlavor.L2
-        mat = self.gram if l2 else self.functionals.stiffness.entries
+        mat = self.gram if l2 else assemble_stiffness(self.functionals.family).entries
         if not np.all(np.isfinite(mat)):
             return np.inf
         eig = np.abs(np.linalg.eigvalsh(mat))

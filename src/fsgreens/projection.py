@@ -10,10 +10,9 @@ coefficients of its projection onto that flavor's target space directly:
   basis, and the pairing is the H10 semi-inner product.
 
 In 1D the H10 projection interpolates u at the mesh vertices (Tong, AIAA J.
-7(1), 1969), so no H10 projection solves with the global stiffness K: ū is
-u's vertex values plus each element's bubbles (`_h10_local`), with no
-cond(K) eps in either.  Only the coupled sweep reads the functionals' K
-tables and pairings.
+7(1), 1969), so nothing here solves with the global stiffness K: ū, and a
+functional table, the projection of a kernel column, are vertex values
+plus each element's bubbles (`_h10_local`), with no cond(K) eps.
 """
 
 from __future__ import annotations
@@ -24,10 +23,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis1d import BasisFamily, Field, SpaceKind, lagrange_tab, pair_basis, tabulate_nodal
+from .basis1d import (BasisFamily, Field, SpaceKind, _locate, lagrange_tab, pair_basis,
+                      tabulate_nodal)
 from .dualspace import (DualSet, SPDMatrix, _assemble_gram, _reference_gram, element_duals,
                         tabulate_duals)
-from .kernels import _check_unit_mesh, _damped_green_apply
+from .kernels import _check_unit_mesh, _damped_green_apply, poisson_green
 from .quadrature import composite_rule, gauss_legendre_rule, sorted_unique
 
 _BOUNDARY_TOL = 1e-9
@@ -55,15 +55,14 @@ def assemble_stiffness(family: BasisFamily) -> SPDMatrix:
 class DualFunctionals:
     """The functionals encoding one projection flavor.
 
-    For L2 the set wraps the dual nodal basis; for H10 it holds the
-    interior stiffness K, and the functionals are the interior nodal
-    basis pushed through K by solves.  The H10 size is read from the mesh.
+    For L2 the set wraps the dual nodal basis.  The H10 functionals are
+    K^{-1} psi, psi the interior nodal basis and K its stiffness, which
+    the set does not hold; their number is read from the mesh.
     """
 
     flavor: ProjectionFlavor
     family: BasisFamily
     duals: DualSet | None = None
-    stiffness: SPDMatrix | None = None
 
     @property
     def size(self) -> int:
@@ -76,31 +75,45 @@ def build_dual_functionals(family: BasisFamily, flavor: ProjectionFlavor) -> Dua
     """Build the functional set for a projection flavor on one basis family."""
     if flavor is ProjectionFlavor.L2:
         return DualFunctionals(flavor, family, duals=DualSet(family, SpaceKind.DUAL_NODAL))
-    return DualFunctionals(flavor, family, stiffness=assemble_stiffness(family))
+    if family.mesh.num_nodal_dofs < 3:
+        raise ValueError("need at least one interior node for the H10 space")
+    return DualFunctionals(flavor, family)
 
 
 def tabulate_functionals(fns: DualFunctionals, x, deriv: int = 0) -> np.ndarray:
-    """Tabulate every functional's realizing function at x; shape (len(x), n)."""
+    """Tabulate every functional's realizing function at x; shape (len(x), n).
+
+    The H10 column of x, K^{-1} psi^(d)(x), is the H10 projection of
+    d^d/dx^d g(., x), g the kernel of -u'' on the mesh (`_h10_local`): its
+    loads are psi^(d)(x), and its vertex values at t = (s - a) / (b - a)
+    are (b - a) g(t_i, t_x), 1[i > e(x)] - t_i with e(x) x's element (the
+    left one on an inner vertex) or zero, for d = 0, 1 or more.
+    """
     if fns.flavor is ProjectionFlavor.L2:
         return tabulate_duals(fns.duals, x, deriv=deriv)
-    tab = tabulate_nodal(fns.family, x, deriv=deriv)[:, 1:-1]
-    return fns.stiffness.solve(tab.T).T
+    mesh = fns.family.mesh
+    width = mesh.b - mesh.a
+    t, tx = (mesh.boundaries - mesh.a) / width, (np.atleast_1d(x) - mesh.a) / width
+    if deriv == 0:
+        vertex = width * poisson_green(t[:, None], tx[None, :])
+    elif deriv == 1:
+        vertex = (np.arange(t.size)[:, None] > _locate(mesh.boundaries, x)[0]) - t[:, None]
+    else:
+        vertex = np.zeros((t.size, tx.size))
+    return _h10_local(fns.family, vertex, tabulate_nodal(fns.family, x, deriv=deriv).T).T
 
 
 def pair_functionals(fns: DualFunctionals, x, values, deriv: int = 0) -> np.ndarray:
-    """Every functional's realizing function (or a derivative) paired with
-    values at the points x: tabulate_functionals(fns, x, deriv).T @ values.
-
-    Paired element by element, with no (points x N p) table: each L2 dual
-    lives on one element, and the H10 functionals are the interior nodal
-    basis pushed through K^{-1}, so the basis is paired first and one
-    solve of the paired vector gives the result.
+    """Every L2 functional's realizing function (or a derivative) paired with
+    values at the points x: tabulate_functionals(fns, x, deriv).T @ values,
+    element by element with no (points x N p) table, as each dual lives on
+    one element.  An H10 pairing is a projection: ValueError.
     """
-    if fns.flavor is ProjectionFlavor.L2:
-        cols, vals = element_duals(fns.duals, x, deriv)
-        weighted = vals * np.asarray(values, dtype=float)[:, None]
-        return np.bincount(cols.ravel(), weights=weighted.ravel(), minlength=fns.size)
-    return fns.stiffness.solve(pair_basis(fns.family, SpaceKind.NODAL, x, values, deriv)[1:-1])
+    if fns.flavor is not ProjectionFlavor.L2:
+        raise ValueError("H10 functionals pair by `h10_project_from_source` or `project`")
+    cols, vals = element_duals(fns.duals, x, deriv)
+    weighted = vals * np.asarray(values, dtype=float)[:, None]
+    return np.bincount(cols.ravel(), weights=weighted.ravel(), minlength=fns.size)
 
 
 def interior_field(family: BasisFamily, interior: np.ndarray) -> Field:

@@ -37,28 +37,14 @@ from typing import Callable
 
 import numpy as np
 
-from .basis1d import (
-    BasisFamily,
-    Field,
-    SpaceKind,
-    _barycentric_weights,
-    _differentiation_matrix,
-    _lagrange_tab,
-    _locate,
-    tabulate_nodal,
-)
+from .basis1d import (BasisFamily, Field, SpaceKind, _barycentric_weights, _differentiation_matrix,
+                      _lagrange_tab, _locate, pair_basis, tabulate_nodal)
 from .cases import boundary_layer_breakpoints
 from .dualspace import assemble_mass
 from .finescale import FineScaleOperator, SourceTerm, reconstruct_fine_scales
 from .kernels import _damped_green_apply
-from .projection import (
-    DualFunctionals,
-    ProjectionFlavor,
-    interior_field,
-    mesh_quadrature,
-    pair_functionals,
-    tabulate_functionals,
-)
+from .projection import (DualFunctionals, ProjectionFlavor, _h10_local, interior_field,
+                         mesh_quadrature, tabulate_functionals)
 from .quadrature import _piece_ends, gauss_legendre_rule, sorted_unique
 
 DEFAULT_FINE_GRID = 2001
@@ -183,8 +169,9 @@ class _Workspace:
     full weights of every earlier cell and, within a cell, the reference
     integrals of its Lagrange basis scaled by half the cell width.  The H10
     reconstruction functions are the interior nodal basis
-    (`FineScaleOperator.resolved`), so R is psi, and (mu, f) is
-    `pair_functionals` on the operator's source rule.
+    (`FineScaleOperator.resolved`), so R is psi; mu' is the element-local
+    table, and (mu, f) the H10 projection of G f from its vertex values
+    and the loads (psi, f) on the rule (`_h10_local`), with no K solve.
 
     The residual's diffusive part, the coarse field's distributional
     second derivative, is left out: the fine-scale operator maps it to
@@ -243,12 +230,11 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals,
     cells = sorted_unique(np.concatenate((mesh.boundaries, layer)))
     x, w = mesh_quadrature(family, q, layer)
 
-    mu_dtab = tabulate_functionals(fns, x, deriv=1)
     psi_tab = tabulate_nodal(family, x)[:, 1:-1]
-    coarse_rhs = pair_functionals(fns, x, w * np.asarray(problem.source(x), dtype=float)) \
-        / problem.diffusion
-    pairing = ratio * (mu_dtab.T * w)
-    green_source = _damped_green_apply(problem.source, x, mesh.boundaries, q)[0][:, 0]
+    green = _damped_green_apply(problem.source, np.r_[x, mesh.boundaries], mesh.boundaries, q)[0]
+    loads = pair_basis(family, SpaceKind.NODAL, x, w * np.asarray(problem.source(x), dtype=float))
+    coarse_rhs = _h10_local(family, green[x.size:, 0], loads) / problem.diffusion
+    pairing = ratio * (tabulate_functionals(fns, x, deriv=1).T * w)
     num_cells = cells.size - 1
     cell = np.repeat(np.arange(num_cells), q)
     partial = np.where(cell[:, None] > cell, w, 0.0)
@@ -262,7 +248,7 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals,
     sweep = np.block([
         [np.zeros((fns.size, fns.size)), coarse],
         [fine @ psi_tab, fine,
-         (green_source / problem.diffusion - psi_tab @ coarse_rhs)[:, None]]])
+         (green[:x.size, 0] / problem.diffusion - psi_tab @ coarse_rhs)[:, None]]])
     if not np.all(np.isfinite(sweep)):
         raise ValueError("the sweep map overflows; c/nu is too large")
     mass = assemble_mass(family, SpaceKind.NODAL).entries[1:-1, 1:-1]

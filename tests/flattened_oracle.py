@@ -22,7 +22,8 @@ kink x = s.  The library splits every such integral at the kink; this
 unsplit rule is kept here only to show, in criterion 12, that it fails.
 
 The other 1D oracles the tests check the library against live here too:
-each functional's load on the kernel (`functional_load`) and its lift by
+each functional's load on the kernel (`functional_load`, for H10 from the
+K-solved tables below) and its lift by
 one direct quadrature per point (`lift_functionals_direct`), the
 pairing alone of a source (`apply_dual_green`), the reconstruction
 functions from the lift table and the Gram (`resolved_basis_reproduction`)
@@ -36,12 +37,14 @@ interior nodal basis's derivative jumps at the mesh joints
 number and a shifted form above it, and mirrored for c < 0, checks the
 library's one damped formula by an independent path.
 
-The global H10 route (`global_h10_project`, `global_h10_project_values`,
+The global H10 route (`global_h10_tabulate`, `global_h10_pair`,
+`global_h10_project`, `global_h10_project_values`,
 `global_h10_project_from_source`, `global_h10_reconstruct`) is the
-library's former H10 projection and reconstruction, each through a solve
-with the global interior stiffness K.  The library now reads u's vertex
-values and solves one element's bubbles at a time; the global route's
-vertex values carry cond(K) eps, which the exact-arithmetic tests show.
+library's former H10 functional tables, pairings, projection and
+reconstruction, each through a solve with the global interior stiffness
+K.  The library now reads vertex values and solves one element's bubbles
+at a time; the global route's vertex values carry cond(K) eps, which the
+exact-arithmetic tests show.
 """
 
 from __future__ import annotations
@@ -51,14 +54,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from fsgreens.basis1d import (BasisFamily, Field, SpaceKind, _element_cols, _locate,
-                              _reference_edge_tab, field_eval, lagrange_tab, pair_basis)
+                              _reference_edge_tab, field_eval, lagrange_tab, pair_basis,
+                              tabulate_nodal)
 from fsgreens.dualspace import partial_moments
 from fsgreens.finescale import (FineScaleOperator, SourceTerm, _annihilated, _field_pairing,
                                 _green_and_pairing, _lift)
 from fsgreens.kernels import (_BLOCK_POINTS, GreensKernel1D, _check_unit_domain,
                               _damped_green_apply, poisson_green)
-from fsgreens.projection import (DualFunctionals, ProjectionFlavor, interior_field,
-                                 mesh_quadrature, pair_functionals, source_rule_points,
+from fsgreens.projection import (DualFunctionals, ProjectionFlavor, assemble_stiffness,
+                                 interior_field, mesh_quadrature, source_rule_points,
                                  tabulate_functionals)
 from fsgreens.quadrature import composite_rule, gauss_legendre_rule, map_rule, sorted_unique
 
@@ -161,7 +165,7 @@ def lift_dx(fns: DualFunctionals, x) -> np.ndarray:
     B_j(x) = int_x^{b_e} (1 - s) mu_j from `dualspace.partial_moments`.
     """
     if fns.flavor is ProjectionFlavor.H10:
-        return tabulate_functionals(fns, x, deriv=1)
+        return global_h10_tabulate(fns, x, deriv=1)
     elem, _, xi = _locate(fns.family.mesh.boundaries, x)
     x = np.clip(np.atleast_1d(np.asarray(x, dtype=float)), 0.0, 1.0)
     lower, partial = partial_moments(fns.duals, elem, xi)
@@ -343,12 +347,12 @@ def functional_load(fns: DualFunctionals):
     if fns.flavor is ProjectionFlavor.L2:
         smooth = lambda s: tabulate_functionals(fns, s)
         return smooth, np.empty(0), np.empty((0, fns.size))
-    smooth = lambda s: -tabulate_functionals(fns, s, deriv=2)
+    smooth = lambda s: -global_h10_tabulate(fns, s, deriv=2)
     a, b = mesh.a, mesh.b
-    deriv_a = tabulate_functionals(fns, np.array([a]), deriv=1)[0]
-    deriv_b = tabulate_functionals(fns, np.array([b]), deriv=1)[0]
+    deriv_a = global_h10_tabulate(fns, np.array([a]), deriv=1)[0]
+    deriv_b = global_h10_tabulate(fns, np.array([b]), deriv=1)[0]
     # interface strengths are the derivative jumps, left minus right
-    jumps = -fns.stiffness.solve(nodal_deriv_jumps(fns.family).T).T
+    jumps = -assemble_stiffness(fns.family).solve(nodal_deriv_jumps(fns.family).T).T
     strengths = np.vstack([-deriv_a, jumps, deriv_b])
     return smooth, mesh.boundaries.copy(), strengths
 
@@ -408,8 +412,23 @@ def nodal_points(family: BasisFamily) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the global H10 route: the library's projections and reconstruction as they
-# were before they went element-local, each through the global stiffness K
+# the global H10 route: the library's functional tables, pairings,
+# projections and reconstruction as they were before they went
+# element-local, each through the global stiffness K
+
+
+def global_h10_tabulate(fns: DualFunctionals, x, deriv: int = 0) -> np.ndarray:
+    """Every H10 functional K^{-1} psi^(deriv) at x: the interior nodal basis
+    pushed through K by solves; shape (len(x), n)."""
+    tab = tabulate_nodal(fns.family, x, deriv=deriv)[:, 1:-1]
+    return assemble_stiffness(fns.family).solve(tab.T).T
+
+
+def global_h10_pair(fns: DualFunctionals, x, values, deriv: int = 0) -> np.ndarray:
+    """global_h10_tabulate(fns, x, deriv).T @ values with no (points x N p)
+    table: the interior nodal basis paired first, then one solve with K."""
+    paired = pair_basis(fns.family, SpaceKind.NODAL, x, values, deriv)[1:-1]
+    return assemble_stiffness(fns.family).solve(paired)
 
 
 def global_h10_project_values(fns: DualFunctionals, u, quad_points: int | None = None,
@@ -432,7 +451,7 @@ def global_h10_project_values(fns: DualFunctionals, u, quad_points: int | None =
     # I u at each element's first p GLL nodes
     t = 0.5 * (family.ref_nodes[:-1] + 1.0)
     linear = np.ravel(vertex[:-1, None] * (1.0 - t) + vertex[1:, None] * t)
-    return linear[1:] + fns.stiffness.solve(paired)
+    return linear[1:] + assemble_stiffness(family).solve(paired)
 
 
 def global_h10_project(fns: DualFunctionals, f, f_prime=None, quad_points: int | None = None,
@@ -444,7 +463,7 @@ def global_h10_project(fns: DualFunctionals, f, f_prime=None, quad_points: int |
                                                                     breakpoints))
     x, w = mesh_quadrature(fns.family, quad_points, breakpoints)
     df = np.asarray(f_prime(x), dtype=float)
-    return interior_field(fns.family, pair_functionals(fns, x, w * df, deriv=1))
+    return interior_field(fns.family, global_h10_pair(fns, x, w * df, deriv=1))
 
 
 def global_h10_project_from_source(fns: DualFunctionals, source,
@@ -452,7 +471,7 @@ def global_h10_project_from_source(fns: DualFunctionals, source,
     """The H10 projection of the solution of -u'' = source: K^{-1} (psi, source)."""
     x, w = mesh_quadrature(fns.family, quad_points, breakpoints)
     return interior_field(fns.family,
-                          pair_functionals(fns, x, w * np.asarray(source(x), dtype=float)))
+                          global_h10_pair(fns, x, w * np.asarray(source(x), dtype=float)))
 
 
 def global_h10_reconstruct(op: FineScaleOperator, src: SourceTerm, grid) -> np.ndarray:
@@ -471,7 +490,7 @@ def global_h10_reconstruct(op: FineScaleOperator, src: SourceTerm, grid) -> np.n
         cuts = np.r_[fns.family.mesh.boundaries, src.breakpoints]
         image = image + _damped_green_apply(src.smooth, grid, cuts, op.quad_points)[0][:, 0]
     smooth = w * np.asarray(src.smooth(s), dtype=float) if src.smooth is not None else 0.0 * w
-    data = pair_functionals(fns, np.r_[s, locs], np.r_[smooth, qs])
+    data = global_h10_pair(fns, np.r_[s, locs], np.r_[smooth, qs])
     fld = src.coarse
     if fld is not None:
         bounds = sorted_unique(np.concatenate((fns.family.mesh.boundaries,
@@ -479,5 +498,5 @@ def global_h10_reconstruct(op: FineScaleOperator, src: SourceTerm, grid) -> np.n
         rule = gauss_legendre_rule((fns.family.degree + fld.family.degree) // 2 + 1)
         t, v = composite_rule(rule, bounds)
         image = image - field_eval(fld, grid)
-        data = data - pair_functionals(fns, t, v * field_eval(fld, t, deriv=1), deriv=1)
+        data = data - global_h10_pair(fns, t, v * field_eval(fld, t, deriv=1), deriv=1)
     return image - op.resolved(grid, data)

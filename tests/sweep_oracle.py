@@ -1,14 +1,16 @@
 """The coupled iteration's two update maps, written out the long way: the
 oracles for the precomputed sweep in `fsgreens.vms_advdiff`, which `sweep`
-applies.
+applies, and the sweep's fixed point by one dense solve (`fixed_point`).
 
 Each map is built from the problem's pieces on every call: the coarse map
-tabulates the functionals and solves the coarse-scale system, and the fine
-map assembles the residual of the rewritten diffusion problem and applies
-the library's fine-scale operator to it.  Both take the current fine scales
-u' as callables, its values and its derivative, so that given the sweep's
-Lagrange interpolant (`IterationState.fine_scales`) they integrate the same
-function the sweep does.
+tabulates the functionals by solves with the stiffness K
+(`global_h10_tabulate`), where the sweep reads element-local tables, and
+solves the coarse-scale system; the fine map assembles the residual of the
+rewritten diffusion problem and applies the library's fine-scale operator
+to it.  Both take the current fine scales u' as callables, its values and
+its derivative, so that given the sweep's Lagrange interpolant
+(`IterationState.fine_scales`) they integrate the same function the sweep
+does.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ import numpy as np
 
 from fsgreens.basis1d import Field, field_eval, tabulate_nodal
 from fsgreens.finescale import FineScaleOperator, SourceTerm, reconstruct_fine_scales
-from fsgreens.projection import DualFunctionals, interior_field, mesh_quadrature, tabulate_functionals
+from fsgreens.projection import DualFunctionals, interior_field, mesh_quadrature
 from fsgreens.vms_advdiff import AdvDiffProblem, _coarse_solve
+
+from flattened_oracle import global_h10_tabulate
 
 FineScales = Callable[[np.ndarray], np.ndarray]
 
@@ -40,8 +44,8 @@ def coarse_update(fns: DualFunctionals, problem: AdvDiffProblem, u_bar: Field,
     family = fns.family
     c, nu = problem.advection, problem.diffusion
     x, w = mesh_quadrature(family, quad_points, breakpoints)
-    mu_tab = tabulate_functionals(fns, x)
-    mu_dtab = tabulate_functionals(fns, x, deriv=1)
+    mu_tab = global_h10_tabulate(fns, x)
+    mu_dtab = global_h10_tabulate(fns, x, deriv=1)
     psi_tab = tabulate_nodal(family, x)[:, 1:-1]
     rhs = mu_tab.T @ (w * np.asarray(problem.source(x), dtype=float)) / nu \
         + (c / nu) * (mu_dtab.T @ (w * u_prime(x)))
@@ -75,3 +79,12 @@ def sweep(ws, interior: np.ndarray, fine: np.ndarray) -> tuple[np.ndarray, np.nd
     """One unrelaxed sweep, the workspace's map applied to (u_bar, v, 1)."""
     new = ws.sweep @ np.concatenate((interior, fine, [1.0]))
     return new[:interior.size], new[interior.size:]
+
+
+def fixed_point(ws) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed point (u_bar, v) of the workspace's sweep z -> M z + b, the
+    limit of every convergent relaxed run: one dense solve of (I - M) z = b."""
+    linear, const = ws.sweep[:, :-1], ws.sweep[:, -1]
+    z = np.linalg.solve(np.eye(const.size) - linear, const)
+    size = ws.step_rows.shape[0]
+    return z[:size], z[size:]

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from fsgreens.basis1d import (Mesh1D, SpaceKind, _reference_edge_tab, basis_family, tabulate_edge,
                               tabulate_nodal)
 from fsgreens.dualspace import DualSet, SPDMatrix, _reference_gram, assemble_mass, tabulate_duals
-from fsgreens.projection import ProjectionFlavor, build_dual_functionals, tabulate_functionals
+from fsgreens.projection import (ProjectionFlavor, assemble_stiffness, build_dual_functionals,
+                                 tabulate_functionals)
 from fsgreens.quadrature import composite_rule, gauss_legendre_rule
 
 MESH_CASES = [(1, 1), (2, 3), (5, 4)]
@@ -100,8 +101,7 @@ def test_spd_solve_matches_cho_solve_on_a_fine_mesh_stiffness():
     # cho_solve a decade inside that bound.
     from scipy.linalg import cho_factor, cho_solve
 
-    stiffness = build_dual_functionals(basis_family(Mesh1D.uniform(0.0, 1.0, 640, 4)),
-                                       ProjectionFlavor.H10).stiffness
+    stiffness = assemble_stiffness(basis_family(Mesh1D.uniform(0.0, 1.0, 640, 4)))
     entries = stiffness.entries
     rhs = np.random.default_rng(0).standard_normal((entries.shape[0], 3))
     for side in (rhs, rhs[:, 0]):
@@ -170,7 +170,7 @@ def test_dual_expansion_matches_projection_coefficients():
 
 
 # ---------------------------------------------------------------------------
-# biorthogonality and the H10 stiffness solves on non-uniform meshes
+# biorthogonality and the H10 functional tables on non-uniform meshes
 
 
 @st.composite
@@ -211,7 +211,7 @@ def test_h10_functionals_match_dense_inverse(mesh, free):
     fns = build_dual_functionals(family, ProjectionFlavor.H10)
     bounds = mesh.boundaries
     x = np.unique(np.concatenate((bounds, 0.5 * (bounds[1:] + bounds[:-1]), free)))
-    inv = np.linalg.inv(fns.stiffness.entries)
+    inv = np.linalg.inv(assemble_stiffness(family).entries)
     # derivatives of order above p vanish: their tables are rounding noise
     for deriv in range(min(mesh.degree, 2) + 1):
         want = tabulate_nodal(family, x, deriv=deriv)[:, 1:-1] @ inv

@@ -1,11 +1,11 @@
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fsgreens import kernels
+from fsgreens import dualspace, kernels
 from fsgreens.basis1d import (Field, Mesh1D, SpaceKind, basis_family, field_eval, tabulate_edge,
                               tabulate_nodal)
 from fsgreens.dualspace import _reference_duals, assemble_mass, tabulate_duals
@@ -23,6 +23,7 @@ from fsgreens.kernels import GreensKernel1D, _damped_green_apply
 from fsgreens.poisson2d import Mesh2D
 from fsgreens.projection import (
     ProjectionFlavor,
+    assemble_stiffness,
     build_dual_functionals,
     h10_project_from_source,
     mesh_quadrature,
@@ -32,11 +33,13 @@ from fsgreens.projection import (
     tabulate_functionals,
 )
 from fsgreens.quadrature import composite_rule, gauss_legendre_rule
-from fsgreens.vms_advdiff import AdvDiffProblem, reconstruct_with_exact_gradient
+from fsgreens.vms_advdiff import (AdvDiffProblem, iterate, make_workspace,
+                                  reconstruct_with_exact_gradient)
 
 from flattened_oracle import (_poisson_apply, apply_dual_green, element_endpoint_values,
-                              element_green, flattened, functional_load, lift_dx,
-                              lift_functionals_direct, nodal_points, pair_naive, reconstruct_flat,
+                              element_green, flattened, functional_load, global_h10_pair,
+                              global_h10_tabulate, lift_dx, lift_functionals_direct,
+                              nodal_points, pair_naive, reconstruct_flat,
                               resolved_basis_reproduction)
 
 KERNEL = GreensKernel1D.poisson()
@@ -78,13 +81,14 @@ def test_lifted_functionals_vanish_at_boundary(flavor):
 def test_lifted_h10_functionals_reproduce_duals():
     # the derivative-pairing load of a functional inverts the kernel
     # exactly, so the lifts, which are also the representers of the
-    # self-adjoint kernel, are the functionals themselves
+    # self-adjoint kernel, are the functionals themselves: K^{-1} psi,
+    # here by solves with K
     family, fns, op = _setup(3, 2, ProjectionFlavor.H10)
     x = np.linspace(0.0, 1.0, 151)
-    assert np.max(np.abs(op.lifted_tab(x) - tabulate_functionals(fns, x))) < 1e-11
+    assert np.max(np.abs(op.lifted_tab(x) - global_h10_tabulate(fns, x))) < 1e-11
     _, fns, op = _setup(2, 3, ProjectionFlavor.H10)
     s = np.linspace(0.05, 0.95, 21)
-    assert np.max(np.abs(op.lifted_tab(s) - tabulate_functionals(fns, s))) < 1e-12
+    assert np.max(np.abs(op.lifted_tab(s) - global_h10_tabulate(fns, s))) < 1e-12
 
 
 def test_lifted_l2_weak_identity():
@@ -237,14 +241,15 @@ def _gram_meshes(degree):
 def test_gram_h10_equals_inverse_stiffness():
     # the Gram, formed as K^{-1}, against two other routes to it: the
     # pairings of the functionals' derivatives on the exact (p + 1)-point
-    # rule, and the inverse of the interior stiffness
+    # rule, and the dense inverse of the assembled interior stiffness
     for mesh in _gram_meshes(3):
         fns = build_dual_functionals(basis_family(mesh), ProjectionFlavor.H10)
         op = build_fine_scale_operator(KERNEL, fns)
         s, w = mesh_quadrature(fns.family, mesh.degree + 1)
         tab = tabulate_functionals(fns, s, deriv=1)
         assert np.max(np.abs(op.gram - tab.T @ (w[:, None] * tab))) < 1e-11
-        assert np.max(np.abs(op.gram - np.linalg.inv(fns.stiffness.entries))) < 1e-11
+        assert np.max(np.abs(op.gram - np.linalg.inv(assemble_stiffness(fns.family).entries))) \
+            < 1e-11
 
 
 def test_gram_l2_pairings_against_quadrature_oracle():
@@ -785,14 +790,15 @@ def test_l2_lifts_at_scale_match_direct_quadrature(num_elements, bound):
 @settings(max_examples=30, deadline=None)
 @given(mesh=_large_meshes(min_dofs=2), amps=_AMPS)
 def test_h10_pair_then_solve_matches_table_first(mesh, amps):
-    # `pair_functionals` pairs the interior nodal basis and solves once;
-    # the table-first formula pushes every representer through the
-    # stiffness.  The dual application reads the source's Green's image at
-    # the vertices and its loads, with no K; its table-first formula sums
-    # the lifts (each the projection of one kernel column) against the
-    # source.  Against the K tables it is up to 3e-13 (relative) off on
-    # this draw, their cond(K) eps.  The resolved part gathers the
-    # interior nodal basis element by element against its dense table
+    # the former K route (`global_h10_pair`) pairs the interior nodal basis
+    # and solves once; its table-first formula pushes every representer
+    # through the stiffness.  The dual application reads the source's
+    # Green's image at the vertices and its loads, with no K; its
+    # table-first formula sums the lifts (each the projection of one kernel
+    # column) against the source.  Against the K tables it is up to 3e-13
+    # (relative) off on this draw, their cond(K) eps.  The resolved part
+    # gathers the interior nodal basis element by element against its
+    # dense table
     series = _SineSeries(amps)
     fns = build_dual_functionals(basis_family(mesh), ProjectionFlavor.H10)
     op = build_fine_scale_operator(KERNEL, fns)
@@ -800,9 +806,9 @@ def test_h10_pair_then_solve_matches_table_first(mesh, amps):
                      point_sources=((0.4, 0.7), (mesh.boundaries[-1], -0.2)))
     s, w = mesh_quadrature(fns.family, op.quad_points, src.breakpoints)
     locs, qs = np.array(src.point_sources).T
-    want = tabulate_functionals(fns, s).T @ (w * series.source(s))
-    want += tabulate_functionals(fns, locs).T @ qs
-    paired = pair_functionals(fns, np.r_[s, locs], np.r_[w * series.source(s), qs])
+    want = global_h10_tabulate(fns, s).T @ (w * series.source(s))
+    want += global_h10_tabulate(fns, locs).T @ qs
+    paired = global_h10_pair(fns, np.r_[s, locs], np.r_[w * series.source(s), qs])
     assert _rel_err(paired, want) <= 1e-13
     want = op.lifted_tab(s).T @ (w * series.source(s)) + op.lifted_tab(locs).T @ qs
     got = apply_dual_green(KERNEL, fns, src, quad_points=op.quad_points)
@@ -1002,47 +1008,49 @@ def test_every_entry_point_rejects_a_mesh_past_one(entry):
 
 
 # ---------------------------------------------------------------------------
-# no H10 projection or reconstruction solves with the global stiffness
+# no 1D H10 path solves with the global stiffness but the Gram
 
 
-@dataclass(frozen=True)
-class _NoGlobalSolve:
-    """A stiffness that keeps its entries (for the condition number) and
-    raises on a solve."""
-
-    entries: np.ndarray
-
-    def solve(self, rhs):
-        raise AssertionError("a solve with the global stiffness K")
-
-
-def test_h10_projections_and_reconstructions_solve_no_global_stiffness():
-    # every call gives the bytes it gives with the stiffness intact
+def test_h10_projections_and_reconstructions_solve_no_global_stiffness(monkeypatch):
+    # with every SPD solve raising, each H10 call gives the bytes it gives
+    # with the solve intact, and only the Gram, K^{-1}, reaches a solve
     family = basis_family(_jittered_mesh(6, 3))
-    intact = build_dual_functionals(family, ProjectionFlavor.H10)
-    guarded = replace(intact, stiffness=_NoGlobalSolve(intact.stiffness.entries))
     other = basis_family(Mesh1D.uniform(0.0, 1.0, 4, 2))
     case = advdiff_const_case(1.0, 0.1)
+    problem = AdvDiffProblem(1.0, 0.1, case.source)
     layer = boundary_layer_breakpoints(1.0, 0.1)
     grid = np.linspace(0.0, 1.0, 57)
 
-    def run(fns):
+    def run():
+        fns = build_dual_functionals(family, ProjectionFlavor.H10)
         op = build_fine_scale_operator(KERNEL, fns)
         u_bar = h10_project_from_source(fns, CASE.source)
         with_grad = project(fns, case.solution, case.gradient, breakpoints=layer)
         other_field = h10_project_from_source(
             build_dual_functionals(other, ProjectionFlavor.H10), CASE.source)
         points = SourceTerm(point_sources=((0.3, 1.0), (0.55, -0.4), (1.0 / 6.0, 0.2)))
-        return [u_bar.coeffs, project(fns, CASE.solution).coeffs,
-                project(fns, CASE.solution, CASE.gradient).coeffs, with_grad.coeffs,
-                reconstruct_fine_scales(op, residual_from_field(u_bar, CASE.source), grid),
-                reconstruct_fine_scales(op, points, grid),
-                reconstruct_fine_scales(op, residual_from_field(other_field, CASE.source), grid),
-                reconstruct_with_exact_gradient(op, AdvDiffProblem(1.0, 0.1, case.source),
-                                                with_grad, case.gradient, grid, layer),
-                fine_scale_eval(op, grid, grid)]
+        state = iterate(problem, fns, op, max_iter=40)
+        return op, [u_bar.coeffs, project(fns, CASE.solution).coeffs,
+                    project(fns, CASE.solution, CASE.gradient).coeffs, with_grad.coeffs,
+                    reconstruct_fine_scales(op, residual_from_field(u_bar, CASE.source), grid),
+                    reconstruct_fine_scales(op, points, grid),
+                    reconstruct_fine_scales(op, residual_from_field(other_field, CASE.source),
+                                            grid),
+                    reconstruct_with_exact_gradient(op, problem, with_grad, case.gradient, grid,
+                                                    layer),
+                    fine_scale_eval(op, grid, grid),
+                    *(tabulate_functionals(fns, grid, deriv) for deriv in range(3)),
+                    make_workspace(problem, fns, op).sweep,
+                    state.u_bar.coeffs, state.fine_values]
 
-    for got, want in zip(run(guarded), run(intact)):
-        np.testing.assert_array_equal(got, want)
+    _, want = run()
+
+    def no_solve(self, rhs):
+        raise AssertionError("a solve with the global stiffness K")
+
+    monkeypatch.setattr(dualspace.SPDMatrix, "solve", no_solve)
+    op, got = run()
+    for g, w in zip(got, want, strict=True):
+        np.testing.assert_array_equal(g, w)
     with pytest.raises(AssertionError, match="global stiffness"):
-        tabulate_functionals(guarded, grid)
+        op.gram

@@ -26,7 +26,8 @@ from fsgreens.projection import (
 )
 from fsgreens.quadrature import composite_rule, gauss_legendre_rule
 
-from flattened_oracle import global_h10_project, nodal_deriv_jumps
+from flattened_oracle import (global_h10_pair, global_h10_project, global_h10_tabulate,
+                              nodal_deriv_jumps)
 
 CASE = sin2pix_case()
 
@@ -166,6 +167,34 @@ def test_h10_rejects_nonzero_boundary_values(family):
     fns = build_dual_functionals(family, ProjectionFlavor.H10)
     with pytest.raises(ValueError):
         project(fns, lambda x: np.cos(2.0 * np.pi * x))
+
+
+def test_h10_functionals_are_paired_by_projecting(family):
+    # an H10 pairing is a projection, of a source or of a function
+    fns = build_dual_functionals(family, ProjectionFlavor.H10)
+    x, w = mesh_quadrature(family)
+    with pytest.raises(ValueError, match="`h10_project_from_source` or `project`"):
+        pair_functionals(fns, x, w)
+
+
+@pytest.mark.parametrize("a,b", [(-0.5, 2.0), (0.25, 0.75)])
+def test_h10_functional_tables_on_a_mesh_off_the_unit_interval(a, b):
+    # the kernel columns are those of -u'' on [a, b], so the element-local
+    # tables match the K solves there too, on and between the vertices
+    family = basis_family(Mesh1D.uniform(a, b, 3, 3))
+    fns = build_dual_functionals(family, ProjectionFlavor.H10)
+    x = np.linspace(a, b, 31)
+    for deriv in range(3):
+        want = global_h10_tabulate(fns, x, deriv)
+        got = tabulate_functionals(fns, x, deriv)
+        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-12
+
+
+def test_h10_functionals_need_an_interior_node():
+    family = basis_family(Mesh1D.uniform(0.0, 1.0, 1, 1))
+    with pytest.raises(ValueError, match="interior node"):
+        build_dual_functionals(family, ProjectionFlavor.H10)
+    assert build_dual_functionals(family, ProjectionFlavor.L2).size == 1
 
 
 def test_h10_boundary_check_tabulates_f_only_when_needed():
@@ -310,10 +339,10 @@ def _rel_err(got, want):
 @given(mesh=_h10_meshes(), shift=st.floats(0.0, 1.0))
 def test_h10_pair_then_solve_projections_match_table_first(mesh, shift):
     # each table-first formula pushes the (points x N p) table through the
-    # stiffness and then pairs it; `pair_functionals` pairs first and
-    # solves once.  The projections solve with no K: their K-free
-    # coefficients are up to 1.6e-13 (relative) from these formulas on
-    # this draw, the formulas' own cond(K) eps, and are checked against
+    # stiffness and then pairs it; the former K route (`global_h10_pair`)
+    # pairs first and solves once.  The projections solve with no K: their
+    # K-free coefficients are up to 1.6e-13 (relative) from these formulas
+    # on this draw, the formulas' own cond(K) eps, and are checked against
     # the exact projection instead (test_exact_h10.py)
     family = basis_family(mesh)
     fns = build_dual_functionals(family, ProjectionFlavor.H10)
@@ -323,21 +352,21 @@ def test_h10_pair_then_solve_projections_match_table_first(mesh, shift):
     f = lambda x: np.exp(x) * np.cos(5.0 * x + shift)
     x, w = mesh_quadrature(family)
 
-    want = tabulate_functionals(fns, x, deriv=1).T @ (w * du(x))
-    assert _rel_err(pair_functionals(fns, x, w * du(x), deriv=1), want) <= 1e-13
+    want = global_h10_tabulate(fns, x, deriv=1).T @ (w * du(x))
+    assert _rel_err(global_h10_pair(fns, x, w * du(x), deriv=1), want) <= 1e-13
 
-    want = tabulate_functionals(fns, x).T @ (w * f(x))
-    assert _rel_err(pair_functionals(fns, x, w * f(x)), want) <= 1e-13
+    want = global_h10_tabulate(fns, x).T @ (w * f(x))
+    assert _rel_err(global_h10_pair(fns, x, w * f(x)), want) <= 1e-13
 
     # the table-first value-only formula pairs u itself and adds the
     # interface terms, cancelling terms about p^3 times larger than its
     # result: at N=12, p=8 it is up to 1.7e-13 (relative) away from the
     # derivative pairing, so it is compared with the library's form, which
     # reads u's vertex values and pairs u minus their interpolant, at 1e-12
-    want = -tabulate_functionals(fns, x, deriv=2).T @ (w * u(x))
+    want = -global_h10_tabulate(fns, x, deriv=2).T @ (w * u(x))
     interfaces = mesh.boundaries[1:-1]
     if interfaces.size:
-        jumps = -fns.stiffness.solve(nodal_deriv_jumps(family).T).T
+        jumps = -assemble_stiffness(family).solve(nodal_deriv_jumps(family).T).T
         want += jumps.T @ u(interfaces)
     assert _rel_err(project(fns, u).coeffs[1:-1], want) <= 1e-12
 
