@@ -19,8 +19,9 @@ closed-form L2 lifts of `finescale` need them.  Duals are always
 evaluated through solves, never through explicit inverses of a mass
 matrix.  The solves substitute through the Cholesky factor, inverting
 only its diagonal blocks, which are at most `_SUBSTITUTION_BLOCK` wide.
-Mass and stiffness matrices are one `SPDMatrix` type, assembled element
-by element by one helper.
+The global nodal mass and the interior stiffness are plain arrays,
+assembled element by element by one helper; an `SPDMatrix`, which factors
+its matrix, is formed only where a solve reads the factor.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ _SUBSTITUTION_BLOCK = 64
 
 @dataclass(frozen=True)
 class SPDMatrix:
-    """Dense SPD Gram matrix of a basis (mass or stiffness), with a cached
-    lower Cholesky factor L.
+    """Dense SPD matrix to solve with, factored on construction: its lower
+    Cholesky factor L.
 
     numpy has no triangular solve, so L is solved by blocked substitution:
     the part off the diagonal blocks is one matrix product per block, and
@@ -126,19 +127,18 @@ def _assemble_gram(family: BasisFamily, ref_tab, deriv: int, jac_power: int) -> 
     return entries
 
 
-def assemble_mass(family: BasisFamily, kind: SpaceKind) -> SPDMatrix:
-    """Assemble the global nodal or edge mass matrix.
+def assemble_mass(family: BasisFamily) -> np.ndarray:
+    """The global nodal mass matrix: adjacent elements sum their shared
+    interface node's contributions."""
+    return _assemble_gram(family, lagrange_tab, deriv=0, jac_power=1)
 
-    Nodal assembly sums the overlapping interface-node contributions of
-    adjacent elements; the edge matrix is block diagonal because edge
-    functions never cross element boundaries.
-    """
-    if kind is SpaceKind.NODAL:
-        return SPDMatrix(_assemble_gram(family, lagrange_tab, deriv=0, jac_power=1))
-    if kind is SpaceKind.EDGE:
-        # two 1/J pullbacks against one J from dx
-        return SPDMatrix(_assemble_gram(family, _reference_edge_tab, deriv=0, jac_power=-1))
-    raise ValueError("mass matrices exist for the primal nodal/edge spaces")
+
+def assemble_stiffness(family: BasisFamily) -> np.ndarray:
+    """Interior-node stiffness matrix (homogeneous Dirichlet built in)."""
+    if family.mesh.num_nodal_dofs < 3:
+        raise ValueError("need at least one interior node for the H10 space")
+    # one J from dx against two 1/J from the pulled-back derivatives
+    return _assemble_gram(family, lagrange_tab, deriv=1, jac_power=-1)[1:-1, 1:-1]
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ class DualSet:
     def mass(self) -> SPDMatrix:
         if self.kind is SpaceKind.DUAL_NODAL:
             return SPDMatrix(_reference_gram(self.family, _reference_edge_tab, deriv=0))
-        return assemble_mass(self.family, SpaceKind.NODAL)
+        return SPDMatrix(assemble_mass(self.family))
 
     @property
     def size(self) -> int:

@@ -49,11 +49,11 @@ import numpy as np
 
 from .basis1d import (Field, SpaceKind, _element_cols, _locate, element_tab, field_eval,
                      pair_basis)
-from .dualspace import SPDMatrix, _reference_duals, partial_moments
+from .dualspace import SPDMatrix, _reference_duals, assemble_stiffness, partial_moments
 from .kernels import GreensKernel1D, _check_unit_mesh, _damped_green_apply, poisson_green
-from .projection import (DualFunctionals, ProjectionFlavor, _h10_local, assemble_stiffness,
-                         h10_project_from_source, mesh_quadrature, pair_functionals,
-                         source_rule_points, tabulate_functionals)
+from .projection import (DualFunctionals, ProjectionFlavor, _h10_local, h10_project_from_source,
+                         mesh_quadrature, pair_functionals, source_rule_points,
+                         tabulate_functionals)
 from .quadrature import composite_rule, gauss_legendre_rule, sorted_unique
 
 
@@ -276,7 +276,7 @@ class FineScaleOperator:
         fns = self.functionals
         if self.flavor is ProjectionFlavor.L2:
             return _l2_gram(fns)
-        inverse = assemble_stiffness(fns.family).solve(np.eye(fns.size))
+        inverse = SPDMatrix(assemble_stiffness(fns.family)).solve(np.eye(fns.size))
         return 0.5 * (inverse + inverse.T)
 
     @functools.cached_property
@@ -285,7 +285,7 @@ class FineScaleOperator:
         of the symmetric L2 Gram, or for H10 of the stiffness K, as the H10
         Gram is K^{-1}."""
         l2 = self.flavor is ProjectionFlavor.L2
-        mat = self.gram if l2 else assemble_stiffness(self.functionals.family).entries
+        mat = self.gram if l2 else assemble_stiffness(self.functionals.family)
         if not np.all(np.isfinite(mat)):
             return np.inf
         eig = np.abs(np.linalg.eigvalsh(mat))

@@ -37,10 +37,10 @@ from typing import Callable
 
 import numpy as np
 
-from .basis1d import BasisFamily, Mesh1D, SpaceKind, basis_family, tabulate_nodal
-from .dualspace import SPDMatrix, assemble_mass
+from .basis1d import BasisFamily, Mesh1D, basis_family, tabulate_nodal
+from .dualspace import SPDMatrix, assemble_mass, assemble_stiffness
 from .kernels import DEFAULT_SERIES_TERMS, _check_unit_mesh, _damped_green_apply
-from .projection import assemble_stiffness, mesh_quadrature, source_rule_points
+from .projection import mesh_quadrature, source_rule_points
 from .quadrature import composite_rule, gauss_legendre_rule
 
 _OSC_MARGIN = 12
@@ -100,9 +100,8 @@ def _generalized_eigh(a: np.ndarray, b: np.ndarray, name: str) -> tuple[np.ndarr
 
 def build_dual_functionals_2d(mesh: Mesh2D) -> DualFunctionals2D:
     family = basis_family(mesh.mesh1d)
-    stiff = assemble_stiffness(family).entries
-    mass = assemble_mass(family, SpaceKind.NODAL).entries[1:-1, 1:-1]
-    eigvals, eigvecs = _generalized_eigh(stiff, mass, "2D stiffness")
+    eigvals, eigvecs = _generalized_eigh(assemble_stiffness(family),
+                                         assemble_mass(family)[1:-1, 1:-1], "2D stiffness")
     return DualFunctionals2D(family, eigvecs, eigvals)
 
 

@@ -10,9 +10,10 @@ coefficients of its projection onto that flavor's target space directly:
   basis, and the pairing is the H10 semi-inner product.
 
 In 1D the H10 projection interpolates u at the mesh vertices (Tong, AIAA J.
-7(1), 1969), so nothing here solves with the global stiffness K: ū, and a
-functional table, the projection of a kernel column, are vertex values
-plus each element's bubbles (`_h10_local`), with no cond(K) eps.
+7(1), 1969), so nothing here assembles or solves with the global stiffness
+K: ū, and a functional table, the projection of a kernel column, are vertex
+values plus each element's bubbles (`_h10_local`), with no cond(K) eps.
+K is assembled in `dualspace` and factored only for the H10 Gram.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ import numpy as np
 
 from .basis1d import (BasisFamily, Field, SpaceKind, _locate, lagrange_tab, pair_basis,
                       tabulate_nodal)
-from .dualspace import (DualSet, SPDMatrix, _assemble_gram, _reference_gram, element_duals,
-                        tabulate_duals)
+from .dualspace import DualSet, _reference_gram, element_duals, tabulate_duals
 from .kernels import _check_unit_mesh, _damped_green_apply, poisson_green
 from .quadrature import composite_rule, gauss_legendre_rule, sorted_unique
 
@@ -40,15 +40,6 @@ DEFAULT_QUAD_POINTS = 20
 class ProjectionFlavor(Enum):
     L2 = "l2"
     H10 = "h10"
-
-
-def assemble_stiffness(family: BasisFamily) -> SPDMatrix:
-    """Interior-node stiffness matrix (homogeneous Dirichlet built in)."""
-    if family.mesh.num_nodal_dofs < 3:
-        raise ValueError("need at least one interior node for the H10 space")
-    # one J from dx against two 1/J from the pulled-back derivatives
-    full = _assemble_gram(family, lagrange_tab, deriv=1, jac_power=-1)
-    return SPDMatrix(full[1:-1, 1:-1])
 
 
 @dataclass(frozen=True)

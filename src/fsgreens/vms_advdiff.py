@@ -251,7 +251,7 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals,
          (green[:x.size, 0] / problem.diffusion - psi_tab @ coarse_rhs)[:, None]]])
     if not np.all(np.isfinite(sweep)):
         raise ValueError("the sweep map overflows; c/nu is too large")
-    mass = assemble_mass(family, SpaceKind.NODAL).entries[1:-1, 1:-1]
+    mass = assemble_mass(family)[1:-1, 1:-1]
     step_rows = np.linalg.cholesky(mass).T @ (sweep[:fns.size] - np.eye(fns.size, sweep.shape[1]))
     return _Workspace(x, cells, green_deriv, sweep, step_rows)
 

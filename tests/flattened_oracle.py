@@ -26,11 +26,12 @@ each functional's load on the kernel (`functional_load`, for H10 from the
 K-solved tables below) and its lift by
 one direct quadrature per point (`lift_functionals_direct`), the
 pairing alone of a source (`apply_dual_green`), the reconstruction
-functions from the lift table and the Gram (`resolved_basis_reproduction`)
-and the nodal points (`nodal_points`).  So do the pieces that only these
-oracles and the tests read: the Poisson kernel's two derivatives
-(`poisson_green_dx`, `poisson_green_ds`), the element-local Dirichlet
-kernel (`element_green`), the lifts' x-derivatives (`lift_dx`) and the
+functions from the lift table and the Gram (`resolved_basis_reproduction`),
+the global edge mass, the oracle for the element-local dual solves
+(`edge_mass`), and the nodal points (`nodal_points`).  So do the pieces
+that only these oracles and the tests read: the Poisson kernel's two
+derivatives (`poisson_green_dx`, `poisson_green_ds`), the element-local
+Dirichlet kernel (`element_green`), the lifts' x-derivatives (`lift_dx`) and the
 interior nodal basis's derivative jumps at the mesh joints
 (`nodal_deriv_jumps`).  The library's former advection-diffusion kernel
 (`advdiff_green`), written for c > 0 with a product form at low Peclet
@@ -56,14 +57,13 @@ import numpy as np
 from fsgreens.basis1d import (BasisFamily, Field, SpaceKind, _element_cols, _locate,
                               _reference_edge_tab, field_eval, lagrange_tab, pair_basis,
                               tabulate_nodal)
-from fsgreens.dualspace import partial_moments
+from fsgreens.dualspace import SPDMatrix, _assemble_gram, assemble_stiffness, partial_moments
 from fsgreens.finescale import (FineScaleOperator, SourceTerm, _annihilated, _field_pairing,
                                 _green_and_pairing, _lift)
 from fsgreens.kernels import (_BLOCK_POINTS, GreensKernel1D, _check_unit_domain,
                               _damped_green_apply, poisson_green)
-from fsgreens.projection import (DualFunctionals, ProjectionFlavor, assemble_stiffness,
-                                 interior_field, mesh_quadrature, source_rule_points,
-                                 tabulate_functionals)
+from fsgreens.projection import (DualFunctionals, ProjectionFlavor, interior_field,
+                                 mesh_quadrature, source_rule_points, tabulate_functionals)
 from fsgreens.quadrature import composite_rule, gauss_legendre_rule, map_rule, sorted_unique
 
 
@@ -352,7 +352,7 @@ def functional_load(fns: DualFunctionals):
     deriv_a = global_h10_tabulate(fns, np.array([a]), deriv=1)[0]
     deriv_b = global_h10_tabulate(fns, np.array([b]), deriv=1)[0]
     # interface strengths are the derivative jumps, left minus right
-    jumps = -assemble_stiffness(fns.family).solve(nodal_deriv_jumps(fns.family).T).T
+    jumps = -SPDMatrix(assemble_stiffness(fns.family)).solve(nodal_deriv_jumps(fns.family).T).T
     strengths = np.vstack([-deriv_a, jumps, deriv_b])
     return smooth, mesh.boundaries.copy(), strengths
 
@@ -400,6 +400,14 @@ def resolved_basis_reproduction(op: FineScaleOperator, x) -> np.ndarray:
     return op.solve_gram(op.lifted_tab(x).T).T
 
 
+def edge_mass(family: BasisFamily) -> np.ndarray:
+    """The global edge mass matrix, block diagonal because edge functions
+    never cross an element: element e's block is the reference edge mass
+    over J_e.  The library solves with the p x p reference block instead."""
+    # two 1/J pullbacks against one J from dx
+    return _assemble_gram(family, _reference_edge_tab, deriv=0, jac_power=-1)
+
+
 def nodal_points(family: BasisFamily) -> np.ndarray:
     """Physical coordinates of the global nodal degrees of freedom."""
     mesh = family.mesh
@@ -421,14 +429,14 @@ def global_h10_tabulate(fns: DualFunctionals, x, deriv: int = 0) -> np.ndarray:
     """Every H10 functional K^{-1} psi^(deriv) at x: the interior nodal basis
     pushed through K by solves; shape (len(x), n)."""
     tab = tabulate_nodal(fns.family, x, deriv=deriv)[:, 1:-1]
-    return assemble_stiffness(fns.family).solve(tab.T).T
+    return SPDMatrix(assemble_stiffness(fns.family)).solve(tab.T).T
 
 
 def global_h10_pair(fns: DualFunctionals, x, values, deriv: int = 0) -> np.ndarray:
     """global_h10_tabulate(fns, x, deriv).T @ values with no (points x N p)
     table: the interior nodal basis paired first, then one solve with K."""
     paired = pair_basis(fns.family, SpaceKind.NODAL, x, values, deriv)[1:-1]
-    return assemble_stiffness(fns.family).solve(paired)
+    return SPDMatrix(assemble_stiffness(fns.family)).solve(paired)
 
 
 def global_h10_project_values(fns: DualFunctionals, u, quad_points: int | None = None,
@@ -451,7 +459,7 @@ def global_h10_project_values(fns: DualFunctionals, u, quad_points: int | None =
     # I u at each element's first p GLL nodes
     t = 0.5 * (family.ref_nodes[:-1] + 1.0)
     linear = np.ravel(vertex[:-1, None] * (1.0 - t) + vertex[1:, None] * t)
-    return linear[1:] + assemble_stiffness(family).solve(paired)
+    return linear[1:] + SPDMatrix(assemble_stiffness(family)).solve(paired)
 
 
 def global_h10_project(fns: DualFunctionals, f, f_prime=None, quad_points: int | None = None,

@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 from fsgreens.basis1d import (Mesh1D, SpaceKind, _reference_edge_tab, basis_family, tabulate_edge,
                               tabulate_nodal)
-from fsgreens.dualspace import DualSet, SPDMatrix, _reference_gram, assemble_mass, tabulate_duals
-from fsgreens.projection import (ProjectionFlavor, assemble_stiffness, build_dual_functionals,
-                                 tabulate_functionals)
+from fsgreens.dualspace import (DualSet, SPDMatrix, _reference_gram, assemble_mass,
+                                assemble_stiffness, tabulate_duals)
+from fsgreens.projection import ProjectionFlavor, build_dual_functionals, tabulate_functionals
 from fsgreens.quadrature import composite_rule, gauss_legendre_rule
+
+from flattened_oracle import edge_mass
 
 MESH_CASES = [(1, 1), (2, 3), (5, 4)]
 
@@ -19,37 +21,32 @@ def _pairing_grid(mesh, npts=14):
 
 def test_nodal_mass_hand_values():
     family = basis_family(Mesh1D.uniform(-1.0, 1.0, 1, 1))
-    mass = assemble_mass(family, SpaceKind.NODAL)
-    assert np.allclose(mass.entries, [[2.0 / 3.0, 1.0 / 3.0], [1.0 / 3.0, 2.0 / 3.0]],
-                       atol=1e-15)
+    mass = assemble_mass(family)
+    assert np.allclose(mass, [[2.0 / 3.0, 1.0 / 3.0], [1.0 / 3.0, 2.0 / 3.0]], atol=1e-15)
 
 
 def test_edge_mass_hand_value():
     family = basis_family(Mesh1D.uniform(-1.0, 1.0, 1, 1))
-    mass = assemble_mass(family, SpaceKind.EDGE)
-    assert np.allclose(mass.entries, [[0.5]], atol=1e-15)
+    assert np.allclose(edge_mass(family), [[0.5]], atol=1e-15)
 
 
 def test_mass_row_sums_measure_domain():
     family = basis_family(Mesh1D.uniform(0.0, 2.5, 3, 3))
-    mass = assemble_mass(family, SpaceKind.NODAL)
-    assert np.sum(mass.entries) == pytest.approx(2.5, abs=1e-12)
+    assert np.sum(assemble_mass(family)) == pytest.approx(2.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("num_elements,degree", MESH_CASES)
 def test_mass_symmetry_and_spd(num_elements, degree):
     family = basis_family(Mesh1D.uniform(0.0, 1.0, num_elements, degree))
-    for kind in (SpaceKind.NODAL, SpaceKind.EDGE):
-        mass = assemble_mass(family, kind)
-        assert np.max(np.abs(mass.entries - mass.entries.T)) < 1e-12
-        assert np.min(np.linalg.eigvalsh(mass.entries)) > 0.0
+    for mass in (assemble_mass(family), edge_mass(family)):
+        assert np.max(np.abs(mass - mass.T)) < 1e-12
+        assert np.min(np.linalg.eigvalsh(mass)) > 0.0
 
 
 def test_edge_mass_block_diagonal():
     family = basis_family(Mesh1D.uniform(0.0, 1.0, 4, 3))
-    mass = assemble_mass(family, SpaceKind.EDGE)
     p = 3
-    off = mass.entries.copy()
+    off = edge_mass(family)
     for n in range(4):
         off[n * p:(n + 1) * p, n * p:(n + 1) * p] = 0.0
     assert np.max(np.abs(off)) < 1e-14
@@ -101,8 +98,8 @@ def test_spd_solve_matches_cho_solve_on_a_fine_mesh_stiffness():
     # cho_solve a decade inside that bound.
     from scipy.linalg import cho_factor, cho_solve
 
-    stiffness = assemble_stiffness(basis_family(Mesh1D.uniform(0.0, 1.0, 640, 4)))
-    entries = stiffness.entries
+    entries = assemble_stiffness(basis_family(Mesh1D.uniform(0.0, 1.0, 640, 4)))
+    stiffness = SPDMatrix(entries)
     rhs = np.random.default_rng(0).standard_normal((entries.shape[0], 3))
     for side in (rhs, rhs[:, 0]):
         want = cho_solve(cho_factor(entries), side)
@@ -126,7 +123,7 @@ def test_dual_set_forms_its_mass_on_first_use():
     family = basis_family(Mesh1D(0.0, 1.0, 3, 3, np.array([0.0, 0.2, 0.7, 1.0])))
     x = np.linspace(0.0, 1.0, 11)
     for kind, want in [(SpaceKind.DUAL_NODAL, _reference_gram(family, _reference_edge_tab, 0)),
-                       (SpaceKind.DUAL_EDGE, assemble_mass(family, SpaceKind.NODAL).entries)]:
+                       (SpaceKind.DUAL_EDGE, assemble_mass(family))]:
         duals = DualSet(family, kind)
         assert "mass" not in vars(duals)
         tabulate_duals(duals, x)
@@ -211,7 +208,7 @@ def test_h10_functionals_match_dense_inverse(mesh, free):
     fns = build_dual_functionals(family, ProjectionFlavor.H10)
     bounds = mesh.boundaries
     x = np.unique(np.concatenate((bounds, 0.5 * (bounds[1:] + bounds[:-1]), free)))
-    inv = np.linalg.inv(assemble_stiffness(family).entries)
+    inv = np.linalg.inv(assemble_stiffness(family))
     # derivatives of order above p vanish: their tables are rounding noise
     for deriv in range(min(mesh.degree, 2) + 1):
         want = tabulate_nodal(family, x, deriv=deriv)[:, 1:-1] @ inv

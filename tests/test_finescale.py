@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fsgreens import dualspace, kernels
 from fsgreens.basis1d import (Field, Mesh1D, SpaceKind, basis_family, field_eval, tabulate_edge,
                               tabulate_nodal)
-from fsgreens.dualspace import _reference_duals, assemble_mass, tabulate_duals
+from fsgreens.dualspace import SPDMatrix, _reference_duals, assemble_stiffness, tabulate_duals
 from fsgreens.cases import advdiff_const_case, boundary_layer_breakpoints, sin2pix_case
 from fsgreens.finescale import (
     SourceTerm,
@@ -20,10 +20,9 @@ from fsgreens.finescale import (
     residual_from_field,
 )
 from fsgreens.kernels import GreensKernel1D, _damped_green_apply
-from fsgreens.poisson2d import Mesh2D
+from fsgreens.poisson2d import Mesh2D, build_dual_functionals_2d
 from fsgreens.projection import (
     ProjectionFlavor,
-    assemble_stiffness,
     build_dual_functionals,
     h10_project_from_source,
     mesh_quadrature,
@@ -36,10 +35,10 @@ from fsgreens.quadrature import composite_rule, gauss_legendre_rule
 from fsgreens.vms_advdiff import (AdvDiffProblem, iterate, make_workspace,
                                   reconstruct_with_exact_gradient)
 
-from flattened_oracle import (_poisson_apply, apply_dual_green, element_endpoint_values,
-                              element_green, flattened, functional_load, global_h10_pair,
-                              global_h10_tabulate, lift_dx, lift_functionals_direct,
-                              nodal_points, pair_naive, reconstruct_flat,
+from flattened_oracle import (_poisson_apply, apply_dual_green, edge_mass,
+                              element_endpoint_values, element_green, flattened, functional_load,
+                              global_h10_pair, global_h10_tabulate, lift_dx,
+                              lift_functionals_direct, nodal_points, pair_naive, reconstruct_flat,
                               resolved_basis_reproduction)
 
 KERNEL = GreensKernel1D.poisson()
@@ -248,8 +247,35 @@ def test_gram_h10_equals_inverse_stiffness():
         s, w = mesh_quadrature(fns.family, mesh.degree + 1)
         tab = tabulate_functionals(fns, s, deriv=1)
         assert np.max(np.abs(op.gram - tab.T @ (w[:, None] * tab))) < 1e-11
-        assert np.max(np.abs(op.gram - np.linalg.inv(assemble_stiffness(fns.family).entries))) \
+        assert np.max(np.abs(op.gram - np.linalg.inv(assemble_stiffness(fns.family)))) \
             < 1e-11
+
+
+def test_a_cholesky_factor_is_formed_only_where_a_solve_reads_it(monkeypatch):
+    # the assembled mass and stiffness are plain arrays, factored only where
+    # a solve follows: the H10 build takes gram_cond from K's eigenvalues,
+    # the 2D duals factor the 1D mass of their eigenproblem, the sweep's
+    # step norm the nodal mass, and the H10 Gram K, for its one K solve
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return cholesky(a)
+
+    def count(stage):
+        calls.clear()
+        stage()
+        return len(calls)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    fns = build_dual_functionals(basis_family(Mesh1D.uniform(0.0, 1.0, 3, 2)), ProjectionFlavor.H10)
+    assert count(lambda: build_fine_scale_operator(KERNEL, fns).gram_cond) == 0
+    assert count(lambda: build_dual_functionals_2d(Mesh2D(Mesh1D.uniform(0.0, 1.0, 4, 3)))) == 1
+    op = build_fine_scale_operator(KERNEL, fns)
+    problem = AdvDiffProblem(1.0, 0.05, lambda x: np.ones_like(x))
+    assert count(lambda: make_workspace(problem, fns, op)) == 1
+    assert count(lambda: op.gram) == 1
 
 
 def test_gram_l2_pairings_against_quadrature_oracle():
@@ -656,7 +682,7 @@ def test_element_local_duals_match_dense_mass_solve(case):
     mesh, x = case
     family = basis_family(mesh)
     duals = build_dual_functionals(family, ProjectionFlavor.L2).duals
-    mass = assemble_mass(family, SpaceKind.EDGE)
+    mass = SPDMatrix(edge_mass(family))
     # derivatives of order p or more vanish: their tables are rounding noise
     for deriv in range(min(mesh.degree, 3)):
         want = mass.solve(tabulate_edge(family, x, deriv=deriv).T).T
@@ -669,7 +695,7 @@ def test_element_local_l2_lifts_match_dense_primitive(case):
     mesh, x = case
     family = basis_family(mesh)
     fns = build_dual_functionals(family, ProjectionFlavor.L2)
-    mass = assemble_mass(family, SpaceKind.EDGE)
+    mass = SPDMatrix(edge_mass(family))
     dense = lambda s: mass.solve(tabulate_edge(family, s).T).T
     for deriv in (0, 1):
         want = _poisson_apply(dense, x, mesh.boundaries, 20, deriv)

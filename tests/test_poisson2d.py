@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from fsgreens import kernels, poisson2d
-from fsgreens.basis1d import Mesh1D, SpaceKind, basis_family
+from fsgreens.basis1d import Mesh1D, basis_family
 from fsgreens.cases import sin2pixy_case
-from fsgreens.dualspace import assemble_mass
+from fsgreens.dualspace import assemble_mass, assemble_stiffness
 from fsgreens.poisson2d import (
     Field2D,
     Mesh2D,
@@ -19,7 +19,7 @@ from fsgreens.poisson2d import (
     reconstruct_fine_scales_2d,
     residual_2d,
 )
-from fsgreens.projection import assemble_stiffness, mesh_quadrature, source_rule_points
+from fsgreens.projection import mesh_quadrature, source_rule_points
 from fsgreens.quadrature import _piece_ends, composite_rule, gauss_legendre_rule
 
 from oracle_2d import (
@@ -62,8 +62,8 @@ def test_eigenpairs_solve_the_generalized_problem(n, p):
     # K V = M V diag(lam) and V^T M V = I for the 1D interior stiffness K
     # and mass M that the eigenbasis is built from
     d2 = build_dual_functionals_2d(_mesh(n, p))
-    stiff = assemble_stiffness(d2.family).entries
-    mass = assemble_mass(d2.family, SpaceKind.NODAL).entries[1:-1, 1:-1]
+    stiff = assemble_stiffness(d2.family)
+    mass = assemble_mass(d2.family)[1:-1, 1:-1]
     v, lam = d2.eigvecs, d2.eigvals
     residual = stiff @ v - mass @ v * lam
     assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(stiff)) * np.max(np.abs(v))
@@ -182,6 +182,13 @@ def test_generalized_eigh_rejects_indefinite_pencils():
         poisson2d._generalized_eigh(-spd, np.eye(2), "pencil")
     with pytest.raises(ValueError, match="not positive definite"):
         poisson2d._generalized_eigh(spd, np.diag([1.0, -1.0]), "pencil")
+
+
+def test_duals_need_an_interior_node():
+    # one p = 1 element per direction has no interior node, which the 1D
+    # stiffness that the eigenbasis is built from rejects
+    with pytest.raises(ValueError, match="interior node"):
+        build_dual_functionals_2d(Mesh2D(Mesh1D.uniform(0.0, 1.0, 1, 1)))
 
 
 def test_source_pairings_need_p_points(duals_p3):

@@ -13,9 +13,9 @@ from fsgreens.basis1d import (
     tabulate_nodal,
 )
 from fsgreens.cases import sin2pix_case
+from fsgreens.dualspace import SPDMatrix, assemble_stiffness
 from fsgreens.projection import (
     ProjectionFlavor,
-    assemble_stiffness,
     build_dual_functionals,
     h10_project_from_source,
     mesh_quadrature,
@@ -26,8 +26,8 @@ from fsgreens.projection import (
 )
 from fsgreens.quadrature import composite_rule, gauss_legendre_rule
 
-from flattened_oracle import (global_h10_pair, global_h10_project, global_h10_tabulate,
-                              nodal_deriv_jumps)
+from flattened_oracle import (edge_mass, global_h10_pair, global_h10_project,
+                              global_h10_tabulate, nodal_deriv_jumps)
 
 CASE = sin2pix_case()
 
@@ -41,8 +41,7 @@ def family(request):
 
 def test_stiffness_hand_value():
     family = basis_family(Mesh1D.uniform(0.0, 1.0, 2, 1))
-    stiff = assemble_stiffness(family)
-    assert np.allclose(stiff.entries, [[4.0]], atol=1e-13)
+    assert np.allclose(assemble_stiffness(family), [[4.0]], atol=1e-13)
     fns = build_dual_functionals(family, ProjectionFlavor.H10)
     x = np.array([0.25, 0.5])
     tab = tabulate_functionals(fns, x)
@@ -148,17 +147,15 @@ def test_projection_optimality(family, flavor):
 def test_equivalence_with_normal_equations(family):
     x, w = mesh_quadrature(family, 20)
     # L2: edge mass system
-    from fsgreens.dualspace import assemble_mass
-
     fns = build_dual_functionals(family, ProjectionFlavor.L2)
     fld = project(fns, CASE.solution)
-    mass = assemble_mass(family, SpaceKind.EDGE)
+    mass = SPDMatrix(edge_mass(family))
     rhs = tabulate_edge(family, x).T @ (w * CASE.solution(x))
     assert np.max(np.abs(fld.coeffs - mass.solve(rhs))) < 1e-9
     # H10: interior stiffness system
     fns = build_dual_functionals(family, ProjectionFlavor.H10)
     fld = project(fns, CASE.solution, CASE.gradient)
-    stiff = assemble_stiffness(family)
+    stiff = SPDMatrix(assemble_stiffness(family))
     rhs = tabulate_nodal(family, x, deriv=1)[:, 1:-1].T @ (w * CASE.gradient(x))
     assert np.max(np.abs(fld.coeffs[1:-1] - stiff.solve(rhs))) < 1e-9
 
@@ -366,7 +363,7 @@ def test_h10_pair_then_solve_projections_match_table_first(mesh, shift):
     want = -global_h10_tabulate(fns, x, deriv=2).T @ (w * u(x))
     interfaces = mesh.boundaries[1:-1]
     if interfaces.size:
-        jumps = -assemble_stiffness(family).solve(nodal_deriv_jumps(family).T).T
+        jumps = -SPDMatrix(assemble_stiffness(family)).solve(nodal_deriv_jumps(family).T).T
         want += jumps.T @ u(interfaces)
     assert _rel_err(project(fns, u).coeffs[1:-1], want) <= 1e-12
 

@@ -458,7 +458,7 @@ def _assert_matches_a_relaxed_loop(state, problem, fns, op, relaxation):
     # relaxed iterate reaches only after many sweeps, so the fine bound
     # scales with the largest of those
     ws = make_workspace(problem, fns, op)
-    mass = assemble_mass(fns.family, SpaceKind.NODAL).entries[1:-1, 1:-1]
+    mass = assemble_mass(fns.family)[1:-1, 1:-1]
     interior, fine, history = np.zeros(fns.size), np.zeros(ws.nodes.size), []
     fine_scale = 0.0
     for _ in range(state.iteration):
@@ -536,7 +536,7 @@ def test_iterate_step_norm_does_not_underflow():
     _, fns, op = _h10_setup(3, 2)
     state = iterate(problem, fns, op, relaxation=0.5, max_iter=1)
     ws = make_workspace(problem, fns, op)
-    mass = assemble_mass(fns.family, SpaceKind.NODAL).entries[1:-1, 1:-1]
+    mass = assemble_mass(fns.family)[1:-1, 1:-1]
     step, _ = sweep(ws, np.zeros(fns.size), np.zeros(ws.nodes.size))
     scaled = 1e180 * step
     want = 1e-180 * np.sqrt(scaled @ mass @ scaled)
