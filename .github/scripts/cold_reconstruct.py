@@ -6,7 +6,7 @@
 The first argument is the projection flavor, the rest go to the command.
 Prints the child's wall time, peak resident memory and the max
 |u_total - u_exact| of its output, and exits 1 when that error exceeds
-1e-14 or the peak exceeds 300 MB, the child's own failure included.
+1e-14 or the peak exceeds 180 MB, the child's own failure included.
 
 With `--columns` first, an H10 run also checks its `u_bar` and `u_prime`
 columns on their own, as their sum hides errors that cancel: max
@@ -25,7 +25,7 @@ import time
 from pathlib import Path
 
 MAX_ERROR = 1e-14
-MAX_RSS_MB = 300.0
+MAX_RSS_MB = 180.0
 MAX_FINE = 1e-12
 MAX_AT_VERTEX = 2e-15
 

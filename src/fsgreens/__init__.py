@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .basis1d import BasisFamily, Field, Mesh1D, SpaceKind, basis_family, field_eval
 from .cases import advdiff_const_case, sin2pix_case, sin2pixy_case
-from .dualspace import DualSet, SPDMatrix, assemble_mass
+from .dualspace import DualSet, assemble_mass
 from .finescale import (
     FineScaleOperator,
     SourceTerm,
@@ -53,7 +53,6 @@ __all__ = [
     "Mesh2D",
     "ProjectionFlavor",
     "QuadratureRule",
-    "SPDMatrix",
     "SourceTerm",
     "SpaceKind",
     "advdiff_const_case",

@@ -557,8 +557,8 @@ def main(argv=None) -> int:
     h10 = args.command in ("vms-iter", "poisson2d") or getattr(args, "projection", None) == "h10"
     if h10 and args.p * args.elements < 2:
         parser.error("the H10 space needs an interior node: p * elements >= 2")
-    if args.command in ("basis", "dual") and not -np.inf < args.a < args.b < np.inf:
-        parser.error(f"the interval needs finite --a < --b, got [{args.a}, {args.b}]")
+    if args.command in ("basis", "dual") and not 0.0 < args.b - args.a < np.inf:
+        parser.error(f"the interval needs --a < --b with b - a finite, got [{args.a}, {args.b}]")
     if args.command == "poisson2d" and args.terms < args.p * args.elements - 1:
         parser.error("the 2D Gram needs a series term per interior node: "
                      "terms >= p * elements - 1")

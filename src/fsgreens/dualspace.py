@@ -9,25 +9,21 @@ Edge functions never cross an element, so the edge mass matrix is block
 diagonal, element e's block being the reference edge mass over J_e, and
 every dual nodal function lives on one element.  A dual set is its family
 and its kind; it forms the mass that these fix on first use.  Dual nodal
-functions are tabulated by per-element solves with one cached Cholesky
-factor of the p x p reference edge mass, the only mass a dual nodal set
-holds; the dual edge functions go through the cached factor of the global
-nodal mass.  A dual nodal set also caches two antiderivatives of its
-reference duals, from which its moments int s mu_j and int (1 - s) mu_j
-over any part of an element follow (`partial_moments`), as the
-closed-form L2 lifts of `finescale` need them.  Duals are always
-evaluated through solves, never through explicit inverses of a mass
-matrix.  The solves substitute through the Cholesky factor, inverting
-only its diagonal blocks, which are at most `_SUBSTITUTION_BLOCK` wide.
-The global nodal mass and the interior stiffness are plain arrays,
-assembled element by element by one helper; an `SPDMatrix`, which factors
-its matrix, is formed only where a solve reads the factor.
+functions are tabulated by per-element solves with the p x p reference
+edge mass, the only mass a dual nodal set holds; the dual edge functions
+solve with the global nodal mass.  A dual nodal set also caches two
+antiderivatives of its reference duals, from which its moments
+int s mu_j and int (1 - s) mu_j over any part of an element follow
+(`partial_moments`), as the closed-form L2 lifts of `finescale` need
+them.  Duals are always evaluated through solves, never through explicit
+inverses of a mass matrix.  The global nodal mass and the interior
+stiffness are plain arrays, assembled element by element by one helper.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,69 +31,6 @@ from .basis1d import (BasisFamily, SpaceKind, _barycentric_weights, _element_col
                       _global_scatter, _lagrange_tab, _locate, _reference_edge_tab, lagrange_tab,
                       tabulate_nodal)
 from .quadrature import gauss_legendre_rule, gll_nodes, map_rule
-
-# Width of the diagonal blocks of the triangular substitution.
-_SUBSTITUTION_BLOCK = 64
-
-
-@dataclass(frozen=True)
-class SPDMatrix:
-    """Dense SPD matrix to solve with, factored on construction: its lower
-    Cholesky factor L.
-
-    numpy has no triangular solve, so L is solved by blocked substitution:
-    the part off the diagonal blocks is one matrix product per block, and
-    the diagonal blocks are inverted once, on the first solve.
-    """
-
-    entries: np.ndarray
-    _chol: np.ndarray = field(init=False, repr=False, default=None)
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        object.__setattr__(self, "entries", entries)
-        # by row blocks, so that the check forms no (n x n) temporary
-        sym_err = scale = 0.0
-        for lo in range(0, entries.shape[0], _SUBSTITUTION_BLOCK):
-            rows = entries[lo:lo + _SUBSTITUTION_BLOCK]
-            cols = entries[:, lo:lo + _SUBSTITUTION_BLOCK]
-            sym_err = max(sym_err, np.max(np.abs(rows - cols.T)))
-            scale = max(scale, np.max(np.abs(rows)))
-        if sym_err > 1e-12 * max(1.0, scale):
-            raise ValueError(f"Gram matrix not symmetric (error {sym_err:.2e})")
-        try:
-            chol = np.linalg.cholesky(self.entries)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("Gram matrix not positive definite") from exc
-        object.__setattr__(self, "_chol", chol)
-
-    @functools.cached_property
-    def _block_inverses(self) -> tuple:
-        width = _SUBSTITUTION_BLOCK
-        return tuple(np.linalg.inv(self._chol[lo:lo + width, lo:lo + width])
-                     for lo in range(0, self._chol.shape[0], width))
-
-    def substitute(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """L^-1 rhs, or L^-T rhs with `transpose`, by forward (back)
-        substitution over the diagonal blocks; rhs is one vector or one
-        column per right side."""
-        tri = self._chol.T if transpose else self._chol
-        # row blocks of a C-ordered copy are contiguous, which the products favor
-        x = np.array(rhs, dtype=float, order="C")
-        n = tri.shape[0]
-        blocks = list(enumerate(range(0, n, _SUBSTITUTION_BLOCK)))
-        for b, lo in reversed(blocks) if transpose else blocks:
-            hi = min(lo + _SUBSTITUTION_BLOCK, n)
-            if transpose and hi < n:
-                x[lo:hi] -= tri[lo:hi, hi:] @ x[hi:]
-            elif not transpose and lo:
-                x[lo:hi] -= tri[lo:hi, :lo] @ x[:lo]
-            inverse = self._block_inverses[b]
-            x[lo:hi] = (inverse.T if transpose else inverse) @ x[lo:hi]
-        return x
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self.substitute(self.substitute(rhs), transpose=True)
 
 
 def _reference_gram(family: BasisFamily, ref_tab, deriv: int) -> np.ndarray:
@@ -158,10 +91,10 @@ class DualSet:
             raise ValueError("DualSet kind must be dual-nodal or dual-edge")
 
     @functools.cached_property
-    def mass(self) -> SPDMatrix:
+    def mass(self) -> np.ndarray:
         if self.kind is SpaceKind.DUAL_NODAL:
-            return SPDMatrix(_reference_gram(self.family, _reference_edge_tab, deriv=0))
-        return SPDMatrix(assemble_mass(self.family))
+            return _reference_gram(self.family, _reference_edge_tab, deriv=0)
+        return assemble_mass(self.family)
 
     @property
     def size(self) -> int:
@@ -193,7 +126,7 @@ def _reference_duals(duals: DualSet, xi, deriv: int = 0) -> np.ndarray:
     """The p dual nodal functions of one element at reference coordinates xi,
     before the J^-deriv pullback; shape (len(xi), p)."""
     edge = _reference_edge_tab(duals.family, np.atleast_1d(xi), deriv=deriv)
-    return duals.mass.solve(edge.T).T
+    return np.linalg.solve(duals.mass, edge.T).T
 
 
 def tabulate_duals(duals: DualSet, x, deriv: int = 0) -> np.ndarray:
@@ -206,7 +139,7 @@ def tabulate_duals(duals: DualSet, x, deriv: int = 0) -> np.ndarray:
     family = duals.family
     if duals.kind is SpaceKind.DUAL_NODAL:
         return _global_scatter(*element_duals(duals, x, deriv), family.mesh.num_edge_dofs)
-    return duals.mass.solve(tabulate_nodal(family, x, deriv=deriv).T).T
+    return np.linalg.solve(duals.mass, tabulate_nodal(family, x, deriv=deriv).T).T
 
 
 def partial_moments(duals: DualSet, elem, xi) -> np.ndarray:

@@ -49,7 +49,7 @@ import numpy as np
 
 from .basis1d import (Field, SpaceKind, _element_cols, _locate, element_tab, field_eval,
                      pair_basis)
-from .dualspace import SPDMatrix, _reference_duals, assemble_stiffness, partial_moments
+from .dualspace import _reference_duals, assemble_stiffness, partial_moments
 from .kernels import GreensKernel1D, _check_unit_mesh, _damped_green_apply, poisson_green
 from .projection import (DualFunctionals, ProjectionFlavor, _h10_local, h10_project_from_source,
                          mesh_quadrature, pair_functionals, source_rule_points,
@@ -245,9 +245,10 @@ class FineScaleOperator:
     applications, and forms what it needs of the rest on first use.  The
     lifted functionals are exact and evaluated on demand: for L2 in closed
     form from the dual moments, for H10 the functionals themselves.  The
-    Gram is SPD for both flavors and Cholesky-factored on the first solve,
-    which H10 reconstructions never need; an H10 operator forms no Gram
-    unless it is read, as its condition number is the stiffness's.
+    Gram is SPD for both flavors, as the build's `gram_cond` check
+    confirms, and L2 reconstructions solve with it, which H10 ones never
+    need; an H10 operator forms no Gram unless it is read, as its
+    condition number is the stiffness's.
     `quad_points` is the reconstructions' source rule.
     """
 
@@ -270,26 +271,29 @@ class FineScaleOperator:
 
         For L2 it is in closed form from the dual moments (`_l2_gram`).
         For H10 the lifts are the functionals K^{-1} psi, so their H10
-        pairing is K^{-1} K K^{-1} = K^{-1}: K assembled here and one
-        solve of the identity, symmetrized, the library's one K solve.
+        pairing is K^{-1} K K^{-1} = K^{-1}: K assembled here, and
+        K^{-1} = L^{-T} L^{-1} from its Cholesky factor L, exactly
+        symmetric and backward stable, the library's one K solve.
         """
         fns = self.functionals
         if self.flavor is ProjectionFlavor.L2:
             return _l2_gram(fns)
-        inverse = SPDMatrix(assemble_stiffness(fns.family)).solve(np.eye(fns.size))
-        return 0.5 * (inverse + inverse.T)
+        inv_factor = np.linalg.solve(np.linalg.cholesky(assemble_stiffness(fns.family)),
+                                     np.eye(fns.size))
+        return inv_factor.T @ inv_factor
 
     @functools.cached_property
     def gram_cond(self) -> float:
         """The Gram's 2-norm condition number, from the extreme eigenvalues
         of the symmetric L2 Gram, or for H10 of the stiffness K, as the H10
-        Gram is K^{-1}."""
+        Gram is K^{-1}; inf unless every eigenvalue is positive, so the
+        build's check also guards the SPD solves."""
         l2 = self.flavor is ProjectionFlavor.L2
         mat = self.gram if l2 else assemble_stiffness(self.functionals.family)
         if not np.all(np.isfinite(mat)):
             return np.inf
-        eig = np.abs(np.linalg.eigvalsh(mat))
-        return float(eig.max() / eig.min()) if eig.min() > 0.0 else np.inf
+        eig = np.linalg.eigvalsh(mat)
+        return float(eig[-1] / eig[0]) if eig[0] > 0.0 else np.inf
 
     def lifted_tab(self, x) -> np.ndarray:
         """Tabulate every lifted functional at x; shape (len(x), size)."""
@@ -315,12 +319,8 @@ class FineScaleOperator:
         cols, vals = element_tab(family, SpaceKind.NODAL, x)
         return np.einsum("ij,ij...->i...", vals, coeffs[cols])
 
-    @functools.cached_property
-    def _gram_spd(self) -> SPDMatrix:
-        return SPDMatrix(self.gram)
-
     def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
-        return self._gram_spd.solve(rhs)
+        return np.linalg.solve(self.gram, rhs)
 
 
 def build_fine_scale_operator(kernel: GreensKernel1D, fns: DualFunctionals,

@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .basis1d import BasisFamily, Mesh1D, basis_family, tabulate_nodal
-from .dualspace import SPDMatrix, assemble_mass, assemble_stiffness
+from .dualspace import assemble_mass, assemble_stiffness
 from .kernels import DEFAULT_SERIES_TERMS, _check_unit_mesh, _damped_green_apply
 from .projection import mesh_quadrature, source_rule_points
 from .quadrature import composite_rule, gauss_legendre_rule
@@ -90,12 +90,15 @@ def _generalized_eigh(a: np.ndarray, b: np.ndarray, name: str) -> tuple[np.ndarr
     Through b = L L^T this is the standard problem of L^-1 a L^-T,
     symmetrized against rounding, whose eigenvectors Y give W = L^-T Y.
     """
-    chol = SPDMatrix(b)
-    reduced = chol.substitute(chol.substitute(a).T)
+    try:
+        chol = np.linalg.cholesky(b)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"{name} not positive definite") from exc
+    reduced = np.linalg.solve(chol, np.linalg.solve(chol, a).T)
     theta, reduced_vecs = np.linalg.eigh(0.5 * (reduced + reduced.T))
     if theta[0] <= 0.0:
         raise ValueError(f"{name} not positive definite")
-    return theta, chol.substitute(reduced_vecs, transpose=True)
+    return theta, np.linalg.solve(chol.T, reduced_vecs)
 
 
 def build_dual_functionals_2d(mesh: Mesh2D) -> DualFunctionals2D:

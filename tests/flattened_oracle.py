@@ -28,7 +28,8 @@ one direct quadrature per point (`lift_functionals_direct`), the
 pairing alone of a source (`apply_dual_green`), the reconstruction
 functions from the lift table and the Gram (`resolved_basis_reproduction`),
 the global edge mass, the oracle for the element-local dual solves
-(`edge_mass`), and the nodal points (`nodal_points`).  So do the pieces
+(`edge_mass`), the nodal points (`nodal_points`) and the dense SPD solve
+by scipy's Cholesky factor (`spd_solve`).  So do the pieces
 that only these oracles and the tests read: the Poisson kernel's two
 derivatives (`poisson_green_dx`, `poisson_green_ds`), the element-local
 Dirichlet kernel (`element_green`), the lifts' x-derivatives (`lift_dx`) and the
@@ -53,11 +54,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from fsgreens.basis1d import (BasisFamily, Field, SpaceKind, _element_cols, _locate,
                               _reference_edge_tab, field_eval, lagrange_tab, pair_basis,
                               tabulate_nodal)
-from fsgreens.dualspace import SPDMatrix, _assemble_gram, assemble_stiffness, partial_moments
+from fsgreens.dualspace import _assemble_gram, assemble_stiffness, partial_moments
 from fsgreens.finescale import (FineScaleOperator, SourceTerm, _annihilated, _field_pairing,
                                 _green_and_pairing, _lift)
 from fsgreens.kernels import (_BLOCK_POINTS, GreensKernel1D, _check_unit_domain,
@@ -65,6 +67,12 @@ from fsgreens.kernels import (_BLOCK_POINTS, GreensKernel1D, _check_unit_domain,
 from fsgreens.projection import (DualFunctionals, ProjectionFlavor, interior_field,
                                  mesh_quadrature, source_rule_points, tabulate_functionals)
 from fsgreens.quadrature import composite_rule, gauss_legendre_rule, map_rule, sorted_unique
+
+
+def spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """matrix^{-1} rhs for an SPD matrix by scipy's Cholesky factor, the
+    tests' linear-algebra reference: the library itself loads no scipy."""
+    return cho_solve(cho_factor(matrix), rhs)
 
 
 def poisson_green_dx(x, s):
@@ -352,7 +360,7 @@ def functional_load(fns: DualFunctionals):
     deriv_a = global_h10_tabulate(fns, np.array([a]), deriv=1)[0]
     deriv_b = global_h10_tabulate(fns, np.array([b]), deriv=1)[0]
     # interface strengths are the derivative jumps, left minus right
-    jumps = -SPDMatrix(assemble_stiffness(fns.family)).solve(nodal_deriv_jumps(fns.family).T).T
+    jumps = -spd_solve(assemble_stiffness(fns.family), nodal_deriv_jumps(fns.family).T).T
     strengths = np.vstack([-deriv_a, jumps, deriv_b])
     return smooth, mesh.boundaries.copy(), strengths
 
@@ -429,14 +437,14 @@ def global_h10_tabulate(fns: DualFunctionals, x, deriv: int = 0) -> np.ndarray:
     """Every H10 functional K^{-1} psi^(deriv) at x: the interior nodal basis
     pushed through K by solves; shape (len(x), n)."""
     tab = tabulate_nodal(fns.family, x, deriv=deriv)[:, 1:-1]
-    return SPDMatrix(assemble_stiffness(fns.family)).solve(tab.T).T
+    return spd_solve(assemble_stiffness(fns.family), tab.T).T
 
 
 def global_h10_pair(fns: DualFunctionals, x, values, deriv: int = 0) -> np.ndarray:
     """global_h10_tabulate(fns, x, deriv).T @ values with no (points x N p)
     table: the interior nodal basis paired first, then one solve with K."""
     paired = pair_basis(fns.family, SpaceKind.NODAL, x, values, deriv)[1:-1]
-    return SPDMatrix(assemble_stiffness(fns.family)).solve(paired)
+    return spd_solve(assemble_stiffness(fns.family), paired)
 
 
 def global_h10_project_values(fns: DualFunctionals, u, quad_points: int | None = None,
@@ -459,7 +467,7 @@ def global_h10_project_values(fns: DualFunctionals, u, quad_points: int | None =
     # I u at each element's first p GLL nodes
     t = 0.5 * (family.ref_nodes[:-1] + 1.0)
     linear = np.ravel(vertex[:-1, None] * (1.0 - t) + vertex[1:, None] * t)
-    return linear[1:] + SPDMatrix(assemble_stiffness(family)).solve(paired)
+    return linear[1:] + spd_solve(assemble_stiffness(family), paired)
 
 
 def global_h10_project(fns: DualFunctionals, f, f_prime=None, quad_points: int | None = None,

@@ -656,13 +656,19 @@ def test_write_table_without_an_extended_long_double(tmp_path, monkeypatch):
     ("basis", "--a", "nan"),
     ("dual", "--a", "1", "--b", "0"),
     ("dual", "--b", "inf"),
+    # finite ends whose width b - a overflows
+    ("basis", "--a", "-1e308", "--b", "1e308"),
+    ("dual", "--a", "-1e308", "--b", "1e308"),
 ])
 def test_bad_interval_and_source_point_exit_two(tmp_path, capsys, argv):
+    # the usage line is the whole report: a numpy warning raises here
     out = tmp_path / "bad.csv"
-    with pytest.raises(SystemExit) as err:
+    with pytest.raises(SystemExit) as err, warnings.catch_warnings():
+        warnings.simplefilter("error")
         _run(tmp_path, *argv, "--out", str(out))
     assert err.value.code == 2
-    assert "error" in capsys.readouterr().err
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith("fsgreens")
     assert not out.exists()
 
 

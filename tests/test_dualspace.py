@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 
 from fsgreens.basis1d import (Mesh1D, SpaceKind, _reference_edge_tab, basis_family, tabulate_edge,
                               tabulate_nodal)
-from fsgreens.dualspace import (DualSet, SPDMatrix, _reference_gram, assemble_mass,
-                                assemble_stiffness, tabulate_duals)
+from fsgreens.dualspace import (DualSet, _reference_gram, assemble_mass, assemble_stiffness,
+                                tabulate_duals)
+from fsgreens.finescale import build_fine_scale_operator
+from fsgreens.kernels import GreensKernel1D
 from fsgreens.projection import ProjectionFlavor, build_dual_functionals, tabulate_functionals
 from fsgreens.quadrature import composite_rule, gauss_legendre_rule
 
-from flattened_oracle import edge_mass
+from flattened_oracle import edge_mass, spd_solve
 
 MESH_CASES = [(1, 1), (2, 3), (5, 4)]
 
@@ -64,56 +66,51 @@ def test_biorthogonality(num_elements, degree):
     assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-10
 
 
-def test_spd_matrix_rejects_asymmetric_and_indefinite():
-    with pytest.raises(ValueError, match="symmetric"):
-        SPDMatrix(np.array([[2.0, 1.0], [0.0, 2.0]]))
-    with pytest.raises(ValueError, match="positive definite"):
-        SPDMatrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
-
-
-def _spd(n, seed):
-    a = np.random.default_rng(seed).standard_normal((n, n))
-    return a @ a.T + n * np.eye(n)
-
-
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
 @pytest.mark.parametrize("columns", [None, 7])
 def test_spd_solve_matches_cho_solve(n, columns):
-    # scipy is a test-only oracle: the library itself loads no scipy module
-    from scipy.linalg import cho_factor, cho_solve
-
-    matrix = _spd(n, seed=n)
-    shape = (n,) if columns is None else (n, columns)
-    rhs = np.random.default_rng(n + 1).standard_normal(shape)
-    want = cho_solve(cho_factor(matrix), rhs)
-    got = SPDMatrix(matrix).solve(rhs)
-    assert got.shape == want.shape
+    # a dual edge set solves with the global nodal mass, SPD and of size
+    # 3 n + 1 on n elements at p = 3, one column per point: at one point
+    # or at seven, against scipy's Cholesky solve (a test-only oracle: the
+    # library itself loads no scipy module).  n runs from one element to a
+    # 601-wide system; 63-65 are ordinary mid-size meshes here, their ids
+    # kept from the retired blocked substitution's block edge
+    family = basis_family(Mesh1D.uniform(0.0, 1.0, n, 3))
+    x = 0.3 if columns is None else np.random.default_rng(n).uniform(0.0, 1.0, columns)
+    got = tabulate_duals(DualSet(family, SpaceKind.DUAL_EDGE), x)
+    want = spd_solve(assemble_mass(family), tabulate_nodal(family, x).T).T
+    assert got.shape == want.shape == (np.size(x), 3 * n + 1)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_spd_solve_matches_cho_solve_on_a_fine_mesh_stiffness():
-    # cond(K) is 4.7e6 at N=640, p=4, so solutions carry rounding up to
+    # the H10 Gram is K^{-1}, the library's one solve with the stiffness.
+    # cond(K) is 4.7e6 at N=640, p=4, so the inverse carries rounding up to
     # about 1e-9 (relative): cho_solve's upper and lower factors already
     # differ by 3e-11.  The solve must be backward stable and agree with
     # cho_solve a decade inside that bound.
-    from scipy.linalg import cho_factor, cho_solve
+    family = basis_family(Mesh1D.uniform(0.0, 1.0, 640, 4))
+    entries = assemble_stiffness(family)
+    op = build_fine_scale_operator(GreensKernel1D.poisson(),
+                                   build_dual_functionals(family, ProjectionFlavor.H10))
+    identity = np.eye(entries.shape[0])
+    scale = np.max(np.abs(op.gram))
+    assert np.max(np.abs(entries @ op.gram - identity)) <= 1e-14 * np.max(np.abs(entries)) * scale
+    assert np.max(np.abs(op.gram - spd_solve(entries, identity))) <= 1e-10 * scale
 
-    entries = assemble_stiffness(basis_family(Mesh1D.uniform(0.0, 1.0, 640, 4)))
-    stiffness = SPDMatrix(entries)
-    rhs = np.random.default_rng(0).standard_normal((entries.shape[0], 3))
+
+def test_l2_gram_solve_matches_cho_solve_on_a_fine_mesh():
+    # the L2 reconstructions' Gram solve, at N=320, p=4 where cond(Gram)
+    # is 8.1e6, to the bounds of the stiffness's solve above
+    family = basis_family(Mesh1D.uniform(0.0, 1.0, 320, 4))
+    op = build_fine_scale_operator(GreensKernel1D.poisson(),
+                                   build_dual_functionals(family, ProjectionFlavor.L2))
+    rhs = np.random.default_rng(0).standard_normal((op.size, 3))
     for side in (rhs, rhs[:, 0]):
-        want = cho_solve(cho_factor(entries), side)
-        got = stiffness.solve(side)
+        got = op.solve_gram(side)
         scale = np.max(np.abs(got))
-        assert np.max(np.abs(entries @ got - side)) <= 1e-14 * np.max(np.abs(entries)) * scale
-        assert np.max(np.abs(got - want)) <= 1e-10 * scale
-
-
-def test_spd_matrix_rejects_an_indefinite_matrix_wider_than_a_block():
-    matrix = _spd(65, seed=3)
-    matrix[64, 64] = -1.0
-    with pytest.raises(ValueError, match="positive definite"):
-        SPDMatrix(matrix)
+        assert np.max(np.abs(op.gram @ got - side)) <= 1e-14 * np.max(np.abs(op.gram)) * scale
+        assert np.max(np.abs(got - spd_solve(op.gram, side))) <= 1e-10 * scale
 
 
 def test_dual_set_forms_its_mass_on_first_use():
@@ -128,7 +125,7 @@ def test_dual_set_forms_its_mass_on_first_use():
         assert "mass" not in vars(duals)
         tabulate_duals(duals, x)
         assert "mass" in vars(duals)
-        np.testing.assert_array_equal(duals.mass.entries, want)
+        np.testing.assert_array_equal(duals.mass, want)
     with pytest.raises(ValueError):
         DualSet(family, SpaceKind.NODAL)
 
@@ -138,7 +135,7 @@ def test_dual_nodal_set_holds_only_the_reference_edge_mass():
     # edge mass is all the set solves with, whatever the mesh
     family = basis_family(Mesh1D.uniform(0.0, 1.0, 640, 4))
     duals = DualSet(family, SpaceKind.DUAL_NODAL)
-    assert duals.mass.entries.shape == (4, 4)
+    assert duals.mass.shape == (4, 4)
     assert duals.size == 2560
 
 

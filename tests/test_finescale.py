@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fsgreens import dualspace, kernels
+from fsgreens import finescale, kernels
 from fsgreens.basis1d import (Field, Mesh1D, SpaceKind, basis_family, field_eval, tabulate_edge,
                               tabulate_nodal)
-from fsgreens.dualspace import SPDMatrix, _reference_duals, assemble_stiffness, tabulate_duals
+from fsgreens.dualspace import _reference_duals, assemble_stiffness, tabulate_duals
 from fsgreens.cases import advdiff_const_case, boundary_layer_breakpoints, sin2pix_case
 from fsgreens.finescale import (
     SourceTerm,
@@ -39,7 +40,7 @@ from flattened_oracle import (_poisson_apply, apply_dual_green, edge_mass,
                               element_endpoint_values, element_green, flattened, functional_load,
                               global_h10_pair, global_h10_tabulate, lift_dx,
                               lift_functionals_direct, nodal_points, pair_naive, reconstruct_flat,
-                              resolved_basis_reproduction)
+                              resolved_basis_reproduction, spd_solve)
 
 KERNEL = GreensKernel1D.poisson()
 CASE = sin2pix_case()
@@ -252,10 +253,11 @@ def test_gram_h10_equals_inverse_stiffness():
 
 
 def test_a_cholesky_factor_is_formed_only_where_a_solve_reads_it(monkeypatch):
-    # the assembled mass and stiffness are plain arrays, factored only where
-    # a solve follows: the H10 build takes gram_cond from K's eigenvalues,
-    # the 2D duals factor the 1D mass of their eigenproblem, the sweep's
-    # step norm the nodal mass, and the H10 Gram K, for its one K solve
+    # every solve is np.linalg.solve, so a Cholesky factor is formed only
+    # where it is read: the 2D duals reduce their eigenproblem through the
+    # factor of the 1D mass, the sweep's step norm is a norm of the nodal
+    # mass's factor, and the H10 Gram is L^{-T} L^{-1} from K's factor L;
+    # the H10 build takes gram_cond from K's eigenvalues
     calls = []
     cholesky = np.linalg.cholesky
 
@@ -276,6 +278,26 @@ def test_a_cholesky_factor_is_formed_only_where_a_solve_reads_it(monkeypatch):
     problem = AdvDiffProblem(1.0, 0.05, lambda x: np.ones_like(x))
     assert count(lambda: make_workspace(problem, fns, op)) == 1
     assert count(lambda: op.gram) == 1
+
+
+@pytest.mark.parametrize("flavor", list(ProjectionFlavor))
+@pytest.mark.parametrize("defect", ["negated", "singular"])
+def test_build_rejects_a_gram_that_is_not_positive_definite(monkeypatch, flavor, defect):
+    # the build's condition check is the guard of the SPD solves: a negated
+    # L2 Gram or stiffness K has the extreme eigenvalue magnitudes of the
+    # true one, and a singular one a zero eigenvalue; both read as inf
+    def broken(matrix):
+        if defect == "negated":
+            return -matrix
+        low = np.linalg.eigh(matrix)[1][:, 0]
+        return matrix - np.linalg.eigvalsh(matrix)[0] * np.outer(low, low)
+
+    name = "_l2_gram" if flavor is ProjectionFlavor.L2 else "assemble_stiffness"
+    real = getattr(finescale, name)
+    monkeypatch.setattr(finescale, name, lambda arg: broken(real(arg)))
+    fns = build_dual_functionals(basis_family(Mesh1D.uniform(0.0, 1.0, 4, 3)), flavor)
+    with pytest.raises(ValueError, match="singular dual Gram"):
+        build_fine_scale_operator(KERNEL, fns)
 
 
 def test_gram_l2_pairings_against_quadrature_oracle():
@@ -371,10 +393,11 @@ def test_h10_build_and_reconstruction_form_no_gram():
 
 
 def test_l2_build_and_reconstruction_hold_a_few_gram_sized_arrays():
-    # the Gram and its Cholesky factor, the symmetry check taking row
-    # blocks: 2.14 Gram sizes measured at N = 320, p = 4, against 3.0 when
-    # the check formed two Gram-sized temporaries and 9.8 when the lifts
-    # went through dense (points x N p) dual tables
+    # the Gram and the one Gram-sized temporary of its closed form (the
+    # outer product's upper triangle): 2.14 Gram sizes measured at N = 320,
+    # p = 4, against 9.8 when the lifts went through dense (points x N p)
+    # dual tables.  tracemalloc does not see the LAPACK workspaces of
+    # np.linalg, so the check's and the solve's copies are not counted
     import tracemalloc
 
     family = basis_family(Mesh1D.uniform(0.0, 1.0, 320, 4))
@@ -682,10 +705,10 @@ def test_element_local_duals_match_dense_mass_solve(case):
     mesh, x = case
     family = basis_family(mesh)
     duals = build_dual_functionals(family, ProjectionFlavor.L2).duals
-    mass = SPDMatrix(edge_mass(family))
+    mass = edge_mass(family)
     # derivatives of order p or more vanish: their tables are rounding noise
     for deriv in range(min(mesh.degree, 3)):
-        want = mass.solve(tabulate_edge(family, x, deriv=deriv).T).T
+        want = spd_solve(mass, tabulate_edge(family, x, deriv=deriv).T).T
         assert _rel_err(tabulate_duals(duals, x, deriv=deriv), want) < 1e-12
 
 
@@ -695,8 +718,8 @@ def test_element_local_l2_lifts_match_dense_primitive(case):
     mesh, x = case
     family = basis_family(mesh)
     fns = build_dual_functionals(family, ProjectionFlavor.L2)
-    mass = SPDMatrix(edge_mass(family))
-    dense = lambda s: mass.solve(tabulate_edge(family, s).T).T
+    mass = edge_mass(family)
+    dense = lambda s: spd_solve(mass, tabulate_edge(family, s).T).T
     for deriv in (0, 1):
         want = _poisson_apply(dense, x, mesh.boundaries, 20, deriv)
         assert _rel_err((_lift, lift_dx)[deriv](fns, x), want) < 1e-12
@@ -1038,8 +1061,10 @@ def test_every_entry_point_rejects_a_mesh_past_one(entry):
 
 
 def test_h10_projections_and_reconstructions_solve_no_global_stiffness(monkeypatch):
-    # with every SPD solve raising, each H10 call gives the bytes it gives
-    # with the solve intact, and only the Gram, K^{-1}, reaches a solve
+    # with the stiffness K raising once the operator is built (its build
+    # reads K's eigenvalues for gram_cond), under every name any fsgreens
+    # module holds it by, each H10 call gives the bytes it gives with K
+    # intact, and only the Gram, K^{-1}, reaches K
     family = basis_family(_jittered_mesh(6, 3))
     other = basis_family(Mesh1D.uniform(0.0, 1.0, 4, 2))
     case = advdiff_const_case(1.0, 0.1)
@@ -1047,35 +1072,44 @@ def test_h10_projections_and_reconstructions_solve_no_global_stiffness(monkeypat
     layer = boundary_layer_breakpoints(1.0, 0.1)
     grid = np.linspace(0.0, 1.0, 57)
 
-    def run():
+    def build():
         fns = build_dual_functionals(family, ProjectionFlavor.H10)
-        op = build_fine_scale_operator(KERNEL, fns)
+        return fns, build_fine_scale_operator(KERNEL, fns)
+
+    def run(fns, op):
         u_bar = h10_project_from_source(fns, CASE.source)
         with_grad = project(fns, case.solution, case.gradient, breakpoints=layer)
         other_field = h10_project_from_source(
             build_dual_functionals(other, ProjectionFlavor.H10), CASE.source)
         points = SourceTerm(point_sources=((0.3, 1.0), (0.55, -0.4), (1.0 / 6.0, 0.2)))
         state = iterate(problem, fns, op, max_iter=40)
-        return op, [u_bar.coeffs, project(fns, CASE.solution).coeffs,
-                    project(fns, CASE.solution, CASE.gradient).coeffs, with_grad.coeffs,
-                    reconstruct_fine_scales(op, residual_from_field(u_bar, CASE.source), grid),
-                    reconstruct_fine_scales(op, points, grid),
-                    reconstruct_fine_scales(op, residual_from_field(other_field, CASE.source),
-                                            grid),
-                    reconstruct_with_exact_gradient(op, problem, with_grad, case.gradient, grid,
-                                                    layer),
-                    fine_scale_eval(op, grid, grid),
-                    *(tabulate_functionals(fns, grid, deriv) for deriv in range(3)),
-                    make_workspace(problem, fns, op).sweep,
-                    state.u_bar.coeffs, state.fine_values]
+        return [u_bar.coeffs, project(fns, CASE.solution).coeffs,
+                project(fns, CASE.solution, CASE.gradient).coeffs, with_grad.coeffs,
+                reconstruct_fine_scales(op, residual_from_field(u_bar, CASE.source), grid),
+                reconstruct_fine_scales(op, points, grid),
+                reconstruct_fine_scales(op, residual_from_field(other_field, CASE.source),
+                                        grid),
+                reconstruct_with_exact_gradient(op, problem, with_grad, case.gradient, grid,
+                                                layer),
+                fine_scale_eval(op, grid, grid),
+                *(tabulate_functionals(fns, grid, deriv) for deriv in range(3)),
+                make_workspace(problem, fns, op).sweep,
+                state.u_bar.coeffs, state.fine_values]
 
-    _, want = run()
+    want = run(*build())
+    fns, op = build()
 
-    def no_solve(self, rhs):
-        raise AssertionError("a solve with the global stiffness K")
+    def no_stiffness(family):
+        raise AssertionError("the global stiffness K")
 
-    monkeypatch.setattr(dualspace.SPDMatrix, "solve", no_solve)
-    op, got = run()
+    patched = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fsgreens") and \
+                getattr(module, "assemble_stiffness", None) is assemble_stiffness:
+            monkeypatch.setattr(module, "assemble_stiffness", no_stiffness)
+            patched.append(name)
+    assert {"fsgreens.dualspace", "fsgreens.finescale"} <= set(patched)
+    got = run(fns, op)
     for g, w in zip(got, want, strict=True):
         np.testing.assert_array_equal(g, w)
     with pytest.raises(AssertionError, match="global stiffness"):

@@ -180,8 +180,10 @@ def test_generalized_eigh_rejects_indefinite_pencils():
     assert np.max(np.abs(w.T @ spd @ w - np.diag(theta))) < 1e-15
     with pytest.raises(ValueError, match="pencil not positive definite"):
         poisson2d._generalized_eigh(-spd, np.eye(2), "pencil")
-    with pytest.raises(ValueError, match="not positive definite"):
-        poisson2d._generalized_eigh(spd, np.diag([1.0, -1.0]), "pencil")
+    # an indefinite or negative definite b has no Cholesky factor
+    for b in (np.diag([1.0, -1.0]), -np.eye(2)):
+        with pytest.raises(ValueError, match="pencil not positive definite"):
+            poisson2d._generalized_eigh(spd, b, "pencil")
 
 
 def test_duals_need_an_interior_node():

@@ -13,7 +13,7 @@ from fsgreens.basis1d import (
     tabulate_nodal,
 )
 from fsgreens.cases import sin2pix_case
-from fsgreens.dualspace import SPDMatrix, assemble_stiffness
+from fsgreens.dualspace import assemble_stiffness
 from fsgreens.projection import (
     ProjectionFlavor,
     build_dual_functionals,
@@ -27,7 +27,7 @@ from fsgreens.projection import (
 from fsgreens.quadrature import composite_rule, gauss_legendre_rule
 
 from flattened_oracle import (edge_mass, global_h10_pair, global_h10_project,
-                              global_h10_tabulate, nodal_deriv_jumps)
+                              global_h10_tabulate, nodal_deriv_jumps, spd_solve)
 
 CASE = sin2pix_case()
 
@@ -149,15 +149,13 @@ def test_equivalence_with_normal_equations(family):
     # L2: edge mass system
     fns = build_dual_functionals(family, ProjectionFlavor.L2)
     fld = project(fns, CASE.solution)
-    mass = SPDMatrix(edge_mass(family))
     rhs = tabulate_edge(family, x).T @ (w * CASE.solution(x))
-    assert np.max(np.abs(fld.coeffs - mass.solve(rhs))) < 1e-9
+    assert np.max(np.abs(fld.coeffs - spd_solve(edge_mass(family), rhs))) < 1e-9
     # H10: interior stiffness system
     fns = build_dual_functionals(family, ProjectionFlavor.H10)
     fld = project(fns, CASE.solution, CASE.gradient)
-    stiff = SPDMatrix(assemble_stiffness(family))
     rhs = tabulate_nodal(family, x, deriv=1)[:, 1:-1].T @ (w * CASE.gradient(x))
-    assert np.max(np.abs(fld.coeffs[1:-1] - stiff.solve(rhs))) < 1e-9
+    assert np.max(np.abs(fld.coeffs[1:-1] - spd_solve(assemble_stiffness(family), rhs))) < 1e-9
 
 
 def test_h10_rejects_nonzero_boundary_values(family):
@@ -363,7 +361,7 @@ def test_h10_pair_then_solve_projections_match_table_first(mesh, shift):
     want = -global_h10_tabulate(fns, x, deriv=2).T @ (w * u(x))
     interfaces = mesh.boundaries[1:-1]
     if interfaces.size:
-        jumps = -SPDMatrix(assemble_stiffness(family)).solve(nodal_deriv_jumps(family).T).T
+        jumps = -spd_solve(assemble_stiffness(family), nodal_deriv_jumps(family).T).T
         want += jumps.T @ u(interfaces)
     assert _rel_err(project(fns, u).coeffs[1:-1], want) <= 1e-12
 
