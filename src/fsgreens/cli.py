@@ -546,10 +546,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse reads only forms like -1 and -.5 as numbers and -1e-3 as an
-    # option; no option here starts with a digit, so join such a token to its flag
+    # argparse reads -1e-3 and float's -inf, -infinity and -nan (any case) as options,
+    # and no option here is named like one, so join such a token to its flag
+    number = re.compile(r"-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
     for i in range(len(argv) - 1, 0, -1):
-        if re.match(r"-\.?\d", argv[i]) and re.fullmatch(r"--[^=]+", argv[i - 1]):
+        if number.match(argv[i]) and re.fullmatch(r"--[^=]+", argv[i - 1]):
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
     if "quad_points" in vars(args) and args.quad_points is None:

@@ -29,8 +29,8 @@ each to the rounding of the Green's primitive.  A field of the H10 space
 (nodal, of the operator's family, zero at both ends) is skipped, as its
 two terms cancel (criterion 05); an edge field has no H10 pairing.  The
 kernel is self-adjoint, so the representers (duals G) are the lifts
-(G duals), for H10 the element-local functional tables.  The H10 Gram is
-K^{-1} and its condition number K's, K assembled only where they are read.
+(G duals), for H10 the element-local functional tables, whose values at the
+interior GLL nodes are the H10 Gram K^{-1}; K is assembled only for its eigenvalues.
 
 Smooth sources go through the Green's primitive of `kernels` at k = 0, two
 running sums of Gauss rules cut at the mesh, the source's kinks and every
@@ -271,16 +271,19 @@ class FineScaleOperator:
 
         For L2 it is in closed form from the dual moments (`_l2_gram`).
         For H10 the lifts are the functionals K^{-1} psi, so their H10
-        pairing is K^{-1} K K^{-1} = K^{-1}: K assembled here, and
-        K^{-1} = L^{-T} L^{-1} from its Cholesky factor L, exactly
-        symmetric and backward stable, the library's one K solve.
+        pairing is K^{-1} K K^{-1} = K^{-1}, which is their table at the
+        interior GLL nodes, psi_k being delta_kj there: element-local
+        (`tabulate_functionals`) and symmetrized, with no K formed or solved.
         """
         fns = self.functionals
         if self.flavor is ProjectionFlavor.L2:
             return _l2_gram(fns)
-        inv_factor = np.linalg.solve(np.linalg.cholesky(assemble_stiffness(fns.family)),
-                                     np.eye(fns.size))
-        return inv_factor.T @ inv_factor
+        family = fns.family
+        elem = np.arange(family.mesh.num_elements)
+        nodes = family.mesh.boundaries[elem, None] \
+            + family.mesh.jacobian(elem)[:, None] * (1.0 + family.ref_nodes[:-1])
+        table = tabulate_functionals(fns, nodes.ravel()[1:])
+        return 0.5 * (table + table.T)
 
     @functools.cached_property
     def gram_cond(self) -> float:
@@ -342,21 +345,17 @@ def build_fine_scale_operator(kernel: GreensKernel1D, fns: DualFunctionals,
 def fine_scale_eval(op: FineScaleOperator, x, s) -> np.ndarray:
     """Evaluate the fine-scale kernel on the grid x (rows) by s (columns).
 
-    The representers at s are the lifts there.  When x is s the L2
-    resolved part L Gram^{-1} L^T comes from that one table, symmetrized
-    as the kernel is.  The H10 fine-scale kernel is each element's own
-    Green's function, so it is exactly zero where x and s lie in different
-    elements or either lies on a mesh node.
+    The representers at s are the lifts there, and the resolved part at x
+    their reconstruction (`FineScaleOperator.resolved`).  When x is s the
+    surface is symmetrized, as the kernel is.  The H10 fine-scale kernel is
+    each element's own Green's function, so it is exactly zero where x and
+    s lie in different elements or either lies on a mesh node.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     ss = np.atleast_1d(np.asarray(s, dtype=float))
-    full = op.kernel(xs[:, None], ss[None, :])
-    rep = op.lifted_tab(ss)
-    if op.flavor is ProjectionFlavor.L2 and np.array_equal(xs, ss):
-        resolved = rep @ op.solve_gram(rep.T)
-        out = full - 0.5 * (resolved + resolved.T)
-    else:
-        out = full - op.resolved(xs, rep.T)
+    out = op.kernel(xs[:, None], ss[None, :]) - op.resolved(xs, op.lifted_tab(ss).T)
+    if np.array_equal(xs, ss):
+        out = 0.5 * (out + out.T)
     if op.flavor is ProjectionFlavor.H10:
         bounds = op.functionals.family.mesh.boundaries
         # the element holding each point, -1 on a node

@@ -13,7 +13,7 @@ In 1D the H10 projection interpolates u at the mesh vertices (Tong, AIAA J.
 7(1), 1969), so nothing here assembles or solves with the global stiffness
 K: ū, and a functional table, the projection of a kernel column, are vertex
 values plus each element's bubbles (`_h10_local`), with no cond(K) eps.
-K is assembled in `dualspace` and factored only for the H10 Gram.
+K is assembled in `dualspace` for its eigenvalues only, never factored.
 """
 
 from __future__ import annotations

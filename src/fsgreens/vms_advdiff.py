@@ -37,14 +37,14 @@ from typing import Callable
 
 import numpy as np
 
-from .basis1d import (BasisFamily, Field, SpaceKind, _barycentric_weights, _differentiation_matrix,
-                      _lagrange_tab, _locate, pair_basis, tabulate_nodal)
+from .basis1d import (BasisFamily, Field, _barycentric_weights, _differentiation_matrix,
+                      _lagrange_tab, _locate, tabulate_nodal)
 from .cases import boundary_layer_breakpoints
 from .dualspace import assemble_mass
 from .finescale import FineScaleOperator, SourceTerm, reconstruct_fine_scales
 from .kernels import _damped_green_apply
-from .projection import (DualFunctionals, ProjectionFlavor, _h10_local, interior_field,
-                         mesh_quadrature, tabulate_functionals)
+from .projection import (DualFunctionals, ProjectionFlavor, h10_project_from_source,
+                         interior_field, mesh_quadrature, tabulate_functionals)
 from .quadrature import _piece_ends, gauss_legendre_rule, sorted_unique
 
 DEFAULT_FINE_GRID = 2001
@@ -170,8 +170,8 @@ class _Workspace:
     integrals of its Lagrange basis scaled by half the cell width.  The H10
     reconstruction functions are the interior nodal basis
     (`FineScaleOperator.resolved`), so R is psi; mu' is the element-local
-    table, and (mu, f) the H10 projection of G f from its vertex values
-    and the loads (psi, f) on the rule (`_h10_local`), with no K solve.
+    table, and (mu, f) the coefficients of G f's H10 projection on the
+    rule (`h10_project_from_source`), with no K solve.
 
     The residual's diffusive part, the coarse field's distributional
     second derivative, is left out: the fine-scale operator maps it to
@@ -231,9 +231,9 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals,
     x, w = mesh_quadrature(family, q, layer)
 
     psi_tab = tabulate_nodal(family, x)[:, 1:-1]
-    green = _damped_green_apply(problem.source, np.r_[x, mesh.boundaries], mesh.boundaries, q)[0]
-    loads = pair_basis(family, SpaceKind.NODAL, x, w * np.asarray(problem.source(x), dtype=float))
-    coarse_rhs = _h10_local(family, green[x.size:, 0], loads) / problem.diffusion
+    green = _damped_green_apply(problem.source, x, mesh.boundaries, q)[0][:, 0]
+    coarse_rhs = h10_project_from_source(fns, problem.source, q, layer).coeffs[1:-1] \
+        / problem.diffusion
     pairing = ratio * (tabulate_functionals(fns, x, deriv=1).T * w)
     num_cells = cells.size - 1
     cell = np.repeat(np.arange(num_cells), q)
@@ -248,7 +248,7 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals,
     sweep = np.block([
         [np.zeros((fns.size, fns.size)), coarse],
         [fine @ psi_tab, fine,
-         (green[:x.size, 0] / problem.diffusion - psi_tab @ coarse_rhs)[:, None]]])
+         (green / problem.diffusion - psi_tab @ coarse_rhs)[:, None]]])
     if not np.all(np.isfinite(sweep)):
         raise ValueError("the sweep map overflows; c/nu is too large")
     mass = assemble_mass(family)[1:-1, 1:-1]

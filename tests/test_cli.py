@@ -226,6 +226,26 @@ def test_a_negative_number_in_exponent_form_follows_its_option(tmp_path, argv):
     assert json.loads(found[0])["meta"][flag[2:]] == float(value)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("basis", "--a", "-inf"), "the interval needs"),
+    (("basis", "--a", "-NaN"), "the interval needs"),
+    (("dual", "--b", "-INFINITY"), "the interval needs"),
+    (("greens", "--kernel", "advdiff", "--c", "-inf"), "expected a finite nonzero number"),
+    (("greens", "--kernel", "advdiff", "--c", "-Infinity"), "expected a finite nonzero number"),
+    (("greens", "--kernel", "advdiff", "--c", "-nan"), "expected a finite nonzero number"),
+])
+def test_a_negative_infinity_or_nan_reaches_its_option_check(tmp_path, capsys, argv, message):
+    # argparse takes -inf, -infinity and -nan, which float() reads in any
+    # case, for options; joined to the flag before them, they fail the
+    # value's own check, not with "expected one argument"
+    out = tmp_path / "bad.csv"
+    with pytest.raises(SystemExit) as err:
+        _run(tmp_path, *argv, "--out", str(out))
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_default_quadrature_grows_with_degree(tmp_path):
     # the default source rule is max(20, p + 8) points: 32 at p = 24
     for flavor in ("h10", "l2"):

@@ -84,18 +84,20 @@ def test_spd_solve_matches_cho_solve(n, columns):
 
 
 def test_spd_solve_matches_cho_solve_on_a_fine_mesh_stiffness():
-    # the H10 Gram is K^{-1}, the library's one solve with the stiffness.
-    # cond(K) is 4.7e6 at N=640, p=4, so the inverse carries rounding up to
-    # about 1e-9 (relative): cho_solve's upper and lower factors already
-    # differ by 3e-11.  The solve must be backward stable and agree with
-    # cho_solve a decade inside that bound.
+    # the H10 Gram is K^{-1}, formed as the functionals' table at the
+    # interior GLL nodes with no solve.  cond(K) is 4.7e6 at N=640, p=4, so
+    # the inverse carries rounding up to about 1e-9 (relative): cho_solve's
+    # upper and lower factors already differ by 3e-11.  The table must be
+    # backward stable, its residual within 1e-15 (4.7e-16 measured, 2.6e-15
+    # through K's Cholesky factor), and agree with cho_solve a decade
+    # inside that bound.
     family = basis_family(Mesh1D.uniform(0.0, 1.0, 640, 4))
     entries = assemble_stiffness(family)
     op = build_fine_scale_operator(GreensKernel1D.poisson(),
                                    build_dual_functionals(family, ProjectionFlavor.H10))
     identity = np.eye(entries.shape[0])
     scale = np.max(np.abs(op.gram))
-    assert np.max(np.abs(entries @ op.gram - identity)) <= 1e-14 * np.max(np.abs(entries)) * scale
+    assert np.max(np.abs(entries @ op.gram - identity)) <= 1e-15 * np.max(np.abs(entries)) * scale
     assert np.max(np.abs(op.gram - spd_solve(entries, identity))) <= 1e-10 * scale
 
 

@@ -239,9 +239,10 @@ def _gram_meshes(degree):
 
 
 def test_gram_h10_equals_inverse_stiffness():
-    # the Gram, formed as K^{-1}, against two other routes to it: the
-    # pairings of the functionals' derivatives on the exact (p + 1)-point
-    # rule, and the dense inverse of the assembled interior stiffness
+    # the Gram, formed as the functionals' table at the interior GLL nodes,
+    # against two other routes to K^{-1}: the pairings of the functionals'
+    # derivatives on the exact (p + 1)-point rule, and the dense inverse of
+    # the assembled interior stiffness
     for mesh in _gram_meshes(3):
         fns = build_dual_functionals(basis_family(mesh), ProjectionFlavor.H10)
         op = build_fine_scale_operator(KERNEL, fns)
@@ -255,9 +256,10 @@ def test_gram_h10_equals_inverse_stiffness():
 def test_a_cholesky_factor_is_formed_only_where_a_solve_reads_it(monkeypatch):
     # every solve is np.linalg.solve, so a Cholesky factor is formed only
     # where it is read: the 2D duals reduce their eigenproblem through the
-    # factor of the 1D mass, the sweep's step norm is a norm of the nodal
-    # mass's factor, and the H10 Gram is L^{-T} L^{-1} from K's factor L;
-    # the H10 build takes gram_cond from K's eigenvalues
+    # factor of the 1D mass and the sweep's step norm is a norm of the nodal
+    # mass's factor.  The H10 Gram is the functionals' table at the interior
+    # GLL nodes, with no factor, and the H10 build takes gram_cond from K's
+    # eigenvalues
     calls = []
     cholesky = np.linalg.cholesky
 
@@ -277,7 +279,7 @@ def test_a_cholesky_factor_is_formed_only_where_a_solve_reads_it(monkeypatch):
     op = build_fine_scale_operator(KERNEL, fns)
     problem = AdvDiffProblem(1.0, 0.05, lambda x: np.ones_like(x))
     assert count(lambda: make_workspace(problem, fns, op)) == 1
-    assert count(lambda: op.gram) == 1
+    assert count(lambda: op.gram) == 0
 
 
 @pytest.mark.parametrize("flavor", list(ProjectionFlavor))
@@ -514,6 +516,18 @@ def test_symmetric_kernel_for_l2_flavor():
     pts = np.linspace(0.07, 0.93, 9)
     surf = fine_scale_eval(op, pts, pts)
     assert np.max(np.abs(surf - surf.T)) < 1e-9
+
+
+@pytest.mark.parametrize("flavor", list(ProjectionFlavor))
+@pytest.mark.parametrize("num_elements,degree", [(2, 2), (5, 3)])
+def test_kernel_surface_on_one_grid_is_exactly_symmetric(flavor, num_elements, degree):
+    # x = s: the surface is symmetrized as the kernel is, bit for bit under
+    # both flavors; unsymmetrized, the H10 surface was 5.6e-17 off at the
+    # CLI's default N = 2, p = 2 and 1.1e-16 at N = 5, p = 3
+    _, _, op = _setup(num_elements, degree, flavor)
+    x = np.linspace(0.0, 1.0, 41)
+    surf = fine_scale_eval(op, x, x)
+    np.testing.assert_array_equal(surf, surf.T)
 
 
 # ---------------------------------------------------------------------------
@@ -906,8 +920,8 @@ def test_l2_resolved_part_matches_the_lift_table(num_elements):
 
 @pytest.mark.parametrize("num_elements", [2, 20])
 def test_l2_kernel_surface_lifts_the_grid_once(num_elements):
-    # x = s: the resolved part is L Gram^{-1} L^T from one lift table,
-    # symmetric like the kernel, and equal to lifting x and s separately
+    # x = s: the resolved part comes from one lift table, the surface is
+    # symmetric like the kernel, and it equals L Gram^{-1} L^T formed densely
     op = build_fine_scale_operator(KERNEL, build_dual_functionals(
         basis_family(_jittered_mesh(num_elements, 4)), ProjectionFlavor.L2))
     x = np.linspace(0.0, 1.0, 41)
@@ -922,7 +936,8 @@ def test_h10_kernel_surface_is_exactly_zero_off_its_elements(num_elements, degre
     # the H10 fine-scale kernel is each element's Green's function: exactly
     # 0 where x and s lie in different elements or on a node, where the
     # kernel minus the resolved part leaves rounding residue; inside an
-    # element it is that difference, and the L2 surface is untouched
+    # element it is that difference, symmetrized when x is s, and the L2
+    # surface is untouched
     mesh = _jittered_mesh(num_elements, degree)
     family = basis_family(mesh)
     bounds = mesh.boundaries
@@ -940,14 +955,18 @@ def test_h10_kernel_surface_is_exactly_zero_off_its_elements(num_elements, degre
             surf = fine_scale_eval(op, x, s)
             full = op.kernel(x[:, None], s[None, :])
             rep = op.lifted_tab(s)
-            if flavor is ProjectionFlavor.L2:
-                if x is s:
-                    resolved = rep @ op.solve_gram(rep.T)
-                    np.testing.assert_array_equal(surf, full - 0.5 * (resolved + resolved.T))
-                else:
-                    np.testing.assert_array_equal(surf, full - op.resolved(x, rep.T))
-                continue
             unmasked = full - op.resolved(x, rep.T)
+            if x is s:
+                unmasked = 0.5 * (unmasked + unmasked.T)
+            if flavor is ProjectionFlavor.L2:
+                np.testing.assert_array_equal(surf, unmasked)
+                if x is s:
+                    # the dense resolved part L Gram^{-1} L^T from the one table,
+                    # to the rounding of the kernel it cancels (1.5e-16 at N = 20)
+                    resolved = rep @ op.solve_gram(rep.T)
+                    dense = full - 0.5 * (resolved + resolved.T)
+                    assert np.max(np.abs(surf - dense)) <= 1e-14 * np.max(np.abs(full))
+                continue
             mask = inside(x, s)
             assert np.all(surf[~mask] == 0.0) and np.any(unmasked[~mask] != 0.0)
             np.testing.assert_array_equal(surf[mask], unmasked[mask])
@@ -1057,14 +1076,14 @@ def test_every_entry_point_rejects_a_mesh_past_one(entry):
 
 
 # ---------------------------------------------------------------------------
-# no 1D H10 path solves with the global stiffness but the Gram
+# no 1D H10 path solves with the global stiffness
 
 
 def test_h10_projections_and_reconstructions_solve_no_global_stiffness(monkeypatch):
     # with the stiffness K raising once the operator is built (its build
     # reads K's eigenvalues for gram_cond), under every name any fsgreens
-    # module holds it by, each H10 call gives the bytes it gives with K
-    # intact, and only the Gram, K^{-1}, reaches K
+    # module holds it by, each H10 call, the Gram K^{-1} too, gives the
+    # bytes it gives with K intact, and only gram_cond reaches K
     family = basis_family(_jittered_mesh(6, 3))
     other = basis_family(Mesh1D.uniform(0.0, 1.0, 4, 2))
     case = advdiff_const_case(1.0, 0.1)
@@ -1097,6 +1116,7 @@ def test_h10_projections_and_reconstructions_solve_no_global_stiffness(monkeypat
                 state.u_bar.coeffs, state.fine_values]
 
     want = run(*build())
+    want_gram = build()[1].gram
     fns, op = build()
 
     def no_stiffness(family):
@@ -1112,5 +1132,7 @@ def test_h10_projections_and_reconstructions_solve_no_global_stiffness(monkeypat
     got = run(fns, op)
     for g, w in zip(got, want, strict=True):
         np.testing.assert_array_equal(g, w)
+    assert "gram" not in vars(op)
+    np.testing.assert_array_equal(op.gram, want_gram)
     with pytest.raises(AssertionError, match="global stiffness"):
-        op.gram
+        build_fine_scale_operator(KERNEL, fns)
