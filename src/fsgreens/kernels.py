@@ -144,31 +144,31 @@ def _running_sums(c, d):
     return c
 
 
-def _damped_green_apply(density, x, cuts, quad_points: int, rates=0.0, table=None,
+def _damped_green_apply(density, x, cuts, quad_points: int, rates=0.0, pair=None,
                         block_points: int = _BLOCK_POINTS):
-    """G_k f at the points x in [0, 1] and, with a table h, int_0^1 f h, for
-    G_k the Green's operator of -u'' + k^2 u on [0, 1] with zero ends.
+    """G_k f at x in [0, 1], G_k the Green's operator of -u'' + k^2 u, zero ends.
 
     `density(t)` gives one value per point or one column per density, each
-    with its rate k (all 0 or all positive), `cuts` are its kinks and
-    `table(t)` gives one row per point.  The kernel e^{-k |x - s|} E_k(min)
-    E_k(1 - max) / E_k(1) (`_damped`) is semiseparable (Greengard & Rokhlin,
-    CPAM 44, 1991): G_k f = [E_k(1 - x) L + E_k(x) R] / E_k(1), with
-    L = int_0^x e^{-k (x - s)} E_k(s) f and R = int_x^1 e^{-k (s - x)}
-    E_k(1 - s) f.  The Gauss rule is cut at 0, 1, the cuts and every x, so
-    each integral splits at the kink, and each cell into pieces
-    (`_PIECE_DECAY`), one at k = 0.  L and R are running sums of the pieces,
-    damped by e^{-k width} a step (`_running_sums`), read at x: no exponent
-    is positive.  A damped piece carries at least _PIECE_POINTS Gauss
-    points, so callers pass their plain source rule.  Returns G_k f,
-    (len(x), densities), and the moments, (densities, table columns), or 0
-    without a table.
+    with its rate k (all 0 or all positive); `cuts` are its kinks, and NaN
+    raises ValueError.  The kernel e^{-k |x - s|} E_k(min) E_k(1 - max) /
+    E_k(1) (`_damped`) is semiseparable (Greengard & Rokhlin, CPAM 44, 1991):
+    G_k f = [E_k(1 - x) L + E_k(x) R] / E_k(1), L = int_0^x e^{-k (x - s)}
+    E_k(s) f, R = int_x^1 e^{-k (s - x)} E_k(1 - s) f.  The Gauss rule is cut
+    at 0, 1, the cuts and every x, and each cell into pieces (`_PIECE_DECAY`),
+    one at k = 0; L and R are running sums of the pieces, damped by
+    e^{-k width} a step (`_running_sums`), read at x: no exponent is
+    positive.  A damped piece carries at least _PIECE_POINTS Gauss points, so
+    callers pass their plain source rule.  Each block of pieces is tabulated
+    once, and `pair(t, fw)` maps its points and weighted values to a partial
+    pairing.  Returns G_k f, (len(x), densities), and the partials' sum or 0.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _check_unit_domain(x)
     x = np.clip(x, 0.0, 1.0)
     k = np.atleast_1d(np.asarray(rates, dtype=float))
     cells = sorted_unique(np.concatenate(([0.0, 1.0], np.asarray(cuts, dtype=float), x)))
+    if np.isnan(cells[-1]):  # NaN sorts last, and x holds none
+        raise ValueError("a cut of the Green's primitive is NaN")
     cells = cells[(cells >= 0.0) & (cells <= 1.0)]
     damped = k.max() > 0.0
     ends = _piece_ends(cells, np.ceil(k.max() * np.diff(cells) / _PIECE_DECAY).astype(int)) \
@@ -177,13 +177,13 @@ def _damped_green_apply(density, x, cuts, quad_points: int, rates=0.0, table=Non
     step = max(1, block_points // rule.npoints)
     # map_rule's affine map, its midpoints and half widths formed once
     mid, half = 0.5 * (ends[:-1] + ends[1:])[:, None], 0.5 * np.diff(ends)[:, None]
-    parts, moments = [], 0.0
+    parts, pairing = [], 0.0
     for block in range(0, half.size, step):
         h = half[block:block + step]
         t, w = mid[block:block + step] + h * rule.nodes, h * rule.weights
         f = np.asarray(density(t.ravel()), dtype=float).reshape(t.shape + (-1,)) * w[..., None]
-        if table is not None:
-            moments = moments + f.reshape(t.size, -1).T @ table(t.ravel())
+        if pair is not None:
+            pairing = pairing + pair(t.ravel(), f.reshape(t.size, -1))
         # each piece's integral in L at its right end and in R at its left end
         if damped:
             t, lag = t[..., None], -k * h[..., None]
@@ -198,7 +198,7 @@ def _damped_green_apply(density, x, cuts, quad_points: int, rates=0.0, table=Non
     zero, at = np.zeros_like(left[:1]), np.searchsorted(ends, x)
     x, scale = x[:, None], _damped(k, 1.0)
     return (_damped(k, 1.0 - x) / scale * np.concatenate((zero, left))[at]
-            + _damped(k, x) / scale * np.concatenate((right[::-1], zero))[at]), moments
+            + _damped(k, x) / scale * np.concatenate((right[::-1], zero))[at]), pairing
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,13 @@ sine direction is integrated once against high-order per-element rules
 sized to the truncation order and the element width.  Each term's profile
 in the other direction is the Green's function of -d^2/dy^2 + (n pi)^2,
 which the Green's primitive of `kernels` applies to all terms at once, as
-it applies the 1D sources' at rate 0.  Pairings of the
-truncated operator reduce to sums of 1D integrals, keeping the whole
-pipeline consistent with the same truncated kernel the reconstruction
-uses.  The pairing and the convolution need the residual only through its
-sine moments, so they share one tabulation on the primitive's pieces
-(`_green_tables`): each piece lies in one element, where the basis is a
-polynomial, and carries at least the source rule's points (and the
-primitive's floor, `kernels._PIECE_POINTS`).
+it applies the 1D sources' at rate 0.  Pairings of the truncated operator
+reduce to sums of 1D integrals of the kernel the reconstruction uses.  The
+pairing and the convolution need the residual only through its sine
+moments, so the primitive pairs each block of its pieces with the basis as
+it tabulates it (`_green_tables`), as it pairs the 1D H10 loads: each
+piece lies in one element, where the basis is a polynomial, and carries at
+least the source rule's points (and the floor, `kernels._PIECE_POINTS`).
 
 As in 1D the fine-scale operator annihilates the resolved space (Hughes &
 Sangalli, SIAM J. Numer. Anal. 45, 2007), so the fine scales depend on the
@@ -257,7 +256,7 @@ def _green_tables(op: SeriesOperator2D, residual: Callable, y) -> tuple[np.ndarr
     that image with psi_a (x) psi_b.  Moving the Laplacian onto the kernel
     collapses the pairing's profile direction to 2 S^T int D_n psi_b: each
     of the primitive's pieces lies in one element, where psi_b is a
-    polynomial, so its one tabulation also gives these moments.
+    polynomial, so it pairs each block it tabulates with psi_b.
     """
     def sine_moments(t):
         r_grid = np.asarray(residual(op.osc_nodes[:, None], t[None, :]), dtype=float)
@@ -265,7 +264,8 @@ def _green_tables(op: SeriesOperator2D, residual: Callable, y) -> tuple[np.ndarr
 
     profiles, psi_moments = _damped_green_apply(
         sine_moments, y, op.duals.family.mesh.boundaries, op.quad_points,
-        np.pi * np.arange(1, op.num_terms + 1), lambda t: _psi_tab(op.duals, t), _BLOCK_POINTS)
+        np.pi * np.arange(1, op.num_terms + 1), lambda t, fw: fw.T @ _psi_tab(op.duals, t),
+        _BLOCK_POINTS)
     return 2.0 * profiles.T, 2.0 * op.sine_moments.T @ psi_moments
 
 

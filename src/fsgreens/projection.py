@@ -12,8 +12,8 @@ coefficients of its projection onto that flavor's target space directly:
 In 1D the H10 projection interpolates u at the mesh vertices (Tong, AIAA J.
 7(1), 1969), so nothing here assembles or solves with the global stiffness
 K: ū, and a functional table, the projection of a kernel column, are vertex
-values plus each element's bubbles (`_h10_local`), with no cond(K) eps.
-K is assembled in `dualspace` for its eigenvalues only, never factored.
+values plus each element's bubbles (`_h10_local`), with no cond(K) eps;
+from a source one Green's pass gives both.  `dualspace` forms K, unfactored.
 """
 
 from __future__ import annotations
@@ -204,16 +204,16 @@ def h10_project_from_source(fns: DualFunctionals,
                             breakpoints: Sequence[float] = ()) -> Field:
     """Exact H10 projection of the solution of -u'' = source, without solving.
 
-    The diffusion problem is built into the H10 pairing: the loads
-    (psi_k', u') are (psi_k, source), and u's vertex values come from the
-    Green's primitive of `kernels` on the same source rule.
+    The H10 pairing builds in the diffusion problem: the loads (psi_k', u')
+    are (psi_k, source).  They and u's vertex values come from one pass of
+    the Green's primitive of `kernels`, one tabulation of the source.
     """
     if fns.flavor is not ProjectionFlavor.H10:
         raise ValueError("source shortcut exists for the H10 flavor only")
     family = fns.family
     _check_unit_mesh(family.mesh)
-    npts, nodes = source_rule_points(family.degree, quad_points), family.mesh.boundaries
-    x, w = mesh_quadrature(family, npts, breakpoints)
-    vertex = _damped_green_apply(source, nodes, np.r_[nodes, breakpoints], npts)[0][:, 0]
-    loads = pair_basis(family, SpaceKind.NODAL, x, w * np.asarray(source(x), dtype=float))
-    return interior_field(family, _h10_local(family, vertex, loads))
+    nodes = family.mesh.boundaries
+    vertex, loads = _damped_green_apply(
+        source, nodes, np.r_[nodes, breakpoints], source_rule_points(family.degree, quad_points),
+        pair=lambda t, fw: pair_basis(family, SpaceKind.NODAL, t, fw[:, 0]))
+    return interior_field(family, _h10_local(family, vertex[:, 0], loads))

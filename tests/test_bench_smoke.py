@@ -8,7 +8,10 @@ build, `fine_scale_eval`, `residual_from_field`, the coupled iteration,
 the 2D duals, series operator and reconstruction, `write_table`) fails
 here first.  The L2 path also runs at the apply1d size, N = 20 and p = 4:
 one advection-diffusion solve, one kernel surface and one sine-series
-reconstruction on a jittered mesh.
+reconstruction on a jittered mesh.  Each solve's probe then runs on a
+traced, tagged tracer, as a `--trace 1` run calls it, so a change to a
+call only the per-layer run makes (`op.gram`, `make_workspace`, the 2D
+pairing, convolution and lifts) fails here too.
 """
 
 import sys
@@ -43,3 +46,10 @@ def _spec_id(spec):
 def test_bench_pipeline_passes(spec, tmp_path):
     outcome = workloads.run_solve(spec, tracing.Tracer(False), str(tmp_path / "out.csv"))
     assert outcome.ok, outcome.note
+    tracer = tracing.Tracer(True)
+    tracer.tags = {"batch": 0, "solve": "0.0", "probe": True}
+    extra = outcome.probe(tracer)
+    assert all(np.isfinite(v) for v in extra.values())
+    assert all(rec["probe"] and rec["end"] >= rec["start"] for rec in tracer.spans)
+    if spec.kind in ("vms_iter", "poisson2d"):
+        assert tracer.spans

@@ -169,6 +169,20 @@ def test_resolved_part_rejects_points_outside_the_mesh(flavor):
                 op.resolved(np.array([0.5, bad]), data)
 
 
+@pytest.mark.parametrize("flavor", [ProjectionFlavor.H10, ProjectionFlavor.L2])
+def test_source_paths_reject_a_nan_breakpoint(flavor):
+    # NaN is no kink location: both flavors' reconstructions and the H10
+    # projection from a source raise, whichever of the source rule and the
+    # Green's primitive reads the breakpoint first
+    _, fns, op = _setup(3, 2, flavor)
+    for breakpoints in ((np.nan,), (0.5, np.nan)):
+        with pytest.raises(ValueError):
+            reconstruct_fine_scales(op, SourceTerm(CASE.source, breakpoints), np.linspace(0, 1, 9))
+        if flavor is ProjectionFlavor.H10:
+            with pytest.raises(ValueError):
+                h10_project_from_source(fns, CASE.source, breakpoints=breakpoints)
+
+
 @pytest.mark.parametrize("x,cuts,points", [
     (np.array([0.0, 0.25, 0.5, 0.7, 1.0]), [0.25, 0.5], 20),
     (np.linspace(0.0, 1.0, 301)[::-1], np.linspace(0.0, 1.0, 7), 9),

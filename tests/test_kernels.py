@@ -55,6 +55,15 @@ def test_unit_domain_tolerance(value, inside):
                 apply(value)
 
 
+@pytest.mark.parametrize("rates", [0.0, np.pi * np.arange(1, 4)])
+def test_damped_primitive_rejects_a_nan_cut(rates):
+    # a NaN cut is an error, not a cut dropped with those outside [0, 1]
+    density = lambda t: np.ones((t.size, np.size(rates)))
+    _damped_green_apply(density, [0.5], [0.3, -0.2, 1.4, np.inf], 20, rates)
+    with pytest.raises(ValueError, match="NaN"):
+        _damped_green_apply(density, [0.5], [0.3, np.nan], 20, rates)
+
+
 def test_poisson_weak_delta_property():
     # minus the kernel-weighted second derivative of a smooth test function
     # recovers its point value
@@ -344,6 +353,7 @@ def test_damped_primitive_moments_are_the_basis_pairings():
     # int |f psi_b|
     d2 = build_dual_functionals_2d(Mesh2D(Mesh1D.uniform(0.0, 1.0, 4, 3)))
     table = lambda t: _psi_tab(d2, t)
+    pair = lambda t, fw: fw.T @ table(t)
     k = np.pi * np.arange(1, 8)
     columns = lambda t: _kinked(t[:, None], np.arange(7.0))
     cuts = np.r_[d2.family.mesh.boundaries, 0.37]
@@ -351,7 +361,7 @@ def test_damped_primitive_moments_are_the_basis_pairings():
     want = (w[:, None] * columns(t)).T @ table(t)
     scale = (w[:, None] * columns(t)).T @ np.abs(table(t))
     for x in ([], _POINTS):
-        got, moments = _damped_green_apply(columns, x, cuts, 20, k, table, 64)
+        got, moments = _damped_green_apply(columns, x, cuts, 20, k, pair, 64)
         assert got.shape == (len(x), 7)
         assert np.max(np.abs(moments - want) / scale) < 3e-14
 

@@ -9,13 +9,16 @@ from fsgreens.basis1d import (
     SpaceKind,
     basis_family,
     field_eval,
+    pair_basis,
     tabulate_edge,
     tabulate_nodal,
 )
 from fsgreens.cases import sin2pix_case
 from fsgreens.dualspace import assemble_stiffness
+from fsgreens.kernels import _damped_green_apply
 from fsgreens.projection import (
     ProjectionFlavor,
+    _h10_local,
     build_dual_functionals,
     h10_project_from_source,
     mesh_quadrature,
@@ -235,6 +238,35 @@ def test_source_shortcut_matches_direct_projection(family):
     direct = project(fns, CASE.solution, CASE.gradient)
     shortcut = h10_project_from_source(fns, CASE.source)
     assert np.max(np.abs(direct.coeffs - shortcut.coeffs)) < 1e-9
+
+
+@pytest.mark.parametrize("n,p,breakpoints,sizes", [(3, 2, (0.9, 0.97), [100]), (20, 4, (), [400]),
+                                                   (60, 3, (), [1020, 180])])
+def test_source_shortcut_tabulates_the_source_once(n, p, breakpoints, sizes):
+    # one pass of the Green's primitive gives the vertex values and the
+    # loads, each block of the source rule evaluated once and paired as it
+    # is; a second pass on the source rule took [100, 100], [400, 400] and
+    # [1020, 180, 1200] evaluations.  In one block the loads are the whole
+    # rule's pairing bit for bit, and in two its sum up to rounding
+    family = basis_family(Mesh1D.uniform(0.0, 1.0, n, p))
+    fns = build_dual_functionals(family, ProjectionFlavor.H10)
+    calls = []
+
+    def source(x):
+        calls.append(np.array(x))
+        return CASE.source(x)
+
+    got = h10_project_from_source(fns, source, breakpoints=breakpoints).coeffs[1:-1]
+    x, w = mesh_quadrature(family, breakpoints=breakpoints)
+    assert [c.size for c in calls] == sizes
+    np.testing.assert_array_equal(np.concatenate(calls), x)
+    nodes = family.mesh.boundaries
+    vertex = _damped_green_apply(CASE.source, nodes, np.r_[nodes, breakpoints],
+                                 source_rule_points(p))[0][:, 0]
+    two_pass = _h10_local(family, vertex, pair_basis(family, SpaceKind.NODAL, x, w * CASE.source(x)))
+    if len(sizes) == 1:
+        np.testing.assert_array_equal(got, two_pass)
+    assert np.max(np.abs(got - two_pass)) <= 1e-15 * np.max(np.abs(two_pass))
 
 
 def test_source_shortcut_zero_and_polynomial():
