@@ -4,7 +4,9 @@ The nodal basis interpolates at the GLL points of each element and is
 continuous across interfaces; the edge basis consists of the degree-(p-1)
 polynomials whose integrals over consecutive GLL subintervals are
 Kronecker deltas.  Global functions are reference functions composed with
-the affine element map, edge functions carrying an extra 1/J.
+the affine element map, edge functions carrying an extra 1/J.  The dual
+nodal functions, the edge functions solved against the reference edge
+mass, live on one element too, and `element_tab` tabulates all three.
 
 Evaluation uses the second barycentric form with precomputed weights and a
 spectral differentiation matrix, which stays well conditioned for the
@@ -13,12 +15,13 @@ clustered GLL nodes at high degree.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .quadrature import gll_nodes
+from .quadrature import gauss_legendre_rule, gll_nodes
 
 
 class SpaceKind(Enum):
@@ -44,7 +47,8 @@ class Mesh1D:
             raise ValueError("need at least one element and degree >= 1")
         if self.boundaries.size != self.num_elements + 1:
             raise ValueError("boundaries length must be num_elements + 1")
-        if np.any(np.diff(self.boundaries) <= 0.0):
+        # written so that NaN fails too
+        if not np.all(np.diff(self.boundaries) > 0.0):
             raise ValueError("boundaries must be strictly increasing")
         if self.boundaries[0] != self.a or self.boundaries[-1] != self.b:
             raise ValueError("boundaries must start at a and end at b")
@@ -87,7 +91,8 @@ def _differentiation_matrix(nodes: np.ndarray, bary: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BasisFamily:
-    """Reference GLL basis data plus the mesh that globalises it."""
+    """Reference GLL basis data plus the mesh that globalises it; its
+    reference Grams over [-1, 1] are each formed once, on first use."""
 
     mesh: Mesh1D
     ref_nodes: np.ndarray = field(init=False, repr=False, default=None)
@@ -104,6 +109,18 @@ class BasisFamily:
     @property
     def degree(self) -> int:
         return self.mesh.degree
+
+    @functools.cached_property
+    def nodal_mass(self) -> np.ndarray:
+        return _reference_gram(self, lagrange_tab, deriv=0)
+
+    @functools.cached_property
+    def nodal_stiffness(self) -> np.ndarray:
+        return _reference_gram(self, lagrange_tab, deriv=1)
+
+    @functools.cached_property
+    def edge_mass(self) -> np.ndarray:
+        return _reference_gram(self, _reference_edge_tab, deriv=0)
 
 
 def basis_family(mesh: Mesh1D) -> BasisFamily:
@@ -146,6 +163,21 @@ def _reference_edge_tab(family: BasisFamily, xi: np.ndarray, deriv: int = 0) -> 
     return -np.cumsum(dtab[:, : family.degree], axis=1)
 
 
+def _reference_gram(family: BasisFamily, ref_tab, deriv: int) -> np.ndarray:
+    """The Gram matrix over [-1, 1] of the reference tabulation `ref_tab`."""
+    # p+2 Gauss points integrate the degree-2p Gram integrands exactly.
+    rule = gauss_legendre_rule(family.degree + 2)
+    tab = ref_tab(family, rule.nodes, deriv=deriv)
+    return tab.T @ (rule.weights[:, None] * tab)
+
+
+def _reference_duals(family: BasisFamily, xi, deriv: int = 0) -> np.ndarray:
+    """The p dual nodal functions of one element at reference coordinates xi,
+    before the J^-deriv pullback; shape (len(xi), p)."""
+    edge = _reference_edge_tab(family, np.atleast_1d(xi), deriv=deriv)
+    return np.linalg.solve(family.edge_mass, edge.T).T
+
+
 def _element_cols(mesh: Mesh1D, elem: np.ndarray, nloc: int) -> np.ndarray:
     """Global columns of the nloc local functions of each point's element."""
     return elem[:, None] * mesh.degree + np.arange(nloc)[None, :]
@@ -175,14 +207,15 @@ def _locate(bounds: np.ndarray, x):
 
 def element_tab(family: BasisFamily, space: SpaceKind, x,
                 deriv: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzero part of the nodal or edge tabulation at the points x.
+    """The nonzero part of the nodal, edge or dual nodal tabulation at x.
 
-    Returns (cols, vals), both (len(x), p+1) for nodal and (len(x), p) for
-    edge: each point's local functions in its element, as global column
-    indices and values.  Points on interior element boundaries take the
-    left element's (one-sided) values, which matters only for derivatives.
-    Edge functions carry a 1/J factor from the pullback, plus 1/J per
-    derivative order; nodal functions only the latter.
+    Returns (cols, vals), (len(x), p+1) for nodal and (len(x), p) otherwise:
+    each point's local functions in its element, as global column indices
+    and values.  Points on interior element boundaries take the left
+    element's (one-sided) values, which matters only for derivatives.  All
+    carry 1/J per derivative order, edge functions one more from the
+    pullback, which the dual nodal solve with the edge mass block, the
+    reference one over J, cancels.
     """
     mesh = family.mesh
     elem, jac, xi = _locate(mesh.boundaries, x)
@@ -190,8 +223,10 @@ def element_tab(family: BasisFamily, space: SpaceKind, x,
         local, power = lagrange_tab(family, xi, deriv=deriv), deriv
     elif space is SpaceKind.EDGE:
         local, power = _reference_edge_tab(family, xi, deriv=deriv), deriv + 1
+    elif space is SpaceKind.DUAL_NODAL:
+        local, power = _reference_duals(family, xi, deriv=deriv), deriv
     else:
-        raise ValueError("element tables exist for the primal nodal/edge spaces")
+        raise ValueError("element tables exist for the nodal, edge and dual nodal spaces")
     return _element_cols(mesh, elem, local.shape[1]), local * (jac ** float(-power))[:, None]
 
 
@@ -215,8 +250,8 @@ def tabulate_edge(family: BasisFamily, x, deriv: int = 0) -> np.ndarray:
 
 def pair_basis(family: BasisFamily, space: SpaceKind, x, values,
                deriv: int = 0) -> np.ndarray:
-    """Every nodal or edge basis function paired with point values: the
-    element-by-element sum equal to tabulate_nodal/edge(x, deriv).T @ values."""
+    """Every nodal, edge or dual nodal function paired with point values:
+    the element-by-element sum equal to the dense table's transpose @ values."""
     cols, vals = element_tab(family, space, x, deriv)
     ndof = family.mesh.num_nodal_dofs if space is SpaceKind.NODAL else family.mesh.num_edge_dofs
     weighted = vals * np.asarray(values, dtype=float)[:, None]

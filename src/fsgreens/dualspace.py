@@ -8,16 +8,18 @@ its primal partner in L2.
 Edge functions never cross an element, so the edge mass matrix is block
 diagonal, element e's block being the reference edge mass over J_e, and
 every dual nodal function lives on one element.  A dual set is its family
-and its kind; it forms the mass that these fix on first use.  Dual nodal
-functions are tabulated by per-element solves with the p x p reference
-edge mass, the only mass a dual nodal set holds; the dual edge functions
-solve with the global nodal mass.  A dual nodal set also caches two
+and its kind; it reads the mass that these fix on first use.  Dual nodal
+functions are tabulated like the edge basis, by `basis1d.element_tab`,
+with per-element solves with the family's p x p reference edge mass, the
+only mass a dual nodal set holds; the dual edge functions solve with the
+global nodal mass.  A dual nodal set also caches two
 antiderivatives of its reference duals, from which its moments
 int s mu_j and int (1 - s) mu_j over any part of an element follow
 (`partial_moments`), as the closed-form L2 lifts of `finescale` need
 them.  Duals are always evaluated through solves, never through explicit
 inverses of a mass matrix.  The global nodal mass and the interior
-stiffness are plain arrays, assembled element by element by one helper.
+stiffness are plain arrays, assembled element by element by one helper
+from the family's reference Grams.
 """
 
 from __future__ import annotations
@@ -27,30 +29,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis1d import (BasisFamily, SpaceKind, _barycentric_weights, _element_cols,
-                      _global_scatter, _lagrange_tab, _locate, _reference_edge_tab, lagrange_tab,
-                      tabulate_nodal)
+from .basis1d import (BasisFamily, SpaceKind, _barycentric_weights, _global_scatter,
+                      _lagrange_tab, _reference_duals, element_tab, tabulate_nodal)
 from .quadrature import gauss_legendre_rule, gll_nodes, map_rule
 
 
-def _reference_gram(family: BasisFamily, ref_tab, deriv: int) -> np.ndarray:
-    """The Gram matrix over [-1, 1] of the reference tabulation `ref_tab`."""
-    # p+2 Gauss points integrate the degree-2p Gram integrands exactly.
-    rule = gauss_legendre_rule(family.degree + 2)
-    tab = ref_tab(family, rule.nodes, deriv=deriv)
-    return tab.T @ (rule.weights[:, None] * tab)
-
-
-def _assemble_gram(family: BasisFamily, ref_tab, deriv: int, jac_power: int) -> np.ndarray:
-    """Sum J_e^jac_power times the reference Gram matrix of `ref_tab` into
-    every element's slice.
+def _assemble_gram(family: BasisFamily, ref_gram: np.ndarray, jac_power: int) -> np.ndarray:
+    """Sum J_e^jac_power times a reference Gram matrix into every element's
+    slice.
 
     Consecutive elements share their first and last local function when the
-    tabulation has p + 1 columns (nodal), and nothing when it has p (edge).
+    Gram has p + 1 rows (nodal), and nothing when it has p (edge).
     """
     mesh = family.mesh
     p = mesh.degree
-    ref_gram = _reference_gram(family, ref_tab, deriv)
     nloc = ref_gram.shape[0]
     ndof = (mesh.num_elements - 1) * p + nloc
     entries = np.zeros((ndof, ndof))
@@ -63,7 +55,7 @@ def _assemble_gram(family: BasisFamily, ref_tab, deriv: int, jac_power: int) -> 
 def assemble_mass(family: BasisFamily) -> np.ndarray:
     """The global nodal mass matrix: adjacent elements sum their shared
     interface node's contributions."""
-    return _assemble_gram(family, lagrange_tab, deriv=0, jac_power=1)
+    return _assemble_gram(family, family.nodal_mass, jac_power=1)
 
 
 def assemble_stiffness(family: BasisFamily) -> np.ndarray:
@@ -71,16 +63,16 @@ def assemble_stiffness(family: BasisFamily) -> np.ndarray:
     if family.mesh.num_nodal_dofs < 3:
         raise ValueError("need at least one interior node for the H10 space")
     # one J from dx against two 1/J from the pulled-back derivatives
-    return _assemble_gram(family, lagrange_tab, deriv=1, jac_power=-1)[1:-1, 1:-1]
+    return _assemble_gram(family, family.nodal_stiffness, jac_power=-1)[1:-1, 1:-1]
 
 
 @dataclass(frozen=True)
 class DualSet:
     """A dual basis: the primal family plus the kind of its duals.
 
-    The mass it solves with is the one its kind fixes, formed on first use:
-    the p x p reference edge mass for a dual nodal set, the global nodal
-    mass for a dual edge set.
+    The mass it solves with is the one its kind fixes, read on first use:
+    the family's p x p reference edge mass for a dual nodal set, the global
+    nodal mass for a dual edge set.
     """
 
     family: BasisFamily
@@ -92,9 +84,8 @@ class DualSet:
 
     @functools.cached_property
     def mass(self) -> np.ndarray:
-        if self.kind is SpaceKind.DUAL_NODAL:
-            return _reference_gram(self.family, _reference_edge_tab, deriv=0)
-        return assemble_mass(self.family)
+        return self.family.edge_mass if self.kind is SpaceKind.DUAL_NODAL \
+            else assemble_mass(self.family)
 
     @property
     def size(self) -> int:
@@ -109,7 +100,7 @@ class DualSet:
         nodes = gll_nodes(self.family.degree + 1)
         s, w = map_rule(gauss_legendre_rule(self.family.degree // 2 + 1),
                         np.full(nodes.size, -1.0), nodes)
-        duals = _reference_duals(self, s.ravel()).reshape(s.shape + (-1,))
+        duals = _reference_duals(self.family, s.ravel()).reshape(s.shape + (-1,))
         table = [np.einsum("kq,kqj->kj", w * (1.0 + sign * s), duals) for sign in (-1.0, 1.0)]
         return nodes, _barycentric_weights(nodes), np.stack(table)
 
@@ -122,23 +113,14 @@ class DualSet:
         return partial_moments(self, np.arange(num), np.ones(num))
 
 
-def _reference_duals(duals: DualSet, xi, deriv: int = 0) -> np.ndarray:
-    """The p dual nodal functions of one element at reference coordinates xi,
-    before the J^-deriv pullback; shape (len(xi), p)."""
-    edge = _reference_edge_tab(duals.family, np.atleast_1d(xi), deriv=deriv)
-    return np.linalg.solve(duals.mass, edge.T).T
-
-
 def tabulate_duals(duals: DualSet, x, deriv: int = 0) -> np.ndarray:
     """Tabulate every dual function at x: primal tabulation times inverse mass.
 
-    On element e the edge functions are J_e^-(deriv+1) times the reference
-    ones and the edge mass block is the reference one over J_e, so the
-    dual nodal functions are the reference duals times J_e^-deriv.
+    The dual nodal functions are the dense form of `element_tab`.
     """
     family = duals.family
     if duals.kind is SpaceKind.DUAL_NODAL:
-        return _global_scatter(*element_duals(duals, x, deriv), family.mesh.num_edge_dofs)
+        return _global_scatter(*element_tab(family, duals.kind, x, deriv), duals.size)
     return np.linalg.solve(duals.mass, tabulate_nodal(family, x, deriv=deriv).T).T
 
 
@@ -161,12 +143,3 @@ def partial_moments(duals: DualSet, elem, xi) -> np.ndarray:
     half = 0.5 * mesh.jacobian(elem)[:, None]
     return np.stack((half * (lo * minus + hi * plus),
                      half * ((1.0 - lo) * minus + (1.0 - hi) * plus)))
-
-
-def element_duals(duals: DualSet, x, deriv: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzero part of the dual nodal tabulation at x, as `element_tab`
-    gives it: each point's p duals in its element, (global columns, values)."""
-    mesh = duals.family.mesh
-    elem, jac, xi = _locate(mesh.boundaries, x)
-    vals = _reference_duals(duals, xi, deriv) * (jac ** float(-deriv))[:, None]
-    return _element_cols(mesh, elem, mesh.degree), vals

@@ -47,13 +47,12 @@ from typing import Callable
 
 import numpy as np
 
-from .basis1d import (Field, SpaceKind, _element_cols, _locate, element_tab, field_eval,
-                     pair_basis)
-from .dualspace import _reference_duals, assemble_stiffness, partial_moments
+from .basis1d import (Field, SpaceKind, _element_cols, _locate, _reference_duals, element_tab,
+                     field_eval, pair_basis)
+from .dualspace import assemble_stiffness, partial_moments
 from .kernels import GreensKernel1D, _check_unit_mesh, _damped_green_apply, poisson_green
 from .projection import (DualFunctionals, ProjectionFlavor, _h10_local, h10_project_from_source,
-                         mesh_quadrature, pair_functionals, source_rule_points,
-                         tabulate_functionals)
+                         mesh_quadrature, source_rule_points, tabulate_functionals)
 from .quadrature import composite_rule, gauss_legendre_rule, sorted_unique
 
 
@@ -159,7 +158,7 @@ def _field_pairing(fns: DualFunctionals, fld: Field) -> np.ndarray:
     bounds = sorted_unique(np.concatenate((family.mesh.boundaries, fld.family.mesh.boundaries)))
     s, w = composite_rule(gauss_legendre_rule((family.degree + fld.family.degree) // 2 + 1), bounds)
     if fns.flavor is ProjectionFlavor.L2:
-        return pair_functionals(fns, s, w * field_eval(fld, s))
+        return pair_basis(family, SpaceKind.DUAL_NODAL, s, w * field_eval(fld, s))
     if fld.space is SpaceKind.EDGE:
         raise ValueError("an edge field has no H10 pairing: its H10 projection is undefined")
     nodes, ends = family.mesh.boundaries, family.mesh.boundaries[[0, -1]]
@@ -178,8 +177,8 @@ def _green_and_pairing(fns: DualFunctionals, src: SourceTerm, grid: np.ndarray,
     breakpoints, then u_bar and its pairing subtracted once.  The L2
     pairing of G f is on the source rule (cut also at the point sources),
     which one primitive call tabulates with the grid.  The H10 pairing is
-    the point sources' lifts plus `h10_project_from_source` of f, which
-    the resolved part of a smooth source then cancels bit for bit.  u_bar's
+    the point sources' lifts plus `h10_project_from_source` of f, its own
+    pass, which the resolved part of a smooth source cancels bit for bit.  u_bar's
     pairing is exact (`_field_pairing`); for an edge field of the L2
     functionals' family it is its coefficients (the functionals are
     biorthogonal to that basis), ten times more accurate than a rule's.
@@ -194,7 +193,7 @@ def _green_and_pairing(fns: DualFunctionals, src: SourceTerm, grid: np.ndarray,
         cuts = np.r_[fns.family.mesh.boundaries, src.breakpoints]
         image = image + _damped_green_apply(src.smooth, x, cuts, quad_points)[0][:, 0]
     if l2:
-        data = pair_functionals(fns, s, w * image[grid.size:])
+        data = pair_basis(fns.family, SpaceKind.DUAL_NODAL, s, w * image[grid.size:])
         image = image[:grid.size]
     else:
         data = _lift(fns, locs).T @ qs
@@ -228,7 +227,7 @@ def _l2_gram(fns: DualFunctionals) -> np.ndarray:
     x = mesh.boundaries[elem] + mesh.jacobian(elem) * (1.0 + xi)
     lifts = _l2_element_lifts(fns, elem, xi, x).reshape(num, rule.npoints, p)
     # mu_i(x) dx = mu_i(xi) J_e d xi on the reference element
-    mu = _reference_duals(fns.duals, rule.nodes) * rule.weights[:, None]
+    mu = _reference_duals(fns.family, rule.nodes) * rule.weights[:, None]
     local = mesh.jacobian(np.arange(num))[:, None, None] * np.einsum("qi,eqj->eij", mu, lifts)
     upper = np.triu(np.outer(alpha, beta), 1)
     gram = upper + upper.T

@@ -24,9 +24,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis1d import (BasisFamily, Field, SpaceKind, _locate, lagrange_tab, pair_basis,
-                      tabulate_nodal)
-from .dualspace import DualSet, _reference_gram, element_duals, tabulate_duals
+from .basis1d import BasisFamily, Field, SpaceKind, _locate, pair_basis, tabulate_nodal
+from .dualspace import DualSet, tabulate_duals
 from .kernels import _check_unit_mesh, _damped_green_apply, poisson_green
 from .quadrature import composite_rule, gauss_legendre_rule, sorted_unique
 
@@ -94,19 +93,6 @@ def tabulate_functionals(fns: DualFunctionals, x, deriv: int = 0) -> np.ndarray:
     return _h10_local(fns.family, vertex, tabulate_nodal(fns.family, x, deriv=deriv).T).T
 
 
-def pair_functionals(fns: DualFunctionals, x, values, deriv: int = 0) -> np.ndarray:
-    """Every L2 functional's realizing function (or a derivative) paired with
-    values at the points x: tabulate_functionals(fns, x, deriv).T @ values,
-    element by element with no (points x N p) table, as each dual lives on
-    one element.  An H10 pairing is a projection: ValueError.
-    """
-    if fns.flavor is not ProjectionFlavor.L2:
-        raise ValueError("H10 functionals pair by `h10_project_from_source` or `project`")
-    cols, vals = element_duals(fns.duals, x, deriv)
-    weighted = vals * np.asarray(values, dtype=float)[:, None]
-    return np.bincount(cols.ravel(), weights=weighted.ravel(), minlength=fns.size)
-
-
 def interior_field(family: BasisFamily, interior: np.ndarray) -> Field:
     """The nodal field with the given interior coefficients and zero end values."""
     coeffs = np.zeros(family.mesh.num_nodal_dofs)
@@ -145,7 +131,7 @@ def _h10_local(family: BasisFamily, vertex, loads) -> np.ndarray:
     linear interpolant I u of the vertex values plus, on each element, the
     projection of u - I u onto its p - 1 interior Lagrange functions, whose
     loads are u's as I u' is constant there.  Their stiffness is the
-    reference one over J_e, so one reference solve serves every element."""
+    family's reference one over J_e: one solve serves every element."""
     mesh = family.mesh
     num, p = mesh.num_elements, mesh.degree
     vertex = np.asarray(vertex, dtype=float)
@@ -155,7 +141,7 @@ def _h10_local(family: BasisFamily, vertex, loads) -> np.ndarray:
     # I u at each element's first p GLL nodes, then the bubbles at its inner ones
     coeffs = v[:-1] * (1.0 - t) + v[1:] * t
     if p > 1:
-        ref = _reference_gram(family, lagrange_tab, deriv=1)[1:-1, 1:-1]
+        ref = family.nodal_stiffness[1:-1, 1:-1]
         inner = np.asarray(loads, dtype=float)[:-1].reshape(num, p, cols)[:, 1:]
         bubble = np.linalg.solve(ref, inner.transpose(1, 0, 2).reshape(p - 1, num * cols))
         coeffs[:, 1:] += mesh.jacobian(np.arange(num))[:, None, None] \
@@ -180,7 +166,7 @@ def project(fns: DualFunctionals, f: Callable[[np.ndarray], np.ndarray],
     family = fns.family
     x, w = mesh_quadrature(family, quad_points, breakpoints)
     if fns.flavor is ProjectionFlavor.L2:
-        coeffs = pair_functionals(fns, x, w * np.asarray(f(x), dtype=float))
+        coeffs = pair_basis(family, SpaceKind.DUAL_NODAL, x, w * np.asarray(f(x), dtype=float))
         return Field(family, SpaceKind.EDGE, coeffs)
     nodes = family.mesh.boundaries
     vertex = np.array(f(nodes), dtype=float)
@@ -198,22 +184,29 @@ def project(fns: DualFunctionals, f: Callable[[np.ndarray], np.ndarray],
     return interior_field(family, _h10_local(family, vertex, loads))
 
 
-def h10_project_from_source(fns: DualFunctionals,
-                            source: Callable[[np.ndarray], np.ndarray],
-                            quad_points: int | None = None,
-                            breakpoints: Sequence[float] = ()) -> Field:
-    """Exact H10 projection of the solution of -u'' = source, without solving.
-
-    The H10 pairing builds in the diffusion problem: the loads (psi_k', u')
-    are (psi_k, source).  They and u's vertex values come from one pass of
-    the Green's primitive of `kernels`, one tabulation of the source.
-    """
+def _green_and_h10(fns: DualFunctionals, source: Callable[[np.ndarray], np.ndarray], x,
+                   quad_points: int | None = None, breakpoints: Sequence[float] = ()):
+    """u = G source at x, and its H10 projection's interior coefficients,
+    from u's vertex values and loads (psi_k', u') = (psi_k, source): one
+    pass of the Green's primitive at x and the vertices, cut at the mesh
+    and the breakpoints, pairing through its `pair` hook."""
     if fns.flavor is not ProjectionFlavor.H10:
         raise ValueError("source shortcut exists for the H10 flavor only")
     family = fns.family
     _check_unit_mesh(family.mesh)
     nodes = family.mesh.boundaries
-    vertex, loads = _damped_green_apply(
-        source, nodes, np.r_[nodes, breakpoints], source_rule_points(family.degree, quad_points),
+    green, loads = _damped_green_apply(
+        source, np.r_[x, nodes], np.r_[nodes, breakpoints],
+        source_rule_points(family.degree, quad_points),
         pair=lambda t, fw: pair_basis(family, SpaceKind.NODAL, t, fw[:, 0]))
-    return interior_field(family, _h10_local(family, vertex[:, 0], loads))
+    return green[:-nodes.size, 0], _h10_local(family, green[-nodes.size:, 0], loads)
+
+
+def h10_project_from_source(fns: DualFunctionals,
+                            source: Callable[[np.ndarray], np.ndarray],
+                            quad_points: int | None = None,
+                            breakpoints: Sequence[float] = ()) -> Field:
+    """Exact H10 projection of the solution of -u'' = source, without
+    solving: the H10 pairing builds in the diffusion problem, and one
+    Green's pass gives u's vertex values and loads (`_green_and_h10`)."""
+    return interior_field(fns.family, _green_and_h10(fns, source, (), quad_points, breakpoints)[1])

@@ -42,9 +42,8 @@ from .basis1d import (BasisFamily, Field, _barycentric_weights, _differentiation
 from .cases import boundary_layer_breakpoints
 from .dualspace import assemble_mass
 from .finescale import FineScaleOperator, SourceTerm, reconstruct_fine_scales
-from .kernels import _damped_green_apply
-from .projection import (DualFunctionals, ProjectionFlavor, h10_project_from_source,
-                         interior_field, mesh_quadrature, tabulate_functionals)
+from .projection import (DualFunctionals, ProjectionFlavor, _green_and_h10, interior_field,
+                         mesh_quadrature, tabulate_functionals)
 from .quadrature import _piece_ends, gauss_legendre_rule, sorted_unique
 
 DEFAULT_FINE_GRID = 2001
@@ -170,8 +169,8 @@ class _Workspace:
     integrals of its Lagrange basis scaled by half the cell width.  The H10
     reconstruction functions are the interior nodal basis
     (`FineScaleOperator.resolved`), so R is psi; mu' is the element-local
-    table, and (mu, f) the coefficients of G f's H10 projection on the
-    rule (`h10_project_from_source`), with no K solve.
+    table, and G f at the nodes and (mu, f), the coefficients of G f's H10
+    projection, come from one Green's pass (`_green_and_h10`), no K solve.
 
     The residual's diffusive part, the coarse field's distributional
     second derivative, is left out: the fine-scale operator maps it to
@@ -231,9 +230,8 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals,
     x, w = mesh_quadrature(family, q, layer)
 
     psi_tab = tabulate_nodal(family, x)[:, 1:-1]
-    green = _damped_green_apply(problem.source, x, mesh.boundaries, q)[0][:, 0]
-    coarse_rhs = h10_project_from_source(fns, problem.source, q, layer).coeffs[1:-1] \
-        / problem.diffusion
+    green, coarse_rhs = _green_and_h10(fns, problem.source, x, q, layer)
+    coarse_rhs = coarse_rhs / problem.diffusion
     pairing = ratio * (tabulate_functionals(fns, x, deriv=1).T * w)
     num_cells = cells.size - 1
     cell = np.repeat(np.arange(num_cells), q)

@@ -413,7 +413,7 @@ def edge_mass(family: BasisFamily) -> np.ndarray:
     never cross an element: element e's block is the reference edge mass
     over J_e.  The library solves with the p x p reference block instead."""
     # two 1/J pullbacks against one J from dx
-    return _assemble_gram(family, _reference_edge_tab, deriv=0, jac_power=-1)
+    return _assemble_gram(family, family.edge_mass, jac_power=-1)
 
 
 def nodal_points(family: BasisFamily) -> np.ndarray:

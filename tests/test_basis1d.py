@@ -7,7 +7,9 @@ from fsgreens.basis1d import (
     Field,
     Mesh1D,
     SpaceKind,
+    _global_scatter,
     _locate,
+    _reference_edge_tab,
     basis_family,
     element_tab,
     field_eval,
@@ -16,7 +18,7 @@ from fsgreens.basis1d import (
 )
 from fsgreens.quadrature import composite_rule, gauss_legendre_rule
 
-from flattened_oracle import element_endpoint_values, nodal_points
+from flattened_oracle import edge_mass, element_endpoint_values, nodal_points
 
 
 @pytest.fixture
@@ -29,6 +31,11 @@ def test_mesh_validation():
         Mesh1D(0.0, 1.0, 2, 2, np.array([0.0, 0.6, 0.5, 1.0]))
     with pytest.raises(ValueError):
         Mesh1D.uniform(0.0, 1.0, 0, 2)
+    # no comparison holds for NaN, so a check written as "no step <= 0"
+    # passed an inner NaN, and field_eval on the mesh returned NaN
+    for bounds in ([0.0, np.nan, 1.0], [0.0, 0.25, np.nan, 1.0]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Mesh1D(0.0, 1.0, len(bounds) - 1, 2, np.array(bounds))
     mesh = Mesh1D.uniform(0.0, 1.0, 4, 3)
     assert mesh.num_nodal_dofs == 13
     assert mesh.num_edge_dofs == 12
@@ -226,3 +233,33 @@ def test_field_eval_gathers_the_dense_tabulation(case):
         want = tabulate(fld.family, x, deriv=deriv) @ fld.coeffs
         got = field_eval(fld, x, deriv=deriv)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("deriv", [0, 1])
+def test_dual_nodal_element_table_is_the_dense_dual_table(deriv):
+    # the dual nodal functions tabulate like the edge basis: each point's p
+    # duals, scattered, are bitwise the per-element solve of the reference
+    # edge table against the reference edge mass (exact on p + 2 Gauss
+    # points) times J^-deriv, and match the global block edge mass solved
+    # against the dense edge table; a jittered N = 5, p = 3 mesh, its
+    # vertices among the points
+    rng = np.random.default_rng(5)
+    inner = (np.arange(1, 5) + rng.uniform(-0.3, 0.3, 4)) / 5.0
+    mesh = Mesh1D(0.0, 1.0, 5, 3, np.concatenate(([0.0], inner, [1.0])))
+    family = basis_family(mesh)
+    x = np.unique(np.concatenate((np.linspace(0.0, 1.0, 37), mesh.boundaries)))
+    rule = gauss_legendre_rule(5)
+    ref = _reference_edge_tab(family, rule.nodes)
+    mass = ref.T @ (rule.weights[:, None] * ref)
+    elem, jac, xi = _locate(mesh.boundaries, x)
+    local = np.linalg.solve(mass, _reference_edge_tab(family, xi, deriv=deriv).T).T
+    want = np.zeros((x.size, mesh.num_edge_dofs))
+    want[np.arange(x.size)[:, None], 3 * elem[:, None] + np.arange(3)] = \
+        local * (jac ** float(-deriv))[:, None]
+    got = _global_scatter(*element_tab(family, SpaceKind.DUAL_NODAL, x, deriv),
+                          mesh.num_edge_dofs)
+    np.testing.assert_array_equal(got, want)
+    dense = np.linalg.solve(edge_mass(family), tabulate_edge(family, x, deriv).T).T
+    assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+    with pytest.raises(ValueError, match="element tables"):
+        element_tab(family, SpaceKind.DUAL_EDGE, x)

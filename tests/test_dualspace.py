@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from fsgreens.basis1d import (Mesh1D, SpaceKind, _reference_edge_tab, basis_family, tabulate_edge,
                               tabulate_nodal)
-from fsgreens.dualspace import (DualSet, _reference_gram, assemble_mass, assemble_stiffness,
-                                tabulate_duals)
+from fsgreens.dualspace import DualSet, assemble_mass, assemble_stiffness, tabulate_duals
 from fsgreens.finescale import build_fine_scale_operator
 from fsgreens.kernels import GreensKernel1D
 from fsgreens.projection import ProjectionFlavor, build_dual_functionals, tabulate_functionals
@@ -116,18 +115,24 @@ def test_l2_gram_solve_matches_cho_solve_on_a_fine_mesh():
 
 
 def test_dual_set_forms_its_mass_on_first_use():
-    # the family and the kind fix the mass: none is formed before the first
-    # tabulation, and then it is the p x p reference edge mass (dual nodal)
-    # or the global nodal mass (dual edge)
-    family = basis_family(Mesh1D(0.0, 1.0, 3, 3, np.array([0.0, 0.2, 0.7, 1.0])))
+    # the family and the kind fix the mass, and none is formed before the
+    # first tabulation: a dual nodal set's is the family's p x p reference
+    # edge mass, formed there once; a dual edge set's is the global nodal
+    # mass, assembled from the family's reference nodal mass
+    mesh = Mesh1D(0.0, 1.0, 3, 3, np.array([0.0, 0.2, 0.7, 1.0]))
     x = np.linspace(0.0, 1.0, 11)
-    for kind, want in [(SpaceKind.DUAL_NODAL, _reference_gram(family, _reference_edge_tab, 0)),
-                       (SpaceKind.DUAL_EDGE, assemble_mass(family))]:
+    for kind, gram in [(SpaceKind.DUAL_NODAL, "edge_mass"), (SpaceKind.DUAL_EDGE, "nodal_mass")]:
+        family = basis_family(mesh)
         duals = DualSet(family, kind)
-        assert "mass" not in vars(duals)
+        assert gram not in vars(family)
         tabulate_duals(duals, x)
-        assert "mass" in vars(duals)
-        np.testing.assert_array_equal(duals.mass, want)
+        assert gram in vars(family)
+    np.testing.assert_array_equal(duals.mass, assemble_mass(family))
+    rule = gauss_legendre_rule(5)
+    tab = _reference_edge_tab(family, rule.nodes)
+    nodal = DualSet(family, SpaceKind.DUAL_NODAL)
+    np.testing.assert_array_equal(nodal.mass, tab.T @ (rule.weights[:, None] * tab))
+    assert nodal.mass is family.edge_mass
     with pytest.raises(ValueError):
         DualSet(family, SpaceKind.NODAL)
 

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fsgreens import finescale, kernels
-from fsgreens.basis1d import (Field, Mesh1D, SpaceKind, basis_family, field_eval, tabulate_edge,
-                              tabulate_nodal)
-from fsgreens.dualspace import _reference_duals, assemble_stiffness, tabulate_duals
+from fsgreens import basis1d, finescale, kernels
+from fsgreens.basis1d import (Field, Mesh1D, SpaceKind, _reference_duals, basis_family, field_eval,
+                              pair_basis, tabulate_edge, tabulate_nodal)
+from fsgreens.dualspace import assemble_stiffness, tabulate_duals
 from fsgreens.cases import advdiff_const_case, boundary_layer_breakpoints, sin2pix_case
 from fsgreens.finescale import (
     SourceTerm,
+    _green_and_pairing,
     _l2_lift_sum,
     _lift,
     build_fine_scale_operator,
@@ -27,7 +28,6 @@ from fsgreens.projection import (
     build_dual_functionals,
     h10_project_from_source,
     mesh_quadrature,
-    pair_functionals,
     project,
     source_rule_points,
     tabulate_functionals,
@@ -859,7 +859,7 @@ def test_l2_lifts_at_scale_match_direct_quadrature(num_elements, bound):
     rule = gauss_legendre_rule(mesh.degree + 1)
     jac = 0.5 * np.diff(bounds)[:, None]
     s = bounds[:-1, None] + jac * (1.0 + rule.nodes)
-    duals = _reference_duals(fns.duals, rule.nodes)
+    duals = _reference_duals(fns.family, rule.nodes)
     for got, weight in zip(fns.duals.moments, (s, 1.0 - s)):
         assert _rel_err(got, jac * ((rule.weights * weight) @ duals)) <= 1e-14
 
@@ -928,7 +928,7 @@ def test_l2_resolved_part_matches_the_lift_table(num_elements):
         assert got.shape == want.shape
         assert _rel_err(got, want) <= 1e-14
     s, w = mesh_quadrature(fns.family)
-    data = pair_functionals(fns, s, w * np.exp(s) * np.sin(3.0 * s))
+    data = pair_basis(fns.family, SpaceKind.DUAL_NODAL, s, w * np.exp(s) * np.sin(3.0 * s))
     assert _rel_err(op.resolved(x, data), table @ op.solve_gram(data)) <= 1e-14
 
 
@@ -1150,3 +1150,52 @@ def test_h10_projections_and_reconstructions_solve_no_global_stiffness(monkeypat
     np.testing.assert_array_equal(op.gram, want_gram)
     with pytest.raises(AssertionError, match="global stiffness"):
         build_fine_scale_operator(KERNEL, fns)
+
+
+@pytest.mark.parametrize("flavor,gram", [(ProjectionFlavor.H10, "nodal_stiffness"),
+                                         (ProjectionFlavor.L2, "edge_mass")])
+def test_a_family_forms_each_reference_gram_once(monkeypatch, flavor, gram):
+    # a projection, an operator build and a reconstruction of a coarse field
+    # plus its residual read one reference Gram, formed once by the family:
+    # H10 its stiffness in every element-local projection (`_h10_local`),
+    # the build's condition number included, L2 its edge mass in every
+    # dual tabulation
+    calls = []
+    form = basis1d._reference_gram
+
+    def counting(family, ref_tab, deriv):
+        calls.append((ref_tab.__name__, deriv))
+        return form(family, ref_tab, deriv)
+
+    monkeypatch.setattr(basis1d, "_reference_gram", counting)
+    fns = build_dual_functionals(basis_family(Mesh1D.uniform(0.0, 1.0, 4, 3)), flavor)
+    u_bar = project(fns, CASE.solution, CASE.gradient)
+    op = build_fine_scale_operator(KERNEL, fns)
+    grid = np.linspace(0.0, 1.0, 41)
+    for _ in range(2):
+        reconstruct_fine_scales(op, residual_from_field(u_bar, CASE.source), grid)
+        reconstruct_fine_scales(op, SourceTerm(CASE.source, (0.3,), ((0.6, 2.0),)), grid)
+    h10 = flavor is ProjectionFlavor.H10
+    assert calls == [("lagrange_tab", 1) if h10 else ("_reference_edge_tab", 0)]
+    assert gram in vars(fns.family)
+
+
+@pytest.mark.parametrize("num_elements,degree,jitter,breakpoints",
+                         [(3, 2, False, ()), (5, 3, True, (0.37, 0.81)), (20, 4, True, ())])
+def test_h10_reconstruction_pairs_a_source_by_the_source_shortcut(num_elements, degree, jitter,
+                                                                  breakpoints):
+    # the H10 pairing of a smooth source's Green's image is bitwise the
+    # coefficients of `h10_project_from_source`, a second primitive pass
+    # beside the grid's, so the resolved part of a reconstruction is ū's
+    # own table.  One pass over the grid and the vertices, cut at the
+    # grid, cost recon1d 0.15-0.33 of its accuracy_digits
+    mesh = _jittered_mesh(num_elements, degree) if jitter \
+        else Mesh1D.uniform(0.0, 1.0, num_elements, degree)
+    fns = build_dual_functionals(basis_family(mesh), ProjectionFlavor.H10)
+    op = build_fine_scale_operator(KERNEL, fns)
+    grid = np.linspace(0.0, 1.0, 101)
+    _, data = _green_and_pairing(fns, SourceTerm(CASE.source, breakpoints), grid,
+                                 op.quad_points)
+    u_bar = h10_project_from_source(fns, CASE.source, op.quad_points, breakpoints)
+    np.testing.assert_array_equal(data, u_bar.coeffs[1:-1])
+    np.testing.assert_array_equal(op.resolved(grid, data), field_eval(u_bar, grid))

@@ -22,7 +22,6 @@ from fsgreens.projection import (
     build_dual_functionals,
     h10_project_from_source,
     mesh_quadrature,
-    pair_functionals,
     project,
     source_rule_points,
     tabulate_functionals,
@@ -165,14 +164,6 @@ def test_h10_rejects_nonzero_boundary_values(family):
     fns = build_dual_functionals(family, ProjectionFlavor.H10)
     with pytest.raises(ValueError):
         project(fns, lambda x: np.cos(2.0 * np.pi * x))
-
-
-def test_h10_functionals_are_paired_by_projecting(family):
-    # an H10 pairing is a projection, of a source or of a function
-    fns = build_dual_functionals(family, ProjectionFlavor.H10)
-    x, w = mesh_quadrature(family)
-    with pytest.raises(ValueError, match="`h10_project_from_source` or `project`"):
-        pair_functionals(fns, x, w)
 
 
 @pytest.mark.parametrize("a,b", [(-0.5, 2.0), (0.25, 0.75)])
@@ -433,4 +424,4 @@ def test_l2_pairing_is_element_local(num_elements, deriv):
     x = np.concatenate((x, mesh.boundaries))
     values = np.exp(x) * np.cos(7.0 * x) * np.r_[w, np.ones(mesh.boundaries.size)]
     want = tabulate_functionals(fns, x, deriv).T @ values
-    assert _rel_err(pair_functionals(fns, x, values, deriv), want) <= 1e-14
+    assert _rel_err(pair_basis(family, SpaceKind.DUAL_NODAL, x, values, deriv), want) <= 1e-14

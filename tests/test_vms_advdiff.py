@@ -19,7 +19,7 @@ from fsgreens.projection import (
     project,
     source_rule_points,
 )
-from fsgreens.quadrature import gauss_legendre_rule
+from fsgreens.quadrature import gauss_legendre_rule, sorted_unique
 from fsgreens.vms_advdiff import (
     _BLOCK,
     DEFAULT_TOLERANCE,
@@ -753,3 +753,22 @@ def test_an_exactly_singular_coarse_matrix_raises():
     # I - (c/nu) A an exactly zero first row
     with pytest.raises(ValueError, match="singular coarse-scale system"):
         _coarse_solve(np.diag([1.0, 0.5, 0.25]), np.ones(3))
+
+
+@pytest.mark.parametrize("num_elements,degree,nu,points", [(3, 2, 0.05, 1680), (10, 3, 0.01, 5040)])
+def test_workspace_reads_its_source_in_one_greens_pass(num_elements, degree, nu, points):
+    # G f at the rule nodes, and the coarse side's vertex values and loads,
+    # come from one pass of the Green's primitive at the nodes and the
+    # vertices, cut at the mesh and the layer's breakpoints: q points on
+    # each cell between them (two passes read 1,740 and 5,240 points)
+    _, fns, op = _h10_setup(num_elements, degree)
+    case = advdiff_const_case(1.0, nu)
+    sizes = []
+
+    def source(x):
+        sizes.append(np.size(x))
+        return case.source(x)
+
+    ws = make_workspace(AdvDiffProblem(1.0, nu, source), fns, op)
+    cells = sorted_unique(np.concatenate((ws.cells, ws.nodes)))
+    assert sum(sizes) == points == op.quad_points * (cells.size - 1)
