@@ -31,9 +31,10 @@ class SpaceKind(Enum):
     DUAL_EDGE = "dual-edge"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh1D:
-    """Partition of [a, b] into elements sharing one polynomial degree."""
+    """Partition of [a, b] into elements sharing one polynomial degree;
+    meshes compare and hash by identity, as their boundaries are an array."""
 
     a: float
     b: float
@@ -89,10 +90,12 @@ def _differentiation_matrix(nodes: np.ndarray, bary: np.ndarray) -> np.ndarray:
     return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisFamily:
     """Reference GLL basis data plus the mesh that globalises it; its
-    reference Grams over [-1, 1] are each formed once, on first use."""
+    reference Grams over [-1, 1] are each formed once, on first use.
+    Families compare and hash by identity, as the library tests them
+    (`fld.family is fns.family`)."""
 
     mesh: Mesh1D
     ref_nodes: np.ndarray = field(init=False, repr=False, default=None)

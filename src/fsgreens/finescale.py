@@ -24,19 +24,22 @@ element (`_lift`, `_l2_gram`, `_l2_lift_sum`).  For H10 the pairing is the
 coefficients of G r's H10 projection, which reads G r at the vertices and
 adds each element's bubbles (`projection._h10_local`) with no solve with
 the global stiffness K, and the functions are the interior nodal basis
-(criterion 06).  So u_bar is u at the vertices and u_prime zero there,
-each to the rounding of the Green's primitive.  A field of the H10 space
-(nodal, of the operator's family, zero at both ends) is skipped, as its
-two terms cancel (criterion 05); an edge field has no H10 pairing.  The
+(criterion 06).  So u_bar is u at the vertices.  A field of the H10
+space (nodal, of the operator's family, zero at both ends) is skipped, as
+its two terms cancel (criterion 05), and then, without point sources,
+u_prime is each element's own (I - P_b) G_e f, exactly zero at the
+vertices (`_h10_fine_scales`); an edge field has no H10 pairing.  The
 kernel is self-adjoint, so the representers (duals G) are the lifts
 (G duals), for H10 the element-local functional tables, whose values at the
 interior GLL nodes are the H10 Gram K^{-1}; K is assembled only for its eigenvalues.
 
-Smooth sources go through the Green's primitive of `kernels` at k = 0, two
-running sums of Gauss rules cut at the mesh, the source's kinks and every
-point x.  Every integral of the kernel is thus split at its kink x = s,
-the one quadrature under which the derivative pairing works; a rule cut
-only at the mesh boundaries misses the kink's derivative jump (criterion 12).
+Smooth sources go through `kernels._poisson_cells`: one tabulation of the
+source per cell of the mesh cut at its kinks gives G f at the cell ends,
+by running sums of the semiseparable kernel's two factors, and inside a
+cell as the line between them plus the cell's Lobatto bubble series.  No
+integral thus crosses the kernel's kink x = s, and no rule is cut at an
+output point; the kernel integrated on a rule cut only at the mesh
+boundaries misses the kink's derivative jump (criterion 12).
 """
 
 from __future__ import annotations
@@ -50,9 +53,10 @@ import numpy as np
 from .basis1d import (Field, SpaceKind, _element_cols, _locate, _reference_duals, element_tab,
                      field_eval, pair_basis)
 from .dualspace import assemble_stiffness, partial_moments
-from .kernels import GreensKernel1D, _check_unit_mesh, _damped_green_apply, poisson_green
-from .projection import (DualFunctionals, ProjectionFlavor, _h10_local, h10_project_from_source,
-                         mesh_quadrature, source_rule_points, tabulate_functionals)
+from .kernels import GreensKernel1D, _check_unit_mesh, _poisson_cells, poisson_green
+from .projection import (DualFunctionals, ProjectionFlavor, _green_and_h10, _h10_local,
+                         interior_field, mesh_quadrature, source_rule_points,
+                         tabulate_functionals)
 from .quadrature import composite_rule, gauss_legendre_rule, sorted_unique
 
 
@@ -172,41 +176,79 @@ def _green_and_pairing(fns: DualFunctionals, src: SourceTerm, grid: np.ndarray,
                        quad_points: int):
     """G src on the grid, and every functional paired with G src.
 
-    G src = G f - u_bar: the point sources' kernel values plus the Green's
-    primitive at k = 0 of the smooth part, cut at the mesh and its
-    breakpoints, then u_bar and its pairing subtracted once.  The L2
-    pairing of G f is on the source rule (cut also at the point sources),
-    which one primitive call tabulates with the grid.  The H10 pairing is
-    the point sources' lifts plus `h10_project_from_source` of f, its own
-    pass, which the resolved part of a smooth source cancels bit for bit.  u_bar's
-    pairing is exact (`_field_pairing`); for an edge field of the L2
-    functionals' family it is its coefficients (the functionals are
+    G src = G f - u_bar: the point sources' kernel values plus G of the
+    smooth part, then u_bar and its pairing subtracted once.  G f comes
+    from one tabulation of f per cell (`kernels._poisson_cells`).  For L2
+    the cells are the mesh cut at the breakpoints and the point sources,
+    and G f is paired on the source rule's points in them.  For H10 the
+    pairing is the point sources' lifts plus the coefficients of G f's H10
+    projection from the same tabulation (`_green_and_h10`), bit for bit
+    those of `h10_project_from_source`, whose resolved part they cancel.
+    u_bar's pairing is exact (`_field_pairing`); for an edge field of the
+    L2 functionals' family it is its coefficients (the functionals are
     biorthogonal to that basis), ten times more accurate than a rule's.
     """
     locs, qs = np.array(src.point_sources, dtype=float).reshape(-1, 2).T
+    family = fns.family
     l2 = fns.flavor is ProjectionFlavor.L2
     if l2:
-        s, w = mesh_quadrature(fns.family, quad_points, np.r_[src.breakpoints, locs])
-    x = np.concatenate((grid, s)) if l2 else grid
-    image = poisson_green(x[:, None], locs[None, :]) @ qs
-    if src.smooth is not None:
-        cuts = np.r_[fns.family.mesh.boundaries, src.breakpoints]
-        image = image + _damped_green_apply(src.smooth, x, cuts, quad_points)[0][:, 0]
-    if l2:
-        data = pair_basis(fns.family, SpaceKind.DUAL_NODAL, s, w * image[grid.size:])
+        cuts = np.concatenate((family.mesh.boundaries, src.breakpoints, locs))
+        s, w = mesh_quadrature(family, quad_points, cuts)
+        x = np.concatenate((grid, s))
+        image = poisson_green(x[:, None], locs[None, :]) @ qs
+        if src.smooth is not None:
+            image = image + _poisson_cells(src.smooth, cuts, quad_points)(x)
+        data = pair_basis(family, SpaceKind.DUAL_NODAL, s, w * image[grid.size:])
         image = image[:grid.size]
     else:
+        image = poisson_green(grid[:, None], locs[None, :]) @ qs
         data = _lift(fns, locs).T @ qs
         if src.smooth is not None:
-            data = data + h10_project_from_source(fns, src.smooth, quad_points,
-                                                  src.breakpoints).coeffs[1:-1]
+            green, coeffs = _green_and_h10(fns, src.smooth, quad_points, src.breakpoints)
+            image, data = image + green(grid), data + coeffs
     coarse = src.coarse
     if coarse is not None:
         _check_unit_mesh(coarse.family.mesh, "a coarse field's mesh")
-        own_edge = l2 and coarse.space is SpaceKind.EDGE and coarse.family is fns.family
+        own_edge = l2 and coarse.space is SpaceKind.EDGE and coarse.family is family
         image = image - field_eval(coarse, grid)
         data = data - (coarse.coeffs if own_edge else _field_pairing(fns, coarse))
     return image, data
+
+
+def _h10_fine_scales(fns: DualFunctionals, src: SourceTerm, grid: np.ndarray,
+                     quad_points: int) -> np.ndarray:
+    """u' = (I - P_b) G_e f on each element e, zero off it: the H10 fine
+    scales of a smooth source with kinks and no point sources.
+
+    The H10 fine-scale Green's function is zero off the element blocks
+    (Hughes & Sangalli, SIAM J. Numer. Anal. 45, 2007), and P_b, the H10
+    projection onto e's degree-p bubbles, keeps the Lobatto bubbles b_j,
+    j < p, of G_e f = sum_j c_j b_j.  One tabulation of f per cell, its
+    running sums restarted at every vertex, gives each element's G_e f
+    (`kernels._poisson_cells`).  On an element that is one cell, u' is the
+    tail sum_{j >= p} c_j b_j, with no cancellation; on one split by
+    kinks, G_e f less P_b G_e f from the bubbles' loads (`_h10_local` of
+    zero vertex values).  u' is exactly zero at every vertex.
+    """
+    family = fns.family
+    mesh, p = family.mesh, family.degree
+    if src.smooth is None:
+        return np.zeros(grid.size)
+    bounds = mesh.boundaries
+    green = _poisson_cells(src.smooth, np.concatenate((bounds, src.breakpoints)), quad_points,
+                           bounds)
+    starts = np.searchsorted(green.ends, bounds)
+    whole = np.diff(starts) == 1
+    bubbles = green.bubbles.copy()
+    bubbles[starts[:-1][whole], :p - 1] = 0.0
+    fine = replace(green, bubbles=bubbles)(grid)
+    if whole.all():
+        return fine
+    # a whole element's P_b G_e f is its dropped bubbles, so it takes no loads
+    loads = pair_basis(family, SpaceKind.NODAL, green.points, green.weighted)
+    loads[:-1].reshape(mesh.num_elements, p)[whole, 1:] = 0.0
+    split = _h10_local(family, np.zeros(bounds.size), loads)
+    return fine - field_eval(interior_field(family, split), grid)
 
 
 def _l2_gram(fns: DualFunctionals) -> np.ndarray:
@@ -380,11 +422,15 @@ def reconstruct_fine_scales(op: FineScaleOperator, residual: SourceTerm, grid) -
     G r - resolved(pairing of G r), with G r = G f - u_bar for a coarse
     field u_bar (see the module docstring and `_green_and_pairing`).  A
     field the operator annihilates (`_annihilated`: its two terms cancel)
-    is dropped.  An edge field under an H10 operator raises ValueError.
+    is dropped, and with no point sources the H10 fine scales are then
+    each element's own (`_h10_fine_scales`).  An edge field under an H10
+    operator raises ValueError.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if _annihilated(op, residual.coarse):
         residual = replace(residual, coarse=None)
+        if not residual.point_sources:
+            return _h10_fine_scales(op.functionals, residual, grid, op.quad_points)
     image, data = _green_and_pairing(op.functionals, residual, grid, op.quad_points)
     return image - op.resolved(grid, data)
 

@@ -4,20 +4,24 @@ All satisfy homogeneous Dirichlet conditions, and all are g_k, the Green's
 function of -u'' + k^2 u on [0, 1], evaluated by one formula
 (`_damped_green`) with no positive exponent: the 1D Poisson kernel at
 k = 0, 2D series mode n at k = n pi and advection-diffusion at
-k = |c| / (2 nu).  One primitive applies g_k to a density
-(`_damped_green_apply`).  The 1D kernel's derivatives and the
-element-local Dirichlet kernel, which only the tests read, live beside
-the tests' oracles.
+k = |c| / (2 nu).  Two primitives apply it to a density: at k = 0 one
+tabulation per cell gives G f at the cell ends and each cell's Lobatto
+bubble series, so G f anywhere (`_poisson_cells`); at k > 0, where
+e^{-k |x - s|} kinks at every output point and no bubble series resolves
+it, running sums cut at the points (`_damped_green_apply`).  The 1D
+kernel's derivatives and the element-local Dirichlet kernel, which only
+the tests read, live beside the tests' oracles.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import _piece_ends, gauss_legendre_rule, sorted_unique
+from .quadrature import _piece_ends, gauss_legendre_rule, polished_gauss_rule, sorted_unique
 
 _DOMAIN_TOL = 1e-12
 _EPS = np.finfo(float).eps
@@ -126,16 +130,14 @@ def poisson2d_green(x, y, s1, s2, num_terms: int = DEFAULT_SERIES_TERMS):
 
 def _damped(k, a):
     """E_k(a) = (1 - e^{-2 k a}) / (2 k), k > 0 one rate per last-axis
-    column of a; E_0(a) = a."""
-    return np.expm1(-2.0 * k * a) / (-2.0 * k) if k.any() else a
+    column of a."""
+    return np.expm1(-2.0 * k * a) / (-2.0 * k)
 
 
 def _running_sums(c, d):
     """s_j = c_j + d_j s_{j-1} along axis 1, 0 <= d_j <= 1, by a doubling
     scan of log2(len) steps whose factors, products of d's, cannot overflow
-    (Hillis & Steele, CACM 29, 1986); one cumulative sum if every d_j is 1."""
-    if np.all(d == 1.0):
-        return np.cumsum(c, axis=1)
+    (Hillis & Steele, CACM 29, 1986)."""
     step = 1
     while step < c.shape[1]:
         c[:, step:] += d[:, step:] * c[:, :-step]
@@ -144,36 +146,32 @@ def _running_sums(c, d):
     return c
 
 
-def _damped_green_apply(density, x, cuts, quad_points: int, rates=0.0, pair=None,
+def _damped_green_apply(density, x, cuts, quad_points: int, rates, pair=None,
                         block_points: int = _BLOCK_POINTS):
     """G_k f at x in [0, 1], G_k the Green's operator of -u'' + k^2 u, zero ends.
 
-    `density(t)` gives one value per point or one column per density, each
-    with its rate k (all 0 or all positive); `cuts` are its kinks, and NaN
-    raises ValueError.  The kernel e^{-k |x - s|} E_k(min) E_k(1 - max) /
-    E_k(1) (`_damped`) is semiseparable (Greengard & Rokhlin, CPAM 44, 1991):
-    G_k f = [E_k(1 - x) L + E_k(x) R] / E_k(1), L = int_0^x e^{-k (x - s)}
-    E_k(s) f, R = int_x^1 e^{-k (s - x)} E_k(1 - s) f.  The Gauss rule is cut
-    at 0, 1, the cuts and every x, and each cell into pieces (`_PIECE_DECAY`),
-    one at k = 0; L and R are running sums of the pieces, damped by
+    `density(t)` gives one column per density, each with its rate k > 0;
+    `cuts` are its kinks, and NaN raises ValueError.  The kernel
+    e^{-k |x - s|} E_k(min) E_k(1 - max) / E_k(1) (`_damped`) is
+    semiseparable (Greengard & Rokhlin, CPAM 44, 1991): G_k f = [E_k(1 - x) L
+    + E_k(x) R] / E_k(1), L = int_0^x e^{-k (x - s)} E_k(s) f, R = int_x^1
+    e^{-k (s - x)} E_k(1 - s) f.  The Gauss rule is cut at 0, 1, the cuts
+    and every x, as e^{-k |x - s|} kinks there, and each cell into pieces
+    (`_PIECE_DECAY`); L and R are running sums of the pieces, damped by
     e^{-k width} a step (`_running_sums`), read at x: no exponent is
-    positive.  A damped piece carries at least _PIECE_POINTS Gauss points, so
+    positive.  A piece carries at least _PIECE_POINTS Gauss points, so
     callers pass their plain source rule.  Each block of pieces is tabulated
     once, and `pair(t, fw)` maps its points and weighted values to a partial
     pairing.  Returns G_k f, (len(x), densities), and the partials' sum or 0.
+    The 1D Poisson operator, k = 0, is `_poisson_cells`.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _check_unit_domain(x)
     x = np.clip(x, 0.0, 1.0)
     k = np.atleast_1d(np.asarray(rates, dtype=float))
-    cells = sorted_unique(np.concatenate(([0.0, 1.0], np.asarray(cuts, dtype=float), x)))
-    if np.isnan(cells[-1]):  # NaN sorts last, and x holds none
-        raise ValueError("a cut of the Green's primitive is NaN")
-    cells = cells[(cells >= 0.0) & (cells <= 1.0)]
-    damped = k.max() > 0.0
-    ends = _piece_ends(cells, np.ceil(k.max() * np.diff(cells) / _PIECE_DECAY).astype(int)) \
-        if damped else cells
-    rule = gauss_legendre_rule(max(_PIECE_POINTS, quad_points) if damped else quad_points)
+    cells = _cell_ends(np.concatenate((np.asarray(cuts, dtype=float), x)))
+    ends = _piece_ends(cells, np.ceil(k.max() * np.diff(cells) / _PIECE_DECAY).astype(int))
+    rule = gauss_legendre_rule(max(_PIECE_POINTS, quad_points))
     step = max(1, block_points // rule.npoints)
     # map_rule's affine map, its midpoints and half widths formed once
     mid, half = 0.5 * (ends[:-1] + ends[1:])[:, None], 0.5 * np.diff(ends)[:, None]
@@ -185,12 +183,9 @@ def _damped_green_apply(density, x, cuts, quad_points: int, rates=0.0, pair=None
         if pair is not None:
             pairing = pairing + pair(t.ravel(), f.reshape(t.size, -1))
         # each piece's integral in L at its right end and in R at its left end
-        if damped:
-            t, lag = t[..., None], -k * h[..., None]
-            weights = np.stack((_damped(k, t) * np.exp(lag * (1.0 - rule.nodes[:, None])),
-                                _damped(k, 1.0 - t) * np.exp(lag * (1.0 + rule.nodes[:, None]))))
-        else:
-            weights = np.stack((t, 1.0 - t))
+        t, lag = t[..., None], -k * h[..., None]
+        weights = np.stack((_damped(k, t) * np.exp(lag * (1.0 - rule.nodes[:, None])),
+                            _damped(k, 1.0 - t) * np.exp(lag * (1.0 + rule.nodes[:, None]))))
         parts.append(np.einsum("jiq...,iq...->ji...", weights, f))
     left, right = np.concatenate(parts, axis=1)
     decay = np.exp(-k * np.diff(ends)[:, None])
@@ -199,6 +194,122 @@ def _damped_green_apply(density, x, cuts, quad_points: int, rates=0.0, pair=None
     x, scale = x[:, None], _damped(k, 1.0)
     return (_damped(k, 1.0 - x) / scale * np.concatenate((zero, left))[at]
             + _damped(k, x) / scale * np.concatenate((right[::-1], zero))[at]), pairing
+
+
+def _cell_ends(cuts) -> np.ndarray:
+    """0, 1 and the cuts inside [0, 1], sorted and distinct; a NaN cut
+    raises ValueError."""
+    ends = sorted_unique(np.concatenate(([0.0, 1.0], cuts)))
+    if np.isnan(ends[-1]):  # NaN sorts last
+        raise ValueError("a cut of the Green's primitive is NaN")
+    return ends[(ends >= 0.0) & (ends <= 1.0)]
+
+
+def _prefix_sums(terms: np.ndarray) -> np.ndarray:
+    """Running sums along the last axis, compensated: the rounding of each
+    of np.cumsum's steps, exact by TwoSum (Knuth, TAOCP 2, 4.2.2), is added
+    back by one more cumsum (Ogita, Rump & Oishi, SISC 26, 2005)."""
+    total = np.cumsum(terms, axis=-1)
+    prev, cur = total[..., :-1], total[..., 1:]
+    moved = cur - prev
+    error = (prev - (cur - moved)) + (terms[..., 1:] - moved)
+    total[..., 1:] += np.cumsum(error, axis=-1)
+    return total
+
+
+@functools.cache
+def _cell_rule(points: int):
+    """The points-point Gauss rule, to an ulp (`polished_gauss_rule`), (2j +
+    1) b_j at its nodes and b_j's Legendre coefficients, rows j = 1 ..
+    points, b_j = (P_{j+1} - P_{j-1}) / (2j + 1) the Lobatto bubbles, which
+    vanish at -1 and 1 and are H10-orthogonal: int b_i' b_j' = 2 / (2j + 1)
+    delta_ij."""
+    rule = polished_gauss_rule(points)
+    legendre = np.polynomial.legendre.legvander(rule.nodes, points + 1)
+    coeffs = (np.eye(points, points + 2, 2) - np.eye(points, points + 2)) \
+        / (2.0 * np.arange(1, points + 1) + 1.0)[:, None]
+    return rule, legendre[:, 2:] - legendre[:, :-2], coeffs
+
+
+@dataclass(frozen=True)
+class PoissonCells:
+    """G f on [0, 1] from one tabulation of f per cell (`_poisson_cells`).
+
+    `values` is G f at the cell `ends`, or, with the sums restarted, G_I f,
+    the Green's operator of each restart interval I; `bubbles[c, j - 1]`
+    is c_j, so that the cell's own Green's operator G_c f is sum_j c_j b_j
+    (`_cell_rule`).  The cell's 2q Gauss `points` and weighted source
+    values `weighted` give any other integral of f on the same rule.
+    """
+
+    ends: np.ndarray
+    values: np.ndarray
+    bubbles: np.ndarray
+    points: np.ndarray
+    weighted: np.ndarray
+
+    def __call__(self, x) -> np.ndarray:
+        """G f at x: the line through the cell's end values plus its bubble
+        series, summed in Legendre form by Clenshaw (`legval`).  A point on
+        a cell end reads that end's value alone."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        _check_unit_domain(x)
+        x = np.clip(x, 0.0, 1.0)
+        ends, values = self.ends, self.values
+        cell = np.clip(np.searchsorted(ends, x) - 1, 0, ends.size - 2)
+        half = 0.5 * (ends[cell + 1] - ends[cell])
+        xi = (x - ends[cell]) / half - 1.0
+        tau = 0.5 * (1.0 + xi)
+        out = (1.0 - tau) * values[cell] + tau * values[cell + 1]
+        inner = np.abs(xi) < 1.0
+        if not inner.any():
+            return out
+        legendre = (self.bubbles @ _cell_rule(self.bubbles.shape[1])[2]).T
+        out[inner] += np.polynomial.legendre.legval(xi[inner], legendre[:, cell[inner]],
+                                                    tensor=False)
+        return out
+
+
+def _poisson_cells(density, cuts, quad_points: int, restarts=()) -> PoissonCells:
+    """The 1D Poisson Green's operator G of -u'' on [0, 1], zero ends, for
+    the source `density` with kinks at `cuts` (NaN raises ValueError).
+
+    The cells run between 0, 1, the cuts and the restarts, and each is
+    tabulated once, by the 2q-point Gauss rule, q = quad_points, at the
+    rule's own reference nodes xi_k: 2q points resolve what the q-point
+    source rule's Gauss sums resolve.  G f = [(b - x) L + (x - a) R] /
+    (b - a) on [a, b] = [0, 1] (Greengard & Rokhlin, CPAM 44, 1991), L =
+    int_a^x (s - a) f and R = int_x^b (b - s) f, compensated running sums
+    of the cells' integrals (`_prefix_sums`), read at the cell ends; with
+    restarts they run on each interval between them, giving G_I f there.
+    Inside a cell of half width J, G f is the line through its end values
+    plus G_c f = sum_{j <= 2q} c_j b_j, c_j = J^2 (2j + 1) / 2 int f b_j,
+    the Lobatto bubbles b_j being H10-orthogonal (`PoissonCells`): no rule
+    is cut at an output point.
+    """
+    ends = _cell_ends(np.concatenate((np.asarray(cuts, dtype=float),
+                                      np.asarray(restarts, dtype=float))))
+    rule, bubble, _ = _cell_rule(2 * quad_points)
+    width = np.diff(ends)[:, None]
+    # from each cell's left end: a rounded midpoint would shift the cell's
+    # whole rule, which put up to 2e-15 into G f at a 5-element mesh's vertices
+    t = ends[:-1, None] + width * (0.5 * (1.0 + rule.nodes))
+    fw = np.asarray(density(t.ravel()), dtype=float).reshape(t.shape) * (0.5 * width * rule.weights)
+    # each cell's interval [a, b] between restarts, and its place there
+    bounds = _cell_ends(restarts)
+    starts = np.searchsorted(ends, bounds)
+    count = np.diff(starts)
+    seg = np.repeat(np.arange(count.size), count)
+    pos = np.arange(ends.size - 1) - starts[seg]
+    a, b = bounds[seg], bounds[seg + 1]
+    moments = np.zeros((2, count.size, count.max() + 1))
+    moments[0, seg, pos] = np.sum(fw * (t - a[:, None]), axis=1)
+    moments[1, seg, pos] = np.sum(fw * (b[:, None] - t), axis=1)
+    left = _prefix_sums(moments[0])[seg, pos]
+    right = _prefix_sums(moments[1, :, ::-1])[:, ::-1][seg, pos + 1]
+    x = ends[1:]
+    values = np.concatenate(([0.0], ((b - x) * left + (x - a) * right) / (b - a)))
+    return PoissonCells(ends, values, 0.25 * width * (fw @ bubble), t.ravel(), fw.ravel())
 
 
 @dataclass(frozen=True)

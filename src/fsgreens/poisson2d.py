@@ -15,12 +15,13 @@ All kernel applications exploit the separable eigenfunction series: the
 sine direction is integrated once against high-order per-element rules
 sized to the truncation order and the element width.  Each term's profile
 in the other direction is the Green's function of -d^2/dy^2 + (n pi)^2,
-which the Green's primitive of `kernels` applies to all terms at once, as
-it applies the 1D sources' at rate 0.  Pairings of the truncated operator
-reduce to sums of 1D integrals of the kernel the reconstruction uses.  The
-pairing and the convolution need the residual only through its sine
-moments, so the primitive pairs each block of its pieces with the basis as
-it tabulates it (`_green_tables`), as it pairs the 1D H10 loads: each
+which the damped Green's primitive of `kernels` applies to all terms at
+once, cut at every ordinate, where e^{-n pi |y - s|} kinks: no bubble
+series resolves that kink, as the 1D Poisson route's does its cells'.
+Pairings of the truncated operator reduce to sums of 1D integrals of the
+kernel the reconstruction uses.  The pairing and the convolution need the
+residual only through its sine moments, so the primitive pairs each block
+of its pieces with the basis as it tabulates it (`_green_tables`): each
 piece lies in one element, where the basis is a polynomial, and carries at
 least the source rule's points (and the floor, `kernels._PIECE_POINTS`).
 

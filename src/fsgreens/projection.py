@@ -26,7 +26,7 @@ import numpy as np
 
 from .basis1d import BasisFamily, Field, SpaceKind, _locate, pair_basis, tabulate_nodal
 from .dualspace import DualSet, tabulate_duals
-from .kernels import _check_unit_mesh, _damped_green_apply, poisson_green
+from .kernels import _check_unit_mesh, _poisson_cells, poisson_green
 from .quadrature import composite_rule, gauss_legendre_rule, sorted_unique
 
 _BOUNDARY_TOL = 1e-9
@@ -184,22 +184,21 @@ def project(fns: DualFunctionals, f: Callable[[np.ndarray], np.ndarray],
     return interior_field(family, _h10_local(family, vertex, loads))
 
 
-def _green_and_h10(fns: DualFunctionals, source: Callable[[np.ndarray], np.ndarray], x,
+def _green_and_h10(fns: DualFunctionals, source: Callable[[np.ndarray], np.ndarray],
                    quad_points: int | None = None, breakpoints: Sequence[float] = ()):
-    """u = G source at x, and its H10 projection's interior coefficients,
-    from u's vertex values and loads (psi_k', u') = (psi_k, source): one
-    pass of the Green's primitive at x and the vertices, cut at the mesh
-    and the breakpoints, pairing through its `pair` hook."""
+    """u = G source, as its cells (`kernels._poisson_cells`: one tabulation
+    of the source per cell of the mesh cut at the breakpoints), and u's H10
+    projection's interior coefficients, from the same tabulation: u's
+    vertex values and loads (psi_k', u') = (psi_k, source)."""
     if fns.flavor is not ProjectionFlavor.H10:
         raise ValueError("source shortcut exists for the H10 flavor only")
     family = fns.family
     _check_unit_mesh(family.mesh)
     nodes = family.mesh.boundaries
-    green, loads = _damped_green_apply(
-        source, np.r_[x, nodes], np.r_[nodes, breakpoints],
-        source_rule_points(family.degree, quad_points),
-        pair=lambda t, fw: pair_basis(family, SpaceKind.NODAL, t, fw[:, 0]))
-    return green[:-nodes.size, 0], _h10_local(family, green[-nodes.size:, 0], loads)
+    green = _poisson_cells(source, np.concatenate((nodes, breakpoints)),
+                           source_rule_points(family.degree, quad_points))
+    loads = pair_basis(family, SpaceKind.NODAL, green.points, green.weighted)
+    return green, _h10_local(family, green.values[np.searchsorted(green.ends, nodes)], loads)
 
 
 def h10_project_from_source(fns: DualFunctionals,
@@ -208,5 +207,6 @@ def h10_project_from_source(fns: DualFunctionals,
                             breakpoints: Sequence[float] = ()) -> Field:
     """Exact H10 projection of the solution of -u'' = source, without
     solving: the H10 pairing builds in the diffusion problem, and one
-    Green's pass gives u's vertex values and loads (`_green_and_h10`)."""
-    return interior_field(fns.family, _green_and_h10(fns, source, (), quad_points, breakpoints)[1])
+    tabulation of the source gives u's vertex values and loads
+    (`_green_and_h10`)."""
+    return interior_field(fns.family, _green_and_h10(fns, source, quad_points, breakpoints)[1])

@@ -170,7 +170,8 @@ class _Workspace:
     reconstruction functions are the interior nodal basis
     (`FineScaleOperator.resolved`), so R is psi; mu' is the element-local
     table, and G f at the nodes and (mu, f), the coefficients of G f's H10
-    projection, come from one Green's pass (`_green_and_h10`), no K solve.
+    projection, come from one tabulation of f per cell (`_green_and_h10`),
+    no K solve.
 
     The residual's diffusive part, the coarse field's distributional
     second derivative, is left out: the fine-scale operator maps it to
@@ -230,7 +231,7 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals,
     x, w = mesh_quadrature(family, q, layer)
 
     psi_tab = tabulate_nodal(family, x)[:, 1:-1]
-    green, coarse_rhs = _green_and_h10(fns, problem.source, x, q, layer)
+    green, coarse_rhs = _green_and_h10(fns, problem.source, q, layer)
     coarse_rhs = coarse_rhs / problem.diffusion
     pairing = ratio * (tabulate_functionals(fns, x, deriv=1).T * w)
     num_cells = cells.size - 1
@@ -246,7 +247,7 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals,
     sweep = np.block([
         [np.zeros((fns.size, fns.size)), coarse],
         [fine @ psi_tab, fine,
-         (green / problem.diffusion - psi_tab @ coarse_rhs)[:, None]]])
+         (green(x) / problem.diffusion - psi_tab @ coarse_rhs)[:, None]]])
     if not np.all(np.isfinite(sweep)):
         raise ValueError("the sweep map overflows; c/nu is too large")
     mass = assemble_mass(family)[1:-1, 1:-1]

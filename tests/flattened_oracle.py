@@ -11,10 +11,10 @@ representers: the smooth part by the k = 0 oracle below and the source
 rule, the point terms by kernel and representer (derivative) values.
 
 The k = 0 oracle (`_poisson_apply`) is the library's former 1D Poisson
-primitive, prefix and suffix sums of the cells' moments, with the
-x-derivative (`deriv=1`) the library does not form; the tests check the
-library's damped primitive (`kernels._damped_green_apply`) at k = 0
-against it.
+primitive, prefix and suffix sums of the moments of cells cut at every
+output point, with the x-derivative (`deriv=1`) the library does not
+form; the tests check the library's cell route (`kernels._poisson_cells`),
+which cuts no cell at an output point, against it.
 
 It also holds the naive pairing (`pair_naive`): the functionals paired
 with G src on a rule cut only at the mesh boundaries, not at the kernel
@@ -62,8 +62,7 @@ from fsgreens.basis1d import (BasisFamily, Field, SpaceKind, _element_cols, _loc
 from fsgreens.dualspace import _assemble_gram, assemble_stiffness, partial_moments
 from fsgreens.finescale import (FineScaleOperator, SourceTerm, _annihilated, _field_pairing,
                                 _green_and_pairing, _lift)
-from fsgreens.kernels import (_BLOCK_POINTS, GreensKernel1D, _check_unit_domain,
-                              _damped_green_apply, poisson_green)
+from fsgreens.kernels import _BLOCK_POINTS, GreensKernel1D, _check_unit_domain, poisson_green
 from fsgreens.projection import (DualFunctionals, ProjectionFlavor, interior_field,
                                  mesh_quadrature, source_rule_points, tabulate_functionals)
 from fsgreens.quadrature import composite_rule, gauss_legendre_rule, map_rule, sorted_unique
@@ -504,7 +503,7 @@ def global_h10_reconstruct(op: FineScaleOperator, src: SourceTerm, grid) -> np.n
     image = poisson_green(grid[:, None], locs[None, :]) @ qs
     if src.smooth is not None:
         cuts = np.r_[fns.family.mesh.boundaries, src.breakpoints]
-        image = image + _damped_green_apply(src.smooth, grid, cuts, op.quad_points)[0][:, 0]
+        image = image + _poisson_apply(src.smooth, grid, cuts, op.quad_points)[:, 0]
     smooth = w * np.asarray(src.smooth(s), dtype=float) if src.smooth is not None else 0.0 * w
     data = global_h10_pair(fns, np.r_[s, locs], np.r_[smooth, qs])
     fld = src.coarse

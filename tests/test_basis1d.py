@@ -41,6 +41,17 @@ def test_mesh_validation():
     assert mesh.num_edge_dofs == 12
 
 
+def test_meshes_and_families_compare_by_identity():
+    # their boundaries are an array, so field-wise equality raised
+    # ValueError and hashing TypeError; the library tells families apart
+    # by identity (`fld.family is fns.family`), and so do == and hash
+    mesh, twin = Mesh1D.uniform(0.0, 1.0, 2, 2), Mesh1D.uniform(0.0, 1.0, 2, 2)
+    assert mesh == mesh and mesh != twin
+    family = basis_family(mesh)
+    assert family == family and family != basis_family(mesh)
+    assert {mesh: 1, twin: 2, family: 3}[twin] == 2
+
+
 def test_locate_tie_breaks_left():
     # mesh elements, and cells cut finer as the coupled sweep's are: a point
     # on an inner bound goes left, points within 1e-12 past an end clip to

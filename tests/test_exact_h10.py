@@ -4,7 +4,9 @@ u is a polynomial of degree p + 3 with zero end values on dyadic meshes,
 so the mesh, the grid and u's coefficients are exact floats and
 `exact_h10` gives Pi u and u - Pi u in rational arithmetic.  Each column
 is checked on its own, in units of eps max |u|: the total u_bar + u_prime
-would hide errors that cancel.  The functionals carry no stiffness, as no
+would hide errors that cancel.  The fine scales of an annihilated coarse
+field are element-local, each element's bubble tail, and are checked in
+units of eps h_e^2 max |f| instead.  The functionals carry no stiffness, as no
 H10 projection or reconstruction reads one, and the dense K of N = 1024,
 p = 8 would take half a gigabyte.
 """
@@ -27,6 +29,11 @@ from flattened_oracle import (global_h10_project, global_h10_project_from_source
 EPS = np.finfo(float).eps
 # the largest error seen over these cases is 6.4 eps max |u|
 BOUND = 16.0
+# at the vertices, where Pi u interpolates u: at most 4.04 eps max |u|
+VERTEX_BOUND = 8.0
+# u_prime of an annihilated coarse field, in eps h_e^2 max |f|: at most
+# 0.025, where the former route, G f less its resolved part, wrote eps max |u|
+ELEMENT_BOUND = 4.0
 
 
 @functools.lru_cache(maxsize=None)
@@ -79,9 +86,33 @@ def test_h10_columns_match_the_exact_projection(num_elements, degree, jittered):
     at_vertex = np.isin(grid, vertices)
     assert at_vertex.sum() >= 17
     for u_bar in projections:
-        assert _errors(field_eval(u_bar, vertices), 0.0, poly.solution(vertices), 0.0)[0] <= BOUND
+        assert _errors(field_eval(u_bar, vertices), 0.0, poly.solution(vertices), 0.0)[0] \
+            <= VERTEX_BOUND
         assert np.max(np.abs(field_eval(u_bar, grid[at_vertex]) - exact[at_vertex])) \
-            <= BOUND * EPS * np.max(np.abs(exact))
+            <= VERTEX_BOUND * EPS * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("jittered", [False, True], ids=["uniform", "jittered"])
+@pytest.mark.parametrize("degree", [2, 4, 8])
+@pytest.mark.parametrize("num_elements", [16, 256, 1024])
+def test_h10_fine_scales_are_each_elements_bubble_tail(num_elements, degree, jittered):
+    # with the coarse field annihilated, u_prime on each element is the
+    # tail sum_{j >= p} c_j b_j of G_e f's bubble series: within 4 eps
+    # h_e^2 max |f| of the exact u - Pi u, h_e the element's width, with
+    # no rounding of |u| in it, and exactly zero at every vertex
+    family, poly, grid, exact, fine = _case(num_elements, degree, jittered)
+    fns = DualFunctionals(ProjectionFlavor.H10, family)
+    op = FineScaleOperator(GreensKernel1D.poisson(), fns, source_rule_points(degree))
+    bounds = family.mesh.boundaries
+    width = np.diff(bounds)[np.clip(np.searchsorted(bounds, grid, side="right") - 1,
+                                    0, num_elements - 1)]
+    scale = EPS * width**2 * np.max(np.abs(poly.source(np.linspace(0.0, 1.0, 10001))))
+    at_vertex = np.isin(grid, bounds)
+    for u_bar in (h10_project_from_source(fns, poly.source),
+                  project(fns, poly.solution, poly.gradient)):
+        u_prime = reconstruct_fine_scales(op, residual_from_field(u_bar, poly.source), grid)
+        assert np.all(np.abs(u_prime - fine) <= ELEMENT_BOUND * scale)
+        assert np.all(u_prime[at_vertex] == 0.0)
 
 
 @pytest.mark.parametrize("jittered", [False, True], ids=["uniform", "jittered"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fsgreens import basis1d, finescale, kernels
+from fsgreens import basis1d, finescale
 from fsgreens.basis1d import (Field, Mesh1D, SpaceKind, _reference_duals, basis_family, field_eval,
                               pair_basis, tabulate_edge, tabulate_nodal)
 from fsgreens.dualspace import assemble_stiffness, tabulate_duals
@@ -21,7 +21,7 @@ from fsgreens.finescale import (
     reconstruct_fine_scales,
     residual_from_field,
 )
-from fsgreens.kernels import GreensKernel1D, _damped_green_apply
+from fsgreens.kernels import GreensKernel1D, _poisson_cells
 from fsgreens.poisson2d import Mesh2D, build_dual_functionals_2d
 from fsgreens.projection import (
     ProjectionFlavor,
@@ -32,13 +32,13 @@ from fsgreens.projection import (
     source_rule_points,
     tabulate_functionals,
 )
-from fsgreens.quadrature import composite_rule, gauss_legendre_rule
+from fsgreens.quadrature import composite_rule, gauss_legendre_rule, polished_gauss_rule
 from fsgreens.vms_advdiff import (AdvDiffProblem, iterate, make_workspace,
                                   reconstruct_with_exact_gradient)
 
 from flattened_oracle import (_poisson_apply, apply_dual_green, edge_mass,
                               element_endpoint_values, element_green, flattened, functional_load,
-                              global_h10_pair, global_h10_tabulate, lift_dx,
+                              global_h10_pair, global_h10_reconstruct, global_h10_tabulate, lift_dx,
                               lift_functionals_direct, nodal_points, pair_naive, reconstruct_flat,
                               resolved_basis_reproduction, spd_solve)
 
@@ -188,34 +188,55 @@ def test_source_paths_reject_a_nan_breakpoint(flavor):
     (np.linspace(0.0, 1.0, 301)[::-1], np.linspace(0.0, 1.0, 7), 9),
 ], ids=["on-cuts", "blocks"])
 def test_poisson_primitive_tabulates_its_cells_once(x, cuts, points):
-    # the density sees the composite rule of the cells between 0, 1, the
-    # cuts and every point, each rule point once, in _BLOCK_POINTS blocks
-    # or fewer; a point on a cut adds no cell
+    # the density sees, in one call, the 2q-point rule of each cell
+    # between 0, 1 and the cuts, from the cell's left end, each rule point
+    # once: the output points cut no cell (cut at every point, the former
+    # primitive read 5 cells of 20 points and 306 of 9)
     calls = []
 
     def density(s):
         calls.append(s)
         return np.ones_like(s)
 
-    got = _damped_green_apply(density, x, cuts, points)[0][:, 0]
-    ends = np.unique(np.concatenate(([0.0, 1.0], cuts, x)))
-    assert np.array_equal(np.concatenate(calls),
-                          composite_rule(gauss_legendre_rule(points), ends)[0])
-    assert max(c.size for c in calls) <= kernels._BLOCK_POINTS
+    got = _poisson_cells(density, cuts, points)(x)
+    ends = np.unique(np.concatenate(([0.0, 1.0], cuts)))
+    tau = 0.5 * (1.0 + polished_gauss_rule(2 * points).nodes)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0],
+                                  (ends[:-1, None] + np.diff(ends)[:, None] * tau).ravel())
     assert np.max(np.abs(got - 0.5 * x * (1.0 - x))) < 1e-16
+
+
+@pytest.mark.parametrize("flavor", [ProjectionFlavor.H10, ProjectionFlavor.L2])
+def test_reconstruction_reads_its_source_independently_of_the_grid(flavor):
+    # one tabulation of the source, 2q = 40 points on each of the 20
+    # elements, at 401 and at 4,001 grid points alike: no rule is cut at an
+    # output point (cut at every one, H10 read 8,480 and 80,480 points)
+    _, fns, op = _setup(20, 4, flavor)
+    u_bar = h10_project_from_source(fns, CASE.source) if flavor is ProjectionFlavor.H10 \
+        else project(fns, CASE.solution)
+    for points in (401, 4001):
+        sizes = []
+
+        def source(x):
+            sizes.append(np.size(x))
+            return CASE.source(x)
+
+        reconstruct_fine_scales(op, residual_from_field(u_bar, source), np.linspace(0, 1, points))
+        assert sum(sizes) == 800 == 2 * op.quad_points * 20
 
 
 @pytest.mark.parametrize("deriv", [0, 1])
 def test_poisson_primitive_points_in_any_order(deriv):
     # unsorted, repeated and on-cut points: the values of the sorted
     # distinct points, and each point's value alone up to rounding; the
-    # library's primitive at k = 0, and the oracle's x-derivative
+    # library's cell route, and the oracle's x-derivative
     density = lambda s: np.abs(s - 0.3) + np.sin(3.0 * s)
     cuts = [0.3, 0.5]
     if deriv:
         apply = lambda xs: _poisson_apply(density, xs, cuts, 20, deriv)
     else:
-        apply = lambda xs: _damped_green_apply(density, xs, cuts, 20)[0]
+        apply = lambda xs: _poisson_cells(density, cuts, 20)(xs)[:, None]
     xs = np.array([0.9, 0.5, 0.2, 0.9, 0.0, 0.5, 1.0, 0.35, 0.3])
     got = apply(xs)[:, 0]
     uniq, inverse = np.unique(xs, return_inverse=True)
@@ -1014,6 +1035,25 @@ def test_nodal_field_with_nonzero_ends(flavor):
     assert np.max(np.abs(got - want)) <= 1e-13
 
 
+def test_h10_fine_scales_on_elements_split_by_kinks():
+    # a source with kinks inside two elements: there u' is G_e f less its
+    # bubble projection, elsewhere the bubble tail, exactly zero at every
+    # vertex and matching the flattened oracle and the route through K
+    mesh = _jittered_mesh(6, 3)
+    fns = build_dual_functionals(basis_family(mesh), ProjectionFlavor.H10)
+    op = build_fine_scale_operator(KERNEL, fns)
+    kinks = (0.37, 0.81)
+    source = lambda s: np.abs(s - 0.37) * np.sin(5.0 * s) + np.maximum(s - 0.81, 0.0)
+    assert not np.isin(kinks, mesh.boundaries).any()
+    u_bar = h10_project_from_source(fns, source, breakpoints=kinks)
+    resid = SourceTerm(source, kinks, coarse=u_bar)
+    x = np.unique(np.concatenate((np.linspace(0.0, 1.0, 101), mesh.boundaries, kinks)))
+    got = reconstruct_fine_scales(op, resid, x)
+    assert np.all(got[np.isin(x, mesh.boundaries)] == 0.0)
+    assert np.max(np.abs(got - reconstruct_flat(op, resid, x))) <= 1e-14
+    assert np.max(np.abs(got - global_h10_reconstruct(op, resid, x))) <= 1e-14
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(mesh=_large_meshes(min_dofs=2), amps=_AMPS)
 def test_closed_form_reconstruction_on_random_meshes(mesh, amps):
@@ -1185,10 +1225,10 @@ def test_a_family_forms_each_reference_gram_once(monkeypatch, flavor, gram):
 def test_h10_reconstruction_pairs_a_source_by_the_source_shortcut(num_elements, degree, jitter,
                                                                   breakpoints):
     # the H10 pairing of a smooth source's Green's image is bitwise the
-    # coefficients of `h10_project_from_source`, a second primitive pass
-    # beside the grid's, so the resolved part of a reconstruction is ū's
-    # own table.  One pass over the grid and the vertices, cut at the
-    # grid, cost recon1d 0.15-0.33 of its accuracy_digits
+    # coefficients of `h10_project_from_source`, from the one tabulation
+    # that also gives the image on the grid, so the resolved part of a
+    # reconstruction with point loads or a coarse field the operator does
+    # not annihilate is ū's own table
     mesh = _jittered_mesh(num_elements, degree) if jitter \
         else Mesh1D.uniform(0.0, 1.0, num_elements, degree)
     fns = build_dual_functionals(basis_family(mesh), ProjectionFlavor.H10)

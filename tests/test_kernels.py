@@ -1,3 +1,4 @@
+import math
 import warnings
 from decimal import Decimal, localcontext
 
@@ -6,8 +7,8 @@ import pytest
 
 from fsgreens.basis1d import Mesh1D
 from fsgreens.cases import advdiff_const_case, boundary_layer_breakpoints, sin2pixy_case
-from fsgreens.kernels import (_damped_green, _damped_green_apply, advdiff_green, poisson2d_green,
-                              poisson_green)
+from fsgreens.kernels import (_damped_green, _damped_green_apply, _poisson_cells, _prefix_sums,
+                              advdiff_green, poisson2d_green, poisson_green)
 from fsgreens.poisson2d import Mesh2D, _psi_tab, build_dual_functionals_2d
 from fsgreens.quadrature import composite_rule, gauss_legendre_rule
 
@@ -46,7 +47,8 @@ def test_unit_domain_tolerance(value, inside):
     # rounding just outside [0, 1] is accepted and clipped; a point 1e-9
     # outside, or NaN, is an error
     applies = (lambda v: poisson_green(v, 0.5), lambda v: poisson_green(0.5, v),
-               lambda v: _damped_green_apply(np.exp, [0.5, v], [0.3], 20)[0])
+               lambda v: _poisson_cells(np.exp, [0.3], 20)([0.5, v]),
+               lambda v: _damped_green_apply(np.exp, [0.5, v], [0.3], 20, np.pi)[0])
     for apply in applies:
         if inside:
             assert np.all(np.isfinite(apply(value)))
@@ -57,11 +59,20 @@ def test_unit_domain_tolerance(value, inside):
 
 @pytest.mark.parametrize("rates", [0.0, np.pi * np.arange(1, 4)])
 def test_damped_primitive_rejects_a_nan_cut(rates):
-    # a NaN cut is an error, not a cut dropped with those outside [0, 1]
+    # a NaN cut is an error, not a cut dropped with those outside [0, 1];
+    # at rate 0 the Green's operator is the cell route, its cuts and its
+    # restarts alike
     density = lambda t: np.ones((t.size, np.size(rates)))
-    _damped_green_apply(density, [0.5], [0.3, -0.2, 1.4, np.inf], 20, rates)
+    if np.all(rates == 0.0):
+        apply = lambda cuts: _poisson_cells(lambda t: density(t)[:, 0], cuts, 20)([0.5])
+        _poisson_cells(np.ones_like, [0.5], 20, restarts=[0.0, 0.3, 1.0])
+        with pytest.raises(ValueError, match="NaN"):
+            _poisson_cells(np.ones_like, [0.5], 20, restarts=[0.0, np.nan, 1.0])
+    else:
+        apply = lambda cuts: _damped_green_apply(density, [0.5], cuts, 20, rates)
+    apply([0.3, -0.2, 1.4, np.inf])
     with pytest.raises(ValueError, match="NaN"):
-        _damped_green_apply(density, [0.5], [0.3, np.nan], 20, rates)
+        apply([0.3, np.nan])
 
 
 def test_poisson_weak_delta_property():
@@ -304,12 +315,26 @@ def _dense(kernel, x, density, width):
     return np.array(out)
 
 
+def test_prefix_sums_are_compensated():
+    # each running sum within an ulp of the exact one (math.fsum; here all
+    # are exact), where np.cumsum is off by up to 1.1e6 ulps of partial
+    # sums that nearly cancel; along the last axis, one row per sequence
+    rng = np.random.default_rng(7)
+    terms = rng.standard_normal((3, 2000)) * np.exp(rng.uniform(-5.0, 5.0, (3, 2000)))
+    exact = np.array([[math.fsum(row[:i + 1]) for i in range(row.size)] for row in terms])
+    ulp = np.spacing(np.abs(exact))
+    assert np.max(np.abs(_prefix_sums(terms) - exact) / ulp) <= 1.0
+    assert np.max(np.abs(np.cumsum(terms, axis=-1) - exact) / ulp) > 100.0
+
+
 def test_damped_primitive_at_zero_rate_is_the_poisson_operator():
-    got, moments = _damped_green_apply(_kinked, _POINTS, [0.37], 20)
+    # at rate 0 the library's Green's operator is the cell route: cell-end
+    # values and each cell's bubble series, no cell cut at the points
+    got = _poisson_cells(_kinked, [0.37], 20)(_POINTS)
     want = _dense(poisson_green, _POINTS, _kinked, 1.0)
-    assert got.shape == (_POINTS.size, 1) and moments == 0.0
-    assert np.max(np.abs(got[:, 0] - want)) < 1e-15 * np.max(want)
-    oracle = _poisson_apply(_kinked, _POINTS, [0.37], 20)
+    assert got.shape == (_POINTS.size,)
+    assert np.max(np.abs(got - want)) < 1e-15 * np.max(want)
+    oracle = _poisson_apply(_kinked, _POINTS, [0.37], 20)[:, 0]
     assert np.max(np.abs(got - oracle)) < 1e-15 * np.max(want)
 
 

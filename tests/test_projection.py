@@ -15,7 +15,7 @@ from fsgreens.basis1d import (
 )
 from fsgreens.cases import sin2pix_case
 from fsgreens.dualspace import assemble_stiffness
-from fsgreens.kernels import _damped_green_apply
+from fsgreens.kernels import _poisson_cells
 from fsgreens.projection import (
     ProjectionFlavor,
     _h10_local,
@@ -26,7 +26,7 @@ from fsgreens.projection import (
     source_rule_points,
     tabulate_functionals,
 )
-from fsgreens.quadrature import composite_rule, gauss_legendre_rule
+from fsgreens.quadrature import composite_rule, gauss_legendre_rule, polished_gauss_rule
 
 from flattened_oracle import (edge_mass, global_h10_pair, global_h10_project,
                               global_h10_tabulate, nodal_deriv_jumps, spd_solve)
@@ -231,14 +231,14 @@ def test_source_shortcut_matches_direct_projection(family):
     assert np.max(np.abs(direct.coeffs - shortcut.coeffs)) < 1e-9
 
 
-@pytest.mark.parametrize("n,p,breakpoints,sizes", [(3, 2, (0.9, 0.97), [100]), (20, 4, (), [400]),
-                                                   (60, 3, (), [1020, 180])])
+@pytest.mark.parametrize("n,p,breakpoints,sizes", [(3, 2, (0.9, 0.97), [200]), (20, 4, (), [800]),
+                                                   (60, 3, (), [2400])])
 def test_source_shortcut_tabulates_the_source_once(n, p, breakpoints, sizes):
-    # one pass of the Green's primitive gives the vertex values and the
-    # loads, each block of the source rule evaluated once and paired as it
-    # is; a second pass on the source rule took [100, 100], [400, 400] and
-    # [1020, 180, 1200] evaluations.  In one block the loads are the whole
-    # rule's pairing bit for bit, and in two its sum up to rounding
+    # one tabulation of the source, 2q points on each cell of the mesh cut
+    # at the breakpoints, gives the vertex values and the loads (one pass
+    # of the primitive at the vertices took [100], [400] and [1020, 180]
+    # evaluations); the loads are that rule's pairing bit for bit, and the
+    # vertex values u(x_i) to 4 eps max |u| (3.0 eps at most here)
     family = basis_family(Mesh1D.uniform(0.0, 1.0, n, p))
     fns = build_dual_functionals(family, ProjectionFlavor.H10)
     calls = []
@@ -248,16 +248,19 @@ def test_source_shortcut_tabulates_the_source_once(n, p, breakpoints, sizes):
         return CASE.source(x)
 
     got = h10_project_from_source(fns, source, breakpoints=breakpoints).coeffs[1:-1]
-    x, w = mesh_quadrature(family, breakpoints=breakpoints)
+    nodes = family.mesh.boundaries
+    rule = polished_gauss_rule(2 * source_rule_points(p))
+    ends = np.unique(np.r_[nodes, breakpoints])
+    width = np.diff(ends)[:, None]
+    x = (ends[:-1, None] + width * (0.5 * (1.0 + rule.nodes))).ravel()
+    w = (0.5 * width * rule.weights).ravel()
     assert [c.size for c in calls] == sizes
     np.testing.assert_array_equal(np.concatenate(calls), x)
-    nodes = family.mesh.boundaries
-    vertex = _damped_green_apply(CASE.source, nodes, np.r_[nodes, breakpoints],
-                                 source_rule_points(p))[0][:, 0]
-    two_pass = _h10_local(family, vertex, pair_basis(family, SpaceKind.NODAL, x, w * CASE.source(x)))
-    if len(sizes) == 1:
-        np.testing.assert_array_equal(got, two_pass)
-    assert np.max(np.abs(got - two_pass)) <= 1e-15 * np.max(np.abs(two_pass))
+    vertex = _poisson_cells(CASE.source, np.r_[nodes, breakpoints], source_rule_points(p))(nodes)
+    loads = pair_basis(family, SpaceKind.NODAL, x, w * CASE.source(x))
+    np.testing.assert_array_equal(got, _h10_local(family, vertex, loads))
+    solution = CASE.solution(nodes)
+    assert np.max(np.abs(vertex - solution)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(solution))
 
 
 def test_source_shortcut_zero_and_polynomial():

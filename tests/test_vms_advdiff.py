@@ -19,7 +19,7 @@ from fsgreens.projection import (
     project,
     source_rule_points,
 )
-from fsgreens.quadrature import gauss_legendre_rule, sorted_unique
+from fsgreens.quadrature import gauss_legendre_rule
 from fsgreens.vms_advdiff import (
     _BLOCK,
     DEFAULT_TOLERANCE,
@@ -755,12 +755,13 @@ def test_an_exactly_singular_coarse_matrix_raises():
         _coarse_solve(np.diag([1.0, 0.5, 0.25]), np.ones(3))
 
 
-@pytest.mark.parametrize("num_elements,degree,nu,points", [(3, 2, 0.05, 1680), (10, 3, 0.01, 5040)])
+@pytest.mark.parametrize("num_elements,degree,nu,points", [(3, 2, 0.05, 160), (10, 3, 0.01, 480)])
 def test_workspace_reads_its_source_in_one_greens_pass(num_elements, degree, nu, points):
     # G f at the rule nodes, and the coarse side's vertex values and loads,
-    # come from one pass of the Green's primitive at the nodes and the
-    # vertices, cut at the mesh and the layer's breakpoints: q points on
-    # each cell between them (two passes read 1,740 and 5,240 points)
+    # come from one tabulation of the source, 2q points on each cell of the
+    # mesh cut at the layer's breakpoints, with no cell cut at a node (one
+    # pass cut at every node read 1,680 and 5,040 points, two passes 1,740
+    # and 5,240)
     _, fns, op = _h10_setup(num_elements, degree)
     case = advdiff_const_case(1.0, nu)
     sizes = []
@@ -770,5 +771,4 @@ def test_workspace_reads_its_source_in_one_greens_pass(num_elements, degree, nu,
         return case.source(x)
 
     ws = make_workspace(AdvDiffProblem(1.0, nu, source), fns, op)
-    cells = sorted_unique(np.concatenate((ws.cells, ws.nodes)))
-    assert sum(sizes) == points == op.quad_points * (cells.size - 1)
+    assert sum(sizes) == points == 2 * op.quad_points * (ws.cells.size - 1)
