@@ -13,25 +13,21 @@ sources and optionally a coarse field u_bar, nodal or edge.
 
 G maps a field's distributional second derivative to minus the field,
 taken as zero outside the mesh (Hughes & Sangalli, SIAM J. Numer. Anal.
-45, 2007), so r = f + u_bar'' has G r = G f - u_bar in closed form
-(`_green_and_pairing`).  A reconstruction is G r minus its resolved part
-(`FineScaleOperator.resolved`): the reconstruction functions
-(G duals)^T [Gram]^{-1} times the functionals' pairing with G r.  For L2
-the pairing is element-local, the functions are the lifts times a Gram
-solve, and lifts, Gram and resolved part are in closed form from the dual
-moments, as the kernel is semiseparable and each dual lives on one
-element (`_lift`, `_l2_gram`, `_l2_lift_sum`).  For H10 the pairing is the
-coefficients of G r's H10 projection, which reads G r at the vertices and
-adds each element's bubbles (`projection._h10_local`) with no solve with
-the global stiffness K, and the functions are the interior nodal basis
-(criterion 06).  So u_bar is u at the vertices.  A field of the H10
-space (nodal, of the operator's family, zero at both ends) is skipped, as
-its two terms cancel (criterion 05), and then, without point sources,
-u_prime is each element's own (I - P_b) G_e f, exactly zero at the
-vertices (`_h10_fine_scales`); an edge field has no H10 pairing.  The
-kernel is self-adjoint, so the representers (duals G) are the lifts
-(G duals), for H10 the element-local functional tables, whose values at the
-interior GLL nodes are the H10 Gram K^{-1}; K is assembled only for its eigenvalues.
+45, 2007), so r = f + u_bar'' has G r = G f - u_bar in closed form.  An
+L2 reconstruction is G r minus its resolved part (`_green_and_pairing`,
+`FineScaleOperator.resolved`): the lifts times the Gram solution of the
+functionals' pairing with G r, all in closed form from the dual moments,
+as the kernel is semiseparable and each dual lives on one element
+(`_lift`, `_l2_gram`, `_l2_lift_sum`).  The H10 fine-scale kernel is zero
+off the element blocks: on element e it is e's Dirichlet kernel g_e less
+its H10 projection P_b onto e's bubbles (`_h10_fine_kernel`).  So an H10
+reconstruction is (I - P_b) of G_e of the residual on each element, less
+the line through u_bar's end values (`_h10_fine_scales`), with no K
+solve; a field of the operator's family leaves that line alone
+(criterion 05), and an edge field has no H10 pairing.  The kernel is
+self-adjoint, so the representers (duals G) are the lifts (G duals), for
+H10 the element-local functional tables, whose values at the interior
+GLL nodes are the H10 Gram K^{-1}; K is assembled only for its eigenvalues.
 
 Smooth sources go through `kernels._poisson_cells`: one tabulation of the
 source per cell of the mesh cut at its kinks gives G f at the cell ends,
@@ -50,13 +46,12 @@ from typing import Callable
 
 import numpy as np
 
-from .basis1d import (Field, SpaceKind, _element_cols, _locate, _reference_duals, element_tab,
-                     field_eval, pair_basis)
+from .basis1d import (BasisFamily, Field, SpaceKind, _element_cols, _locate, _reference_duals,
+                     field_eval, lagrange_tab, pair_basis)
 from .dualspace import assemble_stiffness, partial_moments
 from .kernels import GreensKernel1D, _check_unit_mesh, _poisson_cells, poisson_green
-from .projection import (DualFunctionals, ProjectionFlavor, _green_and_h10, _h10_local,
-                         interior_field, mesh_quadrature, source_rule_points,
-                         tabulate_functionals)
+from .projection import (DualFunctionals, ProjectionFlavor, _h10_local, interior_field,
+                         mesh_quadrature, source_rule_points, tabulate_functionals)
 from .quadrature import composite_rule, gauss_legendre_rule, sorted_unique
 
 
@@ -174,81 +169,106 @@ def _field_pairing(fns: DualFunctionals, fld: Field) -> np.ndarray:
 
 def _green_and_pairing(fns: DualFunctionals, src: SourceTerm, grid: np.ndarray,
                        quad_points: int):
-    """G src on the grid, and every functional paired with G src.
+    """G src on the grid, and every L2 functional paired with G src.
 
     G src = G f - u_bar: the point sources' kernel values plus G of the
     smooth part, then u_bar and its pairing subtracted once.  G f comes
-    from one tabulation of f per cell (`kernels._poisson_cells`).  For L2
-    the cells are the mesh cut at the breakpoints and the point sources,
-    and G f is paired on the source rule's points in them.  For H10 the
-    pairing is the point sources' lifts plus the coefficients of G f's H10
-    projection from the same tabulation (`_green_and_h10`), bit for bit
-    those of `h10_project_from_source`, whose resolved part they cancel.
-    u_bar's pairing is exact (`_field_pairing`); for an edge field of the
-    L2 functionals' family it is its coefficients (the functionals are
-    biorthogonal to that basis), ten times more accurate than a rule's.
+    from one tabulation of f per cell of the mesh cut at the breakpoints
+    and the point sources (`kernels._poisson_cells`), and is paired on the
+    source rule's points in them.  u_bar's pairing is exact
+    (`_field_pairing`); for an edge field of the functionals' family it is
+    its coefficients (the functionals are biorthogonal to that basis), ten
+    times more accurate than a rule's.
     """
     locs, qs = np.array(src.point_sources, dtype=float).reshape(-1, 2).T
     family = fns.family
-    l2 = fns.flavor is ProjectionFlavor.L2
-    if l2:
-        cuts = np.concatenate((family.mesh.boundaries, src.breakpoints, locs))
-        s, w = mesh_quadrature(family, quad_points, cuts)
-        x = np.concatenate((grid, s))
-        image = poisson_green(x[:, None], locs[None, :]) @ qs
-        if src.smooth is not None:
-            image = image + _poisson_cells(src.smooth, cuts, quad_points)(x)
-        data = pair_basis(family, SpaceKind.DUAL_NODAL, s, w * image[grid.size:])
-        image = image[:grid.size]
-    else:
-        image = poisson_green(grid[:, None], locs[None, :]) @ qs
-        data = _lift(fns, locs).T @ qs
-        if src.smooth is not None:
-            green, coeffs = _green_and_h10(fns, src.smooth, quad_points, src.breakpoints)
-            image, data = image + green(grid), data + coeffs
+    cuts = np.concatenate((family.mesh.boundaries, src.breakpoints, locs))
+    s, w = mesh_quadrature(family, quad_points, cuts)
+    x = np.concatenate((grid, s))
+    image = poisson_green(x[:, None], locs[None, :]) @ qs
+    if src.smooth is not None:
+        image = image + _poisson_cells(src.smooth, cuts, quad_points)(x)
+    data = pair_basis(family, SpaceKind.DUAL_NODAL, s, w * image[grid.size:])
+    image = image[:grid.size]
     coarse = src.coarse
     if coarse is not None:
         _check_unit_mesh(coarse.family.mesh, "a coarse field's mesh")
-        own_edge = l2 and coarse.space is SpaceKind.EDGE and coarse.family is family
+        own_edge = coarse.space is SpaceKind.EDGE and coarse.family is family
         image = image - field_eval(coarse, grid)
         data = data - (coarse.coeffs if own_edge else _field_pairing(fns, coarse))
     return image, data
 
 
+def _h10_fine_kernel(family: BasisFamily, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """g'(x, s) = g_e(x, s) - J_e psi_b(x)^T K_b^{-1} psi_b(s) where x and s
+    lie inside one element e = [a, b], else 0; shape (len(x), len(s)).
+
+    g_e = (min - a)(b - max) / (b - a) is e's Dirichlet kernel and the rest
+    its H10 projection onto e's interior Lagrange functions psi_b, whose
+    loads are psi_b(s) and stiffness the family's reference K_b over J_e
+    (`_h10_local`).  Only pairs in one element are formed; a point on a
+    node lies in none.
+    """
+    bounds = family.mesh.boundaries
+    (ex, jac, xi), (es, _, si) = (_locate(bounds, p) for p in (x, s))
+    # no element is -1 for x and -2 for s, so they never pair
+    i, j = np.nonzero(np.where(np.abs(xi) < 1.0, ex, -1)[:, None]
+                      == np.where(np.abs(si) < 1.0, es, -2))
+    a, b = bounds[ex[i]], bounds[ex[i] + 1]
+    lo, hi = np.minimum(x[i], s[j]), np.maximum(x[i], s[j])
+    coeffs = np.linalg.solve(family.nodal_stiffness[1:-1, 1:-1],
+                             lagrange_tab(family, si)[:, 1:-1].T)
+    bubble = np.einsum("ik,ki->i", lagrange_tab(family, xi)[i, 1:-1], coeffs[:, j])
+    out = np.zeros((x.size, s.size))
+    out[i, j] = (lo - a) * (b - hi) / (b - a) - jac[i] * bubble
+    return out
+
+
 def _h10_fine_scales(fns: DualFunctionals, src: SourceTerm, grid: np.ndarray,
                      quad_points: int) -> np.ndarray:
-    """u' = (I - P_b) G_e f on each element e, zero off it: the H10 fine
-    scales of a smooth source with kinks and no point sources.
+    """u' = (I - P_b)[G_e f + sum_k q_k g_e(., s_k) - (u_bar - I u_bar)] - l
+    on each element e, l the line through u_bar's end values and I u_bar
+    its vertex interpolant: the H10 fine scales of any residual.
 
-    The H10 fine-scale Green's function is zero off the element blocks
-    (Hughes & Sangalli, SIAM J. Numer. Anal. 45, 2007), and P_b, the H10
-    projection onto e's degree-p bubbles, keeps the Lobatto bubbles b_j,
-    j < p, of G_e f = sum_j c_j b_j.  One tabulation of f per cell, its
-    running sums restarted at every vertex, gives each element's G_e f
+    P_b, the H10 projection onto e's degree-p bubbles, keeps the Lobatto
+    bubbles b_j, j < p, of G_e f = sum_j c_j b_j, which one tabulation of
+    f per cell gives, its running sums restarted at every vertex
     (`kernels._poisson_cells`).  On an element that is one cell, u' is the
     tail sum_{j >= p} c_j b_j, with no cancellation; on one split by
-    kinks, G_e f less P_b G_e f from the bubbles' loads (`_h10_local` of
-    zero vertex values).  u' is exactly zero at every vertex.
+    kinks, G_e f less P_b G_e f from the bubbles' loads (`_h10_local`).
+    Each point source adds its column of `_h10_fine_kernel`.  A nodal
+    field of the family has u_bar - I u_bar in the bubbles, so leaves -l
+    alone; any other leaves its H10 projection less itself.
     """
     family = fns.family
     mesh, p = family.mesh, family.degree
-    if src.smooth is None:
-        return np.zeros(grid.size)
     bounds = mesh.boundaries
-    green = _poisson_cells(src.smooth, np.concatenate((bounds, src.breakpoints)), quad_points,
-                           bounds)
-    starts = np.searchsorted(green.ends, bounds)
-    whole = np.diff(starts) == 1
-    bubbles = green.bubbles.copy()
-    bubbles[starts[:-1][whole], :p - 1] = 0.0
-    fine = replace(green, bubbles=bubbles)(grid)
-    if whole.all():
+    fine = np.zeros(grid.size)
+    if src.smooth is not None:
+        green = _poisson_cells(src.smooth, np.concatenate((bounds, src.breakpoints)),
+                               quad_points, bounds)
+        starts = np.searchsorted(green.ends, bounds)
+        whole = np.diff(starts) == 1
+        bubbles = green.bubbles.copy()
+        bubbles[starts[:-1][whole], :p - 1] = 0.0
+        fine = replace(green, bubbles=bubbles)(grid)
+        if not whole.all():
+            # a whole element's P_b G_e f is its dropped bubbles, so it takes no loads
+            loads = pair_basis(family, SpaceKind.NODAL, green.points, green.weighted)
+            loads[:-1].reshape(mesh.num_elements, p)[whole, 1:] = 0.0
+            split = _h10_local(family, np.zeros(bounds.size), loads)
+            fine = fine - field_eval(interior_field(family, split), grid)
+    if src.point_sources:
+        locs, qs = np.array(src.point_sources, dtype=float).T
+        fine = fine + _h10_fine_kernel(family, grid, locs) @ qs
+    fld = src.coarse
+    if fld is None:
         return fine
-    # a whole element's P_b G_e f is its dropped bubbles, so it takes no loads
-    loads = pair_basis(family, SpaceKind.NODAL, green.points, green.weighted)
-    loads[:-1].reshape(mesh.num_elements, p)[whole, 1:] = 0.0
-    split = _h10_local(family, np.zeros(bounds.size), loads)
-    return fine - field_eval(interior_field(family, split), grid)
+    if fld.space is SpaceKind.NODAL and fld.family is family:
+        return fine - np.interp(grid, bounds[[0, -1]], fld.coeffs[[0, -1]])
+    _check_unit_mesh(fld.family.mesh, "a coarse field's mesh")
+    projected = interior_field(family, _field_pairing(fns, fld))
+    return fine - (field_eval(fld, grid) - field_eval(projected, grid))
 
 
 def _l2_gram(fns: DualFunctionals) -> np.ndarray:
@@ -287,9 +307,9 @@ class FineScaleOperator:
     lifted functionals are exact and evaluated on demand: for L2 in closed
     form from the dual moments, for H10 the functionals themselves.  The
     Gram is SPD for both flavors, as the build's `gram_cond` check
-    confirms, and L2 reconstructions solve with it, which H10 ones never
-    need; an H10 operator forms no Gram unless it is read, as its
-    condition number is the stiffness's.
+    confirms; L2 reconstructions solve with it, and H10 ones, element-local,
+    have no resolved part, so an H10 operator forms no Gram unless it is
+    read, as its condition number is the stiffness's.
     `quad_points` is the reconstructions' source rule.
     """
 
@@ -344,24 +364,16 @@ class FineScaleOperator:
         return _lift(self.functionals, x)
 
     def resolved(self, x, data: np.ndarray) -> np.ndarray:
-        """The resolved part sum_i R_i(x) data_i at x, where R_i are the
-        reconstruction functions (G duals)^T [Gram]^{-1}; `data` is one
-        vector, or one column per right side.
-
-        The H10 reconstruction functions are the interior nodal basis, so
-        each point gathers its element's coefficients with no solve; the
-        L2 ones are the lifts times the Gram solution, summed in closed
-        form in O(points p) by `_l2_lift_sum`: a prefix sum of the
-        alpha moments, a suffix sum of the beta moments and the point's
-        own element's p lifts.
+        """The L2 resolved part sum_i R_i(x) data_i at x, R_i = (G duals)^T
+        [Gram]^{-1} the reconstruction functions; `data` is one vector, or
+        one column per right side.  The lifts times the Gram solution are
+        summed in O(points p) by `_l2_lift_sum`: prefix sums of the alpha
+        moments, suffix sums of the beta ones and each point's own element's
+        p lifts.  H10 fine scales are element-local: H10 raises ValueError.
         """
-        if self.flavor is ProjectionFlavor.L2:
-            return _l2_lift_sum(self.functionals, x, self.solve_gram(data))
-        family = self.functionals.family
-        coeffs = np.zeros((family.mesh.num_nodal_dofs,) + np.shape(data)[1:])
-        coeffs[1:-1] = data
-        cols, vals = element_tab(family, SpaceKind.NODAL, x)
-        return np.einsum("ij,ij...->i...", vals, coeffs[cols])
+        if self.flavor is not ProjectionFlavor.L2:
+            raise ValueError("an H10 operator has no resolved part: its fine scales are local")
+        return _l2_lift_sum(self.functionals, x, self.solve_gram(data))
 
     def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(self.gram, rhs)
@@ -386,51 +398,36 @@ def build_fine_scale_operator(kernel: GreensKernel1D, fns: DualFunctionals,
 def fine_scale_eval(op: FineScaleOperator, x, s) -> np.ndarray:
     """Evaluate the fine-scale kernel on the grid x (rows) by s (columns).
 
-    The representers at s are the lifts there, and the resolved part at x
-    their reconstruction (`FineScaleOperator.resolved`).  When x is s the
-    surface is symmetrized, as the kernel is.  The H10 fine-scale kernel is
-    each element's own Green's function, so it is exactly zero where x and
-    s lie in different elements or either lies on a mesh node.
+    The L2 kernel is the kernel less the resolved part at x
+    (`FineScaleOperator.resolved`) of the representers at s, the lifts
+    there.  The H10 one is each element's own, in closed form
+    (`_h10_fine_kernel`): exactly zero where x and s lie in different
+    elements or either lies on a mesh node.  When x is s the surface is
+    symmetrized, as the kernel is.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     ss = np.atleast_1d(np.asarray(s, dtype=float))
-    out = op.kernel(xs[:, None], ss[None, :]) - op.resolved(xs, op.lifted_tab(ss).T)
+    if op.flavor is ProjectionFlavor.H10:
+        out = _h10_fine_kernel(op.functionals.family, xs, ss)
+    else:
+        out = op.kernel(xs[:, None], ss[None, :]) - op.resolved(xs, op.lifted_tab(ss).T)
     if np.array_equal(xs, ss):
         out = 0.5 * (out + out.T)
-    if op.flavor is ProjectionFlavor.H10:
-        bounds = op.functionals.family.mesh.boundaries
-        # the element holding each point, -1 on a node
-        ex, es = (np.where(np.isin(p, bounds), -1, _locate(bounds, p)[0]) for p in (xs, ss))
-        out[(ex[:, None] != es[None, :]) | (ex[:, None] < 0)] = 0.0
     if np.isscalar(x) and np.isscalar(s):
         return float(out[0, 0])
     return out
 
 
-def _annihilated(op: FineScaleOperator, fld: Field | None) -> bool:
-    """Whether the operator annihilates the field's distributional second
-    derivative: an H10 operator and a nodal field of its family that
-    vanishes at both ends, so a member of the resolved space."""
-    return (op.flavor is ProjectionFlavor.H10 and fld is not None
-            and fld.space is SpaceKind.NODAL and fld.family is op.functionals.family
-            and fld.coeffs[0] == 0.0 and fld.coeffs[-1] == 0.0)
-
-
 def reconstruct_fine_scales(op: FineScaleOperator, residual: SourceTerm, grid) -> np.ndarray:
     """Unresolved scales: the fine-scale operator applied to a residual, on a grid.
 
-    G r - resolved(pairing of G r), with G r = G f - u_bar for a coarse
-    field u_bar (see the module docstring and `_green_and_pairing`).  A
-    field the operator annihilates (`_annihilated`: its two terms cancel)
-    is dropped, and with no point sources the H10 fine scales are then
-    each element's own (`_h10_fine_scales`).  An edge field under an H10
-    operator raises ValueError.
+    H10 fine scales are each element's own (`_h10_fine_scales`); an edge
+    field under an H10 operator raises ValueError.  L2 ones are G r -
+    resolved(pairing of G r), G r = G f - u_bar (`_green_and_pairing`).
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if _annihilated(op, residual.coarse):
-        residual = replace(residual, coarse=None)
-        if not residual.point_sources:
-            return _h10_fine_scales(op.functionals, residual, grid, op.quad_points)
+    if op.flavor is ProjectionFlavor.H10:
+        return _h10_fine_scales(op.functionals, residual, grid, op.quad_points)
     image, data = _green_and_pairing(op.functionals, residual, grid, op.quad_points)
     return image - op.resolved(grid, data)
 

@@ -167,11 +167,10 @@ class _Workspace:
     integrals of I[v] from 0 to each node: block lower triangular, with the
     full weights of every earlier cell and, within a cell, the reference
     integrals of its Lagrange basis scaled by half the cell width.  The H10
-    reconstruction functions are the interior nodal basis
-    (`FineScaleOperator.resolved`), so R is psi; mu' is the element-local
-    table, and G f at the nodes and (mu, f), the coefficients of G f's H10
-    projection, come from one tabulation of f per cell (`_green_and_h10`),
-    no K solve.
+    reconstruction functions are the interior nodal basis, so R is psi;
+    mu' is the element-local table, and G f at the nodes and (mu, f), the
+    coefficients of G f's H10 projection, come from one tabulation of f
+    per cell (`_green_and_h10`), no K solve.
 
     The residual's diffusive part, the coarse field's distributional
     second derivative, is left out: the fine-scale operator maps it to

@@ -13,7 +13,9 @@ orthogonal on [-1, 1]).  So for a polynomial u of degree p + 3,
 which vanishes at both ends of every element.  `dyadic_mesh` gives
 boundaries that are exact floats (N a power of two, moved by multiples of
 h / 8), and `ExactPolynomial` a u of degree p + 3 with zero end values,
-its derivative and its source -u''.
+its derivative and its source -u''.  `fine_kernel` is the H10
+fine-scale kernel on one element, g_e less its projection onto the
+bubbles L_j, j < p.
 """
 
 from __future__ import annotations
@@ -75,6 +77,18 @@ def _moments(j, degree):
     legendre = _legendre(j)
     return tuple(sum((c * Fraction(2, m + k + 1) for k, c in enumerate(legendre)
                       if (m + k) % 2 == 0), Fraction(0)) for m in range(degree + 1))
+
+
+def fine_kernel(a: float, b: float, degree: int, x: float, s: float) -> Fraction:
+    """g_e(x, s) - sum_{j<p} L_j(xi_x) L_j(xi_s) / |L_j|^2 on the element
+    [a, b], x and s in it, exactly: g_e = (min - a)(b - max)/(b - a) is its
+    Dirichlet kernel, and |L_j|^2 = int (dL_j/dx)^2 = 4 / ((2j + 1)(b - a))."""
+    a, b, x, s = map(Fraction, (a, b, x, s))
+    xi, si = ((2 * t - a - b) / (b - a) for t in (x, s))
+    out = (min(x, s) - a) * (b - max(x, s)) / (b - a)
+    for j in range(1, degree):
+        out -= (2 * j + 1) * (b - a) / 4 * _horner(_bubble(j), xi) * _horner(_bubble(j), si)
+    return out
 
 
 def dyadic_mesh(num_elements: int, seed: int | None = None) -> list[float]:

@@ -47,6 +47,14 @@ reconstruction, each through a solve with the global interior stiffness
 K.  The library now reads vertex values and solves one element's bubbles
 at a time; the global route's vertex values carry cond(K) eps, which the
 exact-arithmetic tests show.
+
+The image route (`green_and_pairing`, `resolved`, `image_reconstruct`)
+is the library's former H10 reconstruction: G r on [0, 1] less its H10
+projection, the interior nodal basis gathered against the pairing.
+`apply_dual_green`, `reconstruct_flat` and the global route, which drops
+a field of the resolved space (`_annihilated`), share it.  The library now
+forms each element's fine scales alone (`finescale._h10_fine_scales`),
+with no rounding of |G r| in them.
 """
 
 from __future__ import annotations
@@ -57,14 +65,15 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from fsgreens.basis1d import (BasisFamily, Field, SpaceKind, _element_cols, _locate,
-                              _reference_edge_tab, field_eval, lagrange_tab, pair_basis,
-                              tabulate_nodal)
+                              _reference_edge_tab, element_tab, field_eval, lagrange_tab,
+                              pair_basis, tabulate_nodal)
 from fsgreens.dualspace import _assemble_gram, assemble_stiffness, partial_moments
-from fsgreens.finescale import (FineScaleOperator, SourceTerm, _annihilated, _field_pairing,
-                                _green_and_pairing, _lift)
+from fsgreens.finescale import (FineScaleOperator, SourceTerm, _field_pairing, _green_and_pairing,
+                                _lift)
 from fsgreens.kernels import _BLOCK_POINTS, GreensKernel1D, _check_unit_domain, poisson_green
-from fsgreens.projection import (DualFunctionals, ProjectionFlavor, interior_field,
-                                 mesh_quadrature, source_rule_points, tabulate_functionals)
+from fsgreens.projection import (DualFunctionals, ProjectionFlavor, _green_and_h10,
+                                 interior_field, mesh_quadrature, source_rule_points,
+                                 tabulate_functionals)
 from fsgreens.quadrature import composite_rule, gauss_legendre_rule, map_rule, sorted_unique
 
 
@@ -315,7 +324,7 @@ def reconstruct_flat(op: FineScaleOperator, src: SourceTerm, grid) -> np.ndarray
     flat = flattened(src)
     bounds = op.functionals.family.mesh.boundaries
     green = green_apply_flat(op.kernel, flat, grid, op.quad_points, bounds)
-    return green - op.resolved(grid, pair_flat(op.functionals, flat, op.quad_points))
+    return green - resolved(op, grid, pair_flat(op.functionals, flat, op.quad_points))
 
 
 def pair_naive(kernel, fns, src: SourceTerm, quad_points: int | None = None) -> np.ndarray:
@@ -368,10 +377,10 @@ def apply_dual_green(kernel: GreensKernel1D, fns: DualFunctionals, src: SourceTe
                      quad_points: int | None = None) -> np.ndarray:
     """Pair every functional with the Green's image of a source.
 
-    G src = G f - u_bar for a coarse field u_bar; see `_green_and_pairing`.
+    G src = G f - u_bar for a coarse field u_bar; see `green_and_pairing`.
     """
     quad_points = source_rule_points(fns.family.degree, quad_points)
-    return _green_and_pairing(fns, src, np.empty(0), quad_points)[1]
+    return green_and_pairing(fns, src, np.empty(0), quad_points)[1]
 
 
 def lift_functionals_direct(kernel: GreensKernel1D, fns: DualFunctionals, x,
@@ -489,11 +498,63 @@ def global_h10_project_from_source(fns: DualFunctionals, source,
                           global_h10_pair(fns, x, w * np.asarray(source(x), dtype=float)))
 
 
+def _annihilated(op: FineScaleOperator, fld: Field | None) -> bool:
+    """Whether the operator annihilates the field's distributional second
+    derivative: an H10 operator and a nodal field of its family that
+    vanishes at both ends, so a member of the resolved space."""
+    return (op.flavor is ProjectionFlavor.H10 and fld is not None
+            and fld.space is SpaceKind.NODAL and fld.family is op.functionals.family
+            and fld.coeffs[0] == 0.0 and fld.coeffs[-1] == 0.0)
+
+
+def resolved(op: FineScaleOperator, x, data: np.ndarray) -> np.ndarray:
+    """The resolved part sum_i R_i(x) data_i: the library's for L2, and for
+    H10 its former branch, the interior nodal basis R_i = psi_i gathered
+    element by element with no solve."""
+    if op.flavor is ProjectionFlavor.L2:
+        return op.resolved(x, data)
+    family = op.functionals.family
+    coeffs = np.zeros((family.mesh.num_nodal_dofs,) + np.shape(data)[1:])
+    coeffs[1:-1] = data
+    cols, vals = element_tab(family, SpaceKind.NODAL, x)
+    return np.einsum("ij,ij...->i...", vals, coeffs[cols])
+
+
+def green_and_pairing(fns: DualFunctionals, src: SourceTerm, grid: np.ndarray,
+                      quad_points: int):
+    """G src on the grid and every functional paired with it: the
+    library's for L2, and for H10 its former branch, the point sources'
+    kernel values and lifts plus G f and the coefficients of its H10
+    projection from one tabulation (`_green_and_h10`, bit for bit those of
+    `h10_project_from_source`), less u_bar and its exact pairing."""
+    if fns.flavor is ProjectionFlavor.L2:
+        return _green_and_pairing(fns, src, grid, quad_points)
+    locs, qs = np.array(src.point_sources, dtype=float).reshape(-1, 2).T
+    image = poisson_green(grid[:, None], locs[None, :]) @ qs
+    data = _lift(fns, locs).T @ qs
+    if src.smooth is not None:
+        green, coeffs = _green_and_h10(fns, src.smooth, quad_points, src.breakpoints)
+        image, data = image + green(grid), data + coeffs
+    if src.coarse is not None:
+        image = image - field_eval(src.coarse, grid)
+        data = data - _field_pairing(fns, src.coarse)
+    return image, data
+
+
+def image_reconstruct(op: FineScaleOperator, src: SourceTerm, grid) -> np.ndarray:
+    """The fine scales as G r less its resolved part (`green_and_pairing`,
+    `resolved`): the library's L2 route, and its former H10 one, whose u'
+    carries the rounding of |G r| where the element-local route's is exact."""
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    image, data = green_and_pairing(op.functionals, src, grid, op.quad_points)
+    return image - resolved(op, grid, data)
+
+
 def global_h10_reconstruct(op: FineScaleOperator, src: SourceTerm, grid) -> np.ndarray:
     """H10 fine scales G r - resolved(K^{-1} (psi', (G r)')): the source's
     pairing by the interior nodal basis and one solve, less the coarse
     field's, by its derivative and one solve; a field of the resolved
-    space is dropped, as the library drops it."""
+    space is dropped, as the library's former route dropped it."""
     fns = op.functionals
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if _annihilated(op, src.coarse):
@@ -514,4 +575,4 @@ def global_h10_reconstruct(op: FineScaleOperator, src: SourceTerm, grid) -> np.n
         t, v = composite_rule(rule, bounds)
         image = image - field_eval(fld, grid)
         data = data - global_h10_pair(fns, t, v * field_eval(fld, t, deriv=1), deriv=1)
-    return image - op.resolved(grid, data)
+    return image - resolved(op, grid, data)

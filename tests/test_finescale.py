@@ -1,5 +1,6 @@
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from fsgreens.dualspace import assemble_stiffness, tabulate_duals
 from fsgreens.cases import advdiff_const_case, boundary_layer_breakpoints, sin2pix_case
 from fsgreens.finescale import (
     SourceTerm,
-    _green_and_pairing,
     _l2_lift_sum,
     _lift,
     build_fine_scale_operator,
@@ -36,14 +36,17 @@ from fsgreens.quadrature import composite_rule, gauss_legendre_rule, polished_ga
 from fsgreens.vms_advdiff import (AdvDiffProblem, iterate, make_workspace,
                                   reconstruct_with_exact_gradient)
 
+from exact_h10 import fine_kernel
 from flattened_oracle import (_poisson_apply, apply_dual_green, edge_mass,
                               element_endpoint_values, element_green, flattened, functional_load,
-                              global_h10_pair, global_h10_reconstruct, global_h10_tabulate, lift_dx,
+                              global_h10_pair, global_h10_reconstruct, global_h10_tabulate,
+                              green_and_pairing, image_reconstruct, lift_dx,
                               lift_functionals_direct, nodal_points, pair_naive, reconstruct_flat,
-                              resolved_basis_reproduction, spd_solve)
+                              resolved, resolved_basis_reproduction, spd_solve)
 
 KERNEL = GreensKernel1D.poisson()
 CASE = sin2pix_case()
+EPS = np.finfo(float).eps
 
 
 def _setup(num_elements, degree, flavor):
@@ -161,12 +164,26 @@ def test_domain_mismatch_rejected():
 @pytest.mark.parametrize("flavor", [ProjectionFlavor.H10, ProjectionFlavor.L2])
 def test_resolved_part_rejects_points_outside_the_mesh(flavor):
     # both flavors locate a point by the basis's one rule: NaN is outside
-    # too, for one vector of data and for one column per right side
+    # too, for the L2 resolved part of one vector of data and of one column
+    # per right side, and for the H10 element kernel, which has no resolved
+    # part, at x and at s, in a surface and in point sources' fine scales
     _, fns, op = _setup(3, 2, flavor)
     for bad in (np.nan, -0.1, 1.1):
-        for data in (np.ones(op.size), np.ones((op.size, 2))):
+        x = np.array([0.5, bad])
+        if flavor is ProjectionFlavor.L2:
+            calls = [lambda data=data: op.resolved(x, data)
+                     for data in (np.ones(op.size), np.ones((op.size, 2)))]
+        else:
+            loads = SourceTerm(point_sources=((0.3, 1.0),))
+            calls = [lambda: fine_scale_eval(op, x, np.array([0.5])),
+                     lambda: fine_scale_eval(op, np.array([0.5]), x),
+                     lambda: reconstruct_fine_scales(op, loads, x)]
+        for call in calls:
             with pytest.raises(ValueError, match="outside"):
-                op.resolved(np.array([0.5, bad]), data)
+                call()
+    if flavor is ProjectionFlavor.H10:
+        with pytest.raises(ValueError, match="no resolved part"):
+            op.resolved(np.array([0.5]), np.ones(op.size))
 
 
 @pytest.mark.parametrize("flavor", [ProjectionFlavor.H10, ProjectionFlavor.L2])
@@ -890,13 +907,13 @@ def test_l2_lifts_at_scale_match_direct_quadrature(num_elements, bound):
 def test_h10_pair_then_solve_matches_table_first(mesh, amps):
     # the former K route (`global_h10_pair`) pairs the interior nodal basis
     # and solves once; its table-first formula pushes every representer
-    # through the stiffness.  The dual application reads the source's
-    # Green's image at the vertices and its loads, with no K; its
-    # table-first formula sums the lifts (each the projection of one kernel
-    # column) against the source.  Against the K tables it is up to 3e-13
-    # (relative) off on this draw, their cond(K) eps.  The resolved part
-    # gathers the interior nodal basis element by element against its
-    # dense table
+    # through the stiffness.  The dual application (the image route of the
+    # oracle) reads the source's Green's image at the vertices and its
+    # loads, with no K; its table-first formula sums the lifts (each the
+    # projection of one kernel column) against the source.  Against the K
+    # tables it is up to 3e-13 (relative) off on this draw, their cond(K)
+    # eps.  The image route's resolved part gathers the interior nodal
+    # basis element by element against its dense table
     series = _SineSeries(amps)
     fns = build_dual_functionals(basis_family(mesh), ProjectionFlavor.H10)
     op = build_fine_scale_operator(KERNEL, fns)
@@ -913,7 +930,7 @@ def test_h10_pair_then_solve_matches_table_first(mesh, amps):
     assert _rel_err(got, want) <= 1e-13
     x = np.unique(np.concatenate((np.linspace(0.0, 1.0, 41), mesh.boundaries)))
     want = tabulate_nodal(fns.family, x)[:, 1:-1] @ got
-    assert _rel_err(op.resolved(x, got), want) <= 1e-13
+    assert _rel_err(resolved(op, x, got), want) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -966,13 +983,14 @@ def test_l2_kernel_surface_lifts_the_grid_once(num_elements):
     np.testing.assert_array_equal(surf, surf.T)
 
 
-@pytest.mark.parametrize("num_elements,degree", [(2, 2), (20, 4)])
+@pytest.mark.parametrize("num_elements,degree", [(2, 2), (20, 4), (5, 8)])
 def test_h10_kernel_surface_is_exactly_zero_off_its_elements(num_elements, degree):
     # the H10 fine-scale kernel is each element's Green's function: exactly
-    # 0 where x and s lie in different elements or on a node, where the
-    # kernel minus the resolved part leaves rounding residue; inside an
-    # element it is that difference, symmetrized when x is s, and the L2
-    # surface is untouched
+    # 0 where x and s lie in different elements or on a node, and inside an
+    # element within 2 eps h_e of g_e - sum_{j<p} b_j(x) b_j(s) / |b_j|^2
+    # in exact arithmetic (at most 0.89 eps h_e on these meshes; the kernel
+    # less the resolved part was 9.0 eps h_e off at N = 20).  The L2
+    # surface is the kernel less the resolved part, symmetrized when x is s
     mesh = _jittered_mesh(num_elements, degree)
     family = basis_family(mesh)
     bounds = mesh.boundaries
@@ -988,24 +1006,27 @@ def test_h10_kernel_surface_is_exactly_zero_off_its_elements(num_elements, degre
         op = build_fine_scale_operator(KERNEL, build_dual_functionals(family, flavor))
         for x, s in ((grid, grid), (grid, other)):
             surf = fine_scale_eval(op, x, s)
+            if flavor is ProjectionFlavor.H10:
+                mask = inside(x, s)
+                assert np.all(surf[~mask] == 0.0) and np.all(surf[mask] != 0.0)
+                for i, j in zip(*np.nonzero(mask)):
+                    e = np.searchsorted(bounds, x[i]) - 1
+                    a, b = bounds[e], bounds[e + 1]
+                    want = fine_kernel(a, b, degree, x[i], s[j])
+                    assert abs(Fraction(surf[i, j]) - want) <= 2.0 * EPS * (b - a)
+                continue
             full = op.kernel(x[:, None], s[None, :])
             rep = op.lifted_tab(s)
-            unmasked = full - op.resolved(x, rep.T)
+            unsymmetrized = full - op.resolved(x, rep.T)
             if x is s:
-                unmasked = 0.5 * (unmasked + unmasked.T)
-            if flavor is ProjectionFlavor.L2:
-                np.testing.assert_array_equal(surf, unmasked)
-                if x is s:
-                    # the dense resolved part L Gram^{-1} L^T from the one table,
-                    # to the rounding of the kernel it cancels (1.5e-16 at N = 20)
-                    resolved = rep @ op.solve_gram(rep.T)
-                    dense = full - 0.5 * (resolved + resolved.T)
-                    assert np.max(np.abs(surf - dense)) <= 1e-14 * np.max(np.abs(full))
-                continue
-            mask = inside(x, s)
-            assert np.all(surf[~mask] == 0.0) and np.any(unmasked[~mask] != 0.0)
-            np.testing.assert_array_equal(surf[mask], unmasked[mask])
-            assert np.all(surf[mask] != 0.0)
+                np.testing.assert_array_equal(surf, 0.5 * (unsymmetrized + unsymmetrized.T))
+                # the dense resolved part L Gram^{-1} L^T from the one table,
+                # to the rounding of the kernel it cancels (1.5e-16 at N = 20)
+                dense = rep @ op.solve_gram(rep.T)
+                dense = full - 0.5 * (dense + dense.T)
+                assert np.max(np.abs(surf - dense)) <= 1e-14 * np.max(np.abs(full))
+            else:
+                np.testing.assert_array_equal(surf, unsymmetrized)
 
 
 @pytest.mark.parametrize("flavor", [ProjectionFlavor.H10, ProjectionFlavor.L2])
@@ -1033,6 +1054,13 @@ def test_nodal_field_with_nonzero_ends(flavor):
             w * (CASE.gradient(s) - field_eval(u_bar, s, deriv=1)))
     want = CASE.solution(x) - field_eval(u_bar, x) - resolved_basis_reproduction(op, x) @ data
     assert np.max(np.abs(got - want)) <= 1e-13
+    if flavor is ProjectionFlavor.H10:
+        # u_bar - I u_bar lies in the bubbles: u' is the field-free one less
+        # the line l through u_bar's end values, bit for bit, where the
+        # former route, G r less its projection, was 7.8e-16 off
+        free = reconstruct_fine_scales(op, SourceTerm(CASE.source), x)
+        line = np.interp(x, [0.0, 1.0], u_bar.coeffs[[0, -1]])
+        np.testing.assert_array_equal(got, free - line)
 
 
 def test_h10_fine_scales_on_elements_split_by_kinks():
@@ -1224,18 +1252,49 @@ def test_a_family_forms_each_reference_gram_once(monkeypatch, flavor, gram):
                          [(3, 2, False, ()), (5, 3, True, (0.37, 0.81)), (20, 4, True, ())])
 def test_h10_reconstruction_pairs_a_source_by_the_source_shortcut(num_elements, degree, jitter,
                                                                   breakpoints):
-    # the H10 pairing of a smooth source's Green's image is bitwise the
-    # coefficients of `h10_project_from_source`, from the one tabulation
-    # that also gives the image on the grid, so the resolved part of a
-    # reconstruction with point loads or a coarse field the operator does
-    # not annihilate is ū's own table
+    # the oracle's image route, G r less its H10 projection (the former
+    # library route), pairs a smooth source's Green's image bitwise as
+    # `h10_project_from_source` does, from the one tabulation that also
+    # gives the image on the grid, so its resolved part is u_bar's own
+    # table.  The element-local fine scales of point loads plus u_bar, or
+    # plus a field of another family, match that route to its rounding of
+    # |G r| (at most 1.1e-15 here, with max |u| = 1)
     mesh = _jittered_mesh(num_elements, degree) if jitter \
         else Mesh1D.uniform(0.0, 1.0, num_elements, degree)
     fns = build_dual_functionals(basis_family(mesh), ProjectionFlavor.H10)
     op = build_fine_scale_operator(KERNEL, fns)
     grid = np.linspace(0.0, 1.0, 101)
-    _, data = _green_and_pairing(fns, SourceTerm(CASE.source, breakpoints), grid,
-                                 op.quad_points)
+    _, data = green_and_pairing(fns, SourceTerm(CASE.source, breakpoints), grid,
+                                op.quad_points)
     u_bar = h10_project_from_source(fns, CASE.source, op.quad_points, breakpoints)
     np.testing.assert_array_equal(data, u_bar.coeffs[1:-1])
-    np.testing.assert_array_equal(op.resolved(grid, data), field_eval(u_bar, grid))
+    np.testing.assert_array_equal(resolved(op, grid, data), field_eval(u_bar, grid))
+    other = h10_project_from_source(build_dual_functionals(
+        basis_family(Mesh1D.uniform(0.0, 1.0, 3, 2)), ProjectionFlavor.H10), CASE.source)
+    src = SourceTerm(CASE.source, breakpoints, ((0.45, 0.7), (0.3, -0.2)), u_bar)
+    for resid in (src, replace(src, coarse=other)):
+        got = reconstruct_fine_scales(op, resid, grid)
+        assert np.max(np.abs(got - image_reconstruct(op, resid, grid))) <= 2e-15
+
+
+@pytest.mark.parametrize("num_elements", [6, 20, 320])
+def test_h10_point_sources_leave_other_elements_exactly_zero(num_elements):
+    # a point source's H10 fine scales are g_e less its bubble projection
+    # on the source's element: exactly 0 at every vertex and in every
+    # element that holds no source, where G r less its projection wrote
+    # 5.6e-17 to 1.1e-16, and inside within 2 eps h_e sum |q| of the exact
+    # kernel
+    mesh = _jittered_mesh(num_elements, 4)
+    bounds = mesh.boundaries
+    op = build_fine_scale_operator(KERNEL, build_dual_functionals(basis_family(mesh),
+                                                                  ProjectionFlavor.H10))
+    locs, qs = np.array([0.3, 0.55, 1.0 / 6.0, bounds[1]]), np.array([1.0, -0.4, 0.2, 0.5])
+    x = np.unique(np.concatenate((np.linspace(0.0, 1.0, 401), bounds)))
+    got = reconstruct_fine_scales(op, SourceTerm(point_sources=tuple(zip(locs, qs))), x)
+    elem = [np.searchsorted(bounds, p) - 1 for p in (x, locs)]
+    held = np.isin(elem[0], elem[1][~np.isin(locs, bounds)]) & ~np.isin(x, bounds)
+    assert np.all(got[~held] == 0.0) and np.all(got[held] != 0.0)
+    for i in np.flatnonzero(held):
+        a, b = bounds[elem[0][i]], bounds[elem[0][i] + 1]
+        want = sum(q * fine_kernel(a, b, 4, x[i], s) for s, q in zip(locs, qs) if a < s < b)
+        assert abs(Fraction(got[i]) - want) <= 2.0 * EPS * (b - a) * np.sum(np.abs(qs))
