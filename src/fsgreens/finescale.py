@@ -52,7 +52,7 @@ from .dualspace import assemble_stiffness, partial_moments
 from .kernels import GreensKernel1D, _check_unit_mesh, _poisson_cells, poisson_green
 from .projection import (DualFunctionals, ProjectionFlavor, _h10_local, interior_field,
                          mesh_quadrature, source_rule_points, tabulate_functionals)
-from .quadrature import composite_rule, gauss_legendre_rule, sorted_unique
+from .quadrature import composite_rule, cut_ends, gauss_legendre_rule, map_rule
 
 
 @dataclass(frozen=True)
@@ -154,8 +154,8 @@ def _field_pairing(fns: DualFunctionals, fld: Field) -> np.ndarray:
     projection) is undefined.
     """
     family = fns.family
-    bounds = sorted_unique(np.concatenate((family.mesh.boundaries, fld.family.mesh.boundaries)))
-    s, w = composite_rule(gauss_legendre_rule((family.degree + fld.family.degree) // 2 + 1), bounds)
+    s, w = composite_rule(gauss_legendre_rule((family.degree + fld.family.degree) // 2 + 1),
+                          cut_ends(family.mesh.boundaries, fld.family.mesh.boundaries))
     if fns.flavor is ProjectionFlavor.L2:
         return pair_basis(family, SpaceKind.DUAL_NODAL, s, w * field_eval(fld, s))
     if fld.space is SpaceKind.EDGE:
@@ -285,9 +285,8 @@ def _l2_gram(fns: DualFunctionals) -> np.ndarray:
     alpha, beta = fns.duals.moments
     rule = gauss_legendre_rule(p + 1)
     elem = np.repeat(np.arange(num), rule.npoints)
-    xi = np.tile(rule.nodes, num)
-    x = mesh.boundaries[elem] + mesh.jacobian(elem) * (1.0 + xi)
-    lifts = _l2_element_lifts(fns, elem, xi, x).reshape(num, rule.npoints, p)
+    x = map_rule(rule, mesh.boundaries[:-1], mesh.boundaries[1:])[0].ravel()
+    lifts = _l2_element_lifts(fns, elem, np.tile(rule.nodes, num), x).reshape(num, rule.npoints, p)
     # mu_i(x) dx = mu_i(xi) J_e d xi on the reference element
     mu = _reference_duals(fns.family, rule.nodes) * rule.weights[:, None]
     local = mesh.jacobian(np.arange(num))[:, None, None] * np.einsum("qi,eqj->eij", mu, lifts)

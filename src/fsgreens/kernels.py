@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import _piece_ends, gauss_legendre_rule, polished_gauss_rule, sorted_unique
+from .quadrature import _piece_ends, cut_ends, gauss_legendre_rule, map_rule
 
 _DOMAIN_TOL = 1e-12
 _EPS = np.finfo(float).eps
@@ -156,29 +156,27 @@ def _damped_green_apply(density, x, cuts, quad_points: int, rates, pair=None,
     semiseparable (Greengard & Rokhlin, CPAM 44, 1991): G_k f = [E_k(1 - x) L
     + E_k(x) R] / E_k(1), L = int_0^x e^{-k (x - s)} E_k(s) f, R = int_x^1
     e^{-k (s - x)} E_k(1 - s) f.  The Gauss rule is cut at 0, 1, the cuts
-    and every x, as e^{-k |x - s|} kinks there, and each cell into pieces
-    (`_PIECE_DECAY`); L and R are running sums of the pieces, damped by
-    e^{-k width} a step (`_running_sums`), read at x: no exponent is
-    positive.  A piece carries at least _PIECE_POINTS Gauss points, so
-    callers pass their plain source rule.  Each block of pieces is tabulated
-    once, and `pair(t, fw)` maps its points and weighted values to a partial
-    pairing.  Returns G_k f, (len(x), densities), and the partials' sum or 0.
+    and every x (`cut_ends`), as e^{-k |x - s|} kinks there, and each cell
+    into pieces (`_PIECE_DECAY`, `map_rule`); L and R are running sums of
+    the pieces, damped by e^{-k width} a step (`_running_sums`), read at x:
+    no exponent is positive.  A piece carries at least _PIECE_POINTS Gauss
+    points, so callers pass their plain source rule.  Each block of pieces is
+    tabulated once, and `pair(t, fw)` maps its points and weighted values to
+    a partial pairing.  Returns G_k f, (len(x), densities), and their sum or 0.
     The 1D Poisson operator, k = 0, is `_poisson_cells`.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _check_unit_domain(x)
     x = np.clip(x, 0.0, 1.0)
     k = np.atleast_1d(np.asarray(rates, dtype=float))
-    cells = _cell_ends(np.concatenate((np.asarray(cuts, dtype=float), x)))
+    cells = cut_ends((0.0, 1.0), cuts, x)
     ends = _piece_ends(cells, np.ceil(k.max() * np.diff(cells) / _PIECE_DECAY).astype(int))
     rule = gauss_legendre_rule(max(_PIECE_POINTS, quad_points))
     step = max(1, block_points // rule.npoints)
-    # map_rule's affine map, its midpoints and half widths formed once
-    mid, half = 0.5 * (ends[:-1] + ends[1:])[:, None], 0.5 * np.diff(ends)[:, None]
+    laid, half = map_rule(rule, ends[:-1], ends[1:]), 0.5 * np.diff(ends)[:, None]
     parts, pairing = [], 0.0
     for block in range(0, half.size, step):
-        h = half[block:block + step]
-        t, w = mid[block:block + step] + h * rule.nodes, h * rule.weights
+        h, t, w = (a[block:block + step] for a in (half, *laid))
         f = np.asarray(density(t.ravel()), dtype=float).reshape(t.shape + (-1,)) * w[..., None]
         if pair is not None:
             pairing = pairing + pair(t.ravel(), f.reshape(t.size, -1))
@@ -196,15 +194,6 @@ def _damped_green_apply(density, x, cuts, quad_points: int, rates, pair=None,
             + _damped(k, x) / scale * np.concatenate((right[::-1], zero))[at]), pairing
 
 
-def _cell_ends(cuts) -> np.ndarray:
-    """0, 1 and the cuts inside [0, 1], sorted and distinct; a NaN cut
-    raises ValueError."""
-    ends = sorted_unique(np.concatenate(([0.0, 1.0], cuts)))
-    if np.isnan(ends[-1]):  # NaN sorts last
-        raise ValueError("a cut of the Green's primitive is NaN")
-    return ends[(ends >= 0.0) & (ends <= 1.0)]
-
-
 def _prefix_sums(terms: np.ndarray) -> np.ndarray:
     """Running sums along the last axis, compensated: the rounding of each
     of np.cumsum's steps, exact by TwoSum (Knuth, TAOCP 2, 4.2.2), is added
@@ -219,12 +208,12 @@ def _prefix_sums(terms: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _cell_rule(points: int):
-    """The points-point Gauss rule, to an ulp (`polished_gauss_rule`), (2j +
+    """The points-point Gauss rule (`gauss_legendre_rule`), (2j +
     1) b_j at its nodes and b_j's Legendre coefficients, rows j = 1 ..
     points, b_j = (P_{j+1} - P_{j-1}) / (2j + 1) the Lobatto bubbles, which
     vanish at -1 and 1 and are H10-orthogonal: int b_i' b_j' = 2 / (2j + 1)
     delta_ij."""
-    rule = polished_gauss_rule(points)
+    rule = gauss_legendre_rule(points)
     legendre = np.polynomial.legendre.legvander(rule.nodes, points + 1)
     coeffs = (np.eye(points, points + 2, 2) - np.eye(points, points + 2)) \
         / (2.0 * np.arange(1, points + 1) + 1.0)[:, None]
@@ -274,29 +263,25 @@ def _poisson_cells(density, cuts, quad_points: int, restarts=()) -> PoissonCells
     """The 1D Poisson Green's operator G of -u'' on [0, 1], zero ends, for
     the source `density` with kinks at `cuts` (NaN raises ValueError).
 
-    The cells run between 0, 1, the cuts and the restarts, and each is
-    tabulated once, by the 2q-point Gauss rule, q = quad_points, at the
-    rule's own reference nodes xi_k: 2q points resolve what the q-point
-    source rule's Gauss sums resolve.  G f = [(b - x) L + (x - a) R] /
-    (b - a) on [a, b] = [0, 1] (Greengard & Rokhlin, CPAM 44, 1991), L =
-    int_a^x (s - a) f and R = int_x^b (b - s) f, compensated running sums
-    of the cells' integrals (`_prefix_sums`), read at the cell ends; with
-    restarts they run on each interval between them, giving G_I f there.
-    Inside a cell of half width J, G f is the line through its end values
-    plus G_c f = sum_{j <= 2q} c_j b_j, c_j = J^2 (2j + 1) / 2 int f b_j,
-    the Lobatto bubbles b_j being H10-orthogonal (`PoissonCells`): no rule
-    is cut at an output point.
+    The cells run between 0, 1, the cuts and the restarts (`cut_ends`), and
+    each is tabulated once, by the 2q-point Gauss rule, q = quad_points, laid
+    from its left end (`map_rule`): 2q points resolve what the q-point source
+    rule's Gauss sums resolve; a source may give one value for all points.
+    G f = [(b - x) L + (x - a) R] / (b - a) on [a, b] = [0, 1] (Greengard &
+    Rokhlin, CPAM 44, 1991), L = int_a^x (s - a) f and R = int_x^b (b - s) f,
+    compensated running sums of the cells' integrals (`_prefix_sums`), read
+    at the cell ends; with restarts they run on each interval between them,
+    giving G_I f there.  Inside a cell of half width J, G f is the line
+    through its end values plus G_c f = sum_{j <= 2q} c_j b_j, c_j = J^2 (2j
+    + 1) / 2 int f b_j, the Lobatto bubbles b_j being H10-orthogonal
+    (`PoissonCells`): no rule is cut at an output point.
     """
-    ends = _cell_ends(np.concatenate((np.asarray(cuts, dtype=float),
-                                      np.asarray(restarts, dtype=float))))
+    ends = cut_ends((0.0, 1.0), cuts, restarts)
     rule, bubble, _ = _cell_rule(2 * quad_points)
-    width = np.diff(ends)[:, None]
-    # from each cell's left end: a rounded midpoint would shift the cell's
-    # whole rule, which put up to 2e-15 into G f at a 5-element mesh's vertices
-    t = ends[:-1, None] + width * (0.5 * (1.0 + rule.nodes))
-    fw = np.asarray(density(t.ravel()), dtype=float).reshape(t.shape) * (0.5 * width * rule.weights)
+    t, w = map_rule(rule, ends[:-1], ends[1:])
+    fw = np.broadcast_to(np.asarray(density(t.ravel()), dtype=float), t.size).reshape(t.shape) * w
     # each cell's interval [a, b] between restarts, and its place there
-    bounds = _cell_ends(restarts)
+    bounds = cut_ends((0.0, 1.0), restarts)
     starts = np.searchsorted(ends, bounds)
     count = np.diff(starts)
     seg = np.repeat(np.arange(count.size), count)
@@ -309,7 +294,8 @@ def _poisson_cells(density, cuts, quad_points: int, restarts=()) -> PoissonCells
     right = _prefix_sums(moments[1, :, ::-1])[:, ::-1][seg, pos + 1]
     x = ends[1:]
     values = np.concatenate(([0.0], ((b - x) * left + (x - a) * right) / (b - a)))
-    return PoissonCells(ends, values, 0.25 * width * (fw @ bubble), t.ravel(), fw.ravel())
+    return PoissonCells(ends, values, 0.25 * np.diff(ends)[:, None] * (fw @ bubble), t.ravel(),
+                        fw.ravel())
 
 
 @dataclass(frozen=True)

@@ -260,7 +260,9 @@ def _green_tables(op: SeriesOperator2D, residual: Callable, y) -> tuple[np.ndarr
     polynomial, so it pairs each block it tabulates with psi_b.
     """
     def sine_moments(t):
-        r_grid = np.asarray(residual(op.osc_nodes[:, None], t[None, :]), dtype=float)
+        # a residual constant in a direction, or in both, is held at every point
+        r_grid = np.broadcast_to(np.asarray(residual(op.osc_nodes[:, None], t[None, :]),
+                                            dtype=float), (op.osc_nodes.size, t.size))
         return (op.sine_weighted @ r_grid).T
 
     profiles, psi_moments = _damped_green_apply(

@@ -27,7 +27,7 @@ import numpy as np
 from .basis1d import BasisFamily, Field, SpaceKind, _locate, pair_basis, tabulate_nodal
 from .dualspace import DualSet, tabulate_duals
 from .kernels import _check_unit_mesh, _poisson_cells, poisson_green
-from .quadrature import composite_rule, gauss_legendre_rule, sorted_unique
+from .quadrature import composite_rule, cut_ends, gauss_legendre_rule
 
 _BOUNDARY_TOL = 1e-9
 # Points per subinterval for integrals against a source (the source rule),
@@ -115,14 +115,12 @@ def source_rule_points(degree: int, quad_points: int | None = None) -> int:
 def mesh_quadrature(family: BasisFamily, quad_points: int | None = None,
                     breakpoints: Sequence[float] = ()):
     """The source rule: a composite Gauss rule of source_rule_points over all
-    elements cut at extra breakpoints.  Breakpoints repeated or on a mesh
-    boundary cut once, those outside the mesh are dropped and NaN raises
-    ValueError."""
+    elements cut at extra breakpoints (`quadrature.cut_ends`: breakpoints
+    repeated or on a mesh boundary cut once, those outside the mesh are
+    dropped and NaN raises ValueError)."""
     mesh = family.mesh
-    pts = np.asarray(breakpoints, dtype=float)
-    bounds = sorted_unique(np.concatenate((mesh.boundaries,
-                                           pts[~((pts < mesh.a) | (pts > mesh.b))])))
-    return composite_rule(gauss_legendre_rule(source_rule_points(mesh.degree, quad_points)), bounds)
+    return composite_rule(gauss_legendre_rule(source_rule_points(mesh.degree, quad_points)),
+                          cut_ends(mesh.boundaries, breakpoints))
 
 
 def _h10_local(family: BasisFamily, vertex, loads) -> np.ndarray:
@@ -169,7 +167,7 @@ def project(fns: DualFunctionals, f: Callable[[np.ndarray], np.ndarray],
         coeffs = pair_basis(family, SpaceKind.DUAL_NODAL, x, w * np.asarray(f(x), dtype=float))
         return Field(family, SpaceKind.EDGE, coeffs)
     nodes = family.mesh.boundaries
-    vertex = np.array(f(nodes), dtype=float)
+    vertex = np.array(np.broadcast_to(np.asarray(f(nodes), dtype=float), nodes.shape))
     end = max(abs(vertex[0]), abs(vertex[-1]))
     # the check's scale is at least 1, so f is tabulated for it only past the tolerance
     if end > _BOUNDARY_TOL and end > _BOUNDARY_TOL * max(1.0, float(np.max(np.abs(f(x))))):

@@ -44,7 +44,7 @@ from .dualspace import assemble_mass
 from .finescale import FineScaleOperator, SourceTerm, reconstruct_fine_scales
 from .projection import (DualFunctionals, ProjectionFlavor, _green_and_h10, interior_field,
                          mesh_quadrature, tabulate_functionals)
-from .quadrature import _piece_ends, gauss_legendre_rule, sorted_unique
+from .quadrature import _piece_ends, composite_rule, cut_ends, gauss_legendre_rule, map_rule
 
 DEFAULT_FINE_GRID = 2001
 DEFAULT_TOLERANCE = 1e-8
@@ -95,10 +95,9 @@ def _reference_cell(q: int) -> tuple:
     nodes = rule.nodes
     bary = _barycentric_weights(nodes)
     diff = _differentiation_matrix(nodes, bary)
-    half = 0.5 * (nodes + 1.0)
-    pts = -1.0 + half[:, None] * (nodes + 1.0)
+    pts, w = map_rule(rule, np.full(q, -1.0), nodes)
     tab = _lagrange_tab(nodes, bary, diff, pts.ravel()).reshape(q, q, q)
-    return nodes, bary, diff, half[:, None] * np.einsum("k,ikj->ij", rule.weights, tab)
+    return nodes, bary, diff, np.einsum("ik,ikj->ij", w, tab)
 
 
 def _cell_interpolant(cells: np.ndarray, values: np.ndarray, x, deriv: int = 0) -> np.ndarray:
@@ -226,8 +225,8 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals,
         layer = boundary_layer_breakpoints(problem.advection, problem.diffusion)
         gap = np.min(np.abs(np.subtract.outer(layer, mesh.boundaries)), axis=1)
         layer = layer[gap >= problem.diffusion / (100.0 * abs(problem.advection))]
-    cells = sorted_unique(np.concatenate((mesh.boundaries, layer)))
-    x, w = mesh_quadrature(family, q, layer)
+    cells = cut_ends(mesh.boundaries, layer)
+    x, w = composite_rule(gauss_legendre_rule(q), cells)
 
     psi_tab = tabulate_nodal(family, x)[:, 1:-1]
     green, coarse_rhs = _green_and_h10(fns, problem.source, q, layer)

@@ -32,7 +32,7 @@ from fsgreens.projection import (
     source_rule_points,
     tabulate_functionals,
 )
-from fsgreens.quadrature import composite_rule, gauss_legendre_rule, polished_gauss_rule
+from fsgreens.quadrature import composite_rule, gauss_legendre_rule
 from fsgreens.vms_advdiff import (AdvDiffProblem, iterate, make_workspace,
                                   reconstruct_with_exact_gradient)
 
@@ -217,7 +217,7 @@ def test_poisson_primitive_tabulates_its_cells_once(x, cuts, points):
 
     got = _poisson_cells(density, cuts, points)(x)
     ends = np.unique(np.concatenate(([0.0, 1.0], cuts)))
-    tau = 0.5 * (1.0 + polished_gauss_rule(2 * points).nodes)
+    tau = 0.5 * (1.0 + gauss_legendre_rule(2 * points).nodes)
     assert len(calls) == 1
     np.testing.assert_array_equal(calls[0],
                                   (ends[:-1, None] + np.diff(ends)[:, None] * tau).ravel())
@@ -1298,3 +1298,47 @@ def test_h10_point_sources_leave_other_elements_exactly_zero(num_elements):
         a, b = bounds[elem[0][i]], bounds[elem[0][i] + 1]
         want = sum(q * fine_kernel(a, b, 4, x[i], s) for s, q in zip(locs, qs) if a < s < b)
         assert abs(Fraction(got[i]) - want) <= 2.0 * EPS * (b - a) * np.sum(np.abs(qs))
+
+
+def _scalar_source_entries():
+    """The nine entry points that read a source, each as run(make), make(c)
+    giving a source of the value c and run its output as one array."""
+    from fsgreens.poisson2d import (build_series_operator_2d, project_2d,
+                                    reconstruct_fine_scales_2d)
+    from fsgreens.vms_advdiff import galerkin_solve
+
+    family = basis_family(Mesh1D.uniform(0.0, 1.0, 3, 2))
+    l2 = build_dual_functionals(family, ProjectionFlavor.L2)
+    h10 = build_dual_functionals(family, ProjectionFlavor.H10)
+    op_l2, op_h10 = (build_fine_scale_operator(KERNEL, fns) for fns in (l2, h10))
+    d2 = build_dual_functionals_2d(Mesh2D(Mesh1D.uniform(0.0, 1.0, 2, 2)))
+    op_2d = build_series_operator_2d(d2, num_terms=8, quad_points=4)
+    grid = np.linspace(0.0, 1.0, 9)
+    in_2d = lambda make: lambda x, y: make(1.0)(x * y)
+    return {
+        "project-l2": lambda make: project(l2, make(1.0)).coeffs,
+        # H10 needs zero end values: f is 0, and the loads come from f' = 1
+        "project-h10": lambda make: project(h10, make(0.0), make(1.0)).coeffs,
+        "h10-project-from-source": lambda make: h10_project_from_source(h10, make(1.0)).coeffs,
+        "reconstruct-h10": lambda make: reconstruct_fine_scales(
+            op_h10, SourceTerm(smooth=make(1.0)), grid),
+        "reconstruct-l2": lambda make: reconstruct_fine_scales(
+            op_l2, SourceTerm(smooth=make(1.0)), grid),
+        "galerkin-solve": lambda make: galerkin_solve(
+            AdvDiffProblem(1.0, 0.1, make(1.0)), family).coeffs,
+        "iterate": lambda make: iterate(AdvDiffProblem(1.0, 0.1, make(1.0)), h10, op_h10,
+                                        max_iter=40, fine_grid_points=9).fine_values,
+        "project-2d": lambda make: project_2d(d2, source=in_2d(make), quad_points=4).coeffs,
+        "reconstruct-2d": lambda make: reconstruct_fine_scales_2d(op_2d, in_2d(make), grid, grid),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_scalar_source_entries()))
+def test_a_scalar_source_is_its_value_at_every_point(entry):
+    # a source may return one number for all its points: every entry point
+    # that reads a source gives the bytes of the same value at every point
+    run = _scalar_source_entries()[entry]
+    got = run(lambda c: lambda x: c)
+    want = run(lambda c: lambda x: np.full_like(x, c))
+    assert np.any(want != 0.0)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

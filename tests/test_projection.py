@@ -26,7 +26,7 @@ from fsgreens.projection import (
     source_rule_points,
     tabulate_functionals,
 )
-from fsgreens.quadrature import composite_rule, gauss_legendre_rule, polished_gauss_rule
+from fsgreens.quadrature import composite_rule, gauss_legendre_rule
 
 from flattened_oracle import (edge_mass, global_h10_pair, global_h10_project,
                               global_h10_tabulate, nodal_deriv_jumps, spd_solve)
@@ -249,7 +249,7 @@ def test_source_shortcut_tabulates_the_source_once(n, p, breakpoints, sizes):
 
     got = h10_project_from_source(fns, source, breakpoints=breakpoints).coeffs[1:-1]
     nodes = family.mesh.boundaries
-    rule = polished_gauss_rule(2 * source_rule_points(p))
+    rule = gauss_legendre_rule(2 * source_rule_points(p))
     ends = np.unique(np.r_[nodes, breakpoints])
     width = np.diff(ends)[:, None]
     x = (ends[:-1, None] + width * (0.5 * (1.0 + rule.nodes))).ravel()
@@ -407,7 +407,7 @@ def test_mesh_quadrature_is_the_one_breakpoint_policy():
     want = composite_rule(gauss_legendre_rule(5), [0.0, 0.3, 0.5, 1.0])
     got = mesh_quadrature(family, 5, [0.5, 0.3, 1.0, 0.5, -0.2, 1.4])
     np.testing.assert_array_equal(got, want)
-    with pytest.raises(ValueError, match="strictly increasing"):
+    with pytest.raises(ValueError, match="NaN"):
         mesh_quadrature(family, 5, [0.5, np.nan])
 
 

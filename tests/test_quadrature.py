@@ -1,11 +1,18 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fsgreens.basis1d import Mesh1D, basis_family
+from fsgreens.kernels import _PIECE_DECAY, _PIECE_POINTS, _damped_green_apply, _poisson_cells
+from fsgreens.projection import mesh_quadrature
 from fsgreens.quadrature import (
     QuadratureRule,
+    _piece_ends,
     composite_rule,
+    cut_ends,
     gauss_legendre_rule,
     gll_nodes,
     gll_rule,
@@ -93,6 +100,60 @@ def test_gauss_legendre_exactness(n):
     for k in range(0, 2 * n):
         exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
         assert abs(np.dot(rule.weights, rule.nodes ** k) - exact) < 1e-12
+
+
+def _legendre_sum_error(rule: QuadratureRule, degree: int) -> float:
+    """|sum_i w_i P_degree(x_i) - int_{-1}^1 P_degree| of the float nodes
+    and weights, in exact rational arithmetic."""
+    total = Fraction(0)
+    for x, w in zip(rule.nodes.tolist(), rule.weights.tolist()):
+        x = Fraction(x)
+        prev, val = Fraction(1), (x if degree else Fraction(1))
+        for k in range(1, degree):
+            prev, val = val, ((2 * k + 1) * x * val - k * prev) / (k + 1)
+        total += Fraction(w) * val
+    return abs(float(total - (2 if degree == 0 else 0)))
+
+
+@pytest.mark.parametrize("n", [5, 20, 28, 40])
+def test_gauss_legendre_rule_integrates_legendre_polynomials_to_an_ulp(n):
+    # exact sums of the float rule: P_0 and P_2 within 1e-16 (3.6e-17 at
+    # most) and P_{2n-2} within 5e-16 (2.6e-16); numpy's leggauss misses
+    # P_2 by 4.6e-15 at n = 20 and by 7.0e-15 at n = 40
+    rule = gauss_legendre_rule(n)
+    assert _legendre_sum_error(rule, 0) <= 1e-16
+    assert _legendre_sum_error(rule, 2) <= 1e-16
+    assert _legendre_sum_error(rule, 2 * n - 2) <= 5e-16
+
+
+def test_every_rule_is_the_composite_rule_on_its_own_ends():
+    # the 1D Green's cells, the source rule and the damped primitive's
+    # pieces lay the one Gauss rule one way, composite_rule's, bit for bit
+    cuts, q = np.array([0.37, 0.5, 0.2, 1.3, 0.5]), 7
+    cells = _poisson_cells(np.ones_like, cuts, q)
+    x, w = composite_rule(gauss_legendre_rule(2 * q), cut_ends((0.0, 1.0), cuts))
+    assert np.array_equal(cells.points, x) and np.array_equal(cells.weighted, w)
+
+    family = basis_family(Mesh1D(0.0, 1.0, 3, 2, np.array([0.0, 0.3, 0.55, 1.0])))
+    got = mesh_quadrature(family, q, cuts)
+    assert np.array_equal(got, composite_rule(gauss_legendre_rule(q),
+                                              cut_ends(family.mesh.boundaries, cuts)))
+
+    seen = []
+
+    def pair(t, fw):
+        seen.append((t, fw[:, 0]))
+        return 0.0
+
+    points, rates = np.array([0.1, 0.45]), np.pi * np.arange(1, 40)
+    _damped_green_apply(lambda t: np.ones((t.size, rates.size)), points, cuts, q, rates, pair,
+                        block_points=64)
+    cells = cut_ends((0.0, 1.0), np.concatenate((cuts, points)))
+    ends = _piece_ends(cells, np.ceil(rates.max() * np.diff(cells) / _PIECE_DECAY).astype(int))
+    x, w = composite_rule(gauss_legendre_rule(max(_PIECE_POINTS, q)), ends)
+    assert len(seen) > 1
+    assert np.array_equal(np.concatenate([t for t, _ in seen]), x)
+    assert np.array_equal(np.concatenate([fw for _, fw in seen]), w)
 
 
 def test_gauss_legendre_small_rules():
