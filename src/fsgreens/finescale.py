@@ -98,18 +98,11 @@ def _l2_lifts_at(fns: DualFunctionals, x):
 
 
 def _lift(fns: DualFunctionals, x) -> np.ndarray:
-    """Every lifted functional G(load_j) at x.
-
-    For H10 the Poisson kernel inverts the load (minus the second
-    derivative plus the node point sources) exactly, so the lift is the
-    functional itself (`tabulate_functionals`).  For L2 the load
-    is the dual density mu_j, one element's, and the lift is in closed
-    form: x beta_j left of the dual's element, (1 - x) alpha_j right of it
-    (`DualSet.moments`) and `_l2_element_lifts` inside.  The lift is C^1,
-    so a point on a mesh node may take either side.
+    """Every lifted L2 functional G mu_j at x, in closed form from the dual
+    density mu_j, one element's: x beta_j left of the dual's element,
+    (1 - x) alpha_j right of it (`DualSet.moments`) and `_l2_element_lifts`
+    inside.  The lift is C^1, so a point on a mesh node may take either side.
     """
-    if fns.flavor is ProjectionFlavor.H10:
-        return tabulate_functionals(fns, x)
     family = fns.family
     x, elem, local = _l2_lifts_at(fns, x)
     alpha, beta = fns.duals.moments
@@ -303,8 +296,8 @@ class FineScaleOperator:
 
     Holds the functionals whose flavor pairing drives all dual
     applications, and forms what it needs of the rest on first use.  The
-    lifted functionals are exact and evaluated on demand: for L2 in closed
-    form from the dual moments, for H10 the functionals themselves.  The
+    L2 lifted functionals are exact and evaluated on demand, in closed form
+    from the dual moments; the H10 ones are the functionals themselves.  The
     Gram is SPD for both flavors, as the build's `gram_cond` check
     confirms; L2 reconstructions solve with it, and H10 ones, element-local,
     have no resolved part, so an H10 operator forms no Gram unless it is
@@ -359,7 +352,11 @@ class FineScaleOperator:
         return float(eig[-1] / eig[0]) if eig[0] > 0.0 else np.inf
 
     def lifted_tab(self, x) -> np.ndarray:
-        """Tabulate every lifted functional at x; shape (len(x), size)."""
+        """Tabulate every lifted L2 functional at x; shape (len(x), size).
+        An H10 lift is the functional itself, as the Poisson kernel inverts
+        its load exactly (`tabulate_functionals`): H10 raises ValueError."""
+        if self.flavor is not ProjectionFlavor.L2:
+            raise ValueError("an H10 operator's lifts are its functionals: tabulate them")
         return _lift(self.functionals, x)
 
     def resolved(self, x, data: np.ndarray) -> np.ndarray:
@@ -397,20 +394,23 @@ def build_fine_scale_operator(kernel: GreensKernel1D, fns: DualFunctionals,
 def fine_scale_eval(op: FineScaleOperator, x, s) -> np.ndarray:
     """Evaluate the fine-scale kernel on the grid x (rows) by s (columns).
 
-    The L2 kernel is the kernel less the resolved part at x
-    (`FineScaleOperator.resolved`) of the representers at s, the lifts
-    there.  The H10 one is each element's own, in closed form
+    The L2 kernel is the kernel less L(x) Gram^{-1} L(s)^T, L the lift
+    table (`FineScaleOperator.lifted_tab`), formed once when x is s.  The
+    H10 one is each element's own, in closed form
     (`_h10_fine_kernel`): exactly zero where x and s lie in different
     elements or either lies on a mesh node.  When x is s the surface is
     symmetrized, as the kernel is.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     ss = np.atleast_1d(np.asarray(s, dtype=float))
+    same = np.array_equal(xs, ss)
     if op.flavor is ProjectionFlavor.H10:
         out = _h10_fine_kernel(op.functionals.family, xs, ss)
     else:
-        out = op.kernel(xs[:, None], ss[None, :]) - op.resolved(xs, op.lifted_tab(ss).T)
-    if np.array_equal(xs, ss):
+        right = op.lifted_tab(ss)
+        left = right if same else op.lifted_tab(xs)
+        out = op.kernel(xs[:, None], ss[None, :]) - left @ op.solve_gram(right.T)
+    if same:
         out = 0.5 * (out + out.T)
     if np.isscalar(x) and np.isscalar(s):
         return float(out[0, 0])

@@ -4,11 +4,10 @@ All satisfy homogeneous Dirichlet conditions, and all are g_k, the Green's
 function of -u'' + k^2 u on [0, 1], evaluated by one formula
 (`_damped_green`) with no positive exponent: the 1D Poisson kernel at
 k = 0, 2D series mode n at k = n pi and advection-diffusion at
-k = |c| / (2 nu).  Two primitives apply it to a density: at k = 0 one
+k = |c| / (2 nu).  One primitive applies it to a density at k = 0: one
 tabulation per cell gives G f at the cell ends and each cell's Lobatto
-bubble series, so G f anywhere (`_poisson_cells`); at k > 0, where
-e^{-k |x - s|} kinks at every output point and no bubble series resolves
-it, running sums cut at the points (`_damped_green_apply`).  The 1D
+bubble series, so G f anywhere (`_poisson_cells`).  The damped primitive
+of the 2D series, k > 0, lives with its one caller in `poisson2d`.  The 1D
 kernel's derivatives and the element-local Dirichlet kernel, which only
 the tests read, live beside the tests' oracles.
 """
@@ -21,17 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import _piece_ends, cut_ends, gauss_legendre_rule, map_rule
+from .quadrature import cut_ends, gauss_legendre_rule, map_rule
 
 _DOMAIN_TOL = 1e-12
 _EPS = np.finfo(float).eps
 DEFAULT_SERIES_TERMS = 100
-# Across a piece of the primitive e^{-k t} falls by at most e^_PIECE_DECAY,
-# which _PIECE_POINTS Gauss points, a damped piece's floor, integrate to
-# rounding; it tabulates _BLOCK_POINTS rule points at a time by default.
-_PIECE_DECAY = 20.0
-_PIECE_POINTS = 20
-_BLOCK_POINTS = 1024
 
 
 def _check_unit_domain(*arrays):
@@ -65,7 +58,8 @@ def _check_advdiff(c: float, nu: float):
 def _damped_green(x, s, k: float = 0.0, drift: float = 0.0):
     """e^{drift (x - s)} g_k(x, s), g_k the Green's function of -u'' + k^2 u
     on [0, 1] with zero ends, for x, s in [0, 1] and |drift| <= k:
-    e^{drift (x - s) - k |x - s|} E_k(min) E_k(1 - max) / E_k(1) (`_damped`).
+    e^{drift (x - s) - k |x - s|} E_k(min) E_k(1 - max) / E_k(1), E_k(a) =
+    (1 - e^{-2 k a}) / (2 k).
     The exponent is never positive, the factors 1 - e^{-2 k a} lie in
     [0, 1] and the one division, by 2 k (1 - e^{-2 k}), comes last, so no
     rate overflows or underflows.  A rate at or below machine epsilon is
@@ -126,72 +120,6 @@ def poisson2d_green(x, y, s1, s2, num_terms: int = DEFAULT_SERIES_TERMS):
         npi = n * np.pi
         out = out + 2.0 * np.sin(npi * x) * np.sin(npi * s1) * _damped_green(y, s2, npi)
     return out
-
-
-def _damped(k, a):
-    """E_k(a) = (1 - e^{-2 k a}) / (2 k), k > 0 one rate per last-axis
-    column of a."""
-    return np.expm1(-2.0 * k * a) / (-2.0 * k)
-
-
-def _running_sums(c, d):
-    """s_j = c_j + d_j s_{j-1} along axis 1, 0 <= d_j <= 1, by a doubling
-    scan of log2(len) steps whose factors, products of d's, cannot overflow
-    (Hillis & Steele, CACM 29, 1986)."""
-    step = 1
-    while step < c.shape[1]:
-        c[:, step:] += d[:, step:] * c[:, :-step]
-        d[:, step:] *= d[:, :-step]
-        step *= 2
-    return c
-
-
-def _damped_green_apply(density, x, cuts, quad_points: int, rates, pair=None,
-                        block_points: int = _BLOCK_POINTS):
-    """G_k f at x in [0, 1], G_k the Green's operator of -u'' + k^2 u, zero ends.
-
-    `density(t)` gives one column per density, each with its rate k > 0;
-    `cuts` are its kinks, and NaN raises ValueError.  The kernel
-    e^{-k |x - s|} E_k(min) E_k(1 - max) / E_k(1) (`_damped`) is
-    semiseparable (Greengard & Rokhlin, CPAM 44, 1991): G_k f = [E_k(1 - x) L
-    + E_k(x) R] / E_k(1), L = int_0^x e^{-k (x - s)} E_k(s) f, R = int_x^1
-    e^{-k (s - x)} E_k(1 - s) f.  The Gauss rule is cut at 0, 1, the cuts
-    and every x (`cut_ends`), as e^{-k |x - s|} kinks there, and each cell
-    into pieces (`_PIECE_DECAY`, `map_rule`); L and R are running sums of
-    the pieces, damped by e^{-k width} a step (`_running_sums`), read at x:
-    no exponent is positive.  A piece carries at least _PIECE_POINTS Gauss
-    points, so callers pass their plain source rule.  Each block of pieces is
-    tabulated once, and `pair(t, fw)` maps its points and weighted values to
-    a partial pairing.  Returns G_k f, (len(x), densities), and their sum or 0.
-    The 1D Poisson operator, k = 0, is `_poisson_cells`.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_unit_domain(x)
-    x = np.clip(x, 0.0, 1.0)
-    k = np.atleast_1d(np.asarray(rates, dtype=float))
-    cells = cut_ends((0.0, 1.0), cuts, x)
-    ends = _piece_ends(cells, np.ceil(k.max() * np.diff(cells) / _PIECE_DECAY).astype(int))
-    rule = gauss_legendre_rule(max(_PIECE_POINTS, quad_points))
-    step = max(1, block_points // rule.npoints)
-    laid, half = map_rule(rule, ends[:-1], ends[1:]), 0.5 * np.diff(ends)[:, None]
-    parts, pairing = [], 0.0
-    for block in range(0, half.size, step):
-        h, t, w = (a[block:block + step] for a in (half, *laid))
-        f = np.asarray(density(t.ravel()), dtype=float).reshape(t.shape + (-1,)) * w[..., None]
-        if pair is not None:
-            pairing = pairing + pair(t.ravel(), f.reshape(t.size, -1))
-        # each piece's integral in L at its right end and in R at its left end
-        t, lag = t[..., None], -k * h[..., None]
-        weights = np.stack((_damped(k, t) * np.exp(lag * (1.0 - rule.nodes[:, None])),
-                            _damped(k, 1.0 - t) * np.exp(lag * (1.0 + rule.nodes[:, None]))))
-        parts.append(np.einsum("jiq...,iq...->ji...", weights, f))
-    left, right = np.concatenate(parts, axis=1)
-    decay = np.exp(-k * np.diff(ends)[:, None])
-    left, right = _running_sums(np.stack((left, right[::-1])), np.stack((decay, decay[::-1])))
-    zero, at = np.zeros_like(left[:1]), np.searchsorted(ends, x)
-    x, scale = x[:, None], _damped(k, 1.0)
-    return (_damped(k, 1.0 - x) / scale * np.concatenate((zero, left))[at]
-            + _damped(k, x) / scale * np.concatenate((right[::-1], zero))[at]), pairing
 
 
 def _prefix_sums(terms: np.ndarray) -> np.ndarray:

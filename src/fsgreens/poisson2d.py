@@ -15,15 +15,15 @@ All kernel applications exploit the separable eigenfunction series: the
 sine direction is integrated once against high-order per-element rules
 sized to the truncation order and the element width.  Each term's profile
 in the other direction is the Green's function of -d^2/dy^2 + (n pi)^2,
-which the damped Green's primitive of `kernels` applies to all terms at
-once, cut at every ordinate, where e^{-n pi |y - s|} kinks: no bubble
+which the damped Green's primitive `_damped_green_apply` applies to all
+terms at once, cut at every ordinate, where e^{-n pi |y - s|} kinks: no bubble
 series resolves that kink, as the 1D Poisson route's does its cells'.
 Pairings of the truncated operator reduce to sums of 1D integrals of the
 kernel the reconstruction uses.  The pairing and the convolution need the
 residual only through its sine moments, so the primitive pairs each block
 of its pieces with the basis as it tabulates it (`_green_tables`): each
 piece lies in one element, where the basis is a polynomial, and carries at
-least the source rule's points (and the floor, `kernels._PIECE_POINTS`).
+least the source rule's points (and the floor, `_PIECE_POINTS`).
 
 As in 1D the fine-scale operator annihilates the resolved space (Hughes &
 Sangalli, SIAM J. Numer. Anal. 45, 2007), so the fine scales depend on the
@@ -39,12 +39,17 @@ import numpy as np
 
 from .basis1d import BasisFamily, Mesh1D, basis_family, tabulate_nodal
 from .dualspace import assemble_mass, assemble_stiffness
-from .kernels import DEFAULT_SERIES_TERMS, _check_unit_mesh, _damped_green_apply
+from .kernels import DEFAULT_SERIES_TERMS, _check_unit_domain, _check_unit_mesh
 from .projection import mesh_quadrature, source_rule_points
-from .quadrature import composite_rule, gauss_legendre_rule
+from .quadrature import _piece_ends, composite_rule, cut_ends, gauss_legendre_rule, map_rule
 
 _OSC_MARGIN = 12
-# the residual is tabulated _BLOCK_POINTS rule points at a time
+# Across a piece of the damped primitive e^{-k t} falls by at most
+# e^_PIECE_DECAY, which _PIECE_POINTS Gauss points, a piece's floor,
+# integrate to rounding; it tabulates the residual _BLOCK_POINTS rule points
+# at a time.
+_PIECE_DECAY = 20.0
+_PIECE_POINTS = 20
 _BLOCK_POINTS = 256
 
 
@@ -249,6 +254,72 @@ def lifted_duals_grid(op: SeriesOperator2D, x, y) -> np.ndarray:
     return _tensor_duals(op.duals, lift_x, _psi_tab(op.duals, y))
 
 
+def _damped(k, a):
+    """E_k(a) = (1 - e^{-2 k a}) / (2 k), k > 0 one rate per last-axis
+    column of a."""
+    return np.expm1(-2.0 * k * a) / (-2.0 * k)
+
+
+def _running_sums(c, d):
+    """s_j = c_j + d_j s_{j-1} along axis 1, 0 <= d_j <= 1, by a doubling
+    scan of log2(len) steps whose factors, products of d's, cannot overflow
+    (Hillis & Steele, CACM 29, 1986)."""
+    step = 1
+    while step < c.shape[1]:
+        c[:, step:] += d[:, step:] * c[:, :-step]
+        d[:, step:] *= d[:, :-step]
+        step *= 2
+    return c
+
+
+def _damped_green_apply(density, x, cuts, quad_points: int, rates, pair=None,
+                        block_points: int = _BLOCK_POINTS):
+    """G_k f at x in [0, 1], G_k the Green's operator of -u'' + k^2 u, zero ends.
+
+    `density(t)` gives one column per density, each with its rate k > 0;
+    `cuts` are its kinks, and NaN raises ValueError.  The kernel
+    e^{-k |x - s|} E_k(min) E_k(1 - max) / E_k(1) (`_damped`) is
+    semiseparable (Greengard & Rokhlin, CPAM 44, 1991): G_k f = [E_k(1 - x) L
+    + E_k(x) R] / E_k(1), L = int_0^x e^{-k (x - s)} E_k(s) f, R = int_x^1
+    e^{-k (s - x)} E_k(1 - s) f.  The Gauss rule is cut at 0, 1, the cuts
+    and every x (`cut_ends`), as e^{-k |x - s|} kinks there, and each cell
+    into pieces (`_PIECE_DECAY`, `map_rule`); L and R are running sums of
+    the pieces, damped by e^{-k width} a step (`_running_sums`), read at x:
+    no exponent is positive.  A piece carries at least _PIECE_POINTS Gauss
+    points, so callers pass their plain source rule.  Each block of pieces is
+    tabulated once, and `pair(t, fw)` maps its points and weighted values to
+    a partial pairing.  Returns G_k f, (len(x), densities), and their sum or 0.
+    The 1D Poisson operator, k = 0, is `kernels._poisson_cells`.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    _check_unit_domain(x)
+    x = np.clip(x, 0.0, 1.0)
+    k = np.atleast_1d(np.asarray(rates, dtype=float))
+    cells = cut_ends((0.0, 1.0), cuts, x)
+    ends = _piece_ends(cells, np.ceil(k.max() * np.diff(cells) / _PIECE_DECAY).astype(int))
+    rule = gauss_legendre_rule(max(_PIECE_POINTS, quad_points))
+    step = max(1, block_points // rule.npoints)
+    laid, half = map_rule(rule, ends[:-1], ends[1:]), 0.5 * np.diff(ends)[:, None]
+    parts, pairing = [], 0.0
+    for block in range(0, half.size, step):
+        h, t, w = (a[block:block + step] for a in (half, *laid))
+        f = np.asarray(density(t.ravel()), dtype=float).reshape(t.shape + (-1,)) * w[..., None]
+        if pair is not None:
+            pairing = pairing + pair(t.ravel(), f.reshape(t.size, -1))
+        # each piece's integral in L at its right end and in R at its left end
+        t, lag = t[..., None], -k * h[..., None]
+        weights = np.stack((_damped(k, t) * np.exp(lag * (1.0 - rule.nodes[:, None])),
+                            _damped(k, 1.0 - t) * np.exp(lag * (1.0 + rule.nodes[:, None]))))
+        parts.append(np.einsum("jiq...,iq...->ji...", weights, f))
+    left, right = np.concatenate(parts, axis=1)
+    decay = np.exp(-k * np.diff(ends)[:, None])
+    left, right = _running_sums(np.stack((left, right[::-1])), np.stack((decay, decay[::-1])))
+    zero, at = np.zeros_like(left[:1]), np.searchsorted(ends, x)
+    x, scale = x[:, None], _damped(k, 1.0)
+    return (_damped(k, 1.0 - x) / scale * np.concatenate((zero, left))[at]
+            + _damped(k, x) / scale * np.concatenate((right[::-1], zero))[at]), pairing
+
+
 def _green_tables(op: SeriesOperator2D, residual: Callable, y) -> tuple[np.ndarray, np.ndarray]:
     """Both uses of a residual's sine moments D_n(t), from one tabulation.
 
@@ -267,8 +338,7 @@ def _green_tables(op: SeriesOperator2D, residual: Callable, y) -> tuple[np.ndarr
 
     profiles, psi_moments = _damped_green_apply(
         sine_moments, y, op.duals.family.mesh.boundaries, op.quad_points,
-        np.pi * np.arange(1, op.num_terms + 1), lambda t, fw: fw.T @ _psi_tab(op.duals, t),
-        _BLOCK_POINTS)
+        np.pi * np.arange(1, op.num_terms + 1), lambda t, fw: fw.T @ _psi_tab(op.duals, t))
     return 2.0 * profiles.T, 2.0 * op.sine_moments.T @ psi_moments
 
 
@@ -282,10 +352,10 @@ def green_apply_2d(op: SeriesOperator2D, residual: Callable, x, y) -> np.ndarray
 
     Term n is 2 sin(k x) G_k D_n(y), k = n pi, with D_n the sine moment
     of the residual (the precomputed sine rule) and G_k the Green's
-    operator of -d^2/dy^2 + k^2, which `kernels._damped_green_apply`
-    applies on pieces cut at the mesh lines and at every ordinate, by the
-    operator's source rule, raised to the primitive's floor of
-    `kernels._PIECE_POINTS` points a piece.
+    operator of -d^2/dy^2 + k^2, which `_damped_green_apply` applies on
+    pieces cut at the mesh lines and at every ordinate, by the operator's
+    source rule, raised to the primitive's floor of `_PIECE_POINTS` points
+    a piece.
     """
     return _sine_table(op.num_terms, x).T @ _green_tables(op, residual, y)[0]
 

@@ -1,8 +1,10 @@
 """Legendre polynomials, GLL and Gauss-Legendre rules, and their transport.
 
 Everything here lives on the reference interval [-1, 1], and every rule
-`fsgreens` integrates with comes from here: the polished Gauss rule
-`gauss_legendre_rule`, laid from each interval's left end (`map_rule`,
+`fsgreens` integrates with comes from here.  One Legendre recurrence
+(`_legendre`) and three Newton steps in extended precision give the Gauss
+nodes and, seeded between them, the GLL nodes.  The polished Gauss rule
+`gauss_legendre_rule` is laid from each interval's left end (`map_rule`,
 `composite_rule`) on cells merged with their cuts (`cut_ends`), as the 1D
 source rule (`projection.mesh_quadrature`) and the 1D Green's cells are.
 """
@@ -14,9 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-_NEWTON_TOL = 1e-15
-_NEWTON_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -45,76 +44,69 @@ class QuadratureRule:
         return self.nodes.size
 
 
-def legendre_eval(p: int, x):
-    """Evaluate the Legendre polynomial L_p and its derivative at x.
+def _legendre(n: int, x):
+    """(P_{n-1}(x), P_n(x)), n >= 1, by the three-term recurrence in x's
+    precision: the one recurrence both rule families use."""
+    prev, val = np.ones_like(x), x
+    for k in range(1, n):
+        prev, val = val, ((2 * k + 1) * x * val - k * prev) / (k + 1)
+    return prev, val
 
-    Uses the three-term recurrence for the values and the companion
-    recurrence for the derivatives, which stays finite at x = +-1.
-    Accepts scalars or arrays; returns (value, derivative) with the same
-    shape as x.
-    """
-    if p < 0:
-        raise ValueError(f"polynomial degree must be >= 0, got {p}")
-    x = np.asarray(x, dtype=float)
-    val = np.ones_like(x)
-    der = np.zeros_like(x)
-    if p == 0:
-        return val, der
-    val_prev = val          # L_0
-    der_prev = der          # L_0'
-    val = x.copy()          # L_1
-    der = np.ones_like(x)   # L_1'
-    for k in range(1, p):
-        a = (2 * k + 1) / (k + 1)
-        b = k / (k + 1)
-        val_next = a * x * val - b * val_prev
-        der_next = a * (val + x * der) - b * der_prev
-        val_prev, der_prev = val, der
-        val, der = val_next, der_next
-    return val, der
+
+@functools.cache
+def gauss_legendre_rule(n: int) -> QuadratureRule:
+    """The n-point Gauss-Legendre rule, exact through degree 2n-1, to about
+    an ulp: numpy's nodes polished by Newton steps on P_n and the weights
+    2 / ((1 - x^2) P_n'(x)^2) formed in extended precision (np.longdouble;
+    plain double where the platform has no wider type).  numpy's 40-point
+    rule integrates P_2 to 7e-15, this one to 1e-17; one shared rule per n."""
+    if n < 1:
+        raise ValueError(f"rule size must be >= 1, got {n}")
+    def legendre(x):
+        """P_n(x) and P_n'(x) = n (P_{n-1} - x P_n) / (1 - x^2)."""
+        prev, val = _legendre(n, x)
+        return val, n * (prev - x * val) / (1.0 - x * x)
+
+    x = np.polynomial.legendre.leggauss(n)[0].astype(np.longdouble)
+    for _ in range(3):
+        val, slope = legendre(x)
+        x = x - val / slope
+    weights = (2.0 / ((1.0 - x * x) * legendre(x)[1] ** 2)).astype(float)
+    nodes = x.astype(float)
+    return QuadratureRule(0.5 * (nodes - nodes[::-1]), 0.5 * (weights + weights[::-1]))
 
 
 @functools.cache
 def gll_nodes(p: int) -> np.ndarray:
-    """Gauss-Legendre-Lobatto nodes of degree p: the p+1 roots of (1-x^2) L_p'(x),
+    """Gauss-Lobatto-Legendre nodes of degree p: -1, 1 and the roots of
+    (1 - x^2) P_p' = p (P_{p-1} - x P_p), whose derivative is -p (p + 1) P_p,
     one shared read-only array per p.
 
-    Interior roots are found by Newton iteration on L_p' seeded with
-    Chebyshev-Gauss-Lobatto points; the iterate is symmetrised so the node
-    set is exactly antisymmetric about 0.
+    The interior roots interlace with P_p's, so the midpoints of the p-point
+    Gauss nodes seed them, and the Gauss rule's three Newton steps in
+    extended precision (np.longdouble) polish them to the nearest double
+    where that type is 80-bit (Hale & Townsend, SISC 35, 2013); the set is
+    symmetrized to be exactly antisymmetric about 0.
     """
     if p < 1:
         raise ValueError(f"GLL degree must be >= 1, got {p}")
-    xi = np.empty(0)
-    if p > 1:
-        # Chebyshev-Gauss-Lobatto initial guesses for the interior roots.
-        xi = np.cos(np.pi * np.arange(p - 1, 0, -1) / p)
-        for _ in range(_NEWTON_MAX_ITER):
-            lp, dlp = legendre_eval(p, xi)
-            # L_p'' from the Legendre ODE; xi stays strictly inside (-1, 1).
-            d2lp = (2.0 * xi * dlp - p * (p + 1) * lp) / (1.0 - xi * xi)
-            step = dlp / d2lp
-            xi = xi - step
-            if np.max(np.abs(step)) < _NEWTON_TOL:
-                break
-        else:
-            raise RuntimeError(f"GLL node iteration did not converge for p={p}")
+    gauss = gauss_legendre_rule(p).nodes.astype(np.longdouble)
+    x = 0.5 * (gauss[:-1] + gauss[1:])
+    for _ in range(3):
+        prev, val = _legendre(p, x)
+        x = x - (x * val - prev) / ((p + 1) * val)
+    xi = x.astype(float)
     nodes = np.concatenate(([-1.0], 0.5 * (xi - xi[::-1]), [1.0]))
     nodes.setflags(write=False)
     return nodes
 
 
-def gll_weights(p: int, nodes: np.ndarray | None = None) -> np.ndarray:
-    """GLL weights w_i = 2 / (p (p+1) L_p(x_i)^2)."""
-    if nodes is None:
-        nodes = gll_nodes(p)
-    lp, _ = legendre_eval(p, nodes)
-    return 2.0 / (p * (p + 1) * lp * lp)
-
-
 def gll_rule(p: int) -> QuadratureRule:
+    """The (p + 1)-point GLL rule, exact through degree 2p - 1: the weights
+    2 / (p (p + 1) P_p(x)^2) formed in extended precision."""
     nodes = gll_nodes(p)
-    return QuadratureRule(nodes, gll_weights(p, nodes))
+    val = _legendre(p, nodes.astype(np.longdouble))[1]
+    return QuadratureRule(nodes, (2.0 / (p * (p + 1) * val * val)).astype(float))
 
 
 def sorted_unique(values) -> np.ndarray:
@@ -140,32 +132,6 @@ def _piece_ends(cuts: np.ndarray, splits: np.ndarray) -> np.ndarray:
     ends = count * step[interval] + cuts[interval]
     ends[last] = cuts[1:]
     return np.concatenate((cuts[:1], ends))
-
-
-@functools.cache
-def gauss_legendre_rule(n: int) -> QuadratureRule:
-    """The n-point Gauss-Legendre rule, exact through degree 2n-1, to about
-    an ulp: numpy's nodes polished by Newton steps on P_n and the weights
-    2 / ((1 - x^2) P_n'(x)^2) formed in extended precision (np.longdouble;
-    plain double where the platform has no wider type).  numpy's 40-point
-    rule integrates P_2 to 7e-15, this one to 1e-17; one shared rule per n."""
-    if n < 1:
-        raise ValueError(f"rule size must be >= 1, got {n}")
-    def legendre(x):
-        """P_n(x) and P_n'(x), by the three-term recurrence and
-        (1 - x^2) P_n' = n (P_{n-1} - x P_n), in x's precision."""
-        prev, val = np.ones_like(x), x
-        for k in range(1, n):
-            prev, val = val, ((2 * k + 1) * x * val - k * prev) / (k + 1)
-        return val, n * (prev - x * val) / (1.0 - x * x)
-
-    x = np.polynomial.legendre.leggauss(n)[0].astype(np.longdouble)
-    for _ in range(3):
-        val, slope = legendre(x)
-        x = x - val / slope
-    weights = (2.0 / ((1.0 - x * x) * legendre(x)[1] ** 2)).astype(float)
-    nodes = x.astype(float)
-    return QuadratureRule(0.5 * (nodes - nodes[::-1]), 0.5 * (weights + weights[::-1]))
 
 
 def map_rule(rule: QuadratureRule, a, b):

@@ -25,8 +25,9 @@ The other 1D oracles the tests check the library against live here too:
 each functional's load on the kernel (`functional_load`, for H10 from the
 K-solved tables below) and its lift by
 one direct quadrature per point (`lift_functionals_direct`), the
-pairing alone of a source (`apply_dual_green`), the reconstruction
-functions from the lift table and the Gram (`resolved_basis_reproduction`),
+pairing alone of a source (`apply_dual_green`), the lift table of
+either flavor, for H10 the functionals themselves (`lift_table`), the
+reconstruction functions from it and the Gram (`resolved_basis_reproduction`),
 the global edge mass, the oracle for the element-local dual solves
 (`edge_mass`), the nodal points (`nodal_points`) and the dense SPD solve
 by scipy's Cholesky factor (`spd_solve`).  So do the pieces
@@ -70,11 +71,14 @@ from fsgreens.basis1d import (BasisFamily, Field, SpaceKind, _element_cols, _loc
 from fsgreens.dualspace import _assemble_gram, assemble_stiffness, partial_moments
 from fsgreens.finescale import (FineScaleOperator, SourceTerm, _field_pairing, _green_and_pairing,
                                 _lift)
-from fsgreens.kernels import _BLOCK_POINTS, GreensKernel1D, _check_unit_domain, poisson_green
+from fsgreens.kernels import GreensKernel1D, _check_unit_domain, poisson_green
 from fsgreens.projection import (DualFunctionals, ProjectionFlavor, _green_and_h10,
                                  interior_field, mesh_quadrature, source_rule_points,
                                  tabulate_functionals)
 from fsgreens.quadrature import composite_rule, gauss_legendre_rule, map_rule, sorted_unique
+
+# the oracle's Green's primitive tabulates _BLOCK_POINTS rule points at a time
+_BLOCK_POINTS = 1024
 
 
 def spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -311,8 +315,8 @@ def pair_flat(fns, flat: FlatSource, quad_points: int) -> np.ndarray:
     out = np.zeros(fns.size)
     if flat.smooth is not None:
         s, w = mesh_quadrature(fns.family, quad_points, flat.breakpoints)
-        out += _lift(fns, s).T @ (w * np.asarray(flat.smooth(s), dtype=float))
-    for lift, sign, terms in ((_lift, 1.0, flat.point_sources), (lift_dx, -1.0, dipoles)):
+        out += lift_table(fns, s).T @ (w * np.asarray(flat.smooth(s), dtype=float))
+    for lift, sign, terms in ((lift_table, 1.0, flat.point_sources), (lift_dx, -1.0, dipoles)):
         if terms:
             locs, qs = np.array(terms, dtype=float).T
             out += sign * lift(fns, locs).T @ qs
@@ -406,6 +410,15 @@ def lift_functionals_direct(kernel: GreensKernel1D, fns: DualFunctionals, x,
     return out
 
 
+def lift_table(fns: DualFunctionals, x) -> np.ndarray:
+    """Every lifted functional at x: for H10 the functional itself, as the
+    Poisson kernel inverts its load exactly (`tabulate_functionals`), for
+    L2 the library's closed form (`finescale._lift`)."""
+    if fns.flavor is ProjectionFlavor.H10:
+        return tabulate_functionals(fns, x)
+    return _lift(fns, x)
+
+
 def resolved_basis_reproduction(op: FineScaleOperator, x) -> np.ndarray:
     """Tabulate (G duals)^T [Gram]^{-1} at x; column i is reconstruction function i.
 
@@ -413,7 +426,7 @@ def resolved_basis_reproduction(op: FineScaleOperator, x) -> np.ndarray:
     basis functions.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return op.solve_gram(op.lifted_tab(x).T).T
+    return op.solve_gram(lift_table(op.functionals, x).T).T
 
 
 def edge_mass(family: BasisFamily) -> np.ndarray:
@@ -531,7 +544,7 @@ def green_and_pairing(fns: DualFunctionals, src: SourceTerm, grid: np.ndarray,
         return _green_and_pairing(fns, src, grid, quad_points)
     locs, qs = np.array(src.point_sources, dtype=float).reshape(-1, 2).T
     image = poisson_green(grid[:, None], locs[None, :]) @ qs
-    data = _lift(fns, locs).T @ qs
+    data = tabulate_functionals(fns, locs).T @ qs
     if src.smooth is not None:
         green, coeffs = _green_and_h10(fns, src.smooth, quad_points, src.breakpoints)
         image, data = image + green(grid), data + coeffs

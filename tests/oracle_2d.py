@@ -24,10 +24,10 @@ from typing import Callable
 import numpy as np
 
 from fsgreens.basis1d import BasisFamily, tabulate_nodal
-from fsgreens.kernels import _PIECE_DECAY, _PIECE_POINTS, _check_unit_domain
-from fsgreens.poisson2d import (_BLOCK_POINTS, DualFunctionals2D, SeriesOperator2D,
-                                _psi_tab, _sine_table, _stiffness_solve, _tensor_duals,
-                                green_apply_2d)
+from fsgreens.kernels import _check_unit_domain
+from fsgreens.poisson2d import (_BLOCK_POINTS, _PIECE_DECAY, _PIECE_POINTS, DualFunctionals2D,
+                                SeriesOperator2D, _psi_tab, _sine_table, _stiffness_solve,
+                                _tensor_duals, green_apply_2d)
 from fsgreens.projection import mesh_quadrature
 from fsgreens.quadrature import _piece_ends, composite_rule, gauss_legendre_rule, sorted_unique
 

@@ -4,34 +4,54 @@ something no host noise moves.
 tracemalloc's peak of one traced run is deterministic (two runs give the
 same bytes), so the ratio of two peaks gates an exponent in N without
 timing anything.  The gate is on the ratio, not on bytes, so it holds
-across numpy versions whose temporaries differ in size.
+across numpy versions whose temporaries differ in size.  The shapes of the
+matrices `np.linalg` factors or solves are deterministic too: an
+element-local path factors nothing whose size grows with N.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from fsgreens.basis1d import Mesh1D, basis_family
 from fsgreens.cases import sin2pix_case
 from fsgreens.finescale import build_fine_scale_operator, reconstruct_fine_scales, residual_from_field
 from fsgreens.kernels import GreensKernel1D
-from fsgreens.projection import ProjectionFlavor, build_dual_functionals, h10_project_from_source
+from fsgreens.projection import (ProjectionFlavor, build_dual_functionals, h10_project_from_source,
+                                 source_rule_points)
+from fsgreens.quadrature import gauss_legendre_rule
 
 CASE = sin2pix_case()
 
 
-def _h10_peak(num_elements: int) -> int:
-    """tracemalloc's peak, in bytes, of the H10 projection from the source
-    plus its reconstruction on 401 points at p = 4; the operator is built
-    untraced, as its `gram_cond` reads the dense stiffness."""
+# every np.linalg routine that factors, inverts or solves with its first argument
+_FACTORING = ("cholesky", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv", "lstsq", "pinv",
+              "qr", "slogdet", "solve", "svd", "tensorsolve")
+
+
+def _h10_path(num_elements: int):
+    """The H10 operator at p = 4 on N elements, built outside any gate, as
+    its `gram_cond` reads the dense stiffness; and the gated path, the H10
+    projection from the source plus its reconstruction on 401 points."""
     family = basis_family(Mesh1D.uniform(0.0, 1.0, num_elements, 4))
     fns = build_dual_functionals(family, ProjectionFlavor.H10)
     op = build_fine_scale_operator(GreensKernel1D.poisson(), fns)
     grid = np.linspace(0.0, 1.0, 401)
+
+    def run():
+        u_bar = h10_project_from_source(fns, CASE.source)
+        return reconstruct_fine_scales(op, residual_from_field(u_bar, CASE.source), grid)
+    return run
+
+
+def _h10_peak(num_elements: int) -> int:
+    """tracemalloc's peak, in bytes, of the H10 projection from the source
+    plus its reconstruction (`_h10_path`), with the operator built untraced."""
+    run = _h10_path(num_elements)
     tracemalloc.start()
     try:
-        u_bar = h10_project_from_source(fns, CASE.source)
-        reconstruct_fine_scales(op, residual_from_field(u_bar, CASE.source), grid)
+        run()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -42,3 +62,31 @@ def test_h10_projection_and_reconstruction_memory_is_linear_in_n():
     # at N = 64 and 256 (numpy 2.4) measure an exponent of 0.88
     small, large = _h10_peak(64), _h10_peak(256)
     assert large <= 4.0 ** 1.15 * small, (small, large)
+
+
+@pytest.mark.parametrize("num_elements", [64, 256])
+def test_h10_projection_and_reconstruction_factor_only_element_sized_matrices(
+        num_elements, monkeypatch):
+    # every matrix np.linalg factors or solves on the gated path, the last
+    # two axes of its first argument, is at most 2p x 2p at p = 4, such as
+    # the element's (p - 1)-wide bubble stiffness, and nothing of the global
+    # N p size.  The source rule's Gauss rules, q and 2q points, are formed
+    # first: each is formed once per size, seeded by numpy's leggauss, an
+    # eigensolve of its q x q Jacobi matrix
+    run = _h10_path(num_elements)
+    q = source_rule_points(4)
+    for n in (q, 2 * q):
+        gauss_legendre_rule(n)
+    shapes = []
+
+    def recording(routine):
+        def call(a, *args, **kwargs):
+            shapes.append((routine.__name__, np.shape(a)[-2:]))
+            return routine(a, *args, **kwargs)
+        return call
+
+    for name in _FACTORING:
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    run()
+    assert shapes, "the gated path factors nothing: the gate sees no call"
+    assert all(max(shape) <= 2 * 4 for _, shape in shapes), shapes

@@ -41,8 +41,8 @@ from flattened_oracle import (_poisson_apply, apply_dual_green, edge_mass,
                               element_endpoint_values, element_green, flattened, functional_load,
                               global_h10_pair, global_h10_reconstruct, global_h10_tabulate,
                               green_and_pairing, image_reconstruct, lift_dx,
-                              lift_functionals_direct, nodal_points, pair_naive, reconstruct_flat,
-                              resolved, resolved_basis_reproduction, spd_solve)
+                              lift_functionals_direct, lift_table, nodal_points, pair_naive,
+                              reconstruct_flat, resolved, resolved_basis_reproduction, spd_solve)
 
 KERNEL = GreensKernel1D.poisson()
 CASE = sin2pix_case()
@@ -77,7 +77,7 @@ def _load_as_source_terms(fns):
 @pytest.mark.parametrize("flavor", [ProjectionFlavor.H10, ProjectionFlavor.L2])
 def test_lifted_functionals_vanish_at_boundary(flavor):
     _, fns, op = _setup(2, 3, flavor)
-    ends = op.lifted_tab(np.array([0.0, 1.0]))
+    ends = lift_table(fns, np.array([0.0, 1.0]))
     assert np.max(np.abs(ends)) < 1e-10
 
 
@@ -85,13 +85,15 @@ def test_lifted_h10_functionals_reproduce_duals():
     # the derivative-pairing load of a functional inverts the kernel
     # exactly, so the lifts, which are also the representers of the
     # self-adjoint kernel, are the functionals themselves: K^{-1} psi,
-    # here by solves with K
+    # here by solves with K.  So an H10 operator tabulates no lifts
     family, fns, op = _setup(3, 2, ProjectionFlavor.H10)
     x = np.linspace(0.0, 1.0, 151)
-    assert np.max(np.abs(op.lifted_tab(x) - global_h10_tabulate(fns, x))) < 1e-11
+    assert np.max(np.abs(tabulate_functionals(fns, x) - global_h10_tabulate(fns, x))) < 1e-11
+    with pytest.raises(ValueError, match="H10"):
+        op.lifted_tab(x)
     _, fns, op = _setup(2, 3, ProjectionFlavor.H10)
     s = np.linspace(0.05, 0.95, 21)
-    assert np.max(np.abs(op.lifted_tab(s) - global_h10_tabulate(fns, s))) < 1e-12
+    assert np.max(np.abs(tabulate_functionals(fns, s) - global_h10_tabulate(fns, s))) < 1e-12
 
 
 def test_lifted_l2_weak_identity():
@@ -117,7 +119,7 @@ def test_lifted_h10_greens_identity_against_load():
     x, w = composite_rule(gauss_legendre_rule(24), family.mesh.boundaries)
     smooth_tab, locs, strengths = functional_load(fns)
     for i in range(fns.size):
-        lhs = -w @ (op.lifted_tab(x)[:, i] * ddphi(x))
+        lhs = -w @ (tabulate_functionals(fns, x)[:, i] * ddphi(x))
         rhs = w @ (smooth_tab(x)[:, i] * phi(x))
         rhs += sum(strengths[k, i] * phi(loc) for k, loc in enumerate(locs))
         assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -126,7 +128,7 @@ def test_lifted_h10_greens_identity_against_load():
 def test_lifted_h10_nonnegative():
     _, fns, op = _setup(2, 3, ProjectionFlavor.H10)
     x = np.linspace(0.0, 1.0, 201)
-    assert np.min(op.lifted_tab(x)) > -1e-12
+    assert np.min(tabulate_functionals(fns, x)) > -1e-12
 
 
 def test_splines_match_direct_quadrature():
@@ -134,7 +136,7 @@ def test_splines_match_direct_quadrature():
         _, fns, op = _setup(2, 3, flavor)
         x = np.linspace(0.0, 1.0, 77)
         direct = lift_functionals_direct(KERNEL, fns, x)
-        assert np.max(np.abs(op.lifted_tab(x) - direct)) < 1e-9
+        assert np.max(np.abs(lift_table(fns, x) - direct)) < 1e-9
 
 
 @pytest.mark.parametrize("flavor", [ProjectionFlavor.H10, ProjectionFlavor.L2])
@@ -151,7 +153,7 @@ def test_lifts_exact_on_jittered_mesh(flavor, num_elements):
     op = build_fine_scale_operator(KERNEL, fns)
     x = np.linspace(0.0, 1.0, 97)
     direct = lift_functionals_direct(KERNEL, fns, x)
-    assert np.max(np.abs(op.lifted_tab(x) - direct)) < 1e-13
+    assert np.max(np.abs(lift_table(fns, x) - direct)) < 1e-13
 
 
 def test_domain_mismatch_rejected():
@@ -925,7 +927,8 @@ def test_h10_pair_then_solve_matches_table_first(mesh, amps):
     want += global_h10_tabulate(fns, locs).T @ qs
     paired = global_h10_pair(fns, np.r_[s, locs], np.r_[w * series.source(s), qs])
     assert _rel_err(paired, want) <= 1e-13
-    want = op.lifted_tab(s).T @ (w * series.source(s)) + op.lifted_tab(locs).T @ qs
+    want = tabulate_functionals(fns, s).T @ (w * series.source(s))
+    want += tabulate_functionals(fns, locs).T @ qs
     got = apply_dual_green(KERNEL, fns, src, quad_points=op.quad_points)
     assert _rel_err(got, want) <= 1e-13
     x = np.unique(np.concatenate((np.linspace(0.0, 1.0, 41), mesh.boundaries)))
@@ -972,14 +975,21 @@ def test_l2_resolved_part_matches_the_lift_table(num_elements):
 
 @pytest.mark.parametrize("num_elements", [2, 20])
 def test_l2_kernel_surface_lifts_the_grid_once(num_elements):
-    # x = s: the resolved part comes from one lift table, the surface is
-    # symmetric like the kernel, and it equals L Gram^{-1} L^T formed densely
+    # x = s: the surface is L Gram^{-1} L^T from one lift table, symmetric
+    # like the kernel, and within rounding of the other route, the kernel
+    # less the resolved part of one column per s (`resolved`, by prefix and
+    # suffix sums of the dual moments), symmetrized
     op = build_fine_scale_operator(KERNEL, build_dual_functionals(
         basis_family(_jittered_mesh(num_elements, 4)), ProjectionFlavor.L2))
     x = np.linspace(0.0, 1.0, 41)
-    surf = fine_scale_eval(op, x, x)
-    want = op.kernel(x[:, None], x[None, :]) - op.lifted_tab(x) @ op.solve_gram(op.lifted_tab(x).T)
-    assert np.max(np.abs(surf - want)) <= 1e-14
+    calls = []
+    lifted_tab = op.lifted_tab
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(type(op), "lifted_tab", lambda self, pts: calls.append(pts) or lifted_tab(pts))
+        surf = fine_scale_eval(op, x, x)
+    assert len(calls) == 1
+    want = op.kernel(x[:, None], x[None, :]) - op.resolved(x, op.lifted_tab(x).T)
+    assert np.max(np.abs(surf - 0.5 * (want + want.T))) <= 1e-14
     np.testing.assert_array_equal(surf, surf.T)
 
 
@@ -1015,18 +1025,15 @@ def test_h10_kernel_surface_is_exactly_zero_off_its_elements(num_elements, degre
                     want = fine_kernel(a, b, degree, x[i], s[j])
                     assert abs(Fraction(surf[i, j]) - want) <= 2.0 * EPS * (b - a)
                 continue
+            # the surface, L(x) Gram^{-1} L(s)^T from the lift tables, against
+            # the resolved part of one column per s, to the rounding of the
+            # kernel it cancels
             full = op.kernel(x[:, None], s[None, :])
-            rep = op.lifted_tab(s)
-            unsymmetrized = full - op.resolved(x, rep.T)
+            want = full - op.resolved(x, op.lifted_tab(s).T)
             if x is s:
-                np.testing.assert_array_equal(surf, 0.5 * (unsymmetrized + unsymmetrized.T))
-                # the dense resolved part L Gram^{-1} L^T from the one table,
-                # to the rounding of the kernel it cancels (1.5e-16 at N = 20)
-                dense = rep @ op.solve_gram(rep.T)
-                dense = full - 0.5 * (dense + dense.T)
-                assert np.max(np.abs(surf - dense)) <= 1e-14 * np.max(np.abs(full))
-            else:
-                np.testing.assert_array_equal(surf, unsymmetrized)
+                np.testing.assert_array_equal(surf, surf.T)
+                want = 0.5 * (want + want.T)
+            assert np.max(np.abs(surf - want)) <= 1e-14 * np.max(np.abs(full))
 
 
 @pytest.mark.parametrize("flavor", [ProjectionFlavor.H10, ProjectionFlavor.L2])

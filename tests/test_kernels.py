@@ -7,9 +7,9 @@ import pytest
 
 from fsgreens.basis1d import Mesh1D
 from fsgreens.cases import advdiff_const_case, boundary_layer_breakpoints, sin2pixy_case
-from fsgreens.kernels import (_damped_green, _damped_green_apply, _poisson_cells, _prefix_sums,
-                              advdiff_green, poisson2d_green, poisson_green)
-from fsgreens.poisson2d import Mesh2D, _psi_tab, build_dual_functionals_2d
+from fsgreens.kernels import (_damped_green, _poisson_cells, _prefix_sums, advdiff_green,
+                              poisson2d_green, poisson_green)
+from fsgreens.poisson2d import Mesh2D, _damped_green_apply, _psi_tab, build_dual_functionals_2d
 from fsgreens.quadrature import composite_rule, gauss_legendre_rule
 
 from flattened_oracle import _poisson_apply, element_green, poisson_green_dx

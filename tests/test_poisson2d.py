@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fsgreens import kernels, poisson2d
+from fsgreens import poisson2d
 from fsgreens.basis1d import Mesh1D, basis_family
 from fsgreens.cases import sin2pixy_case
 from fsgreens.dualspace import assemble_mass, assemble_stiffness
@@ -444,7 +444,7 @@ def test_piece_ends_match_linspace(mesh, terms):
     # cut at the mesh lines and at the ordinates, as the convolution cuts
     for y in (np.linspace(0.0, 1.0, 41), np.array([0.9, 0.123, 0.5, 0.77777, 0.0])):
         cuts = np.unique(np.concatenate((mesh.mesh1d.boundaries, y)))
-        splits = np.ceil(terms * np.pi * np.diff(cuts) / kernels._PIECE_DECAY).astype(int)
+        splits = np.ceil(terms * np.pi * np.diff(cuts) / poisson2d._PIECE_DECAY).astype(int)
         want = np.concatenate([cuts[:1]] + [np.linspace(a, b, n + 1)[1:]
                                             for a, b, n in zip(cuts[:-1], cuts[1:], splits)])
         assert np.array_equal(_piece_ends(cuts, splits), want)
@@ -510,7 +510,7 @@ def test_reconstruction_tabulates_the_residual_once(n, p, points, evaluations):
     op = build_series_operator_2d(build_dual_functionals_2d(_mesh(n, p)), num_terms=100)
     grid = np.linspace(0.0, 1.0, 41)
     cuts = np.unique(np.concatenate((op.duals.family.mesh.boundaries, grid)))
-    pieces = np.sum(np.ceil(100 * np.pi * np.diff(cuts) / kernels._PIECE_DECAY).astype(int))
+    pieces = np.sum(np.ceil(100 * np.pi * np.diff(cuts) / poisson2d._PIECE_DECAY).astype(int))
     calls = []
     reconstruct_fine_scales_2d(op, _counted(CASE.source, calls), grid, grid)
     assert all(np.array_equal(x, op.osc_nodes) for x, _ in calls)

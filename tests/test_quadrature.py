@@ -1,3 +1,4 @@
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -6,41 +7,49 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fsgreens.basis1d import Mesh1D, basis_family
-from fsgreens.kernels import _PIECE_DECAY, _PIECE_POINTS, _damped_green_apply, _poisson_cells
+from fsgreens.kernels import _poisson_cells
+from fsgreens.poisson2d import _PIECE_DECAY, _PIECE_POINTS, _damped_green_apply
 from fsgreens.projection import mesh_quadrature
 from fsgreens.quadrature import (
     QuadratureRule,
+    _legendre,
     _piece_ends,
     composite_rule,
     cut_ends,
     gauss_legendre_rule,
     gll_nodes,
     gll_rule,
-    gll_weights,
-    legendre_eval,
     map_rule,
     sorted_unique,
 )
 
 
+def _numpy_legendre(p: int):
+    """P_p as numpy's Legendre series, the tests' independent reference."""
+    return np.polynomial.legendre.Legendre.basis(p)
+
+
+def _lobatto_residual(p: int, nodes: np.ndarray) -> float:
+    """max |(1 - x^2) P_p'(x)| over the nodes, by numpy's Legendre series."""
+    return float(np.max(np.abs((1.0 - nodes ** 2) * _numpy_legendre(p).deriv()(nodes))))
+
+
 def test_legendre_low_degrees():
-    val, der = legendre_eval(0, 0.37)
-    assert val == 1.0 and der == 0.0
-    val, der = legendre_eval(1, -0.5)
-    assert val == -0.5 and der == 1.0
-    # closed form: L_3 = (5x^3 - 3x)/2, L_3' = (15x^2 - 3)/2
-    val, der = legendre_eval(3, 0.2)
+    prev, val = _legendre(1, -0.5)
+    assert prev == 1.0 and val == -0.5
+    # closed forms: P_2 = (3x^2 - 1)/2, P_3 = (5x^3 - 3x)/2
+    prev, val = _legendre(3, 0.2)
+    assert prev == pytest.approx(-0.44, abs=1e-15)
     assert val == pytest.approx(-0.28, abs=1e-15)
-    assert der == pytest.approx(-1.2, abs=1e-15)
 
 
 def test_legendre_vectorized_matches_numpy():
     x = np.linspace(-1.0, 1.0, 33)
     for p in (2, 5, 11):
-        ref = np.polynomial.legendre.Legendre.basis(p)
-        val, der = legendre_eval(p, x)
-        assert np.allclose(val, ref(x), atol=1e-13)
-        assert np.allclose(der, ref.deriv()(x), atol=1e-11)
+        prev, val = _legendre(p, x)
+        assert np.allclose(prev, _numpy_legendre(p - 1)(x), atol=1e-13)
+        assert np.allclose(val, _numpy_legendre(p)(x), atol=1e-13)
+        assert _legendre(p, x.astype(np.longdouble))[1].dtype == np.longdouble
 
 
 def test_gll_nodes_analytic():
@@ -56,8 +65,7 @@ def test_gll_nodes_are_roots(p):
     assert nodes[0] == -1.0 and nodes[-1] == 1.0
     assert np.all(np.diff(nodes) > 0)
     assert np.max(np.abs(nodes + nodes[::-1])) < 1e-14
-    _, der = legendre_eval(p, nodes[1:-1])
-    assert np.max(np.abs((1.0 - nodes[1:-1] ** 2) * der)) < 1e-12
+    assert _lobatto_residual(p, nodes) < 1e-12
 
 
 def test_gll_nodes_are_computed_once_and_read_only():
@@ -73,15 +81,59 @@ def test_gll_nodes_are_computed_once_and_read_only():
 
 def test_gll_high_degree_converges():
     nodes = gll_nodes(64)
-    _, der = legendre_eval(64, nodes[1:-1])
-    assert np.max(np.abs(der)) < 1e-9
+    assert np.max(np.abs(_numpy_legendre(64).deriv()(nodes[1:-1]))) < 1e-9
 
 
 def test_gll_weights_analytic():
-    assert np.allclose(gll_weights(1), [1.0, 1.0])
-    assert np.allclose(gll_weights(2), [1.0 / 3.0, 4.0 / 3.0, 1.0 / 3.0], atol=1e-15)
-    assert np.allclose(gll_weights(3), [1.0 / 6.0, 5.0 / 6.0, 5.0 / 6.0, 1.0 / 6.0],
+    assert np.array_equal(gll_rule(1).weights, [1.0, 1.0])
+    assert np.allclose(gll_rule(2).weights, [1.0 / 3.0, 4.0 / 3.0, 1.0 / 3.0], atol=1e-15)
+    assert np.allclose(gll_rule(3).weights, [1.0 / 6.0, 5.0 / 6.0, 5.0 / 6.0, 1.0 / 6.0],
                        atol=1e-15)
+
+
+def _decimal_gll(p: int, digits: int = 50):
+    """The GLL nodes and weights of degree p in `digits`-digit decimal
+    arithmetic: Newton on (1 - x^2) P_p' = p (P_{p-1} - x P_p), of slope
+    -p (p + 1) P_p, six steps from numpy's roots of P_p', and the weights
+    2 / (p (p + 1) P_p(x)^2)."""
+    def legendre(x):
+        prev, val = Decimal(1), x
+        for k in range(1, p):
+            prev, val = val, ((2 * k + 1) * x * val - k * prev) / (k + 1)
+        return prev, val
+
+    with localcontext() as ctx:
+        ctx.prec = digits
+        nodes = []
+        for seed in _numpy_legendre(p).deriv().roots():
+            x = Decimal(float(seed))
+            for _ in range(6):  # quadratic from numpy's 1e-12 or better
+                prev, val = legendre(x)
+                x = x - (x * val - prev) / ((p + 1) * val)
+            nodes.append(x)
+        # the exact set is antisymmetric, and for even p holds 0 itself
+        nodes = [(x - y) / 2 for x, y in zip(nodes, nodes[::-1])]
+        ends = [Decimal(2) / (p * (p + 1))]
+        weights = ends + [Decimal(2) / (p * (p + 1) * legendre(x)[1] ** 2) for x in nodes] + ends
+        return [-1.0, *map(float, nodes), 1.0], [float(w) for w in weights]
+
+
+# the x87 80-bit format carries a 64-bit significand, 63 bits after the point
+_EXTENDED = np.finfo(np.longdouble).nmant == 63
+
+
+@pytest.mark.parametrize("p", range(1, 65))
+def test_gll_rule_is_the_decimal_reference_rounded(p):
+    # float() of a 50-digit Decimal is its nearest double; the nodes are
+    # that double where np.longdouble is the 80-bit format, and within an
+    # ulp elsewhere; the weights are within an ulp
+    nodes, weights = (np.array(v) for v in _decimal_gll(p))
+    rule = gll_rule(p)
+    if _EXTENDED:
+        assert np.array_equal(rule.nodes, nodes)
+    else:
+        assert np.all(np.abs(rule.nodes - nodes) <= np.spacing(np.abs(nodes)))
+    assert np.all(np.abs(rule.weights - weights) <= np.spacing(weights))
 
 
 @pytest.mark.parametrize("p", range(1, 17))
