@@ -12,14 +12,13 @@ and its kind; it reads the mass that these fix on first use.  Dual nodal
 functions are tabulated like the edge basis, by `basis1d.element_tab`,
 with per-element solves with the family's p x p reference edge mass, the
 only mass a dual nodal set holds; the dual edge functions solve with the
-global nodal mass.  A dual nodal set also caches two
-antiderivatives of its reference duals, from which its moments
-int s mu_j and int (1 - s) mu_j over any part of an element follow
-(`partial_moments`), as the closed-form L2 lifts of `finescale` need
-them.  Duals are always evaluated through solves, never through explicit
-inverses of a mass matrix.  The global nodal mass and the interior
-stiffness are plain arrays, assembled element by element by one helper
-from the family's reference Grams.
+global nodal mass.  A dual nodal set also caches its reference duals'
+two hat moments and their Lobatto bubble table, from which the
+closed-form L2 lifts and Gram of `finescale` follow.  Duals are always
+evaluated through solves, never through explicit inverses of a mass
+matrix.  The global nodal mass and the interior stiffness are plain
+arrays, assembled element by element by one helper from the family's
+reference Grams.
 """
 
 from __future__ import annotations
@@ -29,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis1d import (BasisFamily, SpaceKind, _barycentric_weights, _global_scatter,
-                      _lagrange_tab, _reference_duals, element_tab, tabulate_nodal)
-from .quadrature import gauss_legendre_rule, gll_nodes, map_rule
+from .basis1d import (BasisFamily, SpaceKind, _global_scatter, _reference_duals, element_tab,
+                      tabulate_nodal)
+from .kernels import _lobatto_bubbles
+from .quadrature import gauss_legendre_rule
 
 
 def _assemble_gram(family: BasisFamily, ref_gram: np.ndarray, jac_power: int) -> np.ndarray:
@@ -93,24 +93,29 @@ class DualSet:
         return mesh.num_edge_dofs if self.kind is SpaceKind.DUAL_NODAL else mesh.num_nodal_dofs
 
     @functools.cached_property
-    def _antiderivatives(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # the p + 2 GLL nodes of degree p + 1, their barycentric weights and
-        # the two antiderivatives there, each node's integral on the exact
-        # (p // 2 + 1)-point rule
-        nodes = gll_nodes(self.family.degree + 1)
-        s, w = map_rule(gauss_legendre_rule(self.family.degree // 2 + 1),
-                        np.full(nodes.size, -1.0), nodes)
-        duals = _reference_duals(self.family, s.ravel()).reshape(s.shape + (-1,))
-        table = [np.einsum("kq,kqj->kj", w * (1.0 + sign * s), duals) for sign in (-1.0, 1.0)]
-        return nodes, _barycentric_weights(nodes), np.stack(table)
+    def reference_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """The p reference dual nodal functions' hat moments int (1 -/+ xi)
+        / 2 mu_j d xi, shape (2, p), and bubble table C[j, k] = (2k + 1) / 2
+        int mu_j b_k d xi, k = 1 .. p, on the exact (p + 1)-point rule, b_k
+        the Lobatto bubbles (`kernels._lobatto_bubbles`)."""
+        p = self.family.degree
+        rule = gauss_legendre_rule(p + 1)
+        duals = _reference_duals(self.family, rule.nodes) * rule.weights[:, None]
+        hats = 0.5 * np.stack((1.0 - rule.nodes, 1.0 + rule.nodes)) @ duals
+        return hats, 0.5 * duals.T @ _lobatto_bubbles(rule.nodes, p)
 
     @functools.cached_property
     def moments(self) -> np.ndarray:
         """The moments int s mu_j ds and int (1 - s) mu_j ds of every dual
-        nodal function mu_j, shape (2, N, p): by element, then the
-        element's duals."""
-        num = self.family.mesh.num_elements
-        return partial_moments(self, np.arange(num), np.ones(num))
+        nodal function mu_j, shape (2, N, p): by element, then the element's
+        duals; J (a m_j + b n_j) and J ((1 - a) m_j + (1 - b) n_j) on element
+        [a, b] of half width J, m_j and n_j the hat moments."""
+        mesh = self.family.mesh
+        minus, plus = self.reference_moments[0]
+        lo, hi = mesh.boundaries[:-1, None], mesh.boundaries[1:, None]
+        jac = mesh.jacobian(np.arange(mesh.num_elements))[:, None]
+        return np.stack((jac * (lo * minus + hi * plus),
+                         jac * ((1.0 - lo) * minus + (1.0 - hi) * plus)))
 
 
 def tabulate_duals(duals: DualSet, x, deriv: int = 0) -> np.ndarray:
@@ -122,24 +127,3 @@ def tabulate_duals(duals: DualSet, x, deriv: int = 0) -> np.ndarray:
     if duals.kind is SpaceKind.DUAL_NODAL:
         return _global_scatter(*element_tab(family, duals.kind, x, deriv), duals.size)
     return np.linalg.solve(duals.mass, tabulate_nodal(family, x, deriv=deriv).T).T
-
-
-def partial_moments(duals: DualSet, elem, xi) -> np.ndarray:
-    """int_{a_e}^x s mu_j ds and int_{a_e}^x (1 - s) mu_j ds for the p dual
-    nodal functions mu_j of each point's element e = [a_e, b_e], x at
-    reference coordinate xi in it; shape (2, len(xi), p).
-
-    The antiderivatives M_j and P_j of (1 - eta) mu_j and (1 + eta) mu_j on
-    the reference element are polynomials of degree p + 1, so their values
-    at the p + 2 GLL nodes of degree p + 1, integrated once per set, give
-    them everywhere by interpolation.  With s = a_e (1 - eta) / 2 + b_e
-    (1 + eta) / 2 and ds = J_e d eta they give J_e / 2 (a_e M_j + b_e P_j)
-    and J_e / 2 ((1 - a_e) M_j + (1 - b_e) P_j).
-    """
-    nodes, bary, table = duals._antiderivatives
-    minus, plus = _lagrange_tab(nodes, bary, None, np.atleast_1d(xi)) @ table
-    mesh = duals.family.mesh
-    lo, hi = mesh.boundaries[elem][:, None], mesh.boundaries[elem + 1][:, None]
-    half = 0.5 * mesh.jacobian(elem)[:, None]
-    return np.stack((half * (lo * minus + hi * plus),
-                     half * ((1.0 - lo) * minus + (1.0 - hi) * plus)))

@@ -16,11 +16,13 @@ taken as zero outside the mesh (Hughes & Sangalli, SIAM J. Numer. Anal.
 45, 2007), so r = f + u_bar'' has G r = G f - u_bar in closed form.  An
 L2 reconstruction is G r minus its resolved part (`_green_and_pairing`,
 `FineScaleOperator.resolved`): the lifts times the Gram solution of the
-functionals' pairing with G r, all in closed form from the dual moments,
-as the kernel is semiseparable and each dual lives on one element
-(`_lift`, `_l2_gram`, `_l2_lift_sum`).  The H10 fine-scale kernel is zero
-off the element blocks: on element e it is e's Dirichlet kernel g_e less
-its H10 projection P_b onto e's bubbles (`_h10_fine_kernel`).  So an H10
+functionals' pairing with G r, all in closed form, as the kernel is
+semiseparable and each dual lives on one element: a lift is linear off
+its dual's element and the line through its values at the element's ends
+plus a bubble series inside (`_lift`, `_l2_gram`, `_l2_lift_sum`).  The
+H10 fine-scale kernel is zero off the element blocks: on element e it is
+e's Dirichlet kernel g_e less its H10 projection P_b onto e's bubbles, a
+sum over the first p - 1 of them (`_h10_fine_kernel`).  So an H10
 reconstruction is (I - P_b) of G_e of the residual on each element, less
 the line through u_bar's end values (`_h10_fine_scales`), with no K
 solve; a field of the operator's family leaves that line alone
@@ -32,10 +34,12 @@ GLL nodes are the H10 Gram K^{-1}; K is assembled only for its eigenvalues.
 Smooth sources go through `kernels._poisson_cells`: one tabulation of the
 source per cell of the mesh cut at its kinks gives G f at the cell ends,
 by running sums of the semiseparable kernel's two factors, and inside a
-cell as the line between them plus the cell's Lobatto bubble series.  No
+cell as the line between them plus the cell's bubble series.  No
 integral thus crosses the kernel's kink x = s, and no rule is cut at an
 output point; the kernel integrated on a rule cut only at the mesh
-boundaries misses the kink's derivative jump (criterion 12).
+boundaries misses the kink's derivative jump (criterion 12).  The bubbles
+are always the Lobatto ones (`kernels._lobatto_bubbles`), H10-orthogonal,
+so no closed-form Green's image here solves for its bubble coefficients.
 """
 
 from __future__ import annotations
@@ -46,13 +50,13 @@ from typing import Callable
 
 import numpy as np
 
-from .basis1d import (BasisFamily, Field, SpaceKind, _element_cols, _locate, _reference_duals,
-                     field_eval, lagrange_tab, pair_basis)
-from .dualspace import assemble_stiffness, partial_moments
-from .kernels import GreensKernel1D, _check_unit_mesh, _poisson_cells, poisson_green
+from .basis1d import BasisFamily, Field, SpaceKind, _element_cols, _locate, field_eval, pair_basis
+from .dualspace import assemble_stiffness
+from .kernels import (GreensKernel1D, _check_unit_mesh, _lobatto_bubbles, _poisson_cells,
+                      poisson_green)
 from .projection import (DualFunctionals, ProjectionFlavor, _h10_local, interior_field,
                          mesh_quadrature, source_rule_points, tabulate_functionals)
-from .quadrature import composite_rule, cut_ends, gauss_legendre_rule, map_rule
+from .quadrature import composite_rule, cut_ends, gauss_legendre_rule
 
 
 @dataclass(frozen=True)
@@ -73,34 +77,31 @@ class SourceTerm:
     coarse: Field | None = None
 
 
-def _l2_element_lifts(fns: DualFunctionals, elem, xi, x) -> np.ndarray:
-    """The lifts at x of the p duals of its element elem, xi its reference
-    coordinate there; shape (len(x), p).
-
-    With A_j(x) = int_{a_e}^x s mu_j and B_j(x) = int_x^{b_e} (1 - s) mu_j =
-    beta_j - int_{a_e}^x (1 - s) mu_j (`dualspace.partial_moments`),
-    G mu_j = (1 - x) A_j + x B_j inside the element, as the Green's primitive
-    of `kernels` forms G f at k = 0.
-    """
-    lower, partial = partial_moments(fns.duals, elem, xi)
-    upper = fns.duals.moments[1][elem] - partial
-    x = np.asarray(x, dtype=float)[:, None]
-    return (1.0 - x) * lower + x * upper
-
-
 def _l2_lifts_at(fns: DualFunctionals, x):
     """x as a 1D array clipped to [0, 1] (rejected outside the mesh, NaN
     too), each point's element and the lifts of that element's p duals at
-    the point."""
-    elem, _, xi = _locate(fns.family.mesh.boundaries, x)
+    the point, shape (len(x), p).
+
+    Inside element e = [a, b] of half width J, G mu_j is the line from its
+    value a beta_j at a to (1 - b) alpha_j at b (`DualSet.moments`) plus
+    e's own Dirichlet image J^2 sum_k C[j, k] b_k(xi)
+    (`DualSet.reference_moments`), as `kernels._poisson_cells` forms G f.
+    """
+    bounds, p = fns.family.mesh.boundaries, fns.family.degree
+    elem, jac, xi = _locate(bounds, x)
     x = np.clip(np.atleast_1d(np.asarray(x, dtype=float)), 0.0, 1.0)
-    return x, elem, _l2_element_lifts(fns, elem, xi, x)
+    alpha, beta = fns.duals.moments
+    tau = 0.5 * (1.0 + xi[:, None])
+    line = (1.0 - tau) * (bounds[elem, None] * beta[elem]) \
+        + tau * ((1.0 - bounds[elem + 1, None]) * alpha[elem])
+    bubbles = _lobatto_bubbles(xi, p) / (2.0 * np.arange(1, p + 1) + 1.0)
+    return x, elem, line + jac[:, None] ** 2 * (bubbles @ fns.duals.reference_moments[1].T)
 
 
 def _lift(fns: DualFunctionals, x) -> np.ndarray:
     """Every lifted L2 functional G mu_j at x, in closed form from the dual
     density mu_j, one element's: x beta_j left of the dual's element,
-    (1 - x) alpha_j right of it (`DualSet.moments`) and `_l2_element_lifts`
+    (1 - x) alpha_j right of it (`DualSet.moments`) and `_l2_lifts_at`
     inside.  The lift is C^1, so a point on a mesh node may take either side.
     """
     family = fns.family
@@ -193,27 +194,27 @@ def _green_and_pairing(fns: DualFunctionals, src: SourceTerm, grid: np.ndarray,
 
 
 def _h10_fine_kernel(family: BasisFamily, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """g'(x, s) = g_e(x, s) - J_e psi_b(x)^T K_b^{-1} psi_b(s) where x and s
-    lie inside one element e = [a, b], else 0; shape (len(x), len(s)).
+    """g'(x, s) = g_e(x, s) - J_e sum_{k<p} (2k + 1) / 2 b_k(xi_x) b_k(xi_s)
+    where x and s lie inside one element e = [a, b], else 0; shape (len(x),
+    len(s)).
 
-    g_e = (min - a)(b - max) / (b - a) is e's Dirichlet kernel and the rest
-    its H10 projection onto e's interior Lagrange functions psi_b, whose
-    loads are psi_b(s) and stiffness the family's reference K_b over J_e
-    (`_h10_local`).  Only pairs in one element are formed; a point on a
-    node lies in none.
+    g_e = (min - a)(b - max) / (b - a) is e's Dirichlet kernel and the sum
+    its H10 projection onto e's bubbles of degree at most p, spanned by the
+    H10-orthogonal Lobatto bubbles b_k, k < p, of squared H10 norm 2 / ((2k
+    + 1) J_e) (`kernels._lobatto_bubbles`).  Only pairs in one element are
+    formed; a point on a node lies in none.
     """
-    bounds = family.mesh.boundaries
-    (ex, jac, xi), (es, _, si) = (_locate(bounds, p) for p in (x, s))
+    bounds, p = family.mesh.boundaries, family.degree
+    (ex, jac, xi), (es, _, si) = (_locate(bounds, pts) for pts in (x, s))
     # no element is -1 for x and -2 for s, so they never pair
     i, j = np.nonzero(np.where(np.abs(xi) < 1.0, ex, -1)[:, None]
                       == np.where(np.abs(si) < 1.0, es, -2))
     a, b = bounds[ex[i]], bounds[ex[i] + 1]
     lo, hi = np.minimum(x[i], s[j]), np.maximum(x[i], s[j])
-    coeffs = np.linalg.solve(family.nodal_stiffness[1:-1, 1:-1],
-                             lagrange_tab(family, si)[:, 1:-1].T)
-    bubble = np.einsum("ik,ki->i", lagrange_tab(family, xi)[i, 1:-1], coeffs[:, j])
+    scaled = _lobatto_bubbles(xi, p - 1) / (2.0 * np.arange(1, p) + 1.0)
+    bubble = np.einsum("ik,ik->i", scaled[i], _lobatto_bubbles(si, p - 1)[j])
     out = np.zeros((x.size, s.size))
-    out[i, j] = (lo - a) * (b - hi) / (b - a) - jac[i] * bubble
+    out[i, j] = (lo - a) * (b - hi) / (b - a) - 0.5 * jac[i] * bubble
     return out
 
 
@@ -240,7 +241,8 @@ def _h10_fine_scales(fns: DualFunctionals, src: SourceTerm, grid: np.ndarray,
     if src.smooth is not None:
         green = _poisson_cells(src.smooth, np.concatenate((bounds, src.breakpoints)),
                                quad_points, bounds)
-        starts = np.searchsorted(green.ends, bounds)
+        # a mesh end up to 1e-14 outside [0, 1] falls on the cells' end there
+        starts = np.searchsorted(green.ends, np.clip(bounds, 0.0, 1.0))
         whole = np.diff(starts) == 1
         bubbles = green.bubbles.copy()
         bubbles[starts[:-1][whole], :p - 1] = 0.0
@@ -268,25 +270,27 @@ def _l2_gram(fns: DualFunctionals) -> np.ndarray:
     """The L2 Gram matrix (mu_i, G mu_j) in closed form.
 
     Off the diagonal blocks it is semiseparable: alpha_i beta_j when dual
-    i's element lies left of dual j's, and its mirror when right.  Each
-    diagonal block pairs its element's duals with their lifts inside it,
-    polynomials of degree p - 1 and p + 1, on the exact (p + 1)-point
-    rule, and is symmetrized as the Gram is.
+    i's element lies left of dual j's, and its mirror when right.  On
+    element e = [a, b] of half width J, G mu_j is the line through its
+    values at a and b, g(a, .) and g(b, .) paired with mu_j's hat moments
+    J m_j and J n_j, plus J^2 sum_k C[j, k] b_k (`_l2_lifts_at`), so the
+    diagonal block is the 2 x 2 vertex form of g plus J^3 C diag(2 / (2k +
+    1)) C^T, the bubbles being H10-orthogonal (`DualSet.reference_moments`),
+    each formed symmetric bit for bit.
     """
     mesh = fns.family.mesh
     num, p = mesh.num_elements, mesh.degree
     alpha, beta = fns.duals.moments
-    rule = gauss_legendre_rule(p + 1)
-    elem = np.repeat(np.arange(num), rule.npoints)
-    x = map_rule(rule, mesh.boundaries[:-1], mesh.boundaries[1:])[0].ravel()
-    lifts = _l2_element_lifts(fns, elem, np.tile(rule.nodes, num), x).reshape(num, rule.npoints, p)
-    # mu_i(x) dx = mu_i(xi) J_e d xi on the reference element
-    mu = _reference_duals(fns.family, rule.nodes) * rule.weights[:, None]
-    local = mesh.jacobian(np.arange(num))[:, None, None] * np.einsum("qi,eqj->eij", mu, lifts)
+    (minus, plus), table = fns.duals.reference_moments
+    a, b = mesh.boundaries[:-1, None, None], mesh.boundaries[1:, None, None]
+    jac = mesh.jacobian(np.arange(num))[:, None, None]
+    vertex = a * (1.0 - a) * np.outer(minus, minus) + b * (1.0 - b) * np.outer(plus, plus) \
+        + a * (1.0 - b) * (np.outer(minus, plus) + np.outer(plus, minus))
+    bubble = np.einsum("ik,jk,k->ij", table, table, 2.0 / (2.0 * np.arange(1, p + 1) + 1.0))
     upper = np.triu(np.outer(alpha, beta), 1)
     gram = upper + upper.T
     diag = np.arange(num)
-    gram.reshape(num, p, num, p)[diag, :, diag, :] = 0.5 * (local + local.transpose(0, 2, 1))
+    gram.reshape(num, p, num, p)[diag, :, diag, :] = jac ** 2 * vertex + jac ** 3 * bubble
     return gram
 
 

@@ -74,11 +74,12 @@ def _damped_green(x, s, k: float = 0.0, drift: float = 0.0):
 
 
 def poisson_green(x, s):
-    """Green's function of -u'' on [0, 1] with zero boundary values."""
+    """Green's function of -u'' on [0, 1] with zero boundary values; points
+    up to 1e-12 outside are clipped to it, where the kernel is 0."""
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
     _check_unit_domain(x, s)
-    return _damped_green(x, s)
+    return _damped_green(np.clip(x, 0.0, 1.0), np.clip(s, 0.0, 1.0))
 
 
 def advdiff_green(x, s, c: float, nu: float):
@@ -134,18 +135,24 @@ def _prefix_sums(terms: np.ndarray) -> np.ndarray:
     return total
 
 
+def _lobatto_bubbles(xi, count: int) -> np.ndarray:
+    """(2j + 1) b_j(xi) = P_{j+1} - P_{j-1}, j = 1 .. count, shape xi.shape +
+    (count,): the Lobatto bubbles b_j vanish at -1 and 1 and b_j' = P_j, so
+    int b_i' b_j' = 2 / (2j + 1) delta_ij.  They are the element basis of
+    every closed-form Green's image (`_poisson_cells`, `finescale`)."""
+    legendre = np.polynomial.legendre.legvander(xi, count + 1)
+    return legendre[..., 2:] - legendre[..., :-2]
+
+
 @functools.cache
 def _cell_rule(points: int):
-    """The points-point Gauss rule (`gauss_legendre_rule`), (2j +
-    1) b_j at its nodes and b_j's Legendre coefficients, rows j = 1 ..
-    points, b_j = (P_{j+1} - P_{j-1}) / (2j + 1) the Lobatto bubbles, which
-    vanish at -1 and 1 and are H10-orthogonal: int b_i' b_j' = 2 / (2j + 1)
-    delta_ij."""
+    """The points-point Gauss rule (`gauss_legendre_rule`), (2j + 1) b_j at
+    its nodes (`_lobatto_bubbles`) and b_j's Legendre coefficients, rows j =
+    1 .. points."""
     rule = gauss_legendre_rule(points)
-    legendre = np.polynomial.legendre.legvander(rule.nodes, points + 1)
     coeffs = (np.eye(points, points + 2, 2) - np.eye(points, points + 2)) \
         / (2.0 * np.arange(1, points + 1) + 1.0)[:, None]
-    return rule, legendre[:, 2:] - legendre[:, :-2], coeffs
+    return rule, _lobatto_bubbles(rule.nodes, points), coeffs
 
 
 @dataclass(frozen=True)

@@ -187,7 +187,8 @@ def _green_and_h10(fns: DualFunctionals, source: Callable[[np.ndarray], np.ndarr
     """u = G source, as its cells (`kernels._poisson_cells`: one tabulation
     of the source per cell of the mesh cut at the breakpoints), and u's H10
     projection's interior coefficients, from the same tabulation: u's
-    vertex values and loads (psi_k', u') = (psi_k, source)."""
+    vertex values, each a cell end's (a mesh end up to 1e-14 outside [0, 1]
+    reads the value at 0 or 1), and loads (psi_k', u') = (psi_k, source)."""
     if fns.flavor is not ProjectionFlavor.H10:
         raise ValueError("source shortcut exists for the H10 flavor only")
     family = fns.family
@@ -196,7 +197,7 @@ def _green_and_h10(fns: DualFunctionals, source: Callable[[np.ndarray], np.ndarr
     green = _poisson_cells(source, np.concatenate((nodes, breakpoints)),
                            source_rule_points(family.degree, quad_points))
     loads = pair_basis(family, SpaceKind.NODAL, green.points, green.weighted)
-    return green, _h10_local(family, green.values[np.searchsorted(green.ends, nodes)], loads)
+    return green, _h10_local(family, green(nodes), loads)
 
 
 def h10_project_from_source(fns: DualFunctionals,

@@ -68,7 +68,7 @@ from scipy.linalg import cho_factor, cho_solve
 from fsgreens.basis1d import (BasisFamily, Field, SpaceKind, _element_cols, _locate,
                               _reference_edge_tab, element_tab, field_eval, lagrange_tab,
                               pair_basis, tabulate_nodal)
-from fsgreens.dualspace import _assemble_gram, assemble_stiffness, partial_moments
+from fsgreens.dualspace import _assemble_gram, assemble_stiffness
 from fsgreens.finescale import (FineScaleOperator, SourceTerm, _field_pairing, _green_and_pairing,
                                 _lift)
 from fsgreens.kernels import GreensKernel1D, _check_unit_domain, poisson_green
@@ -181,20 +181,22 @@ def lift_dx(fns: DualFunctionals, x) -> np.ndarray:
 
     For H10 the functional's own derivative, the left element's at a mesh
     node.  For L2 beta_j left of the dual's element, -alpha_j right of it
-    and B_j - A_j inside, with A_j(x) = int_{a_e}^x s mu_j and
-    B_j(x) = int_x^{b_e} (1 - s) mu_j from `dualspace.partial_moments`.
+    and, inside its element e = [a, b] of half width J, the slope ((1 - b)
+    alpha_j - a beta_j) / (2 J) of the line through the lift's end values
+    plus J sum_k C[j, k] P_k(xi), as the Lobatto bubbles have b_k' = P_k
+    (`DualSet.reference_moments`).
     """
     if fns.flavor is ProjectionFlavor.H10:
         return global_h10_tabulate(fns, x, deriv=1)
-    elem, _, xi = _locate(fns.family.mesh.boundaries, x)
-    x = np.clip(np.atleast_1d(np.asarray(x, dtype=float)), 0.0, 1.0)
-    lower, partial = partial_moments(fns.duals, elem, xi)
+    bounds, p = fns.family.mesh.boundaries, fns.family.degree
+    elem, jac, xi = _locate(bounds, x)
     alpha, beta = fns.duals.moments
-    p = fns.family.degree
+    legendre = np.polynomial.legendre.legvander(xi, p)[:, 1:]
     right = np.arange(fns.size)[None, :] < (p * elem)[:, None]
     out = np.where(right, -alpha.ravel(), beta.ravel())
-    out[np.arange(x.size)[:, None], _element_cols(fns.family.mesh, elem, p)] = \
-        beta[elem] - partial - lower
+    out[np.arange(xi.size)[:, None], _element_cols(fns.family.mesh, elem, p)] = \
+        ((1.0 - bounds[elem + 1, None]) * alpha[elem] - bounds[elem, None] * beta[elem]) \
+        / (2.0 * jac[:, None]) + jac[:, None] * (legendre @ fns.duals.reference_moments[1].T)
     return out
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fsgreens import basis1d, finescale
@@ -868,6 +868,9 @@ def test_h10_source_only_reconstruction_matches_flattened_residual(mesh, amps):
 
 @settings(max_examples=30, deadline=None)
 @given(mesh=_large_meshes())
+# and at high degree, where the lifts' bubble series has 12 and 16 terms
+@example(mesh=Mesh1D(0.0, 1.0, 3, 12, np.array([0.0, 0.3, 0.72, 1.0])))
+@example(mesh=Mesh1D(0.0, 1.0, 2, 16, np.array([0.0, 0.56, 1.0])))
 def test_l2_lifts_on_the_exact_rule_match_direct_quadrature(mesh):
     fns = build_dual_functionals(basis_family(mesh), ProjectionFlavor.L2)
     x = np.unique(np.concatenate((np.linspace(0.0, 1.0, 41), mesh.boundaries,
@@ -993,13 +996,15 @@ def test_l2_kernel_surface_lifts_the_grid_once(num_elements):
     np.testing.assert_array_equal(surf, surf.T)
 
 
-@pytest.mark.parametrize("num_elements,degree", [(2, 2), (20, 4), (5, 8)])
+@pytest.mark.parametrize("num_elements,degree", [(2, 2), (20, 4), (5, 8), (3, 12), (2, 16)])
 def test_h10_kernel_surface_is_exactly_zero_off_its_elements(num_elements, degree):
     # the H10 fine-scale kernel is each element's Green's function: exactly
     # 0 where x and s lie in different elements or on a node, and inside an
     # element within 2 eps h_e of g_e - sum_{j<p} b_j(x) b_j(s) / |b_j|^2
-    # in exact arithmetic (at most 0.89 eps h_e on these meshes; the kernel
-    # less the resolved part was 9.0 eps h_e off at N = 20).  The L2
+    # in exact arithmetic (at most 0.47 eps h_e on these meshes; the kernel
+    # less the resolved part was 9.0 eps h_e off at N = 20, and the bubble
+    # projection by a solve on the interior Lagrange functions 2.77 and
+    # 3.55 eps h_e off at p = 12 and 16).  The L2
     # surface is the kernel less the resolved part, symmetrized when x is s
     mesh = _jittered_mesh(num_elements, degree)
     family = basis_family(mesh)
@@ -1162,6 +1167,28 @@ def test_every_entry_point_rejects_a_mesh_past_one(entry):
                                     np.linspace(0.0, 1.0, 11))
         else:
             Mesh2D(long)
+
+
+@pytest.mark.parametrize("end", [1.0 - 1e-15, 1.0 + 1e-15])
+def test_h10_source_paths_run_on_a_mesh_ending_within_rounding_of_one(end):
+    # the cover check accepts a mesh ending 1e-15 from 1.  Its last vertex
+    # reads G f where the Green's cells end, at 1 (an index past the cells
+    # raised IndexError at 1 + 1e-15), so the H10 projection from a source,
+    # the fine scales and the coupled iteration match the unit mesh's
+    problem = AdvDiffProblem(1.0, 0.05, advdiff_const_case(1.0, 0.05).source)
+    x = np.linspace(0.0, 1.0, 41)
+    runs = []
+    for b in (1.0, end):
+        mesh = Mesh1D(0.0, b, 4, 3, np.linspace(0.0, b, 5))
+        fns = build_dual_functionals(basis_family(mesh), ProjectionFlavor.H10)
+        op = build_fine_scale_operator(KERNEL, fns)
+        u_bar = h10_project_from_source(fns, CASE.source)
+        fine = reconstruct_fine_scales(op, residual_from_field(u_bar, CASE.source), x)
+        state = iterate(problem, fns, op)
+        assert state.converged
+        runs.append((u_bar.coeffs, fine, state.u_bar.coeffs, state.u_prime))
+    for got, want in zip(*runs):
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

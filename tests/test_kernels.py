@@ -57,6 +57,15 @@ def test_unit_domain_tolerance(value, inside):
                 apply(value)
 
 
+@pytest.mark.parametrize("outside", [-1e-13, 1.0 + 1e-13])
+def test_kernels_are_exactly_zero_just_outside_the_domain(outside):
+    # a point within 1e-12 of [0, 1] is clipped to its end, where the
+    # kernels vanish; the unclipped Poisson kernel gave -5e-14 at both ends
+    for x, s in ((outside, 0.5), (0.5, outside)):
+        assert poisson_green(x, s) == 0.0
+        assert advdiff_green(x, s, -1.0, 0.1) == 0.0
+
+
 @pytest.mark.parametrize("rates", [0.0, np.pi * np.arange(1, 4)])
 def test_damped_primitive_rejects_a_nan_cut(rates):
     # a NaN cut is an error, not a cut dropped with those outside [0, 1];
