@@ -65,6 +65,8 @@ JSON = [
     "vms-iter --elements 10 --p 3 --nu 0.01",
 ]
 
+COMMANDS = CSV + [f"{c} --format json" for c in JSON]
+
 # the capped run ends unconverged, which the CLI reports with exit status 1
 EXPECTED_STATUS = {"vms-iter --nu 0.05 --max-iter 37 --format json": 1}
 
@@ -87,7 +89,7 @@ def run(command: str) -> list[tuple[str, str]]:
 
 
 def main() -> int:
-    for command in CSV + [f"{c} --format json" for c in JSON]:
+    for command in COMMANDS:
         for digest, label in run(command):
             print(f"{digest}  {label}", flush=True)
     return 0

@@ -6,10 +6,12 @@ The operator is the full kernel minus its resolved part,
 
 built from the kernel lifted through each dual functional, the Gram matrix
 of the functionals under the Green's operator, and the pairing of the
-functionals with the Green's image of a residual.  Functionals act through
-their flavor pairing: plain densities for L2, the derivative pairing for
-H10.  A residual carries a smooth part with its kink breakpoints, point
-sources and optionally a coarse field u_bar, nodal or edge.
+functionals with the Green's image of a residual.  A pairing with the
+functionals is a projection's coefficients, so each is `projection.project`'s,
+G src's on the source rule and a coarse field's on its exact one
+(`_project_field`); this module lays no rule.  A residual carries a smooth
+part with its kink breakpoints, point sources and optionally a coarse
+field u_bar, nodal or edge.
 
 G maps a field's distributional second derivative to minus the field,
 taken as zero outside the mesh (Hughes & Sangalli, SIAM J. Numer. Anal.
@@ -54,9 +56,8 @@ from .basis1d import BasisFamily, Field, SpaceKind, _element_cols, _locate, fiel
 from .dualspace import assemble_stiffness
 from .kernels import (GreensKernel1D, _check_unit_mesh, _lobatto_bubbles, _poisson_cells,
                       poisson_green)
-from .projection import (DualFunctionals, ProjectionFlavor, _h10_local, interior_field,
-                         mesh_quadrature, source_rule_points, tabulate_functionals)
-from .quadrature import composite_rule, cut_ends, gauss_legendre_rule
+from .projection import (DualFunctionals, ProjectionFlavor, _h10_local, interior_field, project,
+                         source_rule_points, tabulate_functionals)
 
 
 @dataclass(frozen=True)
@@ -137,28 +138,18 @@ def _l2_lift_sum(fns: DualFunctionals, x, coeffs) -> np.ndarray:
             + np.einsum("ij,ij...->i...", local, per_elem[elem]))
 
 
-def _field_pairing(fns: DualFunctionals, fld: Field) -> np.ndarray:
-    """The functionals' exact flavor pairing with a coarse field: L2 against
-    the field, H10 against its derivative, that is the coefficients of its
-    H10 projection from its vertex values and loads (`_h10_local`).
-
-    The integrands are polynomials of degree at most p + q - 1 between the
-    two meshes' boundaries, q the field's degree, so that Gauss rule is
-    exact.  An edge field jumps at the nodes, so its H10 pairing (and
-    projection) is undefined.
-    """
-    family = fns.family
-    s, w = composite_rule(gauss_legendre_rule((family.degree + fld.family.degree) // 2 + 1),
-                          cut_ends(family.mesh.boundaries, fld.family.mesh.boundaries))
-    if fns.flavor is ProjectionFlavor.L2:
-        return pair_basis(family, SpaceKind.DUAL_NODAL, s, w * field_eval(fld, s))
-    if fld.space is SpaceKind.EDGE:
-        raise ValueError("an edge field has no H10 pairing: its H10 projection is undefined")
-    nodes, ends = family.mesh.boundaries, family.mesh.boundaries[[0, -1]]
-    # less the line through the field's end values, which the H10 pairing does not see
-    vertex = field_eval(fld, nodes) - np.interp(nodes, ends, field_eval(fld, ends))
-    loads = pair_basis(family, SpaceKind.NODAL, s, w * field_eval(fld, s, deriv=1), deriv=1)
-    return _h10_local(family, vertex, loads)
+def _project_field(fns: DualFunctionals, fld: Field) -> Field:
+    """`project` of a coarse field covering [0, 1], exact: between both
+    meshes' boundaries the integrands are polynomials of degree at most p +
+    q - 1, q the field's degree, so on (p + q) // 2 + 1 Gauss points per
+    cell, at least p.  H10 pairs the field less the line through its end
+    values, which the H10 pairing does not see."""
+    _check_unit_mesh(fld.family.mesh, "a coarse field's mesh")
+    p, ends = fns.family.degree, fns.family.mesh.boundaries[[0, -1]]
+    at_ends = field_eval(fld, ends) if fns.flavor is ProjectionFlavor.H10 else np.zeros(2)
+    return project(fns, lambda x: field_eval(fld, x) - np.interp(x, ends, at_ends),
+                   functools.partial(field_eval, fld, deriv=1),
+                   max(p, (p + fld.family.degree) // 2 + 1), fld.family.mesh.boundaries)
 
 
 def _green_and_pairing(fns: DualFunctionals, src: SourceTerm, grid: np.ndarray,
@@ -168,28 +159,28 @@ def _green_and_pairing(fns: DualFunctionals, src: SourceTerm, grid: np.ndarray,
     G src = G f - u_bar: the point sources' kernel values plus G of the
     smooth part, then u_bar and its pairing subtracted once.  G f comes
     from one tabulation of f per cell of the mesh cut at the breakpoints
-    and the point sources (`kernels._poisson_cells`), and is paired on the
-    source rule's points in them.  u_bar's pairing is exact
-    (`_field_pairing`); for an edge field of the functionals' family it is
+    and the point sources (`kernels._poisson_cells`), and `project` pairs
+    G src on the source rule cut there too.  u_bar's pairing is exact
+    (`_project_field`); for an edge field of the functionals' family it is
     its coefficients (the functionals are biorthogonal to that basis), ten
     times more accurate than a rule's.
     """
     locs, qs = np.array(src.point_sources, dtype=float).reshape(-1, 2).T
     family = fns.family
     cuts = np.concatenate((family.mesh.boundaries, src.breakpoints, locs))
-    s, w = mesh_quadrature(family, quad_points, cuts)
-    x = np.concatenate((grid, s))
-    image = poisson_green(x[:, None], locs[None, :]) @ qs
-    if src.smooth is not None:
-        image = image + _poisson_cells(src.smooth, cuts, quad_points)(x)
-    data = pair_basis(family, SpaceKind.DUAL_NODAL, s, w * image[grid.size:])
-    image = image[:grid.size]
+    green = None if src.smooth is None else _poisson_cells(src.smooth, cuts, quad_points)
+
+    def green_src(x):
+        out = poisson_green(x[:, None], locs[None, :]) @ qs
+        return out if green is None else out + green(x)
+
+    image = green_src(grid)
+    data = project(fns, green_src, quad_points=quad_points, breakpoints=cuts).coeffs
     coarse = src.coarse
     if coarse is not None:
-        _check_unit_mesh(coarse.family.mesh, "a coarse field's mesh")
         own_edge = coarse.space is SpaceKind.EDGE and coarse.family is family
+        data = data - (coarse.coeffs if own_edge else _project_field(fns, coarse).coeffs)
         image = image - field_eval(coarse, grid)
-        data = data - (coarse.coeffs if own_edge else _field_pairing(fns, coarse))
     return image, data
 
 
@@ -261,9 +252,9 @@ def _h10_fine_scales(fns: DualFunctionals, src: SourceTerm, grid: np.ndarray,
         return fine
     if fld.space is SpaceKind.NODAL and fld.family is family:
         return fine - np.interp(grid, bounds[[0, -1]], fld.coeffs[[0, -1]])
-    _check_unit_mesh(fld.family.mesh, "a coarse field's mesh")
-    projected = interior_field(family, _field_pairing(fns, fld))
-    return fine - (field_eval(fld, grid) - field_eval(projected, grid))
+    if fld.space is SpaceKind.EDGE:
+        raise ValueError("an edge field has no H10 pairing: its H10 projection is undefined")
+    return fine - (field_eval(fld, grid) - field_eval(_project_field(fns, fld), grid))
 
 
 def _l2_gram(fns: DualFunctionals) -> np.ndarray:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis1d import _locate
 from .quadrature import cut_ends, gauss_legendre_rule, map_rule
 
 _DOMAIN_TOL = 1e-12
@@ -178,13 +179,9 @@ class PoissonCells:
         a cell end reads that end's value alone."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         _check_unit_domain(x)
-        x = np.clip(x, 0.0, 1.0)
-        ends, values = self.ends, self.values
-        cell = np.clip(np.searchsorted(ends, x) - 1, 0, ends.size - 2)
-        half = 0.5 * (ends[cell + 1] - ends[cell])
-        xi = (x - ends[cell]) / half - 1.0
+        cell, _, xi = _locate(self.ends, np.clip(x, 0.0, 1.0))
         tau = 0.5 * (1.0 + xi)
-        out = (1.0 - tau) * values[cell] + tau * values[cell + 1]
+        out = (1.0 - tau) * self.values[cell] + tau * self.values[cell + 1]
         inner = np.abs(xi) < 1.0
         if not inner.any():
             return out

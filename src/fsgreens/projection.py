@@ -151,7 +151,8 @@ def project(fns: DualFunctionals, f: Callable[[np.ndarray], np.ndarray],
             f_prime: Callable[[np.ndarray], np.ndarray] | None = None,
             quad_points: int | None = None,
             breakpoints: Sequence[float] = ()) -> Field:
-    """Project f onto the flavor's target space via the dual pairing.
+    """Project f onto the flavor's target space via the dual pairing, the
+    one 1D pairing: the CLI's u_bar, and G src and coarse fields in `finescale`.
 
     The L2 pairing reads values of f only and ignores f_prime, so one call
     serves both flavors.  H10 needs zero boundary values of f and reads f
@@ -159,7 +160,8 @@ def project(fns: DualFunctionals, f: Callable[[np.ndarray], np.ndarray],
     loads (psi_k', f') from f' or, without it, from values of f alone, by
     parts on each element with no interface term, as f - I f vanishes at
     every vertex.  That form suits fields whose derivative is unreliable;
-    kinks of f inside elements can be declared as breakpoints.
+    kinks of f inside elements can be declared as breakpoints, and then a
+    field of degree q is exact on max(p, (p + q) // 2 + 1) points, p the floor.
     """
     family = fns.family
     x, w = mesh_quadrature(family, quad_points, breakpoints)

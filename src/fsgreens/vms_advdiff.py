@@ -44,7 +44,7 @@ from .dualspace import assemble_mass
 from .finescale import FineScaleOperator, SourceTerm, reconstruct_fine_scales
 from .projection import (DualFunctionals, ProjectionFlavor, _green_and_h10, interior_field,
                          mesh_quadrature, tabulate_functionals)
-from .quadrature import _piece_ends, composite_rule, cut_ends, gauss_legendre_rule, map_rule
+from .quadrature import _piece_ends, cut_ends, gauss_legendre_rule, map_rule
 
 DEFAULT_FINE_GRID = 2001
 DEFAULT_TOLERANCE = 1e-8
@@ -226,7 +226,7 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals,
         gap = np.min(np.abs(np.subtract.outer(layer, mesh.boundaries)), axis=1)
         layer = layer[gap >= problem.diffusion / (100.0 * abs(problem.advection))]
     cells = cut_ends(mesh.boundaries, layer)
-    x, w = composite_rule(gauss_legendre_rule(q), cells)
+    x, w = mesh_quadrature(family, q, layer)
 
     psi_tab = tabulate_nodal(family, x)[:, 1:-1]
     green, coarse_rhs = _green_and_h10(fns, problem.source, q, layer)

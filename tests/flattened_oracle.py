@@ -20,6 +20,9 @@ It also holds the naive pairing (`pair_naive`): the functionals paired
 with G src on a rule cut only at the mesh boundaries, not at the kernel
 kink x = s.  The library splits every such integral at the kink; this
 unsplit rule is kept here only to show, in criterion 12, that it fails.
+It and the image route below subtract a coarse field's pairing on its
+exact rule (`field_pairing`), the library's former own rule, which
+`finescale._project_field` now reaches through `project`.
 
 The other 1D oracles the tests check the library against live here too:
 each functional's load on the kernel (`functional_load`, for H10 from the
@@ -69,13 +72,13 @@ from fsgreens.basis1d import (BasisFamily, Field, SpaceKind, _element_cols, _loc
                               _reference_edge_tab, element_tab, field_eval, lagrange_tab,
                               pair_basis, tabulate_nodal)
 from fsgreens.dualspace import _assemble_gram, assemble_stiffness
-from fsgreens.finescale import (FineScaleOperator, SourceTerm, _field_pairing, _green_and_pairing,
-                                _lift)
+from fsgreens.finescale import FineScaleOperator, SourceTerm, _green_and_pairing, _lift
 from fsgreens.kernels import GreensKernel1D, _check_unit_domain, poisson_green
-from fsgreens.projection import (DualFunctionals, ProjectionFlavor, _green_and_h10,
+from fsgreens.projection import (DualFunctionals, ProjectionFlavor, _green_and_h10, _h10_local,
                                  interior_field, mesh_quadrature, source_rule_points,
                                  tabulate_functionals)
-from fsgreens.quadrature import composite_rule, gauss_legendre_rule, map_rule, sorted_unique
+from fsgreens.quadrature import (composite_rule, cut_ends, gauss_legendre_rule, map_rule,
+                                 sorted_unique)
 
 # the oracle's Green's primitive tabulates _BLOCK_POINTS rule points at a time
 _BLOCK_POINTS = 1024
@@ -333,6 +336,31 @@ def reconstruct_flat(op: FineScaleOperator, src: SourceTerm, grid) -> np.ndarray
     return green - resolved(op, grid, pair_flat(op.functionals, flat, op.quad_points))
 
 
+def field_pairing(fns: DualFunctionals, fld: Field) -> np.ndarray:
+    """The functionals' exact flavor pairing with a coarse field: L2 against
+    the field, H10 against its derivative, that is the coefficients of its
+    H10 projection from its vertex values and loads (`_h10_local`).
+
+    The integrands are polynomials of degree at most p + q - 1 between the
+    two meshes' boundaries, q the field's degree, so the (p + q) // 2 +
+    1-point Gauss rule is exact; the library's `finescale._project_field`
+    pairs on at least p points.  An edge field jumps at the nodes, so its
+    H10 pairing (and projection) is undefined.
+    """
+    family = fns.family
+    s, w = composite_rule(gauss_legendre_rule((family.degree + fld.family.degree) // 2 + 1),
+                          cut_ends(family.mesh.boundaries, fld.family.mesh.boundaries))
+    if fns.flavor is ProjectionFlavor.L2:
+        return pair_basis(family, SpaceKind.DUAL_NODAL, s, w * field_eval(fld, s))
+    if fld.space is SpaceKind.EDGE:
+        raise ValueError("an edge field has no H10 pairing: its H10 projection is undefined")
+    nodes, ends = family.mesh.boundaries, family.mesh.boundaries[[0, -1]]
+    # less the line through the field's end values, which the H10 pairing does not see
+    vertex = field_eval(fld, nodes) - np.interp(nodes, ends, field_eval(fld, ends))
+    loads = pair_basis(family, SpaceKind.NODAL, s, w * field_eval(fld, s, deriv=1), deriv=1)
+    return _h10_local(family, vertex, loads)
+
+
 def pair_naive(kernel, fns, src: SourceTerm, quad_points: int | None = None) -> np.ndarray:
     """Every functional paired with G src by unsplit quadrature.
 
@@ -352,7 +380,7 @@ def pair_naive(kernel, fns, src: SourceTerm, quad_points: int | None = None) -> 
     kern = (poisson_green_dx if h10 else kernel)(xq[:, None], pts[None, :])
     data = (kern.T @ (wq[:, None] * pair_tab)).T @ vals
     if src.coarse is not None:
-        data = data - _field_pairing(fns, src.coarse)
+        data = data - field_pairing(fns, src.coarse)
     return data
 
 
@@ -552,7 +580,7 @@ def green_and_pairing(fns: DualFunctionals, src: SourceTerm, grid: np.ndarray,
         image, data = image + green(grid), data + coeffs
     if src.coarse is not None:
         image = image - field_eval(src.coarse, grid)
-        data = data - _field_pairing(fns, src.coarse)
+        data = data - field_pairing(fns, src.coarse)
     return image, data
 
 

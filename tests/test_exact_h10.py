@@ -27,13 +27,17 @@ from flattened_oracle import (global_h10_project, global_h10_project_from_source
                               global_h10_reconstruct)
 
 EPS = np.finfo(float).eps
-# the largest error seen over these cases is 6.4 eps max |u|
+# the largest error seen over these cases is 6.4 eps max |u| up to p = 8,
+# and 7.4 at p = 16 (N = 256, jittered)
 BOUND = 16.0
 # at the vertices, where Pi u interpolates u: at most 4.04 eps max |u|
 VERTEX_BOUND = 8.0
 # u_prime of an annihilated coarse field, in eps h_e^2 max |f|: at most
-# 0.025, where the former route, G f less its resolved part, wrote eps max |u|
+# 0.025 (0.006 at p = 12 and 16), where the former route, G f less its
+# resolved part, wrote eps max |u|
 ELEMENT_BOUND = 4.0
+SIZES = [(n, p) for n in (16, 256, 1024) for p in (2, 4, 8)] \
+    + [(n, p) for n in (16, 256) for p in (12, 16)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -62,8 +66,7 @@ def _errors(u_bar, u_prime, exact, fine):
 
 
 @pytest.mark.parametrize("jittered", [False, True], ids=["uniform", "jittered"])
-@pytest.mark.parametrize("degree", [2, 4, 8])
-@pytest.mark.parametrize("num_elements", [16, 256, 1024])
+@pytest.mark.parametrize("num_elements, degree", SIZES)
 def test_h10_columns_match_the_exact_projection(num_elements, degree, jittered):
     # u_bar from the source shortcut and from project with and without f';
     # u_prime from the reconstruction of each, and of a coarse field of
@@ -93,8 +96,7 @@ def test_h10_columns_match_the_exact_projection(num_elements, degree, jittered):
 
 
 @pytest.mark.parametrize("jittered", [False, True], ids=["uniform", "jittered"])
-@pytest.mark.parametrize("degree", [2, 4, 8])
-@pytest.mark.parametrize("num_elements", [16, 256, 1024])
+@pytest.mark.parametrize("num_elements, degree", SIZES)
 def test_h10_fine_scales_are_each_elements_bubble_tail(num_elements, degree, jittered):
     # with the coarse field annihilated, u_prime on each element is the
     # tail sum_{j >= p} c_j b_j of G_e f's bubble series: within 4 eps
