@@ -235,7 +235,8 @@ def write_table(path: str, columns, rows, meta: dict, fmt: str):
     """Serialize a column-labelled table as CSV or JSON, atomically.  A CSV
     field is exactly `'%.17g' % value` (every double round-trips), the same
     bytes on every platform.  The JSON is `json.dumps(payload, indent=1,
-    sort_keys=True)` byte for byte, the rows joined as `_json_array`."""
+    sort_keys=True)` byte for byte, the rows joined as `_json_array`.  Any
+    other format raises ValueError, and nothing is written."""
     table = np.asarray(rows, dtype=float)
     if fmt == "csv":
         if table.size != len(table) * len(columns):
@@ -243,11 +244,13 @@ def write_table(path: str, columns, rows, meta: dict, fmt: str):
                              f"of {len(columns)} columns")
         _write_atomic(path, itertools.chain([",".join(columns) + "\n"],
                                             _g17_pieces(table.ravel(), len(columns))))
-    else:
+    elif fmt == "json":
         head = json.dumps({"meta": dict(meta, version=__version__), "columns": list(columns)},
                           indent=1, sort_keys=True)
         # "rows" sorts after "columns" and "meta": it closes the object
         _write_atomic(path, [head[:-2], ',\n "rows": ', _json_array(table), "\n}\n"])
+    else:
+        raise ValueError(f"unknown table format {fmt!r}: the formats are 'csv' and 'json'")
 
 
 def _build(args) -> DualFunctionals:

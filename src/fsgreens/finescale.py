@@ -308,10 +308,6 @@ class FineScaleOperator:
     def flavor(self) -> ProjectionFlavor:
         return self.functionals.flavor
 
-    @property
-    def size(self) -> int:
-        return self.functionals.size
-
     @functools.cached_property
     def gram(self) -> np.ndarray:
         """The Gram matrix duals G duals^T, the flavor pairing of each
@@ -387,28 +383,25 @@ def build_fine_scale_operator(kernel: GreensKernel1D, fns: DualFunctionals,
 
 
 def fine_scale_eval(op: FineScaleOperator, x, s) -> np.ndarray:
-    """Evaluate the fine-scale kernel on the grid x (rows) by s (columns).
+    """Evaluate the fine-scale kernel on the grid x (rows) by s (columns),
+    shape (len(x), len(s)).
 
-    The L2 kernel is the kernel less L(x) Gram^{-1} L(s)^T, L the lift
-    table (`FineScaleOperator.lifted_tab`), formed once when x is s.  The
-    H10 one is each element's own, in closed form
-    (`_h10_fine_kernel`): exactly zero where x and s lie in different
-    elements or either lies on a mesh node.  When x is s the surface is
-    symmetrized, as the kernel is.
+    The L2 kernel is the kernel less the resolved part of one column per
+    s, the lifts at s (`FineScaleOperator.lifted_tab`) as its data
+    (`FineScaleOperator.resolved`): no lift is tabulated at x.  The H10
+    one is each element's own, in closed form (`_h10_fine_kernel`):
+    exactly zero where x and s lie in different elements or either lies
+    on a mesh node.  When x is s the surface is symmetrized, as the
+    kernel is.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     ss = np.atleast_1d(np.asarray(s, dtype=float))
-    same = np.array_equal(xs, ss)
     if op.flavor is ProjectionFlavor.H10:
         out = _h10_fine_kernel(op.functionals.family, xs, ss)
     else:
-        right = op.lifted_tab(ss)
-        left = right if same else op.lifted_tab(xs)
-        out = op.kernel(xs[:, None], ss[None, :]) - left @ op.solve_gram(right.T)
-    if same:
+        out = op.kernel(xs[:, None], ss[None, :]) - op.resolved(xs, op.lifted_tab(ss).T)
+    if np.array_equal(xs, ss):
         out = 0.5 * (out + out.T)
-    if np.isscalar(x) and np.isscalar(s):
-        return float(out[0, 0])
     return out
 
 

@@ -125,12 +125,12 @@ def _tensor_duals(d2: DualFunctionals2D, fx: np.ndarray, fy: np.ndarray) -> np.n
     return out.reshape(fx.shape[0], fy.shape[0], d2.size)
 
 
-def _interior_tab(family: BasisFamily, pts, deriv: int = 0) -> np.ndarray:
-    return tabulate_nodal(family, pts, deriv=deriv)[:, 1:-1]
+def _interior_tab(family: BasisFamily, pts) -> np.ndarray:
+    return tabulate_nodal(family, pts)[:, 1:-1]
 
 
-def _psi_tab(d2: DualFunctionals2D, pts, deriv: int = 0) -> np.ndarray:
-    return _interior_tab(d2.family, pts, deriv) @ d2.eigvecs
+def _psi_tab(d2: DualFunctionals2D, pts) -> np.ndarray:
+    return _interior_tab(d2.family, pts) @ d2.eigvecs
 
 
 @dataclass(frozen=True)
@@ -144,37 +144,21 @@ class Field2D:
         m = self.family.mesh.num_nodal_dofs - 2
         return self.coeffs.reshape(m, m)
 
-    def eval_grid(self, x, y, deriv_x: int = 0, deriv_y: int = 0) -> np.ndarray:
-        bx = _interior_tab(self.family, x, deriv_x)
-        by = _interior_tab(self.family, y, deriv_y)
-        return bx @ self.coeff_matrix() @ by.T
+    def eval_grid(self, x, y) -> np.ndarray:
+        return _interior_tab(self.family, x) @ self.coeff_matrix() @ _interior_tab(self.family, y).T
 
 
-def project_2d(d2: DualFunctionals2D,
-               gradient: tuple[Callable, Callable] | None = None,
-               source: Callable | None = None,
+def project_2d(d2: DualFunctionals2D, source: Callable,
                quad_points: int | None = None) -> Field2D:
-    """Derivative-pairing projection onto the interior tensor nodal space.
-
-    Either pair the functional gradients with an analytic solution gradient,
-    or use the diffusion shortcut and pair the functionals with the source.
+    """Derivative-pairing projection onto the interior tensor nodal space of
+    the solution of -Laplace u = source, zero on the boundary: pairing the
+    functionals' gradients with u's is, after integration by parts, pairing
+    the functionals with the source.
     """
-    family = d2.family
-    x, w = mesh_quadrature(family, quad_points)
+    x, w = mesh_quadrature(d2.family, quad_points)
     tab = _psi_tab(d2, x)
-    grid_w = np.outer(w, w)
-    if source is not None:
-        load = grid_w * np.asarray(source(x[:, None], x[None, :]), dtype=float)
-        pair = tab.T @ load @ tab
-    elif gradient is not None:
-        gx, gy = gradient
-        lx = grid_w * np.asarray(gx(x[:, None], x[None, :]), dtype=float)
-        ly = grid_w * np.asarray(gy(x[:, None], x[None, :]), dtype=float)
-        dtab = _psi_tab(d2, x, 1)
-        pair = dtab.T @ lx @ tab + tab.T @ ly @ dtab
-    else:
-        raise ValueError("provide the source or the solution gradient")
-    return Field2D(family, _stiffness_solve(d2, pair).ravel())
+    load = np.outer(w, w) * np.asarray(source(x[:, None], x[None, :]), dtype=float)
+    return Field2D(d2.family, _stiffness_solve(d2, tab.T @ load @ tab).ravel())
 
 
 # ---------------------------------------------------------------------------

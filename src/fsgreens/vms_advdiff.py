@@ -37,8 +37,8 @@ from typing import Callable
 
 import numpy as np
 
-from .basis1d import (BasisFamily, Field, _barycentric_weights, _differentiation_matrix,
-                      _lagrange_tab, _locate, tabulate_nodal)
+from .basis1d import (BasisFamily, Field, _barycentric_weights, _lagrange_tab, _locate,
+                      tabulate_nodal)
 from .cases import boundary_layer_breakpoints
 from .dualspace import assemble_mass
 from .finescale import FineScaleOperator, SourceTerm, reconstruct_fine_scales
@@ -88,27 +88,26 @@ def galerkin_solve(problem: AdvDiffProblem, family: BasisFamily,
 
 @functools.cache
 def _reference_cell(q: int) -> tuple:
-    """The q Gauss nodes s on [-1, 1], their barycentric weights, their
-    differentiation matrix and the integrals int_{-1}^{s_i} l_j of their
-    Lagrange polynomials l_j, by the q-point rule mapped to [-1, s_i]."""
+    """The q Gauss nodes s on [-1, 1], their barycentric weights and the
+    integrals int_{-1}^{s_i} l_j of their Lagrange polynomials l_j, by the
+    q-point rule mapped to [-1, s_i]; nothing differentiates the l_j."""
     rule = gauss_legendre_rule(q)
     nodes = rule.nodes
     bary = _barycentric_weights(nodes)
-    diff = _differentiation_matrix(nodes, bary)
     pts, w = map_rule(rule, np.full(q, -1.0), nodes)
-    tab = _lagrange_tab(nodes, bary, diff, pts.ravel()).reshape(q, q, q)
-    return nodes, bary, diff, np.einsum("ik,ikj->ij", w, tab)
+    tab = _lagrange_tab(nodes, bary, None, pts.ravel()).reshape(q, q, q)
+    return nodes, bary, np.einsum("ik,ikj->ij", w, tab)
 
 
-def _cell_interpolant(cells: np.ndarray, values: np.ndarray, x, deriv: int = 0) -> np.ndarray:
+def _cell_interpolant(cells: np.ndarray, values: np.ndarray, x) -> np.ndarray:
     """The cell-wise Lagrange interpolant of values at the q Gauss nodes of
-    each cell between consecutive `cells`, or its derivative, at x.  Points
-    on an inner cell boundary take the left cell's (one-sided) value."""
-    cell, half, xi = _locate(cells, x)
+    each cell between consecutive `cells`, at x.  Points on an inner cell
+    boundary take the left cell's value."""
+    cell, _, xi = _locate(cells, x)
     q = values.size // (cells.size - 1)
-    nodes, bary, diff, _ = _reference_cell(q)
-    tab = _lagrange_tab(nodes, bary, diff, xi, deriv)
-    return np.einsum("ij,ij->i", tab, values.reshape(-1, q)[cell]) / half**deriv
+    nodes, bary, _ = _reference_cell(q)
+    return np.einsum("ij,ij->i", _lagrange_tab(nodes, bary, None, xi),
+                     values.reshape(-1, q)[cell])
 
 
 @dataclass
@@ -132,9 +131,9 @@ class IterationState:
     fine_values: np.ndarray
     relaxed_map: np.ndarray
 
-    def fine_scales(self, x, deriv: int = 0) -> np.ndarray:
-        """The fine scales (deriv=0) or their cell-wise derivative at x."""
-        return _cell_interpolant(self.cells, self.fine_values, x, deriv)
+    def fine_scales(self, x) -> np.ndarray:
+        """The fine scales at x."""
+        return _cell_interpolant(self.cells, self.fine_values, x)
 
     @functools.cached_property
     def sweep_spectral_radius(self) -> float:
@@ -237,7 +236,7 @@ def make_workspace(problem: AdvDiffProblem, fns: DualFunctionals,
     partial = np.where(cell[:, None] > cell, w, 0.0)
     blocks = partial.reshape(num_cells, q, num_cells, q)
     diagonal = np.arange(num_cells)
-    blocks[diagonal, :, diagonal, :] = 0.5 * np.diff(cells)[:, None, None] * _reference_cell(q)[3]
+    blocks[diagonal, :, diagonal, :] = 0.5 * np.diff(cells)[:, None, None] * _reference_cell(q)[2]
     green_deriv = x[:, None] * w - partial
 
     fine = -ratio * green_deriv - psi_tab @ pairing

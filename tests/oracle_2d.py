@@ -2,10 +2,13 @@
 
 The interior 2D stiffness by direct tensor quadrature
 (`stiffness_2d_direct`), the meshgrid tabulation of every 2D functional
-(`tabulate_functionals_2d`) and the derivative-pairing projection of a
-field known only by its values (`h10_project_values_2d`).  The library
-itself never forms the m^2 x m^2 stiffness or a functional table: it works
-in the fast-diagonalized eigenbasis.  The series pairing on the 1D
+(`tabulate_functionals_2d`), with the basis derivatives it needs
+(`interior_tab`, `psi_tab`), a field's derivatives on a grid
+(`field_grid_deriv`), and the derivative-pairing projection of a field
+known only by its values (`h10_project_values_2d`) or by its gradient
+(`project_gradient_2d`), which `project_2d` replaces by the source.
+The library itself never forms the m^2 x m^2 stiffness or a functional
+table: it works in the fast-diagonalized eigenbasis.  The series pairing on the 1D
 source rule (`source_rule_pairing`) and the reconstruction from a given
 pairing (`reconstruct_with_pairing`) check the library's pairing, which
 reads the residual's one tabulation on the convolution's pieces.  The
@@ -26,8 +29,8 @@ import numpy as np
 from fsgreens.basis1d import BasisFamily, tabulate_nodal
 from fsgreens.kernels import _check_unit_domain
 from fsgreens.poisson2d import (_BLOCK_POINTS, _PIECE_DECAY, _PIECE_POINTS, DualFunctionals2D,
-                                SeriesOperator2D, _psi_tab, _sine_table, _stiffness_solve,
-                                _tensor_duals, green_apply_2d)
+                                Field2D, SeriesOperator2D, _psi_tab, _sine_table,
+                                _stiffness_solve, _tensor_duals, green_apply_2d)
 from fsgreens.projection import mesh_quadrature
 from fsgreens.quadrature import _piece_ends, composite_rule, gauss_legendre_rule, sorted_unique
 
@@ -61,10 +64,40 @@ def stiffness_2d_direct(family: BasisFamily) -> np.ndarray:
     return np.kron(stiff, mass) + np.kron(mass, stiff)
 
 
+def interior_tab(family: BasisFamily, pts, deriv: int = 0) -> np.ndarray:
+    """The interior nodal basis functions, or a derivative, at pts."""
+    return tabulate_nodal(family, pts, deriv=deriv)[:, 1:-1]
+
+
+def psi_tab(d2: DualFunctionals2D, pts, deriv: int = 0) -> np.ndarray:
+    """The eigenbasis psi_a = sum_j eigvecs[j, a] phi_j, or a derivative, at pts."""
+    return interior_tab(d2.family, pts, deriv) @ d2.eigvecs
+
+
+def field_grid_deriv(fld: Field2D, x, y, deriv_x: int, deriv_y: int) -> np.ndarray:
+    """A derivative of a 2D field on the meshgrid of x and y; `Field2D.eval_grid`
+    is its values."""
+    return interior_tab(fld.family, x, deriv_x) @ fld.coeff_matrix() \
+        @ interior_tab(fld.family, y, deriv_y).T
+
+
+def project_gradient_2d(d2: DualFunctionals2D, gradient: tuple[Callable, Callable],
+                        quad_points: int | None = None) -> np.ndarray:
+    """The derivative-pairing projection's coefficients from the solution's
+    gradient: the functionals' gradients paired with (u_x, u_y) on the
+    tensor source rule, then one stiffness solve.  `project_2d` pairs the
+    functionals with the source instead, the same after integration by parts."""
+    x, w = mesh_quadrature(d2.family, quad_points)
+    tab, dtab = psi_tab(d2, x), psi_tab(d2, x, 1)
+    grid_w = np.outer(w, w)
+    lx, ly = (grid_w * np.asarray(g(x[:, None], x[None, :]), dtype=float) for g in gradient)
+    return _stiffness_solve(d2, dtab.T @ lx @ tab + tab.T @ ly @ dtab).ravel()
+
+
 def tabulate_functionals_2d(d2: DualFunctionals2D, x, y,
                             deriv_x: int = 0, deriv_y: int = 0) -> np.ndarray:
     """Meshgrid tabulation of every 2D functional: shape (len(x), len(y), size)."""
-    return _tensor_duals(d2, _psi_tab(d2, x, deriv_x), _psi_tab(d2, y, deriv_y))
+    return _tensor_duals(d2, psi_tab(d2, x, deriv_x), psi_tab(d2, y, deriv_y))
 
 
 def h10_project_values_2d(d2: DualFunctionals2D, u: Callable,
@@ -79,8 +112,8 @@ def h10_project_values_2d(d2: DualFunctionals2D, u: Callable,
     """
     mesh = d2.family.mesh
     x, w = mesh_quadrature(d2.family, quad_points)
-    tab = _psi_tab(d2, x)
-    d2tab = _psi_tab(d2, x, 2)
+    tab = psi_tab(d2, x)
+    d2tab = psi_tab(d2, x, 2)
     u_grid = w[:, None] * np.asarray(u(x, x), dtype=float) * w[None, :]
     load = -(d2tab.T @ u_grid @ tab + tab.T @ u_grid @ d2tab)
 

@@ -9,8 +9,8 @@ solves the coarse-scale system; the fine map assembles the residual of the
 rewritten diffusion problem and applies the library's fine-scale operator
 to it.  Both take the current fine scales u' as callables, its values and
 its derivative, so that given the sweep's Lagrange interpolant
-(`IterationState.fine_scales`) they integrate the same function the sweep
-does.
+(`IterationState.fine_scales`) and its cell-wise derivative
+(`cell_interpolant_deriv`) they integrate the same function the sweep does.
 """
 
 from __future__ import annotations
@@ -19,14 +19,30 @@ from typing import Callable
 
 import numpy as np
 
-from fsgreens.basis1d import Field, field_eval, tabulate_nodal
+from fsgreens.basis1d import (Field, _barycentric_weights, _differentiation_matrix, _lagrange_tab,
+                              _locate, field_eval, tabulate_nodal)
 from fsgreens.finescale import FineScaleOperator, SourceTerm, reconstruct_fine_scales
 from fsgreens.projection import DualFunctionals, interior_field, mesh_quadrature
+from fsgreens.quadrature import gauss_legendre_rule
 from fsgreens.vms_advdiff import AdvDiffProblem, _coarse_solve
 
 from flattened_oracle import global_h10_tabulate
 
 FineScales = Callable[[np.ndarray], np.ndarray]
+
+
+def cell_interpolant_deriv(cells: np.ndarray, values: np.ndarray, x) -> np.ndarray:
+    """The derivative at x of the cell-wise Lagrange interpolant of values at
+    the q Gauss nodes of each cell between consecutive `cells`, the sweep's
+    fine scales: each cell's reference tabulation times its differentiation
+    matrix, over the cell's half width.  Points on an inner cell boundary
+    take the left cell's one-sided derivative."""
+    cell, half, xi = _locate(cells, x)
+    q = values.size // (cells.size - 1)
+    nodes = gauss_legendre_rule(q).nodes
+    bary = _barycentric_weights(nodes)
+    tab = _lagrange_tab(nodes, bary, _differentiation_matrix(nodes, bary), xi, deriv=1)
+    return np.einsum("ij,ij->i", tab, values.reshape(-1, q)[cell]) / half
 
 
 def coarse_update(fns: DualFunctionals, problem: AdvDiffProblem, u_bar: Field,

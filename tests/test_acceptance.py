@@ -54,7 +54,7 @@ from fsgreens.vms_advdiff import AdvDiffProblem, iterate
 
 from flattened_oracle import (apply_dual_green, element_green, functional_load, pair_naive,
                               resolved_basis_reproduction)
-from oracle_2d import tabulate_functionals_2d
+from oracle_2d import interior_tab, tabulate_functionals_2d
 
 KERNEL = GreensKernel1D.poisson()
 SINE = sin2pix_case()
@@ -115,11 +115,10 @@ def test_criterion_03_functional_biorthogonality():
 
     mesh2 = Mesh2D(Mesh1D.uniform(0.0, 1.0, 2, 2))
     d2 = build_dual_functionals_2d(mesh2)
-    from fsgreens.poisson2d import _interior_tab
     from fsgreens.quadrature import composite_rule, gauss_legendre_rule
 
     xq, wq = composite_rule(gauss_legendre_rule(8), d2.family.mesh.boundaries)
-    bx, dbx = _interior_tab(d2.family, xq), _interior_tab(d2.family, xq, 1)
+    bx, dbx = interior_tab(d2.family, xq), interior_tab(d2.family, xq, 1)
     mu_x = tabulate_functionals_2d(d2, xq, xq, 1, 0)
     mu_y = tabulate_functionals_2d(d2, xq, xq, 0, 1)
     m = d2.interior_size

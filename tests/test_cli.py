@@ -517,6 +517,17 @@ def test_write_table_matches_per_value_format(tmp_path):
                                                            sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("fmt", ["CSV", "Json", "txt", ""])
+def test_write_table_rejects_any_other_format(tmp_path, fmt):
+    # a format other than "csv" and "json" raises, naming both, and writes
+    # no file: "CSV" wrote JSON once
+    from fsgreens.cli import write_table
+
+    with pytest.raises(ValueError, match="'csv' and 'json'"):
+        write_table(str(tmp_path / "t.out"), ["a"], [[1.0]], {}, fmt)
+    assert list(tmp_path.iterdir()) == []
+
+
 def _per_row_csv(columns, rows) -> str:
     # the writer's earlier form, one `%` operation per row: the reference
     values = np.asarray(rows, dtype=float).tolist()

@@ -16,7 +16,8 @@ import pytest
 
 from fsgreens.basis1d import Mesh1D, basis_family
 from fsgreens.cases import sin2pix_case
-from fsgreens.finescale import build_fine_scale_operator, reconstruct_fine_scales, residual_from_field
+from fsgreens.finescale import (build_fine_scale_operator, fine_scale_eval,
+                                reconstruct_fine_scales, residual_from_field)
 from fsgreens.kernels import GreensKernel1D
 from fsgreens.projection import (ProjectionFlavor, build_dual_functionals, h10_project_from_source,
                                  source_rule_points)
@@ -90,3 +91,27 @@ def test_h10_projection_and_reconstruction_factor_only_element_sized_matrices(
     run()
     assert shapes, "the gated path factors nothing: the gate sees no call"
     assert all(max(shape) <= 2 * 4 for _, shape in shapes), shapes
+
+
+@pytest.mark.parametrize("num_elements", [64, 256])
+def test_l2_surface_column_forms_no_table_at_its_rows(num_elements):
+    # one column of the L2 fine-scale kernel on 401 points: the kernel less
+    # the resolved part of the lifts at the one s, summed at the points by
+    # prefix and suffix sums, with no (401 x N p) lift table at the points.
+    # Its peak must stay under a quarter of one such table, with the Gram
+    # formed untraced: 0.12 and 0.03 tables (0.10 and 0.11 MB, numpy 2.4)
+    # at N = 64 and 256, where a dense table at the points peaked at 3.2
+    # and 3.1 tables
+    family = basis_family(Mesh1D.uniform(0.0, 1.0, num_elements, 4))
+    op = build_fine_scale_operator(GreensKernel1D.poisson(),
+                                   build_dual_functionals(family, ProjectionFlavor.L2))
+    op.gram
+    x = np.linspace(0.0, 1.0, 401)
+    tracemalloc.start()
+    try:
+        fine_scale_eval(op, x, [0.37])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = x.size * op.functionals.size * np.dtype(float).itemsize
+    assert peak <= 0.25 * table, (peak, table)

@@ -106,7 +106,7 @@ def test_l2_gram_solve_matches_cho_solve_on_a_fine_mesh():
     family = basis_family(Mesh1D.uniform(0.0, 1.0, 320, 4))
     op = build_fine_scale_operator(GreensKernel1D.poisson(),
                                    build_dual_functionals(family, ProjectionFlavor.L2))
-    rhs = np.random.default_rng(0).standard_normal((op.size, 3))
+    rhs = np.random.default_rng(0).standard_normal((op.functionals.size, 3))
     for side in (rhs, rhs[:, 0]):
         got = op.solve_gram(side)
         scale = np.max(np.abs(got))

@@ -174,8 +174,9 @@ def test_resolved_part_rejects_points_outside_the_mesh(flavor):
     for bad in (np.nan, -0.1, 1.1):
         x = np.array([0.5, bad])
         if flavor is ProjectionFlavor.L2:
+            size = op.functionals.size
             calls = [lambda data=data: op.resolved(x, data)
-                     for data in (np.ones(op.size), np.ones((op.size, 2)))]
+                     for data in (np.ones(size), np.ones((size, 2)))]
         else:
             loads = SourceTerm(point_sources=((0.3, 1.0),))
             calls = [lambda: fine_scale_eval(op, x, np.array([0.5])),
@@ -186,7 +187,7 @@ def test_resolved_part_rejects_points_outside_the_mesh(flavor):
                 call()
     if flavor is ProjectionFlavor.H10:
         with pytest.raises(ValueError, match="no resolved part"):
-            op.resolved(np.array([0.5]), np.ones(op.size))
+            op.resolved(np.array([0.5]), np.ones(op.functionals.size))
 
 
 @pytest.mark.parametrize("flavor", [ProjectionFlavor.H10, ProjectionFlavor.L2])
@@ -967,7 +968,8 @@ def test_l2_resolved_part_matches_the_lift_table(num_elements):
     x = np.unique(np.concatenate((np.linspace(0.0, 1.0, 401), mesh.boundaries)))
     table = op.lifted_tab(x)
     rng = np.random.default_rng(7)
-    for y in (rng.normal(size=op.size), rng.normal(size=(op.size, 41))):
+    size = op.functionals.size
+    for y in (rng.normal(size=size), rng.normal(size=(size, 41))):
         want = table @ y
         got = _l2_lift_sum(fns, x, y)
         assert got.shape == want.shape
@@ -977,12 +979,20 @@ def test_l2_resolved_part_matches_the_lift_table(num_elements):
     assert _rel_err(op.resolved(x, data), table @ op.solve_gram(data)) <= 1e-14
 
 
+def _dense_l2_surface(op, x, s):
+    """The L2 fine-scale kernel from dense lift tables at x and at s and a
+    Cholesky solve of the Gram: g - L(x) Gram^{-1} L(s)^T."""
+    fns = op.functionals
+    resolved_part = lift_table(fns, x) @ spd_solve(op.gram, lift_table(fns, s).T)
+    return op.kernel(x[:, None], s[None, :]) - resolved_part
+
+
 @pytest.mark.parametrize("num_elements", [2, 20])
 def test_l2_kernel_surface_lifts_the_grid_once(num_elements):
-    # x = s: the surface is L Gram^{-1} L^T from one lift table, symmetric
-    # like the kernel, and within rounding of the other route, the kernel
-    # less the resolved part of one column per s (`resolved`, by prefix and
-    # suffix sums of the dual moments), symmetrized
+    # x = s: the surface is the kernel less the resolved part of one column
+    # per s, the lifts tabulated at s alone (`resolved` sums them at x by
+    # prefix and suffix sums of the dual moments), symmetric like the
+    # kernel, and within rounding of the dense L(x) Gram^{-1} L(x)^T
     op = build_fine_scale_operator(KERNEL, build_dual_functionals(
         basis_family(_jittered_mesh(num_elements, 4)), ProjectionFlavor.L2))
     x = np.linspace(0.0, 1.0, 41)
@@ -992,7 +1002,7 @@ def test_l2_kernel_surface_lifts_the_grid_once(num_elements):
         mp.setattr(type(op), "lifted_tab", lambda self, pts: calls.append(pts) or lifted_tab(pts))
         surf = fine_scale_eval(op, x, x)
     assert len(calls) == 1
-    want = op.kernel(x[:, None], x[None, :]) - op.resolved(x, op.lifted_tab(x).T)
+    want = _dense_l2_surface(op, x, x)
     assert np.max(np.abs(surf - 0.5 * (want + want.T))) <= 1e-14
     np.testing.assert_array_equal(surf, surf.T)
 
@@ -1031,11 +1041,11 @@ def test_h10_kernel_surface_is_exactly_zero_off_its_elements(num_elements, degre
                     want = fine_kernel(a, b, degree, x[i], s[j])
                     assert abs(Fraction(surf[i, j]) - want) <= 2.0 * EPS * (b - a)
                 continue
-            # the surface, L(x) Gram^{-1} L(s)^T from the lift tables, against
-            # the resolved part of one column per s, to the rounding of the
-            # kernel it cancels
+            # the surface, the kernel less the resolved part of one column
+            # per s, against the dense L(x) Gram^{-1} L(s)^T from the lift
+            # tables, to the rounding of the kernel it cancels
             full = op.kernel(x[:, None], s[None, :])
-            want = full - op.resolved(x, op.lifted_tab(s).T)
+            want = _dense_l2_surface(op, x, s)
             if x is s:
                 np.testing.assert_array_equal(surf, surf.T)
                 want = 0.5 * (want + want.T)

@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from fsgreens import finescale, quadrature
+from fsgreens import finescale, poisson2d, quadrature
 
 SCRIPT = Path(__file__).resolve().parents[1] / ".github" / "scripts" / "traffic.py"
 
@@ -42,3 +42,17 @@ def test_traffic_lists_the_statements_no_run_reaches():
     assert _body(quadrature.gll_rule) not in alone
     assert _body(finescale._green_and_pairing) in alone
     assert _body(finescale._green_and_pairing) not in _unreached("gll --p 3")
+
+
+def test_each_route_of_the_surfaces_and_the_2d_projection_is_reached():
+    # the two kernel surfaces and the 2D reconstruction reach every
+    # statement of `fine_scale_eval`, `project_2d` and `Field2D.eval_grid`
+    # but a raise: no branch of them is left that only the tests take
+    found = _unreached("--no-bench", "finescale --projection h10", "finescale --projection l2",
+                       "poisson2d --p 3 --elements 2 --terms 100")
+    for fn in (finescale.fine_scale_eval, poisson2d.project_2d, poisson2d.Field2D.eval_grid):
+        lines, start = inspect.getsourcelines(fn)
+        name = Path(inspect.getsourcefile(fn)).name
+        left = [(name, start + i) for i, line in enumerate(lines)
+                if (name, start + i) in found and not line.strip().startswith("raise ")]
+        assert not left, left

@@ -33,7 +33,7 @@ from fsgreens.vms_advdiff import (
     reconstruct_with_exact_gradient,
 )
 from flattened_oracle import _poisson_apply
-from sweep_oracle import coarse_update, fine_update, fixed_point, sweep
+from sweep_oracle import cell_interpolant_deriv, coarse_update, fine_update, fixed_point, sweep
 
 KERNEL = GreensKernel1D.poisson()
 
@@ -241,7 +241,7 @@ def test_workspace_sweeps_match_generic_updates():
                                 breakpoints=layer)
     assert np.max(np.abs(fast_coarse - slow_coarse[1:-1])) < 1e-11
     slow_fine = fine_update(op, problem, u_bar,
-                            lambda x: _cell_interpolant(ws.cells, fine, x, deriv=1),
+                            lambda x: cell_interpolant_deriv(ws.cells, fine, x),
                             ws.nodes, breakpoints=layer)
     assert np.max(np.abs(fast_fine - slow_fine)) <= 1e-12
 
@@ -354,7 +354,8 @@ def test_fine_scales_reproduce_cellwise_polynomials(mesh, q, seed):
     x = np.sort(np.concatenate((np.linspace(0.0, 1.0, 97), ws.cells)))
     scale = np.max(np.abs(coef))
     assert np.max(np.abs(state.fine_scales(x) - poly(x))) <= 1e-12 * scale
-    assert np.max(np.abs(state.fine_scales(x, deriv=1) - poly(x, 1))) \
+    slope = cell_interpolant_deriv(state.cells, state.fine_values, x)
+    assert np.max(np.abs(slope - poly(x, 1))) \
         <= 1e-10 * scale * np.max(1.0 / np.diff(ws.cells))
     want = ws.nodes * integral(np.array([1.0]))[0] - integral(ws.nodes)
     assert np.max(np.abs(ws.green_deriv @ state.fine_values - want)) <= 1e-13 * scale
@@ -413,7 +414,8 @@ def test_fine_scale_interpolant_keeps_joint_kinks():
 
     anti = np.array([integral(xi) for xi in ws.nodes])
     assert np.max(np.abs(state.fine_scales(x) - field_eval(cubic, x))) < 1e-12
-    assert np.max(np.abs(state.fine_scales(x, deriv=1) - field_eval(cubic, x, deriv=1))) < 1e-12
+    slope = cell_interpolant_deriv(state.cells, state.fine_values, x)
+    assert np.max(np.abs(slope - field_eval(cubic, x, deriv=1))) < 1e-12
     want = ws.nodes * integral(1.0) - anti
     assert np.max(np.abs(ws.green_deriv @ state.fine_values - want)) < 1e-12
 
