@@ -41,7 +41,7 @@ integral thus crosses the kernel's kink x = s, and no rule is cut at an
 output point; the kernel integrated on a rule cut only at the mesh
 boundaries misses the kink's derivative jump (criterion 12).  The bubbles
 are always the Lobatto ones (`kernels._lobatto_bubbles`), H10-orthogonal,
-so no closed-form Green's image here solves for its bubble coefficients.
+so neither a closed-form Green's image nor an H10 projection solves for them.
 """
 
 from __future__ import annotations
@@ -220,7 +220,7 @@ def _h10_fine_scales(fns: DualFunctionals, src: SourceTerm, grid: np.ndarray,
     f per cell gives, its running sums restarted at every vertex
     (`kernels._poisson_cells`).  On an element that is one cell, u' is the
     tail sum_{j >= p} c_j b_j, with no cancellation; on one split by
-    kinks, G_e f less P_b G_e f from the bubbles' loads (`_h10_local`).
+    kinks, G_e f less P_b G_e f, the Lobatto expansion of its loads (`_h10_local`).
     Each point source adds its column of `_h10_fine_kernel`.  A nodal
     field of the family has u_bar - I u_bar in the bubbles, so leaves -l
     alone; any other leaves its H10 projection less itself.

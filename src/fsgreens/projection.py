@@ -12,8 +12,8 @@ coefficients of its projection onto that flavor's target space directly:
 In 1D the H10 projection interpolates u at the mesh vertices (Tong, AIAA J.
 7(1), 1969), so nothing here assembles or solves with the global stiffness
 K: ū, and a functional table, the projection of a kernel column, are vertex
-values plus each element's bubbles (`_h10_local`), with no cond(K) eps;
-from a source one Green's pass gives both.  `dualspace` forms K, unfactored.
+values plus each element's Lobatto bubbles (`_h10_local`), with no solve or cond(K)
+eps; from a source one Green's pass gives both.  `dualspace` forms K, unfactored.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .basis1d import BasisFamily, Field, SpaceKind, _locate, pair_basis, tabulate_nodal
 from .dualspace import DualSet, tabulate_duals
-from .kernels import _check_unit_mesh, _poisson_cells, poisson_green
+from .kernels import _check_unit_mesh, _lobatto_bubbles, _poisson_cells, poisson_green
 from .quadrature import composite_rule, cut_ends, gauss_legendre_rule
 
 _BOUNDARY_TOL = 1e-9
@@ -127,9 +127,10 @@ def _h10_local(family: BasisFamily, vertex, loads) -> np.ndarray:
     """Pi u's interior nodal coefficients from u's N + 1 vertex values and
     the nodal loads (psi_k', u'), each a vector or one column per u: the
     linear interpolant I u of the vertex values plus, on each element, the
-    projection of u - I u onto its p - 1 interior Lagrange functions, whose
-    loads are u's as I u' is constant there.  Their stiffness is the
-    family's reference one over J_e: one solve serves every element."""
+    projection of u - I u onto its bubbles, whose loads are u's as I u' is
+    constant there.  It is the orthogonal expansion J_e sum_{k<p} (2k + 1)
+    / 2 b_k (b_k', u') in the Lobatto bubbles (`kernels._lobatto_bubbles`),
+    of squared H10 norm 2 / ((2k + 1) J_e): no stiffness is inverted."""
     mesh = family.mesh
     num, p = mesh.num_elements, mesh.degree
     vertex = np.asarray(vertex, dtype=float)
@@ -139,11 +140,11 @@ def _h10_local(family: BasisFamily, vertex, loads) -> np.ndarray:
     # I u at each element's first p GLL nodes, then the bubbles at its inner ones
     coeffs = v[:-1] * (1.0 - t) + v[1:] * t
     if p > 1:
-        ref = family.nodal_stiffness[1:-1, 1:-1]
+        # T[i, k] = (2k + 1) b_k(xi_i), so T diag(1 / (2 (2k + 1))) T^T maps loads to bubbles
+        table = _lobatto_bubbles(family.ref_nodes[1:-1], p - 1)
+        expand = (table / (2.0 * (2.0 * np.arange(1, p) + 1.0))) @ table.T
         inner = np.asarray(loads, dtype=float)[:-1].reshape(num, p, cols)[:, 1:]
-        bubble = np.linalg.solve(ref, inner.transpose(1, 0, 2).reshape(p - 1, num * cols))
-        coeffs[:, 1:] += mesh.jacobian(np.arange(num))[:, None, None] \
-            * bubble.reshape(p - 1, num, cols).transpose(1, 0, 2)
+        coeffs[:, 1:] += mesh.jacobian(np.arange(num))[:, None, None] * (expand @ inner)
     return coeffs.reshape((num * p,) + vertex.shape[1:])[1:]
 
 

@@ -144,6 +144,13 @@ class ExactPolynomial:
         a, b = Fraction(bounds[elem]), Fraction(bounds[elem + 1])
         if fx in (a, b):
             return Fraction(0)
+        xi = (2 * fx - a - b) / (b - a)
+        return sum((d * _horner(_bubble(j), xi)
+                    for j, d in self._tail(a, b, degree)), Fraction(0))
+
+    @functools.lru_cache(maxsize=None)
+    def _tail(self, a: Fraction, b: Fraction, degree: int) -> tuple:
+        """The pairs (j, d_j), j >= p, of u - Pi u on the element [a, b]."""
         half = (b - a) / 2
         # du/dxi as a polynomial in xi: half u'(a + half (xi + 1))
         arg = [a + half, half]
@@ -151,10 +158,6 @@ class ExactPolynomial:
         for c in reversed(self.du):
             comp = _add(_mul(comp, arg), [c])
         comp = [half * c for c in comp]
-        xi = (2 * fx - a - b) / (b - a)
-        out = Fraction(0)
-        for j in range(degree, len(comp)):
-            moments = _moments(j, len(comp) - 1)
-            d = Fraction(2 * j + 1, 2) * sum(c * m for c, m in zip(comp, moments))
-            out += d * _horner(_bubble(j), xi)
-        return out
+        return tuple((j, Fraction(2 * j + 1, 2)
+                      * sum(c * m for c, m in zip(comp, _moments(j, len(comp) - 1))))
+                     for j in range(degree, len(comp)))

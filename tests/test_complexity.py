@@ -4,9 +4,9 @@ something no host noise moves.
 tracemalloc's peak of one traced run is deterministic (two runs give the
 same bytes), so the ratio of two peaks gates an exponent in N without
 timing anything.  The gate is on the ratio, not on bytes, so it holds
-across numpy versions whose temporaries differ in size.  The shapes of the
-matrices `np.linalg` factors or solves are deterministic too: an
-element-local path factors nothing whose size grows with N.
+across numpy versions whose temporaries differ in size.  The calls to
+`np.linalg` are deterministic too: the element-local H10 path makes none
+that factors or solves.
 """
 
 import tracemalloc
@@ -32,9 +32,9 @@ _FACTORING = ("cholesky", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv", "l
 
 
 def _h10_path(num_elements: int):
-    """The H10 operator at p = 4 on N elements, built outside any gate, as
-    its `gram_cond` reads the dense stiffness; and the gated path, the H10
-    projection from the source plus its reconstruction on 401 points."""
+    """The H10 operator at p = 4 on N elements, built before the gated run,
+    as its `gram_cond` reads the dense stiffness; and the gated path, the
+    H10 projection from the source plus its reconstruction on 401 points."""
     family = basis_family(Mesh1D.uniform(0.0, 1.0, num_elements, 4))
     fns = build_dual_functionals(family, ProjectionFlavor.H10)
     op = build_fine_scale_operator(GreensKernel1D.poisson(), fns)
@@ -66,15 +66,16 @@ def test_h10_projection_and_reconstruction_memory_is_linear_in_n():
 
 
 @pytest.mark.parametrize("num_elements", [64, 256])
-def test_h10_projection_and_reconstruction_factor_only_element_sized_matrices(
-        num_elements, monkeypatch):
-    # every matrix np.linalg factors or solves on the gated path, the last
-    # two axes of its first argument, is at most 2p x 2p at p = 4, such as
-    # the element's (p - 1)-wide bubble stiffness, and nothing of the global
-    # N p size.  The source rule's Gauss rules, q and 2q points, are formed
-    # first: each is formed once per size, seeded by numpy's leggauss, an
-    # eigensolve of its q x q Jacobi matrix
-    run = _h10_path(num_elements)
+def test_h10_projection_and_reconstruction_factor_nothing(num_elements, monkeypatch):
+    # the gated path calls no np.linalg routine that factors or solves: each
+    # element's bubbles are an orthogonal expansion in the Lobatto bubbles,
+    # and a solve with the (p - 1) x (p - 1) interior stiffness on each call
+    # fails here.  The positive control is the operator's build, recorded
+    # too: its `gram_cond` reads the eigenvalues of the dense stiffness K,
+    # of the global N p - 1 size, through the same np.linalg lookup.  The
+    # source rule's Gauss rules, q and 2q points, are formed first: each is
+    # formed once per size, seeded by numpy's leggauss, an eigensolve of its
+    # q x q Jacobi matrix
     q = source_rule_points(4)
     for n in (q, 2 * q):
         gauss_legendre_rule(n)
@@ -88,9 +89,12 @@ def test_h10_projection_and_reconstruction_factor_only_element_sized_matrices(
 
     for name in _FACTORING:
         monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    run = _h10_path(num_elements)
+    size = 4 * num_elements - 1
+    assert ("eigvalsh", (size, size)) in shapes, "the recorder misses the build's K"
+    shapes.clear()
     run()
-    assert shapes, "the gated path factors nothing: the gate sees no call"
-    assert all(max(shape) <= 2 * 4 for _, shape in shapes), shapes
+    assert not shapes, shapes
 
 
 @pytest.mark.parametrize("num_elements", [64, 256])

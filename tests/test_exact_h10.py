@@ -38,6 +38,10 @@ VERTEX_BOUND = 8.0
 ELEMENT_BOUND = 4.0
 SIZES = [(n, p) for n in (16, 256, 1024) for p in (2, 4, 8)] \
     + [(n, p) for n in (16, 256) for p in (12, 16)]
+# (N, p, jittered) where a solve with the interior Lagrange stiffness misses
+# BOUND by 18.2 to 54.9; the Lobatto expansion gives at most 11.7, at p = 64
+HIGH_DEGREE = [(2, 24, False), (2, 24, True), (2, 32, False), (2, 32, True), (2, 48, False),
+               (2, 64, False), (2, 64, True), (16, 48, False)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -93,6 +97,22 @@ def test_h10_columns_match_the_exact_projection(num_elements, degree, jittered):
             <= VERTEX_BOUND
         assert np.max(np.abs(field_eval(u_bar, grid[at_vertex]) - exact[at_vertex])) \
             <= VERTEX_BOUND * EPS * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("num_elements, degree, jittered", HIGH_DEGREE)
+def test_h10_columns_match_the_exact_projection_at_high_degree(num_elements, degree, jittered):
+    # u_bar from the source shortcut and from project with f', and the
+    # u_prime of each: each element's bubbles expand in the H10-orthogonal
+    # Lobatto bubbles, so no solve's conditioning grows with p.  The
+    # value-only project pairs f - I f with the basis's second derivatives,
+    # which lose digits at these degrees, and is left out
+    family, poly, grid, exact, fine = _case(num_elements, degree, jittered)
+    fns = DualFunctionals(ProjectionFlavor.H10, family)
+    op = FineScaleOperator(GreensKernel1D.poisson(), fns, source_rule_points(degree))
+    for u_bar in (h10_project_from_source(fns, poly.source),
+                  project(fns, poly.solution, poly.gradient)):
+        u_prime = reconstruct_fine_scales(op, residual_from_field(u_bar, poly.source), grid)
+        assert max(_errors(field_eval(u_bar, grid), u_prime, exact, fine)) <= BOUND
 
 
 @pytest.mark.parametrize("jittered", [False, True], ids=["uniform", "jittered"])
